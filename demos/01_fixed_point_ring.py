@@ -14,7 +14,7 @@ import numpy as np
 from privtrans.ring import DEFAULT_RING, FixedTensor, mat_mul, truncate
 
 ring = DEFAULT_RING
-print(f"ring: modulus 2^{ring.modulus_bits}, {ring.value_bits}-bit values, "
+print(f"ring: Z_(2^64), {ring.value_bits}-bit values, "
       f"{ring.frac_bits} fraction bits (scale {ring.scale})")
 
 # %%

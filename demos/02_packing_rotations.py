@@ -4,7 +4,7 @@ Ciphertext packing and the rotation bill
 
 An encrypted matrix is a stream of slot vectors. How you lay the matrix
 into slots decides how many homomorphic rotations a matmul costs:
-features-first pays c*M rotations with the naive kernel, tokens-first
+features-first pays c*M rotations with the packed matmul, tokens-first
 only c*ceil(M/n). This script packs the same matrix both ways and reads
 the bill off the cost report.
 """
@@ -48,7 +48,7 @@ for strategy in PackingStrategy:
     with report.at("Others", "offline"):
         cts = pack(x, layout, key, report)
         out, layout_out = he_matmul(cts, layout, w, report)
-        results[strategy] = unpack(out, layout_out, key.secret(), report)
+        results[strategy] = unpack(out, layout_out, key.secret(), DEFAULT_RING, report)
     print(f"{strategy.value:15s} measured rotations={report.total('he_rotate')}")
 assert results[PackingStrategy.FEATURES_FIRST] == results[PackingStrategy.TOKENS_FIRST]
 
@@ -58,17 +58,3 @@ assert results[PackingStrategy.FEATURES_FIRST] == results[PackingStrategy.TOKENS
 chosen = plan_layout(n, d, slots)
 print(f"planner picks {chosen.strategy.value} "
       f"(saves {predicted_rotations(PackingLayout(PackingStrategy.FEATURES_FIRST, n, d, slots)) - predicted_rotations(chosen)} rotations)")
-
-# %%
-# Tokens-first also unlocks a log kernel: rotate-and-add halving instead
-# of one rotation per slot block. It pays log2(M/n) rotations per output
-# column, so it wins when M/n dwarfs the output width (not here, where
-# M/n = 8 and d2 = 16). Same decryption either way.
-report = CostReport()
-layout = PackingLayout(PackingStrategy.TOKENS_FIRST, n, d, slots)
-with report.at("Others", "offline"):
-    cts = pack(x, layout, key, report)
-    out, layout_out = he_matmul(cts, layout, w, report, kernel="log")
-    got = unpack(out, layout_out, key.secret(), report)
-assert got == results[PackingStrategy.TOKENS_FIRST]
-print(f"log kernel rotations={report.total('he_rotate')}")

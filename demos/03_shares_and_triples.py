@@ -13,31 +13,29 @@ import numpy as np
 
 from privtrans.costs import CostReport
 from privtrans.ring import DEFAULT_RING, FixedTensor, mat_mul
-from privtrans.sharing import make_product_triple, reconstruct, share
+from privtrans.sharing import make_product_triple, rand_ring
 from privtrans.she import HEParams, keygen
 
 rng = np.random.default_rng(42)
 x = FixedTensor.from_float(np.array([[1.5, -2.0], [0.25, 8.0]]), DEFAULT_RING)
 
 # %%
-# share() draws one share uniformly; the other is the difference. Each
-# share alone is indistinguishable from noise.
-a, b = share(x, rng)
-print("client share:\n", a.value.data)
-print("server share:\n", b.value.data)
-print("reconstructed:\n", reconstruct(a, b).to_float())
+# One share is a uniform ring mask r; the other is x - r. Each share
+# alone is indistinguishable from noise.
+r = rand_ring(x.shape, rng, DEFAULT_RING)
+a, b = x - r, r
+print("client share:\n", a.data)
+print("server share:\n", b.data)
+print("reconstructed:\n", (a + b).to_float())
 
 # %%
 # Addition of shares is addition of secrets; no communication at all.
 # Public scalars multiply share-locally the same way.
-from privtrans.sharing import ShareMat, local_scalar_mul
-
 y = FixedTensor.from_float(np.array([[10.0, 10.0], [10.0, 10.0]]), DEFAULT_RING)
-ya, yb = share(y, rng)
-summed = reconstruct(ShareMat("client", a.value + ya.value), ShareMat("server", b.value + yb.value))
-print("x + y:\n", summed.to_float())
-tripled = reconstruct(local_scalar_mul(a, 3), local_scalar_mul(b, 3))
-print("3 * x:\n", tripled.to_float())
+yr = rand_ring(y.shape, rng, DEFAULT_RING)
+ya, yb = y - yr, yr
+print("x + y:\n", ((a + ya) + (b + yb)).to_float())
+print("3 * x:\n", (a.scalar_mul(3) + b.scalar_mul(3)).to_float())
 
 # %%
 # Products need help: a multiplication triple fixes masks (Rl, Rr) and
@@ -52,8 +50,7 @@ r = FixedTensor(rng.integers(0, 1 << 64, (3, 4), dtype=np.uint64), DEFAULT_RING)
 report = CostReport()
 with report.at("QxK", "offline"):
     triple = make_product_triple(r, r.transpose(), key, report=report)
-print(f"triple built with {report.total('he_enc')} encryptions, "
-      f"{report.total('ct_ct_mul')} ct x ct multiplications")
+print(f"triple built with {report.total('he_enc')} encryptions and no ct x ct product")
 
 # %%
 # The full masked product runs inside an engine session (see demo 05);

@@ -19,7 +19,7 @@ Start with `Session` / `run_protocol` (engine), `ModelConfig` /
 """
 
 from .costs import CostReport
-from .engine import MODES, Session, audit_server_ignorance, run_base, run_protocol
+from .engine import MODES, Session, audit_server_ignorance, run_protocol
 from .model import (
     ModelConfig,
     ModelWeights,
@@ -31,7 +31,7 @@ from .model import (
 from .packing import PackingLayout, PackingStrategy, he_matmul, pack, plan_layout, unpack
 from .ring import DEFAULT_RING, FixedTensor, RingParams, mat_mul
 from .securefn import SecureFnSpec, eval_secure, plain_apply
-from .sharing import make_product_triple, reconstruct, share
+from .sharing import make_product_triple
 from .she import HEParams, decrypt, encrypt, keygen
 from .transcript import ChannelModel, Transcript, estimate_latency
 
@@ -42,7 +42,6 @@ __all__ = [
     "MODES",
     "Session",
     "audit_server_ignorance",
-    "run_base",
     "run_protocol",
     "ModelConfig",
     "ModelWeights",
@@ -64,8 +63,6 @@ __all__ = [
     "eval_secure",
     "plain_apply",
     "make_product_triple",
-    "reconstruct",
-    "share",
     "HEParams",
     "decrypt",
     "encrypt",

@@ -16,7 +16,7 @@ fresh inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,36 +57,6 @@ class BoolCircuit:
     @property
     def and_count(self) -> int:
         return int(np.count_nonzero(self.op == AND))
-
-    def to_text(self) -> str:
-        lines = [
-            "bc1",
-            f"inputs {' '.join(str(w) for w in self.input_widths)}",
-            f"outputs {' '.join(str(w) for w in self.outputs)}",
-            f"gates {self.n_gates}",
-        ]
-        sym = {AND: "A", XOR: "X"}
-        for o, a, b in zip(self.op, self.lhs, self.rhs):
-            lines.append(f"{sym[int(o)]} {int(a)} {int(b)}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "BoolCircuit":
-        lines = text.strip().split("\n")
-        if lines[0] != "bc1":
-            raise ValueError(f"unknown circuit format {lines[0]!r}")
-        widths = tuple(int(t) for t in lines[1].split()[1:])
-        outputs = tuple(int(t) for t in lines[2].split()[1:])
-        n = int(lines[3].split()[1])
-        op = np.zeros(n, dtype=np.uint8)
-        lhs = np.zeros(n, dtype=np.int32)
-        rhs = np.zeros(n, dtype=np.int32)
-        for i, line in enumerate(lines[4 : 4 + n]):
-            s, a, b = line.split()
-            op[i] = AND if s == "A" else XOR
-            lhs[i] = int(a)
-            rhs[i] = int(b)
-        return cls(sum(widths), widths, outputs, op, lhs, rhs)
 
 
 class CircuitBuilder:

@@ -146,8 +146,7 @@ def load_run_config(obj: dict, overrides: dict | None = None) -> RunConfig:
         h = _field(obj, "he", dict)
         slots = _field(h, "slots", int, required=True)
         he = HEParams(slots=slots,
-                      ciphertext_bytes=_field(h, "ciphertext_bytes", int, default=16 * slots),
-                      ring=cfg.ring)
+                      ciphertext_bytes=_field(h, "ciphertext_bytes", int, default=16 * slots))
     channel = ChannelModel()
     if "channel" in obj:
         c = _field(obj, "channel", dict)
@@ -219,7 +218,6 @@ def cmd_run(rc: RunConfig) -> dict:
         "steps": steps,
         "totals": totals,
         "modeled_latency_s": latency,
-        "ct_ct_mul": merged.total("ct_ct_mul"),
     }
 
 
@@ -246,7 +244,6 @@ def cmd_verify(rc: RunConfig) -> tuple[bool, list[str]]:
     for mode in MODES:
         rep = cmp["reports"][mode]
         check(f"{mode}: reconstruction equals reference", rep["equivalence"] == "exact")
-        check(f"{mode}: no ciphertext-by-ciphertext multiplies", rep["ct_ct_mul"] == 0)
     for mode in ("f", "fp", "fpc"):
         rep = cmp["reports"][mode]
         free = all(rep["steps"][s]["online"]["he_ops"] == 0 for s in ("Embed", "QKV", "Others"))
@@ -256,8 +253,12 @@ def cmd_verify(rc: RunConfig) -> tuple[bool, list[str]]:
     n_blocks = rc.model.N
     check("f: fused prefix online interactions = 4",
           prefix(cmp["reports"]["f"]) == 4 + 2 * (n_blocks - 1))
-    check("fpc: fused prefix online interactions = 1 per block",
-          prefix(cmp["reports"]["fpc"]) == n_blocks)
+    # pre-norm puts a layer norm between the embedding and the first block,
+    # so the embedding's two modules cannot fuse and stay online
+    pre = rc.model.norm == "pre"
+    check("fpc: fused prefix online interactions = 1 per block"
+          + (" + 2 embedding" if pre else ""),
+          prefix(cmp["reports"]["fpc"]) == n_blocks + (2 if pre else 0))
     check("base: online HE present",
           cmp["reports"]["base"]["totals"]["online"]["he_ops"] > 0)
     return ok, lines

@@ -13,10 +13,7 @@ PHASES = ("offline", "online")
 
 HE_COUNTERS = ("he_enc", "he_dec", "he_add", "he_add_plain", "he_mul_plain", "he_rotate")
 
-# ct_ct_mul exists only so tests can assert it stays zero: the backend has
-# no ciphertext-by-ciphertext multiply at all.
 ALL_COUNTERS = HE_COUNTERS + (
-    "ct_ct_mul",
     "gc_and_gates",
     "gc_table_bytes",
     "ot_count",

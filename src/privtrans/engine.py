@@ -170,9 +170,7 @@ class Session:
         if he_params is None:
             top = max(cfg.d_oh, cfg.d_emb, cfg.d_ff, cfg.n, cfg.d_out, 2)
             slots = 1 << (top - 1).bit_length()
-            he_params = HEParams(slots=slots, ciphertext_bytes=16 * slots, ring=cfg.ring)
-        if he_params.ring != cfg.ring:
-            raise ValueError("HE ring must match the model ring")
+            he_params = HEParams(slots=slots, ciphertext_bytes=16 * slots)
         self.he = he_params
         self.key = keygen(he_params, key_id=0, seed=int(self.client.rng.integers(0, 2**63)))
         self.client.keys["he"] = self.key
@@ -181,7 +179,8 @@ class Session:
             packing = (PackingStrategy.TOKENS_FIRST if mode in ("fp", "fpc")
                        else PackingStrategy.FEATURES_FIRST)
         if packing is PackingStrategy.TOKENS_FIRST and he_params.slots % cfg.n:
-            raise ValueError("tokens_first packing needs the token count to divide the slots")
+            raise ValueError(f"tokens_first packing needs n={cfg.n} to divide "
+                             f"the {he_params.slots} HE slots")
         self.packing = packing
         self.transcript = Transcript()
         for name, t in (("w_e", weights.w_e), ("w_head", weights.w_head)):
@@ -250,7 +249,7 @@ class Session:
             # an online-generated module piggybacks on its remask interaction
             self.transcript.interaction(step, phase=phase)
         with rep_c.at(step, phase):
-            m_out = unpack(out_cts, layout_out, self.key.secret(), rep_c)
+            m_out = unpack(out_cts, layout_out, self.key.secret(), cfg.ring, rep_c)
         self.server.put(f"{lid}.rs", "mask", rs)
         self.client.put(f"{lid}.m_out", "mask", m_out)
         return HgsMaterial(lid, rc, rs, m_out)
@@ -620,11 +619,6 @@ class RunResult:
 
     def merged_report(self) -> CostReport:
         return self.client_report.merged(self.server_report)
-
-
-def run_base(cfg: ModelConfig, weights: ModelWeights, tokens, seed: int, **kw) -> RunResult:
-    """Baseline: identical module structure, mask material moved online."""
-    return Session(cfg, weights, "base", seed, **kw).run(tokens)
 
 
 def run_protocol(mode: str, cfg: ModelConfig, weights: ModelWeights, tokens, seed: int,

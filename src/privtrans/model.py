@@ -168,7 +168,7 @@ def save_weights(path, weights: ModelWeights) -> None:
     items = list(weight_items(weights))
     header = {
         "version": WEIGHT_VERSION,
-        "modulus_bits": ring.modulus_bits,
+        "modulus_bits": 64,
         "value_bits": ring.value_bits,
         "frac_bits": ring.frac_bits,
         "tensors": [{"name": n, "rows": t.rows, "cols": t.cols} for n, t in items],
@@ -198,7 +198,9 @@ def load_weights(path) -> tuple[ModelWeights, RingParams]:
         raise ValueError(f"corrupt weight header: {e}") from None
     if header.get("version") != WEIGHT_VERSION:
         raise ValueError(f"unsupported weight file version {header.get('version')}")
-    ring = RingParams(header["modulus_bits"], header["value_bits"], header["frac_bits"])
+    if header.get("modulus_bits") != 64:
+        raise ValueError(f"unsupported modulus_bits {header.get('modulus_bits')}; the ring is Z_2^64")
+    ring = RingParams(header["value_bits"], header["frac_bits"])
     tensors = {}
     off = 8 + hlen
     for entry in header["tensors"]:
@@ -245,11 +247,7 @@ def config_to_dict(cfg: ModelConfig) -> dict:
     if np.any(cfg.lam.data):
         d["lam"] = cfg.lam.to_float().tolist()
     if cfg.ring != DEFAULT_RING:
-        d["ring"] = {
-            "modulus_bits": cfg.ring.modulus_bits,
-            "value_bits": cfg.ring.value_bits,
-            "frac_bits": cfg.ring.frac_bits,
-        }
+        d["ring"] = {"value_bits": cfg.ring.value_bits, "frac_bits": cfg.ring.frac_bits}
     return d
 
 
@@ -262,6 +260,9 @@ def config_from_dict(d: Mapping) -> ModelConfig:
         raise ValueError(f"missing model config fields: {missing}")
     kwargs = dict(d)
     if "ring" in kwargs:
+        unknown = set(kwargs["ring"]) - {"value_bits", "frac_bits"}
+        if unknown:
+            raise ValueError(f"unknown ring config fields: {sorted(unknown)}")
         kwargs["ring"] = RingParams(**kwargs["ring"])
     if kwargs.get("lam") is not None:
         ring = kwargs.get("ring", DEFAULT_RING)

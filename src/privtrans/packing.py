@@ -7,24 +7,22 @@ either way):
   tokens_first    slot stream g = j*n + h   (feature j's n token values
                                              contiguous, feature-major)
 
-The matmul kernels move data with cyclic rotations only. The naive kernel
-is the accounting baseline: features_first rotates every ciphertext M
-times, tokens_first once per multiple of n in [0, M), i.e. ceil(M/n) per
-ciphertext. The log kernel is the performance mode (halving-stride
-rotate-and-add reduction, tokens_first only).
+The matmul kernel moves data with cyclic rotations only and is the
+accounting baseline: features_first rotates every ciphertext M times,
+tokens_first once per multiple of n in [0, M), i.e. ceil(M/n) per
+ciphertext.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .costs import CostReport
-from .ring import FixedTensor
-from .she import Ciphertext, HEParams, KeyPair, SecretKey, decrypt, encrypt, he_add, he_mul_plain, he_rotate
+from .ring import FixedTensor, RingParams
+from .she import Ciphertext, KeyPair, SecretKey, decrypt, encrypt, he_add, he_mul_plain, he_rotate
 
 
 class PackingStrategy(Enum):
@@ -62,13 +60,6 @@ class PackingLayout:
     def with_features(self, d: int) -> "PackingLayout":
         return PackingLayout(self.strategy, self.n, d, self.slots)
 
-    def to_dict(self) -> dict:
-        return {"strategy": self.strategy.value, "n": self.n, "d": self.d, "slots": self.slots}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "PackingLayout":
-        return cls(PackingStrategy(obj["strategy"]), obj["n"], obj["d"], obj["slots"])
-
 
 def plan_layout(n: int, d: int, slots: int) -> PackingLayout:
     """Pick the strategy with strictly fewer predicted naive rotations.
@@ -105,7 +96,7 @@ def pack_plain(x: FixedTensor, layout: PackingLayout) -> list[np.ndarray]:
     return [stream[i * layout.slots : (i + 1) * layout.slots].copy() for i in range(layout.c)]
 
 
-def unpack_plain(vecs: list[np.ndarray], layout: PackingLayout, ring) -> FixedTensor:
+def unpack_plain(vecs: list[np.ndarray], layout: PackingLayout, ring: RingParams) -> FixedTensor:
     stream = np.concatenate([np.asarray(v, dtype=np.uint64) for v in vecs])
     body = stream[: layout.n * layout.d]
     if layout.strategy is PackingStrategy.FEATURES_FIRST:
@@ -122,10 +113,11 @@ def pack(
 
 
 def unpack(
-    cts: list[Ciphertext], layout: PackingLayout, sk: SecretKey, report: CostReport | None = None
+    cts: list[Ciphertext], layout: PackingLayout, sk: SecretKey, ring: RingParams,
+    report: CostReport | None = None,
 ) -> FixedTensor:
     vecs = [decrypt(ct, sk, report) for ct in cts]
-    return unpack_plain(vecs, layout, cts[0].params.ring)
+    return unpack_plain(vecs, layout, ring)
 
 
 # -- packed matmul ---------------------------------------------------------
@@ -175,24 +167,17 @@ def he_matmul(
 ) -> tuple[list[Ciphertext], PackingLayout]:
     """Encrypted X [n x d1] times plaintext W [d1 x d2], packed in, packed out.
 
-    kernel="naive" reproduces the baseline rotation counts exactly; see the
-    module docstring. kernel="log" needs tokens_first with M/n a power of 2.
+    Reproduces the baseline rotation counts exactly; see the module
+    docstring. "naive" is the only kernel; the argument stays for callers
+    that pass it through.
     """
+    if kernel != "naive":
+        raise ValueError(f"unknown kernel {kernel!r}")
     if w.rows != layout.d:
         raise ValueError(f"weight rows {w.rows} != layout features {layout.d}")
     if len(cts) != layout.c:
         raise ValueError(f"expected {layout.c} ciphertexts, got {len(cts)}")
     layout_out = layout.with_features(w.cols)
-    if kernel == "naive":
-        out = _matmul_naive(cts, layout, layout_out, w, report)
-    elif kernel == "log":
-        out = _matmul_log(cts, layout, layout_out, w, report)
-    else:
-        raise ValueError(f"unknown kernel {kernel!r}")
-    return out, layout_out
-
-
-def _matmul_naive(cts, layout, layout_out, w, report):
     m = layout.slots
     if layout.strategy is PackingStrategy.TOKENS_FIRST:
         if m % layout.n:
@@ -213,46 +198,4 @@ def _matmul_naive(cts, layout, layout_out, w, report):
                 mask[entry[0]] = np.array(entry[1], dtype=np.uint64)
                 prod = he_mul_plain(rot, mask, report)
                 acc[t] = prod if acc[t] is None else he_add(acc[t], prod, report)
-    return [a if a is not None else _zero_like(cts[0]) for a in acc]
-
-
-def _matmul_log(cts, layout, layout_out, w, report):
-    if layout.strategy is not PackingStrategy.TOKENS_FIRST:
-        raise ValueError("log kernel supports tokens_first only")
-    m, n = layout.slots, layout.n
-    if m % n:
-        raise ValueError("log kernel needs n | M")
-    blocks = m // n
-    if blocks & (blocks - 1):
-        raise ValueError("log kernel needs M/n to be a power of two")
-    f_per_ct = blocks
-    acc: list[Ciphertext | None] = [None] * layout_out.c
-    for i, ct in enumerate(cts):
-        j_base = i * f_per_ct
-        j_count = min(f_per_ct, layout.d - j_base)
-        if j_count <= 0:
-            continue
-        for o in range(layout_out.d):
-            # weight vector aligned to the input layout of this ciphertext
-            wv = np.zeros(m, dtype=np.uint64)
-            for j_local in range(j_count):
-                wv[j_local * n : (j_local + 1) * n] = w.data[j_base + j_local, o]
-            if not wv.any():
-                continue
-            red = he_mul_plain(ct, wv, report)
-            stride = blocks // 2
-            while stride >= 1:  # log2(M/n) rotations; every block ends holding the sum
-                red = he_add(red, he_rotate(red, stride * n, report), report)
-                stride //= 2
-            t_ct, s_out = layout_out.slot_of(0, o)
-            sel = np.zeros(m, dtype=np.uint64)
-            sel[s_out : s_out + n] = 1
-            part = he_mul_plain(red, sel, report)
-            acc[t_ct] = part if acc[t_ct] is None else he_add(acc[t_ct], part, report)
-    return [a if a is not None else _zero_like(cts[0]) for a in acc]
-
-
-def log_kernel_rotation_bound(layout: PackingLayout, d2: int) -> int:
-    """Documented rotation count of the log kernel: c * d2 * log2(M/n)."""
-    blocks = layout.slots // layout.n
-    return layout.c * d2 * max(1, int(math.log2(blocks)))
+    return [a if a is not None else _zero_like(cts[0]) for a in acc], layout_out

@@ -1,83 +1,58 @@
-"""Fixed-point arithmetic over a power-of-two ring Z_{2^m}.
+"""Fixed-point arithmetic over the ring Z_{2^64}.
 
 Values are embedded two's-complement style: a real number x is encoded as
-round(x * 2**frac_bits) mod 2**modulus_bits. All tensors store unsigned
-64-bit words; reduction mod 2**modulus_bits is a bitmask, and for the
-default modulus_bits=64 the native uint64 wraparound already is the ring.
+round(x * 2**frac_bits) mod 2**64. All tensors store unsigned 64-bit
+words, so the native uint64 wraparound is the ring reduction.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
+# The nonpoly stages (securefn, fixedfn) carry values at 16 bits.
+MAX_VALUE_BITS = 16
 
 
 @dataclass(frozen=True)
 class RingParams:
-    """Ring and fixed-point geometry.
+    """Fixed-point geometry on Z_{2^64}.
 
     value_bits is the width of a decoded value (1 sign + int + frac),
-    frac_bits the fraction part. modulus_bits must leave enough headroom
-    for one full matmul reduction: 2*value_bits + log2(reduction dim).
+    frac_bits the fraction part.
     """
 
-    modulus_bits: int = 64
     value_bits: int = 15
     frac_bits: int = 8
 
     def __post_init__(self):
-        if not (1 <= self.modulus_bits <= 64):
-            raise ValueError("modulus_bits must be in [1, 64]")
+        if self.value_bits > MAX_VALUE_BITS:
+            raise ValueError(
+                f"value_bits={self.value_bits} exceeds {MAX_VALUE_BITS}, "
+                "the width the nonpoly stages carry"
+            )
         if not (1 <= self.frac_bits < self.value_bits):
             raise ValueError("frac_bits must be in [1, value_bits)")
-        if 2 * self.value_bits > self.modulus_bits:
-            raise ValueError("no headroom: need modulus_bits >= 2*value_bits")
-
-    @property
-    def mask(self) -> np.uint64:
-        if self.modulus_bits == 64:
-            return MASK64
-        return np.uint64((1 << self.modulus_bits) - 1)
 
     @property
     def scale(self) -> int:
         return 1 << self.frac_bits
 
-    @property
-    def max_reduction_dim(self) -> int:
-        """Largest inner dimension a single product-sum may reduce over."""
-        return 1 << (self.modulus_bits - 2 * self.value_bits)
-
-    def check_reduction_dim(self, k: int) -> None:
-        if k > self.max_reduction_dim:
-            raise ValueError(
-                f"reduction dim {k} exceeds headroom "
-                f"(max {self.max_reduction_dim} for these ring params)"
-            )
-
     # -- scalar embedding ------------------------------------------------
 
-    def wrap(self, arr: np.ndarray) -> np.ndarray:
-        return (arr.astype(np.uint64) & self.mask).astype(np.uint64)
-
     def to_signed(self, arr: np.ndarray) -> np.ndarray:
-        """Interpret ring elements as signed ints in [-2^(m-1), 2^(m-1))."""
-        up = np.uint64(64 - self.modulus_bits)
-        a = np.ascontiguousarray(arr, dtype=np.uint64)
-        return (a << up).view(np.int64) >> np.int64(64 - self.modulus_bits)
+        """Ring words as signed ints in [-2^63, 2^63): an int64 view."""
+        return np.ascontiguousarray(arr, dtype=np.uint64).view(np.int64)
 
     def from_signed(self, arr: np.ndarray) -> np.ndarray:
-        return self.wrap(np.asarray(arr, dtype=np.int64).view(np.uint64))
+        return np.array(arr, dtype=np.int64).view(np.uint64)
 
     def encode(self, x) -> np.ndarray:
         """fx_encode: round(x * 2^frac_bits), embedded in the ring.
 
         Rounds half away from zero so encode(1.5) with frac_bits=8 is
-        exactly 384 and encode(-1.0) is 2^m - 256.
+        exactly 384 and encode(-1.0) is 2^64 - 256.
         """
         x = np.asarray(x, dtype=np.float64)
         scaled = x * self.scale
@@ -105,7 +80,7 @@ class FixedTensor:
         data = np.asarray(data)
         if data.ndim != 2:
             raise ValueError("FixedTensor is strictly 2-D")
-        self.data = ring.wrap(data)
+        self.data = data.astype(np.uint64)  # always a private copy
         self.ring = ring
 
     # -- constructors ----------------------------------------------------
@@ -149,7 +124,7 @@ class FixedTensor:
         if self.ring != other.ring:
             raise ValueError("ring params mismatch")
 
-    # -- ring arithmetic (all exact mod 2^m) -------------------------------
+    # -- ring arithmetic (all exact mod 2^64) ------------------------------
 
     def __add__(self, other: "FixedTensor") -> "FixedTensor":
         self._same_ring(other)
@@ -186,20 +161,18 @@ class FixedTensor:
         )
 
     def __repr__(self) -> str:
-        return f"FixedTensor({self.rows}x{self.cols}, m={self.ring.modulus_bits})"
+        return f"FixedTensor({self.rows}x{self.cols})"
 
 
-def mat_mul(a: FixedTensor, b: FixedTensor, check_headroom: bool = False) -> FixedTensor:
-    """Ring matrix product a @ b mod 2^m.
+def mat_mul(a: FixedTensor, b: FixedTensor) -> FixedTensor:
+    """Ring matrix product a @ b mod 2^64.
 
-    uint64 matmul wraps mod 2^64 natively; smaller moduli re-mask after.
-    Associativity and distribution hold exactly because the ring does.
+    uint64 matmul wraps mod 2^64 natively, so associativity and
+    distribution hold exactly because the ring does.
     """
     a._same_ring(b)
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
-    if check_headroom:
-        a.ring.check_reduction_dim(a.cols)
     return FixedTensor(a.data @ b.data, a.ring)
 
 

@@ -117,26 +117,6 @@ def plain_apply(spec: SecureFnSpec, values: np.ndarray) -> np.ndarray:
 # -- circuits -----------------------------------------------------------------
 
 
-def reconstruct_add_circuit(bitwidth: int):
-    """(a + b) mod 2^bitwidth; bitwidth-1 AND gates (the last carry is dead)."""
-    b = CircuitBuilder()
-    ops = CircuitOps(b)
-    x = ops.input(bitwidth)
-    y = ops.input(bitwidth)
-    b.mark_output(ops.add(x, y))
-    return b.build()
-
-
-def remask_sub_circuit(bitwidth: int):
-    """(y - r) mod 2^bitwidth; r is the client's fresh mask input."""
-    b = CircuitBuilder()
-    ops = CircuitOps(b)
-    y = ops.input(bitwidth)
-    r = ops.input(bitwidth)
-    b.mark_output(ops.sub(y, r))
-    return b.build()
-
-
 @lru_cache(maxsize=64)
 def build_secure_circuit(spec: SecureFnSpec):
     """Inputs: client shares, client fresh masks, then server shares."""
@@ -284,15 +264,3 @@ def eval_secure(
         [unpack_bits(out_bits[j * w : (j + 1) * w]) for j in range(spec.n_out)], axis=1
     )
     return masks, server_new
-
-
-def secure_relu_spec(ring: RingParams = DEFAULT_RING, shift: int = 0) -> SecureFnSpec:
-    return SecureFnSpec("relu", 64, shift=shift, ring=ring)
-
-
-def secure_softmax_spec(n: int, shift: int, ring: RingParams = DEFAULT_RING) -> SecureFnSpec:
-    return SecureFnSpec("softmax_row", 64, count=n, shift=shift, ring=ring)
-
-
-def secure_layernorm_spec(d: int, shift: int, ring: RingParams = DEFAULT_RING) -> SecureFnSpec:
-    return SecureFnSpec("layernorm_row", 64, count=d, shift=shift, ring=ring)

@@ -1,8 +1,8 @@
-"""Additive secret sharing over the ring and HE-backed matrix triples.
+"""Ring masks, encrypted-row matrix ops, and HE-backed matrix triples.
 
-Masks and shares are sampled uniformly over the WHOLE ring (not the value
-range): a masked message x - r is then itself ring-uniform, which is what
-the chi-square acceptance test checks.
+Masks are sampled uniformly over the WHOLE ring (not the value range): a
+masked message x - r is then itself ring-uniform, which is what the
+chi-square acceptance test checks.
 
 A MatTriple carries client masks L, R plus row-encrypted Enc(L), Enc(R)
 and Enc(L @ R), and the server's next-layer mask. For the attention-score
@@ -12,47 +12,17 @@ the product ciphertext decrypts to mask @ mask.T.
 
 from __future__ import annotations
 
-import io
-import json
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .costs import CostReport
 from .ring import FixedTensor, RingParams, mat_mul
-from .she import Ciphertext, HEParams, KeyPair, SecretKey, decrypt, encrypt, he_add, he_mul_plain, he_rotate
-
-
-@dataclass
-class ShareMat:
-    """One party's additive share of a logical tensor."""
-
-    owner: str  # "client" or "server"
-    value: FixedTensor
-    of: str = ""
+from .she import Ciphertext, KeyPair, SecretKey, decrypt, encrypt, he_add, he_mul_plain, he_rotate
 
 
 def rand_ring(shape, rng: np.random.Generator, ring: RingParams) -> FixedTensor:
     return FixedTensor(rng.integers(0, 1 << 64, size=shape, dtype=np.uint64), ring)
-
-
-def share(x: FixedTensor, rng: np.random.Generator, of: str = "") -> tuple[ShareMat, ShareMat]:
-    r = rand_ring(x.shape, rng, x.ring)
-    return ShareMat("client", x - r, of), ShareMat("server", r, of)
-
-
-def reconstruct(a: ShareMat, b: ShareMat) -> FixedTensor:
-    if a.owner == b.owner:
-        raise ValueError("need one share from each party")
-    if a.of != b.of:
-        raise ValueError(f"share labels differ: {a.of!r} vs {b.of!r}")
-    return a.value + b.value
-
-
-def local_scalar_mul(s: ShareMat, k: int) -> ShareMat:
-    """Multiply a share by a public ring scalar; both parties do this locally."""
-    return ShareMat(s.owner, s.value.scalar_mul(k), s.of)
 
 
 # -- row-encrypted matrices -------------------------------------------------
@@ -175,116 +145,3 @@ def make_product_triple(
         right_ct=enc_rows(right, key, report),
         product_ct=enc_rows(mat_mul(left, right), key, report),
     )
-
-
-def gen_product_triple(
-    left_shape, right_shape, key: KeyPair, rng: np.random.Generator,
-    triple_id: int = 0, report: CostReport | None = None,
-) -> MatTriple:
-    ring = key.params.ring
-    return make_product_triple(
-        rand_ring(left_shape, rng, ring), rand_ring(right_shape, rng, ring), key, triple_id, report
-    )
-
-
-def gen_triple(
-    shape, key: KeyPair, rng: np.random.Generator,
-    triple_id: int = 0, report: CostReport | None = None,
-) -> MatTriple:
-    """Attention-score triple: one mask, right side is its transpose."""
-    ring = key.params.ring
-    rc = rand_ring(shape, rng, ring)
-    return make_product_triple(rc, rc.transpose(), key, triple_id, report)
-
-
-# -- offline material file ----------------------------------------------------
-
-MAGIC = b"PRM1"
-VERSION = 1
-
-
-def _write_mat(buf: io.BufferedIOBase, data: np.ndarray) -> None:
-    buf.write(struct.pack("<II", *data.shape))
-    buf.write(np.ascontiguousarray(data, dtype="<u8").tobytes())
-
-
-def _read_mat(buf: io.BufferedIOBase) -> np.ndarray:
-    rows, cols = struct.unpack("<II", buf.read(8))
-    raw = buf.read(rows * cols * 8)
-    return np.frombuffer(raw, dtype="<u8").reshape(rows, cols).astype(np.uint64)
-
-
-def _write_cts(buf, cts: list[Ciphertext]) -> None:
-    buf.write(struct.pack("<I", len(cts)))
-    for ct in cts:
-        buf.write(struct.pack("<qI", ct.noise_used, ct.key_id))
-        _write_mat(buf, ct.slots.reshape(1, -1))
-        _write_mat(buf, ct._mask.reshape(1, -1))
-
-
-def _read_cts(buf, params: HEParams) -> list[Ciphertext]:
-    (count,) = struct.unpack("<I", buf.read(4))
-    out = []
-    for _ in range(count):
-        noise, key_id = struct.unpack("<qI", buf.read(12))
-        slots = _read_mat(buf).ravel()
-        mask = _read_mat(buf).ravel()
-        out.append(Ciphertext(slots, mask, key_id, params, noise))
-    return out
-
-
-def save_offline_material(path, triples: list[MatTriple], params: HEParams, layout_id: str = "rows") -> None:
-    """Versioned binary: magic, little-endian header (ring params, shapes,
-    layout id), then raw 64-bit words."""
-    header = {
-        "ring": {
-            "modulus_bits": params.ring.modulus_bits,
-            "value_bits": params.ring.value_bits,
-            "frac_bits": params.ring.frac_bits,
-        },
-        "slots": params.slots,
-        "layout_id": layout_id,
-        "count": len(triples),
-        "shapes": [[list(t.left_mask.shape), list(t.right_mask.shape)] for t in triples],
-    }
-    blob = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<HI", VERSION, len(blob)))
-        fh.write(blob)
-        for t in triples:
-            fh.write(struct.pack("<I", t.triple_id))
-            _write_mat(fh, t.left_mask.data)
-            _write_mat(fh, t.right_mask.data)
-            _write_cts(fh, t.left_ct)
-            _write_cts(fh, t.right_ct)
-            _write_cts(fh, t.product_ct)
-
-
-def load_offline_material(path, params: HEParams) -> list[MatTriple]:
-    with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
-            raise ValueError("bad magic; not an offline-material file")
-        version, hlen = struct.unpack("<HI", fh.read(6))
-        if version != VERSION:
-            raise ValueError(f"unsupported version {version}")
-        header = json.loads(fh.read(hlen))
-        ring = RingParams(**header["ring"])
-        if ring != params.ring or header["slots"] != params.slots:
-            raise ValueError("file params do not match session params")
-        triples = []
-        for _ in range(header["count"]):
-            (tid,) = struct.unpack("<I", fh.read(4))
-            left = FixedTensor(_read_mat(fh), ring)
-            right = FixedTensor(_read_mat(fh), ring)
-            triples.append(
-                MatTriple(
-                    triple_id=tid,
-                    left_mask=left,
-                    right_mask=right,
-                    left_ct=_read_cts(fh, params),
-                    right_ct=_read_cts(fh, params),
-                    product_ct=_read_cts(fh, params),
-                )
-            )
-        return triples

@@ -3,7 +3,8 @@
 Mirrors the API shape of an RLWE SIMD scheme (keygen / encrypt / decrypt /
 add / add_plain / mul_plain / rotate over M packed slots) but models the
 ciphertext as payload + one-time-pad mask drawn from a per-key counter
-PRF stream. There is deliberately no ciphertext-times-ciphertext multiply.
+PRF stream. Slots are raw uint64 words, so every op is exact mod 2^64.
+There is deliberately no ciphertext-times-ciphertext multiply.
 
 Every operation bumps exactly one CostReport counter and one linear noise
 meter; running past the budget raises NoiseBudgetExceeded.
@@ -16,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .costs import CostReport
-from .ring import DEFAULT_RING, RingParams
 
 
 class NoiseBudgetExceeded(RuntimeError):
@@ -46,7 +46,6 @@ class NoiseModel:
 @dataclass(frozen=True)
 class HEParams:
     slots: int = 4096
-    ring: RingParams = DEFAULT_RING
     ciphertext_bytes: int = 1 << 18
     noise: NoiseModel = field(default_factory=NoiseModel)
 
@@ -80,8 +79,7 @@ class KeyPair:
         return SecretKey(self.key_id)
 
     def fresh_mask(self) -> np.ndarray:
-        m = self._stream.integers(0, 1 << 64, size=self.params.slots, dtype=np.uint64)
-        return self.params.ring.wrap(m)
+        return self._stream.integers(0, 1 << 64, size=self.params.slots, dtype=np.uint64)
 
 
 class Ciphertext:
@@ -117,7 +115,7 @@ def _as_slots(v, params: HEParams) -> np.ndarray:
         raise ValueError(f"{arr.size} values do not fit {params.slots} slots")
     if arr.size < params.slots:
         arr = np.concatenate([arr, np.zeros(params.slots - arr.size, dtype=np.uint64)])
-    return params.ring.wrap(arr)
+    return arr
 
 
 def encrypt(v, key: KeyPair, report: CostReport | None = None) -> Ciphertext:
@@ -126,7 +124,7 @@ def encrypt(v, key: KeyPair, report: CostReport | None = None) -> Ciphertext:
     mask = key.fresh_mask()
     if report:
         report.bump("he_enc")
-    return Ciphertext(key.params.ring.wrap(payload + mask), mask, key.key_id, key.params)
+    return Ciphertext(payload + mask, mask, key.key_id, key.params)
 
 
 def decrypt(ct: Ciphertext, sk: SecretKey, report: CostReport | None = None) -> np.ndarray:
@@ -134,7 +132,7 @@ def decrypt(ct: Ciphertext, sk: SecretKey, report: CostReport | None = None) -> 
         raise KeyMismatch(f"ciphertext under key {ct.key_id}, got secret {sk.key_id}")
     if report:
         report.bump("he_dec")
-    return ct.params.ring.wrap(ct.slots - ct._mask)
+    return ct.slots - ct._mask
 
 
 def he_add(a: Ciphertext, b: Ciphertext, report: CostReport | None = None) -> Ciphertext:
@@ -142,11 +140,8 @@ def he_add(a: Ciphertext, b: Ciphertext, report: CostReport | None = None) -> Ci
         raise KeyMismatch("cannot add ciphertexts under different keys")
     if report:
         report.bump("he_add")
-    wrap = a.params.ring.wrap
     noise = _charge(a.params, max(a.noise_used, b.noise_used), a.params.noise.cost_add)
-    return Ciphertext(
-        wrap(a.slots + b.slots), wrap(a._mask + b._mask), a.key_id, a.params, noise
-    )
+    return Ciphertext(a.slots + b.slots, a._mask + b._mask, a.key_id, a.params, noise)
 
 
 def he_add_plain(ct: Ciphertext, v, report: CostReport | None = None) -> Ciphertext:
@@ -154,7 +149,7 @@ def he_add_plain(ct: Ciphertext, v, report: CostReport | None = None) -> Ciphert
         report.bump("he_add_plain")
     p = _as_slots(v, ct.params)
     return Ciphertext(
-        ct.params.ring.wrap(ct.slots + p), ct._mask, ct.key_id, ct.params,
+        ct.slots + p, ct._mask, ct.key_id, ct.params,
         ct._charge(ct.params.noise.cost_add_plain),
     )
 
@@ -167,9 +162,8 @@ def he_mul_plain(ct: Ciphertext, v, report: CostReport | None = None) -> Ciphert
         p = np.full(ct.params.slots, int(v) & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
     else:
         p = _as_slots(v, ct.params)
-    wrap = ct.params.ring.wrap
     return Ciphertext(
-        wrap(ct.slots * p), wrap(ct._mask * p), ct.key_id, ct.params,
+        ct.slots * p, ct._mask * p, ct.key_id, ct.params,
         ct._charge(ct.params.noise.cost_mul_plain),
     )
 

@@ -6,7 +6,8 @@ one claim. The claims, in test order:
  1. every protocol mode reconstructs the plaintext fixed-point reference
     bit-exactly on the small config grid; the GC backend stays within
     2^-4 per logit; the whole sweep finishes inside five minutes
- 2. the masked Q*K^T product is exact over 100 seeds, zero ct x ct ops
+ 2. the masked Q*K^T product is exact over 100 seeds, and the HE layer
+    offers no ct x ct product (he_add is its only two-ciphertext op)
  3. precomputation leaves the online phase HE-free for every weight
     layer; the baseline mode pays online HE on the same steps
  4. the fused embedding-to-attention prefix costs exactly 4 online
@@ -33,11 +34,12 @@ from privtrans.model import ModelConfig, random_weights, reference_forward
 from privtrans.packing import PackingLayout, PackingStrategy, he_matmul, pack, unpack
 from privtrans.ring import DEFAULT_RING, FixedTensor
 from privtrans.securefn import SecureFnSpec, eval_secure
-from privtrans.sharing import make_product_triple, share
+from privtrans.sharing import make_product_triple, rand_ring
 from privtrans.she import HEParams, keygen
 from privtrans.transcript import ChannelModel, Transcript, estimate_latency
 
 import oracles
+from test_she import ciphertext_pair_ops
 
 F = DEFAULT_RING.frac_bits
 
@@ -108,10 +110,10 @@ def test_2_masked_qk_product_exact_over_100_seeds():
         c_share, s_share = run_fhgs_qk(q - rc, k - rc, triple, s)
         want = oracles.matmul_mod(q.data.tolist(), k.transpose().data.tolist(), 64)
         assert (c_share + s_share).data.tolist() == want, seed
-    merged = s.client.report.merged(s.server.report)
-    assert merged.total("ct_ct_mul") == 0
+    pair_ops = ciphertext_pair_ops()
+    assert pair_ops == ["he_add"], pair_ops
     _AUDIT_LOG.append(("fhgs_qk x100", audit_server_ignorance(s.server)))
-    print("pass: 100 seeded 4x6 Q*K^T products exact, ct x ct count 0")
+    print("pass: 100 seeded 4x6 Q*K^T products exact, no ct x ct product in the HE layer")
 
 
 def test_3_online_phase_is_he_free_for_weight_layers():
@@ -122,7 +124,7 @@ def test_3_online_phase_is_he_free_for_weight_layers():
         rep = _run(mode, cfg, w, [0, 1, 2, 3], seed=2).merged_report()
         for step in steps:
             assert rep.he_ops(step, "online") == 0, (mode, step)
-        assert rep.total("ct_ct_mul") == 0, mode
+    assert ciphertext_pair_ops() == ["he_add"]
     base = _run("base", cfg, w, [0, 1, 2, 3], seed=2).merged_report()
     counts = {step: base.he_ops(step, "online") for step in steps}
     assert all(v > 0 for v in counts.values()), counts
@@ -167,7 +169,7 @@ def test_5_naive_kernel_rotation_counts_and_saving():
                 cts = pack(x, layout, key, report)
                 out, layout_out = he_matmul(cts, layout, w, report)
                 if m <= 64:  # decrypt the small cases as a correctness spot check
-                    assert unpack(out, layout_out, key.secret(), report) == want
+                    assert unpack(out, layout_out, key.secret(), DEFAULT_RING, report) == want
             rots[strategy] = (layout.c, report.total("he_rotate"))
 
         c_ff, got_ff = rots[PackingStrategy.FEATURES_FIRST]
@@ -220,8 +222,8 @@ def test_7_masked_messages_are_uniform_mod_256():
     for seed, val in ((101, 0.0), (102, 1.5), (103, -63.996)):
         rng = np.random.default_rng(seed)
         x = FixedTensor.from_float(np.full((1, samples), val), DEFAULT_RING)
-        masked, _ = share(x, rng)
-        buckets = (masked.value.data & np.uint64(0xFF)).ravel()
+        masked = x - rand_ring(x.shape, rng, DEFAULT_RING)  # as Session._remask does
+        buckets = (masked.data & np.uint64(0xFF)).ravel()
         counts = np.bincount(buckets.astype(np.int64), minlength=256)
         p = stats.chisquare(counts).pvalue
         assert p > 0.01, (val, p)

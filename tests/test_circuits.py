@@ -1,12 +1,10 @@
 """Boolean circuit builder and the circuit/semantic equivalence guarantee."""
 
 import numpy as np
-import pytest
 
 from privtrans import fixedfn
 from privtrans.circuits import (
     AND,
-    BoolCircuit,
     CircuitBuilder,
     CircuitOps,
     WireVec,
@@ -124,24 +122,6 @@ def test_ge_mux_lookup_match():
     sem, got = run_both(mixed, [w, w, 6], raws)
     for s, g in zip(sem, got):
         assert np.array_equal(s, g)
-
-
-def test_text_roundtrip():
-    circ, _ = build(lambda ops, vs: ops.mul(vs[0], vs[1]), [7, 5])
-    back = BoolCircuit.from_text(circ.to_text())
-    assert back.input_widths == circ.input_widths
-    assert back.outputs == circ.outputs
-    assert np.array_equal(back.op, circ.op)
-    assert np.array_equal(back.lhs, circ.lhs)
-    assert np.array_equal(back.rhs, circ.rhs)
-    rng = np.random.default_rng(64)
-    bits = np.concatenate([pack_bits(rand_raw(rng, 7), 7), pack_bits(rand_raw(rng, 5), 5)])
-    assert np.array_equal(eval_circuit(back, bits), eval_circuit(circ, bits))
-
-
-def test_from_text_rejects_unknown_version():
-    with pytest.raises(ValueError):
-        BoolCircuit.from_text("bc9\ninputs 1\noutputs 2\ngates 0\n")
 
 
 # -- the equivalence guarantee, one case per nonpoly algorithm ---------------

@@ -46,7 +46,6 @@ def test_plan_matches_hand_arithmetic():
 def test_run_report_is_exact_and_totals_are_sums():
     rep = cmd_run(load_run_config(toy_obj()))
     assert rep["equivalence"] == "exact"
-    assert rep["ct_ct_mul"] == 0
     for phase in PHASES:
         for key in ("interactions", "messages", "bytes", "he_ops"):
             want = sum(rep["steps"][s][phase][key] for s in STEPS)
@@ -73,16 +72,20 @@ def test_compare_shows_online_he_free_columns_under_f():
 
 
 def test_verify_passes_and_detects_mismatch(monkeypatch):
-    rc = load_run_config(toy_obj())
-    ok, lines = cmd_verify(rc)
-    assert ok and all(line.startswith("pass") for line in lines)
+    # pre-norm keeps the embedding unfused in fpc: N + 2 prefix interactions
+    rcs = [load_run_config(toy_obj(model={**toy_obj()["model"], "norm": norm}))
+           for norm in ("post", "pre")]
+    for rc in rcs:
+        ok, lines = cmd_verify(rc)
+        assert ok and all(line.startswith("pass") for line in lines), lines
 
     real = cli.reference_forward
     monkeypatch.setattr(cli, "reference_forward",
                         lambda cfg, w, tokens, strict=False: real(cfg, w, tokens, strict).lshift(1))
-    ok, lines = cmd_verify(rc)
-    assert not ok
-    assert any(line.startswith("FAIL") for line in lines)
+    for rc in rcs:
+        ok, lines = cmd_verify(rc)
+        assert not ok
+        assert any(line.startswith("FAIL") for line in lines)
 
 
 def test_mode_and_packing_knobs():

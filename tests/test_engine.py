@@ -12,7 +12,6 @@ from privtrans.engine import (
     audit_server_ignorance,
     gen_chgs_material,
     run_attention_value,
-    run_base,
     run_chgs_block,
     run_fhgs_qk,
     run_hgs_layer,
@@ -24,6 +23,7 @@ from privtrans.ring import DEFAULT_RING, FixedTensor, fx_encode, mat_mul
 from privtrans.sharing import TripleReuse, make_product_triple, rand_ring
 
 import oracles
+from test_she import ciphertext_pair_ops
 
 F = DEFAULT_RING.frac_bits
 
@@ -165,7 +165,7 @@ def test_fhgs_qk_random_shapes_hundred_seeds():
         triple = make_product_triple(rc, rc.transpose(), s.key, triple_id=seed)
         c_share, s_share = run_fhgs_qk(q - rc, k - rc, triple, s)
         assert (c_share + s_share).data.tolist() == mm64(q, k.transpose())
-    assert s.client.report.merged(s.server.report).total("ct_ct_mul") == 0
+    assert ciphertext_pair_ops() == ["he_add"]
 
 
 def test_fhgs_triple_reuse_raises():
@@ -257,7 +257,7 @@ def test_base_mode_zero_weights_give_zero_logits_online_he_positive():
         for _ in range(cfg.N)
     )
     w = ModelWeights(zw(cfg.d_oh, cfg.d_emb), blocks, zw(cfg.d_emb, cfg.d_out))
-    res = run_base(cfg, w, [0, 1, 2, 3], seed=6)
+    res = run_protocol("base", cfg, w, [0, 1, 2, 3], seed=6)
     assert np.count_nonzero(res.reconstruct().data) == 0
     rep = res.merged_report()
     assert rep.phase_total("online", "he_mul_plain") > 0
@@ -297,7 +297,7 @@ def test_offline_material_keeps_online_steps_he_free():
         # the masked-result exchanges are the only online HE users
         assert rep.he_ops("QxK", "online") > 0
         assert rep.he_ops("AttenValue", "online") > 0
-        assert rep.total("ct_ct_mul") == 0
+    assert ciphertext_pair_ops() == ["he_add"]
 
 
 def test_share_message_byte_accounting():

@@ -1,5 +1,7 @@
 """Model config, weight plumbing, and the fixed-point reference forward."""
 
+import json
+import struct
 import sys
 from pathlib import Path
 
@@ -23,7 +25,7 @@ from privtrans.model import (
     save_weights,
     softmax_spec,
 )
-from privtrans.ring import DEFAULT_RING, FixedTensor, mat_mul
+from privtrans.ring import DEFAULT_RING, FixedTensor, RingParams, mat_mul
 from privtrans.securefn import RangeViolation, plain_apply
 
 F = DEFAULT_RING.frac_bits
@@ -56,13 +58,19 @@ def test_config_validation():
 
 def test_config_dict_round_trip():
     lam = np.arange(32).reshape(4, 8) / 64.0
-    cfg = toy_cfg(activation="gelu", norm="pre", delta=2, lam=lam, d_out=3)
+    cfg = toy_cfg(activation="gelu", norm="pre", delta=2, lam=lam, d_out=3,
+                  ring=RingParams(value_bits=16, frac_bits=10))
     d = config_to_dict(cfg)
+    assert d["ring"] == {"value_bits": 16, "frac_bits": 10}
     assert config_from_dict(d) == cfg
     with pytest.raises(ValueError):
         config_from_dict({**d, "flux": 1})
     with pytest.raises(ValueError):
         config_from_dict({"N": 1, "d_emb": 8})
+    with pytest.raises(ValueError, match="modulus_bits"):
+        config_from_dict({**d, "ring": {"modulus_bits": 64, "value_bits": 15, "frac_bits": 8}})
+    with pytest.raises(ValueError, match="value_bits"):
+        config_from_dict({**d, "ring": {"value_bits": 17, "frac_bits": 8}})
 
 
 def test_embed_row_lookup():
@@ -215,6 +223,16 @@ def test_weight_file_rejects_damage(tmp_path):
     (tmp_path / "extra.ptw").write_bytes(blob + b"\0" * 8)
     with pytest.raises(ValueError, match="trailing"):
         load_weights(tmp_path / "extra.ptw")
+    # the header pins the ring to Z_2^64; any other modulus is refused
+    hlen = struct.unpack("<I", blob[4:8])[0]
+    header = json.loads(blob[8 : 8 + hlen])
+    assert header["modulus_bits"] == 64
+    for bits in (32, None):
+        raw = json.dumps({**header, "modulus_bits": bits}).encode()
+        (tmp_path / "ring.ptw").write_bytes(
+            blob[:4] + struct.pack("<I", len(raw)) + raw + blob[8 + hlen :])
+        with pytest.raises(ValueError, match="modulus_bits"):
+            load_weights(tmp_path / "ring.ptw")
 
 
 def test_import_pretrained_quantization_error_bound():

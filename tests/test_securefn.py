@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from privtrans.circuits import eval_circuit, pack_bits, unpack_bits
+from privtrans import fixedfn
+from privtrans.circuits import CircuitBuilder, CircuitOps, eval_circuit, pack_bits, unpack_bits
 from privtrans.costs import CostReport
 from privtrans.fixedfn import F2
 from privtrans.ring import DEFAULT_RING, fx_decode, fx_encode
@@ -14,12 +15,18 @@ from privtrans.securefn import (
     build_secure_circuit,
     eval_secure,
     plain_apply,
-    reconstruct_add_circuit,
-    remask_sub_circuit,
 )
 from privtrans.transcript import Transcript
 
 F = DEFAULT_RING.frac_bits
+
+
+def pair_circuit(fn, w):
+    """The circuit of the two-input stage fn(ops, x, y) at width w."""
+    b = CircuitBuilder()
+    ops = CircuitOps(b)
+    b.mark_output(fn(ops, ops.input(w), ops.input(w)))
+    return b.build()
 
 
 def run_pair_circuit(circ, a, b, w):
@@ -28,10 +35,10 @@ def run_pair_circuit(circ, a, b, w):
 
 
 def test_reconstruct_add_circuit_examples_and_exhaustive():
-    c8 = reconstruct_add_circuit(8)
+    c8 = pair_circuit(fixedfn.reconstruct_add, 8)
     got = run_pair_circuit(c8, np.array([3, 255], np.uint64), np.array([4, 1], np.uint64), 8)
     assert got.tolist() == [7, 0]
-    c6 = reconstruct_add_circuit(6)
+    c6 = pair_circuit(fixedfn.reconstruct_add, 6)
     a, b = np.meshgrid(np.arange(64, dtype=np.uint64), np.arange(64, dtype=np.uint64))
     got = run_pair_circuit(c6, a.ravel(), b.ravel(), 6)
     assert np.array_equal(got, (a.ravel() + b.ravel()) % 64)
@@ -39,10 +46,10 @@ def test_reconstruct_add_circuit_examples_and_exhaustive():
 
 
 def test_remask_sub_circuit_examples_and_exhaustive():
-    c8 = remask_sub_circuit(8)
+    c8 = pair_circuit(fixedfn.remask_sub, 8)
     got = run_pair_circuit(c8, np.array([10, 77], np.uint64), np.array([3, 0], np.uint64), 8)
     assert got.tolist() == [7, 77]
-    c6 = remask_sub_circuit(6)
+    c6 = pair_circuit(fixedfn.remask_sub, 6)
     y, r = np.meshgrid(np.arange(64, dtype=np.uint64), np.arange(64, dtype=np.uint64))
     got = run_pair_circuit(c6, y.ravel(), r.ravel(), 6)
     assert np.array_equal(got, (y.ravel() - r.ravel()) % 64)

@@ -1,78 +1,40 @@
-"""Share algebra, mask uniformity, and matrix-triple correctness."""
+"""Mask uniformity, encrypted-row ops, and matrix-triple correctness."""
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from privtrans.costs import CostReport
-from privtrans.ring import DEFAULT_RING, FixedTensor, RingParams, mat_mul
+from privtrans.ring import DEFAULT_RING, FixedTensor
 from privtrans.she import HEParams, keygen
 from privtrans.sharing import (
-    MatTriple,
     TripleReuse,
     dec_rows,
     enc_left_matmul,
     enc_rows,
-    gen_product_triple,
-    gen_triple,
-    load_offline_material,
-    local_scalar_mul,
     make_product_triple,
     plain_left_matmul,
     rand_ring,
-    reconstruct,
     rotate_reduce_sum,
-    save_offline_material,
-    share,
 )
 
 from oracles import matmul_mod
 
 
 def small_params(slots=16):
-    return HEParams(slots=slots, ring=DEFAULT_RING)
-
-
-def test_share_reconstruct_roundtrip():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        x = FixedTensor(rng.integers(0, 1 << 64, size=(3, 4), dtype=np.uint64), DEFAULT_RING)
-        a, b = share(x, rng, of="x")
-        assert a.owner == "client" and b.owner == "server"
-        assert reconstruct(a, b) == x
-        assert reconstruct(b, a) == x
-
-
-def test_reconstruct_rejects_same_owner_and_label_mismatch():
-    rng = np.random.default_rng(12)
-    x = rand_ring((2, 2), rng, DEFAULT_RING)
-    a, b = share(x, rng, of="x")
-    with pytest.raises(ValueError):
-        reconstruct(a, a)
-    b.of = "y"
-    with pytest.raises(ValueError):
-        reconstruct(a, b)
-
-
-def test_local_scalar_mul_commutes_with_reconstruct():
-    rng = np.random.default_rng(13)
-    x = rand_ring((3, 3), rng, DEFAULT_RING)
-    a, b = share(x, rng, of="x")
-    k = 37
-    got = reconstruct(local_scalar_mul(a, k), local_scalar_mul(b, k))
-    assert got == x.scalar_mul(k)
+    return HEParams(slots=slots)
 
 
 def test_masked_values_uniform_chi_square():
     # Masking three fixed inputs, the low byte of x - r must look uniform
-    # over 2**8 buckets at 1e5 samples each.
+    # over 2**8 buckets at 1e5 samples each; x - r is Session._remask's delta.
     ring = DEFAULT_RING
     samples = 100_000
     for seed, val in ((101, 0.0), (102, 1.5), (103, -63.996)):
         rng = np.random.default_rng(seed)
         x = FixedTensor.from_float(np.full((1, samples), val), ring)
-        masked, _ = share(x, rng)
-        buckets = (masked.value.data & np.uint64(0xFF)).ravel()
+        masked = x - rand_ring(x.shape, rng, ring)
+        buckets = (masked.data & np.uint64(0xFF)).ravel()
         counts = np.bincount(buckets.astype(np.int64), minlength=256)
         p = stats.chisquare(counts).pvalue
         assert p > 0.01, f"seed {seed}: p={p}"
@@ -147,7 +109,8 @@ def test_triple_product_tiny_example():
 def test_gen_triple_product_matches_brute_force():
     key = keygen(small_params(), seed=6)
     rng = np.random.default_rng(30)
-    t = gen_triple((4, 3), key, rng)
+    rc = rand_ring((4, 3), rng, DEFAULT_RING)
+    t = make_product_triple(rc, rc.transpose(), key)
     assert t.right_mask == t.left_mask.transpose()
     got = dec_rows(t.product_ct, 4, key.secret(), DEFAULT_RING)
     want = matmul_mod(t.left_mask.data.tolist(), t.right_mask.data.tolist(), 64)
@@ -157,7 +120,8 @@ def test_gen_triple_product_matches_brute_force():
 def test_gen_product_triple_independent_masks():
     key = keygen(small_params(), seed=7)
     rng = np.random.default_rng(31)
-    t = gen_product_triple((4, 4), (4, 3), key, rng)
+    t = make_product_triple(rand_ring((4, 4), rng, DEFAULT_RING),
+                            rand_ring((4, 3), rng, DEFAULT_RING), key)
     got = dec_rows(t.product_ct, 3, key.secret(), DEFAULT_RING)
     want = matmul_mod(t.left_mask.data.tolist(), t.right_mask.data.tolist(), 64)
     assert got.data.tolist() == want
@@ -166,44 +130,8 @@ def test_gen_product_triple_independent_masks():
 def test_triple_single_use_guard():
     key = keygen(small_params(), seed=8)
     rng = np.random.default_rng(32)
-    t = gen_triple((2, 2), key, rng)
+    rc = rand_ring((2, 2), rng, DEFAULT_RING)
+    t = make_product_triple(rc, rc.transpose(), key)
     t.mark_used()
     with pytest.raises(TripleReuse):
         t.mark_used()
-
-
-def test_offline_material_file_roundtrip(tmp_path):
-    params = small_params()
-    key = keygen(params, seed=9)
-    rng = np.random.default_rng(33)
-    triples = [gen_triple((3, 2), key, rng, triple_id=7),
-               gen_product_triple((2, 3), (3, 2), key, rng, triple_id=8)]
-    path = tmp_path / "material.prm"
-    save_offline_material(path, triples, params)
-    back = load_offline_material(path, params)
-    assert [t.triple_id for t in back] == [7, 8]
-    for orig, got in zip(triples, back):
-        assert got.left_mask == orig.left_mask
-        assert got.right_mask == orig.right_mask
-        cols = orig.right_mask.cols
-        a = dec_rows(got.product_ct, cols, key.secret(), DEFAULT_RING)
-        b = dec_rows(orig.product_ct, cols, key.secret(), DEFAULT_RING)
-        assert a == b
-
-
-def test_offline_material_rejects_bad_magic(tmp_path):
-    path = tmp_path / "junk.prm"
-    path.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(ValueError):
-        load_offline_material(path, small_params())
-
-
-def test_offline_material_rejects_param_mismatch(tmp_path):
-    params = small_params()
-    key = keygen(params, seed=10)
-    rng = np.random.default_rng(34)
-    path = tmp_path / "material.prm"
-    save_offline_material(path, [gen_triple((2, 2), key, rng)], params)
-    other = HEParams(slots=16, ring=RingParams(modulus_bits=64, value_bits=15, frac_bits=9))
-    with pytest.raises(ValueError):
-        load_offline_material(path, other)
