@@ -40,7 +40,7 @@ print("real softmax:\n", ref.round(4))
 print("max error:", float(np.abs(got - ref).max()))
 
 # %%
-# The GC backend evaluates the same stage gate by gate. With the output
+# The GC backend garbles the same stage as a circuit. With the output
 # masks pinned, semantic and garbled runs are indistinguishable.
 spec16 = SecureFnSpec("relu", 16)
 raw16 = rng.integers(0, 1 << 16, (6, 1), dtype=np.uint64)

@@ -16,7 +16,9 @@ fresh inputs.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +37,29 @@ class WireVec:
     @property
     def width(self) -> int:
         return len(self.wires)
+
+
+@dataclass(frozen=True)
+class LevelSchedule:
+    """A circuit's gates grouped by topological level (inputs and constants
+    are level 0): no gate reads the output of a gate in its own level.
+
+    Each kind of gate is sorted by (level, gate id). Level k holds the XOR
+    gates xor[xor_bounds[k]:xor_bounds[k + 1]] and the AND gates in columns
+    and_bounds[k]:and_bounds[k + 1] of `and_`, whose second row is each AND
+    gate's ordinal among the circuit's AND gates: its garbled-table row.
+    """
+
+    xor: np.ndarray  # int32 (n_xor,): gate ids
+    and_: np.ndarray  # int32 (2, n_and): gate ids, table rows
+    xor_bounds: tuple
+    and_bounds: tuple
+
+    def __iter__(self):
+        """(xor, and_) slices of each level, in level order."""
+        xb, ab = self.xor_bounds, self.and_bounds
+        for k in range(len(xb) - 1):
+            yield self.xor[xb[k] : xb[k + 1]], self.and_[:, ab[k] : ab[k + 1]]
 
 
 @dataclass
@@ -57,6 +82,30 @@ class BoolCircuit:
     @property
     def and_count(self) -> int:
         return int(np.count_nonzero(self.op == AND))
+
+    @cached_property
+    def levels(self) -> LevelSchedule:
+        """Computed on first use and kept on the circuit."""
+        base = 2 + self.n_inputs
+        # a compact int array and memoryview walks keep this pass from
+        # materializing one Python int per wire
+        depth = array("i", bytes(4 * self.n_wires))
+        for i, (a, b) in enumerate(zip(memoryview(self.lhs), memoryview(self.rhs)), base):
+            depth[i] = max(depth[a], depth[b]) + 1
+        gate_depth = np.frombuffer(depth, dtype=np.int32)[base:]
+        is_and = self.op == AND
+        xg, ag = (
+            g[np.argsort(gate_depth[g], kind="stable")].astype(np.int32)
+            for g in (np.flatnonzero(~is_and), np.flatnonzero(is_and))
+        )
+        and_row = np.cumsum(is_and, dtype=np.int32) - 1
+        marks = np.arange(1, int(gate_depth.max(initial=0)) + 2)
+        return LevelSchedule(
+            xg,
+            np.stack([ag, and_row[ag]]),
+            tuple(np.searchsorted(gate_depth[xg], marks).tolist()),
+            tuple(np.searchsorted(gate_depth[ag], marks).tolist()),
+        )
 
 
 class CircuitBuilder:

@@ -8,6 +8,22 @@ XOR gates are free: out = a ^ b under a global delta whose low bit is 1;
 that low bit doubles as the permute bit. Each AND gate ships four rows of
 (padded label, check word); a wrong or tampered row fails the check and
 raises instead of decrypting garbage.
+
+Both passes follow the circuit's level schedule (`BoolCircuit.levels`,
+computed on first use and kept on the circuit): the gates of one
+topological level read only wires of earlier levels, so each level is a
+few numpy ops over gates x lanes instead of one Python step per gate.
+The evaluator does a level's XORs as one gather-XOR-scatter, then
+decrypts and checks all its AND rows at once; a failed check names the
+lowest failing gate of that level. The garbler needs no levels for its
+AND gates: their output zero-labels are fresh draws, so it draws them
+all up front, propagates the XORs level by level, and then encrypts
+every AND table in batches in gate order. The draw is one
+`integers(size=(n_and, lanes))` call made right after delta and the
+input labels; a full-range uint64 draw takes one generator word per
+value, in row order, so row j gets exactly the words the j-th AND gate
+drew when gates were garbled one at a time, and the same generator
+gives the same tables, labels and decode bits.
 """
 
 from __future__ import annotations
@@ -22,6 +38,10 @@ _K1 = np.uint64(0x9E3779B97F4A7C15)
 _K2 = np.uint64(0xBF58476D1CE4E5B9)
 _K3 = np.uint64(0x94D049BB133111EB)
 _ONE = np.uint64(1)
+# input values (a, b) of the four rows of an AND table, before permuting
+_VA = np.array([0, 0, 1, 1], dtype=np.uint64)[:, None]
+_VB = np.array([0, 1, 0, 1], dtype=np.uint64)[:, None]
+_CHUNK = 128  # AND gates garbled per batch; bounds the temporaries
 
 
 class CorruptTable(RuntimeError):
@@ -32,9 +52,10 @@ def _rotl(x: np.ndarray, r: int) -> np.ndarray:
     return (x << np.uint64(r)) | (x >> np.uint64(64 - r))
 
 
-def _prf(a: np.ndarray, b: np.ndarray, tweak: int) -> np.ndarray:
-    """Fixed-key ARX mix of two labels and a gate tweak."""
-    x = a ^ _rotl(b, 29) ^ np.uint64(tweak * int(_K1) & 0xFFFFFFFFFFFFFFFF)
+def _prf(a: np.ndarray, b: np.ndarray, tweak) -> np.ndarray:
+    """Fixed-key ARX mix of two labels and a gate tweak (an int, or an
+    array of them that broadcasts against the labels)."""
+    x = a ^ _rotl(b, 29) ^ (np.asarray(tweak, dtype=np.uint64) * _K1)
     x = x ^ (x >> np.uint64(30))
     x = x * _K2
     x = x ^ (x >> np.uint64(27))
@@ -43,6 +64,11 @@ def _prf(a: np.ndarray, b: np.ndarray, tweak: int) -> np.ndarray:
     x = x ^ (x >> np.uint64(31))
     x = x * _K2
     return x ^ (x >> np.uint64(32))
+
+
+def _perm_rows(la: np.ndarray, lb: np.ndarray) -> np.ndarray:
+    """Table row an (a, b) label pair decrypts: its two permute bits."""
+    return (((la & _ONE) << _ONE) | (lb & _ONE)).astype(np.intp)
 
 
 @dataclass
@@ -82,61 +108,55 @@ def garble(
     def fresh(n):
         return rng.integers(0, 1 << 64, size=(n, lanes), dtype=np.uint64)
 
+    base = 2 + circ.n_inputs
     delta = fresh(1)[0] | _ONE  # low bit set: free-XOR + permute bit
     zero = np.zeros((circ.n_wires, lanes), dtype=np.uint64)
-    zero[: 2 + circ.n_inputs] = fresh(2 + circ.n_inputs)
-    n_and = circ.and_count
-    tables = np.zeros((n_and, 4, 2, lanes), dtype=np.uint64)
-    base = 2 + circ.n_inputs
-    va = np.array([0, 0, 1, 1], dtype=np.uint64)[:, None]
-    vb = np.array([0, 1, 0, 1], dtype=np.uint64)[:, None]
-    j = 0
-    for i in range(circ.n_gates):
-        a0 = zero[circ.lhs[i]]
-        b0 = zero[circ.rhs[i]]
-        if circ.op[i] != AND:
-            zero[base + i] = a0 ^ b0
-            continue
-        w0 = fresh(1)[0]
-        zero[base + i] = w0
-        la = a0[None, :] ^ (va * delta[None, :])
-        lb = b0[None, :] ^ (vb * delta[None, :])
-        out_active = w0[None, :] ^ ((va & vb) * delta[None, :])
-        rows = (((la & _ONE) << _ONE) | (lb & _ONE)).astype(np.int64)
-        np.put_along_axis(tables[j, :, 0, :], rows, out_active ^ _prf(la, lb, 2 * i), axis=0)
-        np.put_along_axis(tables[j, :, 1, :], rows, _prf(lb, la, 2 * i + 1), axis=0)
-        j += 1
+    zero[:base] = fresh(base)
+    and_gate = np.flatnonzero(circ.op == AND)
+    and_out = base + and_gate
+    zero[and_out] = fresh(len(and_gate))  # in gate order, as a gate-by-gate walk draws them
+    for xor, _ in circ.levels:
+        zero[base + xor] = zero[circ.lhs[xor]] ^ zero[circ.rhs[xor]]
+    tables = np.empty((len(and_gate), 4, 2, lanes), dtype=np.uint64)
+    for s in range(0, len(and_gate), _CHUNK):
+        g = and_gate[s : s + _CHUNK]
+        part = tables[s : s + _CHUNK]
+        # (gates, 4 rows, lanes): row r carries input values (_VA[r], _VB[r])
+        la = zero[circ.lhs[g]][:, None, :] ^ (_VA * delta)
+        lb = zero[circ.rhs[g]][:, None, :] ^ (_VB * delta)
+        out_active = zero[and_out[s : s + _CHUNK]][:, None, :] ^ ((_VA & _VB) * delta)
+        rows = _perm_rows(la, lb)
+        tweak = 2 * g[:, None, None]
+        np.put_along_axis(part[:, :, 0, :], rows, out_active ^ _prf(la, lb, tweak), axis=1)
+        np.put_along_axis(part[:, :, 1, :], rows, _prf(lb, la, tweak + 1), axis=1)
     const_labels = np.stack([zero[0], zero[1] ^ delta])
     decode = (zero[list(circ.outputs)] & _ONE).astype(np.uint8)
-    return GarbledTables(tables, const_labels, decode), GarblerState(
-        delta, zero[2 : 2 + circ.n_inputs]
-    )
+    # a copy, so the whole wire array is freed when garbling returns
+    return GarbledTables(tables, const_labels, decode), GarblerState(delta, zero[2:base].copy())
 
 
 def evaluate(circ: BoolCircuit, gt: GarbledTables, active_inputs: np.ndarray) -> np.ndarray:
-    """Walk the gates with active labels only; returns active output labels."""
+    """Walk the levels with active labels only; returns active output labels."""
     lanes = gt.const_labels.shape[1]
     if active_inputs.shape != (circ.n_inputs, lanes):
         raise ValueError("active input labels have the wrong shape")
-    active = np.zeros((circ.n_wires, lanes), dtype=np.uint64)
-    active[0] = gt.const_labels[0]
-    active[1] = gt.const_labels[1]
-    active[2 : 2 + circ.n_inputs] = active_inputs
     base = 2 + circ.n_inputs
+    active = np.zeros((circ.n_wires, lanes), dtype=np.uint64)
+    active[:2] = gt.const_labels
+    active[2:base] = active_inputs
     lane_idx = np.arange(lanes)
-    j = 0
-    for i in range(circ.n_gates):
-        la = active[circ.lhs[i]]
-        lb = active[circ.rhs[i]]
-        if circ.op[i] != AND:
-            active[base + i] = la ^ lb
+    for xor, (gate, row) in circ.levels:
+        active[base + xor] = active[circ.lhs[xor]] ^ active[circ.rhs[xor]]
+        if not len(gate):
             continue
-        rows = (((la & _ONE) << _ONE) | (lb & _ONE)).astype(np.int64)
-        ct = gt.tables[j, rows, :, lane_idx]  # (lanes, 2)
-        if not np.array_equal(ct[:, 1], _prf(lb, la, 2 * i + 1)):
-            raise CorruptTable(f"check word mismatch at gate {i}")
-        active[base + i] = ct[:, 0] ^ _prf(la, lb, 2 * i)
-        j += 1
+        la = active[circ.lhs[gate]]
+        lb = active[circ.rhs[gate]]
+        tweak = 2 * gate[:, None]
+        ct = gt.tables[row[:, None], _perm_rows(la, lb), :, lane_idx]  # (gates, lanes, 2)
+        bad = np.any(ct[:, :, 1] != _prf(lb, la, tweak + 1), axis=1)
+        if bad.any():
+            raise CorruptTable(f"check word mismatch at gate {gate[bad].min()}")
+        active[base + gate] = ct[:, :, 0] ^ _prf(la, lb, tweak)
     return active[list(circ.outputs)]
 
 

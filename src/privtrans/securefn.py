@@ -19,7 +19,7 @@ import numpy as np
 from . import fixedfn
 from .circuits import CircuitBuilder, CircuitOps, pack_bits, unpack_bits
 from .costs import CostReport
-from .fixedfn import F2, SemanticOps, SemVal
+from .fixedfn import SemanticOps, SemVal
 from .garble import decode_outputs, evaluate, garble
 from .ot import TOY_256, ModpGroup, run_ot
 from .ring import DEFAULT_RING, RingParams
@@ -27,11 +27,11 @@ from .transcript import Transcript
 
 _SEM = SemanticOps()
 
-# fn name -> (input count is spec.count, output count)
-_ONE_IN = ("reconstruct_add", "remask_sub", "trunc", "relu", "gelu", "exp_approx", "reciprocal")
+# elementwise stages take one word per lane, row stages a whole row
+_ONE_IN = ("trunc", "relu", "gelu")
 _ROW_FNS = ("softmax_row", "layernorm_row")
 
-FN_NAMES = _ONE_IN + _ROW_FNS + ("max_reduce",)
+FN_NAMES = _ONE_IN + _ROW_FNS
 
 
 class RangeViolation(ValueError):
@@ -44,7 +44,8 @@ class SecureFnSpec:
 
     shift > 0 inserts the truncate-and-saturate stage right after
     reconstruction (input fraction = ring fraction + shift). count is the
-    row length for row functions and the fan-in for max_reduce.
+    row length for row functions and 1 for elementwise ones; a lane has
+    count inputs and count outputs.
     """
 
     fn: str
@@ -52,8 +53,6 @@ class SecureFnSpec:
     count: int = 1
     shift: int = 0
     ring: RingParams = field(default=DEFAULT_RING)
-    in_frac: int = F2  # exp_approx input fraction
-    out_width: int = 16  # reciprocal result width
 
     def __post_init__(self):
         if self.fn not in FN_NAMES:
@@ -63,28 +62,14 @@ class SecureFnSpec:
         if self.fn in _ONE_IN and self.count != 1:
             raise ValueError(f"{self.fn} is elementwise; use lanes, not count")
 
-    @property
-    def n_in(self) -> int:
-        return self.count
-
-    @property
-    def n_out(self) -> int:
-        return 1 if self.fn == "max_reduce" else self.count
-
 
 def _stage(ops, spec: SecureFnSpec, vs: list):
-    if spec.fn in ("reconstruct_add", "remask_sub", "trunc"):
+    if spec.fn == "trunc":
         return vs
     if spec.fn == "relu":
         return [fixedfn.relu(ops, vs[0])]
     if spec.fn == "gelu":
         return [fixedfn.gelu_approx(ops, vs[0], spec.ring)]
-    if spec.fn == "exp_approx":
-        return [fixedfn.exp_approx(ops, vs[0], spec.in_frac)]
-    if spec.fn == "reciprocal":
-        return [fixedfn.reciprocal(ops, vs[0], out_width=spec.out_width)]
-    if spec.fn == "max_reduce":
-        return [fixedfn.max_reduce(ops, vs)]
     if spec.fn == "softmax_row":
         return fixedfn.softmax_row(ops, vs, spec.ring)
     return fixedfn.layernorm_row(ops, vs, spec.ring)
@@ -103,14 +88,14 @@ def _apply(ops, spec: SecureFnSpec, xc: list, masks: list, xs: list) -> list:
 
 
 def plain_apply(spec: SecureFnSpec, values: np.ndarray) -> np.ndarray:
-    """Run the stage on plain ring words (lanes, n_in) -> (lanes, n_out).
+    """Run the stage on plain ring words (lanes, count) -> (lanes, count).
 
     This is the reference path: identical code, zero co-share, zero mask.
     """
     values = np.atleast_2d(np.asarray(values, dtype=np.uint64))
-    zero = [SemVal(np.zeros(values.shape[0], np.uint64), spec.bitwidth)] * spec.n_out
-    xc = [SemVal(values[:, i].copy(), spec.bitwidth) for i in range(spec.n_in)]
-    outs = _apply(_SEM, spec, xc, zero, [zero[0]] * spec.n_in)
+    zero = [SemVal(np.zeros(values.shape[0], np.uint64), spec.bitwidth)] * spec.count
+    xc = [SemVal(values[:, i].copy(), spec.bitwidth) for i in range(spec.count)]
+    outs = _apply(_SEM, spec, xc, zero, zero)
     return np.stack([o.bits for o in outs], axis=1)
 
 
@@ -122,9 +107,9 @@ def build_secure_circuit(spec: SecureFnSpec):
     """Inputs: client shares, client fresh masks, then server shares."""
     b = CircuitBuilder()
     ops = CircuitOps(b)
-    xc = [ops.input(spec.bitwidth) for _ in range(spec.n_in)]
-    masks = [ops.input(spec.bitwidth) for _ in range(spec.n_out)]
-    xs = [ops.input(spec.bitwidth) for _ in range(spec.n_in)]
+    xc = [ops.input(spec.bitwidth) for _ in range(spec.count)]
+    masks = [ops.input(spec.bitwidth) for _ in range(spec.count)]
+    xs = [ops.input(spec.bitwidth) for _ in range(spec.count)]
     for out in _apply(ops, spec, xc, masks, xs):
         b.mark_output(out)
     return b.build()
@@ -148,12 +133,6 @@ def check_domain(spec: SecureFnSpec, reconstructed: np.ndarray) -> None:
             raise RangeViolation(
                 f"{spec.fn}: value exceeds +-{lim} after the {spec.shift}-bit shift"
             )
-    if spec.fn == "exp_approx":
-        if np.any(v > 0) or np.any(v < -(16 << spec.in_frac)):
-            raise RangeViolation("exp_approx input outside [-16, 0]")
-    if spec.fn == "reciprocal":
-        if np.any(v < (1 << F2) // 2) or np.any(v > (64 << F2)):
-            raise RangeViolation("reciprocal input outside [0.5, 64]")
 
 
 # -- the two backends ---------------------------------------------------------
@@ -174,9 +153,9 @@ def _gc_message_bytes(
     element for the sender point.
     """
     tables = and_count * 4 * 2 * 8 * lanes
-    active = (spec.n_in + spec.n_out) * spec.bitwidth * lanes * 8
-    decode = spec.n_out * spec.bitwidth * lanes
-    n_bits = spec.n_in * spec.bitwidth * lanes
+    active = 2 * spec.count * spec.bitwidth * lanes * 8
+    decode = spec.count * spec.bitwidth * lanes
+    n_bits = spec.count * spec.bitwidth * lanes
     ot = group.element_bytes * (1 + n_bits) + n_bits * 16
     return tables + active + decode, ot
 
@@ -198,18 +177,18 @@ def eval_secure(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate one secure stage over a batch of lanes.
 
-    client_vals, server_vals: (lanes, n_in) raw shares mod 2^bitwidth.
-    Returns (client_new, server_new), both (lanes, n_out): the client keeps
+    client_vals, server_vals: (lanes, count) raw shares mod 2^bitwidth.
+    Returns (client_new, server_new), both (lanes, count): the client keeps
     its fresh masks, the server keeps F(x) - mask.
     """
     client_vals = np.atleast_2d(np.asarray(client_vals, dtype=np.uint64))
     server_vals = np.atleast_2d(np.asarray(server_vals, dtype=np.uint64))
-    if client_vals.shape != server_vals.shape or client_vals.shape[1] != spec.n_in:
-        raise ValueError("share matrices must both be (lanes, n_in)")
+    if client_vals.shape != server_vals.shape or client_vals.shape[1] != spec.count:
+        raise ValueError("share matrices must both be (lanes, count)")
     lanes = client_vals.shape[0]
     wmask = np.uint64(2**spec.bitwidth - 1) if spec.bitwidth < 64 else np.uint64(0xFFFFFFFFFFFFFFFF)
     if masks is None:
-        masks = rng.integers(0, 1 << 64, (lanes, spec.n_out), dtype=np.uint64) & wmask
+        masks = rng.integers(0, 1 << 64, (lanes, spec.count), dtype=np.uint64) & wmask
     masks = np.atleast_2d(np.asarray(masks, dtype=np.uint64)) & wmask
 
     if strict:
@@ -217,7 +196,7 @@ def eval_secure(
 
     circ = build_secure_circuit(spec)
     material_bytes, _ = _gc_message_bytes(spec, lanes, circ.and_count, ot_group)
-    n_bits = spec.n_in * spec.bitwidth * lanes
+    n_bits = spec.count * spec.bitwidth * lanes
     if report is not None:
         with report.at(step, "offline"):
             report.bump("gc_and_gates", circ.and_count)
@@ -249,18 +228,18 @@ def eval_secure(
     gt, state = garble(circ, lanes, rng)
     w = spec.bitwidth
     client_bits = np.concatenate(
-        [pack_bits(client_vals[:, i], w) for i in range(spec.n_in)]
-        + [pack_bits(masks[:, j], w) for j in range(spec.n_out)]
+        [pack_bits(client_vals[:, i], w) for i in range(spec.count)]
+        + [pack_bits(masks[:, j], w) for j in range(spec.count)]
     )
-    n_client_rows = (spec.n_in + spec.n_out) * w
+    n_client_rows = 2 * spec.count * w
     active = np.empty((circ.n_inputs, lanes), dtype=np.uint64)
     active[:n_client_rows] = state.encode(client_bits, rows=slice(0, n_client_rows))
     m0, m1 = state.pairs(slice(n_client_rows, circ.n_inputs))
-    server_bits = np.concatenate([pack_bits(server_vals[:, i], w) for i in range(spec.n_in)])
+    server_bits = np.concatenate([pack_bits(server_vals[:, i], w) for i in range(spec.count)])
     labels, _ = run_ot(m0.ravel(), m1.ravel(), server_bits.ravel(), ot_group, rng, rng_server)
     active[n_client_rows:] = labels.reshape(circ.n_inputs - n_client_rows, lanes)
     out_bits = decode_outputs(gt, evaluate(circ, gt, active))
     server_new = np.stack(
-        [unpack_bits(out_bits[j * w : (j + 1) * w]) for j in range(spec.n_out)], axis=1
+        [unpack_bits(out_bits[j * w : (j + 1) * w]) for j in range(spec.count)], axis=1
     )
     return masks, server_new

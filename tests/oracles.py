@@ -3,6 +3,9 @@
 Everything here is plain Python integer arithmetic or textbook float math,
 deliberately sharing no code with the package under test (the one import
 is the model's dataclasses, for the double-precision forward pass below).
+The exception is the gate-at-a-time garbler and evaluator at the end: they
+reuse the package's PRF and table types, because they pin the garbled
+bytes of the level-scheduled path, not the PRF.
 """
 
 import math
@@ -126,3 +129,73 @@ def float_forward(cfg, weights, tokens) -> np.ndarray:
     if cfg.norm == "pre":
         x = _layernorm_rows(x)
     return x @ weights.w_head.to_float()
+
+
+# -- gate-at-a-time garbling -------------------------------------------------
+
+
+def garble_by_gate(circ, lanes: int, rng: np.random.Generator):
+    """Garble one gate at a time, drawing each AND output label when its
+    gate comes up: the reference for `garble.garble`."""
+    from privtrans.circuits import AND
+    from privtrans.garble import _ONE, GarbledTables, GarblerState, _prf
+
+    def fresh(n):
+        return rng.integers(0, 1 << 64, size=(n, lanes), dtype=np.uint64)
+
+    delta = fresh(1)[0] | _ONE
+    zero = np.zeros((circ.n_wires, lanes), dtype=np.uint64)
+    zero[: 2 + circ.n_inputs] = fresh(2 + circ.n_inputs)
+    tables = np.zeros((circ.and_count, 4, 2, lanes), dtype=np.uint64)
+    base = 2 + circ.n_inputs
+    va = np.array([0, 0, 1, 1], dtype=np.uint64)[:, None]
+    vb = np.array([0, 1, 0, 1], dtype=np.uint64)[:, None]
+    j = 0
+    for i in range(circ.n_gates):
+        a0 = zero[circ.lhs[i]]
+        b0 = zero[circ.rhs[i]]
+        if circ.op[i] != AND:
+            zero[base + i] = a0 ^ b0
+            continue
+        w0 = fresh(1)[0]
+        zero[base + i] = w0
+        la = a0[None, :] ^ (va * delta[None, :])
+        lb = b0[None, :] ^ (vb * delta[None, :])
+        out_active = w0[None, :] ^ ((va & vb) * delta[None, :])
+        rows = (((la & _ONE) << _ONE) | (lb & _ONE)).astype(np.int64)
+        np.put_along_axis(tables[j, :, 0, :], rows, out_active ^ _prf(la, lb, 2 * i), axis=0)
+        np.put_along_axis(tables[j, :, 1, :], rows, _prf(lb, la, 2 * i + 1), axis=0)
+        j += 1
+    const_labels = np.stack([zero[0], zero[1] ^ delta])
+    decode = (zero[list(circ.outputs)] & _ONE).astype(np.uint8)
+    return GarbledTables(tables, const_labels, decode), GarblerState(
+        delta, zero[2 : 2 + circ.n_inputs]
+    )
+
+
+def evaluate_by_gate(circ, gt, active_inputs: np.ndarray) -> np.ndarray:
+    """Evaluate one gate at a time: the reference for `garble.evaluate`."""
+    from privtrans.circuits import AND
+    from privtrans.garble import _ONE, CorruptTable, _prf
+
+    lanes = gt.const_labels.shape[1]
+    active = np.zeros((circ.n_wires, lanes), dtype=np.uint64)
+    active[0] = gt.const_labels[0]
+    active[1] = gt.const_labels[1]
+    active[2 : 2 + circ.n_inputs] = active_inputs
+    base = 2 + circ.n_inputs
+    lane_idx = np.arange(lanes)
+    j = 0
+    for i in range(circ.n_gates):
+        la = active[circ.lhs[i]]
+        lb = active[circ.rhs[i]]
+        if circ.op[i] != AND:
+            active[base + i] = la ^ lb
+            continue
+        rows = (((la & _ONE) << _ONE) | (lb & _ONE)).astype(np.int64)
+        ct = gt.tables[j, rows, :, lane_idx]  # (lanes, 2)
+        if not np.array_equal(ct[:, 1], _prf(lb, la, 2 * i + 1)):
+            raise CorruptTable(f"check word mismatch at gate {i}")
+        active[base + i] = ct[:, 0] ^ _prf(la, lb, 2 * i)
+        j += 1
+    return active[list(circ.outputs)]

@@ -12,16 +12,23 @@ from privtrans.circuits import (
     pack_bits,
     unpack_bits,
 )
+from privtrans import ModelConfig, random_weights, run_protocol, securefn
 from privtrans.garble import CorruptTable, decode_outputs, evaluate, garble
 from privtrans.ot import (
     MODP_1024,
     MODP_1536,
     TOY_256,
+    FixedBase,
     OTCheatError,
     OTReceiver,
     OTSender,
+    _exponent,
+    _generator_table,
     run_ot,
 )
+from privtrans.securefn import SecureFnSpec, build_secure_circuit
+
+from oracles import evaluate_by_gate, garble_by_gate
 
 
 def miller_rabin(n: int, rounds: int, rng) -> bool:
@@ -98,6 +105,24 @@ def test_ot_rejects_degenerate_points():
         sender.respond([MODP_1024.p - 1], np.zeros(1, np.uint64), np.zeros(1, np.uint64))
 
 
+@pytest.mark.parametrize("group", [TOY_256, MODP_1024, MODP_1536], ids=lambda g: str(g.bits))
+def test_fixed_base_table_matches_pow(group):
+    rng = np.random.default_rng(95)
+    base = pow(group.g, _exponent(rng), group.p)  # a random element, like the sender's A
+    table = FixedBase(base, group.p)
+    exps = [0, 1, (1 << 256) - 1] + [_exponent(rng) for _ in range(200)]
+    assert [table.pow(e) for e in exps] == [pow(base, e, group.p) for e in exps]
+    g_table = _generator_table(group)
+    assert [g_table.pow(e) for e in exps[:6]] == [pow(group.g, e, group.p) for e in exps[:6]]
+
+
+def test_fixed_base_rejects_exponents_outside_the_table():
+    table = FixedBase(3, TOY_256.p)
+    for e in (1 << 256, (1 << 300) + 5, -1):
+        with pytest.raises(OverflowError):
+            table.pow(e)
+
+
 def gate_circuit(op):
     b = CircuitBuilder()
     x = b.new_input(1)
@@ -146,13 +171,16 @@ def test_garbled_adder_matches_plain_eval():
     assert np.array_equal(unpack_bits(got_bits), (a + bvals) % 256)
 
 
-def test_xor_only_circuit_has_no_tables():
+def xor_only_circuit(w=16):
     b = CircuitBuilder()
-    ops = CircuitOps(b)
-    x = ops.input(16)
-    y = ops.input(16)
+    x = b.new_input(w)
+    y = b.new_input(w)
     b.mark_output(type(x)(tuple(b.gate(XOR, i, j) for i, j in zip(x.wires, y.wires))))
-    circ = b.build()
+    return b.build()
+
+
+def test_xor_only_circuit_has_no_tables():
+    circ = xor_only_circuit()
     gt, state = garble(circ, 3, np.random.default_rng(88))
     assert circ.and_count == 0
     assert gt.table_bytes == 0
@@ -169,6 +197,88 @@ def test_tampered_table_detected():
     bits = np.concatenate([pack_bits(np.array([3, 7], np.uint64), 6)] * 2)
     with pytest.raises(CorruptTable):
         evaluate(circ, gt, state.encode(bits))
+
+
+def gateless_circuit():
+    b = CircuitBuilder()
+    x = b.new_input(3)
+    b.mark_output(x)
+    return b.build()
+
+
+ORACLE_CIRCUITS = {
+    "softmax_row": lambda: build_secure_circuit(SecureFnSpec("softmax_row", 64, count=4, shift=32)),
+    "layernorm_row": lambda: build_secure_circuit(
+        SecureFnSpec("layernorm_row", 64, count=8, shift=24)
+    ),
+    "relu": lambda: build_secure_circuit(SecureFnSpec("relu", 64, shift=8)),
+    "xor_only": xor_only_circuit,
+    "no_gates": gateless_circuit,
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CIRCUITS))
+def test_level_schedule_matches_gate_at_a_time_oracle(name):
+    circ = ORACLE_CIRCUITS[name]()
+    lanes = 2
+    gt, state = garble(circ, lanes, np.random.default_rng(96))
+    ref_gt, ref_state = garble_by_gate(circ, lanes, np.random.default_rng(96))
+    for got, want in (
+        (gt.tables, ref_gt.tables),
+        (gt.const_labels, ref_gt.const_labels),
+        (gt.decode, ref_gt.decode),
+        (state.delta, ref_state.delta),
+        (state.input_zero, ref_state.input_zero),
+    ):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    bits = np.random.default_rng(97).integers(0, 2, (circ.n_inputs, lanes), dtype=np.uint8)
+    active = state.encode(bits)
+    out = evaluate(circ, gt, active)
+    assert np.array_equal(out, evaluate_by_gate(circ, ref_gt, active))
+    assert np.array_equal(decode_outputs(gt, out), eval_circuit(circ, bits))
+
+
+def test_single_tampered_check_word_names_its_gate():
+    circ = build_secure_circuit(SecureFnSpec("relu", 16, shift=4))
+    and_levels = [ands for _, ands in circ.levels if ands.shape[1]]
+    assert len(and_levels) > 1
+    lanes = 3
+    rng = np.random.default_rng(98)
+    bits = rng.integers(0, 2, (circ.n_inputs, lanes), dtype=np.uint8)
+    gt, state = garble(circ, lanes, rng)
+    active = state.encode(bits)
+    clean = evaluate(circ, gt, active)
+    for ands in (and_levels[0], and_levels[-1]):
+        gate, row = int(ands[0, 0]), int(ands[1, 0])
+        raised = 0
+        for r in range(4):  # the evaluator reads exactly one row per lane
+            gt.tables[row, r, 1, 1] ^= np.uint64(1 << 40)
+            try:
+                assert np.array_equal(evaluate(circ, gt, active), clean)
+            except CorruptTable as e:
+                assert str(e) == f"check word mismatch at gate {gate}"
+                raised += 1
+            gt.tables[row, r, 1, 1] ^= np.uint64(1 << 40)
+        assert raised == 1
+
+
+def test_semantic_backend_never_computes_a_level_schedule(monkeypatch):
+    built = []
+
+    def fresh_circuit(spec):
+        built.append(build_secure_circuit.__wrapped__(spec))
+        return built[-1]
+
+    monkeypatch.setattr(securefn, "build_secure_circuit", fresh_circuit)
+    cfg = ModelConfig(N=1, d_emb=4, H=1, n=2, d_oh=4, d_ff=4, norm="pre", activation="gelu")
+    weights = random_weights(cfg, np.random.default_rng(99))
+    for mode in ("base", "f", "fp", "fpc"):
+        run_protocol(mode, cfg, weights, [1, 3], seed=5)
+    assert built and all("levels" not in c.__dict__ for c in built)
+    # the check can fail: a garbled stage does compute the schedule
+    securefn.eval_secure(SecureFnSpec("relu", 8), np.zeros((1, 1), np.uint64),
+                         np.zeros((1, 1), np.uint64), np.random.default_rng(0), backend="gc")
+    assert "levels" in built[-1].__dict__
 
 
 def test_adder_with_ot_fed_inputs():
