@@ -182,20 +182,13 @@ def cmd_run(rc: RunConfig) -> dict:
     merged = result.merged_report()
     t = result.transcript
 
-    steps = {}
+    steps = t.summary()
     for step in STEPS:
-        cell = {}
         for phase in PHASES:
-            cell[phase] = {
-                "interactions": t.interactions(step, phase),
-                "messages": sum(1 for m in t.messages if m.step == step and m.phase == phase),
-                "bytes": t.bytes_sent(step, phase),
-                "he_ops": merged.he_ops(step, phase),
-                "gc_and_gates": merged.get(step, phase, "gc_and_gates"),
-                "gc_table_bytes": merged.get(step, phase, "gc_table_bytes"),
-                "ot_count": merged.get(step, phase, "ot_count"),
-            }
-        steps[step] = cell
+            cell = steps[step][phase]
+            cell["he_ops"] = merged.he_ops(step, phase)
+            for k in ("gc_and_gates", "gc_table_bytes", "ot_count"):
+                cell[k] = merged.get(step, phase, k)
     totals = {
         phase: {k: sum(steps[s][phase][k] for s in STEPS)
                 for k in ("interactions", "messages", "bytes", "he_ops")}

@@ -13,14 +13,8 @@ PHASES = ("offline", "online")
 
 HE_COUNTERS = ("he_enc", "he_dec", "he_add", "he_add_plain", "he_mul_plain", "he_rotate")
 
-ALL_COUNTERS = HE_COUNTERS + (
-    "gc_and_gates",
-    "gc_table_bytes",
-    "ot_count",
-    "interactions",
-    "bytes_sent",
-    "messages",
-)
+# interactions, messages and bytes are tallied by the Transcript, not here
+ALL_COUNTERS = HE_COUNTERS + ("gc_and_gates", "gc_table_bytes", "ot_count")
 
 
 class CostReport:
@@ -45,6 +39,11 @@ class CostReport:
             yield self
         finally:
             self._step, self._phase = prev
+
+    @property
+    def scope(self) -> tuple[str, str]:
+        """The (step, phase) cell that bumps currently land in."""
+        return self._step, self._phase
 
     def bump(self, counter: str, n: int = 1) -> None:
         if counter not in ALL_COUNTERS:

@@ -25,6 +25,7 @@ at all.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +43,6 @@ from .model import (
     trunc_attn_spec,
     trunc_ffn_spec,
 )
-from .ot import TOY_256, ModpGroup
 from .packing import PackingLayout, PackingStrategy, he_matmul, pack, pack_plain, unpack
 from .ring import FixedTensor, mat_mul
 from .securefn import SecureFnSpec, eval_secure
@@ -73,12 +73,11 @@ class MaterialMissing(RuntimeError):
 
 @dataclass
 class PartyState:
-    """One party: role, key material, rng stream, tagged tensor store."""
+    """One party: role, rng stream, cost report, tagged tensor store."""
 
     role: str
     rng: np.random.Generator
     report: CostReport
-    keys: dict = field(default_factory=dict)
     tensors: dict = field(default_factory=dict)
 
     def put(self, name: str, tag: str, value) -> None:
@@ -148,22 +147,23 @@ class ChgsMaterial:
 class Session:
     """One two-party inference run in a fixed protocol mode.
 
-    Both state machines execute in-process over a shared Transcript; phase
-    tags record where each message and operation falls in a deployed
-    offline/online split. Every client random draw (masks, triples, GC
-    labels) is input-independent, so all material tagged offline really is
-    derivable before the input arrives.
+    Both state machines execute in-process over a shared Transcript. `_at`
+    opens one (step, phase) scope for both parties' counters and for every
+    message and interaction the session logs inside it, so each lands where
+    it falls in a deployed offline/online split; outside any scope that is
+    ("Others", "online"), as for a bare CostReport. Every client random
+    draw (masks, triples, GC labels) is input-independent, so all material
+    tagged offline really is derivable before the input arrives.
     """
 
     def __init__(self, cfg: ModelConfig, weights: ModelWeights, mode: str, seed: int, *,
                  he_params: HEParams | None = None, packing: PackingStrategy | None = None,
-                 backend: str = "semantic", strict: bool = False,
-                 ot_group: ModpGroup = TOY_256):
+                 backend: str = "semantic", strict: bool = False):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         weights.validate(cfg)
         self.cfg, self.weights, self.mode = cfg, weights, mode
-        self.backend, self.strict, self.ot_group = backend, strict, ot_group
+        self.backend, self.strict = backend, strict
         c_ss, s_ss = np.random.SeedSequence(seed).spawn(2)
         self.client = PartyState("client", np.random.default_rng(c_ss), CostReport("client"))
         self.server = PartyState("server", np.random.default_rng(s_ss), CostReport("server"))
@@ -173,8 +173,6 @@ class Session:
             he_params = HEParams(slots=slots, ciphertext_bytes=16 * slots)
         self.he = he_params
         self.key = keygen(he_params, key_id=0, seed=int(self.client.rng.integers(0, 2**63)))
-        self.client.keys["he"] = self.key
-        self.server.keys["he_public"] = self.key.public()
         if packing is None:
             packing = (PackingStrategy.TOKENS_FIRST if mode in ("fp", "fpc")
                        else PackingStrategy.FEATURES_FIRST)
@@ -194,11 +192,27 @@ class Session:
     def _layout(self, d: int) -> PackingLayout:
         return PackingLayout(self.packing, self.cfg.n, d, self.he.slots)
 
-    def _send(self, sender: str, step: str, kind: str, nbytes: int, phase: str) -> None:
+    @contextmanager
+    def _at(self, step: str, phase: str):
+        """Scope both parties' counters, and every message and interaction
+        logged inside, to one pipeline step and phase."""
+        with self.client.report.at(step, phase), self.server.report.at(step, phase):
+            yield
+
+    def _send(self, sender: str, payload) -> None:
+        """Log one message in the current scope, sized by what it carries: a
+        list of ciphertexts at the declared HEParams.ciphertext_bytes each
+        (the stand-in's size in memory is not the modeled size), or a tuple
+        of share tensors at their bytes."""
+        if isinstance(payload, list):
+            kind, nbytes = "ciphertext", len(payload) * self.he.ciphertext_bytes
+        else:
+            kind, nbytes = "share", sum(t.data.nbytes for t in payload)
+        step, phase = self.client.report.scope
         self.transcript.send(sender, step, kind, nbytes, phase=phase)
 
-    def _send_cts(self, sender: str, step: str, count: int, phase: str) -> None:
-        self._send(sender, step, "ciphertext", count * self.he.ciphertext_bytes, phase)
+    def _interaction(self) -> None:
+        self.transcript.interaction(*self.client.report.scope)
 
     def _rand_c(self, shape) -> FixedTensor:
         return rand_ring(shape, self.client.rng, self.cfg.ring)
@@ -215,121 +229,164 @@ class Session:
         dh = self.cfg.d_head
         return [slice(h * dh, (h + 1) * dh) for h in range(self.cfg.H)]
 
-    def _pack_mask(self, step: str, phase: str, rc: FixedTensor) -> list[Ciphertext]:
-        rep_c = self.client.report
-        with rep_c.at(step, phase):
-            cts = pack(rc, self._layout(rc.cols), self.key, rep_c)
-        self._send_cts("client", step, len(cts), phase)
+    def _pack_mask(self, rc: FixedTensor) -> list[Ciphertext]:
+        cts = pack(rc, self._layout(rc.cols), self.key, self.client.report)
+        self._send("client", cts)
         return cts
 
     # -- module material ------------------------------------------------------
 
-    def _gen_hgs(self, lid: str, step: str, phase: str, w: FixedTensor | None, *,
-                 scalar: int | None = None, rc: FixedTensor | None = None,
-                 rc_cts: list[Ciphertext] | None = None, d_in: int | None = None) -> HgsMaterial:
+    def _gen_hgs(self, lid: str, w: FixedTensor | None, *, scalar: int | None = None,
+                 rc: FixedTensor | None = None,
+                 rc_cts: list[Ciphertext] | None = None) -> HgsMaterial:
         """Mask exchange for one module: client ships Enc(rc) packed, the
-        server returns Enc(rc @ W + rs), the client decrypts its share."""
-        cfg, rep_c, rep_s = self.cfg, self.client.report, self.server.report
-        d_in = d_in if d_in is not None else w.rows
+        server returns Enc(rc @ W + rs), the client decrypts its share. A
+        coefficient module (scalar in place of W) acts on d_emb features."""
+        cfg, rep_s = self.cfg, self.server.report
         if rc is None:
-            rc = self._rand_c((cfg.n, d_in))
+            rc = self._rand_c((cfg.n, cfg.d_emb if w is None else w.rows))
         if rc_cts is None:
-            rc_cts = self._pack_mask(step, phase, rc)
-        layout = self._layout(d_in)
-        with rep_s.at(step, phase):
-            if scalar is not None:
-                out_cts, layout_out = [he_mul_plain(ct, scalar, rep_s) for ct in rc_cts], layout
-            else:
-                out_cts, layout_out = he_matmul(rc_cts, layout, w, rep_s)
-            rs = self._rand_s((cfg.n, layout_out.d))
-            out_cts = [he_add_plain(ct, v, rep_s)
-                       for ct, v in zip(out_cts, pack_plain(rs, layout_out))]
-        self._send_cts("server", step, len(out_cts), phase)
-        if phase == "offline":
+            rc_cts = self._pack_mask(rc)
+        layout = self._layout(rc.cols)
+        if scalar is not None:
+            out_cts, layout_out = [he_mul_plain(ct, scalar, rep_s) for ct in rc_cts], layout
+        else:
+            out_cts, layout_out = he_matmul(rc_cts, layout, w, rep_s)
+        rs = self._rand_s((cfg.n, layout_out.d))
+        out_cts = [he_add_plain(ct, v, rep_s) for ct, v in zip(out_cts, pack_plain(rs, layout_out))]
+        self._send("server", out_cts)
+        if self.client.report.scope[1] == "offline":
             # an online-generated module piggybacks on its remask interaction
-            self.transcript.interaction(step, phase=phase)
-        with rep_c.at(step, phase):
-            m_out = unpack(out_cts, layout_out, self.key.secret(), cfg.ring, rep_c)
+            self._interaction()
+        m_out = unpack(out_cts, layout_out, self.key.secret(), cfg.ring, self.client.report)
         self.server.put(f"{lid}.rs", "mask", rs)
         self.client.put(f"{lid}.m_out", "mask", m_out)
         return HgsMaterial(lid, rc, rs, m_out)
 
-    def _gen_triple(self, lid: str, step: str, phase: str, left: FixedTensor,
-                    right: FixedTensor) -> MatTriple:
+    def _gen_triple(self, lid: str, left: FixedTensor, right: FixedTensor) -> MatTriple:
         """Client-built product triple shipped to the server."""
-        rep_c = self.client.report
-        with rep_c.at(step, phase):
-            t = make_product_triple(left, right, self.key, report=rep_c)
-        self._send_cts("client", step, len(t.left_ct) + len(t.right_ct) + len(t.product_ct), phase)
+        t = make_product_triple(left, right, self.key, report=self.client.report)
+        self._send("client", t.left_ct + t.right_ct + t.product_ct)
         self.server.put(f"{lid}.triple", "ciphertext", t)
         return t
 
+    def chgs_material(self, blk_i: int, rc0: FixedTensor, w_ed: FixedTensor,
+                      lam: FixedTensor, w_q: FixedTensor, w_k: FixedTensor) -> ChgsMaterial:
+        """All encrypted fused-prefix terms, offline.
+
+        The mask-quadratic t4 = R_e B_h R_e^T costs one extra offline round:
+        the server masks Enc(Rc0 W_M_h) with G_h, the client decrypts,
+        multiplies by Rc0^T and re-encrypts, and the server strips G_h Rc0^T
+        homomorphically via Enc(Rc0^T)."""
+        cfg, ring = self.cfg, self.cfg.ring
+        rep_c, rep_s = self.client.report, self.server.report
+        enc_rc0 = enc_rows(rc0, self.key, rep_c)
+        enc_rc0_t = enc_rows(rc0.transpose(), self.key, rep_c)
+        self._send("client", enc_rc0 + enc_rc0_t)
+        enc_re = enc_left_matmul(enc_rc0, rc0.cols, w_ed, rep_s)
+        enc_re_t = plain_left_matmul(w_ed.transpose(), enc_rc0_t, rep_s)
+        head_b, head_re_b, masked_wm, g_masks = [], [], [], []
+        for sl in self._head_slices():
+            b_h = mat_mul(FixedTensor(w_q.data[:, sl].copy(), ring),
+                          FixedTensor(w_k.data[:, sl].T.copy(), ring))
+            head_b.append(b_h)
+            head_re_b.append(enc_left_matmul(enc_re, cfg.d_emb, b_h, rep_s))
+            w_m = mat_mul(mat_mul(w_ed, b_h), w_ed.transpose())
+            g_h = self._rand_s((cfg.n, rc0.cols))
+            g_masks.append(g_h)
+            rows = enc_left_matmul(enc_rc0, rc0.cols, w_m, rep_s)
+            masked_wm.append([he_add_plain(ct, v, rep_s) for ct, v in zip(rows, g_h.data)])
+        self._send("server", [ct for rows in masked_wm for ct in rows])
+        head_t4 = []
+        for rows, g_h in zip(masked_wm, g_masks):
+            y_h = dec_rows(rows, rc0.cols, self.key.secret(), ring, rep_c)
+            back = enc_rows(mat_mul(y_h, rc0.transpose()), self.key, rep_c)
+            self._send("client", back)
+            strip = plain_left_matmul(-g_h, enc_rc0_t, rep_s)
+            head_t4.append([he_add(a, b, rep_s) for a, b in zip(back, strip)])
+        self._interaction()  # the extra offline round
+        return ChgsMaterial(blk_i, rc0, w_ed, lam, enc_re_t, head_b, head_re_b, head_t4)
+
     # -- online plumbing ------------------------------------------------------
 
-    def _remask(self, step: str, chain, rc: FixedTensor) -> FixedTensor:
-        """Client sends its part minus a fresh mask; the holder absorbs it.
+    def _remask(self, rc: FixedTensor, *chains) -> tuple:
+        """Client sends its parts of the chains minus one fresh mask rc in a
+        single message, the module's online interaction; the holder absorbs
+        them. Returns the server's new masked values X - rc, one per chain."""
+        deltas = tuple(client_part - rc for _, client_part in chains)
+        self._send("client", deltas)
+        self._interaction()
+        outs = tuple(held + d for (held, _), d in zip(chains, deltas))
+        self.server.put(f"{self.client.report.scope[0]}.masked_in", "masked-value", outs)
+        return outs
 
-        Returns the server's new masked value X - rc. This one message is
-        the module's online interaction.
-        """
-        held, client_part = chain
-        delta = client_part - rc
-        self._send("client", step, "share", delta.data.size * 8, "online")
-        self.transcript.interaction(step)
-        out = held + delta
-        self.server.put(f"{step}.masked_in", "masked-value", out)
-        return out
+    def _reveal(self, heads) -> FixedTensor:
+        """Server assembles Enc(t1 + t2 + t3 + t4 - rs) row by row for each
+        head (t1, rs plaintext; t2, t3, t4 encrypted rows) and sends all rows
+        in one message; the client decrypts its shares, heads stacked."""
+        rep_s = self.server.report
+        rows = []
+        for t1, t2, t3, t4, rs in heads:
+            for i in range(t1.rows):
+                acc = he_add(t2[i], t3[i], rep_s)
+                acc = he_add(acc, t4[i], rep_s)
+                rows.append(he_add_plain(acc, t1.data[i] - rs.data[i], rep_s))
+        self._send("server", rows)
+        return dec_rows(rows, heads[0][0].cols, self.key.secret(), self.cfg.ring,
+                        self.client.report)
 
-    def _remask_pair(self, step: str, chain_a, chain_b, rc: FixedTensor):
-        """Both factors of a share product re-masked by one common mask in
-        a single message (one interaction)."""
-        delta_a = chain_a[1] - rc
-        delta_b = chain_b[1] - rc
-        self._send("client", step, "share", (delta_a.data.size + delta_b.data.size) * 8, "online")
-        self.transcript.interaction(step)
-        out_a, out_b = chain_a[0] + delta_a, chain_b[0] + delta_b
-        self.server.put(f"{step}.masked_in", "masked-value", (out_a, out_b))
-        return out_a, out_b
+    def triple_product(self, left_masked: FixedTensor, right_masked: FixedTensor,
+                       triple: MatTriple):
+        """Shares of L @ R from factors masked by the triple's own masks:
+        the client ends with L @ R - rs, the server keeps a fresh rs.
 
-    def _triple_product(self, step: str, left_masked: FixedTensor, right_masked: FixedTensor,
-                        triple: MatTriple, rs: FixedTensor) -> FixedTensor:
-        """Server assembles Enc(L @ R - rs) from a triple; client decrypts.
-
-        tmp1 = (L-a)(R-b) in plaintext, tmp2 = a(R-b) over Enc(a), tmp3 =
-        (L-a)b over Enc(b), tmp4 = Enc(ab)."""
-        rep_c, rep_s = self.client.report, self.server.report
+        Four-term expansion (L-a)(R-b) + a(R-b) + (L-a)b + ab: the first in
+        plaintext, then over Enc(a), Enc(b) and Enc(ab); zero
+        ciphertext-by-ciphertext multiplies."""
+        rep_s = self.server.report
         triple.mark_used()
-        with rep_s.at(step, "online"):
-            tmp1 = mat_mul(left_masked, right_masked)
-            tmp2 = enc_left_matmul(triple.left_ct, triple.left_mask.cols, right_masked, rep_s)
-            tmp3 = plain_left_matmul(left_masked, triple.right_ct, rep_s)
-            rows = []
-            for i in range(tmp1.rows):
-                acc = he_add(tmp2[i], tmp3[i], rep_s)
-                acc = he_add(acc, triple.product_ct[i], rep_s)
-                rows.append(he_add_plain(acc, tmp1.data[i] - rs.data[i], rep_s))
-        self._send_cts("server", step, len(rows), "online")
-        with rep_c.at(step, "online"):
-            out = dec_rows(rows, tmp1.cols, self.key.secret(), self.cfg.ring, rep_c)
-        return out
+        rs = self._rand_s((left_masked.rows, right_masked.cols))
+        t1 = mat_mul(left_masked, right_masked)
+        t2 = enc_left_matmul(triple.left_ct, triple.left_mask.cols, right_masked, rep_s)
+        t3 = plain_left_matmul(left_masked, triple.right_ct, rep_s)
+        return self._reveal([(t1, t2, t3, triple.product_ct, rs)]), rs
 
-    def _gc(self, step: str, spec: SecureFnSpec, chain, lanes_shape=None):
-        """One garbled stage over the chain shares; returns the new chain
-        (held: value minus mask, client: mask)."""
+    def chgs_scores(self, x0_masked: FixedTensor, mat: ChgsMaterial):
+        """Server-side fused score evaluation S_h = t1 + t2 + t3 + t4 per head.
+
+        t1 = P_s B_h P_s^T is pure plaintext; t2 and t3 pair P_s against the
+        encrypted mask image; t4 was prepared offline. Returns P_s and the
+        (server, client) score shares stacked by head.
+        """
+        cfg, rep_s = self.cfg, self.server.report
+        mat.mark_used()
+        p_s = mat_mul(x0_masked, mat.w_ed) + mat.lam
+        heads = []
+        for b_h, re_b, t4 in zip(mat.head_b, mat.head_re_b, mat.head_t4):
+            pb = mat_mul(p_s, b_h)
+            heads.append((mat_mul(pb, p_s.transpose()),
+                          plain_left_matmul(pb, mat.enc_re_t, rep_s),
+                          enc_left_matmul(re_b, cfg.d_emb, p_s.transpose(), rep_s),
+                          t4, self._rand_s((cfg.n, cfg.n))))
+        s_client = self._reveal(heads)
+        s_server = FixedTensor(np.vstack([rs.data for *_, rs in heads]), cfg.ring)
+        self.server.put(f"b{mat.block_id}.s_share", "share", s_server)
+        return p_s, (s_server, s_client)
+
+    def _gc(self, step: str, spec: SecureFnSpec, chain):
+        """One garbled stage over the chain shares, spec.count words per
+        lane; returns the new chain (held: value minus mask, client: mask)."""
         held, client_part = chain
-        cv, sv = client_part.data, held.data
-        if lanes_shape is not None:
-            cv, sv = cv.reshape(lanes_shape), sv.reshape(lanes_shape)
+        lanes = (-1, spec.count)
         c_new, s_new = eval_secure(
-            spec, cv, sv, self.client.rng,
+            spec, client_part.data.reshape(lanes), held.data.reshape(lanes), self.client.rng,
             backend=self.backend, strict=self.strict,
             report=self.client.report, transcript=self.transcript, step=step,
-            ot_group=self.ot_group, rng_server=self.server.rng,
+            rng_server=self.server.rng,
         )
-        if lanes_shape is not None:
-            c_new, s_new = c_new.reshape(client_part.shape), s_new.reshape(held.shape)
         ring = self.cfg.ring
-        out = (FixedTensor(s_new, ring), FixedTensor(c_new, ring))
+        out = (FixedTensor(s_new.reshape(held.shape), ring),
+               FixedTensor(c_new.reshape(client_part.shape), ring))
         self.server.put(f"{step}.gc_out", "share", out[0])
         self.client.put(f"{step}.gc_mask", "mask", out[1])
         return out
@@ -340,51 +397,53 @@ class Session:
         """Two chained modules: vocabulary matmul, then coefficient scale
         with the public positional offset added server-side."""
         cfg, w = self.cfg, self.weights
-        m_e = self._gen_hgs("embed.vocab", "Embed", phase, w.w_e)
-        m_dl = self._gen_hgs("embed.posn", "Embed", phase, None, scalar=cfg.delta,
-                             d_in=cfg.d_emb)
-        zeros = FixedTensor.zeros(*x0.shape, cfg.ring)
-        masked = self._remask("Embed", (zeros, x0), m_e.rc)
-        masked_e = run_hgs_layer(w.w_e, masked, m_e)
-        masked = self._remask("Embed", (masked_e, m_e.m_out), m_dl.rc)
+        with self._at("Embed", phase):
+            m_e = self._gen_hgs("embed.vocab", w.w_e)
+            m_dl = self._gen_hgs("embed.posn", None, scalar=cfg.delta)
+        with self._at("Embed", "online"):
+            zeros = FixedTensor.zeros(*x0.shape, cfg.ring)
+            masked, = self._remask(m_e.rc, (zeros, x0))
+            masked_e = run_hgs_layer(w.w_e, masked, m_e)
+            masked, = self._remask(m_dl.rc, (masked_e, m_e.m_out))
         masked_x1 = run_hgs_layer(None, masked, m_dl, bias=cfg.lam, scalar=cfg.delta)
         return masked_x1, m_dl.m_out
 
-    def _weight_module(self, lid: str, step: str, w: FixedTensor, chain, phase: str,
-                       bias: FixedTensor | None = None):
-        mat = self._gen_hgs(lid, step, phase, w)
-        masked = self._remask(step, chain, mat.rc)
-        return run_hgs_layer(w, masked, mat, bias=bias), mat.m_out
+    def _weight_module(self, lid: str, w: FixedTensor, chain, phase: str):
+        with self._at("Others", phase):
+            mat = self._gen_hgs(lid, w)
+        with self._at("Others", "online"):
+            masked, = self._remask(mat.rc, chain)
+        return run_hgs_layer(w, masked, mat), mat.m_out
 
     def _prefix_hgs(self, blk_i: int, chain, phase: str):
         """Modes base/f/fp: QKV modules sharing one input mask, then the
         per-head same-mask score product. Two online interactions."""
         cfg, blk, ring = self.cfg, self.weights.blocks[blk_i], self.cfg.ring
-        rc_qkv = self._rand_c((cfg.n, cfg.d_emb))
-        qkv_cts = self._pack_mask("QKV", phase, rc_qkv)
-        m_q = self._gen_hgs(f"b{blk_i}.wq", "QKV", phase, blk.w_q, rc=rc_qkv, rc_cts=qkv_cts)
-        m_k = self._gen_hgs(f"b{blk_i}.wk", "QKV", phase, blk.w_k, rc=rc_qkv, rc_cts=qkv_cts)
-        m_v = self._gen_hgs(f"b{blk_i}.wv", "QKV", phase, blk.w_v, rc=rc_qkv, rc_cts=qkv_cts)
-        rc_qk = self._rand_c((cfg.n, cfg.d_emb))
-        triples = [self._gen_triple(f"b{blk_i}.qk{h}", "QxK", phase,
-                                    FixedTensor(rc_qk.data[:, sl].copy(), ring),
-                                    FixedTensor(rc_qk.data[:, sl].T.copy(), ring))
-                   for h, sl in enumerate(self._head_slices())]
+        with self._at("QKV", phase):
+            rc_qkv = self._rand_c((cfg.n, cfg.d_emb))
+            qkv_cts = self._pack_mask(rc_qkv)
+            m_q, m_k, m_v = [self._gen_hgs(f"b{blk_i}.w{p}", getattr(blk, f"w_{p}"),
+                                           rc=rc_qkv, rc_cts=qkv_cts) for p in "qkv"]
+        with self._at("QxK", phase):
+            rc_qk = self._rand_c((cfg.n, cfg.d_emb))
+            triples = [self._gen_triple(f"b{blk_i}.qk{h}",
+                                        FixedTensor(rc_qk.data[:, sl].copy(), ring),
+                                        FixedTensor(rc_qk.data[:, sl].T.copy(), ring))
+                       for h, sl in enumerate(self._head_slices())]
 
-        masked_x1 = self._remask("QKV", chain, rc_qkv)
+        with self._at("QKV", "online"):
+            masked_x1, = self._remask(rc_qkv, chain)
         masked_q = run_hgs_layer(blk.w_q, masked_x1, m_q)
         masked_k = run_hgs_layer(blk.w_k, masked_x1, m_k)
         masked_v = run_hgs_layer(blk.w_v, masked_x1, m_v)
-        mq, mk = self._remask_pair("QxK", (masked_q, m_q.m_out), (masked_k, m_k.m_out), rc_qk)
-        s_parts, rs_parts = [], []
-        for h, sl in enumerate(self._head_slices()):
-            qh = FixedTensor(mq.data[:, sl].copy(), ring)
-            kh = FixedTensor(mk.data[:, sl].copy(), ring)
-            c_share, s_share = run_fhgs_qk(qh, kh, triples[h], self)
-            s_parts.append(c_share)
-            rs_parts.append(s_share)
-        s_client = FixedTensor(np.vstack([t.data for t in s_parts]), ring)
-        s_server = FixedTensor(np.vstack([t.data for t in rs_parts]), ring)
+        with self._at("QxK", "online"):
+            mq, mk = self._remask(rc_qk, (masked_q, m_q.m_out), (masked_k, m_k.m_out))
+            heads = [self.triple_product(FixedTensor(mq.data[:, sl].copy(), ring),
+                                         FixedTensor(mk.data[:, sl].copy(), ring).transpose(),
+                                         triple)
+                     for sl, triple in zip(self._head_slices(), triples)]
+        s_client = FixedTensor(np.vstack([c.data for c, _ in heads]), ring)
+        s_server = FixedTensor(np.vstack([s.data for _, s in heads]), ring)
         self.server.put(f"b{blk_i}.s_share", "share", s_server)
         return (s_server, s_client), (masked_v, m_v.m_out)
 
@@ -407,23 +466,25 @@ class Session:
             w_ed = FixedTensor(np.eye(cfg.d_emb, dtype=np.uint64), ring)
             lam = FixedTensor.zeros(cfg.n, cfg.d_emb, ring)
             rc0 = chain[1]  # the GC output mask already masking this input
-        mat = gen_chgs_material(self, blk_i, rc0, w_ed, lam, blk.w_q, blk.w_k)
-        rc0_cts = self._pack_mask("QKV", "offline", rc0)
+        with self._at("QxK", "offline"):
+            mat = self.chgs_material(blk_i, rc0, w_ed, lam, blk.w_q, blk.w_k)
         w_ev = mat_mul(w_ed, blk.w_v)
-        m_v = self._gen_hgs(f"b{blk_i}.fuse_v", "QKV", "offline", w_ev, rc=rc0, rc_cts=rc0_cts)
+        with self._at("QKV", "offline"):
+            m_v = self._gen_hgs(f"b{blk_i}.fuse_v", w_ev, rc=rc0)
         if first:
-            m_x = self._gen_hgs("embed.fused", "Embed", "offline", w_ed, rc=rc0,
-                                rc_cts=self._pack_mask("Embed", "offline", rc0))
+            with self._at("Embed", "offline"):
+                m_x = self._gen_hgs("embed.fused", w_ed, rc=rc0)
 
         # online: one interaction carries the whole prefix
-        if first:
-            x0_masked = x0 - rc0
-            self._send("client", "QxK", "share", x0_masked.data.size * 8, "online")
-            self.server.put("QxK.masked_in", "masked-value", x0_masked)
-        else:
-            x0_masked = chain[0]
-        self.transcript.interaction("QxK")
-        p_s, s_client, s_server = run_chgs_block(x0_masked, mat, self)
+        with self._at("QxK", "online"):
+            if first:
+                x0_masked = x0 - rc0
+                self._send("client", (x0_masked,))
+                self.server.put("QxK.masked_in", "masked-value", x0_masked)
+            else:
+                x0_masked = chain[0]
+            self._interaction()
+            p_s, s_chain = self.chgs_scores(x0_masked, mat)
         masked_v = run_hgs_layer(w_ev, x0_masked, m_v,
                                  bias=mat_mul(lam, blk.w_v) if first else None)
         if first:
@@ -431,7 +492,7 @@ class Session:
             x1_chain = (p_s - m_x.rs, m_x.m_out)
         else:
             x1_chain = chain
-        return (s_server, s_client), (masked_v, m_v.m_out), x1_chain
+        return s_chain, (masked_v, m_v.m_out), x1_chain
 
     def _attention_value(self, blk_i: int, p_chain, v_chain, phase: str):
         """Per-head product of the softmax shares with the masked values;
@@ -440,20 +501,20 @@ class Session:
         cfg, ring = self.cfg, self.cfg.ring
         p_held, p_mask = p_chain     # held: P - a, client: a
         v_masked, m_v = v_chain
-        a_parts, rs_parts = [], []
-        for h, sl in enumerate(self._head_slices()):
-            rows = slice(h * cfg.n, (h + 1) * cfg.n)
-            a_h = FixedTensor(p_mask.data[rows].copy(), ring)
-            b_h = FixedTensor(m_v.data[:, sl].copy(), ring)
-            triple = self._gen_triple(f"b{blk_i}.av{h}", "AttenValue", phase, a_h, b_h)
-            ph = FixedTensor(p_held.data[rows].copy(), ring)
-            vh = FixedTensor(v_masked.data[:, sl].copy(), ring)
-            c_share, s_share = run_attention_value(ph, vh, triple, self)
-            a_parts.append(c_share)
-            rs_parts.append(s_share)
-        self.transcript.interaction("AttenValue")
-        client = FixedTensor(np.hstack([t.data for t in a_parts]), ring)
-        server = FixedTensor(np.hstack([t.data for t in rs_parts]), ring)
+        heads = []
+        with self._at("AttenValue", "online"):
+            for h, sl in enumerate(self._head_slices()):
+                rows = slice(h * cfg.n, (h + 1) * cfg.n)
+                with self._at("AttenValue", phase):
+                    triple = self._gen_triple(f"b{blk_i}.av{h}",
+                                              FixedTensor(p_mask.data[rows].copy(), ring),
+                                              FixedTensor(m_v.data[:, sl].copy(), ring))
+                heads.append(self.triple_product(FixedTensor(p_held.data[rows].copy(), ring),
+                                                 FixedTensor(v_masked.data[:, sl].copy(), ring),
+                                                 triple))
+            self._interaction()
+        client = FixedTensor(np.hstack([c.data for c, _ in heads]), ring)
+        server = FixedTensor(np.hstack([s.data for _, s in heads]), ring)
         return (server, client)
 
     def _block(self, blk_i: int, chain, x0, phase: str):
@@ -471,20 +532,20 @@ class Session:
         s_chain = (s_chain[0].scalar_mul(eta), s_chain[1].scalar_mul(eta))
         p_chain = self._gc("SoftMax", softmax_spec(cfg), s_chain)
         av_chain = self._attention_value(blk_i, p_chain, v_chain, phase)
-        o_held, o_mask = self._weight_module(f"b{blk_i}.wo", "Others", blk.w_o, av_chain, phase)
+        o_held, o_mask = self._weight_module(f"b{blk_i}.wo", blk.w_o, av_chain, phase)
         mid = (x1_chain[0].lshift(3 * f) + o_held, x1_chain[1].lshift(3 * f) + o_mask)
         if pre:
-            mid = self._gc("Others", trunc_attn_spec(cfg), mid, lanes_shape=(-1, 1))
+            mid = self._gc("Others", trunc_attn_spec(cfg), mid)
             ffn_in = self._gc("Others", ln_ffn_spec(cfg), mid)
         else:
             mid = self._gc("Others", ln_attn_spec(cfg), mid)
             ffn_in = mid
-        h_held, h_mask = self._weight_module(f"b{blk_i}.wf1", "Others", blk.w_f1, ffn_in, phase)
-        act = self._gc("Others", act_spec(cfg), (h_held, h_mask), lanes_shape=(-1, 1))
-        f_held, f_mask = self._weight_module(f"b{blk_i}.wf2", "Others", blk.w_f2, act, phase)
+        h_held, h_mask = self._weight_module(f"b{blk_i}.wf1", blk.w_f1, ffn_in, phase)
+        act = self._gc("Others", act_spec(cfg), (h_held, h_mask))
+        f_held, f_mask = self._weight_module(f"b{blk_i}.wf2", blk.w_f2, act, phase)
         out = (mid[0].lshift(f) + f_held, mid[1].lshift(f) + f_mask)
         if pre:
-            return self._gc("Others", trunc_ffn_spec(cfg), out, lanes_shape=(-1, 1))
+            return self._gc("Others", trunc_ffn_spec(cfg), out)
         return self._gc("Others", ln_ffn_spec(cfg), out)
 
     def run(self, tokens) -> "RunResult":
@@ -499,110 +560,12 @@ class Session:
             self._audit()
         if cfg.norm == "pre":
             chain = self._gc("Others", final_ln_spec(cfg), chain)
-        l_held, l_mask = self._weight_module("head", "Others", self.weights.w_head, chain, phase)
+        l_held, l_mask = self._weight_module("head", self.weights.w_head, chain, phase)
         self.client.put("logits", "share", l_mask)
         self.server.put("logits", "share", l_held)
         self._audit()
         return RunResult(l_mask, l_held, self.transcript,
                          self.client.report, self.server.report, self)
-
-
-# -- standalone protocol operations -------------------------------------------
-
-
-def run_fhgs_qk(q_masked: FixedTensor, k_masked: FixedTensor, triple: MatTriple,
-                session: Session, rs: FixedTensor | None = None):
-    """Shares of Q @ K^T from Q, K masked by the triple's own masks: the
-    client ends with the product minus rs, the server keeps rs. Zero
-    ciphertext-by-ciphertext multiplies."""
-    if rs is None:
-        rs = session._rand_s((q_masked.rows, k_masked.rows))
-    client = session._triple_product("QxK", q_masked, k_masked.transpose(), triple, rs)
-    return client, rs
-
-
-def run_attention_value(p_masked: FixedTensor, v_masked: FixedTensor, triple: MatTriple,
-                        session: Session, rs: FixedTensor | None = None):
-    """Shares of P @ V via an independent-mask product triple."""
-    if rs is None:
-        rs = session._rand_s((p_masked.rows, v_masked.cols))
-    client = session._triple_product("AttenValue", p_masked, v_masked, triple, rs)
-    return client, rs
-
-
-def gen_chgs_material(session: Session, blk_i: int, rc0: FixedTensor, w_ed: FixedTensor,
-                      lam: FixedTensor, w_q: FixedTensor, w_k: FixedTensor) -> ChgsMaterial:
-    """All encrypted fused-prefix terms, offline.
-
-    The mask-quadratic t4 = R_e B_h R_e^T costs one extra offline round:
-    the server masks Enc(Rc0 W_M_h) with G_h, the client decrypts,
-    multiplies by Rc0^T and re-encrypts, and the server strips G_h Rc0^T
-    homomorphically via Enc(Rc0^T)."""
-    cfg, ring = session.cfg, session.cfg.ring
-    rep_c, rep_s = session.client.report, session.server.report
-    step, phase = "QxK", "offline"
-    with rep_c.at(step, phase):
-        enc_rc0 = enc_rows(rc0, session.key, rep_c)
-        enc_rc0_t = enc_rows(rc0.transpose(), session.key, rep_c)
-    session._send_cts("client", step, len(enc_rc0) + len(enc_rc0_t), phase)
-    with rep_s.at(step, phase):
-        enc_re = enc_left_matmul(enc_rc0, rc0.cols, w_ed, rep_s)
-        enc_re_t = plain_left_matmul(w_ed.transpose(), enc_rc0_t, rep_s)
-        head_b, head_re_b, masked_wm, g_masks = [], [], [], []
-        for sl in session._head_slices():
-            b_h = mat_mul(FixedTensor(w_q.data[:, sl].copy(), ring),
-                          FixedTensor(w_k.data[:, sl].T.copy(), ring))
-            head_b.append(b_h)
-            head_re_b.append(enc_left_matmul(enc_re, cfg.d_emb, b_h, rep_s))
-            w_m = mat_mul(mat_mul(w_ed, b_h), w_ed.transpose())
-            g_h = session._rand_s((cfg.n, rc0.cols))
-            g_masks.append(g_h)
-            rows = enc_left_matmul(enc_rc0, rc0.cols, w_m, rep_s)
-            masked_wm.append([he_add_plain(ct, v, rep_s) for ct, v in zip(rows, g_h.data)])
-    session._send_cts("server", step, cfg.H * cfg.n, phase)
-    head_t4 = []
-    for h in range(cfg.H):
-        with rep_c.at(step, phase):
-            y_h = dec_rows(masked_wm[h], rc0.cols, session.key.secret(), ring, rep_c)
-            back = enc_rows(mat_mul(y_h, rc0.transpose()), session.key, rep_c)
-        session._send_cts("client", step, len(back), phase)
-        with rep_s.at(step, phase):
-            strip = plain_left_matmul(-g_masks[h], enc_rc0_t, rep_s)
-            head_t4.append([he_add(a, b, rep_s) for a, b in zip(back, strip)])
-    session.transcript.interaction(step, phase=phase)  # the extra offline round
-    return ChgsMaterial(blk_i, rc0, w_ed, lam, enc_re_t, head_b, head_re_b, head_t4)
-
-
-def run_chgs_block(x0_masked: FixedTensor, mat: ChgsMaterial, session: Session):
-    """Server-side fused score evaluation S_h = t1 + t2 + t3 + t4 per head.
-
-    t1 = P_s B_h P_s^T is pure plaintext; t2 and t3 pair P_s against the
-    encrypted mask image; t4 was prepared offline. Returns (P_s, client
-    score shares stacked by head, matching server shares).
-    """
-    cfg, ring = session.cfg, session.cfg.ring
-    rep_c, rep_s = session.client.report, session.server.report
-    mat.mark_used()
-    s_rows, rs_list = [], []
-    with rep_s.at("QxK", "online"):
-        p_s = mat_mul(x0_masked, mat.w_ed) + mat.lam
-        for h, b_h in enumerate(mat.head_b):
-            pb = mat_mul(p_s, b_h)
-            t1 = mat_mul(pb, p_s.transpose())
-            t2 = plain_left_matmul(pb, mat.enc_re_t, rep_s)
-            t3 = enc_left_matmul(mat.head_re_b[h], cfg.d_emb, p_s.transpose(), rep_s)
-            rs = session._rand_s((cfg.n, cfg.n))
-            rs_list.append(rs)
-            for i in range(cfg.n):
-                acc = he_add(t2[i], t3[i], rep_s)
-                acc = he_add(acc, mat.head_t4[h][i], rep_s)
-                s_rows.append(he_add_plain(acc, t1.data[i] - rs.data[i], rep_s))
-    session._send_cts("server", "QxK", len(s_rows), "online")
-    with rep_c.at("QxK", "online"):
-        s_client = dec_rows(s_rows, cfg.n, session.key.secret(), ring, rep_c)
-    s_server = FixedTensor(np.vstack([t.data for t in rs_list]), ring)
-    session.server.put(f"b{mat.block_id}.s_share", "share", s_server)
-    return p_s, s_client, s_server
 
 
 @dataclass

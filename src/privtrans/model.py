@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 import struct
-import warnings
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -215,26 +214,6 @@ def load_weights(path) -> tuple[ModelWeights, RingParams]:
     if off != len(raw):
         raise ValueError("trailing bytes after weight data")
     return _weights_from_map(tensors), ring
-
-
-def import_pretrained(
-    desc: Mapping[str, np.ndarray], ring: RingParams = DEFAULT_RING
-) -> tuple[ModelWeights, float]:
-    """Quantize float weight arrays (keyed like the file format) onto the
-    ring. Out-of-range values saturate with a warning; returns the max
-    absolute quantization error over all in-range entries."""
-    lim = ring.value_limit() / ring.scale
-    max_err = 0.0
-    tensors = {}
-    for name, arr in desc.items():
-        x = np.asarray(arr, dtype=np.float64)
-        if np.abs(x).max(initial=0) > lim:
-            warnings.warn(f"{name}: weights outside [-{lim}, {lim}] saturated", stacklevel=2)
-            x = np.clip(x, -lim, lim)
-        t = FixedTensor.from_float(x, ring)
-        max_err = max(max_err, float(np.abs(t.to_float() - x).max(initial=0)))
-        tensors[name] = t
-    return _weights_from_map(tensors), max_err
 
 
 _CONFIG_KEYS = ("N", "d_emb", "H", "n", "d_oh", "d_ff")

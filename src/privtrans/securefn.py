@@ -21,7 +21,7 @@ from .circuits import CircuitBuilder, CircuitOps, pack_bits, unpack_bits
 from .costs import CostReport
 from .fixedfn import SemanticOps, SemVal
 from .garble import decode_outputs, evaluate, garble
-from .ot import TOY_256, ModpGroup, run_ot
+from .ot import TOY_256, run_ot
 from .ring import DEFAULT_RING, RingParams
 from .transcript import Transcript
 
@@ -142,22 +142,20 @@ def _columns(mat: np.ndarray, width: int) -> list[SemVal]:
     return [SemVal(mat[:, i].copy(), width) for i in range(mat.shape[1])]
 
 
-def _gc_message_bytes(
-    spec: SecureFnSpec, lanes: int, and_count: int, group: ModpGroup
-) -> tuple[int, int]:
-    """(garbled material bytes, OT bytes) for the cost model.
+def _gc_message_bytes(spec: SecureFnSpec, lanes: int, and_count: int) -> tuple[int, int, int]:
+    """(garbled material, client OT, server OT) bytes for the cost model.
 
     Material = AND tables (4 rows x label+check word) + the client's active
-    input labels + one decode byte per output wire. OT moves one group
-    element per choice bit each way plus the masked pair, and one group
-    element for the sender point.
+    input labels + one decode byte per output wire. In the OT the client
+    (sender) sends its point and a masked label pair per choice bit; the
+    server (receiver) sends one group element per choice bit.
     """
-    tables = and_count * 4 * 2 * 8 * lanes
-    active = 2 * spec.count * spec.bitwidth * lanes * 8
-    decode = spec.count * spec.bitwidth * lanes
     n_bits = spec.count * spec.bitwidth * lanes
-    ot = group.element_bytes * (1 + n_bits) + n_bits * 16
-    return tables + active + decode, ot
+    tables = and_count * 4 * 2 * 8 * lanes
+    active = 2 * n_bits * 8
+    decode = n_bits
+    element = TOY_256.element_bytes
+    return tables + active + decode, element + n_bits * 16, n_bits * element
 
 
 def eval_secure(
@@ -172,7 +170,6 @@ def eval_secure(
     report: CostReport | None = None,
     transcript: Transcript | None = None,
     step: str = "Others",
-    ot_group: ModpGroup = TOY_256,
     rng_server: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate one secure stage over a batch of lanes.
@@ -180,6 +177,12 @@ def eval_secure(
     client_vals, server_vals: (lanes, count) raw shares mod 2^bitwidth.
     Returns (client_new, server_new), both (lanes, count): the client keeps
     its fresh masks, the server keeps F(x) - mask.
+
+    Phase split: the AND gates are billed offline, because garbling does not
+    depend on the inputs and can run before they arrive; the garbled
+    material (tables, the client's active input labels, decode bits) and
+    the OT traffic are billed online, when the stage runs. The OT runs in
+    the TOY_256 group.
     """
     client_vals = np.atleast_2d(np.asarray(client_vals, dtype=np.uint64))
     server_vals = np.atleast_2d(np.asarray(server_vals, dtype=np.uint64))
@@ -195,18 +198,17 @@ def eval_secure(
         check_domain(spec, (client_vals + server_vals) & wmask)
 
     circ = build_secure_circuit(spec)
-    material_bytes, _ = _gc_message_bytes(spec, lanes, circ.and_count, ot_group)
-    n_bits = spec.count * spec.bitwidth * lanes
+    material_bytes, client_ot, server_ot = _gc_message_bytes(spec, lanes, circ.and_count)
     if report is not None:
         with report.at(step, "offline"):
             report.bump("gc_and_gates", circ.and_count)
         with report.at(step, "online"):
             report.bump("gc_table_bytes", material_bytes)
-            report.bump("ot_count", n_bits)
+            report.bump("ot_count", spec.count * spec.bitwidth * lanes)
     if transcript is not None:
         transcript.send("client", step, "gc_material", material_bytes)
-        transcript.send("client", step, "ot", ot_group.element_bytes + n_bits * 16)
-        transcript.send("server", step, "ot", n_bits * ot_group.element_bytes)
+        transcript.send("client", step, "ot", client_ot)
+        transcript.send("server", step, "ot", server_ot)
         transcript.interaction(step)
 
     if backend == "semantic":
@@ -236,7 +238,7 @@ def eval_secure(
     active[:n_client_rows] = state.encode(client_bits, rows=slice(0, n_client_rows))
     m0, m1 = state.pairs(slice(n_client_rows, circ.n_inputs))
     server_bits = np.concatenate([pack_bits(server_vals[:, i], w) for i in range(spec.count)])
-    labels, _ = run_ot(m0.ravel(), m1.ravel(), server_bits.ravel(), ot_group, rng, rng_server)
+    labels, _ = run_ot(m0.ravel(), m1.ravel(), server_bits.ravel(), TOY_256, rng, rng_server)
     active[n_client_rows:] = labels.reshape(circ.n_inputs - n_client_rows, lanes)
     out_bits = decode_outputs(gt, evaluate(circ, gt, active))
     server_new = np.stack(

@@ -29,7 +29,7 @@ import numpy as np
 from scipy import stats
 
 from privtrans.costs import CostReport
-from privtrans.engine import MODES, Session, audit_server_ignorance, run_fhgs_qk, run_protocol
+from privtrans.engine import MODES, Session, audit_server_ignorance, run_protocol
 from privtrans.model import ModelConfig, random_weights, reference_forward
 from privtrans.packing import PackingLayout, PackingStrategy, he_matmul, pack, unpack
 from privtrans.ring import DEFAULT_RING, FixedTensor
@@ -107,7 +107,7 @@ def test_2_masked_qk_product_exact_over_100_seeds():
         q, k = rand_mat(rng, (4, 6)), rand_mat(rng, (4, 6))
         rc = rand_mat(rng, (4, 6))
         triple = make_product_triple(rc, rc.transpose(), s.key, triple_id=seed)
-        c_share, s_share = run_fhgs_qk(q - rc, k - rc, triple, s)
+        c_share, s_share = s.triple_product(q - rc, (k - rc).transpose(), triple)
         want = oracles.matmul_mod(q.data.tolist(), k.transpose().data.tolist(), 64)
         assert (c_share + s_share).data.tolist() == want, seed
     pair_ops = ciphertext_pair_ops()

@@ -10,10 +10,6 @@ from privtrans.engine import (
     PartyState,
     Session,
     audit_server_ignorance,
-    gen_chgs_material,
-    run_attention_value,
-    run_chgs_block,
-    run_fhgs_qk,
     run_hgs_layer,
     run_protocol,
 )
@@ -138,7 +134,7 @@ def test_fhgs_qk_unmasked_trivial_case():
     triple = make_product_triple(zero, zero, s.key)
     q = FixedTensor(np.array([[1]], dtype=np.uint64), DEFAULT_RING)
     k = FixedTensor(np.array([[2]], dtype=np.uint64), DEFAULT_RING)
-    c_share, s_share = run_fhgs_qk(q, k, triple, s)
+    c_share, s_share = s.triple_product(q, k.transpose(), triple)
     assert (c_share + s_share).data[0, 0] == 2
 
 
@@ -152,7 +148,7 @@ def test_fhgs_qk_mask_identity_one_by_one():
         triple = make_product_triple(rm, rm.transpose(), s.key)
         qm = FixedTensor(np.array([[(q - r) % (1 << 64)]], dtype=np.uint64), DEFAULT_RING)
         km = FixedTensor(np.array([[(k - r) % (1 << 64)]], dtype=np.uint64), DEFAULT_RING)
-        c_share, s_share = run_fhgs_qk(qm, km, triple, s)
+        c_share, s_share = s.triple_product(qm, km.transpose(), triple)
         assert int((c_share + s_share).data[0, 0]) == (q * k) % (1 << 64)
 
 
@@ -163,7 +159,7 @@ def test_fhgs_qk_random_shapes_hundred_seeds():
         q, k = rand_mat(rng, (4, 6)), rand_mat(rng, (4, 6))
         rc = rand_mat(rng, (4, 6))
         triple = make_product_triple(rc, rc.transpose(), s.key, triple_id=seed)
-        c_share, s_share = run_fhgs_qk(q - rc, k - rc, triple, s)
+        c_share, s_share = s.triple_product(q - rc, (k - rc).transpose(), triple)
         assert (c_share + s_share).data.tolist() == mm64(q, k.transpose())
     assert ciphertext_pair_ops() == ["he_add"]
 
@@ -174,9 +170,9 @@ def test_fhgs_triple_reuse_raises():
     rc = rand_mat(rng, (3, 4))
     triple = make_product_triple(rc, rc.transpose(), s.key)
     q, k = rand_mat(rng, (3, 4)), rand_mat(rng, (3, 4))
-    run_fhgs_qk(q - rc, k - rc, triple, s)
+    s.triple_product(q - rc, (k - rc).transpose(), triple)
     with pytest.raises(TripleReuse):
-        run_fhgs_qk(q - rc, k - rc, triple, s)
+        s.triple_product(q - rc, (k - rc).transpose(), triple)
 
 
 # -- attention-value product ------------------------------------------------------
@@ -189,7 +185,7 @@ def test_attention_value_identity_rows_pass_value_through():
     a = FixedTensor(np.eye(4, dtype=np.uint64), DEFAULT_RING)
     am, vm = rand_mat(rng, (4, 4)), rand_mat(rng, (4, 4))
     triple = make_product_triple(am, vm, s.key)
-    c_share, s_share = run_attention_value(a - am, v - vm, triple, s)
+    c_share, s_share = s.triple_product(a - am, v - vm, triple)
     assert (c_share + s_share) == v
 
 
@@ -201,7 +197,7 @@ def test_attention_value_uniform_rows_give_row_mean():
     a = FixedTensor(np.full((4, 4), fx_encode(0.25), dtype=np.uint64), DEFAULT_RING)
     am, vm = rand_mat(rng, (4, 4)), rand_mat(rng, (4, 3))
     triple = make_product_triple(am, vm, s.key)
-    c_share, s_share = run_attention_value(a - am, v - vm, triple, s)
+    c_share, s_share = s.triple_product(a - am, v - vm, triple)
     got = DEFAULT_RING.to_signed((c_share + s_share).data).astype(np.float64) / (1 << (2 * F))
     assert np.max(np.abs(got - vf.mean(axis=0))) <= 2.0**-6
 
@@ -213,7 +209,7 @@ def test_attention_value_random_matches_oracle():
         a, v = rand_mat(rng, (5, 5)), rand_mat(rng, (5, 7))
         am, vm = rand_mat(rng, (5, 5)), rand_mat(rng, (5, 7))
         triple = make_product_triple(am, vm, s.key, triple_id=seed)
-        c_share, s_share = run_attention_value(a - am, v - vm, triple, s)
+        c_share, s_share = s.triple_product(a - am, v - vm, triple)
         assert (c_share + s_share).data.tolist() == mm64(a, v)
 
 
@@ -227,8 +223,8 @@ def test_chgs_identity_weights_give_gram_matrix():
     rc0 = rand_mat(rng, (4, 4))
     eye = FixedTensor(np.eye(4, dtype=np.uint64), DEFAULT_RING)
     zero = FixedTensor.zeros(4, 4, DEFAULT_RING)
-    mat = gen_chgs_material(s, 0, rc0, eye, zero, eye, eye)
-    p_s, c_share, s_share = run_chgs_block(x - rc0, mat, s)
+    mat = s.chgs_material(0, rc0, eye, zero, eye, eye)
+    p_s, (s_share, c_share) = s.chgs_scores(x - rc0, mat)
     assert (c_share + s_share).data.tolist() == mm64(x, x.transpose())
     assert (p_s + mat_mul(rc0, eye)) == x
 
@@ -239,10 +235,10 @@ def test_chgs_material_single_use():
     x, rc0 = rand_mat(rng, (4, 4)), rand_mat(rng, (4, 4))
     eye = FixedTensor(np.eye(4, dtype=np.uint64), DEFAULT_RING)
     zero = FixedTensor.zeros(4, 4, DEFAULT_RING)
-    mat = gen_chgs_material(s, 0, rc0, eye, zero, eye, eye)
-    run_chgs_block(x - rc0, mat, s)
+    mat = s.chgs_material(0, rc0, eye, zero, eye, eye)
+    s.chgs_scores(x - rc0, mat)
     with pytest.raises(MaterialMissing):
-        run_chgs_block(x - rc0, mat, s)
+        s.chgs_scores(x - rc0, mat)
 
 
 # -- baseline mode -------------------------------------------------------------------
@@ -311,6 +307,26 @@ def test_share_message_byte_accounting():
                    if m.step == "QxK" and m.phase == "online" and m.kind == "ciphertext")
     assert share_bytes == 2 * cfg.n * cfg.d_emb * 8
     assert ct_bytes == cfg.H * cfg.n * he.ciphertext_bytes
+
+
+@pytest.mark.parametrize("norm,activation", [("post", "relu"), ("pre", "gelu")])
+def test_every_message_shares_a_cell_with_its_work(norm, activation):
+    # a message and the counters of its step carry the same phase tag: each
+    # ciphertext message lands in a (step, phase) cell with HE ops, each
+    # garbled-material or OT message in one with garbled-table bytes
+    cfg = toy_cfg(norm=norm, activation=activation)
+    w = random_weights(cfg, np.random.default_rng(5))
+    for mode in ("base", "f", "fp", "fpc"):
+        res = run_protocol(mode, cfg, w, [3, 1, 4, 1], seed=11)
+        merged = res.merged_report()
+        kinds = set()
+        for m in res.transcript.messages:
+            kinds.add(m.kind)
+            if m.kind == "ciphertext":
+                assert merged.he_ops(m.step, m.phase) > 0, (mode, m)
+            elif m.kind in ("gc_material", "ot"):
+                assert merged.get(m.step, m.phase, "gc_table_bytes") > 0, (mode, m)
+        assert kinds == {"ciphertext", "share", "gc_material", "ot"}, mode
 
 
 def test_server_ignorance_audit_clean_run_and_poisoned_state():

@@ -12,12 +12,13 @@ sys.path.insert(0, str(Path(__file__).parent))
 import oracles
 
 from privtrans.model import (
+    BlockWeights,
     ModelConfig,
+    ModelWeights,
     _attention,
     config_from_dict,
     config_to_dict,
     embed,
-    import_pretrained,
     load_weights,
     one_hot,
     random_weights,
@@ -179,16 +180,14 @@ def test_multi_head_slicing_is_column_blocks():
 def test_strict_mode_raises_on_overflow():
     rng = np.random.default_rng(307)
     cfg = toy_cfg()
-    with pytest.warns(UserWarning):
-        w, _ = import_pretrained(
-            {name: rng.uniform(50, 80, (8 if "w_e" not in name else 32, 8))
-             if name in ("w_e",) or name.endswith(("w_q", "w_k", "w_v", "w_o"))
-             else rng.uniform(50, 80, (8, 16) if name.endswith("w_f1") else
-                              (16, 8) if name.endswith("w_f2") else (8, 2))
-             for name, _ in (("w_e", 0), ("block0.w_q", 0), ("block0.w_k", 0),
-                             ("block0.w_v", 0), ("block0.w_o", 0),
-                             ("block0.w_f1", 0), ("block0.w_f2", 0), ("w_head", 0))}
-        )
+    lim = cfg.ring.value_limit() / cfg.ring.scale
+
+    def saturated(rows, cols):  # weights far outside the range, clipped to it
+        return FixedTensor.from_float(np.clip(rng.uniform(50, 80, (rows, cols)), -lim, lim))
+
+    w_e = saturated(32, 8)
+    block = BlockWeights(*(saturated(8, 8) for _ in range(4)), saturated(8, 16), saturated(16, 8))
+    w = ModelWeights(w_e, (block,), saturated(8, 2))
     toks = rng.integers(0, 32, 4)
     with pytest.raises(RangeViolation):
         reference_forward(cfg, w, toks, strict=True)
@@ -233,20 +232,6 @@ def test_weight_file_rejects_damage(tmp_path):
             blob[:4] + struct.pack("<I", len(raw)) + raw + blob[8 + hlen :])
         with pytest.raises(ValueError, match="modulus_bits"):
             load_weights(tmp_path / "ring.ptw")
-
-
-def test_import_pretrained_quantization_error_bound():
-    rng = np.random.default_rng(310)
-    cfg = toy_cfg()
-    desc = {}
-    shapes = {"w_e": (32, 8), "w_head": (8, 2),
-              "block0.w_q": (8, 8), "block0.w_k": (8, 8), "block0.w_v": (8, 8),
-              "block0.w_o": (8, 8), "block0.w_f1": (8, 16), "block0.w_f2": (16, 8)}
-    for name, shape in shapes.items():
-        desc[name] = rng.uniform(-1, 1, shape)
-    w, max_err = import_pretrained(desc)
-    assert max_err <= 2.0 ** -9
-    w.validate(cfg)
 
 
 def test_weights_validate_shapes_and_range():

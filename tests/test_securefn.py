@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from privtrans import fixedfn
+from privtrans import fixedfn, securefn
 from privtrans.circuits import CircuitBuilder, CircuitOps, eval_circuit, pack_bits, unpack_bits
 from privtrans.costs import CostReport
 from privtrans.ring import DEFAULT_RING, fx_decode, fx_encode
@@ -178,6 +178,29 @@ def test_cost_logging_matches_message_bytes():
     ot_bytes = sum(m.nbytes for m in t.messages if m.kind == "ot")
     assert t.bytes_sent("SoftMax", "online") == material + ot_bytes
     assert t.interactions("SoftMax") == 1
+
+
+def test_logged_ot_bytes_equal_the_bytes_run_ot_moves(monkeypatch):
+    moved = []
+    real_run_ot = securefn.run_ot
+
+    def spy(*args):
+        labels, nbytes = real_run_ot(*args)
+        moved.append(nbytes)
+        return labels, nbytes
+
+    monkeypatch.setattr(securefn, "run_ot", spy)
+    rng = np.random.default_rng(208)
+    for spec, lanes in ((SecureFnSpec("relu", 16), 20), (SecureFnSpec("trunc", 64, shift=F), 3)):
+        raw = rng.integers(0, 1 << spec.bitwidth, (lanes, 1), dtype=np.uint64)
+        xc, xs = share_raw(raw, rng, spec.bitwidth)
+        t = Transcript()
+        moved.clear()
+        eval_secure(spec, xc, xs, rng, backend="gc", transcript=t)
+        ot = [m for m in t.messages if m.kind == "ot"]
+        assert [m.sender for m in ot] == ["client", "server"]
+        assert len(moved) == 1
+        assert sum(m.nbytes for m in ot) == moved[0]
 
 
 def test_rejects_bad_shapes_and_unknown_fn():

@@ -119,3 +119,12 @@ def test_summary_groups_by_step():
     assert s["QKV"]["online"]["bytes"] == 1000
     assert s["QKV"]["online"]["messages"] == 2
     assert s["QKV"]["online"]["interactions"] == 1
+
+
+def test_cost_report_rejects_transcript_tallies():
+    # interactions, messages and bytes are counted by the Transcript alone
+    report = CostReport("client")
+    for name in ("interactions", "bytes_sent", "messages"):
+        with pytest.raises(ValueError, match=name):
+            report.bump(name)
+    assert report.cells == {}
