@@ -40,15 +40,15 @@ print("real softmax:\n", ref.round(4))
 print("max error:", float(np.abs(got - ref).max()))
 
 # %%
-# The GC backend garbles the same stage as a circuit. With the output
-# masks pinned, semantic and garbled runs are indistinguishable.
+# The GC backend garbles the same stage as a circuit. The output masks are
+# the first draw from the rng, so with equally seeded rngs semantic and
+# garbled runs are indistinguishable.
 spec16 = SecureFnSpec("relu", 16)
 raw16 = rng.integers(0, 1 << 16, (6, 1), dtype=np.uint64)
 xc16 = rng.integers(0, 1 << 16, raw16.shape, dtype=np.uint64)
 xs16 = (raw16 - xc16) & np.uint64(0xFFFF)
-masks = rng.integers(0, 1 << 16, raw16.shape, dtype=np.uint64)
-c_sem, s_sem = eval_secure(spec16, xc16, xs16, np.random.default_rng(2), masks=masks)
-c_gc, s_gc = eval_secure(spec16, xc16, xs16, np.random.default_rng(2), masks=masks, backend="gc")
+c_sem, s_sem = eval_secure(spec16, xc16, xs16, np.random.default_rng(2))
+c_gc, s_gc = eval_secure(spec16, xc16, xs16, np.random.default_rng(2), backend="gc")
 assert np.array_equal(c_sem, c_gc) and np.array_equal(s_sem, s_gc)
 print("gc backend == semantic backend on relu lanes")
 
@@ -56,8 +56,8 @@ print("gc backend == semantic backend on relu lanes")
 # The garbled run leaves an audit trail: tables and OT messages land in
 # the transcript, so the cost of a stage is measurable, not guessed.
 t = Transcript()
-eval_secure(spec16, xc16, xs16, np.random.default_rng(2), masks=masks,
-            backend="gc", transcript=t, step="Others")
+eval_secure(spec16, xc16, xs16, np.random.default_rng(2), backend="gc", transcript=t,
+            step="Others")
 print(f"gc bytes for 6 relu lanes: {t.bytes_sent('Others', 'online')}")
 
 # %%

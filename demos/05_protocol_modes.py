@@ -65,9 +65,9 @@ for mode in MODES:
     print(f"{mode:6s}{t.bytes_sent(None, 'online'):14d}{est['online_s']:18.6f}")
 
 # %%
-# After any run, the server's state must contain nothing tagged as
-# client plaintext; the audit returns the offending names, so empty
-# means clean.
+# The HE key lives on the client's state. The audit walks the server's
+# state and returns the path of any key or client state it can reach, so
+# empty means clean (every run also checks this before it returns).
 for mode, res in results.items():
     assert audit_server_ignorance(res.session.server) == []
 print("server-ignorance audit clean for all modes")

@@ -12,11 +12,8 @@ Run configs are JSON with these keys (flags override the file):
                   generated from weights_seed (default: seed) at
                   weight_scale (default 0.5)
     tokens        list of vocabulary indices (default 0..n-1 mod d_oh)
-    packing       "features_first" | "tokens_first" | null for the mode
-                  default (fp/fpc pick tokens_first)
     backend       "semantic" | "gc" nonpoly backend (default semantic)
     strict        bool, range-check every nonpoly stage input
-    he            {"slots": int, "ciphertext_bytes": int}
     channel       {"delay_s": float, "bandwidth_bps": float}
     report        output path for the structured report
 
@@ -30,7 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -45,7 +42,6 @@ from .model import (
     reference_forward,
 )
 from .packing import PackingLayout, PackingStrategy, plan_layout, predicted_rotations
-from .she import HEParams
 from .transcript import ChannelModel, estimate_latency
 
 HE_OPS = ("he_enc", "he_dec", "he_add", "he_add_plain", "he_mul_plain", "he_rotate")
@@ -62,10 +58,8 @@ class RunConfig:
     model: ModelConfig
     weights: object
     tokens: list
-    packing: PackingStrategy | None = None
     backend: str = "semantic"
     strict: bool = False
-    he: HEParams | None = None
     channel: ChannelModel = field(default_factory=ChannelModel)
     report_path: str | None = None
 
@@ -86,8 +80,7 @@ def load_run_config(obj: dict, overrides: dict | None = None) -> RunConfig:
     if not isinstance(obj, dict):
         raise ConfigError("config root: expected an object")
     known = {"mode", "seed", "model", "model_path", "weights_path", "weights_seed",
-             "weight_scale", "tokens", "packing", "backend", "strict", "he", "channel",
-             "report"}
+             "weight_scale", "tokens", "backend", "strict", "channel", "report"}
     for k in obj:
         if k not in known:
             raise ConfigError(f"config field {k!r}: unknown")
@@ -128,25 +121,11 @@ def load_run_config(obj: dict, overrides: dict | None = None) -> RunConfig:
     if len(tokens) != cfg.n or not all(isinstance(t, int) and 0 <= t < cfg.d_oh for t in tokens):
         raise ConfigError(f"config field 'tokens': need {cfg.n} indices in [0, {cfg.d_oh})")
 
-    packing = None
-    if obj.get("packing") is not None:
-        name = _field(obj, "packing", str)
-        try:
-            packing = PackingStrategy(name)
-        except ValueError:
-            raise ConfigError(f"config field 'packing': unknown strategy {name!r}") from None
-
     backend = _field(obj, "backend", str, default="semantic")
     if backend not in ("semantic", "gc"):
         raise ConfigError("config field 'backend': must be 'semantic' or 'gc'")
     strict = _field(obj, "strict", bool, default=False)
 
-    he = None
-    if "he" in obj:
-        h = _field(obj, "he", dict)
-        slots = _field(h, "slots", int, required=True)
-        he = HEParams(slots=slots,
-                      ciphertext_bytes=_field(h, "ciphertext_bytes", int, default=16 * slots))
     channel = ChannelModel()
     if "channel" in obj:
         c = _field(obj, "channel", dict)
@@ -156,8 +135,8 @@ def load_run_config(obj: dict, overrides: dict | None = None) -> RunConfig:
                                        default=channel.bandwidth_bps)),
         )
 
-    return RunConfig(mode, seed, cfg, weights, list(tokens), packing, backend, strict,
-                     he, channel, _field(obj, "report", str))
+    return RunConfig(mode, seed, cfg, weights, list(tokens), backend, strict, channel,
+                     _field(obj, "report", str))
 
 
 def read_config_file(path: str, overrides: dict | None = None) -> RunConfig:
@@ -174,8 +153,8 @@ def read_config_file(path: str, overrides: dict | None = None) -> RunConfig:
 
 def cmd_run(rc: RunConfig) -> dict:
     """One session; returns the structured report."""
-    session = Session(rc.model, rc.weights, rc.mode, rc.seed, he_params=rc.he,
-                      packing=rc.packing, backend=rc.backend, strict=rc.strict)
+    session = Session(rc.model, rc.weights, rc.mode, rc.seed, backend=rc.backend,
+                      strict=rc.strict)
     result = session.run(rc.tokens)
     want = reference_forward(rc.model, rc.weights, rc.tokens, strict=rc.strict)
     got = result.reconstruct()
@@ -218,9 +197,7 @@ def cmd_compare(rc: RunConfig, modes=MODES) -> dict:
     """Same model, weights, seed, and input across protocol modes."""
     reports = {}
     for mode in modes:
-        sub = RunConfig(mode, rc.seed, rc.model, rc.weights, rc.tokens, rc.packing,
-                        rc.backend, rc.strict, rc.he, rc.channel)
-        reports[mode] = cmd_run(sub)
+        reports[mode] = cmd_run(replace(rc, mode=mode, report_path=None))
     return {"schema": "bench-compare/1", "modes": list(modes), "reports": reports}
 
 

@@ -26,7 +26,7 @@ at all.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,16 @@ from .model import (
 from .packing import PackingLayout, PackingStrategy, he_matmul, pack, pack_plain, unpack
 from .ring import FixedTensor, mat_mul
 from .securefn import SecureFnSpec, eval_secure
-from .she import Ciphertext, HEParams, he_add, he_add_plain, he_mul_plain, keygen
+from .she import (
+    Ciphertext,
+    HEParams,
+    KeyPair,
+    SecretKey,
+    he_add,
+    he_add_plain,
+    he_mul_plain,
+    keygen,
+)
 from .sharing import (
     MatTriple,
     dec_rows,
@@ -60,11 +69,9 @@ from .transcript import Transcript
 
 MODES = ("base", "f", "fp", "fpc")
 
-TAGS = ("plaintext-weight", "mask", "masked-value", "ciphertext", "share", "logical-plaintext")
-
 
 class AuditError(RuntimeError):
-    """A server-side tensor was tagged as logical plaintext."""
+    """The server's state holds a client secret."""
 
 
 class MaterialMissing(RuntimeError):
@@ -73,22 +80,43 @@ class MaterialMissing(RuntimeError):
 
 @dataclass
 class PartyState:
-    """One party: role, rng stream, cost report, tagged tensor store."""
+    """One party: its rng stream and its cost report."""
 
-    role: str
     rng: np.random.Generator
     report: CostReport
-    tensors: dict = field(default_factory=dict)
 
-    def put(self, name: str, tag: str, value) -> None:
-        if tag not in TAGS:
-            raise ValueError(f"unknown tag {tag!r}")
-        self.tensors[name] = (tag, value)
+
+@dataclass
+class ClientState(PartyState):
+    """The client also owns the HE key pair; the server never holds one."""
+
+    key: KeyPair
 
 
 def audit_server_ignorance(server: PartyState) -> list[str]:
-    """Names of server tensors tagged logical-plaintext (must stay empty)."""
-    return [name for name, (tag, _) in server.tensors.items() if tag == "logical-plaintext"]
+    """Paths of every KeyPair, SecretKey or client state reachable from the
+    server's state through object attributes, dicts, lists and tuples
+    (must stay empty)."""
+    found, seen = [], set()
+
+    def walk(obj, path):
+        if id(obj) in seen:
+            return
+        seen.add(id(obj))
+        if isinstance(obj, (KeyPair, SecretKey, ClientState)):
+            found.append(path)
+        elif isinstance(obj, dict):
+            for k, v in obj.items():
+                walk(v, f"{path}[{k!r}]")
+        elif isinstance(obj, (list, tuple)):
+            for i, v in enumerate(obj):
+                walk(v, f"{path}[{i}]")
+        elif isinstance(getattr(obj, "__dict__", None), dict):
+            for k, v in vars(obj).items():
+                walk(v, f"{path}.{k}")
+
+    walk(server, "server")
+    return found
 
 
 # -- HGS: one plaintext-weight matmul module ---------------------------------
@@ -154,38 +182,32 @@ class Session:
     ("Others", "online"), as for a bare CostReport. Every client random
     draw (masks, triples, GC labels) is input-independent, so all material
     tagged offline really is derivable before the input arrives.
+
+    The HE key pair lives on the client's state; the server's state is its
+    rng and its cost report only, and `run` ends by auditing that no client
+    secret is reachable from it.
     """
 
     def __init__(self, cfg: ModelConfig, weights: ModelWeights, mode: str, seed: int, *,
-                 he_params: HEParams | None = None, packing: PackingStrategy | None = None,
                  backend: str = "semantic", strict: bool = False):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         weights.validate(cfg)
         self.cfg, self.weights, self.mode = cfg, weights, mode
         self.backend, self.strict = backend, strict
+        top = max(cfg.d_oh, cfg.d_emb, cfg.d_ff, cfg.n, cfg.d_out, 2)
+        self.he = HEParams(slots=1 << (top - 1).bit_length())
         c_ss, s_ss = np.random.SeedSequence(seed).spawn(2)
-        self.client = PartyState("client", np.random.default_rng(c_ss), CostReport("client"))
-        self.server = PartyState("server", np.random.default_rng(s_ss), CostReport("server"))
-        if he_params is None:
-            top = max(cfg.d_oh, cfg.d_emb, cfg.d_ff, cfg.n, cfg.d_out, 2)
-            slots = 1 << (top - 1).bit_length()
-            he_params = HEParams(slots=slots, ciphertext_bytes=16 * slots)
-        self.he = he_params
-        self.key = keygen(he_params, key_id=0, seed=int(self.client.rng.integers(0, 2**63)))
-        if packing is None:
-            packing = (PackingStrategy.TOKENS_FIRST if mode in ("fp", "fpc")
-                       else PackingStrategy.FEATURES_FIRST)
-        if packing is PackingStrategy.TOKENS_FIRST and he_params.slots % cfg.n:
+        c_rng = np.random.default_rng(c_ss)
+        key = keygen(self.he, key_id=0, seed=int(c_rng.integers(0, 2**63)))
+        self.client = ClientState(c_rng, CostReport("client"), key)
+        self.server = PartyState(np.random.default_rng(s_ss), CostReport("server"))
+        self.packing = (PackingStrategy.TOKENS_FIRST if mode in ("fp", "fpc")
+                        else PackingStrategy.FEATURES_FIRST)
+        if self.packing is PackingStrategy.TOKENS_FIRST and self.he.slots % cfg.n:
             raise ValueError(f"tokens_first packing needs n={cfg.n} to divide "
-                             f"the {he_params.slots} HE slots")
-        self.packing = packing
+                             f"the {self.he.slots} HE slots")
         self.transcript = Transcript()
-        for name, t in (("w_e", weights.w_e), ("w_head", weights.w_head)):
-            self.server.put(name, "plaintext-weight", t)
-        for i, blk in enumerate(weights.blocks):
-            for part in ("w_q", "w_k", "w_v", "w_o", "w_f1", "w_f2"):
-                self.server.put(f"block{i}.{part}", "plaintext-weight", getattr(blk, part))
 
     # -- small helpers --------------------------------------------------------
 
@@ -220,17 +242,12 @@ class Session:
     def _rand_s(self, shape) -> FixedTensor:
         return rand_ring(shape, self.server.rng, self.cfg.ring)
 
-    def _audit(self) -> None:
-        bad = audit_server_ignorance(self.server)
-        if bad:
-            raise AuditError(f"server holds logical plaintext: {bad}")
-
     def _head_slices(self):
         dh = self.cfg.d_head
         return [slice(h * dh, (h + 1) * dh) for h in range(self.cfg.H)]
 
     def _pack_mask(self, rc: FixedTensor) -> list[Ciphertext]:
-        cts = pack(rc, self._layout(rc.cols), self.key, self.client.report)
+        cts = pack(rc, self._layout(rc.cols), self.client.key, self.client.report)
         self._send("client", cts)
         return cts
 
@@ -258,16 +275,14 @@ class Session:
         if self.client.report.scope[1] == "offline":
             # an online-generated module piggybacks on its remask interaction
             self._interaction()
-        m_out = unpack(out_cts, layout_out, self.key.secret(), cfg.ring, self.client.report)
-        self.server.put(f"{lid}.rs", "mask", rs)
-        self.client.put(f"{lid}.m_out", "mask", m_out)
+        m_out = unpack(out_cts, layout_out, self.client.key.secret(), cfg.ring,
+                       self.client.report)
         return HgsMaterial(lid, rc, rs, m_out)
 
-    def _gen_triple(self, lid: str, left: FixedTensor, right: FixedTensor) -> MatTriple:
+    def _gen_triple(self, left: FixedTensor, right: FixedTensor) -> MatTriple:
         """Client-built product triple shipped to the server."""
-        t = make_product_triple(left, right, self.key, report=self.client.report)
+        t = make_product_triple(left, right, self.client.key, report=self.client.report)
         self._send("client", t.left_ct + t.right_ct + t.product_ct)
-        self.server.put(f"{lid}.triple", "ciphertext", t)
         return t
 
     def chgs_material(self, blk_i: int, rc0: FixedTensor, w_ed: FixedTensor,
@@ -278,10 +293,10 @@ class Session:
         the server masks Enc(Rc0 W_M_h) with G_h, the client decrypts,
         multiplies by Rc0^T and re-encrypts, and the server strips G_h Rc0^T
         homomorphically via Enc(Rc0^T)."""
-        cfg, ring = self.cfg, self.cfg.ring
+        cfg, ring, key = self.cfg, self.cfg.ring, self.client.key
         rep_c, rep_s = self.client.report, self.server.report
-        enc_rc0 = enc_rows(rc0, self.key, rep_c)
-        enc_rc0_t = enc_rows(rc0.transpose(), self.key, rep_c)
+        enc_rc0 = enc_rows(rc0, key, rep_c)
+        enc_rc0_t = enc_rows(rc0.transpose(), key, rep_c)
         self._send("client", enc_rc0 + enc_rc0_t)
         enc_re = enc_left_matmul(enc_rc0, rc0.cols, w_ed, rep_s)
         enc_re_t = plain_left_matmul(w_ed.transpose(), enc_rc0_t, rep_s)
@@ -299,8 +314,8 @@ class Session:
         self._send("server", [ct for rows in masked_wm for ct in rows])
         head_t4 = []
         for rows, g_h in zip(masked_wm, g_masks):
-            y_h = dec_rows(rows, rc0.cols, self.key.secret(), ring, rep_c)
-            back = enc_rows(mat_mul(y_h, rc0.transpose()), self.key, rep_c)
+            y_h = dec_rows(rows, rc0.cols, key.secret(), ring, rep_c)
+            back = enc_rows(mat_mul(y_h, rc0.transpose()), key, rep_c)
             self._send("client", back)
             strip = plain_left_matmul(-g_h, enc_rc0_t, rep_s)
             head_t4.append([he_add(a, b, rep_s) for a, b in zip(back, strip)])
@@ -316,9 +331,7 @@ class Session:
         deltas = tuple(client_part - rc for _, client_part in chains)
         self._send("client", deltas)
         self._interaction()
-        outs = tuple(held + d for (held, _), d in zip(chains, deltas))
-        self.server.put(f"{self.client.report.scope[0]}.masked_in", "masked-value", outs)
-        return outs
+        return tuple(held + d for (held, _), d in zip(chains, deltas))
 
     def _reveal(self, heads) -> FixedTensor:
         """Server assembles Enc(t1 + t2 + t3 + t4 - rs) row by row for each
@@ -332,7 +345,7 @@ class Session:
                 acc = he_add(acc, t4[i], rep_s)
                 rows.append(he_add_plain(acc, t1.data[i] - rs.data[i], rep_s))
         self._send("server", rows)
-        return dec_rows(rows, heads[0][0].cols, self.key.secret(), self.cfg.ring,
+        return dec_rows(rows, heads[0][0].cols, self.client.key.secret(), self.cfg.ring,
                         self.client.report)
 
     def triple_product(self, left_masked: FixedTensor, right_masked: FixedTensor,
@@ -370,7 +383,6 @@ class Session:
                           t4, self._rand_s((cfg.n, cfg.n))))
         s_client = self._reveal(heads)
         s_server = FixedTensor(np.vstack([rs.data for *_, rs in heads]), cfg.ring)
-        self.server.put(f"b{mat.block_id}.s_share", "share", s_server)
         return p_s, (s_server, s_client)
 
     def _gc(self, step: str, spec: SecureFnSpec, chain):
@@ -385,11 +397,8 @@ class Session:
             rng_server=self.server.rng,
         )
         ring = self.cfg.ring
-        out = (FixedTensor(s_new.reshape(held.shape), ring),
-               FixedTensor(c_new.reshape(client_part.shape), ring))
-        self.server.put(f"{step}.gc_out", "share", out[0])
-        self.client.put(f"{step}.gc_mask", "mask", out[1])
-        return out
+        return (FixedTensor(s_new.reshape(held.shape), ring),
+                FixedTensor(c_new.reshape(client_part.shape), ring))
 
     # -- pipeline pieces ------------------------------------------------------
 
@@ -426,10 +435,9 @@ class Session:
                                            rc=rc_qkv, rc_cts=qkv_cts) for p in "qkv"]
         with self._at("QxK", phase):
             rc_qk = self._rand_c((cfg.n, cfg.d_emb))
-            triples = [self._gen_triple(f"b{blk_i}.qk{h}",
-                                        FixedTensor(rc_qk.data[:, sl].copy(), ring),
+            triples = [self._gen_triple(FixedTensor(rc_qk.data[:, sl].copy(), ring),
                                         FixedTensor(rc_qk.data[:, sl].T.copy(), ring))
-                       for h, sl in enumerate(self._head_slices())]
+                       for sl in self._head_slices()]
 
         with self._at("QKV", "online"):
             masked_x1, = self._remask(rc_qkv, chain)
@@ -444,7 +452,6 @@ class Session:
                      for sl, triple in zip(self._head_slices(), triples)]
         s_client = FixedTensor(np.vstack([c.data for c, _ in heads]), ring)
         s_server = FixedTensor(np.vstack([s.data for _, s in heads]), ring)
-        self.server.put(f"b{blk_i}.s_share", "share", s_server)
         return (s_server, s_client), (masked_v, m_v.m_out)
 
     def _prefix_chgs(self, blk_i: int, chain, x0: FixedTensor | None):
@@ -480,7 +487,6 @@ class Session:
             if first:
                 x0_masked = x0 - rc0
                 self._send("client", (x0_masked,))
-                self.server.put("QxK.masked_in", "masked-value", x0_masked)
             else:
                 x0_masked = chain[0]
             self._interaction()
@@ -494,7 +500,7 @@ class Session:
             x1_chain = chain
         return s_chain, (masked_v, m_v.m_out), x1_chain
 
-    def _attention_value(self, blk_i: int, p_chain, v_chain, phase: str):
+    def _attention_value(self, p_chain, v_chain, phase: str):
         """Per-head product of the softmax shares with the masked values;
         triples reuse the GC output mask, so the online phase is just the
         server's ciphertext batch (one interaction, no client message)."""
@@ -506,8 +512,7 @@ class Session:
             for h, sl in enumerate(self._head_slices()):
                 rows = slice(h * cfg.n, (h + 1) * cfg.n)
                 with self._at("AttenValue", phase):
-                    triple = self._gen_triple(f"b{blk_i}.av{h}",
-                                              FixedTensor(p_mask.data[rows].copy(), ring),
+                    triple = self._gen_triple(FixedTensor(p_mask.data[rows].copy(), ring),
                                               FixedTensor(m_v.data[:, sl].copy(), ring))
                 heads.append(self.triple_product(FixedTensor(p_held.data[rows].copy(), ring),
                                                  FixedTensor(v_masked.data[:, sl].copy(), ring),
@@ -531,7 +536,7 @@ class Session:
         eta = cfg.eta
         s_chain = (s_chain[0].scalar_mul(eta), s_chain[1].scalar_mul(eta))
         p_chain = self._gc("SoftMax", softmax_spec(cfg), s_chain)
-        av_chain = self._attention_value(blk_i, p_chain, v_chain, phase)
+        av_chain = self._attention_value(p_chain, v_chain, phase)
         o_held, o_mask = self._weight_module(f"b{blk_i}.wo", blk.w_o, av_chain, phase)
         mid = (x1_chain[0].lshift(3 * f) + o_held, x1_chain[1].lshift(3 * f) + o_mask)
         if pre:
@@ -552,18 +557,16 @@ class Session:
         cfg = self.cfg
         phase = "online" if self.mode == "base" else "offline"
         x0 = FixedTensor(one_hot(tokens, cfg.d_oh), cfg.ring)
-        self.client.put("x0", "logical-plaintext", x0)
         fused_first = self.mode == "fpc" and cfg.norm == "post"
         chain = None if fused_first else self._embed(x0, phase)
         for i in range(cfg.N):
             chain = self._block(i, chain, x0 if (i == 0 and fused_first) else None, phase)
-            self._audit()
         if cfg.norm == "pre":
             chain = self._gc("Others", final_ln_spec(cfg), chain)
         l_held, l_mask = self._weight_module("head", self.weights.w_head, chain, phase)
-        self.client.put("logits", "share", l_mask)
-        self.server.put("logits", "share", l_held)
-        self._audit()
+        bad = audit_server_ignorance(self.server)
+        if bad:
+            raise AuditError(f"server holds client secrets: {bad}")
         return RunResult(l_mask, l_held, self.transcript,
                          self.client.report, self.server.report, self)
 

@@ -303,25 +303,11 @@ def one_hot(tokens, d_oh: int) -> np.ndarray:
     return x0
 
 
-def _check_one_hot(x0: np.ndarray) -> np.ndarray:
-    x0 = np.asarray(x0, dtype=np.uint64)
-    if x0.ndim != 2:
-        raise ValueError("one-hot input must be 2-D")
-    if not (np.isin(x0, (0, 1)).all() and (x0.sum(axis=1) == 1).all()):
-        raise ValueError("rows must be one-hot")
-    return x0
-
-
 def embed(cfg: ModelConfig, weights: ModelWeights, tokens) -> FixedTensor:
     """Row-lookup path: X1[t] = W_E[token t] * delta + lam[t], at f."""
     idx = np.asarray(tokens)
     rows = weights.w_e.data[idx]
     return FixedTensor(rows * np.uint64(cfg.delta) + cfg.lam.data, cfg.ring)
-
-
-def _embed_matmul(cfg: ModelConfig, weights: ModelWeights, x0: np.ndarray) -> FixedTensor:
-    e = x0 @ weights.w_e.data
-    return FixedTensor(e * np.uint64(cfg.delta) + cfg.lam.data, cfg.ring)
 
 
 def _attention(cfg: ModelConfig, blk: BlockWeights, x: FixedTensor, strict: bool) -> np.ndarray:
@@ -366,23 +352,14 @@ def final_ln_spec(cfg: ModelConfig) -> SecureFnSpec:
 
 
 def reference_forward(cfg: ModelConfig, weights: ModelWeights, tokens, strict: bool = False) -> FixedTensor:
-    """Plaintext fixed-point forward pass; logits at 2f.
-
-    tokens may be a 1-D index list (embedding by row lookup) or a one-hot
-    matrix (embedding by ring matmul); the two are exactly equal.
-    """
+    """Plaintext fixed-point forward pass from a 1-D token index list
+    (embedding by row lookup); logits at 2f."""
     weights.validate(cfg)
     tok = np.asarray(tokens)
-    if tok.ndim == 2:
-        x0 = _check_one_hot(tok)
-        if x0.shape != (cfg.n, cfg.d_oh):
-            raise ValueError(f"one-hot input must be {cfg.n}x{cfg.d_oh}")
-        x = _embed_matmul(cfg, weights, x0)
-    else:
-        if tok.size != cfg.n:
-            raise ValueError(f"expected {cfg.n} tokens, got {tok.size}")
-        one_hot(tok, cfg.d_oh)
-        x = embed(cfg, weights, tok)
+    if tok.size != cfg.n:
+        raise ValueError(f"expected {cfg.n} tokens, got {tok.size}")
+    one_hot(tok, cfg.d_oh)
+    x = embed(cfg, weights, tok)
     for blk in weights.blocks:
         x = _block_forward(cfg, blk, x, strict)
     if cfg.norm == "pre":

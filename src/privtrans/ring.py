@@ -49,7 +49,7 @@ class RingParams:
         return np.array(arr, dtype=np.int64).view(np.uint64)
 
     def encode(self, x) -> np.ndarray:
-        """fx_encode: round(x * 2^frac_bits), embedded in the ring.
+        """round(x * 2^frac_bits), embedded in the ring.
 
         Rounds half away from zero so encode(1.5) with frac_bits=8 is
         exactly 384 and encode(-1.0) is 2^64 - 256.
@@ -60,7 +60,7 @@ class RingParams:
         return self.from_signed(q.astype(np.int64))
 
     def decode(self, arr: np.ndarray) -> np.ndarray:
-        """fx_decode: signed interpretation divided by the scale."""
+        """Signed interpretation divided by the scale."""
         return self.to_signed(arr).astype(np.float64) / self.scale
 
     def value_limit(self) -> int:
@@ -188,10 +188,3 @@ def truncate(t: FixedTensor) -> FixedTensor:
     lim = ring.value_limit()
     return FixedTensor(ring.from_signed(np.clip(shifted, -lim, lim)), ring)
 
-
-def fx_encode(x, ring: RingParams = DEFAULT_RING) -> np.ndarray:
-    return ring.encode(x)
-
-
-def fx_decode(arr, ring: RingParams = DEFAULT_RING) -> np.ndarray:
-    return ring.decode(np.asarray(arr, dtype=np.uint64))

@@ -164,7 +164,6 @@ def eval_secure(
     server_vals: np.ndarray,
     rng: np.random.Generator,
     *,
-    masks: np.ndarray | None = None,
     backend: str = "semantic",
     strict: bool = False,
     report: CostReport | None = None,
@@ -176,7 +175,9 @@ def eval_secure(
 
     client_vals, server_vals: (lanes, count) raw shares mod 2^bitwidth.
     Returns (client_new, server_new), both (lanes, count): the client keeps
-    its fresh masks, the server keeps F(x) - mask.
+    its fresh masks, the server keeps F(x) - mask. The masks are the first
+    draw from rng, before the backends branch, so equally seeded rngs give
+    both backends the same masks.
 
     Phase split: the AND gates are billed offline, because garbling does not
     depend on the inputs and can run before they arrive; the garbled
@@ -190,9 +191,7 @@ def eval_secure(
         raise ValueError("share matrices must both be (lanes, count)")
     lanes = client_vals.shape[0]
     wmask = np.uint64(2**spec.bitwidth - 1) if spec.bitwidth < 64 else np.uint64(0xFFFFFFFFFFFFFFFF)
-    if masks is None:
-        masks = rng.integers(0, 1 << 64, (lanes, spec.count), dtype=np.uint64) & wmask
-    masks = np.atleast_2d(np.asarray(masks, dtype=np.uint64)) & wmask
+    masks = rng.integers(0, 1 << 64, (lanes, spec.count), dtype=np.uint64) & wmask
 
     if strict:
         check_domain(spec, (client_vals + server_vals) & wmask)

@@ -46,17 +46,16 @@ class NoiseModel:
 @dataclass(frozen=True)
 class HEParams:
     slots: int = 4096
-    ciphertext_bytes: int = 1 << 18
     noise: NoiseModel = field(default_factory=NoiseModel)
 
     def __post_init__(self):
         if self.slots & (self.slots - 1) or self.slots < 1:
             raise ValueError("slot count must be a power of two")
 
-
-@dataclass(frozen=True)
-class PublicKey:
-    key_id: int
+    @property
+    def ciphertext_bytes(self) -> int:
+        """Modeled wire size of one ciphertext: 16 bytes per slot."""
+        return 16 * self.slots
 
 
 @dataclass(frozen=True)
@@ -71,9 +70,6 @@ class KeyPair:
         self.key_id = key_id
         self.params = params
         self._stream = np.random.Generator(np.random.Philox(key=seed))
-
-    def public(self) -> PublicKey:
-        return PublicKey(self.key_id)
 
     def secret(self) -> SecretKey:
         return SecretKey(self.key_id)

@@ -106,7 +106,7 @@ def test_2_masked_qk_product_exact_over_100_seeds():
         rng = np.random.default_rng(seed)
         q, k = rand_mat(rng, (4, 6)), rand_mat(rng, (4, 6))
         rc = rand_mat(rng, (4, 6))
-        triple = make_product_triple(rc, rc.transpose(), s.key, triple_id=seed)
+        triple = make_product_triple(rc, rc.transpose(), s.client.key, triple_id=seed)
         c_share, s_share = s.triple_product(q - rc, (k - rc).transpose(), triple)
         want = oracles.matmul_mod(q.data.tolist(), k.transpose().data.tolist(), 64)
         assert (c_share + s_share).data.tolist() == want, seed
@@ -207,11 +207,9 @@ def test_6_secure_softmax_accuracy_and_gc_agreement():
     raw16 = rng.integers(0, 1 << 16, (50, 4), dtype=np.uint64)
     xc16 = rng.integers(0, 1 << 16, raw16.shape, dtype=np.uint64)
     xs16 = (raw16 - xc16) & np.uint64(0xFFFF)
-    masks = rng.integers(0, 1 << 16, raw16.shape, dtype=np.uint64)
-    c_sem, s_sem = eval_secure(spec16, xc16, xs16, np.random.default_rng(2), masks=masks)
-    c_gc, s_gc = eval_secure(
-        spec16, xc16, xs16, np.random.default_rng(2), masks=masks, backend="gc"
-    )
+    # equally seeded rngs draw the same client masks on both backends
+    c_sem, s_sem = eval_secure(spec16, xc16, xs16, np.random.default_rng(2))
+    c_gc, s_gc = eval_secure(spec16, xc16, xs16, np.random.default_rng(2), backend="gc")
     assert np.array_equal(c_sem, c_gc) and np.array_equal(s_sem, s_gc)
     print(f"pass: softmax max err {err:.6f} <= 2^-5 over {lanes} rows; gc == semantic at w=16")
 

@@ -20,7 +20,6 @@ from privtrans.cli import (
 )
 from privtrans.costs import PHASES, STEPS
 from privtrans.model import ModelConfig, random_weights, save_weights
-from privtrans.packing import PackingStrategy
 
 
 def toy_obj(**kw):
@@ -91,9 +90,9 @@ def test_verify_passes_and_detects_mismatch(monkeypatch):
 def test_mode_and_packing_knobs():
     rep = cmd_run(load_run_config(toy_obj(mode="fpc")))
     assert rep["mode"] == "fpc" and rep["packing"] == "tokens_first"
-    rep = cmd_run(load_run_config(toy_obj(mode="fpc", packing="features_first")))
-    assert rep["packing"] == "features_first"
     assert rep["equivalence"] == "exact"
+    rep = cmd_run(load_run_config(toy_obj(mode="f")))
+    assert rep["mode"] == "f" and rep["packing"] == "features_first"
 
 
 def test_weights_path_round_trip(tmp_path):
@@ -116,8 +115,12 @@ def test_config_errors_name_the_field(tmp_path):
         load_run_config({"seed": 1})
     with pytest.raises(ConfigError, match="'frobnicate'"):
         load_run_config(toy_obj(frobnicate=1))
-    with pytest.raises(ConfigError, match="'packing'"):
+    # packing follows the mode and the HE slots follow the model: neither
+    # is a config field
+    with pytest.raises(ConfigError, match="'packing': unknown"):
         load_run_config(toy_obj(packing="rowwise"))
+    with pytest.raises(ConfigError, match="'he': unknown"):
+        load_run_config(toy_obj(he={"slots": 64}))
     with pytest.raises(ConfigError, match="'backend'"):
         load_run_config(toy_obj(backend="analytic"))
     with pytest.raises(ConfigError, match="expected int"):

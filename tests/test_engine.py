@@ -1,13 +1,16 @@
 """Protocol engine: mode equivalence, module algebra, and cost structure."""
 
+import inspect
+import re
+
 import numpy as np
 import pytest
 
 from privtrans.engine import (
+    MODES,
     AuditError,
     HgsMaterial,
     MaterialMissing,
-    PartyState,
     Session,
     audit_server_ignorance,
     run_hgs_layer,
@@ -15,7 +18,7 @@ from privtrans.engine import (
 )
 from privtrans.model import BlockWeights, ModelConfig, ModelWeights, random_weights, reference_forward
 from privtrans.packing import PackingStrategy
-from privtrans.ring import DEFAULT_RING, FixedTensor, fx_encode, mat_mul
+from privtrans.ring import DEFAULT_RING, FixedTensor, mat_mul
 from privtrans.sharing import TripleReuse, make_product_triple, rand_ring
 
 import oracles
@@ -131,7 +134,7 @@ def test_hgs_layer_online_phase_is_he_free_and_single_use():
 def test_fhgs_qk_unmasked_trivial_case():
     s = host_session()
     zero = FixedTensor.zeros(1, 1, DEFAULT_RING)
-    triple = make_product_triple(zero, zero, s.key)
+    triple = make_product_triple(zero, zero, s.client.key)
     q = FixedTensor(np.array([[1]], dtype=np.uint64), DEFAULT_RING)
     k = FixedTensor(np.array([[2]], dtype=np.uint64), DEFAULT_RING)
     c_share, s_share = s.triple_product(q, k.transpose(), triple)
@@ -145,7 +148,7 @@ def test_fhgs_qk_mask_identity_one_by_one():
     for _ in range(25):
         q, k, r = (int(v) for v in rng.integers(0, 1 << 64, size=3, dtype=np.uint64))
         rm = FixedTensor(np.array([[r]], dtype=np.uint64), DEFAULT_RING)
-        triple = make_product_triple(rm, rm.transpose(), s.key)
+        triple = make_product_triple(rm, rm.transpose(), s.client.key)
         qm = FixedTensor(np.array([[(q - r) % (1 << 64)]], dtype=np.uint64), DEFAULT_RING)
         km = FixedTensor(np.array([[(k - r) % (1 << 64)]], dtype=np.uint64), DEFAULT_RING)
         c_share, s_share = s.triple_product(qm, km.transpose(), triple)
@@ -158,7 +161,7 @@ def test_fhgs_qk_random_shapes_hundred_seeds():
         rng = np.random.default_rng(seed)
         q, k = rand_mat(rng, (4, 6)), rand_mat(rng, (4, 6))
         rc = rand_mat(rng, (4, 6))
-        triple = make_product_triple(rc, rc.transpose(), s.key, triple_id=seed)
+        triple = make_product_triple(rc, rc.transpose(), s.client.key, triple_id=seed)
         c_share, s_share = s.triple_product(q - rc, (k - rc).transpose(), triple)
         assert (c_share + s_share).data.tolist() == mm64(q, k.transpose())
     assert ciphertext_pair_ops() == ["he_add"]
@@ -168,7 +171,7 @@ def test_fhgs_triple_reuse_raises():
     s = host_session()
     rng = np.random.default_rng(9)
     rc = rand_mat(rng, (3, 4))
-    triple = make_product_triple(rc, rc.transpose(), s.key)
+    triple = make_product_triple(rc, rc.transpose(), s.client.key)
     q, k = rand_mat(rng, (3, 4)), rand_mat(rng, (3, 4))
     s.triple_product(q - rc, (k - rc).transpose(), triple)
     with pytest.raises(TripleReuse):
@@ -184,7 +187,7 @@ def test_attention_value_identity_rows_pass_value_through():
     v = rand_mat(rng, (4, 4))
     a = FixedTensor(np.eye(4, dtype=np.uint64), DEFAULT_RING)
     am, vm = rand_mat(rng, (4, 4)), rand_mat(rng, (4, 4))
-    triple = make_product_triple(am, vm, s.key)
+    triple = make_product_triple(am, vm, s.client.key)
     c_share, s_share = s.triple_product(a - am, v - vm, triple)
     assert (c_share + s_share) == v
 
@@ -194,9 +197,9 @@ def test_attention_value_uniform_rows_give_row_mean():
     rng = np.random.default_rng(15)
     vf = rng.uniform(-4, 4, size=(4, 3))
     v = FixedTensor.from_float(vf, DEFAULT_RING)
-    a = FixedTensor(np.full((4, 4), fx_encode(0.25), dtype=np.uint64), DEFAULT_RING)
+    a = FixedTensor(np.full((4, 4), DEFAULT_RING.encode(0.25), dtype=np.uint64), DEFAULT_RING)
     am, vm = rand_mat(rng, (4, 4)), rand_mat(rng, (4, 3))
-    triple = make_product_triple(am, vm, s.key)
+    triple = make_product_triple(am, vm, s.client.key)
     c_share, s_share = s.triple_product(a - am, v - vm, triple)
     got = DEFAULT_RING.to_signed((c_share + s_share).data).astype(np.float64) / (1 << (2 * F))
     assert np.max(np.abs(got - vf.mean(axis=0))) <= 2.0**-6
@@ -208,7 +211,7 @@ def test_attention_value_random_matches_oracle():
         rng = np.random.default_rng(seed + 300)
         a, v = rand_mat(rng, (5, 5)), rand_mat(rng, (5, 7))
         am, vm = rand_mat(rng, (5, 5)), rand_mat(rng, (5, 7))
-        triple = make_product_triple(am, vm, s.key, triple_id=seed)
+        triple = make_product_triple(am, vm, s.client.key, triple_id=seed)
         c_share, s_share = s.triple_product(a - am, v - vm, triple)
         assert (c_share + s_share).data.tolist() == mm64(a, v)
 
@@ -330,16 +333,40 @@ def test_every_message_shares_a_cell_with_its_work(norm, activation):
 
 
 def test_server_ignorance_audit_clean_run_and_poisoned_state():
+    # the audit walks the server's state: every run leaves nothing of the
+    # client's on it, and the session keeps no key outside the client
+    tokens = [3, 1, 0, 2]
+    for norm, activation in (("post", "relu"), ("pre", "gelu")):
+        cfg = toy_cfg(norm=norm, activation=activation)
+        w = random_weights(cfg, np.random.default_rng(8))
+        for mode in MODES:
+            res = run_protocol(mode, cfg, w, tokens, seed=1)
+            assert audit_server_ignorance(res.session.server) == [], (norm, mode)
+            assert not hasattr(res.session, "key")
+    # a key pair, a secret key or the client state planted on the server,
+    # directly or inside a list, a dict or a nested attribute, is named by
+    # its path and fails the run
     cfg = toy_cfg()
     w = random_weights(cfg, np.random.default_rng(8))
-    res = run_protocol("fpc", cfg, w, [3, 1, 0, 2], seed=1)
-    assert audit_server_ignorance(res.session.server) == []
-    res.session.server.put("oops", "logical-plaintext", res.reconstruct())
-    assert audit_server_ignorance(res.session.server) == ["oops"]
-    with pytest.raises(AuditError):
-        res.session._audit()
-    with pytest.raises(ValueError):
-        res.session.server.put("x", "not-a-tag", None)
+    secrets = {
+        "key pair": lambda s: s.client.key,
+        "secret key": lambda s: s.client.key.secret(),
+        "client state": lambda s: s.client,
+    }
+    plantings = [
+        (lambda srv, v: setattr(srv, "leak", v), "server.leak"),
+        (lambda srv, v: setattr(srv, "leak", [0, v]), "server.leak[1]"),
+        (lambda srv, v: setattr(srv, "leak", {"k": v}), "server.leak['k']"),
+        (lambda srv, v: setattr(srv.report, "leak", ({"k": [v]},)),
+         "server.report.leak[0]['k'][0]"),
+    ]
+    for what, secret in secrets.items():
+        for plant, path in plantings:
+            s = Session(cfg, w, "f", seed=1)
+            plant(s.server, secret(s))
+            assert audit_server_ignorance(s.server) == [path], what
+            with pytest.raises(AuditError, match=re.escape(path)):
+                s.run(tokens)
 
 
 def test_session_packing_defaults_and_validation():
@@ -348,10 +375,9 @@ def test_session_packing_defaults_and_validation():
     assert Session(cfg, w, "f", 1).packing is PackingStrategy.FEATURES_FIRST
     assert Session(cfg, w, "fp", 1).packing is PackingStrategy.TOKENS_FIRST
     assert Session(cfg, w, "fpc", 1).packing is PackingStrategy.TOKENS_FIRST
-    s = Session(cfg, w, "fpc", 1, packing=PackingStrategy.FEATURES_FIRST)
-    assert s.packing is PackingStrategy.FEATURES_FIRST
-    assert np.array_equal(s.run([0, 1, 2, 3]).reconstruct().data,
-                          reference_forward(cfg, w, [0, 1, 2, 3]).data)
+    # Session takes only the protocol's inputs: packing follows the mode
+    assert list(inspect.signature(Session).parameters) == [
+        "cfg", "weights", "mode", "seed", "backend", "strict"]
     with pytest.raises(ValueError):
         Session(cfg, w, "bogus", 1)
     cfg6 = toy_cfg(n=6, d_oh=8)

@@ -86,22 +86,8 @@ def test_embed_row_lookup():
     x2 = embed(cfg2, w, [5])
     want = w.w_e.data[5] * np.uint64(3) + cfg2.lam.data
     assert np.array_equal(x2.data, want)
-
-
-def test_one_hot_matmul_equals_row_lookup():
-    rng = np.random.default_rng(301)
-    cfg = toy_cfg(d_oh=64, lam=rng.uniform(-0.5, 0.5, (4, 8)), delta=2)
-    w = random_weights(cfg, rng)
-    toks = rng.integers(0, 64, cfg.n)
-    via_lookup = reference_forward(cfg, w, toks)
-    via_matmul = reference_forward(cfg, w, one_hot(toks, 64))
-    assert via_lookup == via_matmul
     with pytest.raises(ValueError):
         one_hot([64], 64)
-    bad = np.zeros((4, 64), dtype=np.uint64)
-    bad[:, 3] = 2  # not 0/1
-    with pytest.raises(ValueError):
-        reference_forward(cfg, w, bad)
 
 
 def test_zero_query_key_gives_row_mean_attention():

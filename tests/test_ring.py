@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from privtrans.ring import DEFAULT_RING, FixedTensor, RingParams, fx_decode, fx_encode, mat_mul, truncate
+from privtrans.ring import DEFAULT_RING, FixedTensor, RingParams, mat_mul, truncate
 from privtrans.securefn import SecureFnSpec, plain_apply
 
 import oracles
@@ -16,22 +16,22 @@ def rand_tensor(rng, rows, cols, ring, bits=14):
 
 def test_encode_examples():
     # frac_bits=8: 1.5 -> 384; -1.0 -> 2^64 - 256
-    assert int(fx_encode(1.5)) == 384
-    assert int(fx_encode(-1.0)) == 2 ** 64 - 256
-    assert int(fx_encode(0.0)) == 0
+    assert int(DEFAULT_RING.encode(1.5)) == 384
+    assert int(DEFAULT_RING.encode(-1.0)) == 2 ** 64 - 256
+    assert int(DEFAULT_RING.encode(0.0)) == 0
 
 
 def test_decode_roundtrip_tolerance():
     rng = np.random.default_rng(7)
     xs = rng.uniform(-60, 60, size=500)
-    err = np.abs(fx_decode(fx_encode(xs)) - xs)
+    err = np.abs(DEFAULT_RING.decode(DEFAULT_RING.encode(xs)) - xs)
     assert err.max() <= 2.0 ** (-DEFAULT_RING.frac_bits - 1)
 
 
 def test_encode_matches_oracle():
     rng = np.random.default_rng(3)
     for x in rng.uniform(-50, 50, size=200):
-        assert int(fx_encode(float(x))) == oracles.encode(float(x), 8, 64)
+        assert int(DEFAULT_RING.encode(float(x))) == oracles.encode(float(x), 8, 64)
 
 
 def test_truncate_square_example():

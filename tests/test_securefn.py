@@ -6,7 +6,7 @@ import pytest
 from privtrans import fixedfn, securefn
 from privtrans.circuits import CircuitBuilder, CircuitOps, eval_circuit, pack_bits, unpack_bits
 from privtrans.costs import CostReport
-from privtrans.ring import DEFAULT_RING, fx_decode, fx_encode
+from privtrans.ring import DEFAULT_RING
 from privtrans.securefn import (
     FN_NAMES,
     RangeViolation,
@@ -89,11 +89,9 @@ def test_backends_agree_on_every_fn():
         lanes = 100
         raw = rng.integers(0, 1 << w, (lanes, spec.count), dtype=np.uint64)
         xc, xs = share_raw(raw, rng, w)
-        masks = rng.integers(0, 1 << w, (lanes, spec.count), dtype=np.uint64)
-        c_sem, s_sem = eval_secure(spec, xc, xs, np.random.default_rng(1), masks=masks)
-        c_gc, s_gc = eval_secure(
-            spec, xc, xs, np.random.default_rng(1), masks=masks, backend="gc"
-        )
+        # equally seeded rngs draw the same client masks on both backends
+        c_sem, s_sem = eval_secure(spec, xc, xs, np.random.default_rng(1))
+        c_gc, s_gc = eval_secure(spec, xc, xs, np.random.default_rng(1), backend="gc")
         assert np.array_equal(c_sem, c_gc), spec.fn
         assert np.array_equal(s_sem, s_gc), spec.fn
         assert np.array_equal(
@@ -104,16 +102,16 @@ def test_backends_agree_on_every_fn():
 def test_relu_on_shares_of_negative_is_zero():
     rng = np.random.default_rng(201)
     spec = SecureFnSpec("relu", 64)
-    raw = np.array([[fx_encode(-2.0, DEFAULT_RING)]], dtype=np.uint64)
+    raw = np.array([[DEFAULT_RING.encode(-2.0)]], dtype=np.uint64)
     xc, xs = share_raw(raw, rng, 64)
     c, s = eval_secure(spec, xc, xs, rng)
-    assert fx_decode(reconstruct(c, s, 64)[0, 0], DEFAULT_RING) == 0.0
+    assert DEFAULT_RING.decode(reconstruct(c, s, 64)[0, 0]) == 0.0
 
 
 def test_softmax_on_shares_matches_known_values():
     rng = np.random.default_rng(202)
     spec = SecureFnSpec("softmax_row", 64, count=3, shift=0)
-    raw = np.array([[fx_encode(v, DEFAULT_RING) for v in (1.0, 2.0, 3.0)]], dtype=np.uint64)
+    raw = np.array([[DEFAULT_RING.encode(v) for v in (1.0, 2.0, 3.0)]], dtype=np.uint64)
     xc, xs = share_raw(raw, rng, 64)
     c, s = eval_secure(spec, xc, xs, rng)
     got = signed_dec(reconstruct(c, s, 64), 64, F)[0]
@@ -143,11 +141,12 @@ def test_shift_stage_truncates_before_fn():
 def test_fresh_masks_are_the_client_share():
     rng = np.random.default_rng(204)
     spec = SecureFnSpec("relu", 64)
-    raw = np.array([[fx_encode(5.0, DEFAULT_RING)]], dtype=np.uint64)
+    raw = np.array([[DEFAULT_RING.encode(5.0)]], dtype=np.uint64)
     xc, xs = share_raw(raw, rng, 64)
-    masks = np.array([[123456789]], dtype=np.uint64)
-    c, s = eval_secure(spec, xc, xs, rng, masks=masks)
-    assert c[0, 0] == 123456789
+    # the client's new share is eval_secure's first draw from its rng
+    want = np.random.default_rng(7).integers(0, 1 << 64, (1, 1), dtype=np.uint64)
+    c, s = eval_secure(spec, xc, xs, np.random.default_rng(7))
+    assert np.array_equal(c, want)
     assert reconstruct(c, s, 64)[0, 0] == raw[0, 0]
 
 
