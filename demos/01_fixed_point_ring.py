@@ -11,7 +11,8 @@ the fraction ladder.
 # %%
 import numpy as np
 
-from privtrans.ring import DEFAULT_RING, FixedTensor, mat_mul, truncate
+from privtrans.ring import DEFAULT_RING, FixedTensor, mat_mul
+from privtrans.securefn import SecureFnSpec, plain_apply
 
 ring = DEFAULT_RING
 print(f"ring: Z_(2^64), {ring.value_bits}-bit values, "
@@ -45,8 +46,11 @@ print("decoded at 2f:", ring.to_signed(prod.data).ravel() / float(1 << 2 * ring.
 # %%
 # Truncation shifts the fraction ladder back down by f bits with an
 # arithmetic shift, then saturates to the value range: 3*0.5 - 5.25*2.
-back = truncate(prod)
-print("truncated:", back.to_float().ravel())
+# It is the `trunc` nonpoly stage; plain_apply runs it on plain words, as
+# the plaintext reference does (the protocol runs it under a circuit).
+trunc = SecureFnSpec("trunc", shift=ring.frac_bits, ring=ring)
+back = ring.decode(plain_apply(trunc, prod.data))
+print("truncated:", back.ravel())
 print("float ref:", (np.array([[3.0, -5.25]]) @ np.array([[0.5], [2.0]])).ravel())
 
 # %%
@@ -57,5 +61,5 @@ big = FixedTensor.from_float(np.array([[63.0]]), ring)
 doubled = big + big
 print(f"63 + 63 decodes to {doubled.to_float()[0, 0]} "
       f"(nominal limit is {ring.value_limit() / ring.scale})")
-sat = truncate(doubled.lshift(ring.frac_bits))
-print("saturating truncate clamps it to", sat.to_float()[0, 0])
+sat = ring.decode(plain_apply(trunc, doubled.lshift(ring.frac_bits).data))
+print("saturating truncate clamps it to", sat[0, 0])

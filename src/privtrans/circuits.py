@@ -285,24 +285,6 @@ class CircuitOps:
         return level[0]
 
 
-def eval_circuit(circ: BoolCircuit, inputs: np.ndarray) -> np.ndarray:
-    """Plain evaluation; inputs and outputs are uint8 bit arrays of shape
-    (n_bits, batch)."""
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=np.uint8))
-    if inputs.shape[0] != circ.n_inputs:
-        raise ValueError(f"expected {circ.n_inputs} input bits, got {inputs.shape[0]}")
-    batch = inputs.shape[1]
-    wires = np.zeros((circ.n_wires, batch), dtype=np.uint8)
-    wires[ONE] = 1
-    wires[2 : 2 + circ.n_inputs] = inputs
-    base = 2 + circ.n_inputs
-    for i in range(circ.n_gates):
-        a = wires[circ.lhs[i]]
-        b = wires[circ.rhs[i]]
-        wires[base + i] = (a & b) if circ.op[i] == AND else (a ^ b)
-    return wires[list(circ.outputs)]
-
-
 def pack_bits(values: np.ndarray, width: int) -> np.ndarray:
     """uint64 values (batch,) -> little-endian bits (width, batch)."""
     v = np.atleast_1d(np.asarray(values, dtype=np.uint64))

@@ -6,8 +6,7 @@ Run configs are JSON with these keys (flags override the file):
 
     mode          "base" | "f" | "fp" | "fpc"        (default "f")
     seed          int, required
-    model         inline model-config object, or
-    model_path    path to a JSON file holding one
+    model         inline model-config object, required
     weights_path  path to a saved weight file; if absent, weights are
                   generated from weights_seed (default: seed) at
                   weight_scale (default 0.5)
@@ -42,13 +41,12 @@ from .model import (
     reference_forward,
 )
 from .packing import PackingLayout, PackingStrategy, plan_layout, predicted_rotations
+from .she import HEParams
 from .transcript import ChannelModel, estimate_latency
 
-HE_OPS = ("he_enc", "he_dec", "he_add", "he_add_plain", "he_mul_plain", "he_rotate")
-
-
 class ConfigError(ValueError):
-    """Bad run config; message names the offending field."""
+    """Bad run config or plan argument; the message names the field or
+    argument."""
 
 
 @dataclass
@@ -79,7 +77,7 @@ def load_run_config(obj: dict, overrides: dict | None = None) -> RunConfig:
     """Validate a parsed JSON object (plus flag overrides) into a RunConfig."""
     if not isinstance(obj, dict):
         raise ConfigError("config root: expected an object")
-    known = {"mode", "seed", "model", "model_path", "weights_path", "weights_seed",
+    known = {"mode", "seed", "model", "weights_path", "weights_seed",
              "weight_scale", "tokens", "backend", "strict", "channel", "report"}
     for k in obj:
         if k not in known:
@@ -94,14 +92,7 @@ def load_run_config(obj: dict, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"config field 'mode': must be one of {MODES}")
     seed = _field(obj, "seed", int, required=True)
 
-    if "model" in obj:
-        model_obj = _field(obj, "model", dict, required=True)
-    elif "model_path" in obj:
-        path = _field(obj, "model_path", str, required=True)
-        with open(path) as fh:
-            model_obj = json.load(fh)
-    else:
-        raise ConfigError("config field 'model': required (inline object or model_path)")
+    model_obj = _field(obj, "model", dict, required=True)
     try:
         cfg = config_from_dict(model_obj)
     except (ValueError, KeyError, TypeError) as e:
@@ -235,7 +226,18 @@ def cmd_verify(rc: RunConfig) -> tuple[bool, list[str]]:
 
 
 def cmd_plan(n: int, d: int, slots: int) -> dict:
-    """Packing decision and predicted naive-kernel rotation counts."""
+    """Packing decision and predicted naive-kernel rotation counts. Raises
+    ConfigError naming the argument for a slot count HEParams refuses, a
+    non-positive n or d, or more tokens than slots."""
+    try:
+        HEParams(slots=slots)
+    except ValueError as e:
+        raise ConfigError(f"argument 'slots': {e}") from None
+    for name, value in (("n", n), ("d", d)):
+        if value < 1:
+            raise ConfigError(f"argument {name!r}: must be positive, got {value}")
+    if n > slots:
+        raise ConfigError(f"argument 'n': {n} tokens exceed the {slots} slots")
     layout = plan_layout(n, d, slots)
     rot_ff = predicted_rotations(PackingLayout(PackingStrategy.FEATURES_FIRST, n, d, slots))
     rot_chosen = predicted_rotations(layout)
@@ -319,7 +321,11 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     if args.cmd == "plan":
-        rep = cmd_plan(args.n, args.d, args.slots)
+        try:
+            rep = cmd_plan(args.n, args.d, args.slots)
+        except ConfigError as e:
+            print(f"plan error: {e}", file=sys.stderr)
+            return 1
         print(json.dumps(rep, indent=2, sort_keys=True))
         return 0
 

@@ -17,6 +17,14 @@ HE_COUNTERS = ("he_enc", "he_dec", "he_add", "he_add_plain", "he_mul_plain", "he
 ALL_COUNTERS = HE_COUNTERS + ("gc_and_gates", "gc_table_bytes", "ot_count")
 
 
+def check_scope(step: str, phase: str) -> None:
+    """Refuse a step or phase name outside STEPS and PHASES."""
+    if step not in STEPS:
+        raise ValueError(f"unknown step {step!r}")
+    if phase not in PHASES:
+        raise ValueError(f"unknown phase {phase!r}")
+
+
 class CostReport:
     """Nested tally: (step, phase) -> counter name -> count."""
 
@@ -29,10 +37,7 @@ class CostReport:
     @contextmanager
     def at(self, step: str, phase: str):
         """Scope subsequent bumps to one pipeline step and phase."""
-        if step not in STEPS:
-            raise ValueError(f"unknown step {step!r}")
-        if phase not in PHASES:
-            raise ValueError(f"unknown phase {phase!r}")
+        check_scope(step, phase)
         prev = (self._step, self._phase)
         self._step, self._phase = step, phase
         try:

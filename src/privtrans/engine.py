@@ -57,7 +57,9 @@ from .she import (
     keygen,
 )
 from .sharing import (
+    MaterialMissing,  # noqa: F401  (re-exported: engine callers catch it)
     MatTriple,
+    SingleUse,
     dec_rows,
     enc_left_matmul,
     enc_rows,
@@ -72,10 +74,6 @@ MODES = ("base", "f", "fp", "fpc")
 
 class AuditError(RuntimeError):
     """The server's state holds a client secret."""
-
-
-class MaterialMissing(RuntimeError):
-    pass
 
 
 @dataclass
@@ -123,7 +121,7 @@ def audit_server_ignorance(server: PartyState) -> list[str]:
 
 
 @dataclass
-class HgsMaterial:
+class HgsMaterial(SingleUse):
     """Offline product of one module: client input mask rc, server output
     mask rs, and the client's decrypted share m_out = rc @ W + rs."""
 
@@ -131,12 +129,6 @@ class HgsMaterial:
     rc: FixedTensor
     rs: FixedTensor
     m_out: FixedTensor
-    used: bool = False
-
-    def mark_used(self) -> None:
-        if self.used:
-            raise MaterialMissing(f"HGS material {self.layer_id!r} already consumed")
-        self.used = True
 
 
 def run_hgs_layer(w, masked_in: FixedTensor, material: HgsMaterial,
@@ -153,7 +145,7 @@ def run_hgs_layer(w, masked_in: FixedTensor, material: HgsMaterial,
 
 
 @dataclass
-class ChgsMaterial:
+class ChgsMaterial(SingleUse):
     """Offline terms for one fused block prefix (mode fpc)."""
 
     block_id: int
@@ -164,12 +156,6 @@ class ChgsMaterial:
     head_b: list            # B_h = W_Q_h @ W_K_h^T, server plaintext
     head_re_b: list         # Enc(R_e @ B_h) rows, per head
     head_t4: list           # Enc(R_e B_h R_e^T) rows, per head
-    used: bool = False
-
-    def mark_used(self) -> None:
-        if self.used:
-            raise MaterialMissing(f"fused material for block {self.block_id} already consumed")
-        self.used = True
 
 
 class Session:
@@ -179,9 +165,11 @@ class Session:
     opens one (step, phase) scope for both parties' counters and for every
     message and interaction the session logs inside it, so each lands where
     it falls in a deployed offline/online split; outside any scope that is
-    ("Others", "online"), as for a bare CostReport. Every client random
-    draw (masks, triples, GC labels) is input-independent, so all material
-    tagged offline really is derivable before the input arrives.
+    ("Others", "online"), as for a bare CostReport. Module material is made
+    in one phase, `prep`: online in mode base, offline in the others. Every
+    client random draw (masks, triples, GC labels) is input-independent, so
+    all material tagged offline really is derivable before the input
+    arrives.
 
     The HE key pair lives on the client's state; the server's state is its
     rng and its cost report only, and `run` ends by auditing that no client
@@ -194,6 +182,7 @@ class Session:
             raise ValueError(f"mode must be one of {MODES}")
         weights.validate(cfg)
         self.cfg, self.weights, self.mode = cfg, weights, mode
+        self.prep = "online" if mode == "base" else "offline"
         self.backend, self.strict = backend, strict
         top = max(cfg.d_oh, cfg.d_emb, cfg.d_ff, cfg.n, cfg.d_out, 2)
         self.he = HEParams(slots=1 << (top - 1).bit_length())
@@ -215,9 +204,11 @@ class Session:
         return PackingLayout(self.packing, self.cfg.n, d, self.he.slots)
 
     @contextmanager
-    def _at(self, step: str, phase: str):
+    def _at(self, step: str, prep: bool = False):
         """Scope both parties' counters, and every message and interaction
-        logged inside, to one pipeline step and phase."""
+        logged inside, to one pipeline step: in the material phase
+        (self.prep) if prep is set, online otherwise."""
+        phase = self.prep if prep else "online"
         with self.client.report.at(step, phase), self.server.report.at(step, phase):
             yield
 
@@ -272,7 +263,7 @@ class Session:
         rs = self._rand_s((cfg.n, layout_out.d))
         out_cts = [he_add_plain(ct, v, rep_s) for ct, v in zip(out_cts, pack_plain(rs, layout_out))]
         self._send("server", out_cts)
-        if self.client.report.scope[1] == "offline":
+        if self.prep == "offline":
             # an online-generated module piggybacks on its remask interaction
             self._interaction()
         m_out = unpack(out_cts, layout_out, self.client.key.secret(), cfg.ring,
@@ -293,23 +284,23 @@ class Session:
         the server masks Enc(Rc0 W_M_h) with G_h, the client decrypts,
         multiplies by Rc0^T and re-encrypts, and the server strips G_h Rc0^T
         homomorphically via Enc(Rc0^T)."""
-        cfg, ring, key = self.cfg, self.cfg.ring, self.client.key
+        ring, key = self.cfg.ring, self.client.key
         rep_c, rep_s = self.client.report, self.server.report
         enc_rc0 = enc_rows(rc0, key, rep_c)
         enc_rc0_t = enc_rows(rc0.transpose(), key, rep_c)
         self._send("client", enc_rc0 + enc_rc0_t)
-        enc_re = enc_left_matmul(enc_rc0, rc0.cols, w_ed, rep_s)
+        enc_re = enc_left_matmul(enc_rc0, w_ed, rep_s)
         enc_re_t = plain_left_matmul(w_ed.transpose(), enc_rc0_t, rep_s)
         head_b, head_re_b, masked_wm, g_masks = [], [], [], []
         for sl in self._head_slices():
             b_h = mat_mul(FixedTensor(w_q.data[:, sl].copy(), ring),
                           FixedTensor(w_k.data[:, sl].T.copy(), ring))
             head_b.append(b_h)
-            head_re_b.append(enc_left_matmul(enc_re, cfg.d_emb, b_h, rep_s))
+            head_re_b.append(enc_left_matmul(enc_re, b_h, rep_s))
             w_m = mat_mul(mat_mul(w_ed, b_h), w_ed.transpose())
-            g_h = self._rand_s((cfg.n, rc0.cols))
+            g_h = self._rand_s(rc0.shape)
             g_masks.append(g_h)
-            rows = enc_left_matmul(enc_rc0, rc0.cols, w_m, rep_s)
+            rows = enc_left_matmul(enc_rc0, w_m, rep_s)
             masked_wm.append([he_add_plain(ct, v, rep_s) for ct, v in zip(rows, g_h.data)])
         self._send("server", [ct for rows in masked_wm for ct in rows])
         head_t4 = []
@@ -333,6 +324,17 @@ class Session:
         self._interaction()
         return tuple(held + d for (held, _), d in zip(chains, deltas))
 
+    def _four_terms(self, left: FixedTensor, right: FixedTensor, enc_a: list[Ciphertext],
+                    enc_b: list[Ciphertext], enc_ab: list[Ciphertext]) -> tuple:
+        """The terms of (L + a)(R + b) = LR + aR + Lb + ab for plaintext
+        factors L, R and row-encrypted a, b, ab, plus the server's fresh
+        output mask: (L @ R, Enc(a) @ R, L @ Enc(b), Enc(ab), rs). No
+        ciphertext multiplies a ciphertext."""
+        rep_s = self.server.report
+        rs = self._rand_s((left.rows, right.cols))
+        return (mat_mul(left, right), enc_left_matmul(enc_a, right, rep_s),
+                plain_left_matmul(left, enc_b, rep_s), enc_ab, rs)
+
     def _reveal(self, heads) -> FixedTensor:
         """Server assembles Enc(t1 + t2 + t3 + t4 - rs) row by row for each
         head (t1, rs plaintext; t2, t3, t4 encrypted rows) and sends all rows
@@ -350,39 +352,27 @@ class Session:
 
     def triple_product(self, left_masked: FixedTensor, right_masked: FixedTensor,
                        triple: MatTriple):
-        """Shares of L @ R from factors masked by the triple's own masks:
-        the client ends with L @ R - rs, the server keeps a fresh rs.
-
-        Four-term expansion (L-a)(R-b) + a(R-b) + (L-a)b + ab: the first in
-        plaintext, then over Enc(a), Enc(b) and Enc(ab); zero
-        ciphertext-by-ciphertext multiplies."""
-        rep_s = self.server.report
+        """Shares of L @ R from L - a and R - b, masked by the triple's own
+        a and b: the four-term product of the masked factors. The client
+        ends with L @ R - rs, the server keeps a fresh rs."""
         triple.mark_used()
-        rs = self._rand_s((left_masked.rows, right_masked.cols))
-        t1 = mat_mul(left_masked, right_masked)
-        t2 = enc_left_matmul(triple.left_ct, triple.left_mask.cols, right_masked, rep_s)
-        t3 = plain_left_matmul(left_masked, triple.right_ct, rep_s)
-        return self._reveal([(t1, t2, t3, triple.product_ct, rs)]), rs
+        terms = self._four_terms(left_masked, right_masked, triple.left_ct, triple.right_ct,
+                                 triple.product_ct)
+        return self._reveal([terms]), terms[-1]
 
     def chgs_scores(self, x0_masked: FixedTensor, mat: ChgsMaterial):
-        """Server-side fused score evaluation S_h = t1 + t2 + t3 + t4 per head.
-
-        t1 = P_s B_h P_s^T is pure plaintext; t2 and t3 pair P_s against the
-        encrypted mask image; t4 was prepared offline. Returns P_s and the
-        (server, client) score shares stacked by head.
+        """Server-side fused score evaluation per head: S_h = (P_s + R_e) B_h
+        (P_s + R_e)^T is the four-term product of L = P_s B_h and R = P_s^T
+        with a = R_e B_h and b = R_e^T, its encrypted terms prepared
+        offline. Returns P_s and the (server, client) score shares stacked
+        by head.
         """
-        cfg, rep_s = self.cfg, self.server.report
         mat.mark_used()
         p_s = mat_mul(x0_masked, mat.w_ed) + mat.lam
-        heads = []
-        for b_h, re_b, t4 in zip(mat.head_b, mat.head_re_b, mat.head_t4):
-            pb = mat_mul(p_s, b_h)
-            heads.append((mat_mul(pb, p_s.transpose()),
-                          plain_left_matmul(pb, mat.enc_re_t, rep_s),
-                          enc_left_matmul(re_b, cfg.d_emb, p_s.transpose(), rep_s),
-                          t4, self._rand_s((cfg.n, cfg.n))))
+        heads = [self._four_terms(mat_mul(p_s, b_h), p_s.transpose(), re_b, mat.enc_re_t, t4)
+                 for b_h, re_b, t4 in zip(mat.head_b, mat.head_re_b, mat.head_t4)]
         s_client = self._reveal(heads)
-        s_server = FixedTensor(np.vstack([rs.data for *_, rs in heads]), cfg.ring)
+        s_server = FixedTensor(np.vstack([rs.data for *_, rs in heads]), self.cfg.ring)
         return p_s, (s_server, s_client)
 
     def _gc(self, step: str, spec: SecureFnSpec, chain):
@@ -402,14 +392,14 @@ class Session:
 
     # -- pipeline pieces ------------------------------------------------------
 
-    def _embed(self, x0: FixedTensor, phase: str):
+    def _embed(self, x0: FixedTensor):
         """Two chained modules: vocabulary matmul, then coefficient scale
         with the public positional offset added server-side."""
         cfg, w = self.cfg, self.weights
-        with self._at("Embed", phase):
+        with self._at("Embed", prep=True):
             m_e = self._gen_hgs("embed.vocab", w.w_e)
             m_dl = self._gen_hgs("embed.posn", None, scalar=cfg.delta)
-        with self._at("Embed", "online"):
+        with self._at("Embed"):
             zeros = FixedTensor.zeros(*x0.shape, cfg.ring)
             masked, = self._remask(m_e.rc, (zeros, x0))
             masked_e = run_hgs_layer(w.w_e, masked, m_e)
@@ -417,34 +407,34 @@ class Session:
         masked_x1 = run_hgs_layer(None, masked, m_dl, bias=cfg.lam, scalar=cfg.delta)
         return masked_x1, m_dl.m_out
 
-    def _weight_module(self, lid: str, w: FixedTensor, chain, phase: str):
-        with self._at("Others", phase):
+    def _weight_module(self, lid: str, w: FixedTensor, chain):
+        with self._at("Others", prep=True):
             mat = self._gen_hgs(lid, w)
-        with self._at("Others", "online"):
+        with self._at("Others"):
             masked, = self._remask(mat.rc, chain)
         return run_hgs_layer(w, masked, mat), mat.m_out
 
-    def _prefix_hgs(self, blk_i: int, chain, phase: str):
+    def _prefix_hgs(self, blk_i: int, chain):
         """Modes base/f/fp: QKV modules sharing one input mask, then the
         per-head same-mask score product. Two online interactions."""
         cfg, blk, ring = self.cfg, self.weights.blocks[blk_i], self.cfg.ring
-        with self._at("QKV", phase):
+        with self._at("QKV", prep=True):
             rc_qkv = self._rand_c((cfg.n, cfg.d_emb))
             qkv_cts = self._pack_mask(rc_qkv)
             m_q, m_k, m_v = [self._gen_hgs(f"b{blk_i}.w{p}", getattr(blk, f"w_{p}"),
                                            rc=rc_qkv, rc_cts=qkv_cts) for p in "qkv"]
-        with self._at("QxK", phase):
+        with self._at("QxK", prep=True):
             rc_qk = self._rand_c((cfg.n, cfg.d_emb))
             triples = [self._gen_triple(FixedTensor(rc_qk.data[:, sl].copy(), ring),
                                         FixedTensor(rc_qk.data[:, sl].T.copy(), ring))
                        for sl in self._head_slices()]
 
-        with self._at("QKV", "online"):
+        with self._at("QKV"):
             masked_x1, = self._remask(rc_qkv, chain)
         masked_q = run_hgs_layer(blk.w_q, masked_x1, m_q)
         masked_k = run_hgs_layer(blk.w_k, masked_x1, m_k)
         masked_v = run_hgs_layer(blk.w_v, masked_x1, m_v)
-        with self._at("QxK", "online"):
+        with self._at("QxK"):
             mq, mk = self._remask(rc_qk, (masked_q, m_q.m_out), (masked_k, m_k.m_out))
             heads = [self.triple_product(FixedTensor(mq.data[:, sl].copy(), ring),
                                          FixedTensor(mk.data[:, sl].copy(), ring).transpose(),
@@ -473,17 +463,17 @@ class Session:
             w_ed = FixedTensor(np.eye(cfg.d_emb, dtype=np.uint64), ring)
             lam = FixedTensor.zeros(cfg.n, cfg.d_emb, ring)
             rc0 = chain[1]  # the GC output mask already masking this input
-        with self._at("QxK", "offline"):
+        with self._at("QxK", prep=True):
             mat = self.chgs_material(blk_i, rc0, w_ed, lam, blk.w_q, blk.w_k)
         w_ev = mat_mul(w_ed, blk.w_v)
-        with self._at("QKV", "offline"):
+        with self._at("QKV", prep=True):
             m_v = self._gen_hgs(f"b{blk_i}.fuse_v", w_ev, rc=rc0)
         if first:
-            with self._at("Embed", "offline"):
+            with self._at("Embed", prep=True):
                 m_x = self._gen_hgs("embed.fused", w_ed, rc=rc0)
 
         # online: one interaction carries the whole prefix
-        with self._at("QxK", "online"):
+        with self._at("QxK"):
             if first:
                 x0_masked = x0 - rc0
                 self._send("client", (x0_masked,))
@@ -500,7 +490,7 @@ class Session:
             x1_chain = chain
         return s_chain, (masked_v, m_v.m_out), x1_chain
 
-    def _attention_value(self, p_chain, v_chain, phase: str):
+    def _attention_value(self, p_chain, v_chain):
         """Per-head product of the softmax shares with the masked values;
         triples reuse the GC output mask, so the online phase is just the
         server's ciphertext batch (one interaction, no client message)."""
@@ -508,10 +498,10 @@ class Session:
         p_held, p_mask = p_chain     # held: P - a, client: a
         v_masked, m_v = v_chain
         heads = []
-        with self._at("AttenValue", "online"):
+        with self._at("AttenValue"):
             for h, sl in enumerate(self._head_slices()):
                 rows = slice(h * cfg.n, (h + 1) * cfg.n)
-                with self._at("AttenValue", phase):
+                with self._at("AttenValue", prep=True):
                     triple = self._gen_triple(FixedTensor(p_mask.data[rows].copy(), ring),
                                               FixedTensor(m_v.data[:, sl].copy(), ring))
                 heads.append(self.triple_product(FixedTensor(p_held.data[rows].copy(), ring),
@@ -522,22 +512,22 @@ class Session:
         server = FixedTensor(np.hstack([s.data for _, s in heads]), ring)
         return (server, client)
 
-    def _block(self, blk_i: int, chain, x0, phase: str):
+    def _block(self, blk_i: int, chain, x0):
         cfg, blk, f = self.cfg, self.weights.blocks[blk_i], self.cfg.ring.frac_bits
         pre = cfg.norm == "pre"
         attn_in = self._gc("Others", ln_attn_spec(cfg), chain) if pre else chain
         if self.mode == "fpc":
             s_chain, v_chain, x1_chain = self._prefix_chgs(blk_i, attn_in, x0)
         else:
-            s_chain, v_chain = self._prefix_hgs(blk_i, attn_in, phase)
+            s_chain, v_chain = self._prefix_hgs(blk_i, attn_in)
             x1_chain = attn_in
         if pre:
             x1_chain = chain  # the residual taps the unnormalized input
         eta = cfg.eta
         s_chain = (s_chain[0].scalar_mul(eta), s_chain[1].scalar_mul(eta))
         p_chain = self._gc("SoftMax", softmax_spec(cfg), s_chain)
-        av_chain = self._attention_value(p_chain, v_chain, phase)
-        o_held, o_mask = self._weight_module(f"b{blk_i}.wo", blk.w_o, av_chain, phase)
+        av_chain = self._attention_value(p_chain, v_chain)
+        o_held, o_mask = self._weight_module(f"b{blk_i}.wo", blk.w_o, av_chain)
         mid = (x1_chain[0].lshift(3 * f) + o_held, x1_chain[1].lshift(3 * f) + o_mask)
         if pre:
             mid = self._gc("Others", trunc_attn_spec(cfg), mid)
@@ -545,9 +535,9 @@ class Session:
         else:
             mid = self._gc("Others", ln_attn_spec(cfg), mid)
             ffn_in = mid
-        h_held, h_mask = self._weight_module(f"b{blk_i}.wf1", blk.w_f1, ffn_in, phase)
+        h_held, h_mask = self._weight_module(f"b{blk_i}.wf1", blk.w_f1, ffn_in)
         act = self._gc("Others", act_spec(cfg), (h_held, h_mask))
-        f_held, f_mask = self._weight_module(f"b{blk_i}.wf2", blk.w_f2, act, phase)
+        f_held, f_mask = self._weight_module(f"b{blk_i}.wf2", blk.w_f2, act)
         out = (mid[0].lshift(f) + f_held, mid[1].lshift(f) + f_mask)
         if pre:
             return self._gc("Others", trunc_ffn_spec(cfg), out)
@@ -555,15 +545,14 @@ class Session:
 
     def run(self, tokens) -> "RunResult":
         cfg = self.cfg
-        phase = "online" if self.mode == "base" else "offline"
         x0 = FixedTensor(one_hot(tokens, cfg.d_oh), cfg.ring)
         fused_first = self.mode == "fpc" and cfg.norm == "post"
-        chain = None if fused_first else self._embed(x0, phase)
+        chain = None if fused_first else self._embed(x0)
         for i in range(cfg.N):
-            chain = self._block(i, chain, x0 if (i == 0 and fused_first) else None, phase)
+            chain = self._block(i, chain, x0 if (i == 0 and fused_first) else None)
         if cfg.norm == "pre":
             chain = self._gc("Others", final_ln_spec(cfg), chain)
-        l_held, l_mask = self._weight_module("head", self.weights.w_head, chain, phase)
+        l_held, l_mask = self._weight_module("head", self.weights.w_head, chain)
         bad = audit_server_ignorance(self.server)
         if bad:
             raise AuditError(f"server holds client secrets: {bad}")

@@ -24,7 +24,7 @@ F2 = 12  # internal fraction bits for exp/reciprocal/rsqrt
 LN_EPS = 2.0 ** -F2  # variance floor, one internal ulp
 
 
-def _mask(w: int) -> np.uint64:
+def width_mask(w: int) -> np.uint64:
     return np.uint64((1 << w) - 1 if w < 64 else 0xFFFFFFFFFFFFFFFF)
 
 
@@ -45,43 +45,43 @@ class SemanticOps:
     the caller feeds to const_like/input; all ops are elementwise."""
 
     def const(self, value: int, width: int, like: SemVal | None = None) -> SemVal:
-        v = np.uint64(value & int(_mask(width)))
+        v = np.uint64(value & int(width_mask(width)))
         if like is None:
             return SemVal(np.array(v), width)
         return SemVal(np.full_like(like.bits, v), width)
 
     def add(self, a: SemVal, b: SemVal) -> SemVal:
         assert a.width == b.width
-        return SemVal((a.bits + b.bits) & _mask(a.width), a.width)
+        return SemVal((a.bits + b.bits) & width_mask(a.width), a.width)
 
     def sub(self, a: SemVal, b: SemVal) -> SemVal:
         assert a.width == b.width
-        return SemVal((a.bits - b.bits) & _mask(a.width), a.width)
+        return SemVal((a.bits - b.bits) & width_mask(a.width), a.width)
 
     def neg(self, a: SemVal) -> SemVal:
-        return SemVal((np.uint64(0) - a.bits) & _mask(a.width), a.width)
+        return SemVal((np.uint64(0) - a.bits) & width_mask(a.width), a.width)
 
     def mul(self, a: SemVal, b: SemVal) -> SemVal:
         w = a.width + b.width
         assert w <= 64, "product would not fit a 64-bit word"
-        ea = ((a.bits ^ (np.uint64(1) << np.uint64(a.width - 1))) - (np.uint64(1) << np.uint64(a.width - 1)))
-        eb = ((b.bits ^ (np.uint64(1) << np.uint64(b.width - 1))) - (np.uint64(1) << np.uint64(b.width - 1)))
-        return SemVal((ea * eb) & _mask(w), w)
+        prod = a.signed().view(np.uint64) * b.signed().view(np.uint64)
+        return SemVal(prod & width_mask(w), w)
 
     def sar(self, a: SemVal, k: int) -> SemVal:
         if k == 0:
             return a
-        return SemVal((a.signed() >> np.int64(min(k, 63))).view(np.uint64) & _mask(a.width), a.width)
+        shifted = (a.signed() >> np.int64(min(k, 63))).view(np.uint64)
+        return SemVal(shifted & width_mask(a.width), a.width)
 
     def shl(self, a: SemVal, k: int) -> SemVal:
-        return SemVal((a.bits << np.uint64(k)) & _mask(a.width), a.width)
+        return SemVal((a.bits << np.uint64(k)) & width_mask(a.width), a.width)
 
     def resize(self, a: SemVal, w: int) -> SemVal:
         if w == a.width:
             return a
         if w < a.width:
-            return SemVal(a.bits & _mask(w), w)
-        return SemVal(a.signed().view(np.uint64) & _mask(w), w)
+            return SemVal(a.bits & width_mask(w), w)
+        return SemVal(a.signed().view(np.uint64) & width_mask(w), w)
 
     def zext(self, a: SemVal, w: int) -> SemVal:
         assert w >= a.width
@@ -104,7 +104,7 @@ class SemanticOps:
 
     def lookup(self, table: list[int], idx: SemVal, width: int) -> SemVal:
         """Index raw (unsigned) bits of idx into a constant table."""
-        t = np.array([v & int(_mask(width)) for v in table], dtype=np.uint64)
+        t = np.array([v & int(width_mask(width)) for v in table], dtype=np.uint64)
         return SemVal(t[idx.bits.astype(np.int64)], width)
 
 
@@ -164,8 +164,8 @@ def remask_sub(ops, v, r):
 
 
 def trunc_sat(ops, v, shift: int, ring: RingParams):
-    """Arithmetic shift then saturate to the value range; same contract as
-    the plaintext ring truncate."""
+    """Arithmetic shift then saturate to the value range: the rescale after
+    a fixed-point multiply."""
     lim = ring.value_limit()
     t = ops.sar(v, shift)
     return clamp(ops, t, -lim, lim)

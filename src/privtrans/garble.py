@@ -79,10 +79,6 @@ class GarbledTables:
     const_labels: np.ndarray  # (2, lanes): active labels for wires 0 and 1
     decode: np.ndarray  # (n_out, lanes) uint8 permute bits of output zero-labels
 
-    @property
-    def table_bytes(self) -> int:
-        return self.tables.nbytes
-
 
 @dataclass
 class GarblerState:

@@ -64,11 +64,9 @@ class PackingLayout:
 def plan_layout(n: int, d: int, slots: int) -> PackingLayout:
     """Pick the strategy with strictly fewer predicted naive rotations.
 
-    tokens_first wins iff n <= M and c*ceil(M/n) < c*M; ties (n = 1) keep
-    features_first.
+    tokens_first wins iff c*ceil(M/n) < c*M; ties (n = 1) keep
+    features_first. Either layout refuses n > M.
     """
-    if n > slots:
-        return PackingLayout(PackingStrategy.FEATURES_FIRST, n, d, slots)
     if -(-slots // n) < slots:
         return PackingLayout(PackingStrategy.TOKENS_FIRST, n, d, slots)
     return PackingLayout(PackingStrategy.FEATURES_FIRST, n, d, slots)

@@ -175,16 +175,3 @@ def mat_mul(a: FixedTensor, b: FixedTensor) -> FixedTensor:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
     return FixedTensor(a.data @ b.data, a.ring)
 
-
-def truncate(t: FixedTensor) -> FixedTensor:
-    """Arithmetic shift right by frac_bits, saturating to value_bits.
-
-    This is the rescale after a fixed-point multiply: floor division by
-    2^frac_bits on the signed value, then clamping so the magnitude stays
-    strictly below 2^(value_bits-1).
-    """
-    ring = t.ring
-    shifted = t.signed() >> np.int64(ring.frac_bits)
-    lim = ring.value_limit()
-    return FixedTensor(ring.from_signed(np.clip(shifted, -lim, lim)), ring)
-

@@ -19,7 +19,7 @@ import numpy as np
 from . import fixedfn
 from .circuits import CircuitBuilder, CircuitOps, pack_bits, unpack_bits
 from .costs import CostReport
-from .fixedfn import SemanticOps, SemVal
+from .fixedfn import SemanticOps, SemVal, width_mask
 from .garble import decode_outputs, evaluate, garble
 from .ot import TOY_256, run_ot
 from .ring import DEFAULT_RING, RingParams
@@ -118,14 +118,10 @@ def build_secure_circuit(spec: SecureFnSpec):
 # -- strict-mode domain checks ------------------------------------------------
 
 
-def _signed(vals: np.ndarray, width: int) -> np.ndarray:
-    shift = np.uint64(64 - width)
-    return (vals << shift).view(np.int64) >> np.int64(64 - width)
-
-
 def check_domain(spec: SecureFnSpec, reconstructed: np.ndarray) -> None:
     """Raise RangeViolation when a lane leaves the approximation domain."""
-    v = _signed(np.asarray(reconstructed, dtype=np.uint64), spec.bitwidth)
+    w = spec.bitwidth
+    v = SemVal(np.asarray(reconstructed, dtype=np.uint64) & width_mask(w), w).signed()
     lim = spec.ring.value_limit()
     if spec.shift:
         t = v >> spec.shift
@@ -190,11 +186,11 @@ def eval_secure(
     if client_vals.shape != server_vals.shape or client_vals.shape[1] != spec.count:
         raise ValueError("share matrices must both be (lanes, count)")
     lanes = client_vals.shape[0]
-    wmask = np.uint64(2**spec.bitwidth - 1) if spec.bitwidth < 64 else np.uint64(0xFFFFFFFFFFFFFFFF)
-    masks = rng.integers(0, 1 << 64, (lanes, spec.count), dtype=np.uint64) & wmask
+    masks = rng.integers(0, 1 << 64, (lanes, spec.count), dtype=np.uint64)
+    masks &= width_mask(spec.bitwidth)
 
     if strict:
-        check_domain(spec, (client_vals + server_vals) & wmask)
+        check_domain(spec, client_vals + server_vals)
 
     circ = build_secure_circuit(spec)
     material_bytes, client_ot, server_ot = _gc_message_bytes(spec, lanes, circ.and_count)

@@ -12,7 +12,7 @@ the product ciphertext decrypts to mask @ mask.T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -73,18 +73,15 @@ def rotate_reduce_sum(ct: Ciphertext, report: CostReport | None = None) -> Ciphe
 
 
 def enc_left_matmul(
-    rows_ct: list[Ciphertext],
-    cols: int,
-    r_plain: FixedTensor,
-    report: CostReport | None = None,
+    rows_ct: list[Ciphertext], r_plain: FixedTensor, report: CostReport | None = None
 ) -> list[Ciphertext]:
     """Enc rows of L @ r_plain from Enc(L) rows [a x b] and plaintext [b x c].
 
     Each output entry is an encrypted inner product: mask the row with the
-    plaintext column, rotate-reduce, then select the destination slot.
+    plaintext column, rotate-reduce, then select the destination slot. The
+    inner dimension b is r_plain.rows; slots of Enc(L) past it must be zero,
+    as enc_rows leaves them.
     """
-    if cols != r_plain.rows:
-        raise ValueError("inner dimension mismatch")
     slots = rows_ct[0].params.slots
     out = []
     for ct in rows_ct:
@@ -105,11 +102,31 @@ def enc_left_matmul(
 
 
 class TripleReuse(RuntimeError):
-    pass
+    """A product triple consumed a second time."""
+
+
+class MaterialMissing(TripleReuse):
+    """Single-use material asked for after it was consumed; raised for
+    triples too, so either class catches every reuse."""
 
 
 @dataclass
-class MatTriple:
+class SingleUse:
+    """Offline material consumed at most once: replaying it would let
+    masked values cancel. A subclass's first field is its id."""
+
+    used: bool = field(default=False, init=False)
+
+    def mark_used(self) -> None:
+        if self.used:
+            name = fields(self)[1].name
+            raise MaterialMissing(
+                f"{type(self).__name__} {name}={getattr(self, name)!r} already consumed")
+        self.used = True
+
+
+@dataclass
+class MatTriple(SingleUse):
     """Offline material for one masked matrix product L-shape @ R-shape."""
 
     triple_id: int
@@ -118,13 +135,6 @@ class MatTriple:
     left_ct: list[Ciphertext]
     right_ct: list[Ciphertext]
     product_ct: list[Ciphertext]
-    used: bool = field(default=False, compare=False)
-
-    def mark_used(self) -> None:
-        # single-use: replaying a triple would let masked values cancel
-        if self.used:
-            raise TripleReuse(f"triple {self.triple_id} already consumed")
-        self.used = True
 
 
 def make_product_triple(

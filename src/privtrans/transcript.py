@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .costs import PHASES, STEPS, CostReport
+from .costs import PHASES, STEPS, CostReport, check_scope
 
 KINDS = ("ciphertext", "share", "gc_material", "ot")
 
@@ -48,10 +48,7 @@ class Transcript:
     def send(self, sender: str, step: str, kind: str, nbytes: int, phase: str = "online"):
         if sender not in PARTIES:
             raise ValueError(f"unknown sender {sender!r}")
-        if step not in STEPS:
-            raise ValueError(f"unknown step {step!r}")
-        if phase not in PHASES:
-            raise ValueError(f"unknown phase {phase!r}")
+        check_scope(step, phase)
         if kind not in KINDS:
             raise ValueError(f"unknown kind {kind!r}")
         if nbytes <= 0:
@@ -59,8 +56,7 @@ class Transcript:
         self.messages.append(Message(sender, step, phase, kind, int(nbytes)))
 
     def interaction(self, step: str, phase: str = "online", count: int = 1):
-        if step not in STEPS or phase not in PHASES:
-            raise ValueError(f"unknown step/phase {step!r}/{phase!r}")
+        check_scope(step, phase)
         key = (step, phase)
         self._interactions[key] = self._interactions.get(key, 0) + count
 

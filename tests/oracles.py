@@ -3,9 +3,10 @@
 Everything here is plain Python integer arithmetic or textbook float math,
 deliberately sharing no code with the package under test (the one import
 is the model's dataclasses, for the double-precision forward pass below).
-The exception is the gate-at-a-time garbler and evaluator at the end: they
-reuse the package's PRF and table types, because they pin the garbled
-bytes of the level-scheduled path, not the PRF.
+The exceptions are at the end: the plain circuit evaluator reads the
+package's circuit arrays, and the gate-at-a-time garbler and evaluator
+reuse its PRF and table types, because they pin the garbled bytes of the
+level-scheduled path, not the PRF.
 """
 
 import math
@@ -129,6 +130,29 @@ def float_forward(cfg, weights, tokens) -> np.ndarray:
     if cfg.norm == "pre":
         x = _layernorm_rows(x)
     return x @ weights.w_head.to_float()
+
+
+# -- plain circuit evaluation -------------------------------------------------
+
+
+def eval_circuit(circ, inputs: np.ndarray) -> np.ndarray:
+    """Plain evaluation, one gate at a time; inputs and outputs are uint8
+    bit arrays of shape (n_bits, batch)."""
+    from privtrans.circuits import AND, ONE
+
+    inputs = np.atleast_2d(np.asarray(inputs, dtype=np.uint8))
+    if inputs.shape[0] != circ.n_inputs:
+        raise ValueError(f"expected {circ.n_inputs} input bits, got {inputs.shape[0]}")
+    batch = inputs.shape[1]
+    wires = np.zeros((circ.n_wires, batch), dtype=np.uint8)
+    wires[ONE] = 1
+    wires[2 : 2 + circ.n_inputs] = inputs
+    base = 2 + circ.n_inputs
+    for i in range(circ.n_gates):
+        a = wires[circ.lhs[i]]
+        b = wires[circ.rhs[i]]
+        wires[base + i] = (a & b) if circ.op[i] == AND else (a ^ b)
+    return wires[list(circ.outputs)]
 
 
 # -- gate-at-a-time garbling -------------------------------------------------

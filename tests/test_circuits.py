@@ -8,12 +8,13 @@ from privtrans.circuits import (
     CircuitBuilder,
     CircuitOps,
     WireVec,
-    eval_circuit,
     pack_bits,
     unpack_bits,
 )
 from privtrans.fixedfn import SemanticOps, SemVal
 from privtrans.ring import DEFAULT_RING
+
+from oracles import eval_circuit
 
 SEM = SemanticOps()
 

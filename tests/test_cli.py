@@ -42,6 +42,20 @@ def test_plan_matches_hand_arithmetic():
     assert rep["rotation_saving"] == rep["rotations_features_first"] - rep["rotations"]
 
 
+@pytest.mark.parametrize("argv,name", [
+    (["5000", "10", "4096"], "n"),     # more tokens than slots
+    (["4", "10", "12"], "slots"),      # not a power of two
+    (["4", "10", "0"], "slots"),
+    (["0", "10", "16"], "n"),
+    (["4", "-1", "16"], "d"),
+])
+def test_plan_refuses_bad_arguments_by_name(argv, name, capsys):
+    assert main(["plan", *argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"plan error: argument {name!r}:" in err
+
+
 def test_run_report_is_exact_and_totals_are_sums():
     rep = cmd_run(load_run_config(toy_obj()))
     assert rep["equivalence"] == "exact"
@@ -121,6 +135,9 @@ def test_config_errors_name_the_field(tmp_path):
         load_run_config(toy_obj(packing="rowwise"))
     with pytest.raises(ConfigError, match="'he': unknown"):
         load_run_config(toy_obj(he={"slots": 64}))
+    # a model is given inline, and only inline
+    with pytest.raises(ConfigError, match="'model_path': unknown"):
+        load_run_config(toy_obj(model_path="model.json"))
     with pytest.raises(ConfigError, match="'backend'"):
         load_run_config(toy_obj(backend="analytic"))
     with pytest.raises(ConfigError, match="expected int"):

@@ -124,7 +124,7 @@ def test_hgs_layer_online_phase_is_he_free_and_single_use():
     run_hgs_layer(w, x - rc, mat)
     after = {k: s.server.report.total(k) for k in before}
     assert before == after
-    with pytest.raises(MaterialMissing):
+    with pytest.raises(MaterialMissing, match="HgsMaterial layer_id='once' already consumed"):
         run_hgs_layer(w, x - rc, mat)
 
 
@@ -174,7 +174,7 @@ def test_fhgs_triple_reuse_raises():
     triple = make_product_triple(rc, rc.transpose(), s.client.key)
     q, k = rand_mat(rng, (3, 4)), rand_mat(rng, (3, 4))
     s.triple_product(q - rc, (k - rc).transpose(), triple)
-    with pytest.raises(TripleReuse):
+    with pytest.raises(TripleReuse, match="MatTriple triple_id=0 "):
         s.triple_product(q - rc, (k - rc).transpose(), triple)
 
 
@@ -240,7 +240,7 @@ def test_chgs_material_single_use():
     zero = FixedTensor.zeros(4, 4, DEFAULT_RING)
     mat = s.chgs_material(0, rc0, eye, zero, eye, eye)
     s.chgs_scores(x - rc0, mat)
-    with pytest.raises(MaterialMissing):
+    with pytest.raises(MaterialMissing, match="ChgsMaterial block_id=0 "):
         s.chgs_scores(x - rc0, mat)
 
 

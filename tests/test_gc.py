@@ -8,7 +8,6 @@ from privtrans.circuits import (
     XOR,
     CircuitBuilder,
     CircuitOps,
-    eval_circuit,
     pack_bits,
     unpack_bits,
 )
@@ -28,7 +27,7 @@ from privtrans.ot import (
 )
 from privtrans.securefn import SecureFnSpec, build_secure_circuit
 
-from oracles import evaluate_by_gate, garble_by_gate
+from oracles import eval_circuit, evaluate_by_gate, garble_by_gate
 
 
 def miller_rabin(n: int, rounds: int, rng) -> bool:
@@ -183,7 +182,7 @@ def test_xor_only_circuit_has_no_tables():
     circ = xor_only_circuit()
     gt, state = garble(circ, 3, np.random.default_rng(88))
     assert circ.and_count == 0
-    assert gt.table_bytes == 0
+    assert gt.tables.nbytes == 0
     bits = np.concatenate([pack_bits(np.array([5, 9, 250], np.uint64), 16)] * 2)
     got = decode_outputs(gt, evaluate(circ, gt, state.encode(bits)))
     assert np.all(got == 0)  # x ^ x

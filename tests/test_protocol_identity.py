@@ -2,10 +2,12 @@
 reports, so a refactor that must keep the protocol unchanged can show it.
 
 Each digest covers both parties' CostReport.to_dict(), the transcript's
-to_jsonl() and summary(), and both logit shares. The digests were taken
-from the code before the party split; any change to a counter, message,
-byte or share of these runs changes a digest. A deliberate protocol change
-updates the table and says why in CHANGES.md.
+to_jsonl() and summary(), and both logit shares. The desk digests were
+taken from the code before the party split, the sem-wide and sem-long ones
+(the models of perfbench/workloads.py) before the four-term product was
+shared; any change to a counter, message, byte or share of these runs
+changes a digest. A deliberate protocol change updates the table and says
+why in CHANGES.md.
 """
 
 import hashlib
@@ -17,11 +19,15 @@ import pytest
 from privtrans import ModelConfig, random_weights, run_protocol
 
 DESK = dict(N=1, d_emb=8, H=2, n=4, d_oh=16, d_ff=8)
+SEM_WIDE = ModelConfig(N=1, d_emb=32, H=4, n=8, d_oh=32, d_ff=64)
+SEM_LONG = ModelConfig(N=2, d_emb=8, H=2, n=16, d_oh=16, d_ff=16, activation="gelu", norm="pre")
+# name -> (model, tokens)
 CONFIGS = {
-    "post-relu": ModelConfig(**DESK),
-    "pre-gelu": ModelConfig(**DESK, norm="pre", activation="gelu"),
+    "post-relu": (ModelConfig(**DESK), [3, 1, 4, 1]),
+    "pre-gelu": (ModelConfig(**DESK, norm="pre", activation="gelu"), [3, 1, 4, 1]),
+    "sem-wide": (SEM_WIDE, [(3 + i) % SEM_WIDE.d_oh for i in range(SEM_WIDE.n)]),
+    "sem-long": (SEM_LONG, [(3 + i) % SEM_LONG.d_oh for i in range(SEM_LONG.n)]),
 }
-TOKENS = [3, 1, 4, 1]
 
 DIGESTS = {
     ("post-relu", "base", "semantic"):
@@ -44,12 +50,28 @@ DIGESTS = {
         "1642e4e445d48672016fae901e8277ba58a627be19bc1eb43e8a962d817655af",
     ("pre-gelu", "f", "gc"):
         "989f686407a1fa891af045626b39e4998829ac7a4b98b0c9f23f70d051febb11",
+    ("sem-wide", "base", "semantic"):
+        "c986a008f36ac6ba0e9d850ec01fb72cf84220368fd88e926b6aa6ceaf3e5cf4",
+    ("sem-wide", "f", "semantic"):
+        "0cfda46983f16e181ea645c41fbc40653d862849601690100519c8751c12462f",
+    ("sem-wide", "fp", "semantic"):
+        "d7ae69c2880f0d4825edeccde67c431919a0d1b95d5d66e8b927c7f4902565ac",
+    ("sem-wide", "fpc", "semantic"):
+        "b6b7c9de2fbc4781db2e39b9fc661f21b2452e9e82450d3e4b38d8fbbf5a3e41",
+    ("sem-long", "base", "semantic"):
+        "5e35a0e559e9cfc5cf808590f2e94f9e8d406680702862ec2970cbd7ff92a658",
+    ("sem-long", "f", "semantic"):
+        "25daf3ae806a4711b5690cf7b4844f33fcc900d3c72868cc6e5062c9add4943d",
+    ("sem-long", "fp", "semantic"):
+        "40851e56a564c2b88fee7573a14ca7eae3913dcfcd665275b76f6b3cf99dfd31",
+    ("sem-long", "fpc", "semantic"):
+        "0760243a43aaa66aae3f79b034897ac60bce8cee99b7908f584af9346984d817",
 }
 
 
-def run_digest(cfg: ModelConfig, mode: str, backend: str) -> str:
+def run_digest(cfg: ModelConfig, tokens, mode: str, backend: str) -> str:
     weights = random_weights(cfg, np.random.default_rng(5))
-    res = run_protocol(mode, cfg, weights, TOKENS, seed=11, backend=backend)
+    res = run_protocol(mode, cfg, weights, tokens, seed=11, backend=backend)
     h = hashlib.sha256()
     for rep in (res.client_report, res.server_report):
         h.update(json.dumps(rep.to_dict(), sort_keys=True).encode())
@@ -60,6 +82,7 @@ def run_digest(cfg: ModelConfig, mode: str, backend: str) -> str:
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("name,mode,backend", sorted(DIGESTS), ids="-".join)
+@pytest.mark.parametrize("name,mode,backend", sorted(DIGESTS),
+                         ids=["-".join(key) for key in sorted(DIGESTS)])
 def test_run_matches_pinned_digest(name, mode, backend):
-    assert run_digest(CONFIGS[name], mode, backend) == DIGESTS[name, mode, backend]
+    assert run_digest(*CONFIGS[name], mode, backend) == DIGESTS[name, mode, backend]

@@ -1,12 +1,21 @@
-"""Fixed-point ring: encoding, truncation, matmul vs brute-force oracle."""
+"""Fixed-point ring: encoding, truncation, matmul vs brute-force oracle.
+
+Truncation is the `trunc` nonpoly stage run on plain words, the path the
+plaintext reference model takes."""
 
 import numpy as np
 import pytest
 
-from privtrans.ring import DEFAULT_RING, FixedTensor, RingParams, mat_mul, truncate
+from privtrans.ring import DEFAULT_RING, FixedTensor, RingParams, mat_mul
 from privtrans.securefn import SecureFnSpec, plain_apply
 
 import oracles
+
+
+def truncate(t: FixedTensor) -> FixedTensor:
+    """Shift right by frac_bits, saturating to the value range."""
+    spec = SecureFnSpec("trunc", shift=t.ring.frac_bits, ring=t.ring)
+    return FixedTensor(plain_apply(spec, t.data.reshape(-1, 1)).reshape(t.shape), t.ring)
 
 
 def rand_tensor(rng, rows, cols, ring, bits=14):

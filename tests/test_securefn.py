@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from privtrans import fixedfn, securefn
-from privtrans.circuits import CircuitBuilder, CircuitOps, eval_circuit, pack_bits, unpack_bits
+from privtrans.circuits import CircuitBuilder, CircuitOps, pack_bits, unpack_bits
 from privtrans.costs import CostReport
 from privtrans.ring import DEFAULT_RING
 from privtrans.securefn import (
@@ -16,6 +16,8 @@ from privtrans.securefn import (
     plain_apply,
 )
 from privtrans.transcript import Transcript
+
+from oracles import eval_circuit
 
 F = DEFAULT_RING.frac_bits
 

@@ -91,7 +91,7 @@ def test_enc_left_matmul_matches_oracle():
     left = rand_ring((3, 5), rng, DEFAULT_RING)
     r = rand_ring((5, 2), rng, DEFAULT_RING)
     with report.at("QxK", "offline"):
-        cts = enc_left_matmul(enc_rows(left, key, report), 5, r, report)
+        cts = enc_left_matmul(enc_rows(left, key, report), r, report)
         got = dec_rows(cts, 2, key.secret(), DEFAULT_RING, report)
     want = matmul_mod(left.data.tolist(), r.data.tolist(), 64)
     assert got.data.tolist() == want
