@@ -42,13 +42,16 @@ print("max error:", float(np.abs(got - ref).max()))
 # %%
 # The GC backend garbles the same stage as a circuit. The output masks are
 # the first draw from the rng, so with equally seeded rngs semantic and
-# garbled runs are indistinguishable.
+# garbled runs are indistinguishable. The evaluator's side of the oblivious
+# transfer draws from its own generator, rng_server: one derived from the
+# garbler's would let the garbler recompute the evaluator's choice bits.
 spec16 = SecureFnSpec("relu", 16)
 raw16 = rng.integers(0, 1 << 16, (6, 1), dtype=np.uint64)
 xc16 = rng.integers(0, 1 << 16, raw16.shape, dtype=np.uint64)
 xs16 = (raw16 - xc16) & np.uint64(0xFFFF)
 c_sem, s_sem = eval_secure(spec16, xc16, xs16, np.random.default_rng(2))
-c_gc, s_gc = eval_secure(spec16, xc16, xs16, np.random.default_rng(2), backend="gc")
+c_gc, s_gc = eval_secure(spec16, xc16, xs16, np.random.default_rng(2), backend="gc",
+                         rng_server=np.random.default_rng(4))
 assert np.array_equal(c_sem, c_gc) and np.array_equal(s_sem, s_gc)
 print("gc backend == semantic backend on relu lanes")
 
@@ -57,7 +60,7 @@ print("gc backend == semantic backend on relu lanes")
 # the transcript, so the cost of a stage is measurable, not guessed.
 t = Transcript()
 eval_secure(spec16, xc16, xs16, np.random.default_rng(2), backend="gc", transcript=t,
-            step="Others")
+            step="Others", rng_server=np.random.default_rng(4))
 print(f"gc bytes for 6 relu lanes: {t.bytes_sent('Others', 'online')}")
 
 # %%

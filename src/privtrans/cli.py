@@ -99,14 +99,24 @@ def load_run_config(obj: dict, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"config field 'model': {e}") from e
 
     if "weights_path" in obj:
-        weights, ring = load_weights(_field(obj, "weights_path", str))
+        wfield, path = "weights_path", _field(obj, "weights_path", str)
+        try:
+            weights, ring = load_weights(path)
+        except (OSError, ValueError) as e:
+            raise ConfigError(f"config field 'weights_path': {e}") from None
         if ring != cfg.ring:
             raise ConfigError("config field 'weights_path': ring does not match the model")
     else:
+        wfield = "weight_scale"
         wseed = _field(obj, "weights_seed", int, default=seed)
         scale = _field(obj, "weight_scale", (int, float), default=0.5)
+        if not 0 <= scale < float("inf"):
+            raise ConfigError(f"config field 'weight_scale': must be finite and >= 0, got {scale}")
         weights = random_weights(cfg, np.random.default_rng(wseed), scale=float(scale))
-    weights.validate(cfg)
+    try:
+        weights.validate(cfg)
+    except ValueError as e:
+        raise ConfigError(f"config field {wfield!r}: {e}") from None
 
     tokens = _field(obj, "tokens", list, default=[i % cfg.d_oh for i in range(cfg.n)])
     if len(tokens) != cfg.n or not all(isinstance(t, int) and 0 <= t < cfg.d_oh for t in tokens):
@@ -120,11 +130,12 @@ def load_run_config(obj: dict, overrides: dict | None = None) -> RunConfig:
     channel = ChannelModel()
     if "channel" in obj:
         c = _field(obj, "channel", dict)
-        channel = ChannelModel(
-            delay_s=float(_field(c, "delay_s", (int, float), default=channel.delay_s)),
-            bandwidth_bps=float(_field(c, "bandwidth_bps", (int, float),
-                                       default=channel.bandwidth_bps)),
-        )
+        kw = {k: float(_field(c, k, (int, float), default=getattr(channel, k)))
+              for k in ("delay_s", "bandwidth_bps")}
+        try:
+            channel = ChannelModel(**kw)
+        except ValueError as e:
+            raise ConfigError(f"config field 'channel': {e}") from None
 
     return RunConfig(mode, seed, cfg, weights, list(tokens), backend, strict, channel,
                      _field(obj, "report", str))

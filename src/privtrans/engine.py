@@ -76,23 +76,8 @@ class AuditError(RuntimeError):
     """The server's state holds a client secret."""
 
 
-@dataclass
-class PartyState:
-    """One party: its rng stream and its cost report."""
-
-    rng: np.random.Generator
-    report: CostReport
-
-
-@dataclass
-class ClientState(PartyState):
-    """The client also owns the HE key pair; the server never holds one."""
-
-    key: KeyPair
-
-
-def audit_server_ignorance(server: PartyState) -> list[str]:
-    """Paths of every KeyPair, SecretKey or client state reachable from the
+def audit_server_ignorance(server: Server) -> list[str]:
+    """Paths of every KeyPair, SecretKey or Client reachable from the
     server's state through object attributes, dicts, lists and tuples
     (must stay empty)."""
     found, seen = [], set()
@@ -101,7 +86,7 @@ def audit_server_ignorance(server: PartyState) -> list[str]:
         if id(obj) in seen:
             return
         seen.add(id(obj))
-        if isinstance(obj, (KeyPair, SecretKey, ClientState)):
+        if isinstance(obj, (KeyPair, SecretKey, Client)):
             found.append(path)
         elif isinstance(obj, dict):
             for k, v in obj.items():
@@ -122,13 +107,11 @@ def audit_server_ignorance(server: PartyState) -> list[str]:
 
 @dataclass
 class HgsMaterial(SingleUse):
-    """Offline product of one module: client input mask rc, server output
-    mask rs, and the client's decrypted share m_out = rc @ W + rs."""
+    """The server's material for one module: its output mask rs. The client
+    keeps its input mask rc and its decrypted share m_out = rc @ W + rs."""
 
     layer_id: str
-    rc: FixedTensor
     rs: FixedTensor
-    m_out: FixedTensor
 
 
 def run_hgs_layer(w, masked_in: FixedTensor, material: HgsMaterial,
@@ -149,31 +132,117 @@ class ChgsMaterial(SingleUse):
     """Offline terms for one fused block prefix (mode fpc)."""
 
     block_id: int
-    rc0: FixedTensor
     w_ed: FixedTensor
     lam: FixedTensor
-    enc_re_t: list          # Enc(R_e^T) rows
     head_b: list            # B_h = W_Q_h @ W_K_h^T, server plaintext
-    head_re_b: list         # Enc(R_e @ B_h) rows, per head
-    head_t4: list           # Enc(R_e B_h R_e^T) rows, per head
+    head_triples: list      # per head, the MatTriple of a = R_e B_h and b = R_e^T
+
+
+class Client:
+    """The client: its rng stream, its cost report and the HE key pair (its
+    rng's first draw), under which every encryption and decryption runs."""
+
+    def __init__(self, rng: np.random.Generator, he: HEParams, ring):
+        self.rng, self.ring, self.report = rng, ring, CostReport("client")
+        self.key = keygen(he, key_id=0, seed=int(rng.integers(0, 2**63)))
+
+    def rand(self, shape) -> FixedTensor:
+        return rand_ring(shape, self.rng, self.ring)
+
+
+class Server:
+    """The server: its rng stream and its cost report. Its methods take only
+    wire payloads, public weights and its own material."""
+
+    def __init__(self, rng: np.random.Generator, ring):
+        self.rng, self.ring, self.report = rng, ring, CostReport("server")
+
+    def mask_reply(self, lid: str, rc_cts: list[Ciphertext], layout: PackingLayout,
+                   w: FixedTensor | None, scalar: int | None = None):
+        """HE half of one module's mask exchange: Enc(rc @ W + rs) from the
+        client's packed Enc(rc), scalar in place of W for a coefficient
+        module. Returns the ciphertexts, their layout and the material rs."""
+        rep = self.report
+        if scalar is not None:
+            out_cts, layout_out = [he_mul_plain(ct, scalar, rep) for ct in rc_cts], layout
+        else:
+            out_cts, layout_out = he_matmul(rc_cts, layout, w, rep)
+        rs = rand_ring((layout.n, layout_out.d), self.rng, self.ring)
+        out_cts = [he_add_plain(ct, v, rep) for ct, v in zip(out_cts, pack_plain(rs, layout_out))]
+        return out_cts, layout_out, HgsMaterial(lid, rs)
+
+    def four_terms(self, left: FixedTensor, right: FixedTensor, triple: MatTriple) -> tuple:
+        """(L @ R, Enc(a) @ R, L @ Enc(b), Enc(ab), rs): the terms of
+        (L + a)(R + b) for plaintext L, R, the triple's row-encrypted a, b
+        and ab, and a fresh output mask. No ciphertext multiplies a
+        ciphertext."""
+        triple.mark_used()
+        rs = rand_ring((left.rows, right.cols), self.rng, self.ring)
+        return (mat_mul(left, right), enc_left_matmul(triple.left_ct, right, self.report),
+                plain_left_matmul(left, triple.right_ct, self.report), triple.product_ct, rs)
+
+    def reveal(self, heads) -> list[Ciphertext]:
+        """Enc(t1 + t2 + t3 + t4 - rs) row by row for each head of terms (t1,
+        rs plaintext; t2, t3, t4 encrypted rows), heads stacked."""
+        rep, rows = self.report, []
+        for t1, t2, t3, t4, rs in heads:
+            for i in range(t1.rows):
+                acc = he_add(t2[i], t3[i], rep)
+                acc = he_add(acc, t4[i], rep)
+                rows.append(he_add_plain(acc, t1.data[i] - rs.data[i], rep))
+        return rows
+
+    def chgs_terms(self, enc_rc0: list[Ciphertext], enc_rc0_t: list[Ciphertext],
+                   w_ed: FixedTensor, w_q: FixedTensor, w_k: FixedTensor, head_slices):
+        """Fused-prefix terms from Enc(Rc0), Enc(Rc0^T) rows: Enc(R_e^T), and
+        per head B_h, Enc(R_e B_h) and Enc(Rc0 W_M_h) + G_h for a fresh G_h
+        that the server keeps (W_M_h = W_ed B_h W_ed^T)."""
+        rep = self.report
+        enc_re = enc_left_matmul(enc_rc0, w_ed, rep)
+        enc_re_t = plain_left_matmul(w_ed.transpose(), enc_rc0_t, rep)
+        head_b, head_re_b, masked_wm, g_masks = [], [], [], []
+        for sl in head_slices:
+            b_h = mat_mul(FixedTensor(w_q.data[:, sl].copy(), self.ring),
+                          FixedTensor(w_k.data[:, sl].T.copy(), self.ring))
+            head_b.append(b_h)
+            head_re_b.append(enc_left_matmul(enc_re, b_h, rep))
+            w_m = mat_mul(mat_mul(w_ed, b_h), w_ed.transpose())
+            g_h = rand_ring((len(enc_rc0), w_ed.rows), self.rng, self.ring)
+            g_masks.append(g_h)
+            rows = enc_left_matmul(enc_rc0, w_m, rep)
+            masked_wm.append([he_add_plain(ct, v, rep) for ct, v in zip(rows, g_h.data)])
+        return enc_re_t, head_b, head_re_b, masked_wm, g_masks
+
+    def strip(self, back: list[Ciphertext], g_h: FixedTensor, enc_rc0_t) -> list[Ciphertext]:
+        """Enc(Rc0 W_M_h Rc0^T): the client's reply minus G_h Rc0^T, under HE."""
+        strip = plain_left_matmul(-g_h, enc_rc0_t, self.report)
+        return [he_add(a, b, self.report) for a, b in zip(back, strip)]
+
+    def chgs_heads(self, x0_masked: FixedTensor, mat: ChgsMaterial):
+        """P_s = (X0 - Rc0) W_ed + lam and, per head, the four terms of
+        S_h = (P_s B_h + R_e B_h)(P_s^T + R_e^T)."""
+        mat.mark_used()
+        p_s = mat_mul(x0_masked, mat.w_ed) + mat.lam
+        return p_s, [self.four_terms(mat_mul(p_s, b_h), p_s.transpose(), t)
+                     for b_h, t in zip(mat.head_b, mat.head_triples)]
 
 
 class Session:
-    """One two-party inference run in a fixed protocol mode.
-
-    Both state machines execute in-process over a shared Transcript. `_at`
-    opens one (step, phase) scope for both parties' counters and for every
-    message and interaction the session logs inside it, so each lands where
-    it falls in a deployed offline/online split; outside any scope that is
+    """One two-party inference run in a fixed protocol mode: the script
+    that orders the Client's and the Server's steps in-process over a
+    shared Transcript and logs each message between them. `_at` opens one
+    (step, phase) scope for both parties' counters and for every message
+    and interaction the session logs inside it, so each lands where it
+    falls in a deployed offline/online split; outside any scope that is
     ("Others", "online"), as for a bare CostReport. Module material is made
     in one phase, `prep`: online in mode base, offline in the others. Every
     client random draw (masks, triples, GC labels) is input-independent, so
     all material tagged offline really is derivable before the input
     arrives.
 
-    The HE key pair lives on the client's state; the server's state is its
-    rng and its cost report only, and `run` ends by auditing that no client
-    secret is reachable from it.
+    The HE key pair lives on the Client; the Server holds its rng and its
+    cost report only, and `run` ends by auditing that no client secret is
+    reachable from it.
     """
 
     def __init__(self, cfg: ModelConfig, weights: ModelWeights, mode: str, seed: int, *,
@@ -187,10 +256,8 @@ class Session:
         top = max(cfg.d_oh, cfg.d_emb, cfg.d_ff, cfg.n, cfg.d_out, 2)
         self.he = HEParams(slots=1 << (top - 1).bit_length())
         c_ss, s_ss = np.random.SeedSequence(seed).spawn(2)
-        c_rng = np.random.default_rng(c_ss)
-        key = keygen(self.he, key_id=0, seed=int(c_rng.integers(0, 2**63)))
-        self.client = ClientState(c_rng, CostReport("client"), key)
-        self.server = PartyState(np.random.default_rng(s_ss), CostReport("server"))
+        self.client = Client(np.random.default_rng(c_ss), self.he, cfg.ring)
+        self.server = Server(np.random.default_rng(s_ss), cfg.ring)
         self.packing = (PackingStrategy.TOKENS_FIRST if mode in ("fp", "fpc")
                         else PackingStrategy.FEATURES_FIRST)
         if self.packing is PackingStrategy.TOKENS_FIRST and self.he.slots % cfg.n:
@@ -227,12 +294,6 @@ class Session:
     def _interaction(self) -> None:
         self.transcript.interaction(*self.client.report.scope)
 
-    def _rand_c(self, shape) -> FixedTensor:
-        return rand_ring(shape, self.client.rng, self.cfg.ring)
-
-    def _rand_s(self, shape) -> FixedTensor:
-        return rand_ring(shape, self.server.rng, self.cfg.ring)
-
     def _head_slices(self):
         dh = self.cfg.d_head
         return [slice(h * dh, (h + 1) * dh) for h in range(self.cfg.H)]
@@ -244,31 +305,22 @@ class Session:
 
     # -- module material ------------------------------------------------------
 
-    def _gen_hgs(self, lid: str, w: FixedTensor | None, *, scalar: int | None = None,
-                 rc: FixedTensor | None = None,
-                 rc_cts: list[Ciphertext] | None = None) -> HgsMaterial:
-        """Mask exchange for one module: client ships Enc(rc) packed, the
+    def _gen_hgs(self, lid: str, w: FixedTensor | None, rc: FixedTensor, *,
+                 scalar: int | None = None, rc_cts: list[Ciphertext] | None = None):
+        """Mask exchange for one module: the client ships Enc(rc) packed, the
         server returns Enc(rc @ W + rs), the client decrypts its share. A
-        coefficient module (scalar in place of W) acts on d_emb features."""
-        cfg, rep_s = self.cfg, self.server.report
-        if rc is None:
-            rc = self._rand_c((cfg.n, cfg.d_emb if w is None else w.rows))
+        coefficient module (scalar in place of W) acts on d_emb features.
+        Returns the server's material and the client's m_out = rc @ W + rs."""
         if rc_cts is None:
             rc_cts = self._pack_mask(rc)
-        layout = self._layout(rc.cols)
-        if scalar is not None:
-            out_cts, layout_out = [he_mul_plain(ct, scalar, rep_s) for ct in rc_cts], layout
-        else:
-            out_cts, layout_out = he_matmul(rc_cts, layout, w, rep_s)
-        rs = self._rand_s((cfg.n, layout_out.d))
-        out_cts = [he_add_plain(ct, v, rep_s) for ct, v in zip(out_cts, pack_plain(rs, layout_out))]
+        out_cts, layout_out, mat = self.server.mask_reply(lid, rc_cts, self._layout(rc.cols),
+                                                          w, scalar)
         self._send("server", out_cts)
         if self.prep == "offline":
             # an online-generated module piggybacks on its remask interaction
             self._interaction()
-        m_out = unpack(out_cts, layout_out, self.client.key.secret(), cfg.ring,
-                       self.client.report)
-        return HgsMaterial(lid, rc, rs, m_out)
+        c = self.client
+        return mat, unpack(out_cts, layout_out, c.key.secret(), self.cfg.ring, c.report)
 
     def _gen_triple(self, left: FixedTensor, right: FixedTensor) -> MatTriple:
         """Client-built product triple shipped to the server."""
@@ -284,34 +336,20 @@ class Session:
         the server masks Enc(Rc0 W_M_h) with G_h, the client decrypts,
         multiplies by Rc0^T and re-encrypts, and the server strips G_h Rc0^T
         homomorphically via Enc(Rc0^T)."""
-        ring, key = self.cfg.ring, self.client.key
-        rep_c, rep_s = self.client.report, self.server.report
-        enc_rc0 = enc_rows(rc0, key, rep_c)
-        enc_rc0_t = enc_rows(rc0.transpose(), key, rep_c)
+        key, rep_c = self.client.key, self.client.report
+        enc_rc0, enc_rc0_t = enc_rows(rc0, key, rep_c), enc_rows(rc0.transpose(), key, rep_c)
         self._send("client", enc_rc0 + enc_rc0_t)
-        enc_re = enc_left_matmul(enc_rc0, w_ed, rep_s)
-        enc_re_t = plain_left_matmul(w_ed.transpose(), enc_rc0_t, rep_s)
-        head_b, head_re_b, masked_wm, g_masks = [], [], [], []
-        for sl in self._head_slices():
-            b_h = mat_mul(FixedTensor(w_q.data[:, sl].copy(), ring),
-                          FixedTensor(w_k.data[:, sl].T.copy(), ring))
-            head_b.append(b_h)
-            head_re_b.append(enc_left_matmul(enc_re, b_h, rep_s))
-            w_m = mat_mul(mat_mul(w_ed, b_h), w_ed.transpose())
-            g_h = self._rand_s(rc0.shape)
-            g_masks.append(g_h)
-            rows = enc_left_matmul(enc_rc0, w_m, rep_s)
-            masked_wm.append([he_add_plain(ct, v, rep_s) for ct, v in zip(rows, g_h.data)])
+        enc_re_t, head_b, head_re_b, masked_wm, g_masks = self.server.chgs_terms(
+            enc_rc0, enc_rc0_t, w_ed, w_q, w_k, self._head_slices())
         self._send("server", [ct for rows in masked_wm for ct in rows])
-        head_t4 = []
-        for rows, g_h in zip(masked_wm, g_masks):
-            y_h = dec_rows(rows, rc0.cols, key.secret(), ring, rep_c)
+        triples = []
+        for h, (re_b, rows, g_h) in enumerate(zip(head_re_b, masked_wm, g_masks)):
+            y_h = dec_rows(rows, rc0.cols, key.secret(), self.cfg.ring, rep_c)
             back = enc_rows(mat_mul(y_h, rc0.transpose()), key, rep_c)
             self._send("client", back)
-            strip = plain_left_matmul(-g_h, enc_rc0_t, rep_s)
-            head_t4.append([he_add(a, b, rep_s) for a, b in zip(back, strip)])
+            triples.append(MatTriple(h, re_b, enc_re_t, self.server.strip(back, g_h, enc_rc0_t)))
         self._interaction()  # the extra offline round
-        return ChgsMaterial(blk_i, rc0, w_ed, lam, enc_re_t, head_b, head_re_b, head_t4)
+        return ChgsMaterial(blk_i, w_ed, lam, head_b, triples)
 
     # -- online plumbing ------------------------------------------------------
 
@@ -324,28 +362,10 @@ class Session:
         self._interaction()
         return tuple(held + d for (held, _), d in zip(chains, deltas))
 
-    def _four_terms(self, left: FixedTensor, right: FixedTensor, enc_a: list[Ciphertext],
-                    enc_b: list[Ciphertext], enc_ab: list[Ciphertext]) -> tuple:
-        """The terms of (L + a)(R + b) = LR + aR + Lb + ab for plaintext
-        factors L, R and row-encrypted a, b, ab, plus the server's fresh
-        output mask: (L @ R, Enc(a) @ R, L @ Enc(b), Enc(ab), rs). No
-        ciphertext multiplies a ciphertext."""
-        rep_s = self.server.report
-        rs = self._rand_s((left.rows, right.cols))
-        return (mat_mul(left, right), enc_left_matmul(enc_a, right, rep_s),
-                plain_left_matmul(left, enc_b, rep_s), enc_ab, rs)
-
     def _reveal(self, heads) -> FixedTensor:
-        """Server assembles Enc(t1 + t2 + t3 + t4 - rs) row by row for each
-        head (t1, rs plaintext; t2, t3, t4 encrypted rows) and sends all rows
-        in one message; the client decrypts its shares, heads stacked."""
-        rep_s = self.server.report
-        rows = []
-        for t1, t2, t3, t4, rs in heads:
-            for i in range(t1.rows):
-                acc = he_add(t2[i], t3[i], rep_s)
-                acc = he_add(acc, t4[i], rep_s)
-                rows.append(he_add_plain(acc, t1.data[i] - rs.data[i], rep_s))
+        """The server sends all rows of the revealed heads in one message;
+        the client decrypts its shares, heads stacked."""
+        rows = self.server.reveal(heads)
         self._send("server", rows)
         return dec_rows(rows, heads[0][0].cols, self.client.key.secret(), self.cfg.ring,
                         self.client.report)
@@ -355,22 +375,14 @@ class Session:
         """Shares of L @ R from L - a and R - b, masked by the triple's own
         a and b: the four-term product of the masked factors. The client
         ends with L @ R - rs, the server keeps a fresh rs."""
-        triple.mark_used()
-        terms = self._four_terms(left_masked, right_masked, triple.left_ct, triple.right_ct,
-                                 triple.product_ct)
+        terms = self.server.four_terms(left_masked, right_masked, triple)
         return self._reveal([terms]), terms[-1]
 
     def chgs_scores(self, x0_masked: FixedTensor, mat: ChgsMaterial):
-        """Server-side fused score evaluation per head: S_h = (P_s + R_e) B_h
-        (P_s + R_e)^T is the four-term product of L = P_s B_h and R = P_s^T
-        with a = R_e B_h and b = R_e^T, its encrypted terms prepared
-        offline. Returns P_s and the (server, client) score shares stacked
-        by head.
-        """
-        mat.mark_used()
-        p_s = mat_mul(x0_masked, mat.w_ed) + mat.lam
-        heads = [self._four_terms(mat_mul(p_s, b_h), p_s.transpose(), re_b, mat.enc_re_t, t4)
-                 for b_h, re_b, t4 in zip(mat.head_b, mat.head_re_b, mat.head_t4)]
+        """Fused scores S_h = (P_s + R_e) B_h (P_s + R_e)^T per head from the
+        server's terms. Returns P_s and the (server, client) score shares
+        stacked by head."""
+        p_s, heads = self.server.chgs_heads(x0_masked, mat)
         s_client = self._reveal(heads)
         s_server = FixedTensor(np.vstack([rs.data for *_, rs in heads]), self.cfg.ring)
         return p_s, (s_server, s_client)
@@ -397,34 +409,38 @@ class Session:
         with the public positional offset added server-side."""
         cfg, w = self.cfg, self.weights
         with self._at("Embed", prep=True):
-            m_e = self._gen_hgs("embed.vocab", w.w_e)
-            m_dl = self._gen_hgs("embed.posn", None, scalar=cfg.delta)
+            rc_e = self.client.rand((cfg.n, cfg.d_oh))
+            m_e, out_e = self._gen_hgs("embed.vocab", w.w_e, rc_e)
+            rc_dl = self.client.rand((cfg.n, cfg.d_emb))
+            m_dl, out_dl = self._gen_hgs("embed.posn", None, rc_dl, scalar=cfg.delta)
         with self._at("Embed"):
             zeros = FixedTensor.zeros(*x0.shape, cfg.ring)
-            masked, = self._remask(m_e.rc, (zeros, x0))
+            masked, = self._remask(rc_e, (zeros, x0))
             masked_e = run_hgs_layer(w.w_e, masked, m_e)
-            masked, = self._remask(m_dl.rc, (masked_e, m_e.m_out))
+            masked, = self._remask(rc_dl, (masked_e, out_e))
         masked_x1 = run_hgs_layer(None, masked, m_dl, bias=cfg.lam, scalar=cfg.delta)
-        return masked_x1, m_dl.m_out
+        return masked_x1, out_dl
 
     def _weight_module(self, lid: str, w: FixedTensor, chain):
         with self._at("Others", prep=True):
-            mat = self._gen_hgs(lid, w)
+            rc = self.client.rand((self.cfg.n, w.rows))
+            mat, m_out = self._gen_hgs(lid, w, rc)
         with self._at("Others"):
-            masked, = self._remask(mat.rc, chain)
-        return run_hgs_layer(w, masked, mat), mat.m_out
+            masked, = self._remask(rc, chain)
+        return run_hgs_layer(w, masked, mat), m_out
 
     def _prefix_hgs(self, blk_i: int, chain):
         """Modes base/f/fp: QKV modules sharing one input mask, then the
         per-head same-mask score product. Two online interactions."""
         cfg, blk, ring = self.cfg, self.weights.blocks[blk_i], self.cfg.ring
         with self._at("QKV", prep=True):
-            rc_qkv = self._rand_c((cfg.n, cfg.d_emb))
+            rc_qkv = self.client.rand((cfg.n, cfg.d_emb))
             qkv_cts = self._pack_mask(rc_qkv)
-            m_q, m_k, m_v = [self._gen_hgs(f"b{blk_i}.w{p}", getattr(blk, f"w_{p}"),
-                                           rc=rc_qkv, rc_cts=qkv_cts) for p in "qkv"]
+            (m_q, q_out), (m_k, k_out), (m_v, v_out) = [
+                self._gen_hgs(f"b{blk_i}.w{p}", getattr(blk, f"w_{p}"), rc_qkv, rc_cts=qkv_cts)
+                for p in "qkv"]
         with self._at("QxK", prep=True):
-            rc_qk = self._rand_c((cfg.n, cfg.d_emb))
+            rc_qk = self.client.rand((cfg.n, cfg.d_emb))
             triples = [self._gen_triple(FixedTensor(rc_qk.data[:, sl].copy(), ring),
                                         FixedTensor(rc_qk.data[:, sl].T.copy(), ring))
                        for sl in self._head_slices()]
@@ -435,14 +451,14 @@ class Session:
         masked_k = run_hgs_layer(blk.w_k, masked_x1, m_k)
         masked_v = run_hgs_layer(blk.w_v, masked_x1, m_v)
         with self._at("QxK"):
-            mq, mk = self._remask(rc_qk, (masked_q, m_q.m_out), (masked_k, m_k.m_out))
+            mq, mk = self._remask(rc_qk, (masked_q, q_out), (masked_k, k_out))
             heads = [self.triple_product(FixedTensor(mq.data[:, sl].copy(), ring),
                                          FixedTensor(mk.data[:, sl].copy(), ring).transpose(),
                                          triple)
                      for sl, triple in zip(self._head_slices(), triples)]
         s_client = FixedTensor(np.vstack([c.data for c, _ in heads]), ring)
         s_server = FixedTensor(np.vstack([s.data for _, s in heads]), ring)
-        return (s_server, s_client), (masked_v, m_v.m_out)
+        return (s_server, s_client), (masked_v, v_out)
 
     def _prefix_chgs(self, blk_i: int, chain, x0: FixedTensor | None):
         """Mode fpc: fused prefix with one online exchange under QxK.
@@ -458,7 +474,7 @@ class Session:
         if first:
             w_ed = w.w_e.scalar_mul(cfg.delta)
             lam = cfg.lam
-            rc0 = self._rand_c((cfg.n, cfg.d_oh))
+            rc0 = self.client.rand((cfg.n, cfg.d_oh))
         else:
             w_ed = FixedTensor(np.eye(cfg.d_emb, dtype=np.uint64), ring)
             lam = FixedTensor.zeros(cfg.n, cfg.d_emb, ring)
@@ -467,10 +483,10 @@ class Session:
             mat = self.chgs_material(blk_i, rc0, w_ed, lam, blk.w_q, blk.w_k)
         w_ev = mat_mul(w_ed, blk.w_v)
         with self._at("QKV", prep=True):
-            m_v = self._gen_hgs(f"b{blk_i}.fuse_v", w_ev, rc=rc0)
+            m_v, v_out = self._gen_hgs(f"b{blk_i}.fuse_v", w_ev, rc0)
         if first:
             with self._at("Embed", prep=True):
-                m_x = self._gen_hgs("embed.fused", w_ed, rc=rc0)
+                m_x, x_out = self._gen_hgs("embed.fused", w_ed, rc0)
 
         # online: one interaction carries the whole prefix
         with self._at("QxK"):
@@ -485,10 +501,10 @@ class Session:
                                  bias=mat_mul(lam, blk.w_v) if first else None)
         if first:
             m_x.mark_used()
-            x1_chain = (p_s - m_x.rs, m_x.m_out)
+            x1_chain = (p_s - m_x.rs, x_out)
         else:
             x1_chain = chain
-        return s_chain, (masked_v, m_v.m_out), x1_chain
+        return s_chain, (masked_v, v_out), x1_chain
 
     def _attention_value(self, p_chain, v_chain):
         """Per-head product of the softmax shares with the masked values;

@@ -353,7 +353,8 @@ def softmax_row(ops, xs, ring: RingParams):
     m = max_reduce(ops, xs)
     es = []
     for x in xs:
-        u = ops.sub(ops.resize(x, x.width + 1), ops.resize(m, x.width + 1))
+        w = min(x.width + 1, 64)  # a semantic value is one 64-bit word; circuits match it
+        u = ops.sub(ops.resize(x, w), ops.resize(m, w))
         es.append(exp_approx(ops, u, f))
     s = tree_sum(ops, es, 14 + max(1, (n - 1).bit_length()) + 1)
     r = reciprocal(ops, s, out_width=14)  # sum >= 1, so 1/sum <= 1

@@ -173,7 +173,8 @@ def eval_secure(
     Returns (client_new, server_new), both (lanes, count): the client keeps
     its fresh masks, the server keeps F(x) - mask. The masks are the first
     draw from rng, before the backends branch, so equally seeded rngs give
-    both backends the same masks.
+    both backends the same masks. The gc backend also needs rng_server, the
+    server's own generator for its side of the OT.
 
     Phase split: the AND gates are billed offline, because garbling does not
     depend on the inputs and can run before they arrive; the garbled
@@ -185,6 +186,8 @@ def eval_secure(
     server_vals = np.atleast_2d(np.asarray(server_vals, dtype=np.uint64))
     if client_vals.shape != server_vals.shape or client_vals.shape[1] != spec.count:
         raise ValueError("share matrices must both be (lanes, count)")
+    if backend == "gc" and rng_server is None:
+        raise ValueError("backend 'gc' needs rng_server, the evaluator's own generator")
     lanes = client_vals.shape[0]
     masks = rng.integers(0, 1 << 64, (lanes, spec.count), dtype=np.uint64)
     masks &= width_mask(spec.bitwidth)
@@ -220,8 +223,6 @@ def eval_secure(
     if backend != "gc":
         raise ValueError(f"unknown backend {backend!r}")
 
-    if rng_server is None:
-        rng_server = np.random.default_rng(int(rng.integers(0, 2**63, dtype=np.uint64)))
     gt, state = garble(circ, lanes, rng)
     w = spec.bitwidth
     client_bits = np.concatenate(

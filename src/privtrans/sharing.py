@@ -4,10 +4,11 @@ Masks are sampled uniformly over the WHOLE ring (not the value range): a
 masked message x - r is then itself ring-uniform, which is what the
 chi-square acceptance test checks.
 
-A MatTriple carries client masks L, R plus row-encrypted Enc(L), Enc(R)
-and Enc(L @ R), and the server's next-layer mask. For the attention-score
-product Q @ K^T the two masks are the same matrix and its transpose, so
-the product ciphertext decrypts to mask @ mask.T.
+A MatTriple carries the row-encrypted Enc(L), Enc(R) and Enc(L @ R) of
+the client's masks L, R, and no plaintext mask: it is the server's
+material, and the client keeps L and R. For the attention-score product
+Q @ K^T the two masks are the same matrix and its transpose, so the
+product ciphertext decrypts to mask @ mask.T.
 """
 
 from __future__ import annotations
@@ -130,8 +131,6 @@ class MatTriple(SingleUse):
     """Offline material for one masked matrix product L-shape @ R-shape."""
 
     triple_id: int
-    left_mask: FixedTensor
-    right_mask: FixedTensor
     left_ct: list[Ciphertext]
     right_ct: list[Ciphertext]
     product_ct: list[Ciphertext]
@@ -149,8 +148,6 @@ def make_product_triple(
         raise ValueError("mask shapes do not chain")
     return MatTriple(
         triple_id=triple_id,
-        left_mask=left,
-        right_mask=right,
         left_ct=enc_rows(left, key, report),
         right_ct=enc_rows(right, key, report),
         product_ct=enc_rows(mat_mul(left, right), key, report),

@@ -209,7 +209,8 @@ def test_6_secure_softmax_accuracy_and_gc_agreement():
     xs16 = (raw16 - xc16) & np.uint64(0xFFFF)
     # equally seeded rngs draw the same client masks on both backends
     c_sem, s_sem = eval_secure(spec16, xc16, xs16, np.random.default_rng(2))
-    c_gc, s_gc = eval_secure(spec16, xc16, xs16, np.random.default_rng(2), backend="gc")
+    c_gc, s_gc = eval_secure(spec16, xc16, xs16, np.random.default_rng(2), backend="gc",
+                             rng_server=np.random.default_rng(3))
     assert np.array_equal(c_sem, c_gc) and np.array_equal(s_sem, s_gc)
     print(f"pass: softmax max err {err:.6f} <= 2^-5 over {lanes} rows; gc == semantic at w=16")
 

@@ -142,6 +142,19 @@ def test_config_errors_name_the_field(tmp_path):
         load_run_config(toy_obj(backend="analytic"))
     with pytest.raises(ConfigError, match="expected int"):
         load_run_config(toy_obj(seed=True))
+    # weights that cannot be made or read, and a channel the model refuses
+    with pytest.raises(ConfigError, match="'weight_scale': w_e: values exceed"):
+        load_run_config(toy_obj(weight_scale=1000))
+    with pytest.raises(ConfigError, match="'weight_scale': must be finite and >= 0"):
+        load_run_config(toy_obj(weight_scale=-0.5))
+    corrupt = tmp_path / "corrupt.bin"
+    corrupt.write_bytes(b"junk" * 4)
+    with pytest.raises(ConfigError, match=r"'weights_path': not a weight file \(bad magic\)"):
+        load_run_config(toy_obj(weights_path=str(corrupt)))
+    with pytest.raises(ConfigError, match="'weights_path': .*No such file"):
+        load_run_config(toy_obj(weights_path=str(tmp_path / "missing.bin")))
+    with pytest.raises(ConfigError, match="'channel': delay_s must be >= 0"):
+        load_run_config(toy_obj(channel={"delay_s": -0.5}))
     bad = tmp_path / "bad.json"
     bad.write_text('{"mode": "f",\n  "seed": }\n')
     with pytest.raises(ConfigError, match="line 2"):
@@ -164,6 +177,15 @@ def test_main_run_verify_and_exit_codes(tmp_path, capsys):
     missing = tmp_path / "missing_seed.json"
     missing.write_text(json.dumps({"model": toy_obj()["model"]}))
     assert main(["verify", "--config", str(missing)]) == 1
+
+    # a value the model refuses ends the run with the field's name, not a traceback
+    huge = tmp_path / "huge_weights.json"
+    huge.write_text(json.dumps(toy_obj(weight_scale=1000)))
+    capsys.readouterr()
+    assert main(["run", "--config", str(huge)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: config field 'weight_scale':")
 
     assert main(["plan", "30", "30522", "4096"]) == 0
     assert '"ciphertexts": 224' in capsys.readouterr().out

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from privtrans import engine
 from privtrans.engine import (
     MODES,
     AuditError,
@@ -20,6 +21,7 @@ from privtrans.model import BlockWeights, ModelConfig, ModelWeights, random_weig
 from privtrans.packing import PackingStrategy
 from privtrans.ring import DEFAULT_RING, FixedTensor, mat_mul
 from privtrans.sharing import TripleReuse, make_product_triple, rand_ring
+from privtrans.she import KeyPair, SecretKey
 
 import oracles
 from test_she import ciphertext_pair_ops
@@ -99,7 +101,7 @@ def test_hgs_layer_identity_zero_masks_passes_through():
     x = rand_mat(rng, (5, 5))
     eye = FixedTensor(np.eye(5, dtype=np.uint64), DEFAULT_RING)
     zero = FixedTensor.zeros(5, 5, DEFAULT_RING)
-    out = run_hgs_layer(eye, x, HgsMaterial("id", zero, zero, zero))
+    out = run_hgs_layer(eye, x, HgsMaterial("id", zero))
     assert out == x
 
 
@@ -109,7 +111,7 @@ def test_hgs_layer_matches_matmul_oracle():
         x, w = rand_mat(rng, (8, 8)), rand_mat(rng, (8, 8))
         rc, rs = rand_mat(rng, (8, 8)), rand_mat(rng, (8, 8))
         m_out = mat_mul(rc, w) + rs
-        out = run_hgs_layer(w, x - rc, HgsMaterial("m", rc, rs, m_out))
+        out = run_hgs_layer(w, x - rc, HgsMaterial("m", rs))
         assert (out + m_out).data.tolist() == mm64(x, w)
 
 
@@ -120,7 +122,7 @@ def test_hgs_layer_online_phase_is_he_free_and_single_use():
     rng = np.random.default_rng(4)
     x, w = rand_mat(rng, (4, 8)), rand_mat(rng, (8, 8))
     rc, rs = rand_mat(rng, (4, 8)), rand_mat(rng, (4, 8))
-    mat = HgsMaterial("once", rc, rs, mat_mul(rc, w) + rs)
+    mat = HgsMaterial("once", rs)
     run_hgs_layer(w, x - rc, mat)
     after = {k: s.server.report.total(k) for k in before}
     assert before == after
@@ -367,6 +369,70 @@ def test_server_ignorance_audit_clean_run_and_poisoned_state():
             assert audit_server_ignorance(s.server) == [path], what
             with pytest.raises(AuditError, match=re.escape(path)):
                 s.run(tokens)
+
+
+def test_server_code_never_receives_client_secrets(monkeypatch):
+    # every Server method and run_hgs_layer is wrapped, and each call's
+    # arguments are walked like the server's state in the audit: no call
+    # may carry the Client, a KeyPair, a SecretKey, or a tensor holding any
+    # word of a tensor the client's random draws returned (its masks and its
+    # GC output masks) or the client decrypted (its shares such as m_out),
+    # so slices and transposes of a mask count too
+    drawn, leaks, calls = [], [], set()
+
+    def record(fn, pick):
+        def recorded(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            drawn.append(pick(out))
+            return out
+        return recorded
+
+    def is_secret(obj):
+        if isinstance(obj, (engine.Client, KeyPair, SecretKey)):
+            return True
+        return isinstance(obj, FixedTensor) and bool(
+            np.isin(obj.data, np.concatenate([d.data.ravel() for d in drawn])).any())
+
+    def walk(obj, path, seen):
+        if id(obj) in seen:
+            return
+        seen.add(id(obj))
+        if is_secret(obj):
+            leaks.append(path)
+        elif isinstance(obj, dict):
+            for k, v in obj.items():
+                walk(v, f"{path}[{k!r}]", seen)
+        elif isinstance(obj, (list, tuple)):
+            for i, v in enumerate(obj):
+                walk(v, f"{path}[{i}]", seen)
+        elif isinstance(getattr(obj, "__dict__", None), dict):
+            for k, v in vars(obj).items():
+                walk(v, f"{path}.{k}", seen)
+
+    def audited(name, fn):
+        def call(*args, **kwargs):
+            calls.add(name)
+            walk((args, kwargs), name, set())
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(engine.Client, "rand", record(engine.Client.rand, lambda t: t))
+    monkeypatch.setattr(Session, "_gc", record(Session._gc, lambda chain: chain[1]))
+    for name in ("unpack", "dec_rows"):
+        monkeypatch.setattr(engine, name, record(getattr(engine, name), lambda t: t))
+    server_fns = [n for n, f in vars(engine.Server).items() if inspect.isfunction(f)]
+    for name in server_fns:
+        monkeypatch.setattr(engine.Server, name,
+                            audited(f"Server.{name}", getattr(engine.Server, name)))
+    monkeypatch.setattr(engine, "run_hgs_layer", audited("run_hgs_layer", run_hgs_layer))
+    for norm, activation in (("post", "relu"), ("pre", "gelu")):
+        cfg = toy_cfg(norm=norm, activation=activation)
+        w = random_weights(cfg, np.random.default_rng(5))
+        for mode in MODES:
+            drawn.clear()
+            run_protocol(mode, cfg, w, [3, 1, 4, 1], seed=11)
+            assert drawn and leaks == [], (norm, mode, leaks)
+    assert calls == {f"Server.{n}" for n in server_fns} | {"run_hgs_layer"}
 
 
 def test_session_packing_defaults_and_validation():

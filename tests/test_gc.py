@@ -276,7 +276,8 @@ def test_semantic_backend_never_computes_a_level_schedule(monkeypatch):
     assert built and all("levels" not in c.__dict__ for c in built)
     # the check can fail: a garbled stage does compute the schedule
     securefn.eval_secure(SecureFnSpec("relu", 8), np.zeros((1, 1), np.uint64),
-                         np.zeros((1, 1), np.uint64), np.random.default_rng(0), backend="gc")
+                         np.zeros((1, 1), np.uint64), np.random.default_rng(0), backend="gc",
+                         rng_server=np.random.default_rng(1))
     assert "levels" in built[-1].__dict__
 
 

@@ -3,9 +3,11 @@ reports, so a refactor that must keep the protocol unchanged can show it.
 
 Each digest covers both parties' CostReport.to_dict(), the transcript's
 to_jsonl() and summary(), and both logit shares. The desk digests were
-taken from the code before the party split, the sem-wide and sem-long ones
-(the models of perfbench/workloads.py) before the four-term product was
-shared; any change to a counter, message, byte or share of these runs
+taken from the code before the HE key moved onto the client, the sem-wide
+and sem-long ones (the models of perfbench/workloads.py) before the
+four-term product was shared, and all of them held unchanged when Session
+was split into a Client and a Server with each material record owned by
+one party; any change to a counter, message, byte or share of these runs
 changes a digest. A deliberate protocol change updates the table and says
 why in CHANGES.md.
 """

@@ -93,7 +93,8 @@ def test_backends_agree_on_every_fn():
         xc, xs = share_raw(raw, rng, w)
         # equally seeded rngs draw the same client masks on both backends
         c_sem, s_sem = eval_secure(spec, xc, xs, np.random.default_rng(1))
-        c_gc, s_gc = eval_secure(spec, xc, xs, np.random.default_rng(1), backend="gc")
+        c_gc, s_gc = eval_secure(spec, xc, xs, np.random.default_rng(1), backend="gc",
+                                 rng_server=np.random.default_rng(2))
         assert np.array_equal(c_sem, c_gc), spec.fn
         assert np.array_equal(s_sem, s_gc), spec.fn
         assert np.array_equal(
@@ -126,6 +127,19 @@ def test_softmax_on_shares_matches_known_values():
     c2, s2 = eval_secure(spec2, xc2, xs2, rng)
     got2 = signed_dec(reconstruct(c2, s2, 64), 64, F)[0]
     assert np.max(np.abs(got2 - 0.5)) <= 2.0 ** -6
+
+
+def test_64_bit_softmax_row_agrees_across_backends():
+    # x - max on 64-bit lanes stays one 64-bit word in both backends, so a
+    # row whose difference wraps the ring reconstructs the same on each
+    spec = SecureFnSpec("softmax_row", 64, count=2)
+    raw = np.array([[2**63 - 1, 2**63]], dtype=np.uint64)
+    xc, xs = share_raw(raw, np.random.default_rng(210), 64)
+    for backend in ("semantic", "gc"):
+        c, s = eval_secure(spec, xc, xs, np.random.default_rng(211), backend=backend,
+                           rng_server=np.random.default_rng(212))
+        assert reconstruct(c, s, 64).tolist() == [[128, 128]], backend
+    assert plain_apply(spec, raw).tolist() == [[128, 128]]
 
 
 def test_shift_stage_truncates_before_fn():
@@ -170,7 +184,8 @@ def test_cost_logging_matches_message_bytes():
     xc, xs = share_raw(raw, rng, 16)
     report = CostReport("client")
     t = Transcript()
-    eval_secure(spec, xc, xs, rng, backend="gc", report=report, transcript=t, step="SoftMax")
+    eval_secure(spec, xc, xs, rng, backend="gc", report=report, transcript=t, step="SoftMax",
+                rng_server=np.random.default_rng(205))
     circ = build_secure_circuit(spec)
     assert report.get("SoftMax", "offline", "gc_and_gates") == circ.and_count
     n_bits = 16 * 20
@@ -197,7 +212,8 @@ def test_logged_ot_bytes_equal_the_bytes_run_ot_moves(monkeypatch):
         xc, xs = share_raw(raw, rng, spec.bitwidth)
         t = Transcript()
         moved.clear()
-        eval_secure(spec, xc, xs, rng, backend="gc", transcript=t)
+        eval_secure(spec, xc, xs, rng, backend="gc", transcript=t,
+                    rng_server=np.random.default_rng(209))
         ot = [m for m in t.messages if m.kind == "ot"]
         assert [m.sender for m in ot] == ["client", "server"]
         assert len(moved) == 1
@@ -217,3 +233,12 @@ def test_rejects_bad_shapes_and_unknown_fn():
             np.zeros((2, 2), np.uint64),
             rng,
         )
+
+
+def test_gc_backend_needs_the_servers_own_rng():
+    # an OT receiver seeded from the garbler's rng would let the garbler
+    # recompute the receiver's exponents and read the server's input bits
+    spec = SecureFnSpec("relu", 16)
+    zeros = np.zeros((2, 1), np.uint64)
+    with pytest.raises(ValueError, match="rng_server"):
+        eval_secure(spec, zeros, zeros, np.random.default_rng(213), backend="gc")

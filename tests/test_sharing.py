@@ -111,19 +111,22 @@ def test_gen_triple_product_matches_brute_force():
     rng = np.random.default_rng(30)
     rc = rand_ring((4, 3), rng, DEFAULT_RING)
     t = make_product_triple(rc, rc.transpose(), key)
-    assert t.right_mask == t.left_mask.transpose()
+    assert dec_rows(t.left_ct, 3, key.secret(), DEFAULT_RING) == rc
+    assert dec_rows(t.right_ct, 4, key.secret(), DEFAULT_RING) == rc.transpose()
     got = dec_rows(t.product_ct, 4, key.secret(), DEFAULT_RING)
-    want = matmul_mod(t.left_mask.data.tolist(), t.right_mask.data.tolist(), 64)
+    want = matmul_mod(rc.data.tolist(), rc.transpose().data.tolist(), 64)
     assert got.data.tolist() == want
 
 
 def test_gen_product_triple_independent_masks():
     key = keygen(small_params(), seed=7)
     rng = np.random.default_rng(31)
-    t = make_product_triple(rand_ring((4, 4), rng, DEFAULT_RING),
-                            rand_ring((4, 3), rng, DEFAULT_RING), key)
+    left, right = rand_ring((4, 4), rng, DEFAULT_RING), rand_ring((4, 3), rng, DEFAULT_RING)
+    t = make_product_triple(left, right, key)
+    # the triple is the server's material: ciphertexts only, no plaintext mask
+    assert not any(isinstance(v, FixedTensor) for v in vars(t).values())
     got = dec_rows(t.product_ct, 3, key.secret(), DEFAULT_RING)
-    want = matmul_mod(t.left_mask.data.tolist(), t.right_mask.data.tolist(), 64)
+    want = matmul_mod(left.data.tolist(), right.data.tolist(), 64)
     assert got.data.tolist() == want
 
 
