@@ -7,7 +7,7 @@ polynomials, so the protocol evaluates them as boolean circuits: the
 shares enter, a fresh mask comes out, and neither party sees the value
 in between. A semantic backend runs the identical stage on plain words
 for fast testing; the GC backend garbles, transfers labels by oblivious
-transfer, and must agree bit for bit.
+transfer (IKNP extension over 128 base OTs), and must agree bit for bit.
 """
 
 # %%

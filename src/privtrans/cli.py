@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .costs import PHASES, STEPS
-from .engine import MODES, Session
+from .engine import MODES, PackingError, Session
 from .model import (
     ModelConfig,
     config_from_dict,
@@ -62,6 +62,12 @@ class RunConfig:
     report_path: str | None = None
 
 
+def _check_keys(obj: dict, known: tuple, where: str = "") -> None:
+    for k in obj:
+        if k not in known:
+            raise ConfigError(f"config field {where + k!r}: unknown")
+
+
 def _field(obj: dict, name: str, typ, default=None, required=False):
     if name not in obj:
         if required:
@@ -77,11 +83,8 @@ def load_run_config(obj: dict, overrides: dict | None = None) -> RunConfig:
     """Validate a parsed JSON object (plus flag overrides) into a RunConfig."""
     if not isinstance(obj, dict):
         raise ConfigError("config root: expected an object")
-    known = {"mode", "seed", "model", "weights_path", "weights_seed",
-             "weight_scale", "tokens", "backend", "strict", "channel", "report"}
-    for k in obj:
-        if k not in known:
-            raise ConfigError(f"config field {k!r}: unknown")
+    _check_keys(obj, ("mode", "seed", "model", "weights_path", "weights_seed",
+                      "weight_scale", "tokens", "backend", "strict", "channel", "report"))
     obj = dict(obj)
     for k, v in (overrides or {}).items():
         if v is not None:
@@ -130,8 +133,9 @@ def load_run_config(obj: dict, overrides: dict | None = None) -> RunConfig:
     channel = ChannelModel()
     if "channel" in obj:
         c = _field(obj, "channel", dict)
-        kw = {k: float(_field(c, k, (int, float), default=getattr(channel, k)))
-              for k in ("delay_s", "bandwidth_bps")}
+        keys = ("delay_s", "bandwidth_bps")
+        _check_keys(c, keys, "channel.")
+        kw = {k: float(_field(c, k, (int, float), default=getattr(channel, k))) for k in keys}
         try:
             channel = ChannelModel(**kw)
         except ValueError as e:
@@ -154,9 +158,13 @@ def read_config_file(path: str, overrides: dict | None = None) -> RunConfig:
 
 
 def cmd_run(rc: RunConfig) -> dict:
-    """One session; returns the structured report."""
-    session = Session(rc.model, rc.weights, rc.mode, rc.seed, backend=rc.backend,
-                      strict=rc.strict)
+    """One session; returns the structured report. A token count the
+    mode's packing cannot use raises ConfigError naming model.n."""
+    try:
+        session = Session(rc.model, rc.weights, rc.mode, rc.seed, backend=rc.backend,
+                          strict=rc.strict)
+    except PackingError as e:
+        raise ConfigError(f"config field 'model.n': {e} (mode {rc.mode!r})") from None
     result = session.run(rc.tokens)
     want = reference_forward(rc.model, rc.weights, rc.tokens, strict=rc.strict)
     got = result.reconstruct()
@@ -342,29 +350,25 @@ def main(argv=None) -> int:
 
     overrides = {"mode": args.mode, "seed": args.seed, "report": args.report,
                  "strict": args.strict}
+    ok = True
     try:
         rc = read_config_file(args.config, overrides)
+        if args.cmd == "run":
+            out = cmd_run(rc)
+            text = render_report(out)
+        elif args.cmd == "compare":
+            out = cmd_compare(rc)
+            text = render_compare(out)
+        else:
+            ok, lines = cmd_verify(rc)
+            out = {"schema": "bench-verify/1", "ok": ok, "checks": lines}
+            text = "\n".join(lines + ["verify: " + ("pass" if ok else "FAIL")])
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
-
-    if args.cmd == "run":
-        rep = cmd_run(rc)
-        print(render_report(rep))
-        if rc.report_path:
-            write_report(rc.report_path, rep)
-        return 0
-    if args.cmd == "compare":
-        cmp = cmd_compare(rc)
-        print(render_compare(cmp))
-        if rc.report_path:
-            write_report(rc.report_path, cmp)
-        return 0
-    ok, lines = cmd_verify(rc)
-    print("\n".join(lines))
-    print("verify:", "pass" if ok else "FAIL")
+    print(text)
     if rc.report_path:
-        write_report(rc.report_path, {"schema": "bench-verify/1", "ok": ok, "checks": lines})
+        write_report(rc.report_path, out)
     return 0 if ok else 1
 
 

@@ -76,6 +76,10 @@ class AuditError(RuntimeError):
     """The server's state holds a client secret."""
 
 
+class PackingError(ValueError):
+    """The mode's packing does not fit the model's token count."""
+
+
 def audit_server_ignorance(server: Server) -> list[str]:
     """Paths of every KeyPair, SecretKey or Client reachable from the
     server's state through object attributes, dicts, lists and tuples
@@ -261,7 +265,7 @@ class Session:
         self.packing = (PackingStrategy.TOKENS_FIRST if mode in ("fp", "fpc")
                         else PackingStrategy.FEATURES_FIRST)
         if self.packing is PackingStrategy.TOKENS_FIRST and self.he.slots % cfg.n:
-            raise ValueError(f"tokens_first packing needs n={cfg.n} to divide "
+            raise PackingError(f"tokens_first packing needs n={cfg.n} to divide "
                              f"the {self.he.slots} HE slots")
         self.transcript = Transcript()
 

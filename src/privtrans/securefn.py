@@ -21,7 +21,7 @@ from .circuits import CircuitBuilder, CircuitOps, pack_bits, unpack_bits
 from .costs import CostReport
 from .fixedfn import SemanticOps, SemVal, width_mask
 from .garble import decode_outputs, evaluate, garble
-from .ot import TOY_256, run_ot
+from .ot import KAPPA, SEED_BYTES, TOY_256, run_ot
 from .ring import DEFAULT_RING, RingParams
 from .transcript import Transcript
 
@@ -141,17 +141,23 @@ def _columns(mat: np.ndarray, width: int) -> list[SemVal]:
 def _gc_message_bytes(spec: SecureFnSpec, lanes: int, and_count: int) -> tuple[int, int, int]:
     """(garbled material, client OT, server OT) bytes for the cost model.
 
-    Material = AND tables (4 rows x label+check word) + the client's active
-    input labels + one decode byte per output wire. In the OT the client
-    (sender) sends its point and a masked label pair per choice bit; the
-    server (receiver) sends one group element per choice bit.
+    Material = AND tables (4 rows x label+check word), the active labels of
+    the two constant wires and of the client's inputs (8 B a label), and
+    one decode byte per output wire. The server's m input bits arrive by
+    IKNP OT extension over KAPPA base OTs with roles reversed (ot.py): the
+    client sends KAPPA group elements and a masked label pair per transfer;
+    the server sends one group element, KAPPA encrypted seed pairs and the
+    KAPPA columns u of ceil(m/8) bytes.
     """
-    n_bits = spec.count * spec.bitwidth * lanes
+    m = spec.count * spec.bitwidth * lanes
     tables = and_count * 4 * 2 * 8 * lanes
-    active = 2 * n_bits * 8
-    decode = n_bits
+    const = 2 * 8 * lanes
+    active = 2 * m * 8
+    decode = m
     element = TOY_256.element_bytes
-    return tables + active + decode, element + n_bits * 16, n_bits * element
+    client_ot = KAPPA * element + 16 * m
+    server_ot = element + KAPPA * 2 * SEED_BYTES + KAPPA * -(-m // 8)
+    return tables + const + active + decode, client_ot, server_ot
 
 
 def eval_secure(
@@ -178,9 +184,10 @@ def eval_secure(
 
     Phase split: the AND gates are billed offline, because garbling does not
     depend on the inputs and can run before they arrive; the garbled
-    material (tables, the client's active input labels, decode bits) and
-    the OT traffic are billed online, when the stage runs. The OT runs in
-    the TOY_256 group.
+    material (tables, the constant-wire and client input labels, decode
+    bits) and the OT traffic are billed online, when the stage runs. The
+    server's input labels come by IKNP OT extension, whose 128 base OTs
+    run in the TOY_256 group on every call.
     """
     client_vals = np.atleast_2d(np.asarray(client_vals, dtype=np.uint64))
     server_vals = np.atleast_2d(np.asarray(server_vals, dtype=np.uint64))

@@ -161,6 +161,28 @@ def test_config_errors_name_the_field(tmp_path):
         read_config_file(str(bad))
 
 
+def test_unknown_channel_key_is_named_not_ignored():
+    # a misspelt delay_s used to run at the default delay
+    with pytest.raises(ConfigError, match="'channel.delay': unknown"):
+        load_run_config(toy_obj(channel={"delay": 5}))
+
+
+@pytest.mark.parametrize("cmd", ["run", "verify"])
+def test_tokens_that_do_not_divide_the_slots_end_in_a_config_error(cmd, tmp_path, capsys):
+    # 6 tokens and 16 HE slots: the tokens_first packing of fp and fpc cannot
+    # lay them out; mode f runs, and verify reaches fp
+    obj = toy_obj(mode="fp", model={**toy_obj()["model"], "n": 6}, tokens=[3, 1, 4, 1, 5, 9])
+    cfg_path = tmp_path / "n6.json"
+    cfg_path.write_text(json.dumps(obj))
+    assert main([cmd, "--config", str(cfg_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: config field 'model.n': tokens_first packing needs n=6")
+    with pytest.raises(ConfigError, match="'model.n'.*mode 'fpc'"):
+        cmd_run(load_run_config(obj, {"mode": "fpc"}))
+    assert cmd_run(load_run_config(obj, {"mode": "f"}))["equivalence"] == "exact"
+
+
 def test_main_run_verify_and_exit_codes(tmp_path, capsys):
     cfg_path = tmp_path / "rc.json"
     report_path = tmp_path / "out.json"

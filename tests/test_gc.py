@@ -11,9 +11,10 @@ from privtrans.circuits import (
     pack_bits,
     unpack_bits,
 )
-from privtrans import ModelConfig, random_weights, run_protocol, securefn
+from privtrans import ModelConfig, ot, random_weights, run_protocol, securefn
 from privtrans.garble import CorruptTable, decode_outputs, evaluate, garble
 from privtrans.ot import (
+    KAPPA,
     MODP_1024,
     MODP_1536,
     TOY_256,
@@ -83,7 +84,32 @@ def test_ot_delivers_chosen_message_only():
     assert np.array_equal(got, want)
     other = np.where(choices.astype(bool), m0, m1)
     assert not np.any(got == other)
-    assert moved == MODP_1024.element_bytes * (1 + n) + n * 16
+    # base OTs: KAPPA + 1 group elements and KAPPA sealed 16-byte seed pairs;
+    # extension: KAPPA columns of ceil(n/8) bytes and a masked pair per transfer
+    assert moved == MODP_1024.element_bytes * (1 + KAPPA) + KAPPA * 32 + KAPPA * -(-n // 8) + n * 16
+
+
+CHOICE_PATTERNS = {
+    "zeros": lambda m, rng: np.zeros(m, np.uint8),
+    "ones": lambda m, rng: np.ones(m, np.uint8),
+    "alternating": lambda m, rng: (np.arange(m) % 2).astype(np.uint8),
+    "random": lambda m, rng: rng.integers(0, 2, m).astype(np.uint8),
+}
+
+
+@pytest.mark.parametrize("m", [1, 7, 8, 9, 130, 2048])
+@pytest.mark.parametrize("pattern", list(CHOICE_PATTERNS))
+def test_ot_extension_delivers_the_chosen_message_only(pattern, m):
+    rng_s = np.random.default_rng(100 + m)
+    rng_r = np.random.default_rng(200 + m)
+    m0 = rng_s.integers(0, 1 << 64, m, dtype=np.uint64)
+    m1 = rng_s.integers(0, 1 << 64, m, dtype=np.uint64)
+    choices = CHOICE_PATTERNS[pattern](m, rng_r)
+    got, moved = run_ot(m0, m1, choices, TOY_256, rng_s, rng_r)
+    assert got.dtype == np.uint64
+    assert np.array_equal(got, np.where(choices.astype(bool), m1, m0))
+    assert not np.isin(np.where(choices.astype(bool), m0, m1), got).any()
+    assert moved == TOY_256.element_bytes * (1 + KAPPA) + KAPPA * 32 + KAPPA * -(-m // 8) + m * 16
 
 
 def test_ot_1536_group_works():
@@ -297,3 +323,44 @@ def test_adder_with_ot_fed_inputs():
     active_y = labels.reshape(w, lanes)
     got = unpack_bits(decode_outputs(gt, evaluate(circ, gt, np.concatenate([active_x, active_y]))))
     assert np.array_equal(got, (x + y) % 256)
+
+
+def test_tampered_u_column_gives_wrong_labels_that_evaluate_rejects(monkeypatch):
+    # the sender reads column u^i only where its string s has s_i = 1, so the
+    # wire flips bits of such a column: exactly the transfers hit get wrong
+    # labels, and garbled evaluation catches them
+    rng = np.random.default_rng(102)
+    rng_r = np.random.default_rng(103)
+    w, lanes = 8, 4
+    circ = adder_circuit(w)
+    gt, state = garble(circ, lanes, rng)
+    x = np.array([1, 2, 200, 255], dtype=np.uint64)
+    y_bits = pack_bits(np.array([9, 250, 57, 1], dtype=np.uint64), w).ravel()
+    m0, m1 = (pair.ravel() for pair in state.pairs(slice(w, 2 * w)))
+    hit = [0, 6]  # bit 0 of lane 0 (it feeds the first carry AND) and bit 1 of lane 2
+    seen_s = []
+    real_respond, real_columns = ot.OTReceiver.respond, ot._columns
+
+    def spy_respond(group, big_a, choices, rng_):
+        seen_s.append(np.array(choices))
+        return real_respond(group, big_a, choices, rng_)
+
+    def tamper(*args):
+        t, u = real_columns(*args)
+        col = int(np.flatnonzero(seen_s[-1])[0])
+        flip = np.zeros(len(y_bits), np.uint8)
+        flip[hit] = 1
+        u = u.copy()
+        u[col] ^= np.packbits(flip)
+        return t, u
+
+    monkeypatch.setattr(ot.OTReceiver, "respond", staticmethod(spy_respond))
+    monkeypatch.setattr(ot, "_columns", tamper)
+    labels, _ = run_ot(m0, m1, y_bits, TOY_256, rng, rng_r)
+    want = np.where(y_bits.astype(bool), m1, m0)
+    assert np.flatnonzero(labels != want).tolist() == hit
+    assert not np.isin(labels[hit], np.concatenate([m0, m1])).any()
+    active = np.concatenate([state.encode(pack_bits(x, w), rows=slice(0, w)),
+                             labels.reshape(w, lanes)])
+    with pytest.raises(CorruptTable):
+        evaluate(circ, gt, active)

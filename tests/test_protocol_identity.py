@@ -33,41 +33,41 @@ CONFIGS = {
 
 DIGESTS = {
     ("post-relu", "base", "semantic"):
-        "eb5d39dbbf3566075fcc2ecb1d9d8c2c4b748e80bcfe2d0b43a48279f068e89c",
+        "2bb388b30ff7e95e957d316c4d3ead8549c6af80bed8d5b61e4d3ac78d9c5a3e",
     ("post-relu", "f", "semantic"):
-        "4c9acc9bcac1bf76d789342c5c9d8cee850850cbeafefa57c74c4decbc4af3ce",
+        "b76cb5e5ff5c2cdb706ce8a66fed0f30f6bf85398ac2a46b6fed7b5b2f26f482",
     ("post-relu", "fp", "semantic"):
-        "1e7c18f5e47c5e91e880a91dfaa0b2cb21d9b01a232771e9cde040ebd27aebfb",
+        "a13cf71adf9e4d0f244d18eed7ee788ec0fb9fd6b9575edbd9ae6dda0f58fd7f",
     ("post-relu", "fpc", "semantic"):
-        "9db3f90c5bf00723d4c15978394fb707a2ce4ac933bc707a956292c2262acc84",
+        "e2e1fdf337ce851f3b04e5e70e95b3c84de9c55fbb73d43a61a67baceb3ae11b",
     ("post-relu", "f", "gc"):
-        "a45adf0b58025fb75244db001a3e845bdef96c6d931deb96e04ab2f65276a3fd",
+        "6584b897bc1cdd10ac964bf4610043344afd572bda0c6f1ff8205160d7e1d3b7",
     ("pre-gelu", "base", "semantic"):
-        "5ef66e558e71ac8d3ae9ceced14fa992a29502657382519bed7b3dfde2714266",
+        "99eff9668d39d6697d49c486a55be35397c28f63d468d9c1f9e9001821dfe44a",
     ("pre-gelu", "f", "semantic"):
-        "a49dc434aeff8b3eecdc3602fe762aa91306c6e1b68b3cbeb618856617349002",
+        "2391d489c195356d3f5dd0c88d2fbe12bfeef5cbd8abd8fec4b535ac7d419115",
     ("pre-gelu", "fp", "semantic"):
-        "a054d5dd431750ac9da12f4a2fb397829c8df504b2857dd3c88fd04bd59ca6d8",
+        "25a2d8c7d23dbf6f7923a5ee51601fb0de775bb88daedefa46cc3845a53c43cf",
     ("pre-gelu", "fpc", "semantic"):
-        "1642e4e445d48672016fae901e8277ba58a627be19bc1eb43e8a962d817655af",
+        "09b1931d01e5eb2deb15e584d4c020532770557ff34cd2d95a178254a4be48f6",
     ("pre-gelu", "f", "gc"):
-        "989f686407a1fa891af045626b39e4998829ac7a4b98b0c9f23f70d051febb11",
+        "2399d1c233cdb35cdf90202d1adb79d6f6cafc424ca9f5b1c0eac381569a67d5",
     ("sem-wide", "base", "semantic"):
-        "c986a008f36ac6ba0e9d850ec01fb72cf84220368fd88e926b6aa6ceaf3e5cf4",
+        "b047886da14f44a21eabeb44041ae6dce66a62f6e315637543dd8f4a290f3cb0",
     ("sem-wide", "f", "semantic"):
-        "0cfda46983f16e181ea645c41fbc40653d862849601690100519c8751c12462f",
+        "cfe86fb208344f1d2aa040e5443e523335d3eff2b5828bf25d480d225574fd1c",
     ("sem-wide", "fp", "semantic"):
-        "d7ae69c2880f0d4825edeccde67c431919a0d1b95d5d66e8b927c7f4902565ac",
+        "4a7184f16f8c666d7f73a20815af855a3c6d3cd5d59adc18e328024d6d57d9ab",
     ("sem-wide", "fpc", "semantic"):
-        "b6b7c9de2fbc4781db2e39b9fc661f21b2452e9e82450d3e4b38d8fbbf5a3e41",
+        "aeb593f68c642f5a633632e98cfeb0583dba855f012425988fb76ab25b627f92",
     ("sem-long", "base", "semantic"):
-        "5e35a0e559e9cfc5cf808590f2e94f9e8d406680702862ec2970cbd7ff92a658",
+        "bbd9b911edd4686dd590f20c402c84ba4f302957708f4224d7717c6df51d048c",
     ("sem-long", "f", "semantic"):
-        "25daf3ae806a4711b5690cf7b4844f33fcc900d3c72868cc6e5062c9add4943d",
+        "8268ecb46923eaddd576079c77816186de04e8902f7c41d4aab38aec011ba95e",
     ("sem-long", "fp", "semantic"):
-        "40851e56a564c2b88fee7573a14ca7eae3913dcfcd665275b76f6b3cf99dfd31",
+        "2085beb8468ee35fcad27bd2285ef15fbf1b2c158cf519259790dc52a267a914",
     ("sem-long", "fpc", "semantic"):
-        "0760243a43aaa66aae3f79b034897ac60bce8cee99b7908f584af9346984d817",
+        "4e56c74ee543549ebae112d798179dcc3cac1e79ee8993a40e4de88edde96b9d",
 }
 
 

@@ -220,6 +220,43 @@ def test_logged_ot_bytes_equal_the_bytes_run_ot_moves(monkeypatch):
         assert sum(m.nbytes for m in ot) == moved[0]
 
 
+def test_logged_gc_messages_equal_the_objects_that_cross(monkeypatch):
+    # measured = modeled: the gc_material message against the tables, constant
+    # labels, decode bits and client labels garble made, and the OT messages
+    # against what run_ot moved, also for a batch of m = 39 transfers
+    seen = {}
+    real_garble, real_evaluate, real_run_ot = securefn.garble, securefn.evaluate, securefn.run_ot
+
+    def spy_garble(*args):
+        seen["gt"], state = real_garble(*args)
+        return seen["gt"], state
+
+    def spy_evaluate(circ, gt, active):
+        seen["active"] = active
+        return real_evaluate(circ, gt, active)
+
+    def spy_run_ot(*args):
+        labels, seen["moved"] = real_run_ot(*args)
+        return labels, seen["moved"]
+
+    monkeypatch.setattr(securefn, "garble", spy_garble)
+    monkeypatch.setattr(securefn, "evaluate", spy_evaluate)
+    monkeypatch.setattr(securefn, "run_ot", spy_run_ot)
+    rng = np.random.default_rng(210)
+    for spec, lanes in ((SecureFnSpec("relu", 16), 20), (SecureFnSpec("relu", 13), 3),
+                        (SecureFnSpec("trunc", 64, shift=F), 3)):
+        raw = rng.integers(0, 1 << spec.bitwidth, (lanes, 1), dtype=np.uint64)
+        xc, xs = share_raw(raw, rng, spec.bitwidth)
+        t = Transcript()
+        eval_secure(spec, xc, xs, rng, backend="gc", transcript=t,
+                    rng_server=np.random.default_rng(211))
+        gt, client_labels = seen["gt"], seen["active"][: 2 * spec.count * spec.bitwidth]
+        material = (gt.tables.nbytes + gt.const_labels.nbytes + client_labels.nbytes
+                    + gt.decode.nbytes)
+        assert [m.nbytes for m in t.messages if m.kind == "gc_material"] == [material]
+        assert sum(m.nbytes for m in t.messages if m.kind == "ot") == seen["moved"]
+
+
 def test_rejects_bad_shapes_and_unknown_fn():
     with pytest.raises(ValueError):
         SecureFnSpec("median", 64)
