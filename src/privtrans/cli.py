@@ -157,14 +157,22 @@ def read_config_file(path: str, overrides: dict | None = None) -> RunConfig:
 # -- commands -----------------------------------------------------------------
 
 
-def cmd_run(rc: RunConfig) -> dict:
-    """One session; returns the structured report. A token count the
-    mode's packing cannot use raises ConfigError naming model.n."""
+def _session(rc: RunConfig) -> Session:
+    """The run's session; a token count the mode's packing cannot use
+    raises ConfigError naming model.n."""
     try:
-        session = Session(rc.model, rc.weights, rc.mode, rc.seed, backend=rc.backend,
-                          strict=rc.strict)
+        return Session(rc.model, rc.weights, rc.mode, rc.seed, backend=rc.backend,
+                       strict=rc.strict)
     except PackingError as e:
         raise ConfigError(f"config field 'model.n': {e} (mode {rc.mode!r})") from None
+
+
+def cmd_run(rc: RunConfig) -> dict:
+    """One session; returns the structured report."""
+    return _report(rc, _session(rc))
+
+
+def _report(rc: RunConfig, session: Session) -> dict:
     result = session.run(rc.tokens)
     want = reference_forward(rc.model, rc.weights, rc.tokens, strict=rc.strict)
     got = result.reconstruct()
@@ -204,10 +212,11 @@ def cmd_run(rc: RunConfig) -> dict:
 
 
 def cmd_compare(rc: RunConfig, modes=MODES) -> dict:
-    """Same model, weights, seed, and input across protocol modes."""
-    reports = {}
-    for mode in modes:
-        reports[mode] = cmd_run(replace(rc, mode=mode, report_path=None))
+    """Same model, weights, seed, and input across protocol modes. Every
+    mode's session is built, and so its packing checked, before any runs."""
+    rcs = [replace(rc, mode=mode, report_path=None) for mode in modes]
+    sessions = [_session(r) for r in rcs]
+    reports = {r.mode: _report(r, s) for r, s in zip(rcs, sessions)}
     return {"schema": "bench-compare/1", "modes": list(modes), "reports": reports}
 
 

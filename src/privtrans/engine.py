@@ -197,17 +197,17 @@ class Server:
         return rows
 
     def chgs_terms(self, enc_rc0: list[Ciphertext], enc_rc0_t: list[Ciphertext],
-                   w_ed: FixedTensor, w_q: FixedTensor, w_k: FixedTensor, head_slices):
+                   w_ed: FixedTensor, head_weights):
         """Fused-prefix terms from Enc(Rc0), Enc(Rc0^T) rows: Enc(R_e^T), and
-        per head B_h, Enc(R_e B_h) and Enc(Rc0 W_M_h) + G_h for a fresh G_h
-        that the server keeps (W_M_h = W_ed B_h W_ed^T)."""
+        per head (W_Q_h, W_K_h) of head_weights B_h = W_Q_h W_K_h^T,
+        Enc(R_e B_h) and Enc(Rc0 W_M_h) + G_h for a fresh G_h that the
+        server keeps (W_M_h = W_ed B_h W_ed^T)."""
         rep = self.report
         enc_re = enc_left_matmul(enc_rc0, w_ed, rep)
         enc_re_t = plain_left_matmul(w_ed.transpose(), enc_rc0_t, rep)
         head_b, head_re_b, masked_wm, g_masks = [], [], [], []
-        for sl in head_slices:
-            b_h = mat_mul(FixedTensor(w_q.data[:, sl].copy(), self.ring),
-                          FixedTensor(w_k.data[:, sl].T.copy(), self.ring))
+        for w_q_h, w_k_h in head_weights:
+            b_h = mat_mul(w_q_h, w_k_h.transpose())
             head_b.append(b_h)
             head_re_b.append(enc_left_matmul(enc_re, b_h, rep))
             w_m = mat_mul(mat_mul(w_ed, b_h), w_ed.transpose())
@@ -298,9 +298,15 @@ class Session:
     def _interaction(self) -> None:
         self.transcript.interaction(*self.client.report.scope)
 
-    def _head_slices(self):
-        dh = self.cfg.d_head
-        return [slice(h * dh, (h + 1) * dh) for h in range(self.cfg.H)]
+    def _heads(self, x: FixedTensor, axis: int = 1) -> list[FixedTensor]:
+        """x split into its H per-head blocks: column blocks, or row blocks
+        (axis 0) of a tensor stacked by head."""
+        return [FixedTensor(b, self.cfg.ring) for b in np.split(x.data, self.cfg.H, axis=axis)]
+
+    def _stack(self, heads, axis: int = 0) -> FixedTensor:
+        """Per-head tensors stacked by head: row blocks, or column blocks
+        (axis 1)."""
+        return FixedTensor(np.concatenate([t.data for t in heads], axis=axis), self.cfg.ring)
 
     def _pack_mask(self, rc: FixedTensor) -> list[Ciphertext]:
         cts = pack(rc, self._layout(rc.cols), self.client.key, self.client.report)
@@ -344,7 +350,7 @@ class Session:
         enc_rc0, enc_rc0_t = enc_rows(rc0, key, rep_c), enc_rows(rc0.transpose(), key, rep_c)
         self._send("client", enc_rc0 + enc_rc0_t)
         enc_re_t, head_b, head_re_b, masked_wm, g_masks = self.server.chgs_terms(
-            enc_rc0, enc_rc0_t, w_ed, w_q, w_k, self._head_slices())
+            enc_rc0, enc_rc0_t, w_ed, list(zip(self._heads(w_q), self._heads(w_k))))
         self._send("server", [ct for rows in masked_wm for ct in rows])
         triples = []
         for h, (re_b, rows, g_h) in enumerate(zip(head_re_b, masked_wm, g_masks)):
@@ -388,7 +394,7 @@ class Session:
         stacked by head."""
         p_s, heads = self.server.chgs_heads(x0_masked, mat)
         s_client = self._reveal(heads)
-        s_server = FixedTensor(np.vstack([rs.data for *_, rs in heads]), self.cfg.ring)
+        s_server = self._stack([rs for *_, rs in heads])
         return p_s, (s_server, s_client)
 
     def _gc(self, step: str, spec: SecureFnSpec, chain):
@@ -436,7 +442,7 @@ class Session:
     def _prefix_hgs(self, blk_i: int, chain):
         """Modes base/f/fp: QKV modules sharing one input mask, then the
         per-head same-mask score product. Two online interactions."""
-        cfg, blk, ring = self.cfg, self.weights.blocks[blk_i], self.cfg.ring
+        cfg, blk = self.cfg, self.weights.blocks[blk_i]
         with self._at("QKV", prep=True):
             rc_qkv = self.client.rand((cfg.n, cfg.d_emb))
             qkv_cts = self._pack_mask(rc_qkv)
@@ -445,9 +451,7 @@ class Session:
                 for p in "qkv"]
         with self._at("QxK", prep=True):
             rc_qk = self.client.rand((cfg.n, cfg.d_emb))
-            triples = [self._gen_triple(FixedTensor(rc_qk.data[:, sl].copy(), ring),
-                                        FixedTensor(rc_qk.data[:, sl].T.copy(), ring))
-                       for sl in self._head_slices()]
+            triples = [self._gen_triple(r, r.transpose()) for r in self._heads(rc_qk)]
 
         with self._at("QKV"):
             masked_x1, = self._remask(rc_qkv, chain)
@@ -456,12 +460,10 @@ class Session:
         masked_v = run_hgs_layer(blk.w_v, masked_x1, m_v)
         with self._at("QxK"):
             mq, mk = self._remask(rc_qk, (masked_q, q_out), (masked_k, k_out))
-            heads = [self.triple_product(FixedTensor(mq.data[:, sl].copy(), ring),
-                                         FixedTensor(mk.data[:, sl].copy(), ring).transpose(),
-                                         triple)
-                     for sl, triple in zip(self._head_slices(), triples)]
-        s_client = FixedTensor(np.vstack([c.data for c, _ in heads]), ring)
-        s_server = FixedTensor(np.vstack([s.data for _, s in heads]), ring)
+            heads = [self.triple_product(q, k.transpose(), triple)
+                     for q, k, triple in zip(self._heads(mq), self._heads(mk), triples)]
+        s_client = self._stack([c for c, _ in heads])
+        s_server = self._stack([s for _, s in heads])
         return (s_server, s_client), (masked_v, v_out)
 
     def _prefix_chgs(self, blk_i: int, chain, x0: FixedTensor | None):
@@ -514,22 +516,18 @@ class Session:
         """Per-head product of the softmax shares with the masked values;
         triples reuse the GC output mask, so the online phase is just the
         server's ciphertext batch (one interaction, no client message)."""
-        cfg, ring = self.cfg, self.cfg.ring
-        p_held, p_mask = p_chain     # held: P - a, client: a
+        p_held, p_mask = p_chain     # held: P - a, client: a, both stacked by head
         v_masked, m_v = v_chain
         heads = []
         with self._at("AttenValue"):
-            for h, sl in enumerate(self._head_slices()):
-                rows = slice(h * cfg.n, (h + 1) * cfg.n)
+            for p_h, a_h, v_h, mv_h in zip(self._heads(p_held, axis=0), self._heads(p_mask, axis=0),
+                                           self._heads(v_masked), self._heads(m_v)):
                 with self._at("AttenValue", prep=True):
-                    triple = self._gen_triple(FixedTensor(p_mask.data[rows].copy(), ring),
-                                              FixedTensor(m_v.data[:, sl].copy(), ring))
-                heads.append(self.triple_product(FixedTensor(p_held.data[rows].copy(), ring),
-                                                 FixedTensor(v_masked.data[:, sl].copy(), ring),
-                                                 triple))
+                    triple = self._gen_triple(a_h, mv_h)
+                heads.append(self.triple_product(p_h, v_h, triple))
             self._interaction()
-        client = FixedTensor(np.hstack([c.data for c, _ in heads]), ring)
-        server = FixedTensor(np.hstack([s.data for _, s in heads]), ring)
+        client = self._stack([c for c, _ in heads], axis=1)
+        server = self._stack([s for _, s in heads], axis=1)
         return (server, client)
 
     def _block(self, blk_i: int, chain, x0):

@@ -1,16 +1,17 @@
 """SIMD slot packing for encrypted matrices and the packed HE matmul.
 
 Two layouts for an n x d matrix over M slots (c = ceil(n*d/M) ciphertexts
-either way):
+either way), defined in one place, `PackingLayout.positions`, as the stream
+position g of element (token h, feature j); g sits in ciphertext g // M,
+slot g % M:
 
-  features_first  slot stream g = h*d + j   (token h's features contiguous)
-  tokens_first    slot stream g = j*n + h   (feature j's n token values
-                                             contiguous, feature-major)
+  features_first  g = h*d + j   (token h's features contiguous)
+  tokens_first    g = j*n + h   (feature j's n token values contiguous)
 
 The matmul kernel moves data with cyclic rotations only and is the
-accounting baseline: features_first rotates every ciphertext M times,
-tokens_first once per multiple of n in [0, M), i.e. ceil(M/n) per
-ciphertext.
+accounting baseline. Its rotation schedule, and so the rotation bill, is
+`PackingLayout.shifts`: every shift in [0, M) features_first (M per
+ciphertext), every multiple of n in [0, M) tokens_first (ceil(M/n)).
 """
 
 from __future__ import annotations
@@ -48,35 +49,36 @@ class PackingLayout:
         """Ciphertext count: ceil(n*d / M) for both strategies."""
         return -(-self.n * self.d // self.slots)
 
-    def stream_index(self, h: int, j: int) -> int:
+    @property
+    def positions(self) -> np.ndarray:
+        """(n, d) stream position of every element (token h, feature j)."""
         if self.strategy is PackingStrategy.FEATURES_FIRST:
-            return h * self.d + j
-        return j * self.n + h
+            return np.arange(self.n * self.d).reshape(self.n, self.d)
+        return np.arange(self.d * self.n).reshape(self.d, self.n).T
 
-    def slot_of(self, h: int, j: int) -> tuple[int, int]:
-        """(ciphertext index, slot) for element (token h, feature j)."""
-        return divmod(self.stream_index(h, j), self.slots)
+    @property
+    def shifts(self) -> range:
+        """The naive kernel's left rotations of each input ciphertext."""
+        if self.strategy is PackingStrategy.FEATURES_FIRST:
+            return range(self.slots)
+        return range(0, self.slots, self.n)
 
     def with_features(self, d: int) -> "PackingLayout":
         return PackingLayout(self.strategy, self.n, d, self.slots)
 
 
-def plan_layout(n: int, d: int, slots: int) -> PackingLayout:
-    """Pick the strategy with strictly fewer predicted naive rotations.
-
-    tokens_first wins iff c*ceil(M/n) < c*M; ties (n = 1) keep
-    features_first. Either layout refuses n > M.
-    """
-    if -(-slots // n) < slots:
-        return PackingLayout(PackingStrategy.TOKENS_FIRST, n, d, slots)
-    return PackingLayout(PackingStrategy.FEATURES_FIRST, n, d, slots)
-
-
 def predicted_rotations(layout: PackingLayout) -> int:
     """Naive-kernel rotation count for one matmul over this layout."""
-    if layout.strategy is PackingStrategy.TOKENS_FIRST:
-        return layout.c * -(-layout.slots // layout.n)
-    return layout.c * layout.slots
+    return layout.c * len(layout.shifts)
+
+
+def plan_layout(n: int, d: int, slots: int) -> PackingLayout:
+    """The strategy with the fewest predicted naive rotations.
+
+    tokens_first wins iff c*ceil(M/n) < c*M; ties (n = 1) keep
+    features_first, the first strategy listed. Either layout refuses n > M.
+    """
+    return min((PackingLayout(s, n, d, slots) for s in PackingStrategy), key=predicted_rotations)
 
 
 # -- pack / unpack ---------------------------------------------------------
@@ -87,21 +89,13 @@ def pack_plain(x: FixedTensor, layout: PackingLayout) -> list[np.ndarray]:
     if x.shape != (layout.n, layout.d):
         raise ValueError(f"tensor {x.shape} does not match layout ({layout.n}, {layout.d})")
     stream = np.zeros(layout.c * layout.slots, dtype=np.uint64)
-    if layout.strategy is PackingStrategy.FEATURES_FIRST:
-        stream[: layout.n * layout.d] = x.data.reshape(-1)
-    else:
-        stream[: layout.n * layout.d] = x.data.T.reshape(-1)
-    return [stream[i * layout.slots : (i + 1) * layout.slots].copy() for i in range(layout.c)]
+    stream[layout.positions] = x.data
+    return list(stream.reshape(layout.c, layout.slots))
 
 
 def unpack_plain(vecs: list[np.ndarray], layout: PackingLayout, ring: RingParams) -> FixedTensor:
     stream = np.concatenate([np.asarray(v, dtype=np.uint64) for v in vecs])
-    body = stream[: layout.n * layout.d]
-    if layout.strategy is PackingStrategy.FEATURES_FIRST:
-        data = body.reshape(layout.n, layout.d)
-    else:
-        data = body.reshape(layout.d, layout.n).T
-    return FixedTensor(data, ring)
+    return FixedTensor(stream[layout.positions], ring)
 
 
 def pack(
@@ -126,28 +120,20 @@ def _diagonal_masks(layout_in: PackingLayout, layout_out: PackingLayout, w: Fixe
 
     Rotating input ciphertext i left by `shift` aligns source slot s_in
     onto s_out = (s_in - shift) mod M; the plaintext mask carries W[j,o] at
-    every aligned output slot. Stored sparse; one (slot, weight) pair per
-    contribution, no slot collisions because the layouts are bijections.
+    every aligned output slot. Keyed by (i*M + shift)*c_out + t, each entry
+    holds the (slots, weights) of one mask, nonzero weights only; no slot
+    collides because the layouts are bijections.
     """
-    m = layout_in.slots
-    masks: dict[tuple[int, int, int], tuple[list[int], list[int]]] = {}
-    wd = w.data
-    for h in range(layout_in.n):
-        for j in range(layout_in.d):
-            i_ct, s_in = layout_in.slot_of(h, j)
-            row = wd[j]
-            for o in range(layout_out.d):
-                wv = int(row[o])
-                if wv == 0:
-                    continue
-                t_ct, s_out = layout_out.slot_of(h, o)
-                shift = (s_in - s_out) % m
-                entry = masks.get((i_ct, shift, t_ct))
-                if entry is None:
-                    entry = masks[(i_ct, shift, t_ct)] = ([], [])
-                entry[0].append(s_out)
-                entry[1].append(wv)
-    return masks
+    m, c_out = layout_in.slots, layout_out.c
+    h, j, o = np.nonzero(np.broadcast_to(w.data != 0, (layout_in.n, *w.shape)))
+    i_ct, s_in = np.divmod(layout_in.positions[h, j], m)
+    t_ct, s_out = np.divmod(layout_out.positions[h, o], m)
+    key = (i_ct * m + (s_in - s_out) % m) * c_out + t_ct
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))  # first entry of each key
+    groups = zip(np.split(s_out[order], starts[1:]), np.split(w.data[j, o][order], starts[1:]))
+    return dict(zip(key[starts].tolist(), groups))
 
 
 def _zero_like(ct: Ciphertext) -> Ciphertext:
@@ -165,7 +151,8 @@ def he_matmul(
 ) -> tuple[list[Ciphertext], PackingLayout]:
     """Encrypted X [n x d1] times plaintext W [d1 x d2], packed in, packed out.
 
-    Reproduces the baseline rotation counts exactly; see the module
+    Rotates each ciphertext by every shift of `layout.shifts`, which
+    reproduces the baseline rotation counts exactly; see the module
     docstring. "naive" is the only kernel; the argument stays for callers
     that pass it through.
     """
@@ -176,24 +163,21 @@ def he_matmul(
     if len(cts) != layout.c:
         raise ValueError(f"expected {layout.c} ciphertexts, got {len(cts)}")
     layout_out = layout.with_features(w.cols)
-    m = layout.slots
-    if layout.strategy is PackingStrategy.TOKENS_FIRST:
-        if m % layout.n:
-            raise ValueError("tokens_first kernel needs n | M")
-        shifts = range(0, m, layout.n)  # ceil(M/n) rotations per ciphertext
-    else:
-        shifts = range(m)  # baseline one-slot-at-a-time loop: M per ciphertext
+    m, c_out, shifts = layout.slots, layout_out.c, layout.shifts
+    if m % shifts.step:
+        # tokens_first: a shift aligns a token's slots only if n | M
+        raise ValueError(f"{layout.strategy.value} kernel needs n={layout.n} to divide M={m}")
     masks = _diagonal_masks(layout, layout_out, w)
-    acc: list[Ciphertext | None] = [None] * layout_out.c
+    acc: list[Ciphertext | None] = [None] * c_out
     for i, ct in enumerate(cts):
         for shift in shifts:
             rot = he_rotate(ct, shift, report)
-            for t in range(layout_out.c):
-                entry = masks.get((i, shift, t))
+            for t in range(c_out):
+                entry = masks.get((i * m + shift) * c_out + t)
                 if entry is None:
                     continue
                 mask = np.zeros(m, dtype=np.uint64)
-                mask[entry[0]] = np.array(entry[1], dtype=np.uint64)
+                mask[entry[0]] = entry[1]
                 prod = he_mul_plain(rot, mask, report)
                 acc[t] = prod if acc[t] is None else he_add(acc[t], prod, report)
     return [a if a is not None else _zero_like(cts[0]) for a in acc], layout_out

@@ -119,16 +119,17 @@ def build_secure_circuit(spec: SecureFnSpec):
 
 
 def check_domain(spec: SecureFnSpec, reconstructed: np.ndarray) -> None:
-    """Raise RangeViolation when a lane leaves the approximation domain."""
+    """Raise RangeViolation when a lane leaves the approximation domain:
+    |v >> shift| <= value_limit, the bound the stage's narrow arithmetic
+    assumes (at shift 0 the unshifted value)."""
     w = spec.bitwidth
     v = SemVal(np.asarray(reconstructed, dtype=np.uint64) & width_mask(w), w).signed()
     lim = spec.ring.value_limit()
-    if spec.shift:
-        t = v >> spec.shift
-        if np.any(t > lim) or np.any(t < -lim):
-            raise RangeViolation(
-                f"{spec.fn}: value exceeds +-{lim} after the {spec.shift}-bit shift"
-            )
+    t = v >> spec.shift
+    if np.any(t > lim) or np.any(t < -lim):
+        raise RangeViolation(
+            f"{spec.fn}: value exceeds +-{lim} after the {spec.shift}-bit shift"
+        )
 
 
 # -- the two backends ---------------------------------------------------------
@@ -187,7 +188,9 @@ def eval_secure(
     material (tables, the constant-wire and client input labels, decode
     bits) and the OT traffic are billed online, when the stage runs. The
     server's input labels come by IKNP OT extension, whose 128 base OTs
-    run in the TOY_256 group on every call.
+    run in the TOY_256 group on every call. The `ot_count` counter counts
+    the m = lanes * count * bitwidth extension transfers only, not those
+    128 base OTs.
     """
     client_vals = np.atleast_2d(np.asarray(client_vals, dtype=np.uint64))
     server_vals = np.atleast_2d(np.asarray(server_vals, dtype=np.uint64))

@@ -6,7 +6,8 @@ is the model's dataclasses, for the double-precision forward pass below).
 The exceptions are at the end: the plain circuit evaluator reads the
 package's circuit arrays, and the gate-at-a-time garbler and evaluator
 reuse its PRF and table types, because they pin the garbled bytes of the
-level-scheduled path, not the PRF.
+level-scheduled path, not the PRF. The per-element diagonal masks take
+the package's layout objects but read only their fields.
 """
 
 import math
@@ -223,3 +224,34 @@ def evaluate_by_gate(circ, gt, active_inputs: np.ndarray) -> np.ndarray:
         active[base + i] = ct[:, 0] ^ _prf(la, lb, 2 * i)
         j += 1
     return active[list(circ.outputs)]
+
+
+# -- per-element diagonal masks ----------------------------------------------
+
+
+def diagonal_masks_by_element(layout_in, layout_out, w):
+    """The packed matmul's masks built one contribution at a time, keyed
+    (in ct, shift, out ct) -> (slots, weights): the reference for
+    `packing._diagonal_masks`. Reads the layouts' strategy, n, d and slots
+    only; the stream positions are written out here."""
+
+    def slot_of(layout, h, j):
+        if layout.strategy.value == "features_first":
+            return divmod(h * layout.d + j, layout.slots)
+        return divmod(j * layout.n + h, layout.slots)
+
+    m = layout_in.slots
+    masks = {}
+    wd = w.data
+    for h in range(layout_in.n):
+        for j in range(layout_in.d):
+            i_ct, s_in = slot_of(layout_in, h, j)
+            for o in range(layout_out.d):
+                wv = int(wd[j, o])
+                if wv == 0:
+                    continue
+                t_ct, s_out = slot_of(layout_out, h, o)
+                entry = masks.setdefault((i_ct, (s_in - s_out) % m, t_ct), ([], []))
+                entry[0].append(s_out)
+                entry[1].append(wv)
+    return masks

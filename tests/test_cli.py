@@ -183,6 +183,28 @@ def test_tokens_that_do_not_divide_the_slots_end_in_a_config_error(cmd, tmp_path
     assert cmd_run(load_run_config(obj, {"mode": "f"}))["equivalence"] == "exact"
 
 
+@pytest.mark.parametrize("cmd", ["compare", "verify"])
+def test_compare_and_verify_refuse_the_token_count_before_any_run(cmd, tmp_path, capsys,
+                                                                 monkeypatch):
+    # fp's packing refuses n=6; base and f must not run first
+    runs = []
+    real = cli.Session.run
+
+    def counted(self, tokens):
+        runs.append(self.mode)
+        return real(self, tokens)
+
+    monkeypatch.setattr(cli.Session, "run", counted)
+    obj = toy_obj(model={**toy_obj()["model"], "n": 6}, tokens=[3, 1, 4, 1, 5, 9])
+    cfg_path = tmp_path / "n6.json"
+    cfg_path.write_text(json.dumps(obj))
+    assert main([cmd, "--config", str(cfg_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: config field 'model.n'")
+    assert runs == []
+
+
 def test_main_run_verify_and_exit_codes(tmp_path, capsys):
     cfg_path = tmp_path / "rc.json"
     report_path = tmp_path / "out.json"

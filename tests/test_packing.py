@@ -7,6 +7,7 @@ from privtrans.costs import CostReport
 from privtrans.packing import (
     PackingLayout,
     PackingStrategy,
+    _diagonal_masks,
     he_matmul,
     pack,
     pack_plain,
@@ -145,3 +146,42 @@ def test_tokens_first_kernel_requires_divisibility():
     cts = pack(x, layout, key)
     with pytest.raises(ValueError):
         he_matmul(cts, layout, FixedTensor(np.ones((4, 2), dtype=np.uint64)))
+
+
+def _weights_with_zeros(rng, rows, cols, case):
+    w = rng.integers(0, 2 ** 64, size=(rows, cols), dtype=np.uint64)
+    if case == "zero_rows":
+        w[::2] = 0
+    elif case == "zero_cols":
+        w[:, 1::3] = 0
+    elif case == "all_zero":
+        w[:] = 0
+    return FixedTensor(w)
+
+
+@pytest.mark.parametrize("strategy", list(PackingStrategy))
+@pytest.mark.parametrize("case", ["dense", "zero_rows", "zero_cols", "all_zero"])
+@pytest.mark.parametrize("n,d1,d2,m", [(4, 8, 12, 16), (2, 16, 9, 8), (4, 5, 7, 8), (1, 8, 2, 16)])
+def test_diagonal_masks_match_the_per_element_oracle(strategy, case, n, d1, d2, m):
+    layout = PackingLayout(strategy, n, d1, m)
+    layout_out = layout.with_features(d2)
+    w = _weights_with_zeros(np.random.default_rng(n * d1 + d2), d1, d2, case)
+    want = oracles.diagonal_masks_by_element(layout, layout_out, w)
+    got = _diagonal_masks(layout, layout_out, w)
+    c_out = layout_out.c
+    assert sorted(got) == sorted((i * m + shift) * c_out + t for i, shift, t in want)
+    for (i, shift, t), (slots, values) in want.items():
+        want_mask = np.zeros(m, dtype=np.uint64)
+        want_mask[slots] = values
+        got_slots, got_values = got[(i * m + shift) * c_out + t]
+        got_mask = np.zeros(m, dtype=np.uint64)
+        got_mask[got_slots] = got_values
+        assert np.array_equal(got_mask, want_mask)
+
+    # zero weights decide the op count: one plaintext product per mask
+    key = keygen(HEParams(slots=m), 0, 29)
+    rng = np.random.default_rng(31)
+    cts = pack(rand_ring_tensor(rng, n, d1), layout, key)
+    report = CostReport()
+    he_matmul(cts, layout, w, report)
+    assert report.total("he_mul_plain") == len(want)

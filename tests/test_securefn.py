@@ -6,12 +6,14 @@ import pytest
 from privtrans import fixedfn, securefn
 from privtrans.circuits import CircuitBuilder, CircuitOps, pack_bits, unpack_bits
 from privtrans.costs import CostReport
+from privtrans.model import ModelConfig, final_ln_spec
 from privtrans.ring import DEFAULT_RING
 from privtrans.securefn import (
     FN_NAMES,
     RangeViolation,
     SecureFnSpec,
     build_secure_circuit,
+    check_domain,
     eval_secure,
     plain_apply,
 )
@@ -174,6 +176,20 @@ def test_strict_mode_flags_domain_violations():
     with pytest.raises(RangeViolation):
         eval_secure(spec, xc, xs, rng, strict=True)
     eval_secure(spec, xc, xs, rng, strict=False)  # permissive clamps instead
+
+
+def test_strict_mode_checks_unshifted_stages():
+    # pre-norm layer norms run at shift 0 and cut each input to 20 bits at
+    # d_emb=8, so 600000 and 600000 - 2^20 would give the same output
+    pre_cfg = ModelConfig(N=1, d_emb=8, H=2, n=4, d_oh=32, d_ff=16, norm="pre")
+    spec = final_ln_spec(pre_cfg)
+    assert spec.shift == 0
+    with pytest.raises(RangeViolation, match="layernorm_row"):
+        check_domain(spec, [[600000] + [0] * 7])
+    lim = DEFAULT_RING.value_limit()
+    check_domain(spec, np.array([[lim, -lim] + [0] * 6], dtype=np.int64).astype(np.uint64))
+    with pytest.raises(RangeViolation):
+        check_domain(spec, np.array([[-lim - 1] + [0] * 7], dtype=np.int64).astype(np.uint64))
 
 
 def test_cost_logging_matches_message_bytes():
