@@ -12,6 +12,7 @@ the masked Q*K^T product used inside attention.
 import numpy as np
 
 from privtrans.costs import CostReport
+from privtrans.engine import MaterialMissing, Server
 from privtrans.ring import DEFAULT_RING, FixedTensor, mat_mul
 from privtrans.sharing import make_product_triple, rand_ring
 from privtrans.she import HEParams, keygen
@@ -67,6 +68,16 @@ assert lhs == mat_mul(q, k.transpose())
 print("masked-product algebra reconstructs Q*K^T exactly")
 
 # %%
-# Triples are single-use by construction: the mask would leak if two
-# different masked values reused it. The engine enforces this.
-print("triple id:", triple.triple_id, "| used flag starts", triple.used)
+# Triples are single-use: the mask would leak if two different masked
+# values reused it. The server keeps each triple in its material store
+# under a module id, and taking an item pops it, so a second take fails.
+server = Server(np.random.default_rng(7), DEFAULT_RING)
+server.keep("b0.qk.h0", triple)
+print("server store holds:", sorted(server.material))
+assert server.take("b0.qk.h0") is triple
+try:
+    server.take("b0.qk.h0")
+except MaterialMissing as e:
+    print("second take refused:", e)
+else:
+    raise AssertionError("a triple was taken twice")

@@ -41,6 +41,7 @@ from .model import (
     reference_forward,
 )
 from .packing import PackingLayout, PackingStrategy, plan_layout, predicted_rotations
+from .securefn import BACKENDS
 from .she import HEParams
 from .transcript import ChannelModel, estimate_latency
 
@@ -126,7 +127,7 @@ def load_run_config(obj: dict, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"config field 'tokens': need {cfg.n} indices in [0, {cfg.d_oh})")
 
     backend = _field(obj, "backend", str, default="semantic")
-    if backend not in ("semantic", "gc"):
+    if backend not in BACKENDS:
         raise ConfigError("config field 'backend': must be 'semantic' or 'gc'")
     strict = _field(obj, "strict", bool, default=False)
 

@@ -26,7 +26,7 @@ at all.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from .model import (
 )
 from .packing import PackingLayout, PackingStrategy, he_matmul, pack, pack_plain, unpack
 from .ring import FixedTensor, mat_mul
-from .securefn import SecureFnSpec, eval_secure
+from .securefn import BACKENDS, SecureFnSpec, eval_secure
 from .she import (
     Ciphertext,
     HEParams,
@@ -57,9 +57,7 @@ from .she import (
     keygen,
 )
 from .sharing import (
-    MaterialMissing,  # noqa: F401  (re-exported: engine callers catch it)
     MatTriple,
-    SingleUse,
     dec_rows,
     enc_left_matmul,
     enc_rows,
@@ -78,6 +76,10 @@ class AuditError(RuntimeError):
 
 class PackingError(ValueError):
     """The mode's packing does not fit the model's token count."""
+
+
+class MaterialMissing(RuntimeError):
+    """No server material under a module id: never made, or already used."""
 
 
 def audit_server_ignorance(server: Server) -> list[str]:
@@ -106,40 +108,19 @@ def audit_server_ignorance(server: Server) -> list[str]:
     return found
 
 
-# -- HGS: one plaintext-weight matmul module ---------------------------------
-
-
 @dataclass
-class HgsMaterial(SingleUse):
-    """The server's material for one module: its output mask rs. The client
-    keeps its input mask rc and its decrypted share m_out = rc @ W + rs."""
+class ChgsMaterial:
+    """The server's record for one fused block prefix (mode fpc); `strip`
+    completes one head's triple of a = R_e B_h and b = R_e^T per reply."""
 
-    layer_id: str
-    rs: FixedTensor
-
-
-def run_hgs_layer(w, masked_in: FixedTensor, material: HgsMaterial,
-                  bias: FixedTensor | None = None, scalar: int | None = None) -> FixedTensor:
-    """Server online step of one module: (X - rc) @ W - rs plus any public
-    bias. Pure ring arithmetic; the prepared phase already paid all HE.
-    scalar replaces W for coefficient (diagonal) modules."""
-    material.mark_used()
-    out = masked_in.scalar_mul(scalar) if scalar is not None else mat_mul(masked_in, w)
-    out = out - material.rs
-    if bias is not None:
-        out = out + bias
-    return out
-
-
-@dataclass
-class ChgsMaterial(SingleUse):
-    """Offline terms for one fused block prefix (mode fpc)."""
-
-    block_id: int
     w_ed: FixedTensor
     lam: FixedTensor
     head_b: list            # B_h = W_Q_h @ W_K_h^T, server plaintext
-    head_triples: list      # per head, the MatTriple of a = R_e B_h and b = R_e^T
+    head_re_b: list         # Enc(R_e B_h) rows per head
+    g_masks: list           # G_h per head, drawn by the server
+    enc_re_t: list          # Enc(R_e^T) rows
+    enc_rc0_t: list         # Enc(Rc0^T) rows
+    head_triples: list = field(default_factory=list)
 
 
 class Client:
@@ -155,32 +136,62 @@ class Client:
 
 
 class Server:
-    """The server: its rng stream and its cost report. Its methods take only
-    wire payloads, public weights and its own material."""
+    """The server: its rng stream, its cost report and its material store.
+    `material` maps a module id (`b0.wq`, `b0.qk.h1`, `b0.prefix`) to the
+    one record the server made or received for that module offline; `take`
+    pops it, so each record is consumed once. Its methods take only wire
+    payloads, public weights and module ids."""
 
     def __init__(self, rng: np.random.Generator, ring):
         self.rng, self.ring, self.report = rng, ring, CostReport("server")
+        self.material = {}
 
-    def mask_reply(self, lid: str, rc_cts: list[Ciphertext], layout: PackingLayout,
+    def keep(self, mid: str, item) -> None:
+        if mid in self.material:
+            raise ValueError(f"material {mid!r} is already held")
+        self.material[mid] = item
+
+    def take(self, mid: str):
+        try:
+            return self.material.pop(mid)
+        except KeyError:
+            raise MaterialMissing(f"no material {mid!r}: never made or already consumed") from None
+
+    def mask_reply(self, mid: str, rc_cts: list[Ciphertext], layout: PackingLayout,
                    w: FixedTensor | None, scalar: int | None = None):
         """HE half of one module's mask exchange: Enc(rc @ W + rs) from the
         client's packed Enc(rc), scalar in place of W for a coefficient
-        module. Returns the ciphertexts, their layout and the material rs."""
+        module. Keeps rs under mid; returns the ciphertexts, their layout."""
         rep = self.report
         if scalar is not None:
             out_cts, layout_out = [he_mul_plain(ct, scalar, rep) for ct in rc_cts], layout
         else:
             out_cts, layout_out = he_matmul(rc_cts, layout, w, rep)
         rs = rand_ring((layout.n, layout_out.d), self.rng, self.ring)
+        self.keep(mid, rs)
         out_cts = [he_add_plain(ct, v, rep) for ct, v in zip(out_cts, pack_plain(rs, layout_out))]
-        return out_cts, layout_out, HgsMaterial(lid, rs)
+        return out_cts, layout_out
 
-    def four_terms(self, left: FixedTensor, right: FixedTensor, triple: MatTriple) -> tuple:
+    def run_hgs_layer(self, mid: str, w, masked_in: FixedTensor,
+                      bias: FixedTensor | None = None, scalar: int | None = None) -> FixedTensor:
+        """Online step of one module: (X - rc) @ W - rs plus any public bias.
+        Pure ring arithmetic; the prepared phase already paid all HE.
+        scalar replaces W for coefficient (diagonal) modules."""
+        rs = self.take(mid)
+        out = masked_in.scalar_mul(scalar) if scalar is not None else mat_mul(masked_in, w)
+        out = out - rs
+        if bias is not None:
+            out = out + bias
+        return out
+
+    def four_terms(self, mid: str, left: FixedTensor, right: FixedTensor) -> tuple:
+        """_terms with the triple kept under mid."""
+        return self._terms(left, right, self.take(mid))
+
+    def _terms(self, left: FixedTensor, right: FixedTensor, triple: MatTriple) -> tuple:
         """(L @ R, Enc(a) @ R, L @ Enc(b), Enc(ab), rs): the terms of
-        (L + a)(R + b) for plaintext L, R, the triple's row-encrypted a, b
-        and ab, and a fresh output mask. No ciphertext multiplies a
-        ciphertext."""
-        triple.mark_used()
+        (L + a)(R + b) for the triple's row-encrypted a, b and ab, and a
+        fresh output mask. No ciphertext multiplies a ciphertext."""
         rs = rand_ring((left.rows, right.cols), self.rng, self.ring)
         return (mat_mul(left, right), enc_left_matmul(triple.left_ct, right, self.report),
                 plain_left_matmul(left, triple.right_ct, self.report), triple.product_ct, rs)
@@ -196,12 +207,13 @@ class Server:
                 rows.append(he_add_plain(acc, t1.data[i] - rs.data[i], rep))
         return rows
 
-    def chgs_terms(self, enc_rc0: list[Ciphertext], enc_rc0_t: list[Ciphertext],
-                   w_ed: FixedTensor, head_weights):
-        """Fused-prefix terms from Enc(Rc0), Enc(Rc0^T) rows: Enc(R_e^T), and
-        per head (W_Q_h, W_K_h) of head_weights B_h = W_Q_h W_K_h^T,
-        Enc(R_e B_h) and Enc(Rc0 W_M_h) + G_h for a fresh G_h that the
-        server keeps (W_M_h = W_ed B_h W_ed^T)."""
+    def chgs_terms(self, mid: str, enc_rc0: list[Ciphertext], enc_rc0_t: list[Ciphertext],
+                   w_ed: FixedTensor, lam: FixedTensor, head_weights) -> list:
+        """Fused-prefix terms from Enc(Rc0), Enc(Rc0^T) rows, kept under mid:
+        Enc(R_e^T), and per head (W_Q_h, W_K_h) of head_weights
+        B_h = W_Q_h W_K_h^T and Enc(R_e B_h). Returns, per head, the rows
+        Enc(Rc0 W_M_h) + G_h for a fresh G_h that the record keeps
+        (W_M_h = W_ed B_h W_ed^T)."""
         rep = self.report
         enc_re = enc_left_matmul(enc_rc0, w_ed, rep)
         enc_re_t = plain_left_matmul(w_ed.transpose(), enc_rc0_t, rep)
@@ -215,20 +227,27 @@ class Server:
             g_masks.append(g_h)
             rows = enc_left_matmul(enc_rc0, w_m, rep)
             masked_wm.append([he_add_plain(ct, v, rep) for ct, v in zip(rows, g_h.data)])
-        return enc_re_t, head_b, head_re_b, masked_wm, g_masks
+        self.keep(mid, ChgsMaterial(w_ed, lam, head_b, head_re_b, g_masks, enc_re_t, enc_rc0_t))
+        return masked_wm
 
-    def strip(self, back: list[Ciphertext], g_h: FixedTensor, enc_rc0_t) -> list[Ciphertext]:
-        """Enc(Rc0 W_M_h Rc0^T): the client's reply minus G_h Rc0^T, under HE."""
-        strip = plain_left_matmul(-g_h, enc_rc0_t, self.report)
-        return [he_add(a, b, self.report) for a, b in zip(back, strip)]
+    def strip(self, mid: str, back: list[Ciphertext]) -> None:
+        """Completes the next head's triple in the record under mid: its
+        product Enc(Rc0 W_M_h Rc0^T) is the client's reply minus
+        G_h Rc0^T, under HE."""
+        rec = self.take(mid)
+        h = len(rec.head_triples)
+        strip = plain_left_matmul(-rec.g_masks[h], rec.enc_rc0_t, self.report)
+        product = [he_add(a, b, self.report) for a, b in zip(back, strip)]
+        rec.head_triples.append(MatTriple(rec.head_re_b[h], rec.enc_re_t, product))
+        self.keep(mid, rec)
 
-    def chgs_heads(self, x0_masked: FixedTensor, mat: ChgsMaterial):
-        """P_s = (X0 - Rc0) W_ed + lam and, per head, the four terms of
-        S_h = (P_s B_h + R_e B_h)(P_s^T + R_e^T)."""
-        mat.mark_used()
-        p_s = mat_mul(x0_masked, mat.w_ed) + mat.lam
-        return p_s, [self.four_terms(mat_mul(p_s, b_h), p_s.transpose(), t)
-                     for b_h, t in zip(mat.head_b, mat.head_triples)]
+    def chgs_heads(self, mid: str, x0_masked: FixedTensor) -> list:
+        """Per head, the four terms of S_h = (P_s B_h + R_e B_h)(P_s^T + R_e^T)
+        with P_s = (X0 - Rc0) W_ed + lam, from the record under mid."""
+        rec = self.take(mid)
+        p_s = mat_mul(x0_masked, rec.w_ed) + rec.lam
+        return [self._terms(mat_mul(p_s, b_h), p_s.transpose(), t)
+                for b_h, t in zip(rec.head_b, rec.head_triples)]
 
 
 class Session:
@@ -244,15 +263,17 @@ class Session:
     all material tagged offline really is derivable before the input
     arrives.
 
-    The HE key pair lives on the Client; the Server holds its rng and its
-    cost report only, and `run` ends by auditing that no client secret is
-    reachable from it.
+    The HE key pair lives on the Client, the server's material in the
+    Server's store under module ids. `run` ends by auditing that no client
+    secret is reachable from the server and that its store is empty.
     """
 
     def __init__(self, cfg: ModelConfig, weights: ModelWeights, mode: str, seed: int, *,
                  backend: str = "semantic", strict: bool = False):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
+        if backend not in BACKENDS:
+            raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
         weights.validate(cfg)
         self.cfg, self.weights, self.mode = cfg, weights, mode
         self.prep = "online" if mode == "base" else "offline"
@@ -315,32 +336,33 @@ class Session:
 
     # -- module material ------------------------------------------------------
 
-    def _gen_hgs(self, lid: str, w: FixedTensor | None, rc: FixedTensor, *,
+    def _gen_hgs(self, mid: str, w: FixedTensor | None, rc: FixedTensor, *,
                  scalar: int | None = None, rc_cts: list[Ciphertext] | None = None):
         """Mask exchange for one module: the client ships Enc(rc) packed, the
-        server returns Enc(rc @ W + rs), the client decrypts its share. A
-        coefficient module (scalar in place of W) acts on d_emb features.
-        Returns the server's material and the client's m_out = rc @ W + rs."""
+        server keeps its rs and returns Enc(rc @ W + rs), the client decrypts
+        its share. A coefficient module (scalar in place of W) acts on d_emb
+        features. Returns the client's m_out = rc @ W + rs."""
         if rc_cts is None:
             rc_cts = self._pack_mask(rc)
-        out_cts, layout_out, mat = self.server.mask_reply(lid, rc_cts, self._layout(rc.cols),
-                                                          w, scalar)
+        out_cts, layout_out = self.server.mask_reply(mid, rc_cts, self._layout(rc.cols),
+                                                     w, scalar)
         self._send("server", out_cts)
         if self.prep == "offline":
             # an online-generated module piggybacks on its remask interaction
             self._interaction()
         c = self.client
-        return mat, unpack(out_cts, layout_out, c.key.secret(), self.cfg.ring, c.report)
+        return unpack(out_cts, layout_out, c.key.secret(), self.cfg.ring, c.report)
 
-    def _gen_triple(self, left: FixedTensor, right: FixedTensor) -> MatTriple:
-        """Client-built product triple shipped to the server."""
+    def _gen_triple(self, mid: str, left: FixedTensor, right: FixedTensor) -> None:
+        """Client-built product triple shipped into the server's store."""
         t = make_product_triple(left, right, self.client.key, report=self.client.report)
         self._send("client", t.left_ct + t.right_ct + t.product_ct)
-        return t
+        self.server.keep(mid, t)
 
-    def chgs_material(self, blk_i: int, rc0: FixedTensor, w_ed: FixedTensor,
-                      lam: FixedTensor, w_q: FixedTensor, w_k: FixedTensor) -> ChgsMaterial:
-        """All encrypted fused-prefix terms, offline.
+    def chgs_material(self, mid: str, rc0: FixedTensor, w_ed: FixedTensor,
+                      lam: FixedTensor, w_q: FixedTensor, w_k: FixedTensor) -> None:
+        """All encrypted fused-prefix terms, offline, into the server's
+        record under mid.
 
         The mask-quadratic t4 = R_e B_h R_e^T costs one extra offline round:
         the server masks Enc(Rc0 W_M_h) with G_h, the client decrypts,
@@ -349,17 +371,15 @@ class Session:
         key, rep_c = self.client.key, self.client.report
         enc_rc0, enc_rc0_t = enc_rows(rc0, key, rep_c), enc_rows(rc0.transpose(), key, rep_c)
         self._send("client", enc_rc0 + enc_rc0_t)
-        enc_re_t, head_b, head_re_b, masked_wm, g_masks = self.server.chgs_terms(
-            enc_rc0, enc_rc0_t, w_ed, list(zip(self._heads(w_q), self._heads(w_k))))
+        masked_wm = self.server.chgs_terms(mid, enc_rc0, enc_rc0_t, w_ed, lam,
+                                           list(zip(self._heads(w_q), self._heads(w_k))))
         self._send("server", [ct for rows in masked_wm for ct in rows])
-        triples = []
-        for h, (re_b, rows, g_h) in enumerate(zip(head_re_b, masked_wm, g_masks)):
+        for rows in masked_wm:
             y_h = dec_rows(rows, rc0.cols, key.secret(), self.cfg.ring, rep_c)
             back = enc_rows(mat_mul(y_h, rc0.transpose()), key, rep_c)
             self._send("client", back)
-            triples.append(MatTriple(h, re_b, enc_re_t, self.server.strip(back, g_h, enc_rc0_t)))
+            self.server.strip(mid, back)
         self._interaction()  # the extra offline round
-        return ChgsMaterial(blk_i, w_ed, lam, head_b, triples)
 
     # -- online plumbing ------------------------------------------------------
 
@@ -380,22 +400,21 @@ class Session:
         return dec_rows(rows, heads[0][0].cols, self.client.key.secret(), self.cfg.ring,
                         self.client.report)
 
-    def triple_product(self, left_masked: FixedTensor, right_masked: FixedTensor,
-                       triple: MatTriple):
-        """Shares of L @ R from L - a and R - b, masked by the triple's own
-        a and b: the four-term product of the masked factors. The client
-        ends with L @ R - rs, the server keeps a fresh rs."""
-        terms = self.server.four_terms(left_masked, right_masked, triple)
+    def triple_product(self, mid: str, left_masked: FixedTensor, right_masked: FixedTensor):
+        """Shares of L @ R from L - a and R - b, masked by the a and b of the
+        triple kept under mid: the four-term product of the masked factors.
+        The client ends with L @ R - rs, the server keeps a fresh rs."""
+        terms = self.server.four_terms(mid, left_masked, right_masked)
         return self._reveal([terms]), terms[-1]
 
-    def chgs_scores(self, x0_masked: FixedTensor, mat: ChgsMaterial):
+    def chgs_scores(self, mid: str, x0_masked: FixedTensor):
         """Fused scores S_h = (P_s + R_e) B_h (P_s + R_e)^T per head from the
-        server's terms. Returns P_s and the (server, client) score shares
-        stacked by head."""
-        p_s, heads = self.server.chgs_heads(x0_masked, mat)
+        server's terms for the record under mid. Returns the (server,
+        client) score shares stacked by head."""
+        heads = self.server.chgs_heads(mid, x0_masked)
         s_client = self._reveal(heads)
         s_server = self._stack([rs for *_, rs in heads])
-        return p_s, (s_server, s_client)
+        return s_server, s_client
 
     def _gc(self, step: str, spec: SecureFnSpec, chain):
         """One garbled stage over the chain shares, spec.count words per
@@ -420,48 +439,49 @@ class Session:
         cfg, w = self.cfg, self.weights
         with self._at("Embed", prep=True):
             rc_e = self.client.rand((cfg.n, cfg.d_oh))
-            m_e, out_e = self._gen_hgs("embed.vocab", w.w_e, rc_e)
+            out_e = self._gen_hgs("embed.vocab", w.w_e, rc_e)
             rc_dl = self.client.rand((cfg.n, cfg.d_emb))
-            m_dl, out_dl = self._gen_hgs("embed.posn", None, rc_dl, scalar=cfg.delta)
+            out_dl = self._gen_hgs("embed.posn", None, rc_dl, scalar=cfg.delta)
         with self._at("Embed"):
             zeros = FixedTensor.zeros(*x0.shape, cfg.ring)
             masked, = self._remask(rc_e, (zeros, x0))
-            masked_e = run_hgs_layer(w.w_e, masked, m_e)
+            masked_e = self.server.run_hgs_layer("embed.vocab", w.w_e, masked)
             masked, = self._remask(rc_dl, (masked_e, out_e))
-        masked_x1 = run_hgs_layer(None, masked, m_dl, bias=cfg.lam, scalar=cfg.delta)
+        masked_x1 = self.server.run_hgs_layer("embed.posn", None, masked, bias=cfg.lam,
+                                              scalar=cfg.delta)
         return masked_x1, out_dl
 
-    def _weight_module(self, lid: str, w: FixedTensor, chain):
+    def _weight_module(self, mid: str, w: FixedTensor, chain):
         with self._at("Others", prep=True):
             rc = self.client.rand((self.cfg.n, w.rows))
-            mat, m_out = self._gen_hgs(lid, w, rc)
+            m_out = self._gen_hgs(mid, w, rc)
         with self._at("Others"):
             masked, = self._remask(rc, chain)
-        return run_hgs_layer(w, masked, mat), m_out
+        return self.server.run_hgs_layer(mid, w, masked), m_out
 
     def _prefix_hgs(self, blk_i: int, chain):
         """Modes base/f/fp: QKV modules sharing one input mask, then the
         per-head same-mask score product. Two online interactions."""
         cfg, blk = self.cfg, self.weights.blocks[blk_i]
+        qkv = [(f"b{blk_i}.w{p}", getattr(blk, f"w_{p}")) for p in "qkv"]
         with self._at("QKV", prep=True):
             rc_qkv = self.client.rand((cfg.n, cfg.d_emb))
             qkv_cts = self._pack_mask(rc_qkv)
-            (m_q, q_out), (m_k, k_out), (m_v, v_out) = [
-                self._gen_hgs(f"b{blk_i}.w{p}", getattr(blk, f"w_{p}"), rc_qkv, rc_cts=qkv_cts)
-                for p in "qkv"]
+            q_out, k_out, v_out = [self._gen_hgs(mid, w, rc_qkv, rc_cts=qkv_cts)
+                                   for mid, w in qkv]
         with self._at("QxK", prep=True):
             rc_qk = self.client.rand((cfg.n, cfg.d_emb))
-            triples = [self._gen_triple(r, r.transpose()) for r in self._heads(rc_qk)]
+            for h, r in enumerate(self._heads(rc_qk)):
+                self._gen_triple(f"b{blk_i}.qk.h{h}", r, r.transpose())
 
         with self._at("QKV"):
             masked_x1, = self._remask(rc_qkv, chain)
-        masked_q = run_hgs_layer(blk.w_q, masked_x1, m_q)
-        masked_k = run_hgs_layer(blk.w_k, masked_x1, m_k)
-        masked_v = run_hgs_layer(blk.w_v, masked_x1, m_v)
+        masked_q, masked_k, masked_v = [self.server.run_hgs_layer(mid, w, masked_x1)
+                                        for mid, w in qkv]
         with self._at("QxK"):
             mq, mk = self._remask(rc_qk, (masked_q, q_out), (masked_k, k_out))
-            heads = [self.triple_product(q, k.transpose(), triple)
-                     for q, k, triple in zip(self._heads(mq), self._heads(mk), triples)]
+            heads = [self.triple_product(f"b{blk_i}.qk.h{h}", q, k.transpose())
+                     for h, (q, k) in enumerate(zip(self._heads(mq), self._heads(mk)))]
         s_client = self._stack([c for c, _ in heads])
         s_server = self._stack([s for _, s in heads])
         return (s_server, s_client), (masked_v, v_out)
@@ -485,14 +505,15 @@ class Session:
             w_ed = FixedTensor(np.eye(cfg.d_emb, dtype=np.uint64), ring)
             lam = FixedTensor.zeros(cfg.n, cfg.d_emb, ring)
             rc0 = chain[1]  # the GC output mask already masking this input
+        prefix, fuse_v = f"b{blk_i}.prefix", f"b{blk_i}.fuse_v"
         with self._at("QxK", prep=True):
-            mat = self.chgs_material(blk_i, rc0, w_ed, lam, blk.w_q, blk.w_k)
+            self.chgs_material(prefix, rc0, w_ed, lam, blk.w_q, blk.w_k)
         w_ev = mat_mul(w_ed, blk.w_v)
         with self._at("QKV", prep=True):
-            m_v, v_out = self._gen_hgs(f"b{blk_i}.fuse_v", w_ev, rc0)
+            v_out = self._gen_hgs(fuse_v, w_ev, rc0)
         if first:
             with self._at("Embed", prep=True):
-                m_x, x_out = self._gen_hgs("embed.fused", w_ed, rc0)
+                x_out = self._gen_hgs("embed.fused", w_ed, rc0)
 
         # online: one interaction carries the whole prefix
         with self._at("QxK"):
@@ -502,17 +523,15 @@ class Session:
             else:
                 x0_masked = chain[0]
             self._interaction()
-            p_s, s_chain = self.chgs_scores(x0_masked, mat)
-        masked_v = run_hgs_layer(w_ev, x0_masked, m_v,
-                                 bias=mat_mul(lam, blk.w_v) if first else None)
-        if first:
-            m_x.mark_used()
-            x1_chain = (p_s - m_x.rs, x_out)
-        else:
-            x1_chain = chain
+            s_chain = self.chgs_scores(prefix, x0_masked)
+        masked_v = self.server.run_hgs_layer(fuse_v, w_ev, x0_masked,
+                                             bias=mat_mul(lam, blk.w_v) if first else None)
+        x1_chain = chain
+        if first:  # P_s - rs: X1 = X0 W_ed + lam under the mask x_out
+            x1_chain = (self.server.run_hgs_layer("embed.fused", w_ed, x0_masked, bias=lam), x_out)
         return s_chain, (masked_v, v_out), x1_chain
 
-    def _attention_value(self, p_chain, v_chain):
+    def _attention_value(self, blk_i: int, p_chain, v_chain):
         """Per-head product of the softmax shares with the masked values;
         triples reuse the GC output mask, so the online phase is just the
         server's ciphertext batch (one interaction, no client message)."""
@@ -520,11 +539,13 @@ class Session:
         v_masked, m_v = v_chain
         heads = []
         with self._at("AttenValue"):
-            for p_h, a_h, v_h, mv_h in zip(self._heads(p_held, axis=0), self._heads(p_mask, axis=0),
-                                           self._heads(v_masked), self._heads(m_v)):
+            for h, (p_h, a_h, v_h, mv_h) in enumerate(zip(
+                    self._heads(p_held, axis=0), self._heads(p_mask, axis=0),
+                    self._heads(v_masked), self._heads(m_v))):
+                mid = f"b{blk_i}.av.h{h}"
                 with self._at("AttenValue", prep=True):
-                    triple = self._gen_triple(a_h, mv_h)
-                heads.append(self.triple_product(p_h, v_h, triple))
+                    self._gen_triple(mid, a_h, mv_h)
+                heads.append(self.triple_product(mid, p_h, v_h))
             self._interaction()
         client = self._stack([c for c, _ in heads], axis=1)
         server = self._stack([s for _, s in heads], axis=1)
@@ -544,7 +565,7 @@ class Session:
         eta = cfg.eta
         s_chain = (s_chain[0].scalar_mul(eta), s_chain[1].scalar_mul(eta))
         p_chain = self._gc("SoftMax", softmax_spec(cfg), s_chain)
-        av_chain = self._attention_value(p_chain, v_chain)
+        av_chain = self._attention_value(blk_i, p_chain, v_chain)
         o_held, o_mask = self._weight_module(f"b{blk_i}.wo", blk.w_o, av_chain)
         mid = (x1_chain[0].lshift(3 * f) + o_held, x1_chain[1].lshift(3 * f) + o_mask)
         if pre:
@@ -574,6 +595,8 @@ class Session:
         bad = audit_server_ignorance(self.server)
         if bad:
             raise AuditError(f"server holds client secrets: {bad}")
+        if self.server.material:
+            raise RuntimeError(f"server material left unused: {sorted(self.server.material)}")
         return RunResult(l_mask, l_held, self.transcript,
                          self.client.report, self.server.report, self)
 

@@ -56,16 +56,16 @@ class ModelConfig:
     ring: RingParams = DEFAULT_RING
 
     def __post_init__(self):
-        if self.N < 1 or self.n < 1 or self.d_oh < 1 or self.d_ff < 1 or self.d_out < 1:
-            raise ValueError("all dimensions must be >= 1")
+        for name in ("N", "d_emb", "H", "n", "d_oh", "d_ff", "d_out", "delta"):
+            v = getattr(self, name)
+            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
         if self.d_emb % self.H != 0:
             raise ValueError(f"d_emb={self.d_emb} not divisible by H={self.H}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
         if self.norm not in NORM_ORDERS:
             raise ValueError(f"norm must be one of {NORM_ORDERS}")
-        if not isinstance(self.delta, int) or self.delta < 1:
-            raise ValueError("delta must be a positive integer")
         lam = self.lam
         if lam is None:
             lam = FixedTensor.zeros(self.n, self.d_emb, self.ring)

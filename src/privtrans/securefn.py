@@ -32,6 +32,7 @@ _ONE_IN = ("trunc", "relu", "gelu")
 _ROW_FNS = ("softmax_row", "layernorm_row")
 
 FN_NAMES = _ONE_IN + _ROW_FNS
+BACKENDS = ("semantic", "gc")
 
 
 class RangeViolation(ValueError):
@@ -196,6 +197,8 @@ def eval_secure(
     server_vals = np.atleast_2d(np.asarray(server_vals, dtype=np.uint64))
     if client_vals.shape != server_vals.shape or client_vals.shape[1] != spec.count:
         raise ValueError("share matrices must both be (lanes, count)")
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}")
     if backend == "gc" and rng_server is None:
         raise ValueError("backend 'gc' needs rng_server, the evaluator's own generator")
     lanes = client_vals.shape[0]
@@ -229,9 +232,6 @@ def eval_secure(
         )
         server_new = np.stack([o.bits for o in outs], axis=1)
         return masks, server_new
-
-    if backend != "gc":
-        raise ValueError(f"unknown backend {backend!r}")
 
     gt, state = garble(circ, lanes, rng)
     w = spec.bitwidth

@@ -6,14 +6,14 @@ chi-square acceptance test checks.
 
 A MatTriple carries the row-encrypted Enc(L), Enc(R) and Enc(L @ R) of
 the client's masks L, R, and no plaintext mask: it is the server's
-material, and the client keeps L and R. For the attention-score product
+material, kept under a module id, and the client keeps L and R. For the attention-score product
 Q @ K^T the two masks are the same matrix and its transpose, so the
 product ciphertext decrypts to mask @ mask.T.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,35 +102,10 @@ def enc_left_matmul(
 # -- matrix triples ----------------------------------------------------------
 
 
-class TripleReuse(RuntimeError):
-    """A product triple consumed a second time."""
-
-
-class MaterialMissing(TripleReuse):
-    """Single-use material asked for after it was consumed; raised for
-    triples too, so either class catches every reuse."""
-
-
 @dataclass
-class SingleUse:
-    """Offline material consumed at most once: replaying it would let
-    masked values cancel. A subclass's first field is its id."""
-
-    used: bool = field(default=False, init=False)
-
-    def mark_used(self) -> None:
-        if self.used:
-            name = fields(self)[1].name
-            raise MaterialMissing(
-                f"{type(self).__name__} {name}={getattr(self, name)!r} already consumed")
-        self.used = True
-
-
-@dataclass
-class MatTriple(SingleUse):
+class MatTriple:
     """Offline material for one masked matrix product L-shape @ R-shape."""
 
-    triple_id: int
     left_ct: list[Ciphertext]
     right_ct: list[Ciphertext]
     product_ct: list[Ciphertext]
@@ -140,14 +115,12 @@ def make_product_triple(
     left: FixedTensor,
     right: FixedTensor,
     key: KeyPair,
-    triple_id: int = 0,
     report: CostReport | None = None,
 ) -> MatTriple:
     """Client-side triple from given masks: encrypt L, R, and L @ R rows."""
     if left.cols != right.rows:
         raise ValueError("mask shapes do not chain")
     return MatTriple(
-        triple_id=triple_id,
         left_ct=enc_rows(left, key, report),
         right_ct=enc_rows(right, key, report),
         product_ct=enc_rows(mat_mul(left, right), key, report),

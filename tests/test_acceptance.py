@@ -106,8 +106,8 @@ def test_2_masked_qk_product_exact_over_100_seeds():
         rng = np.random.default_rng(seed)
         q, k = rand_mat(rng, (4, 6)), rand_mat(rng, (4, 6))
         rc = rand_mat(rng, (4, 6))
-        triple = make_product_triple(rc, rc.transpose(), s.client.key, triple_id=seed)
-        c_share, s_share = s.triple_product(q - rc, (k - rc).transpose(), triple)
+        s.server.keep(f"b{seed}.qk.h0", make_product_triple(rc, rc.transpose(), s.client.key))
+        c_share, s_share = s.triple_product(f"b{seed}.qk.h0", q - rc, (k - rc).transpose())
         want = oracles.matmul_mod(q.data.tolist(), k.transpose().data.tolist(), 64)
         assert (c_share + s_share).data.tolist() == want, seed
     pair_ops = ciphertext_pair_ops()

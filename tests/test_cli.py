@@ -231,5 +231,13 @@ def test_main_run_verify_and_exit_codes(tmp_path, capsys):
     assert out == ""
     assert err.startswith("config error: config field 'weight_scale':")
 
+    # a non-integer dimension is named, where it used to end in a TypeError
+    fractional = tmp_path / "fractional_n.json"
+    fractional.write_text(json.dumps(toy_obj(model={**toy_obj()["model"], "N": 1.0})))
+    assert main(["run", "--config", str(fractional)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: config field 'model': N must be an integer >= 1")
+
     assert main(["plan", "30", "30522", "4096"]) == 0
     assert '"ciphertexts": 224' in capsys.readouterr().out

@@ -10,17 +10,15 @@ from privtrans import engine
 from privtrans.engine import (
     MODES,
     AuditError,
-    HgsMaterial,
     MaterialMissing,
     Session,
     audit_server_ignorance,
-    run_hgs_layer,
     run_protocol,
 )
 from privtrans.model import BlockWeights, ModelConfig, ModelWeights, random_weights, reference_forward
 from privtrans.packing import PackingStrategy
 from privtrans.ring import DEFAULT_RING, FixedTensor, mat_mul
-from privtrans.sharing import TripleReuse, make_product_triple, rand_ring
+from privtrans.sharing import make_product_triple, rand_ring
 from privtrans.she import KeyPair, SecretKey
 
 import oracles
@@ -48,6 +46,13 @@ def host_session(mode="f", **cfg_kw):
 
 def rand_mat(rng, shape):
     return FixedTensor(rng.integers(0, 1 << 64, size=shape, dtype=np.uint64), DEFAULT_RING)
+
+
+def kept(s, left, right, mid="t"):
+    """mid, after keeping a client-built triple of masks left, right in the
+    server's store."""
+    s.server.keep(mid, make_product_triple(left, right, s.client.key))
+    return mid
 
 
 # -- whole-pipeline equivalence ------------------------------------------------
@@ -97,37 +102,44 @@ def test_same_seed_reproduces_run_different_seed_rerandomizes():
 
 
 def test_hgs_layer_identity_zero_masks_passes_through():
+    server = host_session().server
     rng = np.random.default_rng(2)
     x = rand_mat(rng, (5, 5))
     eye = FixedTensor(np.eye(5, dtype=np.uint64), DEFAULT_RING)
-    zero = FixedTensor.zeros(5, 5, DEFAULT_RING)
-    out = run_hgs_layer(eye, x, HgsMaterial("id", zero))
+    server.keep("id", FixedTensor.zeros(5, 5, DEFAULT_RING))
+    out = server.run_hgs_layer("id", eye, x)
     assert out == x
 
 
 def test_hgs_layer_matches_matmul_oracle():
+    server = host_session().server
     rng = np.random.default_rng(8)
     for _ in range(20):
         x, w = rand_mat(rng, (8, 8)), rand_mat(rng, (8, 8))
         rc, rs = rand_mat(rng, (8, 8)), rand_mat(rng, (8, 8))
         m_out = mat_mul(rc, w) + rs
-        out = run_hgs_layer(w, x - rc, HgsMaterial("m", rs))
+        server.keep("m", rs)
+        out = server.run_hgs_layer("m", w, x - rc)
         assert (out + m_out).data.tolist() == mm64(x, w)
 
 
 def test_hgs_layer_online_phase_is_he_free_and_single_use():
+    # the module's rs comes from the real offline exchange under its id;
+    # the online step pays no HE and consumes rs, so a second step fails
     s = host_session()
-    before = {k: s.server.report.total(k) for k in ("he_enc", "he_dec", "he_add",
-                                                    "he_add_plain", "he_mul_plain", "he_rotate")}
     rng = np.random.default_rng(4)
     x, w = rand_mat(rng, (4, 8)), rand_mat(rng, (8, 8))
-    rc, rs = rand_mat(rng, (4, 8)), rand_mat(rng, (4, 8))
-    mat = HgsMaterial("once", rs)
-    run_hgs_layer(w, x - rc, mat)
+    rc = rand_mat(rng, (4, 8))
+    m_out = s._gen_hgs("b0.wq", w, rc)
+    before = {k: s.server.report.total(k) for k in ("he_enc", "he_dec", "he_add",
+                                                    "he_add_plain", "he_mul_plain", "he_rotate")}
+    out = s.server.run_hgs_layer("b0.wq", w, x - rc)
     after = {k: s.server.report.total(k) for k in before}
     assert before == after
-    with pytest.raises(MaterialMissing, match="HgsMaterial layer_id='once' already consumed"):
-        run_hgs_layer(w, x - rc, mat)
+    assert (out + m_out).data.tolist() == mm64(x, w)
+    assert s.server.material == {}
+    with pytest.raises(MaterialMissing, match="'b0.wq'"):
+        s.server.run_hgs_layer("b0.wq", w, x - rc)
 
 
 # -- score product (same-mask triple) -------------------------------------------
@@ -136,10 +148,9 @@ def test_hgs_layer_online_phase_is_he_free_and_single_use():
 def test_fhgs_qk_unmasked_trivial_case():
     s = host_session()
     zero = FixedTensor.zeros(1, 1, DEFAULT_RING)
-    triple = make_product_triple(zero, zero, s.client.key)
     q = FixedTensor(np.array([[1]], dtype=np.uint64), DEFAULT_RING)
     k = FixedTensor(np.array([[2]], dtype=np.uint64), DEFAULT_RING)
-    c_share, s_share = s.triple_product(q, k.transpose(), triple)
+    c_share, s_share = s.triple_product(kept(s, zero, zero), q, k.transpose())
     assert (c_share + s_share).data[0, 0] == 2
 
 
@@ -150,10 +161,9 @@ def test_fhgs_qk_mask_identity_one_by_one():
     for _ in range(25):
         q, k, r = (int(v) for v in rng.integers(0, 1 << 64, size=3, dtype=np.uint64))
         rm = FixedTensor(np.array([[r]], dtype=np.uint64), DEFAULT_RING)
-        triple = make_product_triple(rm, rm.transpose(), s.client.key)
         qm = FixedTensor(np.array([[(q - r) % (1 << 64)]], dtype=np.uint64), DEFAULT_RING)
         km = FixedTensor(np.array([[(k - r) % (1 << 64)]], dtype=np.uint64), DEFAULT_RING)
-        c_share, s_share = s.triple_product(qm, km.transpose(), triple)
+        c_share, s_share = s.triple_product(kept(s, rm, rm.transpose()), qm, km.transpose())
         assert int((c_share + s_share).data[0, 0]) == (q * k) % (1 << 64)
 
 
@@ -163,8 +173,8 @@ def test_fhgs_qk_random_shapes_hundred_seeds():
         rng = np.random.default_rng(seed)
         q, k = rand_mat(rng, (4, 6)), rand_mat(rng, (4, 6))
         rc = rand_mat(rng, (4, 6))
-        triple = make_product_triple(rc, rc.transpose(), s.client.key, triple_id=seed)
-        c_share, s_share = s.triple_product(q - rc, (k - rc).transpose(), triple)
+        mid = kept(s, rc, rc.transpose(), f"b{seed}.qk.h0")
+        c_share, s_share = s.triple_product(mid, q - rc, (k - rc).transpose())
         assert (c_share + s_share).data.tolist() == mm64(q, k.transpose())
     assert ciphertext_pair_ops() == ["he_add"]
 
@@ -173,11 +183,11 @@ def test_fhgs_triple_reuse_raises():
     s = host_session()
     rng = np.random.default_rng(9)
     rc = rand_mat(rng, (3, 4))
-    triple = make_product_triple(rc, rc.transpose(), s.client.key)
+    s._gen_triple("b0.qk.h1", rc, rc.transpose())
     q, k = rand_mat(rng, (3, 4)), rand_mat(rng, (3, 4))
-    s.triple_product(q - rc, (k - rc).transpose(), triple)
-    with pytest.raises(TripleReuse, match="MatTriple triple_id=0 "):
-        s.triple_product(q - rc, (k - rc).transpose(), triple)
+    s.triple_product("b0.qk.h1", q - rc, (k - rc).transpose())
+    with pytest.raises(MaterialMissing, match="'b0.qk.h1'"):
+        s.triple_product("b0.qk.h1", q - rc, (k - rc).transpose())
 
 
 # -- attention-value product ------------------------------------------------------
@@ -189,8 +199,7 @@ def test_attention_value_identity_rows_pass_value_through():
     v = rand_mat(rng, (4, 4))
     a = FixedTensor(np.eye(4, dtype=np.uint64), DEFAULT_RING)
     am, vm = rand_mat(rng, (4, 4)), rand_mat(rng, (4, 4))
-    triple = make_product_triple(am, vm, s.client.key)
-    c_share, s_share = s.triple_product(a - am, v - vm, triple)
+    c_share, s_share = s.triple_product(kept(s, am, vm), a - am, v - vm)
     assert (c_share + s_share) == v
 
 
@@ -201,8 +210,7 @@ def test_attention_value_uniform_rows_give_row_mean():
     v = FixedTensor.from_float(vf, DEFAULT_RING)
     a = FixedTensor(np.full((4, 4), DEFAULT_RING.encode(0.25), dtype=np.uint64), DEFAULT_RING)
     am, vm = rand_mat(rng, (4, 4)), rand_mat(rng, (4, 3))
-    triple = make_product_triple(am, vm, s.client.key)
-    c_share, s_share = s.triple_product(a - am, v - vm, triple)
+    c_share, s_share = s.triple_product(kept(s, am, vm), a - am, v - vm)
     got = DEFAULT_RING.to_signed((c_share + s_share).data).astype(np.float64) / (1 << (2 * F))
     assert np.max(np.abs(got - vf.mean(axis=0))) <= 2.0**-6
 
@@ -213,9 +221,20 @@ def test_attention_value_random_matches_oracle():
         rng = np.random.default_rng(seed + 300)
         a, v = rand_mat(rng, (5, 5)), rand_mat(rng, (5, 7))
         am, vm = rand_mat(rng, (5, 5)), rand_mat(rng, (5, 7))
-        triple = make_product_triple(am, vm, s.client.key, triple_id=seed)
-        c_share, s_share = s.triple_product(a - am, v - vm, triple)
+        c_share, s_share = s.triple_product(kept(s, am, vm, f"b{seed}.av.h0"), a - am, v - vm)
         assert (c_share + s_share).data.tolist() == mm64(a, v)
+
+
+def test_attention_value_triple_reuse_raises():
+    s = host_session()
+    rng = np.random.default_rng(16)
+    a, v = rand_mat(rng, (4, 4)), rand_mat(rng, (4, 2))
+    am, vm = rand_mat(rng, (4, 4)), rand_mat(rng, (4, 2))
+    s._gen_triple("b0.av.h0", am, vm)
+    c_share, s_share = s.triple_product("b0.av.h0", a - am, v - vm)
+    assert (c_share + s_share).data.tolist() == mm64(a, v)
+    with pytest.raises(MaterialMissing, match="'b0.av.h0'"):
+        s.triple_product("b0.av.h0", a - am, v - vm)
 
 
 # -- fused block prefix ------------------------------------------------------------
@@ -228,10 +247,10 @@ def test_chgs_identity_weights_give_gram_matrix():
     rc0 = rand_mat(rng, (4, 4))
     eye = FixedTensor(np.eye(4, dtype=np.uint64), DEFAULT_RING)
     zero = FixedTensor.zeros(4, 4, DEFAULT_RING)
-    mat = s.chgs_material(0, rc0, eye, zero, eye, eye)
-    p_s, (s_share, c_share) = s.chgs_scores(x - rc0, mat)
+    s.chgs_material("b0.prefix", rc0, eye, zero, eye, eye)
+    s_share, c_share = s.chgs_scores("b0.prefix", x - rc0)
     assert (c_share + s_share).data.tolist() == mm64(x, x.transpose())
-    assert (p_s + mat_mul(rc0, eye)) == x
+    assert s.server.material == {}
 
 
 def test_chgs_material_single_use():
@@ -240,10 +259,40 @@ def test_chgs_material_single_use():
     x, rc0 = rand_mat(rng, (4, 4)), rand_mat(rng, (4, 4))
     eye = FixedTensor(np.eye(4, dtype=np.uint64), DEFAULT_RING)
     zero = FixedTensor.zeros(4, 4, DEFAULT_RING)
-    mat = s.chgs_material(0, rc0, eye, zero, eye, eye)
-    s.chgs_scores(x - rc0, mat)
-    with pytest.raises(MaterialMissing, match="ChgsMaterial block_id=0 "):
-        s.chgs_scores(x - rc0, mat)
+    s.chgs_material("b0.prefix", rc0, eye, zero, eye, eye)
+    s.chgs_scores("b0.prefix", x - rc0)
+    with pytest.raises(MaterialMissing, match="'b0.prefix'"):
+        s.chgs_scores("b0.prefix", x - rc0)
+
+
+def test_store_keeps_an_id_once_and_a_run_leaves_it_empty():
+    cfg = toy_cfg()
+    w = random_weights(cfg, np.random.default_rng(19))
+    tokens = [3, 1, 0, 2]
+    s = Session(cfg, w, "f", seed=1)
+    s.server.keep("b0.wq", FixedTensor.zeros(1, 1, DEFAULT_RING))
+    with pytest.raises(ValueError, match="'b0.wq' is already held"):
+        s.server.keep("b0.wq", FixedTensor.zeros(1, 1, DEFAULT_RING))
+    with pytest.raises(MaterialMissing, match="'b9.wq'"):
+        s.server.take("b9.wq")
+    for mode in MODES:
+        res = run_protocol(mode, cfg, w, tokens, seed=1)
+        assert res.session.server.material == {}, mode
+        # an item no module consumes fails the run, named by its id
+        s = Session(cfg, w, mode, seed=1)
+        s.server.keep("b7.planted", FixedTensor.zeros(1, 1, DEFAULT_RING))
+        with pytest.raises(RuntimeError, match=r"left unused: \['b7.planted'\]"):
+            s.run(tokens)
+
+
+def test_unknown_backend_is_refused_before_any_run(monkeypatch):
+    cfg = toy_cfg()
+    w = random_weights(cfg, np.random.default_rng(20))
+    runs = []
+    monkeypatch.setattr(Session, "run", lambda self, tokens: runs.append(self))
+    with pytest.raises(ValueError, match="backend must be one of .*'GC'"):
+        run_protocol("f", cfg, w, [3, 1, 0, 2], seed=1, backend="GC")
+    assert runs == []
 
 
 # -- baseline mode -------------------------------------------------------------------
@@ -361,6 +410,7 @@ def test_server_ignorance_audit_clean_run_and_poisoned_state():
         (lambda srv, v: setattr(srv, "leak", {"k": v}), "server.leak['k']"),
         (lambda srv, v: setattr(srv.report, "leak", ({"k": [v]},)),
          "server.report.leak[0]['k'][0]"),
+        (lambda srv, v: srv.keep("b0.leak", v), "server.material['b0.leak']"),
     ]
     for what, secret in secrets.items():
         for plant, path in plantings:
@@ -372,12 +422,13 @@ def test_server_ignorance_audit_clean_run_and_poisoned_state():
 
 
 def test_server_code_never_receives_client_secrets(monkeypatch):
-    # every Server method and run_hgs_layer is wrapped, and each call's
+    # every Server method is wrapped, and each call's
     # arguments are walked like the server's state in the audit: no call
     # may carry the Client, a KeyPair, a SecretKey, or a tensor holding any
     # word of a tensor the client's random draws returned (its masks and its
     # GC output masks) or the client decrypted (its shares such as m_out),
-    # so slices and transposes of a mask count too
+    # so slices and transposes of a mask count too; the walk covers self,
+    # and so the server's material store, on every call
     drawn, leaks, calls = [], [], set()
 
     def record(fn, pick):
@@ -424,7 +475,6 @@ def test_server_code_never_receives_client_secrets(monkeypatch):
     for name in server_fns:
         monkeypatch.setattr(engine.Server, name,
                             audited(f"Server.{name}", getattr(engine.Server, name)))
-    monkeypatch.setattr(engine, "run_hgs_layer", audited("run_hgs_layer", run_hgs_layer))
     for norm, activation in (("post", "relu"), ("pre", "gelu")):
         cfg = toy_cfg(norm=norm, activation=activation)
         w = random_weights(cfg, np.random.default_rng(5))
@@ -432,7 +482,7 @@ def test_server_code_never_receives_client_secrets(monkeypatch):
             drawn.clear()
             run_protocol(mode, cfg, w, [3, 1, 4, 1], seed=11)
             assert drawn and leaks == [], (norm, mode, leaks)
-    assert calls == {f"Server.{n}" for n in server_fns} | {"run_hgs_layer"}
+    assert calls == {f"Server.{n}" for n in server_fns}
 
 
 def test_session_packing_defaults_and_validation():

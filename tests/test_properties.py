@@ -63,6 +63,12 @@ def test_bad_knobs_raise_errors_naming_the_field(knobs, bad_n):
     for field, change in bad.items():
         with pytest.raises(ValueError, match=field):
             ModelConfig(**{**knobs, **change})
+    # a float, a bool or a zero in any integer knob is refused by name, not
+    # run as its int value or left to fail later with a TypeError
+    for field in ("N", "d_emb", "H", "n", "d_oh", "d_ff", "d_out", "delta"):
+        for value in (float(knobs[field]), True, 0):
+            with pytest.raises(ValueError, match=rf"^{field} must be an integer >= 1"):
+                ModelConfig(**{**knobs, field: value, "lam": None})
     frac_bits = knobs["ring"].frac_bits
     with pytest.raises(ValueError, match="value_bits"):
         RingParams(value_bits=17, frac_bits=frac_bits)

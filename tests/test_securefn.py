@@ -295,3 +295,19 @@ def test_gc_backend_needs_the_servers_own_rng():
     zeros = np.zeros((2, 1), np.uint64)
     with pytest.raises(ValueError, match="rng_server"):
         eval_secure(spec, zeros, zeros, np.random.default_rng(213), backend="gc")
+
+
+def test_unknown_backend_is_refused_before_any_work():
+    # an unknown backend used to bill the stage's gates, tables and OTs and
+    # log its messages before it was refused
+    spec = SecureFnSpec("relu", 16)
+    zeros = np.zeros((2, 1), np.uint64)
+    rng = np.random.default_rng(214)
+    report, transcript = CostReport(), Transcript()
+    with pytest.raises(ValueError, match="unknown backend 'gcx'"):
+        eval_secure(spec, zeros, zeros, rng, backend="gcx", report=report,
+                    transcript=transcript, rng_server=np.random.default_rng(215))
+    assert report.cells == {} and transcript.messages == []
+    # no mask was drawn either
+    assert rng.integers(0, 1 << 64, dtype=np.uint64) == \
+        np.random.default_rng(214).integers(0, 1 << 64, dtype=np.uint64)

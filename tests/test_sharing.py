@@ -8,7 +8,6 @@ from privtrans.costs import CostReport
 from privtrans.ring import DEFAULT_RING, FixedTensor
 from privtrans.she import HEParams, keygen
 from privtrans.sharing import (
-    TripleReuse,
     dec_rows,
     enc_left_matmul,
     enc_rows,
@@ -129,12 +128,3 @@ def test_gen_product_triple_independent_masks():
     want = matmul_mod(left.data.tolist(), right.data.tolist(), 64)
     assert got.data.tolist() == want
 
-
-def test_triple_single_use_guard():
-    key = keygen(small_params(), seed=8)
-    rng = np.random.default_rng(32)
-    rc = rand_ring((2, 2), rng, DEFAULT_RING)
-    t = make_product_triple(rc, rc.transpose(), key)
-    t.mark_used()
-    with pytest.raises(TripleReuse):
-        t.mark_used()
