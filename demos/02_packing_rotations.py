@@ -48,13 +48,13 @@ for strategy in PackingStrategy:
     with report.at("Others", "offline"):
         cts = pack(x, layout, key, report)
         out, layout_out = he_matmul(cts, layout, w, report)
-        results[strategy] = unpack(out, layout_out, key.secret(), DEFAULT_RING, report)
+        results[strategy] = unpack(out, layout_out, key, DEFAULT_RING, report)
     print(f"{strategy.value:15s} measured rotations={report.total('he_rotate')}")
 assert results[PackingStrategy.FEATURES_FIRST] == results[PackingStrategy.TOKENS_FIRST]
 
 # %%
-# plan_layout picks whichever strategy predicts fewer rotations; with
-# n <= M that is tokens-first whenever ceil(M/n) < M.
+# plan_layout picks whichever strategy predicts fewer rotations among those
+# the kernel runs: tokens-first whenever n > 1 divides M.
 chosen = plan_layout(n, d, slots)
 print(f"planner picks {chosen.strategy.value} "
       f"(saves {predicted_rotations(PackingLayout(PackingStrategy.FEATURES_FIRST, n, d, slots)) - predicted_rotations(chosen)} rotations)")

@@ -75,8 +75,9 @@ def _field(obj: dict, name: str, typ, default=None, required=False):
             raise ConfigError(f"config field {name!r}: required")
         return default
     v = obj[name]
-    if typ is int and isinstance(v, bool) or not isinstance(v, typ):
-        raise ConfigError(f"config field {name!r}: expected {typ.__name__}, got {type(v).__name__}")
+    if isinstance(v, bool) and typ is not bool or not isinstance(v, typ):
+        want = " or ".join(t.__name__ for t in typ) if isinstance(typ, tuple) else typ.__name__
+        raise ConfigError(f"config field {name!r}: expected {want}, got {type(v).__name__}")
     return v
 
 
@@ -123,7 +124,7 @@ def load_run_config(obj: dict, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"config field {wfield!r}: {e}") from None
 
     tokens = _field(obj, "tokens", list, default=[i % cfg.d_oh for i in range(cfg.n)])
-    if len(tokens) != cfg.n or not all(isinstance(t, int) and 0 <= t < cfg.d_oh for t in tokens):
+    if len(tokens) != cfg.n or not all(type(t) is int and 0 <= t < cfg.d_oh for t in tokens):
         raise ConfigError(f"config field 'tokens': need {cfg.n} indices in [0, {cfg.d_oh})")
 
     backend = _field(obj, "backend", str, default="semantic")

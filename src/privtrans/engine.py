@@ -50,7 +50,6 @@ from .she import (
     Ciphertext,
     HEParams,
     KeyPair,
-    SecretKey,
     he_add,
     he_add_plain,
     he_mul_plain,
@@ -83,7 +82,7 @@ class MaterialMissing(RuntimeError):
 
 
 def audit_server_ignorance(server: Server) -> list[str]:
-    """Paths of every KeyPair, SecretKey or Client reachable from the
+    """Paths of every KeyPair or Client reachable from the
     server's state through object attributes, dicts, lists and tuples
     (must stay empty)."""
     found, seen = [], set()
@@ -92,7 +91,7 @@ def audit_server_ignorance(server: Server) -> list[str]:
         if id(obj) in seen:
             return
         seen.add(id(obj))
-        if isinstance(obj, (KeyPair, SecretKey, Client)):
+        if isinstance(obj, (KeyPair, Client)):
             found.append(path)
         elif isinstance(obj, dict):
             for k, v in obj.items():
@@ -305,12 +304,11 @@ class Session:
             yield
 
     def _send(self, sender: str, payload) -> None:
-        """Log one message in the current scope, sized by what it carries: a
-        list of ciphertexts at the declared HEParams.ciphertext_bytes each
-        (the stand-in's size in memory is not the modeled size), or a tuple
-        of share tensors at their bytes."""
+        """Log one message in the current scope, sized by the bytes of the
+        arrays it carries: a list of ciphertexts (a and b each), or a tuple
+        of share tensors."""
         if isinstance(payload, list):
-            kind, nbytes = "ciphertext", len(payload) * self.he.ciphertext_bytes
+            kind, nbytes = "ciphertext", sum(ct.a.nbytes + ct.b.nbytes for ct in payload)
         else:
             kind, nbytes = "share", sum(t.data.nbytes for t in payload)
         step, phase = self.client.report.scope
@@ -351,7 +349,7 @@ class Session:
             # an online-generated module piggybacks on its remask interaction
             self._interaction()
         c = self.client
-        return unpack(out_cts, layout_out, c.key.secret(), self.cfg.ring, c.report)
+        return unpack(out_cts, layout_out, c.key, self.cfg.ring, c.report)
 
     def _gen_triple(self, mid: str, left: FixedTensor, right: FixedTensor) -> None:
         """Client-built product triple shipped into the server's store."""
@@ -375,7 +373,7 @@ class Session:
                                            list(zip(self._heads(w_q), self._heads(w_k))))
         self._send("server", [ct for rows in masked_wm for ct in rows])
         for rows in masked_wm:
-            y_h = dec_rows(rows, rc0.cols, key.secret(), self.cfg.ring, rep_c)
+            y_h = dec_rows(rows, rc0.cols, key, self.cfg.ring, rep_c)
             back = enc_rows(mat_mul(y_h, rc0.transpose()), key, rep_c)
             self._send("client", back)
             self.server.strip(mid, back)
@@ -397,7 +395,7 @@ class Session:
         the client decrypts its shares, heads stacked."""
         rows = self.server.reveal(heads)
         self._send("server", rows)
-        return dec_rows(rows, heads[0][0].cols, self.client.key.secret(), self.cfg.ring,
+        return dec_rows(rows, heads[0][0].cols, self.client.key, self.cfg.ring,
                         self.client.report)
 
     def triple_product(self, mid: str, left_masked: FixedTensor, right_masked: FixedTensor):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .costs import CostReport
 from .ring import FixedTensor, RingParams
-from .she import Ciphertext, KeyPair, SecretKey, decrypt, encrypt, he_add, he_mul_plain, he_rotate
+from .she import Ciphertext, KeyPair, decrypt, encrypt, he_add, he_mul_plain, he_rotate
 
 
 class PackingStrategy(Enum):
@@ -73,12 +73,11 @@ def predicted_rotations(layout: PackingLayout) -> int:
 
 
 def plan_layout(n: int, d: int, slots: int) -> PackingLayout:
-    """The strategy with the fewest predicted naive rotations.
-
-    tokens_first wins iff c*ceil(M/n) < c*M; ties (n = 1) keep
-    features_first, the first strategy listed. Either layout refuses n > M.
-    """
-    return min((PackingLayout(s, n, d, slots) for s in PackingStrategy), key=predicted_rotations)
+    """The strategy with the fewest predicted naive rotations that the
+    kernel runs (tokens_first only if n divides M); ties (n = 1) keep
+    features_first, the first listed. Either layout refuses n > M."""
+    layouts = (PackingLayout(s, n, d, slots) for s in PackingStrategy)
+    return min((lo for lo in layouts if slots % lo.shifts.step == 0), key=predicted_rotations)
 
 
 # -- pack / unpack ---------------------------------------------------------
@@ -105,10 +104,10 @@ def pack(
 
 
 def unpack(
-    cts: list[Ciphertext], layout: PackingLayout, sk: SecretKey, ring: RingParams,
+    cts: list[Ciphertext], layout: PackingLayout, key: KeyPair, ring: RingParams,
     report: CostReport | None = None,
 ) -> FixedTensor:
-    vecs = [decrypt(ct, sk, report) for ct in cts]
+    vecs = [decrypt(ct, key, report) for ct in cts]
     return unpack_plain(vecs, layout, ring)
 
 
@@ -137,9 +136,9 @@ def _diagonal_masks(layout_in: PackingLayout, layout_out: PackingLayout, w: Fixe
 
 
 def _zero_like(ct: Ciphertext) -> Ciphertext:
-    # transparent zero accumulator: no HE op, decrypts to zeros under any key
+    # transparent zero accumulator (0, 0): no HE op, decrypts to zeros under any key
     z = np.zeros(ct.params.slots, dtype=np.uint64)
-    return Ciphertext(z.copy(), z.copy(), ct.key_id, ct.params)
+    return Ciphertext(z, z, ct.key_id, ct.params)
 
 
 def he_matmul(

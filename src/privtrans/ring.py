@@ -27,6 +27,10 @@ class RingParams:
     frac_bits: int = 8
 
     def __post_init__(self):
+        for name in ("value_bits", "frac_bits"):
+            v = getattr(self, name)
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.value_bits > MAX_VALUE_BITS:
             raise ValueError(
                 f"value_bits={self.value_bits} exceeds {MAX_VALUE_BITS}, "

@@ -19,7 +19,7 @@ import numpy as np
 
 from .costs import CostReport
 from .ring import FixedTensor, RingParams, mat_mul
-from .she import Ciphertext, KeyPair, SecretKey, decrypt, encrypt, he_add, he_mul_plain, he_rotate
+from .she import Ciphertext, KeyPair, decrypt, encrypt, he_add, he_mul_plain, he_rotate
 
 
 def rand_ring(shape, rng: np.random.Generator, ring: RingParams) -> FixedTensor:
@@ -38,9 +38,9 @@ def enc_rows(x: FixedTensor, key: KeyPair, report: CostReport | None = None) -> 
 
 
 def dec_rows(
-    cts: list[Ciphertext], cols: int, sk: SecretKey, ring: RingParams, report: CostReport | None = None
+    cts: list[Ciphertext], cols: int, key: KeyPair, ring: RingParams, report: CostReport | None = None
 ) -> FixedTensor:
-    rows = [decrypt(ct, sk, report)[:cols] for ct in cts]
+    rows = [decrypt(ct, key, report)[:cols] for ct in cts]
     return FixedTensor(np.stack(rows), ring)
 
 

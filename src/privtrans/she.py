@@ -1,10 +1,16 @@
 """Additive-only homomorphic encryption, semantic backend.
 
 Mirrors the API shape of an RLWE SIMD scheme (keygen / encrypt / decrypt /
-add / add_plain / mul_plain / rotate over M packed slots) but models the
-ciphertext as payload + one-time-pad mask drawn from a per-key counter
-PRF stream. Slots are raw uint64 words, so every op is exact mod 2^64.
-There is deliberately no ciphertext-times-ciphertext multiply.
+add / add_plain / mul_plain / rotate over M packed slots) as a secret-key
+linear scheme: the key pair holds one secret ring scalar s, and a
+ciphertext of m is (a, b = a*s + m) for a fresh uniform slot vector a, so
+only the client's KeyPair decrypts. Slots are raw uint64 words, so every
+op is exact mod 2^64. There is deliberately no ciphertext-times-ciphertext
+multiply.
+
+There is no noise term, so this is not LWE: one known plaintext (a
+zero-padded slot, say) gives away s. What the scheme guarantees is
+structural: no server code path reaches plaintext without the KeyPair.
 
 Every operation bumps exactly one CostReport counter and one linear noise
 meter; running past the budget raises NoiseBudgetExceeded.
@@ -58,47 +64,40 @@ class HEParams:
         return 16 * self.slots
 
 
-@dataclass(frozen=True)
-class SecretKey:
-    key_id: int
-
-
 class KeyPair:
-    """Holds the per-key PRF stream; only the owner should keep this."""
+    """The secret scalar s (the first draw of the key's own PRF stream) and
+    the stream that draws each ciphertext's a; only the owner should keep
+    this."""
 
     def __init__(self, key_id: int, seed: int, params: HEParams):
         self.key_id = key_id
         self.params = params
         self._stream = np.random.Generator(np.random.Philox(key=seed))
+        self.s = self._stream.integers(0, 1 << 64, dtype=np.uint64)
 
-    def secret(self) -> SecretKey:
-        return SecretKey(self.key_id)
-
-    def fresh_mask(self) -> np.ndarray:
+    def fresh_a(self) -> np.ndarray:
         return self._stream.integers(0, 1 << 64, size=self.params.slots, dtype=np.uint64)
 
 
 class Ciphertext:
-    """Masked slot vector. `slots` alone is garbage without the mask."""
+    """(a, b = a*s + m) over the slots; b is garbage without s."""
 
-    __slots__ = ("slots", "_mask", "key_id", "params", "noise_used")
+    __slots__ = ("a", "b", "key_id", "params", "noise_used")
 
-    def __init__(self, slots, mask, key_id, params, noise_used=0):
-        self.slots = slots
-        self._mask = mask
+    def __init__(self, a, b, key_id, params, noise_used=0):
+        self.a = a
+        self.b = b
         self.key_id = key_id
         self.params = params
         self.noise_used = noise_used
 
-    def _charge(self, cost: int) -> int:
-        return _charge(self.params, self.noise_used, cost)
 
-
-def _charge(params: HEParams, used: int, cost: int) -> int:
-    used += cost
-    if used > params.noise.budget:
-        raise NoiseBudgetExceeded(f"noise {used} exceeds budget {params.noise.budget}")
-    return used
+def _next(ct: Ciphertext, a, b, cost: int) -> Ciphertext:
+    """(a, b) under ct's key, with ct's noise plus cost."""
+    used = ct.noise_used + cost
+    if used > ct.params.noise.budget:
+        raise NoiseBudgetExceeded(f"noise {used} exceeds budget {ct.params.noise.budget}")
+    return Ciphertext(a, b, ct.key_id, ct.params, used)
 
 
 def keygen(params: HEParams, key_id: int = 0, seed: int = 0) -> KeyPair:
@@ -115,20 +114,20 @@ def _as_slots(v, params: HEParams) -> np.ndarray:
 
 
 def encrypt(v, key: KeyPair, report: CostReport | None = None) -> Ciphertext:
-    """Pack v (ring words) into slots, zero-padded, under a fresh OTP mask."""
-    payload = _as_slots(v, key.params)
-    mask = key.fresh_mask()
+    """Pack v (ring words) into slots, zero-padded, as (a, a*s + v)."""
+    m = _as_slots(v, key.params)
+    a = key.fresh_a()
     if report:
         report.bump("he_enc")
-    return Ciphertext(payload + mask, mask, key.key_id, key.params)
+    return Ciphertext(a, a * key.s + m, key.key_id, key.params)
 
 
-def decrypt(ct: Ciphertext, sk: SecretKey, report: CostReport | None = None) -> np.ndarray:
-    if sk.key_id != ct.key_id:
-        raise KeyMismatch(f"ciphertext under key {ct.key_id}, got secret {sk.key_id}")
+def decrypt(ct: Ciphertext, key: KeyPair, report: CostReport | None = None) -> np.ndarray:
+    if key.key_id != ct.key_id:
+        raise KeyMismatch(f"ciphertext under key {ct.key_id}, got key {key.key_id}")
     if report:
         report.bump("he_dec")
-    return ct.slots - ct._mask
+    return ct.b - ct.a * key.s
 
 
 def he_add(a: Ciphertext, b: Ciphertext, report: CostReport | None = None) -> Ciphertext:
@@ -136,18 +135,15 @@ def he_add(a: Ciphertext, b: Ciphertext, report: CostReport | None = None) -> Ci
         raise KeyMismatch("cannot add ciphertexts under different keys")
     if report:
         report.bump("he_add")
-    noise = _charge(a.params, max(a.noise_used, b.noise_used), a.params.noise.cost_add)
-    return Ciphertext(a.slots + b.slots, a._mask + b._mask, a.key_id, a.params, noise)
+    noisier = a if a.noise_used >= b.noise_used else b
+    return _next(noisier, a.a + b.a, a.b + b.b, a.params.noise.cost_add)
 
 
 def he_add_plain(ct: Ciphertext, v, report: CostReport | None = None) -> Ciphertext:
     if report:
         report.bump("he_add_plain")
     p = _as_slots(v, ct.params)
-    return Ciphertext(
-        ct.slots + p, ct._mask, ct.key_id, ct.params,
-        ct._charge(ct.params.noise.cost_add_plain),
-    )
+    return _next(ct, ct.a, ct.b + p, ct.params.noise.cost_add_plain)
 
 
 def he_mul_plain(ct: Ciphertext, v, report: CostReport | None = None) -> Ciphertext:
@@ -158,10 +154,7 @@ def he_mul_plain(ct: Ciphertext, v, report: CostReport | None = None) -> Ciphert
         p = np.full(ct.params.slots, int(v) & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
     else:
         p = _as_slots(v, ct.params)
-    return Ciphertext(
-        ct.slots * p, ct._mask * p, ct.key_id, ct.params,
-        ct._charge(ct.params.noise.cost_mul_plain),
-    )
+    return _next(ct, ct.a * p, ct.b * p, ct.params.noise.cost_mul_plain)
 
 
 def he_rotate(ct: Ciphertext, k: int, report: CostReport | None = None) -> Ciphertext:
@@ -170,12 +163,5 @@ def he_rotate(ct: Ciphertext, k: int, report: CostReport | None = None) -> Ciphe
         raise ValueError(f"rotation {k} outside [0, {ct.params.slots})")
     if report:
         report.bump("he_rotate")
-    return Ciphertext(
-        np.roll(ct.slots, -k), np.roll(ct._mask, -k), ct.key_id, ct.params,
-        ct._charge(ct.params.noise.cost_rotate),
-    )
+    return _next(ct, np.roll(ct.a, -k), np.roll(ct.b, -k), ct.params.noise.cost_rotate)
 
-
-def noise_budget(ct: Ciphertext) -> int:
-    """Remaining headroom under the linear meter."""
-    return ct.params.noise.budget - ct.noise_used

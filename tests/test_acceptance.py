@@ -169,7 +169,7 @@ def test_5_naive_kernel_rotation_counts_and_saving():
                 cts = pack(x, layout, key, report)
                 out, layout_out = he_matmul(cts, layout, w, report)
                 if m <= 64:  # decrypt the small cases as a correctness spot check
-                    assert unpack(out, layout_out, key.secret(), DEFAULT_RING, report) == want
+                    assert unpack(out, layout_out, key, DEFAULT_RING, report) == want
             rots[strategy] = (layout.c, report.total("he_rotate"))
 
         c_ff, got_ff = rots[PackingStrategy.FEATURES_FIRST]

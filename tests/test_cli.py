@@ -34,12 +34,18 @@ def toy_obj(**kw):
 
 
 def test_plan_matches_hand_arithmetic():
-    rep = cmd_plan(30, 30522, 4096)
+    rep = cmd_plan(32, 30522, 4096)
     assert rep["strategy"] == "tokens_first"
-    assert rep["ciphertexts"] == 224
-    assert rep["rotations"] == 224 * -(-4096 // 30)
-    assert rep["rotations_features_first"] == 224 * 4096
+    assert rep["ciphertexts"] == 239
+    assert rep["rotations"] == 239 * 4096 // 32 == 30_592
+    assert rep["rotations_features_first"] == 239 * 4096
     assert rep["rotation_saving"] == rep["rotations_features_first"] - rep["rotations"]
+    # 30 tokens do not divide 4096 slots: the kernel refuses tokens_first
+    rep = cmd_plan(30, 30522, 4096)
+    assert rep["strategy"] == "features_first"
+    assert rep["ciphertexts"] == 224
+    assert rep["rotations"] == rep["rotations_features_first"] == 224 * 4096
+    assert rep["rotation_saving"] == 0
 
 
 @pytest.mark.parametrize("argv,name", [
@@ -161,6 +167,26 @@ def test_config_errors_name_the_field(tmp_path):
         read_config_file(str(bad))
 
 
+@pytest.mark.parametrize("change,field", [
+    ({"model": {**toy_obj()["model"], "ring": {"value_bits": 15.5}}}, "value_bits"),
+    ({"model": {**toy_obj()["model"], "ring": {"frac_bits": 8.0}}}, "frac_bits"),
+    ({"model": {**toy_obj()["model"], "ring": {"frac_bits": True}}}, "frac_bits"),
+    ({"channel": {"delay_s": True}}, "'delay_s'"),
+    ({"channel": {"bandwidth_bps": "fast"}}, "'bandwidth_bps'"),
+    ({"weight_scale": True}, "'weight_scale'"),
+    ({"tokens": [True, False, 3, 1]}, "'tokens'"),
+])
+def test_numeric_fields_refuse_bools_and_wrong_types(change, field, tmp_path, capsys):
+    # a bool is not a number, and a float is not a ring width: each used to
+    # run at its int value or end in a traceback
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(toy_obj(**change)))
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error:") and field in err.splitlines()[0]
+
+
 def test_unknown_channel_key_is_named_not_ignored():
     # a misspelt delay_s used to run at the default delay
     with pytest.raises(ConfigError, match="'channel.delay': unknown"):
@@ -239,5 +265,5 @@ def test_main_run_verify_and_exit_codes(tmp_path, capsys):
     assert out == ""
     assert err.startswith("config error: config field 'model': N must be an integer >= 1")
 
-    assert main(["plan", "30", "30522", "4096"]) == 0
-    assert '"ciphertexts": 224' in capsys.readouterr().out
+    assert main(["plan", "32", "30522", "4096"]) == 0
+    assert '"ciphertexts": 239' in capsys.readouterr().out

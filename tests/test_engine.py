@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from privtrans import engine
+from privtrans import engine, she
 from privtrans.engine import (
     MODES,
     AuditError,
@@ -19,7 +19,7 @@ from privtrans.model import BlockWeights, ModelConfig, ModelWeights, random_weig
 from privtrans.packing import PackingStrategy
 from privtrans.ring import DEFAULT_RING, FixedTensor, mat_mul
 from privtrans.sharing import make_product_triple, rand_ring
-from privtrans.she import KeyPair, SecretKey
+from privtrans.she import KeyPair, decrypt, encrypt, keygen
 
 import oracles
 from test_she import ciphertext_pair_ops
@@ -360,6 +360,10 @@ def test_share_message_byte_accounting():
     ct_bytes = sum(m.nbytes for m in t.messages
                    if m.step == "QxK" and m.phase == "online" and m.kind == "ciphertext")
     assert share_bytes == 2 * cfg.n * cfg.d_emb * 8
+    # a ciphertext message is sized by its arrays, a and b, which are the
+    # modeled 16 bytes per slot
+    ct = encrypt([1], keygen(he))
+    assert ct.a.nbytes + ct.b.nbytes == he.ciphertext_bytes
     assert ct_bytes == cfg.H * cfg.n * he.ciphertext_bytes
 
 
@@ -394,14 +398,13 @@ def test_server_ignorance_audit_clean_run_and_poisoned_state():
             res = run_protocol(mode, cfg, w, tokens, seed=1)
             assert audit_server_ignorance(res.session.server) == [], (norm, mode)
             assert not hasattr(res.session, "key")
-    # a key pair, a secret key or the client state planted on the server,
+    # the key pair or the client state planted on the server,
     # directly or inside a list, a dict or a nested attribute, is named by
     # its path and fails the run
     cfg = toy_cfg()
     w = random_weights(cfg, np.random.default_rng(8))
     secrets = {
         "key pair": lambda s: s.client.key,
-        "secret key": lambda s: s.client.key.secret(),
         "client state": lambda s: s.client,
     }
     plantings = [
@@ -424,12 +427,13 @@ def test_server_ignorance_audit_clean_run_and_poisoned_state():
 def test_server_code_never_receives_client_secrets(monkeypatch):
     # every Server method is wrapped, and each call's
     # arguments are walked like the server's state in the audit: no call
-    # may carry the Client, a KeyPair, a SecretKey, or a tensor holding any
-    # word of a tensor the client's random draws returned (its masks and its
-    # GC output masks) or the client decrypted (its shares such as m_out),
-    # so slices and transposes of a mask count too; the walk covers self,
-    # and so the server's material store, on every call
-    drawn, leaks, calls = [], [], set()
+    # may carry the Client, a KeyPair, the key's secret scalar s (a bare int,
+    # a numpy scalar or a word of any tensor), or a tensor holding any word
+    # of a tensor the client's random draws returned (its masks and its GC
+    # output masks) or the client decrypted (its shares such as m_out), so
+    # slices and transposes of a mask count too; the walk covers self, and
+    # so the server's material store, on every call
+    drawn, keys, leaks, calls = [], [], [], set()
 
     def record(fn, pick):
         def recorded(*args, **kwargs):
@@ -438,11 +442,19 @@ def test_server_code_never_receives_client_secrets(monkeypatch):
             return out
         return recorded
 
+    def recorded_keygen(*args, **kwargs):
+        key = she.keygen(*args, **kwargs)
+        keys.append(int(key.s))
+        return key
+
     def is_secret(obj):
-        if isinstance(obj, (engine.Client, KeyPair, SecretKey)):
+        if isinstance(obj, (engine.Client, KeyPair)):
             return True
-        return isinstance(obj, FixedTensor) and bool(
-            np.isin(obj.data, np.concatenate([d.data.ravel() for d in drawn])).any())
+        if isinstance(obj, (int, np.integer)):
+            return int(obj) % 2**64 in keys
+        words = obj.data if isinstance(obj, FixedTensor) else obj
+        return isinstance(words, np.ndarray) and bool(np.isin(words, np.concatenate(
+            [d.data.ravel() for d in drawn] + [np.array(keys, dtype=np.uint64)])).any())
 
     def walk(obj, path, seen):
         if id(obj) in seen:
@@ -467,6 +479,7 @@ def test_server_code_never_receives_client_secrets(monkeypatch):
             return fn(*args, **kwargs)
         return call
 
+    monkeypatch.setattr(engine, "keygen", recorded_keygen)
     monkeypatch.setattr(engine.Client, "rand", record(engine.Client.rand, lambda t: t))
     monkeypatch.setattr(Session, "_gc", record(Session._gc, lambda chain: chain[1]))
     for name in ("unpack", "dec_rows"):
@@ -480,9 +493,24 @@ def test_server_code_never_receives_client_secrets(monkeypatch):
         w = random_weights(cfg, np.random.default_rng(5))
         for mode in MODES:
             drawn.clear()
+            keys.clear()
             run_protocol(mode, cfg, w, [3, 1, 4, 1], seed=11)
-            assert drawn and leaks == [], (norm, mode, leaks)
+            assert drawn and keys and leaks == [], (norm, mode, leaks)
     assert calls == {f"Server.{n}" for n in server_fns}
+
+
+def test_only_the_client_key_decrypts():
+    # a key pair that server code forges under the client's key id, with
+    # any other seed, turns a client ciphertext into words that all differ
+    # from the plaintext; the client's own key round-trips
+    s = Session(toy_cfg(), random_weights(toy_cfg(), np.random.default_rng(3)), "f", seed=4)
+    key = s.client.key
+    v = np.arange(s.he.slots, dtype=np.uint64)
+    ct = encrypt(v, key)
+    assert np.array_equal(decrypt(ct, key), v)
+    for seed in range(20):
+        forged = keygen(s.he, key_id=key.key_id, seed=seed)
+        assert (decrypt(ct, forged) != v).all(), seed
 
 
 def test_session_packing_defaults_and_validation():

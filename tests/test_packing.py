@@ -65,13 +65,36 @@ def test_pack_unpack_encrypted_roundtrip():
     report = CostReport()
     cts = pack(x, layout, key, report)
     assert report.total("he_enc") == layout.c == 2
-    assert unpack(cts, layout, key.secret(), DEFAULT_RING) == x
+    assert unpack(cts, layout, key, DEFAULT_RING) == x
 
 
 def test_plan_layout_large_example():
+    # 30 tokens do not divide 4096 slots, so tokens_first is not a choice
     layout = plan_layout(30, 30522, 4096)
-    assert layout.strategy is PackingStrategy.TOKENS_FIRST
+    assert layout.strategy is PackingStrategy.FEATURES_FIRST
     assert layout.c == 224
+    layout = plan_layout(32, 30522, 4096)
+    assert layout.strategy is PackingStrategy.TOKENS_FIRST
+    assert layout.c == 239
+    assert predicted_rotations(layout) == 30_592
+
+
+def test_he_matmul_runs_every_planned_layout():
+    # every layout the planner proposes is one the kernel accepts, and its
+    # rotation bill is the predicted one
+    key = keygen(HEParams(slots=8), 0, 33)
+    rng = np.random.default_rng(35)
+    for n in range(1, 9):
+        for d in (1, 3, 8):
+            layout = plan_layout(n, d, 8)
+            assert (layout.strategy is PackingStrategy.TOKENS_FIRST) == (n > 1 and 8 % n == 0)
+            x, w = rand_ring_tensor(rng, n, d), rand_ring_tensor(rng, d, 2)
+            report = CostReport()
+            out, layout_out = he_matmul(pack(x, layout, key), layout, w, report)
+            assert report.total("he_rotate") == predicted_rotations(layout)
+            got = unpack(out, layout_out, key, DEFAULT_RING)
+            assert got.data.tolist() == oracles.matmul_mod(
+                x.data.tolist(), w.data.tolist(), 64), (n, d)
 
 
 def test_plan_layout_degenerate_n1():
@@ -91,7 +114,7 @@ def test_he_matmul_matches_ring_oracle(strategy):
         w = rand_ring_tensor(rng, d1, d2)
         cts = pack(x, layout, key)
         out_cts, layout_out = he_matmul(cts, layout, w)
-        got = unpack(out_cts, layout_out, key.secret(), DEFAULT_RING)
+        got = unpack(out_cts, layout_out, key, DEFAULT_RING)
         want = oracles.matmul_mod(
             [[int(v) for v in row] for row in x.data],
             [[int(v) for v in row] for row in w.data],
@@ -108,7 +131,7 @@ def test_he_matmul_has_only_the_naive_kernel():
     with pytest.raises(ValueError, match="kernel"):
         he_matmul(cts, layout, w, None, "log")
     out, lo = he_matmul(cts, layout, w, None, "naive")
-    assert unpack(out, lo, key.secret(), DEFAULT_RING).data.tolist() == [[8, 8]] * 4
+    assert unpack(out, lo, key, DEFAULT_RING).data.tolist() == [[8, 8]] * 4
 
 
 @pytest.mark.parametrize(

@@ -74,6 +74,14 @@ def test_bad_knobs_raise_errors_naming_the_field(knobs, bad_n):
         RingParams(value_bits=17, frac_bits=frac_bits)
     with pytest.raises(ValueError, match="frac_bits"):
         RingParams(value_bits=frac_bits, frac_bits=frac_bits)
+    # a float or a bool ring width is refused by name
+    value_bits = knobs["ring"].value_bits
+    for value in (float(value_bits), value_bits + 0.5, True):
+        with pytest.raises(ValueError, match=r"^value_bits must be an integer"):
+            RingParams(value_bits=value, frac_bits=frac_bits)
+    for value in (float(frac_bits), True):
+        with pytest.raises(ValueError, match=r"^frac_bits must be an integer"):
+            RingParams(value_bits=value_bits, frac_bits=value)
 
     cfg = ModelConfig(**{**knobs, "n": bad_n, "lam": None})
     weights = random_weights(cfg, np.random.default_rng(bad_n))

@@ -46,7 +46,7 @@ def test_enc_rows_roundtrip():
     report = CostReport()
     with report.at("Others", "offline"):
         cts = enc_rows(x, key, report)
-        back = dec_rows(cts, 5, key.secret(), DEFAULT_RING, report)
+        back = dec_rows(cts, 5, key, DEFAULT_RING, report)
     assert back == x
     assert report.total("he_enc") == 4
 
@@ -66,7 +66,7 @@ def test_plain_left_matmul_matches_oracle():
     b = rand_ring((4, 6), rng, DEFAULT_RING)
     with report.at("QxK", "offline"):
         cts = plain_left_matmul(p, enc_rows(b, key, report), report)
-        got = dec_rows(cts, 6, key.secret(), DEFAULT_RING, report)
+        got = dec_rows(cts, 6, key, DEFAULT_RING, report)
     want = matmul_mod(p.data.tolist(), b.data.tolist(), 64)
     assert got.data.tolist() == want
     assert report.total("he_rotate") == 0
@@ -80,7 +80,7 @@ def test_rotate_reduce_sum_fills_every_slot():
     )
     from privtrans.she import decrypt
 
-    assert decrypt(ct, key.secret()).tolist() == [36] * 8
+    assert decrypt(ct, key).tolist() == [36] * 8
 
 
 def test_enc_left_matmul_matches_oracle():
@@ -91,7 +91,7 @@ def test_enc_left_matmul_matches_oracle():
     r = rand_ring((5, 2), rng, DEFAULT_RING)
     with report.at("QxK", "offline"):
         cts = enc_left_matmul(enc_rows(left, key, report), r, report)
-        got = dec_rows(cts, 2, key.secret(), DEFAULT_RING, report)
+        got = dec_rows(cts, 2, key, DEFAULT_RING, report)
     want = matmul_mod(left.data.tolist(), r.data.tolist(), 64)
     assert got.data.tolist() == want
 
@@ -101,7 +101,7 @@ def test_triple_product_tiny_example():
     key = keygen(small_params(slots=4), seed=5)
     rc = FixedTensor(np.array([[5]], dtype=np.uint64), DEFAULT_RING)
     t = make_product_triple(rc, rc.transpose(), key)
-    got = dec_rows(t.product_ct, 1, key.secret(), DEFAULT_RING)
+    got = dec_rows(t.product_ct, 1, key, DEFAULT_RING)
     assert got.data.tolist() == [[25]]
 
 
@@ -110,9 +110,9 @@ def test_gen_triple_product_matches_brute_force():
     rng = np.random.default_rng(30)
     rc = rand_ring((4, 3), rng, DEFAULT_RING)
     t = make_product_triple(rc, rc.transpose(), key)
-    assert dec_rows(t.left_ct, 3, key.secret(), DEFAULT_RING) == rc
-    assert dec_rows(t.right_ct, 4, key.secret(), DEFAULT_RING) == rc.transpose()
-    got = dec_rows(t.product_ct, 4, key.secret(), DEFAULT_RING)
+    assert dec_rows(t.left_ct, 3, key, DEFAULT_RING) == rc
+    assert dec_rows(t.right_ct, 4, key, DEFAULT_RING) == rc.transpose()
+    got = dec_rows(t.product_ct, 4, key, DEFAULT_RING)
     want = matmul_mod(rc.data.tolist(), rc.transpose().data.tolist(), 64)
     assert got.data.tolist() == want
 
@@ -124,7 +124,7 @@ def test_gen_product_triple_independent_masks():
     t = make_product_triple(left, right, key)
     # the triple is the server's material: ciphertexts only, no plaintext mask
     assert not any(isinstance(v, FixedTensor) for v in vars(t).values())
-    got = dec_rows(t.product_ct, 3, key.secret(), DEFAULT_RING)
+    got = dec_rows(t.product_ct, 3, key, DEFAULT_RING)
     want = matmul_mod(left.data.tolist(), right.data.tolist(), 64)
     assert got.data.tolist() == want
 
