@@ -69,15 +69,15 @@ def _check_keys(obj: dict, known: tuple, where: str = "") -> None:
             raise ConfigError(f"config field {where + k!r}: unknown")
 
 
-def _field(obj: dict, name: str, typ, default=None, required=False):
+def _field(obj: dict, name: str, typ, default=None, required=False, where: str = ""):
     if name not in obj:
         if required:
-            raise ConfigError(f"config field {name!r}: required")
+            raise ConfigError(f"config field {where + name!r}: required")
         return default
     v = obj[name]
     if isinstance(v, bool) and typ is not bool or not isinstance(v, typ):
         want = " or ".join(t.__name__ for t in typ) if isinstance(typ, tuple) else typ.__name__
-        raise ConfigError(f"config field {name!r}: expected {want}, got {type(v).__name__}")
+        raise ConfigError(f"config field {where + name!r}: expected {want}, got {type(v).__name__}")
     return v
 
 
@@ -137,7 +137,8 @@ def load_run_config(obj: dict, overrides: dict | None = None) -> RunConfig:
         c = _field(obj, "channel", dict)
         keys = ("delay_s", "bandwidth_bps")
         _check_keys(c, keys, "channel.")
-        kw = {k: float(_field(c, k, (int, float), default=getattr(channel, k))) for k in keys}
+        kw = {k: float(_field(c, k, (int, float), default=getattr(channel, k), where="channel."))
+              for k in keys}
         try:
             channel = ChannelModel(**kw)
         except ValueError as e:

@@ -84,16 +84,17 @@ def enc_left_matmul(
     as enc_rows leaves them.
     """
     slots = rows_ct[0].params.slots
+    if max(r_plain.shape) > slots:
+        raise ValueError(f"a {r_plain.rows} x {r_plain.cols} plaintext exceeds {slots} slots")
+    cols = np.zeros((r_plain.cols, slots), dtype=np.uint64)
+    cols[:, : r_plain.rows] = r_plain.data.T
+    sels = np.eye(r_plain.cols, slots, dtype=np.uint64)
     out = []
     for ct in rows_ct:
         acc = None
         for k in range(r_plain.cols):
-            col = np.zeros(slots, dtype=np.uint64)
-            col[: r_plain.rows] = r_plain.data[:, k]
-            total = rotate_reduce_sum(he_mul_plain(ct, col, report), report)
-            sel = np.zeros(slots, dtype=np.uint64)
-            sel[k] = 1
-            term = he_mul_plain(total, sel, report)
+            total = rotate_reduce_sum(he_mul_plain(ct, cols[k], report), report)
+            term = he_mul_plain(total, sels[k], report)
             acc = term if acc is None else he_add(acc, term, report)
         out.append(acc)
     return out

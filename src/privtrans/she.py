@@ -19,6 +19,7 @@ meter; running past the budget raises NoiseBudgetExceeded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -157,11 +158,27 @@ def he_mul_plain(ct: Ciphertext, v, report: CostReport | None = None) -> Ciphert
     return _next(ct, ct.a * p, ct.b * p, ct.params.noise.cost_mul_plain)
 
 
+@lru_cache(maxsize=None)
+def _cycle(slots: int) -> np.ndarray:
+    """Read-only indices 0..slots-1 twice over: [k:k+slots] rotates by k."""
+    idx = np.tile(np.arange(slots, dtype=np.intp), 2)
+    idx.flags.writeable = False
+    return idx
+
+
 def he_rotate(ct: Ciphertext, k: int, report: CostReport | None = None) -> Ciphertext:
-    """Cyclic left rotation by k slots; k=0 is legal and still counted."""
-    if not 0 <= k < ct.params.slots:
-        raise ValueError(f"rotation {k} outside [0, {ct.params.slots})")
+    """Cyclic left rotation by k slots; k=0 is legal and still counted.
+
+    Each of a and b is one numpy gather (a fresh array, never a view of
+    ct) through the window [k, k+M) of _cycle(M). The cache holds one
+    read-only 2M-long index per slot count, never one per k: that would
+    be M^2 words.
+    """
+    slots = ct.params.slots
+    if not 0 <= k < slots:
+        raise ValueError(f"rotation {k} outside [0, {slots})")
     if report:
         report.bump("he_rotate")
-    return _next(ct, np.roll(ct.a, -k), np.roll(ct.b, -k), ct.params.noise.cost_rotate)
+    idx = _cycle(slots)[k:k + slots]
+    return _next(ct, ct.a[idx], ct.b[idx], ct.params.noise.cost_rotate)
 

@@ -171,8 +171,8 @@ def test_config_errors_name_the_field(tmp_path):
     ({"model": {**toy_obj()["model"], "ring": {"value_bits": 15.5}}}, "value_bits"),
     ({"model": {**toy_obj()["model"], "ring": {"frac_bits": 8.0}}}, "frac_bits"),
     ({"model": {**toy_obj()["model"], "ring": {"frac_bits": True}}}, "frac_bits"),
-    ({"channel": {"delay_s": True}}, "'delay_s'"),
-    ({"channel": {"bandwidth_bps": "fast"}}, "'bandwidth_bps'"),
+    ({"channel": {"delay_s": True}}, "'channel.delay_s'"),
+    ({"channel": {"bandwidth_bps": "fast"}}, "'channel.bandwidth_bps'"),
     ({"weight_scale": True}, "'weight_scale'"),
     ({"tokens": [True, False, 3, 1]}, "'tokens'"),
 ])

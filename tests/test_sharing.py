@@ -96,6 +96,21 @@ def test_enc_left_matmul_matches_oracle():
     assert got.data.tolist() == want
 
 
+def test_enc_left_matmul_op_counts_and_width_check():
+    # per output entry: mask, log2 M rotate-and-adds, select, accumulate
+    rng = np.random.default_rng(25)
+    key = keygen(small_params(), seed=4)
+    rows = enc_rows(rand_ring((3, 5), rng, DEFAULT_RING), key)
+    report = CostReport()
+    enc_left_matmul(rows, rand_ring((5, 2), rng, DEFAULT_RING), report)
+    entries = 3 * 2
+    assert report.total("he_mul_plain") == 2 * entries
+    assert report.total("he_rotate") == 4 * entries
+    assert report.total("he_add") == 4 * entries + 3 * (2 - 1)
+    with pytest.raises(ValueError, match="exceeds 16 slots"):
+        enc_left_matmul(rows, rand_ring((5, 17), rng, DEFAULT_RING))
+
+
 def test_triple_product_tiny_example():
     # left mask [[5]] against its transpose decrypts to [[25]]
     key = keygen(small_params(slots=4), seed=5)

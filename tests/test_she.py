@@ -1,6 +1,7 @@
 """Semantic HE backend: roundtrips, op correctness, counters, noise meter."""
 
 import inspect
+import tracemalloc
 import typing
 
 import numpy as np
@@ -105,6 +106,60 @@ def test_rotate_composition():
     ct = encrypt(v, key)
     out = he_rotate(he_rotate(ct, 3), 6)
     assert np.array_equal(decrypt(out, key), np.roll(v, -(3 + 6) % 8))
+
+
+@pytest.mark.parametrize("slots", [1, 2, 16, 64])
+def test_rotate_matches_roll_for_every_k(slots):
+    params = HEParams(slots=slots)
+    ct = encrypt(np.arange(slots, dtype=np.uint64), keygen(params, 0, 9))
+    for k in range(slots):
+        report = CostReport()
+        out = he_rotate(ct, k, report)
+        assert np.array_equal(out.a, np.roll(ct.a, -k))
+        assert np.array_equal(out.b, np.roll(ct.b, -k))
+        assert report.total("he_rotate") == 1
+        assert out.noise_used == ct.noise_used + params.noise.cost_rotate
+
+
+def test_rotate_output_does_not_alias_input_or_cache():
+    key = fresh_key()
+    ct = encrypt(np.arange(8, dtype=np.uint64), key)
+    a0, b0, idx0 = ct.a.copy(), ct.b.copy(), she._cycle(8).copy()
+    for k in (0, 3):
+        out = he_rotate(ct, k)
+        out.a[:] = 7
+        out.b[:] = 7
+    assert np.array_equal(ct.a, a0) and np.array_equal(ct.b, b0)
+    assert np.array_equal(she._cycle(8), idx0)
+    with pytest.raises(ValueError):
+        she._cycle(8)[0] = 1
+
+
+@pytest.mark.parametrize("k", [8, -1])
+def test_rotate_outside_the_slots_raises(k):
+    report = CostReport()
+    with pytest.raises(ValueError, match="outside"):
+        he_rotate(encrypt(np.ones(8, dtype=np.uint64), fresh_key()), k, report)
+    assert report.total("he_rotate") == 0
+
+
+def test_rotate_caches_one_index_per_slot_count():
+    # one 2M-word index per M, never one per (M, k): that would be M^2 words
+    params = HEParams(slots=4096)
+    ct = encrypt(np.ones(4, dtype=np.uint64), keygen(params, 0, 4))
+    he_rotate(ct, 0)
+    cached = she._cycle.cache_info().currsize
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(4096):
+            he_rotate(ct, k)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert she._cycle.cache_info().currsize == cached
+    assert she._cycle(4096).shape == (2 * 4096,)
+    assert kept < 1 << 20  # an index per k would keep 4096 * 32 KiB
 
 
 def test_every_op_bumps_exactly_one_counter():
