@@ -81,6 +81,13 @@ def _field(obj: dict, name: str, typ, default=None, required=False, where: str =
     return v
 
 
+def _seed(obj: dict, name: str, **kw) -> int:
+    seed = _field(obj, name, int, **kw)
+    if seed < 0:
+        raise ConfigError(f"config field {name!r}: must be >= 0, got {seed}")
+    return seed
+
+
 def load_run_config(obj: dict, overrides: dict | None = None) -> RunConfig:
     """Validate a parsed JSON object (plus flag overrides) into a RunConfig."""
     if not isinstance(obj, dict):
@@ -95,7 +102,7 @@ def load_run_config(obj: dict, overrides: dict | None = None) -> RunConfig:
     mode = _field(obj, "mode", str, default="f")
     if mode not in MODES:
         raise ConfigError(f"config field 'mode': must be one of {MODES}")
-    seed = _field(obj, "seed", int, required=True)
+    seed = _seed(obj, "seed", required=True)
 
     model_obj = _field(obj, "model", dict, required=True)
     try:
@@ -113,7 +120,7 @@ def load_run_config(obj: dict, overrides: dict | None = None) -> RunConfig:
             raise ConfigError("config field 'weights_path': ring does not match the model")
     else:
         wfield = "weight_scale"
-        wseed = _field(obj, "weights_seed", int, default=seed)
+        wseed = _seed(obj, "weights_seed", default=seed)
         scale = _field(obj, "weight_scale", (int, float), default=0.5)
         if not 0 <= scale < float("inf"):
             raise ConfigError(f"config field 'weight_scale': must be finite and >= 0, got {scale}")
@@ -149,11 +156,13 @@ def load_run_config(obj: dict, overrides: dict | None = None) -> RunConfig:
 
 
 def read_config_file(path: str, overrides: dict | None = None) -> RunConfig:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             obj = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}: line {e.lineno} col {e.colno}: {e.msg}") from e
+    except OSError as e:
+        raise ConfigError(f"config file {path!r}: {e.strerror}") from None
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"{path}: line {e.lineno} col {e.colno}: {e.msg}") from e
     return load_run_config(obj, overrides)
 
 
@@ -375,12 +384,16 @@ def main(argv=None) -> int:
             ok, lines = cmd_verify(rc)
             out = {"schema": "bench-verify/1", "ok": ok, "checks": lines}
             text = "\n".join(lines + ["verify: " + ("pass" if ok else "FAIL")])
+        if rc.report_path:
+            try:
+                write_report(rc.report_path, out)
+            except OSError as e:
+                raise ConfigError(f"config field 'report': {rc.report_path!r}: "
+                                  f"{e.strerror}") from None
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
     print(text)
-    if rc.report_path:
-        write_report(rc.report_path, out)
     return 0 if ok else 1
 
 

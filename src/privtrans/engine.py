@@ -26,7 +26,7 @@ at all.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,28 +107,13 @@ def audit_server_ignorance(server: Server) -> list[str]:
     return found
 
 
-@dataclass
-class ChgsMaterial:
-    """The server's record for one fused block prefix (mode fpc); `strip`
-    completes one head's triple of a = R_e B_h and b = R_e^T per reply."""
-
-    w_ed: FixedTensor
-    lam: FixedTensor
-    head_b: list            # B_h = W_Q_h @ W_K_h^T, server plaintext
-    head_re_b: list         # Enc(R_e B_h) rows per head
-    g_masks: list           # G_h per head, drawn by the server
-    enc_re_t: list          # Enc(R_e^T) rows
-    enc_rc0_t: list         # Enc(Rc0^T) rows
-    head_triples: list = field(default_factory=list)
-
-
 class Client:
     """The client: its rng stream, its cost report and the HE key pair (its
     rng's first draw), under which every encryption and decryption runs."""
 
     def __init__(self, rng: np.random.Generator, he: HEParams, ring):
         self.rng, self.ring, self.report = rng, ring, CostReport("client")
-        self.key = keygen(he, key_id=0, seed=int(rng.integers(0, 2**63)))
+        self.key = keygen(he, seed=int(rng.integers(0, 2**63)))
 
     def rand(self, shape) -> FixedTensor:
         return rand_ring(shape, self.rng, self.ring)
@@ -136,10 +121,11 @@ class Client:
 
 class Server:
     """The server: its rng stream, its cost report and its material store.
-    `material` maps a module id (`b0.wq`, `b0.qk.h1`, `b0.prefix`) to the
-    one record the server made or received for that module offline; `take`
-    pops it, so each record is consumed once. Its methods take only wire
-    payloads, public weights and module ids."""
+    `material` maps a module id (`b0.wq`, `b0.qk.h1`) to the one record the
+    server made or received for that module offline; `take` pops it, so
+    each record is consumed once. Every QxK and AttenValue product, fused
+    or not, takes a MatTriple through `four_terms`. Its methods take only
+    wire payloads, public weights and module ids."""
 
     def __init__(self, rng: np.random.Generator, ring):
         self.rng, self.ring, self.report = rng, ring, CostReport("server")
@@ -184,13 +170,11 @@ class Server:
         return out
 
     def four_terms(self, mid: str, left: FixedTensor, right: FixedTensor) -> tuple:
-        """_terms with the triple kept under mid."""
-        return self._terms(left, right, self.take(mid))
-
-    def _terms(self, left: FixedTensor, right: FixedTensor, triple: MatTriple) -> tuple:
         """(L @ R, Enc(a) @ R, L @ Enc(b), Enc(ab), rs): the terms of
-        (L + a)(R + b) for the triple's row-encrypted a, b and ab, and a
-        fresh output mask. No ciphertext multiplies a ciphertext."""
+        (L + a)(R + b) for the row-encrypted a, b and ab of the triple kept
+        under mid, and a fresh output mask. No ciphertext multiplies a
+        ciphertext."""
+        triple = self.take(mid)
         rs = rand_ring((left.rows, right.cols), self.rng, self.ring)
         return (mat_mul(left, right), enc_left_matmul(triple.left_ct, right, self.report),
                 plain_left_matmul(left, triple.right_ct, self.report), triple.product_ct, rs)
@@ -206,47 +190,42 @@ class Server:
                 rows.append(he_add_plain(acc, t1.data[i] - rs.data[i], rep))
         return rows
 
-    def chgs_terms(self, mid: str, enc_rc0: list[Ciphertext], enc_rc0_t: list[Ciphertext],
-                   w_ed: FixedTensor, lam: FixedTensor, head_weights) -> list:
-        """Fused-prefix terms from Enc(Rc0), Enc(Rc0^T) rows, kept under mid:
-        Enc(R_e^T), and per head (W_Q_h, W_K_h) of head_weights
-        B_h = W_Q_h W_K_h^T and Enc(R_e B_h). Returns, per head, the rows
-        Enc(Rc0 W_M_h) + G_h for a fresh G_h that the record keeps
-        (W_M_h = W_ed B_h W_ed^T)."""
+    def chgs_terms(self, mids: list[str], enc_rc0: list[Ciphertext],
+                   enc_rc0_t: list[Ciphertext], w_ed: FixedTensor, head_b: list) -> list:
+        """Fused-prefix QxK triples begun from Enc(Rc0), Enc(Rc0^T) rows: a
+        = R_e B_h and b = R_e^T for R_e = Rc0 W_ed and each head's public
+        B_h of head_b. Keeps, under that head's id of mids, (Enc(R_e B_h),
+        Enc(R_e^T), G_h, Enc(Rc0^T)) for a fresh G_h, and returns per head
+        the rows Enc(Rc0 W_M_h) + G_h (W_M_h = W_ed B_h W_ed^T)."""
         rep = self.report
         enc_re = enc_left_matmul(enc_rc0, w_ed, rep)
         enc_re_t = plain_left_matmul(w_ed.transpose(), enc_rc0_t, rep)
-        head_b, head_re_b, masked_wm, g_masks = [], [], [], []
-        for w_q_h, w_k_h in head_weights:
-            b_h = mat_mul(w_q_h, w_k_h.transpose())
-            head_b.append(b_h)
-            head_re_b.append(enc_left_matmul(enc_re, b_h, rep))
+        masked_wm = []
+        for mid, b_h in zip(mids, head_b):
+            enc_re_b = enc_left_matmul(enc_re, b_h, rep)
             w_m = mat_mul(mat_mul(w_ed, b_h), w_ed.transpose())
             g_h = rand_ring((len(enc_rc0), w_ed.rows), self.rng, self.ring)
-            g_masks.append(g_h)
             rows = enc_left_matmul(enc_rc0, w_m, rep)
             masked_wm.append([he_add_plain(ct, v, rep) for ct, v in zip(rows, g_h.data)])
-        self.keep(mid, ChgsMaterial(w_ed, lam, head_b, head_re_b, g_masks, enc_re_t, enc_rc0_t))
+            self.keep(mid, (enc_re_b, enc_re_t, g_h, enc_rc0_t))
         return masked_wm
 
     def strip(self, mid: str, back: list[Ciphertext]) -> None:
-        """Completes the next head's triple in the record under mid: its
-        product Enc(Rc0 W_M_h Rc0^T) is the client's reply minus
+        """Finishes the triple under mid: its product Enc(R_e B_h R_e^T) is
+        the client's reply Enc(Rc0 W_M_h Rc0^T + G_h Rc0^T) minus
         G_h Rc0^T, under HE."""
-        rec = self.take(mid)
-        h = len(rec.head_triples)
-        strip = plain_left_matmul(-rec.g_masks[h], rec.enc_rc0_t, self.report)
+        enc_re_b, enc_re_t, g_h, enc_rc0_t = self.take(mid)
+        strip = plain_left_matmul(-g_h, enc_rc0_t, self.report)
         product = [he_add(a, b, self.report) for a, b in zip(back, strip)]
-        rec.head_triples.append(MatTriple(rec.head_re_b[h], rec.enc_re_t, product))
-        self.keep(mid, rec)
+        self.keep(mid, MatTriple(enc_re_b, enc_re_t, product))
 
-    def chgs_heads(self, mid: str, x0_masked: FixedTensor) -> list:
+    def chgs_heads(self, mids: list[str], x0_masked: FixedTensor, w_ed: FixedTensor,
+                   lam: FixedTensor, head_b: list) -> list:
         """Per head, the four terms of S_h = (P_s B_h + R_e B_h)(P_s^T + R_e^T)
-        with P_s = (X0 - Rc0) W_ed + lam, from the record under mid."""
-        rec = self.take(mid)
-        p_s = mat_mul(x0_masked, rec.w_ed) + rec.lam
-        return [self._terms(mat_mul(p_s, b_h), p_s.transpose(), t)
-                for b_h, t in zip(rec.head_b, rec.head_triples)]
+        with P_s = (X0 - Rc0) W_ed + lam, from the triple under its id."""
+        p_s = mat_mul(x0_masked, w_ed) + lam
+        return [self.four_terms(mid, mat_mul(p_s, b_h), p_s.transpose())
+                for mid, b_h in zip(mids, head_b)]
 
 
 class Session:
@@ -357,22 +336,21 @@ class Session:
         self._send("client", t.left_ct + t.right_ct + t.product_ct)
         self.server.keep(mid, t)
 
-    def chgs_material(self, mid: str, rc0: FixedTensor, w_ed: FixedTensor,
-                      lam: FixedTensor, w_q: FixedTensor, w_k: FixedTensor) -> None:
-        """All encrypted fused-prefix terms, offline, into the server's
-        record under mid.
+    def chgs_material(self, mids: list[str], rc0: FixedTensor, w_ed: FixedTensor,
+                      head_b: list) -> None:
+        """The fused prefix's QxK triples, offline, one per head of head_b
+        (B_h = W_Q_h W_K_h^T) into the server's store under its id of mids.
 
-        The mask-quadratic t4 = R_e B_h R_e^T costs one extra offline round:
-        the server masks Enc(Rc0 W_M_h) with G_h, the client decrypts,
-        multiplies by Rc0^T and re-encrypts, and the server strips G_h Rc0^T
-        homomorphically via Enc(Rc0^T)."""
+        The mask-quadratic product R_e B_h R_e^T costs one extra offline
+        round: the server masks Enc(Rc0 W_M_h) with G_h, the client
+        decrypts, multiplies by Rc0^T and re-encrypts, and the server strips
+        G_h Rc0^T homomorphically via Enc(Rc0^T)."""
         key, rep_c = self.client.key, self.client.report
         enc_rc0, enc_rc0_t = enc_rows(rc0, key, rep_c), enc_rows(rc0.transpose(), key, rep_c)
         self._send("client", enc_rc0 + enc_rc0_t)
-        masked_wm = self.server.chgs_terms(mid, enc_rc0, enc_rc0_t, w_ed, lam,
-                                           list(zip(self._heads(w_q), self._heads(w_k))))
+        masked_wm = self.server.chgs_terms(mids, enc_rc0, enc_rc0_t, w_ed, head_b)
         self._send("server", [ct for rows in masked_wm for ct in rows])
-        for rows in masked_wm:
+        for mid, rows in zip(mids, masked_wm):
             y_h = dec_rows(rows, rc0.cols, key, self.cfg.ring, rep_c)
             back = enc_rows(mat_mul(y_h, rc0.transpose()), key, rep_c)
             self._send("client", back)
@@ -405,11 +383,12 @@ class Session:
         terms = self.server.four_terms(mid, left_masked, right_masked)
         return self._reveal([terms]), terms[-1]
 
-    def chgs_scores(self, mid: str, x0_masked: FixedTensor):
+    def chgs_scores(self, mids: list[str], x0_masked: FixedTensor, w_ed: FixedTensor,
+                    lam: FixedTensor, head_b: list):
         """Fused scores S_h = (P_s + R_e) B_h (P_s + R_e)^T per head from the
-        server's terms for the record under mid. Returns the (server,
+        server's terms for the triples under mids. Returns the (server,
         client) score shares stacked by head."""
-        heads = self.server.chgs_heads(mid, x0_masked)
+        heads = self.server.chgs_heads(mids, x0_masked, w_ed, lam, head_b)
         s_client = self._reveal(heads)
         s_server = self._stack([rs for *_, rs in heads])
         return s_server, s_client
@@ -503,9 +482,11 @@ class Session:
             w_ed = FixedTensor(np.eye(cfg.d_emb, dtype=np.uint64), ring)
             lam = FixedTensor.zeros(cfg.n, cfg.d_emb, ring)
             rc0 = chain[1]  # the GC output mask already masking this input
-        prefix, fuse_v = f"b{blk_i}.prefix", f"b{blk_i}.fuse_v"
+        qk, fuse_v = [f"b{blk_i}.qk.h{h}" for h in range(cfg.H)], f"b{blk_i}.fuse_v"
+        head_b = [mat_mul(w_q, w_k.transpose())
+                  for w_q, w_k in zip(self._heads(blk.w_q), self._heads(blk.w_k))]
         with self._at("QxK", prep=True):
-            self.chgs_material(prefix, rc0, w_ed, lam, blk.w_q, blk.w_k)
+            self.chgs_material(qk, rc0, w_ed, head_b)
         w_ev = mat_mul(w_ed, blk.w_v)
         with self._at("QKV", prep=True):
             v_out = self._gen_hgs(fuse_v, w_ev, rc0)
@@ -521,7 +502,7 @@ class Session:
             else:
                 x0_masked = chain[0]
             self._interaction()
-            s_chain = self.chgs_scores(prefix, x0_masked)
+            s_chain = self.chgs_scores(qk, x0_masked, w_ed, lam, head_b)
         masked_v = self.server.run_hgs_layer(fuse_v, w_ev, x0_masked,
                                              bias=mat_mul(lam, blk.w_v) if first else None)
         x1_chain = chain

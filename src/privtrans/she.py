@@ -18,6 +18,7 @@ meter; running past the budget raises NoiseBudgetExceeded.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -65,13 +66,17 @@ class HEParams:
         return 16 * self.slots
 
 
+_KEY_IDS = itertools.count()
+
+
 class KeyPair:
     """The secret scalar s (the first draw of the key's own PRF stream) and
     the stream that draws each ciphertext's a; only the owner should keep
-    this."""
+    this. Each key pair takes a fresh process-wide key_id, so ciphertexts
+    of two keys never mix silently."""
 
-    def __init__(self, key_id: int, seed: int, params: HEParams):
-        self.key_id = key_id
+    def __init__(self, seed: int, params: HEParams):
+        self.key_id = next(_KEY_IDS)
         self.params = params
         self._stream = np.random.Generator(np.random.Philox(key=seed))
         self.s = self._stream.integers(0, 1 << 64, dtype=np.uint64)
@@ -101,8 +106,8 @@ def _next(ct: Ciphertext, a, b, cost: int) -> Ciphertext:
     return Ciphertext(a, b, ct.key_id, ct.params, used)
 
 
-def keygen(params: HEParams, key_id: int = 0, seed: int = 0) -> KeyPair:
-    return KeyPair(key_id, seed, params)
+def keygen(params: HEParams, seed: int = 0) -> KeyPair:
+    return KeyPair(seed, params)
 
 
 def _as_slots(v, params: HEParams) -> np.ndarray:

@@ -267,3 +267,24 @@ def test_main_run_verify_and_exit_codes(tmp_path, capsys):
 
     assert main(["plan", "32", "30522", "4096"]) == 0
     assert '"ciphertexts": 239' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("change,argv,named", [
+    ({"seed": -1}, [], "'seed'"),
+    ({}, ["--seed", "-5"], "'seed'"),
+    ({"weights_seed": -3}, [], "'weights_seed'"),
+    ({}, ["--config", "{tmp}/missing.json"], "{tmp}/missing.json"),
+    ({}, ["--report", "{tmp}/no_dir/out.json"], "{tmp}/no_dir/out.json"),
+], ids=["seed", "seed-flag", "weights_seed", "config-path", "report-path"])
+def test_bad_seeds_and_paths_end_in_one_config_error_line(change, argv, named, tmp_path,
+                                                          capsys):
+    # each used to end in a traceback: numpy refuses a negative seed, and a
+    # missing config or an unwritable report path raised from open()
+    cfg_path = tmp_path / "rc.json"
+    cfg_path.write_text(json.dumps(toy_obj(**change)))
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert main(["run", "--config", str(cfg_path), *argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error:") and err.count("\n") == 1, err
+    assert named.format(tmp=tmp_path) in err

@@ -247,8 +247,8 @@ def test_chgs_identity_weights_give_gram_matrix():
     rc0 = rand_mat(rng, (4, 4))
     eye = FixedTensor(np.eye(4, dtype=np.uint64), DEFAULT_RING)
     zero = FixedTensor.zeros(4, 4, DEFAULT_RING)
-    s.chgs_material("b0.prefix", rc0, eye, zero, eye, eye)
-    s_share, c_share = s.chgs_scores("b0.prefix", x - rc0)
+    s.chgs_material(["b0.qk.h0"], rc0, eye, [eye])
+    s_share, c_share = s.chgs_scores(["b0.qk.h0"], x - rc0, eye, zero, [eye])
     assert (c_share + s_share).data.tolist() == mm64(x, x.transpose())
     assert s.server.material == {}
 
@@ -259,10 +259,37 @@ def test_chgs_material_single_use():
     x, rc0 = rand_mat(rng, (4, 4)), rand_mat(rng, (4, 4))
     eye = FixedTensor(np.eye(4, dtype=np.uint64), DEFAULT_RING)
     zero = FixedTensor.zeros(4, 4, DEFAULT_RING)
-    s.chgs_material("b0.prefix", rc0, eye, zero, eye, eye)
-    s.chgs_scores("b0.prefix", x - rc0)
-    with pytest.raises(MaterialMissing, match="'b0.prefix'"):
-        s.chgs_scores("b0.prefix", x - rc0)
+    s.chgs_material(["b0.qk.h0"], rc0, eye, [eye])
+    s.chgs_scores(["b0.qk.h0"], x - rc0, eye, zero, [eye])
+    with pytest.raises(MaterialMissing, match="'b0.qk.h0'"):
+        s.chgs_scores(["b0.qk.h0"], x - rc0, eye, zero, [eye])
+
+
+@pytest.mark.parametrize("norm,activation", [("post", "relu"), ("pre", "gelu")])
+def test_every_triple_the_server_uses_is_a_true_triple(norm, activation, monkeypatch):
+    # every QxK and AttenValue product, the fused prefix's included, takes
+    # its triple through four_terms, and each decrypts to a, b and a @ b
+    # with zero padding slots
+    cfg = toy_cfg(norm=norm, activation=activation)
+    w = random_weights(cfg, np.random.default_rng(23))
+    real, used = engine.Server.four_terms, []
+
+    def checked(server, mid, left, right):
+        t = server.material[mid]
+        dec = lambda cts: np.stack([decrypt(ct, session.client.key) for ct in cts])
+        k = len(t.right_ct)
+        assert np.array_equal(dec(t.product_ct), dec(t.left_ct)[:, :k] @ dec(t.right_ct)), mid
+        used.append(mid)
+        return real(server, mid, left, right)
+
+    monkeypatch.setattr(engine.Server, "four_terms", checked)
+    for mode in MODES:
+        used.clear()
+        session = Session(cfg, w, mode, seed=3)
+        session.run([3, 1, 4, 1])
+        for kind in ("qk", "av"):
+            want = {f"b{i}.{kind}.h{h}" for i in range(cfg.N) for h in range(cfg.H)}
+            assert sorted(m for m in used if f".{kind}." in m) == sorted(want), (mode, kind)
 
 
 def test_store_keeps_an_id_once_and_a_run_leaves_it_empty():
@@ -509,8 +536,24 @@ def test_only_the_client_key_decrypts():
     ct = encrypt(v, key)
     assert np.array_equal(decrypt(ct, key), v)
     for seed in range(20):
-        forged = keygen(s.he, key_id=key.key_id, seed=seed)
+        forged = keygen(s.he, seed=seed)
+        forged.key_id = key.key_id
         assert (decrypt(ct, forged) != v).all(), seed
+
+
+def test_each_session_has_its_own_key_id():
+    # two sessions' ciphertexts do not mix: adding them, or decrypting one
+    # under the other session's key, raises instead of giving garbage
+    cfg = toy_cfg()
+    w = random_weights(cfg, np.random.default_rng(3))
+    k1, k2 = (Session(cfg, w, "f", seed=seed).client.key for seed in (1, 2))
+    assert k1.key_id != k2.key_id
+    v = np.arange(k1.params.slots, dtype=np.uint64)
+    c1, c2 = encrypt(v, k1), encrypt(v, k2)
+    with pytest.raises(she.KeyMismatch):
+        she.he_add(c1, c2)
+    with pytest.raises(she.KeyMismatch):
+        decrypt(c1, k2)
 
 
 def test_session_packing_defaults_and_validation():

@@ -58,7 +58,7 @@ def test_pack_unpack_bijection(strategy, n, d, m):
 
 def test_pack_unpack_encrypted_roundtrip():
     params = HEParams(slots=8)
-    key = keygen(params, 0, 9)
+    key = keygen(params, seed=9)
     layout = PackingLayout(PackingStrategy.TOKENS_FIRST, 2, 6, 8)
     rng = np.random.default_rng(4)
     x = rand_ring_tensor(rng, 2, 6)
@@ -82,7 +82,7 @@ def test_plan_layout_large_example():
 def test_he_matmul_runs_every_planned_layout():
     # every layout the planner proposes is one the kernel accepts, and its
     # rotation bill is the predicted one
-    key = keygen(HEParams(slots=8), 0, 33)
+    key = keygen(HEParams(slots=8), seed=33)
     rng = np.random.default_rng(35)
     for n in range(1, 9):
         for d in (1, 3, 8):
@@ -106,7 +106,7 @@ def test_plan_layout_degenerate_n1():
 @pytest.mark.parametrize("strategy", list(PackingStrategy))
 def test_he_matmul_matches_ring_oracle(strategy):
     params = HEParams(slots=16)
-    key = keygen(params, 0, 11)
+    key = keygen(params, seed=11)
     rng = np.random.default_rng(13)
     for n, d1, d2 in [(4, 8, 4), (2, 16, 3), (4, 4, 8), (1, 8, 2)]:
         layout = PackingLayout(strategy, n, d1, 16)
@@ -124,7 +124,7 @@ def test_he_matmul_matches_ring_oracle(strategy):
 
 
 def test_he_matmul_has_only_the_naive_kernel():
-    key = keygen(HEParams(slots=16), 0, 15)
+    key = keygen(HEParams(slots=16), seed=15)
     layout = PackingLayout(PackingStrategy.TOKENS_FIRST, 4, 8, 16)
     cts = pack(FixedTensor(np.ones((4, 8), dtype=np.uint64)), layout, key)
     w = FixedTensor(np.ones((8, 2), dtype=np.uint64))
@@ -140,7 +140,7 @@ def test_he_matmul_has_only_the_naive_kernel():
 )
 def test_naive_rotation_counts_exact(m, n, d1, d2):
     params = HEParams(slots=m)
-    key = keygen(params, 0, 19)
+    key = keygen(params, seed=19)
     rng = np.random.default_rng(21)
     x = rand_ring_tensor(rng, n, d1)
     w = rand_ring_tensor(rng, d1, d2)
@@ -163,7 +163,7 @@ def test_naive_rotation_counts_exact(m, n, d1, d2):
 
 def test_tokens_first_kernel_requires_divisibility():
     params = HEParams(slots=16)
-    key = keygen(params, 0, 27)
+    key = keygen(params, seed=27)
     layout = PackingLayout(PackingStrategy.TOKENS_FIRST, 3, 4, 16)
     x = FixedTensor(np.ones((3, 4), dtype=np.uint64))
     cts = pack(x, layout, key)
@@ -202,7 +202,7 @@ def test_diagonal_masks_match_the_per_element_oracle(strategy, case, n, d1, d2, 
         assert np.array_equal(got_mask, want_mask)
 
     # zero weights decide the op count: one plaintext product per mask
-    key = keygen(HEParams(slots=m), 0, 29)
+    key = keygen(HEParams(slots=m), seed=29)
     rng = np.random.default_rng(31)
     cts = pack(rand_ring_tensor(rng, n, d1), layout, key)
     report = CostReport()

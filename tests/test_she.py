@@ -27,8 +27,8 @@ from privtrans.she import (
 PARAMS = HEParams(slots=8)
 
 
-def fresh_key(key_id=0, seed=42, params=PARAMS):
-    return keygen(params, key_id=key_id, seed=seed)
+def fresh_key(seed=42, params=PARAMS):
+    return keygen(params, seed=seed)
 
 
 def ciphertext_pair_ops():
@@ -64,10 +64,14 @@ def test_payload_is_masked():
 
 
 def test_wrong_key_decrypt_raises():
-    k0, k1 = fresh_key(0, 1), fresh_key(1, 2)
-    ct = encrypt(np.ones(8, dtype=np.uint64), k0)
-    with pytest.raises(KeyMismatch):
-        decrypt(ct, k1)
+    # each key pair takes its own id, so two keys from one seed (one
+    # secret s) do not mix either
+    for k0, k1 in ((fresh_key(1), fresh_key(2)), (fresh_key(7), fresh_key(7))):
+        ct = encrypt(np.ones(8, dtype=np.uint64), k0)
+        with pytest.raises(KeyMismatch):
+            decrypt(ct, k1)
+        with pytest.raises(KeyMismatch):
+            he_add(ct, encrypt(np.ones(8, dtype=np.uint64), k1))
 
 
 def test_homomorphic_ops_match_plain():
@@ -85,7 +89,7 @@ def test_homomorphic_ops_match_plain():
 
 
 def test_rotate_left_example():
-    key = keygen(HEParams(slots=4), 0, 3)
+    key = keygen(HEParams(slots=4), seed=3)
     ct = encrypt(np.array([1, 2, 3, 4], dtype=np.uint64), key)
     out = decrypt(he_rotate(ct, 1), key)
     assert list(out) == [2, 3, 4, 1]
@@ -111,7 +115,7 @@ def test_rotate_composition():
 @pytest.mark.parametrize("slots", [1, 2, 16, 64])
 def test_rotate_matches_roll_for_every_k(slots):
     params = HEParams(slots=slots)
-    ct = encrypt(np.arange(slots, dtype=np.uint64), keygen(params, 0, 9))
+    ct = encrypt(np.arange(slots, dtype=np.uint64), keygen(params, seed=9))
     for k in range(slots):
         report = CostReport()
         out = he_rotate(ct, k, report)
@@ -146,7 +150,7 @@ def test_rotate_outside_the_slots_raises(k):
 def test_rotate_caches_one_index_per_slot_count():
     # one 2M-word index per M, never one per (M, k): that would be M^2 words
     params = HEParams(slots=4096)
-    ct = encrypt(np.ones(4, dtype=np.uint64), keygen(params, 0, 4))
+    ct = encrypt(np.ones(4, dtype=np.uint64), keygen(params, seed=4))
     he_rotate(ct, 0)
     cached = she._cycle.cache_info().currsize
     tracemalloc.start()
@@ -185,7 +189,7 @@ def test_no_ciphertext_by_ciphertext_product():
 
 def test_noise_budget_meter():
     params = HEParams(slots=4, noise=NoiseModel(budget=10, cost_mul_plain=4))
-    key = keygen(params, 0, 5)
+    key = keygen(params, seed=5)
     ct = encrypt(np.ones(4, dtype=np.uint64), key)
     assert params.noise.budget - ct.noise_used == 10
     ct = he_mul_plain(ct, 3)
