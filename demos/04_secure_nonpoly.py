@@ -13,6 +13,7 @@ transfer (IKNP extension over 128 base OTs), and must agree bit for bit.
 # %%
 import numpy as np
 
+from privtrans.costs import CostReport
 from privtrans.ring import DEFAULT_RING
 from privtrans.securefn import SecureFnSpec, eval_secure, plain_apply
 from privtrans.transcript import Transcript
@@ -29,10 +30,14 @@ raw = (vals * (1 << F)).astype(np.int64).view(np.uint64)
 
 # %%
 # Split into shares, evaluate, reconstruct. The secure path matches the
-# stage run on plain words, which itself tracks real softmax closely.
+# stage run on plain words, which itself tracks real softmax closely. Every
+# stage is billed: it takes the report and transcript it logs to, the
+# pipeline step it belongs to, and the server's own generator.
 xc = rng.integers(0, 1 << 64, raw.shape, dtype=np.uint64)
 xs = raw - xc
-c, s = eval_secure(spec, xc, xs, np.random.default_rng(1))
+report, t = CostReport(), Transcript()
+c, s = eval_secure(spec, xc, xs, np.random.default_rng(1), report=report, transcript=t,
+                   step="SoftMax", rng_server=np.random.default_rng(5))
 got = DEFAULT_RING.to_signed(c + s).astype(np.float64) / (1 << F)
 print("secure softmax:\n", got)
 ref = np.exp(vals) / np.exp(vals).sum(axis=1, keepdims=True)
@@ -49,19 +54,23 @@ spec16 = SecureFnSpec("relu", 16)
 raw16 = rng.integers(0, 1 << 16, (6, 1), dtype=np.uint64)
 xc16 = rng.integers(0, 1 << 16, raw16.shape, dtype=np.uint64)
 xs16 = (raw16 - xc16) & np.uint64(0xFFFF)
-c_sem, s_sem = eval_secure(spec16, xc16, xs16, np.random.default_rng(2))
+c_sem, s_sem = eval_secure(spec16, xc16, xs16, np.random.default_rng(2), report=report,
+                           transcript=t, step="Others", rng_server=np.random.default_rng(4))
+t_gc = Transcript()
 c_gc, s_gc = eval_secure(spec16, xc16, xs16, np.random.default_rng(2), backend="gc",
+                         report=report, transcript=t_gc, step="Others",
                          rng_server=np.random.default_rng(4))
 assert np.array_equal(c_sem, c_gc) and np.array_equal(s_sem, s_gc)
 print("gc backend == semantic backend on relu lanes")
 
 # %%
-# The garbled run leaves an audit trail: tables and OT messages land in
-# the transcript, so the cost of a stage is measurable, not guessed.
-t = Transcript()
-eval_secure(spec16, xc16, xs16, np.random.default_rng(2), backend="gc", transcript=t,
-            step="Others", rng_server=np.random.default_rng(4))
-print(f"gc bytes for 6 relu lanes: {t.bytes_sent('Others', 'online')}")
+# Each run leaves an audit trail: tables and OT messages land in the
+# transcript and AND gates in the report, so the cost of a stage is
+# measurable, not guessed. Both backends bill the same: the semantic
+# backend models the garbled run's bytes.
+print(f"gc bytes for 6 relu lanes: {t_gc.bytes_sent('Others', 'online')}")
+assert t.bytes_sent("Others", "online") == t_gc.bytes_sent("Others", "online")
+print(f"softmax AND gates: {report.get('SoftMax', 'offline', 'gc_and_gates')}")
 
 # %%
 # plain_apply is the reference path: the same stage pipeline with zero

@@ -564,6 +564,8 @@ class Session:
     def run(self, tokens) -> "RunResult":
         cfg = self.cfg
         x0 = FixedTensor(one_hot(tokens, cfg.d_oh), cfg.ring)
+        if x0.rows != cfg.n:
+            raise ValueError(f"expected n={cfg.n} tokens, got {x0.rows}")
         fused_first = self.mode == "fpc" and cfg.norm == "post"
         chain = None if fused_first else self._embed(x0)
         for i in range(cfg.N):

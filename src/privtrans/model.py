@@ -36,6 +36,10 @@ WEIGHT_MAGIC = b"PTW1"
 WEIGHT_VERSION = 1
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture plus the positional terms delta (integer coefficient,
@@ -58,7 +62,7 @@ class ModelConfig:
     def __post_init__(self):
         for name in ("N", "d_emb", "H", "n", "d_oh", "d_ff", "d_out", "delta"):
             v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+            if not _is_int(v) or v < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
         if self.d_emb % self.H != 0:
             raise ValueError(f"d_emb={self.d_emb} not divisible by H={self.H}")
@@ -181,6 +185,24 @@ def save_weights(path, weights: ModelWeights) -> None:
             f.write(t.data.astype("<u8").tobytes())
 
 
+def _check_header(header) -> None:
+    """Raise a ValueError naming the first field of a weight header that is
+    missing or of the wrong type."""
+    if not isinstance(header, dict):
+        raise ValueError("weight header must be a JSON object")
+    for name in ("value_bits", "frac_bits"):
+        if not _is_int(header.get(name)):
+            raise ValueError(f"weight header field {name!r} must be an integer")
+    tensors = header.get("tensors")
+    if not isinstance(tensors, list):
+        raise ValueError("weight header field 'tensors' must be a list")
+    for i, entry in enumerate(tensors):
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and all(_is_int(entry.get(k)) and entry[k] >= 1 for k in ("rows", "cols"))):
+            raise ValueError(f"weight header field 'tensors[{i}]' must be "
+                             "{name: str, rows: int >= 1, cols: int >= 1}")
+
+
 def load_weights(path) -> tuple[ModelWeights, RingParams]:
     with open(path, "rb") as f:
         raw = f.read()
@@ -195,6 +217,7 @@ def load_weights(path) -> tuple[ModelWeights, RingParams]:
         header = json.loads(raw[8 : 8 + hlen])
     except json.JSONDecodeError as e:
         raise ValueError(f"corrupt weight header: {e}") from None
+    _check_header(header)
     if header.get("version") != WEIGHT_VERSION:
         raise ValueError(f"unsupported weight file version {header.get('version')}")
     if header.get("modulus_bits") != 64:

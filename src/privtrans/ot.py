@@ -24,12 +24,10 @@ elements and 16*m (two masked messages a transfer); the receiver one
 group element, KAPPA*32 (its encrypted seed pairs) and KAPPA*ceil(m/8)
 (the columns u).
 
-The base OTs are simplest-OT style over MODP groups: per transfer the
-base-OT receiver computes g^b and A^b, the base-OT sender B^a, and the
-seeds are one-time-padded with SHA-256 derived keys. Groups: a 256-bit
-toy safe prime (`TOY_256`, the one the protocol uses, for speed) and the
-standard 1024-bit and 1536-bit MODP primes; tests check primality. All
-sizes share every code path.
+The base OTs are simplest-OT style over one MODP group, `TOY_256`, a
+256-bit toy safe prime (tests check primality): per transfer the base-OT
+receiver computes g^b and A^b, the base-OT sender B^a, and the seeds are
+one-time-padded with SHA-256 derived keys.
 
 The base-OT receiver's two exponentiations have a fixed base (g for the
 whole group, the sender's A for one call) and fresh 256-bit exponents,
@@ -47,25 +45,6 @@ from functools import lru_cache
 
 import numpy as np
 
-_MODP_1024_HEX = """
-FFFFFFFF FFFFFFFF C90FDAA2 2168C234 C4C6628B 80DC1CD1 29024E08
-8A67CC74 020BBEA6 3B139B22 514A0879 8E3404DD EF9519B3 CD3A431B
-302B0A6D F25F1437 4FE1356D 6D51C245 E485B576 625E7EC6 F44C42E9
-A637ED6B 0BFF5CB6 F406B7ED EE386BFB 5A899FA5 AE9F2411 7C4B1FE6
-49286651 ECE65381 FFFFFFFF FFFFFFFF
-"""
-
-_MODP_1536_HEX = """
-FFFFFFFF FFFFFFFF C90FDAA2 2168C234 C4C6628B 80DC1CD1 29024E08
-8A67CC74 020BBEA6 3B139B22 514A0879 8E3404DD EF9519B3 CD3A431B
-302B0A6D F25F1437 4FE1356D 6D51C245 E485B576 625E7EC6 F44C42E9
-A637ED6B 0BFF5CB6 F406B7ED EE386BFB 5A899FA5 AE9F2411 7C4B1FE6
-49286651 ECE45B3D C2007CB8 A163BF05 98DA4836 1C55D39A 69163FA8
-FD24CF5F 83655D23 DCA3AD96 1C62F356 208552BB 9ED52907 7096966D
-670C354E 4ABC9804 F1746C08 CA237327 FFFFFFFF FFFFFFFF
-"""
-
-
 @dataclass(frozen=True)
 class ModpGroup:
     bits: int
@@ -78,15 +57,13 @@ class ModpGroup:
 
 
 # 256-bit safe prime for demonstration-scale sessions only: far too small for
-# real DH security, but ~13x faster per transfer than MODP_1536, which
-# matters while every OT call runs its own 128 base OTs. g=4 generates the
-# prime-order subgroup.
+# real DH security, but ~13x faster per transfer than the standard 1536-bit
+# MODP prime, which matters while every OT call runs its own 128 base OTs.
+# g=4 generates the prime-order subgroup.
 _TOY_256_HEX = """
 B2AE5573 5E6DD44A 8075DE6A 20157C47 7E63804C 1DE29F99 36BE9D21 B071AFE3
 """
 
-MODP_1024 = ModpGroup(1024, int(_MODP_1024_HEX.replace(" ", "").replace("\n", ""), 16))
-MODP_1536 = ModpGroup(1536, int(_MODP_1536_HEX.replace(" ", "").replace("\n", ""), 16))
 TOY_256 = ModpGroup(256, int(_TOY_256_HEX.replace(" ", "").replace("\n", ""), 16), g=4)
 
 
@@ -126,8 +103,8 @@ class FixedBase:
 
 
 @lru_cache(maxsize=None)
-def _generator_table(group: ModpGroup) -> FixedBase:
-    return FixedBase(group.g, group.p)
+def _generator_table() -> FixedBase:
+    return FixedBase(TOY_256.g, TOY_256.p)
 
 
 KAPPA = 128  # base OTs per call, and the bit length of the rows of q and t
@@ -139,9 +116,9 @@ def _hash(data: bytes, index: int, size: int) -> bytes:
     return hashlib.sha256(data + index.to_bytes(4, "little")).digest()[:size]
 
 
-def _kdf(point: int, group: ModpGroup, index: int) -> np.ndarray:
+def _kdf(point: int, index: int) -> np.ndarray:
     """The base OT's one-time pad for the seed of transfer index."""
-    raw = _hash(point.to_bytes(group.element_bytes, "little"), index, SEED_BYTES)
+    raw = _hash(point.to_bytes(TOY_256.element_bytes, "little"), index, SEED_BYTES)
     return np.frombuffer(raw, dtype=np.uint8)
 
 
@@ -150,20 +127,18 @@ class OTSender:
     """The base-OT sender (the extension's receiver); holds its ephemeral
     secret across the two message flows."""
 
-    group: ModpGroup
     a: int
     big_a: int
 
     @classmethod
-    def setup(cls, group: ModpGroup, rng: np.random.Generator) -> "OTSender":
+    def setup(cls, rng: np.random.Generator) -> "OTSender":
         a = _exponent(rng)
-        big_a = pow(group.g, a, group.p)
-        return cls(group, a, big_a)
+        return cls(a, pow(TOY_256.g, a, TOY_256.p))
 
     def respond(self, bs: list, m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
         """Encrypt each seed pair (m0, m1: (n, SEED_BYTES) uint8) against
         the receiver's points. Returns ciphertext pairs, (n, 2, SEED_BYTES)."""
-        p = self.group.p
+        p = TOY_256.p
         # choice-1 pads use (B/A)^a = B^a * (A^a)^-1; the inverse is loop
         # invariant
         inv_big_a_pow_a = pow(pow(self.big_a, self.a, p), p - 2, p)
@@ -172,8 +147,8 @@ class OTSender:
             if not 1 < b < p - 1:
                 raise OTCheatError("receiver point out of range")
             k_b = pow(b, self.a, p)
-            out[i, 0] = m0[i] ^ _kdf(k_b, self.group, i)
-            out[i, 1] = m1[i] ^ _kdf(k_b * inv_big_a_pow_a % p, self.group, i)
+            out[i, 0] = m0[i] ^ _kdf(k_b, i)
+            out[i, 1] = m1[i] ^ _kdf(k_b * inv_big_a_pow_a % p, i)
         return out
 
 
@@ -181,35 +156,35 @@ class OTSender:
 class OTReceiver:
     """The base-OT receiver (the extension's sender)."""
 
-    group: ModpGroup
     choices: np.ndarray
     secrets: list
 
     @classmethod
     def respond(
-        cls, group: ModpGroup, big_a: int, choices: np.ndarray, rng: np.random.Generator
+        cls, big_a: int, choices: np.ndarray, rng: np.random.Generator
     ) -> tuple["OTReceiver", list]:
         """Choice c=0 sends g^b, c=1 sends A*g^b; returns the points."""
-        if not 1 < big_a < group.p - 1:
+        p = TOY_256.p
+        if not 1 < big_a < p - 1:
             raise OTCheatError("sender point out of range")
-        g_table = _generator_table(group)
+        g_table = _generator_table()
         points = []
         secrets = []
         for c in np.asarray(choices).ravel():
             b = _exponent(rng)
             point = g_table.pow(b)
             if c:
-                point = point * big_a % group.p
+                point = point * big_a % p
             points.append(point)
             secrets.append(b)
-        return cls(group, np.asarray(choices).ravel(), secrets), points
+        return cls(np.asarray(choices).ravel(), secrets), points
 
     def receive(self, big_a: int, cipher_pairs: np.ndarray) -> np.ndarray:
         """The chosen seed of every transfer, (n, SEED_BYTES) uint8."""
-        a_table = FixedBase(big_a, self.group.p)
+        a_table = FixedBase(big_a, TOY_256.p)
         out = np.empty((len(self.secrets), SEED_BYTES), dtype=np.uint8)
         for i, (c, b) in enumerate(zip(self.choices, self.secrets)):
-            out[i] = cipher_pairs[i, int(c)] ^ _kdf(a_table.pow(b), self.group, i)
+            out[i] = cipher_pairs[i, int(c)] ^ _kdf(a_table.pow(b), i)
         return out
 
 
@@ -243,7 +218,6 @@ def run_ot(
     m0: np.ndarray,
     m1: np.ndarray,
     choices: np.ndarray,
-    group: ModpGroup,
     rng_sender: np.random.Generator,
     rng_receiver: np.random.Generator,
 ) -> tuple[np.ndarray, int]:
@@ -254,11 +228,11 @@ def run_ot(
     r = np.asarray(choices, dtype=np.uint8).ravel()
     m = len(r)
     # base OTs, roles reversed: the receiver sends seed pairs, the sender picks by s
-    base_sender = OTSender.setup(group, rng_receiver)
+    base_sender = OTSender.setup(rng_receiver)
     seeds = np.frombuffer(rng_receiver.bytes(2 * KAPPA * SEED_BYTES), dtype=np.uint8)
     seeds0, seeds1 = seeds.reshape(2, KAPPA, SEED_BYTES)
     s = rng_sender.integers(0, 2, KAPPA, dtype=np.uint8)
-    base_receiver, points = OTReceiver.respond(group, base_sender.big_a, s, rng_sender)
+    base_receiver, points = OTReceiver.respond(base_sender.big_a, s, rng_sender)
     sealed = base_sender.respond(points, seeds0, seeds1)
     chosen = base_receiver.receive(base_sender.big_a, sealed)
     # the extension: the receiver sends u, the sender both masked messages
@@ -266,5 +240,5 @@ def run_ot(
     q_rows = _rows(_expand(chosen, u.shape[1]) ^ (s[:, None] * u), m)
     y = np.stack([m0 ^ _row_pads(q_rows), m1 ^ _row_pads(q_rows ^ np.packbits(s))], axis=1)
     got = y[np.arange(m), r] ^ _row_pads(_rows(t, m))
-    moved = group.element_bytes * (1 + KAPPA) + sealed.nbytes + u.nbytes + y.nbytes
+    moved = TOY_256.element_bytes * (1 + KAPPA) + sealed.nbytes + u.nbytes + y.nbytes
     return got, moved

@@ -98,14 +98,14 @@ def unpack_plain(vecs: list[np.ndarray], layout: PackingLayout, ring: RingParams
 
 
 def pack(
-    x: FixedTensor, layout: PackingLayout, key: KeyPair, report: CostReport | None = None
+    x: FixedTensor, layout: PackingLayout, key: KeyPair, report: CostReport
 ) -> list[Ciphertext]:
     return [encrypt(v, key, report) for v in pack_plain(x, layout)]
 
 
 def unpack(
     cts: list[Ciphertext], layout: PackingLayout, key: KeyPair, ring: RingParams,
-    report: CostReport | None = None,
+    report: CostReport,
 ) -> FixedTensor:
     vecs = [decrypt(ct, key, report) for ct in cts]
     return unpack_plain(vecs, layout, ring)
@@ -145,7 +145,7 @@ def he_matmul(
     cts: list[Ciphertext],
     layout: PackingLayout,
     w: FixedTensor,
-    report: CostReport | None = None,
+    report: CostReport,
     kernel: str = "naive",
 ) -> tuple[list[Ciphertext], PackingLayout]:
     """Encrypted X [n x d1] times plaintext W [d1 x d2], packed in, packed out.

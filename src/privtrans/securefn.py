@@ -170,10 +170,10 @@ def eval_secure(
     *,
     backend: str = "semantic",
     strict: bool = False,
-    report: CostReport | None = None,
-    transcript: Transcript | None = None,
-    step: str = "Others",
-    rng_server: np.random.Generator | None = None,
+    report: CostReport,
+    transcript: Transcript,
+    step: str,
+    rng_server: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate one secure stage over a batch of lanes.
 
@@ -181,8 +181,9 @@ def eval_secure(
     Returns (client_new, server_new), both (lanes, count): the client keeps
     its fresh masks, the server keeps F(x) - mask. The masks are the first
     draw from rng, before the backends branch, so equally seeded rngs give
-    both backends the same masks. The gc backend also needs rng_server, the
-    server's own generator for its side of the OT.
+    both backends the same masks. rng_server is the server's own generator
+    for its side of the OT (the gc backend draws from it). Every stage is
+    billed to report and logged to transcript under step.
 
     Phase split: the AND gates are billed offline, because garbling does not
     depend on the inputs and can run before they arrive; the garbled
@@ -199,8 +200,6 @@ def eval_secure(
         raise ValueError("share matrices must both be (lanes, count)")
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
-    if backend == "gc" and rng_server is None:
-        raise ValueError("backend 'gc' needs rng_server, the evaluator's own generator")
     lanes = client_vals.shape[0]
     masks = rng.integers(0, 1 << 64, (lanes, spec.count), dtype=np.uint64)
     masks &= width_mask(spec.bitwidth)
@@ -210,17 +209,15 @@ def eval_secure(
 
     circ = build_secure_circuit(spec)
     material_bytes, client_ot, server_ot = _gc_message_bytes(spec, lanes, circ.and_count)
-    if report is not None:
-        with report.at(step, "offline"):
-            report.bump("gc_and_gates", circ.and_count)
-        with report.at(step, "online"):
-            report.bump("gc_table_bytes", material_bytes)
-            report.bump("ot_count", spec.count * spec.bitwidth * lanes)
-    if transcript is not None:
-        transcript.send("client", step, "gc_material", material_bytes)
-        transcript.send("client", step, "ot", client_ot)
-        transcript.send("server", step, "ot", server_ot)
-        transcript.interaction(step)
+    with report.at(step, "offline"):
+        report.bump("gc_and_gates", circ.and_count)
+    with report.at(step, "online"):
+        report.bump("gc_table_bytes", material_bytes)
+        report.bump("ot_count", spec.count * spec.bitwidth * lanes)
+    transcript.send("client", step, "gc_material", material_bytes)
+    transcript.send("client", step, "ot", client_ot)
+    transcript.send("server", step, "ot", server_ot)
+    transcript.interaction(step)
 
     if backend == "semantic":
         outs = _apply(
@@ -244,7 +241,7 @@ def eval_secure(
     active[:n_client_rows] = state.encode(client_bits, rows=slice(0, n_client_rows))
     m0, m1 = state.pairs(slice(n_client_rows, circ.n_inputs))
     server_bits = np.concatenate([pack_bits(server_vals[:, i], w) for i in range(spec.count)])
-    labels, _ = run_ot(m0.ravel(), m1.ravel(), server_bits.ravel(), TOY_256, rng, rng_server)
+    labels, _ = run_ot(m0.ravel(), m1.ravel(), server_bits.ravel(), rng, rng_server)
     active[n_client_rows:] = labels.reshape(circ.n_inputs - n_client_rows, lanes)
     out_bits = decode_outputs(gt, evaluate(circ, gt, active))
     server_new = np.stack(

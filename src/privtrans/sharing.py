@@ -31,21 +31,21 @@ def rand_ring(shape, rng: np.random.Generator, ring: RingParams) -> FixedTensor:
 # multiplies encrypted rows by plaintext scalars / vectors.
 
 
-def enc_rows(x: FixedTensor, key: KeyPair, report: CostReport | None = None) -> list[Ciphertext]:
+def enc_rows(x: FixedTensor, key: KeyPair, report: CostReport) -> list[Ciphertext]:
     if x.cols > key.params.slots:
         raise ValueError(f"{x.cols} columns exceed {key.params.slots} slots")
     return [encrypt(x.data[i], key, report) for i in range(x.rows)]
 
 
 def dec_rows(
-    cts: list[Ciphertext], cols: int, key: KeyPair, ring: RingParams, report: CostReport | None = None
+    cts: list[Ciphertext], cols: int, key: KeyPair, ring: RingParams, report: CostReport
 ) -> FixedTensor:
     rows = [decrypt(ct, key, report)[:cols] for ct in cts]
     return FixedTensor(np.stack(rows), ring)
 
 
 def plain_left_matmul(
-    p: FixedTensor, rows_ct: list[Ciphertext], report: CostReport | None = None
+    p: FixedTensor, rows_ct: list[Ciphertext], report: CostReport
 ) -> list[Ciphertext]:
     """Enc rows of p @ B from plaintext p [a x b] and Enc(B) rows [b of them].
 
@@ -64,7 +64,7 @@ def plain_left_matmul(
     return out
 
 
-def rotate_reduce_sum(ct: Ciphertext, report: CostReport | None = None) -> Ciphertext:
+def rotate_reduce_sum(ct: Ciphertext, report: CostReport) -> Ciphertext:
     """Leave the sum of all M slots in every slot (log2 M rotations)."""
     step = ct.params.slots // 2
     while step >= 1:
@@ -74,7 +74,7 @@ def rotate_reduce_sum(ct: Ciphertext, report: CostReport | None = None) -> Ciphe
 
 
 def enc_left_matmul(
-    rows_ct: list[Ciphertext], r_plain: FixedTensor, report: CostReport | None = None
+    rows_ct: list[Ciphertext], r_plain: FixedTensor, report: CostReport
 ) -> list[Ciphertext]:
     """Enc rows of L @ r_plain from Enc(L) rows [a x b] and plaintext [b x c].
 
@@ -116,7 +116,7 @@ def make_product_triple(
     left: FixedTensor,
     right: FixedTensor,
     key: KeyPair,
-    report: CostReport | None = None,
+    report: CostReport,
 ) -> MatTriple:
     """Client-side triple from given masks: encrypt L, R, and L @ R rows."""
     if left.cols != right.rows:

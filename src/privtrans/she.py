@@ -12,14 +12,16 @@ There is no noise term, so this is not LWE: one known plaintext (a
 zero-padded slot, say) gives away s. What the scheme guarantees is
 structural: no server code path reaches plaintext without the KeyPair.
 
-Every operation bumps exactly one CostReport counter and one linear noise
-meter; running past the budget raises NoiseBudgetExceeded.
+Every operation takes the CostReport it bills and bumps exactly one of its
+counters; there is no uncounted call. Each op also charges a linear noise
+meter a flat cost (the COST_* constants); running past NOISE_BUDGET raises
+NoiseBudgetExceeded.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -35,26 +37,19 @@ class KeyMismatch(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Linear meter: each op charges a flat cost against the budget.
-
-    The default budget is sized from the deepest offline chain the fused
-    protocol mode produces at desk scale, doubled (see test_she for the
-    measurement the number came from).
-    """
-
-    budget: int = 1 << 16
-    cost_add: int = 1
-    cost_add_plain: int = 1
-    cost_mul_plain: int = 8
-    cost_rotate: int = 4
+# The linear noise meter: each op charges a flat cost against the budget,
+# which is sized from the deepest offline chain the fused protocol mode
+# produces at desk scale, doubled (see test_she for the measurement the
+# number came from).
+NOISE_BUDGET = 1 << 16
+COST_ADD = COST_ADD_PLAIN = 1
+COST_MUL_PLAIN = 8
+COST_ROTATE = 4
 
 
 @dataclass(frozen=True)
 class HEParams:
     slots: int = 4096
-    noise: NoiseModel = field(default_factory=NoiseModel)
 
     def __post_init__(self):
         if self.slots & (self.slots - 1) or self.slots < 1:
@@ -101,8 +96,8 @@ class Ciphertext:
 def _next(ct: Ciphertext, a, b, cost: int) -> Ciphertext:
     """(a, b) under ct's key, with ct's noise plus cost."""
     used = ct.noise_used + cost
-    if used > ct.params.noise.budget:
-        raise NoiseBudgetExceeded(f"noise {used} exceeds budget {ct.params.noise.budget}")
+    if used > NOISE_BUDGET:
+        raise NoiseBudgetExceeded(f"noise {used} exceeds budget {NOISE_BUDGET}")
     return Ciphertext(a, b, ct.key_id, ct.params, used)
 
 
@@ -119,48 +114,43 @@ def _as_slots(v, params: HEParams) -> np.ndarray:
     return arr
 
 
-def encrypt(v, key: KeyPair, report: CostReport | None = None) -> Ciphertext:
+def encrypt(v, key: KeyPair, report: CostReport) -> Ciphertext:
     """Pack v (ring words) into slots, zero-padded, as (a, a*s + v)."""
     m = _as_slots(v, key.params)
     a = key.fresh_a()
-    if report:
-        report.bump("he_enc")
+    report.bump("he_enc")
     return Ciphertext(a, a * key.s + m, key.key_id, key.params)
 
 
-def decrypt(ct: Ciphertext, key: KeyPair, report: CostReport | None = None) -> np.ndarray:
+def decrypt(ct: Ciphertext, key: KeyPair, report: CostReport) -> np.ndarray:
     if key.key_id != ct.key_id:
         raise KeyMismatch(f"ciphertext under key {ct.key_id}, got key {key.key_id}")
-    if report:
-        report.bump("he_dec")
+    report.bump("he_dec")
     return ct.b - ct.a * key.s
 
 
-def he_add(a: Ciphertext, b: Ciphertext, report: CostReport | None = None) -> Ciphertext:
+def he_add(a: Ciphertext, b: Ciphertext, report: CostReport) -> Ciphertext:
     if a.key_id != b.key_id:
         raise KeyMismatch("cannot add ciphertexts under different keys")
-    if report:
-        report.bump("he_add")
+    report.bump("he_add")
     noisier = a if a.noise_used >= b.noise_used else b
-    return _next(noisier, a.a + b.a, a.b + b.b, a.params.noise.cost_add)
+    return _next(noisier, a.a + b.a, a.b + b.b, COST_ADD)
 
 
-def he_add_plain(ct: Ciphertext, v, report: CostReport | None = None) -> Ciphertext:
-    if report:
-        report.bump("he_add_plain")
+def he_add_plain(ct: Ciphertext, v, report: CostReport) -> Ciphertext:
+    report.bump("he_add_plain")
     p = _as_slots(v, ct.params)
-    return _next(ct, ct.a, ct.b + p, ct.params.noise.cost_add_plain)
+    return _next(ct, ct.a, ct.b + p, COST_ADD_PLAIN)
 
 
-def he_mul_plain(ct: Ciphertext, v, report: CostReport | None = None) -> Ciphertext:
+def he_mul_plain(ct: Ciphertext, v, report: CostReport) -> Ciphertext:
     """Slotwise product with a plaintext vector (or a ring scalar)."""
-    if report:
-        report.bump("he_mul_plain")
+    report.bump("he_mul_plain")
     if np.isscalar(v) or getattr(v, "ndim", 1) == 0:
         p = np.full(ct.params.slots, int(v) & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
     else:
         p = _as_slots(v, ct.params)
-    return _next(ct, ct.a * p, ct.b * p, ct.params.noise.cost_mul_plain)
+    return _next(ct, ct.a * p, ct.b * p, COST_MUL_PLAIN)
 
 
 @lru_cache(maxsize=None)
@@ -171,7 +161,7 @@ def _cycle(slots: int) -> np.ndarray:
     return idx
 
 
-def he_rotate(ct: Ciphertext, k: int, report: CostReport | None = None) -> Ciphertext:
+def he_rotate(ct: Ciphertext, k: int, report: CostReport) -> Ciphertext:
     """Cyclic left rotation by k slots; k=0 is legal and still counted.
 
     Each of a and b is one numpy gather (a fresh array, never a view of
@@ -182,8 +172,7 @@ def he_rotate(ct: Ciphertext, k: int, report: CostReport | None = None) -> Ciphe
     slots = ct.params.slots
     if not 0 <= k < slots:
         raise ValueError(f"rotation {k} outside [0, {slots})")
-    if report:
-        report.bump("he_rotate")
+    report.bump("he_rotate")
     idx = _cycle(slots)[k:k + slots]
-    return _next(ct, ct.a[idx], ct.b[idx], ct.params.noise.cost_rotate)
+    return _next(ct, ct.a[idx], ct.b[idx], COST_ROTATE)
 

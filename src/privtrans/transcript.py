@@ -57,10 +57,10 @@ class Transcript:
             raise ValueError("messages must carry bytes")
         self.messages.append(Message(sender, step, phase, kind, int(nbytes)))
 
-    def interaction(self, step: str, phase: str = "online", count: int = 1):
+    def interaction(self, step: str, phase: str = "online"):
         check_scope(step, phase)
         key = (step, phase)
-        self._interactions[key] = self._interactions.get(key, 0) + count
+        self._interactions[key] = self._interactions.get(key, 0) + 1
 
     # -- queries ------------------------------------------------------------
 

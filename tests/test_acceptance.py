@@ -106,7 +106,8 @@ def test_2_masked_qk_product_exact_over_100_seeds():
         rng = np.random.default_rng(seed)
         q, k = rand_mat(rng, (4, 6)), rand_mat(rng, (4, 6))
         rc = rand_mat(rng, (4, 6))
-        s.server.keep(f"b{seed}.qk.h0", make_product_triple(rc, rc.transpose(), s.client.key))
+        s.server.keep(f"b{seed}.qk.h0", make_product_triple(rc, rc.transpose(), s.client.key,
+                                                                  s.client.report))
         c_share, s_share = s.triple_product(f"b{seed}.qk.h0", q - rc, (k - rc).transpose())
         want = oracles.matmul_mod(q.data.tolist(), k.transpose().data.tolist(), 64)
         assert (c_share + s_share).data.tolist() == want, seed
@@ -193,7 +194,9 @@ def test_6_secure_softmax_accuracy_and_gc_agreement():
     xc = rng.integers(0, 1 << 64, raw.shape, dtype=np.uint64)
     xs = raw - xc
     spec = SecureFnSpec("softmax_row", 64, count=n)
-    c, s = eval_secure(spec, xc, xs, np.random.default_rng(1))
+    logs = dict(report=CostReport(), transcript=Transcript(), step="SoftMax")
+    c, s = eval_secure(spec, xc, xs, np.random.default_rng(1), **logs,
+                       rng_server=np.random.default_rng(4))
     got = DEFAULT_RING.to_signed(c + s).astype(np.float64) / (1 << F)
     want = np.exp(vals - vals.max(axis=1, keepdims=True))
     want /= want.sum(axis=1, keepdims=True)
@@ -208,9 +211,10 @@ def test_6_secure_softmax_accuracy_and_gc_agreement():
     xc16 = rng.integers(0, 1 << 16, raw16.shape, dtype=np.uint64)
     xs16 = (raw16 - xc16) & np.uint64(0xFFFF)
     # equally seeded rngs draw the same client masks on both backends
-    c_sem, s_sem = eval_secure(spec16, xc16, xs16, np.random.default_rng(2))
+    c_sem, s_sem = eval_secure(spec16, xc16, xs16, np.random.default_rng(2), **logs,
+                               rng_server=np.random.default_rng(3))
     c_gc, s_gc = eval_secure(spec16, xc16, xs16, np.random.default_rng(2), backend="gc",
-                             rng_server=np.random.default_rng(3))
+                             **logs, rng_server=np.random.default_rng(3))
     assert np.array_equal(c_sem, c_gc) and np.array_equal(s_sem, s_gc)
     print(f"pass: softmax max err {err:.6f} <= 2^-5 over {lanes} rows; gc == semantic at w=16")
 
@@ -250,11 +254,13 @@ def test_9_modeled_latency_is_linear_and_exact():
     assert est["online_s"] == 0.0123, est
 
     only_i = Transcript()
-    only_i.interaction("Others", count=3)
+    for _ in range(3):
+        only_i.interaction("Others")
     only_b = Transcript()
     only_b.send("server", "Others", "ciphertext", 5_000_000)
     both = Transcript()
-    both.interaction("Others", count=3)
+    for _ in range(3):
+        both.interaction("Others")
     both.send("server", "Others", "ciphertext", 5_000_000)
     a = estimate_latency(only_i, ch)["online_s"]
     b = estimate_latency(only_b, ch)["online_s"]
@@ -264,6 +270,7 @@ def test_9_modeled_latency_is_linear_and_exact():
 
     double = Transcript()
     double.send("client", "Others", "share", 2_000_000)
-    double.interaction("Others", count=2)
+    double.interaction("Others")
+    double.interaction("Others")
     assert estimate_latency(double, ch)["online_s"] == 2 * est["online_s"]
     print("pass: latency model linear; 1 interaction + 1 MB = 0.0123 s exactly")

@@ -70,6 +70,7 @@ def test_every_bench_hook_fires_and_uninstalls(bench):
             vals = rng.integers(0, 1 << 16, (4, 1), dtype=np.uint64)
             with tr.span("engine.run_protocol", round="hooks", mode="gc"):
                 engine.eval_secure(spec, vals, vals, rng, backend="gc", step="SoftMax",
+                                   report=engine.CostReport(), transcript=engine.Transcript(),
                                    rng_server=np.random.default_rng(4))
         finally:
             recorder.restore()

@@ -124,6 +124,36 @@ def test_weights_path_round_trip(tmp_path):
     assert rep["equivalence"] == "exact"
 
 
+def _drop(key):
+    return lambda h: {k: v for k, v in h.items() if k != key}
+
+
+@pytest.mark.parametrize("edit,named", [
+    (_drop("value_bits"), "'value_bits'"),
+    (lambda h: [h], "JSON object"),
+    (lambda h: {**h, "tensors": [{**h["tensors"][0], "rows": "a"}, *h["tensors"][1:]]},
+     "'tensors[0]'"),
+    (_drop("tensors"), "'tensors'"),
+], ids=["no-value_bits", "list-header", "string-rows", "no-tensors"])
+def test_malformed_weight_header_ends_in_one_config_error_line(edit, named, tmp_path, capsys):
+    # each used to end in a KeyError, AttributeError or TypeError traceback
+    cfg = ModelConfig(N=1, d_emb=8, H=2, n=4, d_oh=16, d_ff=8)
+    blob_path = tmp_path / "w.bin"
+    save_weights(blob_path, random_weights(cfg, np.random.default_rng(12)))
+    blob = blob_path.read_bytes()
+    hlen = int.from_bytes(blob[4:8], "little")
+    header = json.dumps(edit(json.loads(blob[8 : 8 + hlen]))).encode()
+    blob_path.write_bytes(blob[:4] + len(header).to_bytes(4, "little") + header
+                          + blob[8 + hlen :])
+    cfg_path = tmp_path / "rc.json"
+    cfg_path.write_text(json.dumps(toy_obj(weights_path=str(blob_path))))
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: config field 'weights_path': weight header")
+    assert err.count("\n") == 1 and named in err, err
+
+
 def test_config_errors_name_the_field(tmp_path):
     with pytest.raises(ConfigError, match="'seed'"):
         load_run_config({"model": toy_obj()["model"]})

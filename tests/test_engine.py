@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from privtrans import engine, she
+from privtrans import engine, packing, securefn, sharing, she
 from privtrans.engine import (
     MODES,
     AuditError,
@@ -15,6 +15,7 @@ from privtrans.engine import (
     audit_server_ignorance,
     run_protocol,
 )
+from privtrans.costs import CostReport
 from privtrans.model import BlockWeights, ModelConfig, ModelWeights, random_weights, reference_forward
 from privtrans.packing import PackingStrategy
 from privtrans.ring import DEFAULT_RING, FixedTensor, mat_mul
@@ -51,7 +52,7 @@ def rand_mat(rng, shape):
 def kept(s, left, right, mid="t"):
     """mid, after keeping a client-built triple of masks left, right in the
     server's store."""
-    s.server.keep(mid, make_product_triple(left, right, s.client.key))
+    s.server.keep(mid, make_product_triple(left, right, s.client.key, s.client.report))
     return mid
 
 
@@ -276,7 +277,7 @@ def test_every_triple_the_server_uses_is_a_true_triple(norm, activation, monkeyp
 
     def checked(server, mid, left, right):
         t = server.material[mid]
-        dec = lambda cts: np.stack([decrypt(ct, session.client.key) for ct in cts])
+        dec = lambda cts: np.stack([decrypt(ct, session.client.key, CostReport()) for ct in cts])
         k = len(t.right_ct)
         assert np.array_equal(dec(t.product_ct), dec(t.left_ct)[:, :k] @ dec(t.right_ct)), mid
         used.append(mid)
@@ -310,6 +311,19 @@ def test_store_keeps_an_id_once_and_a_run_leaves_it_empty():
         s.server.keep("b7.planted", FixedTensor.zeros(1, 1, DEFAULT_RING))
         with pytest.raises(RuntimeError, match=r"left unused: \['b7.planted'\]"):
             s.run(tokens)
+
+
+@pytest.mark.parametrize("mode", ["base", "fpc"])
+@pytest.mark.parametrize("tokens", [[3, 1, 4], [3, 1, 4, 1, 5]], ids=["3", "5"])
+def test_wrong_token_count_is_refused_before_any_work(mode, tokens):
+    # 3 or 5 tokens on an n=4 model used to fail in numpy broadcasting only
+    # after the offline HE work and its messages
+    cfg = toy_cfg()
+    s = Session(cfg, random_weights(cfg, np.random.default_rng(21)), mode, seed=1)
+    with pytest.raises(ValueError, match=f"n=4 tokens, got {len(tokens)}"):
+        s.run(tokens)
+    assert s.transcript.messages == [] and s.transcript.interactions(None, "offline") == 0
+    assert s.client.report.cells == {} and s.server.report.cells == {}
 
 
 def test_unknown_backend_is_refused_before_any_run(monkeypatch):
@@ -389,7 +403,7 @@ def test_share_message_byte_accounting():
     assert share_bytes == 2 * cfg.n * cfg.d_emb * 8
     # a ciphertext message is sized by its arrays, a and b, which are the
     # modeled 16 bytes per slot
-    ct = encrypt([1], keygen(he))
+    ct = encrypt([1], keygen(he), CostReport())
     assert ct.a.nbytes + ct.b.nbytes == he.ciphertext_bytes
     assert ct_bytes == cfg.H * cfg.n * he.ciphertext_bytes
 
@@ -412,6 +426,55 @@ def test_every_message_shares_a_cell_with_its_work(norm, activation):
             elif m.kind in ("gc_material", "ot"):
                 assert merged.get(m.step, m.phase, "gc_table_bytes") > 0, (mode, m)
         assert kinds == {"ciphertext", "share", "gc_material", "ot"}, mode
+
+
+# Each she leaf and the counter it bumps; HE_LEAVES lists the namespaces
+# that call each leaf, where perfbench's tracer wraps them too.
+LEAF_COUNTERS = {"encrypt": "he_enc", "decrypt": "he_dec", "he_add": "he_add",
+                 "he_add_plain": "he_add_plain", "he_mul_plain": "he_mul_plain",
+                 "he_rotate": "he_rotate"}
+HE_LEAVES = [(module, name) for module in (engine, packing, sharing)
+             for name in LEAF_COUNTERS if hasattr(module, name)]
+COUNTED = {
+    she: ("encrypt", "decrypt", "he_add", "he_add_plain", "he_mul_plain", "he_rotate"),
+    sharing: ("enc_rows", "dec_rows", "plain_left_matmul", "rotate_reduce_sum",
+              "enc_left_matmul", "make_product_triple"),
+    packing: ("pack", "unpack", "he_matmul"),
+}
+
+
+@pytest.mark.parametrize("norm,activation", [("post", "relu"), ("pre", "gelu")])
+def test_every_he_call_in_a_run_is_one_counter_bump(norm, activation, monkeypatch):
+    calls = dict.fromkeys(LEAF_COUNTERS, 0)
+    for module, name in HE_LEAVES:
+        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    cfg = toy_cfg(norm=norm, activation=activation)
+    w = random_weights(cfg, np.random.default_rng(5))
+    for mode in MODES:
+        calls.update(dict.fromkeys(calls, 0))
+        merged = run_protocol(mode, cfg, w, [3, 1, 4, 1], seed=11).merged_report()
+        assert {name: merged.total(c) for name, c in LEAF_COUNTERS.items()} == calls, mode
+        assert calls["encrypt"] and calls["he_rotate"], mode
+
+
+def test_counting_and_logging_arguments_are_required():
+    # a call site cannot leave its work out of the counters: no HE primitive
+    # or matrix helper has an uncounted mode, and every secure stage is
+    # billed and logged under an explicit step
+    for module, names in COUNTED.items():
+        for name in names:
+            report = inspect.signature(getattr(module, name)).parameters["report"]
+            assert report.default is report.empty, f"{module.__name__}.{name}"
+    # perfbench passes he_matmul's report and kernel positionally
+    assert list(inspect.signature(packing.he_matmul).parameters)[3:] == ["report", "kernel"]
+    params = inspect.signature(securefn.eval_secure).parameters
+    for name in ("report", "transcript", "step", "rng_server"):
+        assert params[name].default is params[name].empty, name
+        assert params[name].kind is params[name].KEYWORD_ONLY, name
 
 
 def test_server_ignorance_audit_clean_run_and_poisoned_state():
@@ -531,14 +594,14 @@ def test_only_the_client_key_decrypts():
     # any other seed, turns a client ciphertext into words that all differ
     # from the plaintext; the client's own key round-trips
     s = Session(toy_cfg(), random_weights(toy_cfg(), np.random.default_rng(3)), "f", seed=4)
-    key = s.client.key
+    key, report = s.client.key, CostReport()
     v = np.arange(s.he.slots, dtype=np.uint64)
-    ct = encrypt(v, key)
-    assert np.array_equal(decrypt(ct, key), v)
+    ct = encrypt(v, key, report)
+    assert np.array_equal(decrypt(ct, key, report), v)
     for seed in range(20):
         forged = keygen(s.he, seed=seed)
         forged.key_id = key.key_id
-        assert (decrypt(ct, forged) != v).all(), seed
+        assert (decrypt(ct, forged, report) != v).all(), seed
 
 
 def test_each_session_has_its_own_key_id():
@@ -549,11 +612,12 @@ def test_each_session_has_its_own_key_id():
     k1, k2 = (Session(cfg, w, "f", seed=seed).client.key for seed in (1, 2))
     assert k1.key_id != k2.key_id
     v = np.arange(k1.params.slots, dtype=np.uint64)
-    c1, c2 = encrypt(v, k1), encrypt(v, k2)
+    report = CostReport()
+    c1, c2 = encrypt(v, k1, report), encrypt(v, k2, report)
     with pytest.raises(she.KeyMismatch):
-        she.he_add(c1, c2)
+        she.he_add(c1, c2, report)
     with pytest.raises(she.KeyMismatch):
-        decrypt(c1, k2)
+        decrypt(c1, k2, report)
 
 
 def test_session_packing_defaults_and_validation():

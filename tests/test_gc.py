@@ -15,8 +15,6 @@ from privtrans import ModelConfig, ot, random_weights, run_protocol, securefn
 from privtrans.garble import CorruptTable, decode_outputs, evaluate, garble
 from privtrans.ot import (
     KAPPA,
-    MODP_1024,
-    MODP_1536,
     TOY_256,
     FixedBase,
     OTCheatError,
@@ -26,7 +24,9 @@ from privtrans.ot import (
     _generator_table,
     run_ot,
 )
+from privtrans.costs import CostReport
 from privtrans.securefn import SecureFnSpec, build_secure_circuit
+from privtrans.transcript import Transcript
 
 from oracles import eval_circuit, evaluate_by_gate, garble_by_gate
 
@@ -52,10 +52,9 @@ def miller_rabin(n: int, rounds: int, rng) -> bool:
 
 def test_modp_constants_are_prime():
     rng = np.random.default_rng(80)
-    for group in (MODP_1024, MODP_1536, TOY_256):
-        assert group.p.bit_length() == group.bits
-        assert miller_rabin(group.p, 12, rng)
-        assert pow(group.g, group.p - 1, group.p) == 1
+    assert TOY_256.p.bit_length() == TOY_256.bits
+    assert miller_rabin(TOY_256.p, 12, rng)
+    assert pow(TOY_256.g, TOY_256.p - 1, TOY_256.p) == 1
     # the toy group is a safe prime and g=4 sits in the prime-order subgroup
     q = (TOY_256.p - 1) // 2
     assert miller_rabin(q, 12, rng)
@@ -68,7 +67,7 @@ def test_ot_toy_group_roundtrip():
     m0 = rng_s.integers(0, 1 << 64, 8, dtype=np.uint64)
     m1 = rng_s.integers(0, 1 << 64, 8, dtype=np.uint64)
     choices = np.array([0, 1, 1, 0, 1, 0, 0, 1], dtype=np.uint8)
-    got, _ = run_ot(m0, m1, choices, TOY_256, rng_s, rng_r)
+    got, _ = run_ot(m0, m1, choices, rng_s, rng_r)
     assert np.array_equal(got, np.where(choices.astype(bool), m1, m0))
 
 
@@ -79,14 +78,14 @@ def test_ot_delivers_chosen_message_only():
     m0 = rng_s.integers(0, 1 << 64, n, dtype=np.uint64)
     m1 = rng_s.integers(0, 1 << 64, n, dtype=np.uint64)
     choices = rng_r.integers(0, 2, n).astype(np.uint8)
-    got, moved = run_ot(m0, m1, choices, MODP_1024, rng_s, rng_r)
+    got, moved = run_ot(m0, m1, choices, rng_s, rng_r)
     want = np.where(choices.astype(bool), m1, m0)
     assert np.array_equal(got, want)
     other = np.where(choices.astype(bool), m0, m1)
     assert not np.any(got == other)
     # base OTs: KAPPA + 1 group elements and KAPPA sealed 16-byte seed pairs;
     # extension: KAPPA columns of ceil(n/8) bytes and a masked pair per transfer
-    assert moved == MODP_1024.element_bytes * (1 + KAPPA) + KAPPA * 32 + KAPPA * -(-n // 8) + n * 16
+    assert moved == TOY_256.element_bytes * (1 + KAPPA) + KAPPA * 32 + KAPPA * -(-n // 8) + n * 16
 
 
 CHOICE_PATTERNS = {
@@ -105,40 +104,36 @@ def test_ot_extension_delivers_the_chosen_message_only(pattern, m):
     m0 = rng_s.integers(0, 1 << 64, m, dtype=np.uint64)
     m1 = rng_s.integers(0, 1 << 64, m, dtype=np.uint64)
     choices = CHOICE_PATTERNS[pattern](m, rng_r)
-    got, moved = run_ot(m0, m1, choices, TOY_256, rng_s, rng_r)
+    got, moved = run_ot(m0, m1, choices, rng_s, rng_r)
     assert got.dtype == np.uint64
     assert np.array_equal(got, np.where(choices.astype(bool), m1, m0))
     assert not np.isin(np.where(choices.astype(bool), m0, m1), got).any()
     assert moved == TOY_256.element_bytes * (1 + KAPPA) + KAPPA * 32 + KAPPA * -(-m // 8) + m * 16
 
 
-def test_ot_1536_group_works():
-    rng_s = np.random.default_rng(83)
-    rng_r = np.random.default_rng(84)
-    m0 = np.array([11], dtype=np.uint64)
-    m1 = np.array([22], dtype=np.uint64)
-    got, _ = run_ot(m0, m1, np.array([1], dtype=np.uint8), MODP_1536, rng_s, rng_r)
-    assert got[0] == 22
-
-
 def test_ot_rejects_degenerate_points():
     rng = np.random.default_rng(85)
-    sender = OTSender.setup(MODP_1024, rng)
+    sender = OTSender.setup(rng)
     with pytest.raises(OTCheatError):
-        OTReceiver.respond(MODP_1024, 1, np.array([0]), rng)
+        OTReceiver.respond(1, np.array([0]), rng)
     with pytest.raises(OTCheatError):
-        sender.respond([MODP_1024.p - 1], np.zeros(1, np.uint64), np.zeros(1, np.uint64))
+        sender.respond([TOY_256.p - 1], np.zeros(1, np.uint64), np.zeros(1, np.uint64))
 
 
-@pytest.mark.parametrize("group", [TOY_256, MODP_1024, MODP_1536], ids=lambda g: str(g.bits))
-def test_fixed_base_table_matches_pow(group):
+@pytest.mark.parametrize("bits", [256, 1024, 1536], ids=str)
+def test_fixed_base_table_matches_pow(bits):
+    # the protocol's group at 256 bits; the table itself works mod any odd
+    # p, so random odd moduli of the standard MODP sizes check it wider
     rng = np.random.default_rng(95)
-    base = pow(group.g, _exponent(rng), group.p)  # a random element, like the sender's A
-    table = FixedBase(base, group.p)
+    p = TOY_256.p
+    if bits != 256:
+        p = int.from_bytes(rng.bytes(bits // 8), "little") | (1 << (bits - 1)) | 1
+    base = pow(TOY_256.g, _exponent(rng), p)  # a random element, like the sender's A
+    table = FixedBase(base, p)
     exps = [0, 1, (1 << 256) - 1] + [_exponent(rng) for _ in range(200)]
-    assert [table.pow(e) for e in exps] == [pow(base, e, group.p) for e in exps]
-    g_table = _generator_table(group)
-    assert [g_table.pow(e) for e in exps[:6]] == [pow(group.g, e, group.p) for e in exps[:6]]
+    assert [table.pow(e) for e in exps] == [pow(base, e, p) for e in exps]
+    g_table = _generator_table()
+    assert [g_table.pow(e) for e in exps[:6]] == [pow(TOY_256.g, e, TOY_256.p) for e in exps[:6]]
 
 
 def test_fixed_base_rejects_exponents_outside_the_table():
@@ -303,6 +298,7 @@ def test_semantic_backend_never_computes_a_level_schedule(monkeypatch):
     # the check can fail: a garbled stage does compute the schedule
     securefn.eval_secure(SecureFnSpec("relu", 8), np.zeros((1, 1), np.uint64),
                          np.zeros((1, 1), np.uint64), np.random.default_rng(0), backend="gc",
+                         report=CostReport(), transcript=Transcript(), step="Others",
                          rng_server=np.random.default_rng(1))
     assert "levels" in built[-1].__dict__
 
@@ -319,7 +315,7 @@ def test_adder_with_ot_fed_inputs():
     active_x = state.encode(pack_bits(x, w), rows=slice(0, w))
     m0, m1 = state.pairs(slice(w, 2 * w))
     y_bits = pack_bits(y, w)
-    labels, _ = run_ot(m0.ravel(), m1.ravel(), y_bits.ravel(), MODP_1024, rng, rng_r)
+    labels, _ = run_ot(m0.ravel(), m1.ravel(), y_bits.ravel(), rng, rng_r)
     active_y = labels.reshape(w, lanes)
     got = unpack_bits(decode_outputs(gt, evaluate(circ, gt, np.concatenate([active_x, active_y]))))
     assert np.array_equal(got, (x + y) % 256)
@@ -341,9 +337,9 @@ def test_tampered_u_column_gives_wrong_labels_that_evaluate_rejects(monkeypatch)
     seen_s = []
     real_respond, real_columns = ot.OTReceiver.respond, ot._columns
 
-    def spy_respond(group, big_a, choices, rng_):
+    def spy_respond(big_a, choices, rng_):
         seen_s.append(np.array(choices))
-        return real_respond(group, big_a, choices, rng_)
+        return real_respond(big_a, choices, rng_)
 
     def tamper(*args):
         t, u = real_columns(*args)
@@ -356,7 +352,7 @@ def test_tampered_u_column_gives_wrong_labels_that_evaluate_rejects(monkeypatch)
 
     monkeypatch.setattr(ot.OTReceiver, "respond", staticmethod(spy_respond))
     monkeypatch.setattr(ot, "_columns", tamper)
-    labels, _ = run_ot(m0, m1, y_bits, TOY_256, rng, rng_r)
+    labels, _ = run_ot(m0, m1, y_bits, rng, rng_r)
     want = np.where(y_bits.astype(bool), m1, m0)
     assert np.flatnonzero(labels != want).tolist() == hit
     assert not np.isin(labels[hit], np.concatenate([m0, m1])).any()

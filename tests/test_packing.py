@@ -65,7 +65,7 @@ def test_pack_unpack_encrypted_roundtrip():
     report = CostReport()
     cts = pack(x, layout, key, report)
     assert report.total("he_enc") == layout.c == 2
-    assert unpack(cts, layout, key, DEFAULT_RING) == x
+    assert unpack(cts, layout, key, DEFAULT_RING, report) == x
 
 
 def test_plan_layout_large_example():
@@ -90,9 +90,10 @@ def test_he_matmul_runs_every_planned_layout():
             assert (layout.strategy is PackingStrategy.TOKENS_FIRST) == (n > 1 and 8 % n == 0)
             x, w = rand_ring_tensor(rng, n, d), rand_ring_tensor(rng, d, 2)
             report = CostReport()
-            out, layout_out = he_matmul(pack(x, layout, key), layout, w, report)
+            cts = pack(x, layout, key, CostReport())
+            out, layout_out = he_matmul(cts, layout, w, report)
             assert report.total("he_rotate") == predicted_rotations(layout)
-            got = unpack(out, layout_out, key, DEFAULT_RING)
+            got = unpack(out, layout_out, key, DEFAULT_RING, report)
             assert got.data.tolist() == oracles.matmul_mod(
                 x.data.tolist(), w.data.tolist(), 64), (n, d)
 
@@ -108,13 +109,14 @@ def test_he_matmul_matches_ring_oracle(strategy):
     params = HEParams(slots=16)
     key = keygen(params, seed=11)
     rng = np.random.default_rng(13)
+    report = CostReport()
     for n, d1, d2 in [(4, 8, 4), (2, 16, 3), (4, 4, 8), (1, 8, 2)]:
         layout = PackingLayout(strategy, n, d1, 16)
         x = rand_ring_tensor(rng, n, d1)
         w = rand_ring_tensor(rng, d1, d2)
-        cts = pack(x, layout, key)
-        out_cts, layout_out = he_matmul(cts, layout, w)
-        got = unpack(out_cts, layout_out, key, DEFAULT_RING)
+        cts = pack(x, layout, key, report)
+        out_cts, layout_out = he_matmul(cts, layout, w, report)
+        got = unpack(out_cts, layout_out, key, DEFAULT_RING, report)
         want = oracles.matmul_mod(
             [[int(v) for v in row] for row in x.data],
             [[int(v) for v in row] for row in w.data],
@@ -124,14 +126,14 @@ def test_he_matmul_matches_ring_oracle(strategy):
 
 
 def test_he_matmul_has_only_the_naive_kernel():
-    key = keygen(HEParams(slots=16), seed=15)
+    key, report = keygen(HEParams(slots=16), seed=15), CostReport()
     layout = PackingLayout(PackingStrategy.TOKENS_FIRST, 4, 8, 16)
-    cts = pack(FixedTensor(np.ones((4, 8), dtype=np.uint64)), layout, key)
+    cts = pack(FixedTensor(np.ones((4, 8), dtype=np.uint64)), layout, key, report)
     w = FixedTensor(np.ones((8, 2), dtype=np.uint64))
     with pytest.raises(ValueError, match="kernel"):
-        he_matmul(cts, layout, w, None, "log")
-    out, lo = he_matmul(cts, layout, w, None, "naive")
-    assert unpack(out, lo, key, DEFAULT_RING).data.tolist() == [[8, 8]] * 4
+        he_matmul(cts, layout, w, report, "log")
+    out, lo = he_matmul(cts, layout, w, report, "naive")
+    assert unpack(out, lo, key, DEFAULT_RING, report).data.tolist() == [[8, 8]] * 4
 
 
 @pytest.mark.parametrize(
@@ -149,7 +151,7 @@ def test_naive_rotation_counts_exact(m, n, d1, d2):
     for strategy in PackingStrategy:
         layout = PackingLayout(strategy, n, d1, m)
         report = CostReport()
-        cts = pack(x, layout, key)
+        cts = pack(x, layout, key, CostReport())
         he_matmul(cts, layout, w, report)
         counts[strategy] = report.total("he_rotate")
         assert counts[strategy] == predicted_rotations(layout)
@@ -165,10 +167,10 @@ def test_tokens_first_kernel_requires_divisibility():
     params = HEParams(slots=16)
     key = keygen(params, seed=27)
     layout = PackingLayout(PackingStrategy.TOKENS_FIRST, 3, 4, 16)
-    x = FixedTensor(np.ones((3, 4), dtype=np.uint64))
-    cts = pack(x, layout, key)
+    x, report = FixedTensor(np.ones((3, 4), dtype=np.uint64)), CostReport()
+    cts = pack(x, layout, key, report)
     with pytest.raises(ValueError):
-        he_matmul(cts, layout, FixedTensor(np.ones((4, 2), dtype=np.uint64)))
+        he_matmul(cts, layout, FixedTensor(np.ones((4, 2), dtype=np.uint64)), report)
 
 
 def _weights_with_zeros(rng, rows, cols, case):
@@ -204,7 +206,7 @@ def test_diagonal_masks_match_the_per_element_oracle(strategy, case, n, d1, d2, 
     # zero weights decide the op count: one plaintext product per mask
     key = keygen(HEParams(slots=m), seed=29)
     rng = np.random.default_rng(31)
-    cts = pack(rand_ring_tensor(rng, n, d1), layout, key)
+    cts = pack(rand_ring_tensor(rng, n, d1), layout, key, CostReport())
     report = CostReport()
     he_matmul(cts, layout, w, report)
     assert report.total("he_mul_plain") == len(want)

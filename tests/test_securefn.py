@@ -24,6 +24,12 @@ from oracles import eval_circuit
 F = DEFAULT_RING.frac_bits
 
 
+def logs(server_seed=0):
+    """A fresh report, transcript, step and server rng for one eval_secure call."""
+    return dict(report=CostReport(), transcript=Transcript(), step="Others",
+                rng_server=np.random.default_rng(server_seed))
+
+
 def pair_circuit(fn, w):
     """The circuit of the two-input stage fn(ops, x, y) at width w."""
     b = CircuitBuilder()
@@ -94,9 +100,9 @@ def test_backends_agree_on_every_fn():
         raw = rng.integers(0, 1 << w, (lanes, spec.count), dtype=np.uint64)
         xc, xs = share_raw(raw, rng, w)
         # equally seeded rngs draw the same client masks on both backends
-        c_sem, s_sem = eval_secure(spec, xc, xs, np.random.default_rng(1))
+        c_sem, s_sem = eval_secure(spec, xc, xs, np.random.default_rng(1), **logs(2))
         c_gc, s_gc = eval_secure(spec, xc, xs, np.random.default_rng(1), backend="gc",
-                                 rng_server=np.random.default_rng(2))
+                                 **logs(2))
         assert np.array_equal(c_sem, c_gc), spec.fn
         assert np.array_equal(s_sem, s_gc), spec.fn
         assert np.array_equal(
@@ -109,7 +115,7 @@ def test_relu_on_shares_of_negative_is_zero():
     spec = SecureFnSpec("relu", 64)
     raw = np.array([[DEFAULT_RING.encode(-2.0)]], dtype=np.uint64)
     xc, xs = share_raw(raw, rng, 64)
-    c, s = eval_secure(spec, xc, xs, rng)
+    c, s = eval_secure(spec, xc, xs, rng, **logs())
     assert DEFAULT_RING.decode(reconstruct(c, s, 64)[0, 0]) == 0.0
 
 
@@ -118,7 +124,7 @@ def test_softmax_on_shares_matches_known_values():
     spec = SecureFnSpec("softmax_row", 64, count=3, shift=0)
     raw = np.array([[DEFAULT_RING.encode(v) for v in (1.0, 2.0, 3.0)]], dtype=np.uint64)
     xc, xs = share_raw(raw, rng, 64)
-    c, s = eval_secure(spec, xc, xs, rng)
+    c, s = eval_secure(spec, xc, xs, rng, **logs())
     got = signed_dec(reconstruct(c, s, 64), 64, F)[0]
     want = np.array([0.0900, 0.2447, 0.6652])
     assert np.max(np.abs(got - want)) <= 2.0 ** -5
@@ -126,7 +132,7 @@ def test_softmax_on_shares_matches_known_values():
     spec2 = SecureFnSpec("softmax_row", 64, count=2)
     raw2 = np.zeros((1, 2), dtype=np.uint64)
     xc2, xs2 = share_raw(raw2, rng, 64)
-    c2, s2 = eval_secure(spec2, xc2, xs2, rng)
+    c2, s2 = eval_secure(spec2, xc2, xs2, rng, **logs())
     got2 = signed_dec(reconstruct(c2, s2, 64), 64, F)[0]
     assert np.max(np.abs(got2 - 0.5)) <= 2.0 ** -6
 
@@ -139,7 +145,7 @@ def test_64_bit_softmax_row_agrees_across_backends():
     xc, xs = share_raw(raw, np.random.default_rng(210), 64)
     for backend in ("semantic", "gc"):
         c, s = eval_secure(spec, xc, xs, np.random.default_rng(211), backend=backend,
-                           rng_server=np.random.default_rng(212))
+                           **logs(212))
         assert reconstruct(c, s, 64).tolist() == [[128, 128]], backend
     assert plain_apply(spec, raw).tolist() == [[128, 128]]
 
@@ -151,7 +157,7 @@ def test_shift_stage_truncates_before_fn():
     vals = [-3.5, -0.125, 0.0, 7.25, 60.0]
     raw = np.array([[int(round(v * (1 << 2 * F))) % (1 << 64)] for v in vals], dtype=np.uint64)
     xc, xs = share_raw(raw, rng, 64)
-    c, s = eval_secure(spec, xc, xs, rng)
+    c, s = eval_secure(spec, xc, xs, rng, **logs())
     got = signed_dec(reconstruct(c, s, 64), 64, F)[:, 0]
     assert got.tolist() == [0.0, 0.0, 0.0, 7.25, 60.0]
 
@@ -163,7 +169,7 @@ def test_fresh_masks_are_the_client_share():
     xc, xs = share_raw(raw, rng, 64)
     # the client's new share is eval_secure's first draw from its rng
     want = np.random.default_rng(7).integers(0, 1 << 64, (1, 1), dtype=np.uint64)
-    c, s = eval_secure(spec, xc, xs, np.random.default_rng(7))
+    c, s = eval_secure(spec, xc, xs, np.random.default_rng(7), **logs())
     assert np.array_equal(c, want)
     assert reconstruct(c, s, 64)[0, 0] == raw[0, 0]
 
@@ -174,8 +180,8 @@ def test_strict_mode_flags_domain_violations():
     big = np.array([[int(100.0 * (1 << 2 * F))]], dtype=np.uint64)  # beyond +-64
     xc, xs = share_raw(big, rng, 64)
     with pytest.raises(RangeViolation):
-        eval_secure(spec, xc, xs, rng, strict=True)
-    eval_secure(spec, xc, xs, rng, strict=False)  # permissive clamps instead
+        eval_secure(spec, xc, xs, rng, strict=True, **logs())
+    eval_secure(spec, xc, xs, rng, strict=False, **logs())  # permissive clamps instead
 
 
 def test_strict_mode_checks_unshifted_stages():
@@ -228,8 +234,8 @@ def test_logged_ot_bytes_equal_the_bytes_run_ot_moves(monkeypatch):
         xc, xs = share_raw(raw, rng, spec.bitwidth)
         t = Transcript()
         moved.clear()
-        eval_secure(spec, xc, xs, rng, backend="gc", transcript=t,
-                    rng_server=np.random.default_rng(209))
+        eval_secure(spec, xc, xs, rng, backend="gc", report=CostReport(), transcript=t,
+                    step="Others", rng_server=np.random.default_rng(209))
         ot = [m for m in t.messages if m.kind == "ot"]
         assert [m.sender for m in ot] == ["client", "server"]
         assert len(moved) == 1
@@ -264,8 +270,8 @@ def test_logged_gc_messages_equal_the_objects_that_cross(monkeypatch):
         raw = rng.integers(0, 1 << spec.bitwidth, (lanes, 1), dtype=np.uint64)
         xc, xs = share_raw(raw, rng, spec.bitwidth)
         t = Transcript()
-        eval_secure(spec, xc, xs, rng, backend="gc", transcript=t,
-                    rng_server=np.random.default_rng(211))
+        eval_secure(spec, xc, xs, rng, backend="gc", report=CostReport(), transcript=t,
+                    step="Others", rng_server=np.random.default_rng(211))
         gt, client_labels = seen["gt"], seen["active"][: 2 * spec.count * spec.bitwidth]
         material = (gt.tables.nbytes + gt.const_labels.nbytes + client_labels.nbytes
                     + gt.decode.nbytes)
@@ -285,16 +291,19 @@ def test_rejects_bad_shapes_and_unknown_fn():
             np.zeros((2, 2), np.uint64),
             np.zeros((2, 2), np.uint64),
             rng,
+            **logs(),
         )
 
 
 def test_gc_backend_needs_the_servers_own_rng():
     # an OT receiver seeded from the garbler's rng would let the garbler
-    # recompute the receiver's exponents and read the server's input bits
+    # recompute the receiver's exponents and read the server's input bits;
+    # the server's generator is a required argument of every call
     spec = SecureFnSpec("relu", 16)
     zeros = np.zeros((2, 1), np.uint64)
-    with pytest.raises(ValueError, match="rng_server"):
-        eval_secure(spec, zeros, zeros, np.random.default_rng(213), backend="gc")
+    with pytest.raises(TypeError, match="rng_server"):
+        eval_secure(spec, zeros, zeros, np.random.default_rng(213), backend="gc",
+                    report=CostReport(), transcript=Transcript(), step="Others")
 
 
 def test_unknown_backend_is_refused_before_any_work():
@@ -306,7 +315,8 @@ def test_unknown_backend_is_refused_before_any_work():
     report, transcript = CostReport(), Transcript()
     with pytest.raises(ValueError, match="unknown backend 'gcx'"):
         eval_secure(spec, zeros, zeros, rng, backend="gcx", report=report,
-                    transcript=transcript, rng_server=np.random.default_rng(215))
+                    transcript=transcript, step="Others",
+                    rng_server=np.random.default_rng(215))
     assert report.cells == {} and transcript.messages == []
     # no mask was drawn either
     assert rng.integers(0, 1 << 64, dtype=np.uint64) == \

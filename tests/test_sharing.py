@@ -55,7 +55,7 @@ def test_enc_rows_rejects_wide_matrix():
     rng = np.random.default_rng(22)
     key = keygen(small_params(slots=4), seed=1)
     with pytest.raises(ValueError):
-        enc_rows(rand_ring((1, 5), rng, DEFAULT_RING), key)
+        enc_rows(rand_ring((1, 5), rng, DEFAULT_RING), key, CostReport())
 
 
 def test_plain_left_matmul_matches_oracle():
@@ -73,14 +73,14 @@ def test_plain_left_matmul_matches_oracle():
 
 
 def test_rotate_reduce_sum_fills_every_slot():
-    key = keygen(small_params(slots=8), seed=3)
+    key, report = keygen(small_params(slots=8), seed=3), CostReport()
     vec = np.arange(1, 9, dtype=np.uint64)
     ct = rotate_reduce_sum(
-        enc_rows(FixedTensor(vec.reshape(1, -1), DEFAULT_RING), key)[0]
+        enc_rows(FixedTensor(vec.reshape(1, -1), DEFAULT_RING), key, report)[0], report
     )
     from privtrans.she import decrypt
 
-    assert decrypt(ct, key).tolist() == [36] * 8
+    assert decrypt(ct, key, report).tolist() == [36] * 8
 
 
 def test_enc_left_matmul_matches_oracle():
@@ -100,7 +100,7 @@ def test_enc_left_matmul_op_counts_and_width_check():
     # per output entry: mask, log2 M rotate-and-adds, select, accumulate
     rng = np.random.default_rng(25)
     key = keygen(small_params(), seed=4)
-    rows = enc_rows(rand_ring((3, 5), rng, DEFAULT_RING), key)
+    rows = enc_rows(rand_ring((3, 5), rng, DEFAULT_RING), key, CostReport())
     report = CostReport()
     enc_left_matmul(rows, rand_ring((5, 2), rng, DEFAULT_RING), report)
     entries = 3 * 2
@@ -108,38 +108,38 @@ def test_enc_left_matmul_op_counts_and_width_check():
     assert report.total("he_rotate") == 4 * entries
     assert report.total("he_add") == 4 * entries + 3 * (2 - 1)
     with pytest.raises(ValueError, match="exceeds 16 slots"):
-        enc_left_matmul(rows, rand_ring((5, 17), rng, DEFAULT_RING))
+        enc_left_matmul(rows, rand_ring((5, 17), rng, DEFAULT_RING), report)
 
 
 def test_triple_product_tiny_example():
     # left mask [[5]] against its transpose decrypts to [[25]]
-    key = keygen(small_params(slots=4), seed=5)
+    key, report = keygen(small_params(slots=4), seed=5), CostReport()
     rc = FixedTensor(np.array([[5]], dtype=np.uint64), DEFAULT_RING)
-    t = make_product_triple(rc, rc.transpose(), key)
-    got = dec_rows(t.product_ct, 1, key, DEFAULT_RING)
+    t = make_product_triple(rc, rc.transpose(), key, report)
+    got = dec_rows(t.product_ct, 1, key, DEFAULT_RING, report)
     assert got.data.tolist() == [[25]]
 
 
 def test_gen_triple_product_matches_brute_force():
-    key = keygen(small_params(), seed=6)
+    key, r = keygen(small_params(), seed=6), CostReport()
     rng = np.random.default_rng(30)
     rc = rand_ring((4, 3), rng, DEFAULT_RING)
-    t = make_product_triple(rc, rc.transpose(), key)
-    assert dec_rows(t.left_ct, 3, key, DEFAULT_RING) == rc
-    assert dec_rows(t.right_ct, 4, key, DEFAULT_RING) == rc.transpose()
-    got = dec_rows(t.product_ct, 4, key, DEFAULT_RING)
+    t = make_product_triple(rc, rc.transpose(), key, r)
+    assert dec_rows(t.left_ct, 3, key, DEFAULT_RING, r) == rc
+    assert dec_rows(t.right_ct, 4, key, DEFAULT_RING, r) == rc.transpose()
+    got = dec_rows(t.product_ct, 4, key, DEFAULT_RING, r)
     want = matmul_mod(rc.data.tolist(), rc.transpose().data.tolist(), 64)
     assert got.data.tolist() == want
 
 
 def test_gen_product_triple_independent_masks():
-    key = keygen(small_params(), seed=7)
+    key, report = keygen(small_params(), seed=7), CostReport()
     rng = np.random.default_rng(31)
     left, right = rand_ring((4, 4), rng, DEFAULT_RING), rand_ring((4, 3), rng, DEFAULT_RING)
-    t = make_product_triple(left, right, key)
+    t = make_product_triple(left, right, key, report)
     # the triple is the server's material: ciphertexts only, no plaintext mask
     assert not any(isinstance(v, FixedTensor) for v in vars(t).values())
-    got = dec_rows(t.product_ct, 3, key, DEFAULT_RING)
+    got = dec_rows(t.product_ct, 3, key, DEFAULT_RING, report)
     want = matmul_mod(left.data.tolist(), right.data.tolist(), 64)
     assert got.data.tolist() == want
 

@@ -14,7 +14,6 @@ from privtrans.she import (
     HEParams,
     KeyMismatch,
     NoiseBudgetExceeded,
-    NoiseModel,
     decrypt,
     encrypt,
     he_add,
@@ -51,14 +50,14 @@ def test_encrypt_decrypt_roundtrip():
     key = fresh_key()
     for _ in range(20):
         v = rng.integers(0, 2 ** 64, size=8, dtype=np.uint64)
-        ct = encrypt(v, key)
-        assert np.array_equal(decrypt(ct, key), v)
+        ct = encrypt(v, key, CostReport())
+        assert np.array_equal(decrypt(ct, key, CostReport()), v)
 
 
 def test_payload_is_masked():
     key = fresh_key()
     v = np.arange(8, dtype=np.uint64)
-    ct = encrypt(v, key)
+    ct = encrypt(v, key, CostReport())
     # reading b without the key must not expose the plaintext
     assert not np.array_equal(ct.b, v)
 
@@ -66,32 +65,34 @@ def test_payload_is_masked():
 def test_wrong_key_decrypt_raises():
     # each key pair takes its own id, so two keys from one seed (one
     # secret s) do not mix either
+    report = CostReport()
     for k0, k1 in ((fresh_key(1), fresh_key(2)), (fresh_key(7), fresh_key(7))):
-        ct = encrypt(np.ones(8, dtype=np.uint64), k0)
+        ct = encrypt(np.ones(8, dtype=np.uint64), k0, report)
         with pytest.raises(KeyMismatch):
-            decrypt(ct, k1)
+            decrypt(ct, k1, report)
         with pytest.raises(KeyMismatch):
-            he_add(ct, encrypt(np.ones(8, dtype=np.uint64), k1))
+            he_add(ct, encrypt(np.ones(8, dtype=np.uint64), k1, report), report)
 
 
 def test_homomorphic_ops_match_plain():
     rng = np.random.default_rng(2)
     key = fresh_key()
     mod = 1 << 64
+    r = CostReport()
     for _ in range(20):
         a = rng.integers(0, mod, size=8, dtype=np.uint64)
         b = rng.integers(0, mod, size=8, dtype=np.uint64)
         p = rng.integers(0, mod, size=8, dtype=np.uint64)
-        ca, cb = encrypt(a, key), encrypt(b, key)
-        assert np.array_equal(decrypt(he_add(ca, cb), key), a + b)
-        assert np.array_equal(decrypt(he_add_plain(ca, p), key), a + p)
-        assert np.array_equal(decrypt(he_mul_plain(ca, p), key), a * p)
+        ca, cb = encrypt(a, key, r), encrypt(b, key, r)
+        assert np.array_equal(decrypt(he_add(ca, cb, r), key, r), a + b)
+        assert np.array_equal(decrypt(he_add_plain(ca, p, r), key, r), a + p)
+        assert np.array_equal(decrypt(he_mul_plain(ca, p, r), key, r), a * p)
 
 
 def test_rotate_left_example():
-    key = keygen(HEParams(slots=4), seed=3)
-    ct = encrypt(np.array([1, 2, 3, 4], dtype=np.uint64), key)
-    out = decrypt(he_rotate(ct, 1), key)
+    key, r = keygen(HEParams(slots=4), seed=3), CostReport()
+    ct = encrypt(np.array([1, 2, 3, 4], dtype=np.uint64), key, r)
+    out = decrypt(he_rotate(ct, 1, r), key, r)
     assert list(out) == [2, 3, 4, 1]
 
 
@@ -99,38 +100,38 @@ def test_rotate_zero_counts_and_is_identity():
     key = fresh_key()
     report = CostReport()
     v = np.arange(8, dtype=np.uint64)
-    ct = he_rotate(encrypt(v, key), 0, report)
-    assert np.array_equal(decrypt(ct, key), v)
+    ct = he_rotate(encrypt(v, key, CostReport()), 0, report)
+    assert np.array_equal(decrypt(ct, key, CostReport()), v)
     assert report.total("he_rotate") == 1
 
 
 def test_rotate_composition():
-    key = fresh_key()
+    key, r = fresh_key(), CostReport()
     v = np.arange(8, dtype=np.uint64)
-    ct = encrypt(v, key)
-    out = he_rotate(he_rotate(ct, 3), 6)
-    assert np.array_equal(decrypt(out, key), np.roll(v, -(3 + 6) % 8))
+    ct = encrypt(v, key, r)
+    out = he_rotate(he_rotate(ct, 3, r), 6, r)
+    assert np.array_equal(decrypt(out, key, r), np.roll(v, -(3 + 6) % 8))
 
 
 @pytest.mark.parametrize("slots", [1, 2, 16, 64])
 def test_rotate_matches_roll_for_every_k(slots):
     params = HEParams(slots=slots)
-    ct = encrypt(np.arange(slots, dtype=np.uint64), keygen(params, seed=9))
+    ct = encrypt(np.arange(slots, dtype=np.uint64), keygen(params, seed=9), CostReport())
     for k in range(slots):
         report = CostReport()
         out = he_rotate(ct, k, report)
         assert np.array_equal(out.a, np.roll(ct.a, -k))
         assert np.array_equal(out.b, np.roll(ct.b, -k))
         assert report.total("he_rotate") == 1
-        assert out.noise_used == ct.noise_used + params.noise.cost_rotate
+        assert out.noise_used == ct.noise_used + she.COST_ROTATE
 
 
 def test_rotate_output_does_not_alias_input_or_cache():
-    key = fresh_key()
-    ct = encrypt(np.arange(8, dtype=np.uint64), key)
+    key, r = fresh_key(), CostReport()
+    ct = encrypt(np.arange(8, dtype=np.uint64), key, r)
     a0, b0, idx0 = ct.a.copy(), ct.b.copy(), she._cycle(8).copy()
     for k in (0, 3):
-        out = he_rotate(ct, k)
+        out = he_rotate(ct, k, r)
         out.a[:] = 7
         out.b[:] = 7
     assert np.array_equal(ct.a, a0) and np.array_equal(ct.b, b0)
@@ -143,21 +144,21 @@ def test_rotate_output_does_not_alias_input_or_cache():
 def test_rotate_outside_the_slots_raises(k):
     report = CostReport()
     with pytest.raises(ValueError, match="outside"):
-        he_rotate(encrypt(np.ones(8, dtype=np.uint64), fresh_key()), k, report)
+        he_rotate(encrypt(np.ones(8, dtype=np.uint64), fresh_key(), CostReport()), k, report)
     assert report.total("he_rotate") == 0
 
 
 def test_rotate_caches_one_index_per_slot_count():
     # one 2M-word index per M, never one per (M, k): that would be M^2 words
-    params = HEParams(slots=4096)
-    ct = encrypt(np.ones(4, dtype=np.uint64), keygen(params, seed=4))
-    he_rotate(ct, 0)
+    params, r = HEParams(slots=4096), CostReport()
+    ct = encrypt(np.ones(4, dtype=np.uint64), keygen(params, seed=4), r)
+    he_rotate(ct, 0, r)
     cached = she._cycle.cache_info().currsize
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         for k in range(4096):
-            he_rotate(ct, k)
+            he_rotate(ct, k, r)
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -182,21 +183,23 @@ def test_every_op_bumps_exactly_one_counter():
 
 def test_no_ciphertext_by_ciphertext_product():
     assert ciphertext_pair_ops() == ["he_add"]
-    ct = encrypt(np.ones(8, dtype=np.uint64), fresh_key())
+    report = CostReport()
+    ct = encrypt(np.ones(8, dtype=np.uint64), fresh_key(), report)
     with pytest.raises(TypeError):
-        he_mul_plain(ct, ct)  # the plaintext operand cannot be a ciphertext
+        he_mul_plain(ct, ct, report)  # the plaintext operand cannot be a ciphertext
 
 
 def test_noise_budget_meter():
-    params = HEParams(slots=4, noise=NoiseModel(budget=10, cost_mul_plain=4))
-    key = keygen(params, seed=5)
-    ct = encrypt(np.ones(4, dtype=np.uint64), key)
-    assert params.noise.budget - ct.noise_used == 10
-    ct = he_mul_plain(ct, 3)
-    ct = he_mul_plain(ct, 3)
-    assert params.noise.budget - ct.noise_used == 2
+    # 8,192 plaintext products use the whole 1 << 16 budget; one more exceeds it
+    assert she.NOISE_BUDGET == 8192 * she.COST_MUL_PLAIN
+    key, report = keygen(HEParams(slots=4), seed=5), CostReport()
+    ct = encrypt(np.ones(4, dtype=np.uint64), key, report)
+    assert ct.noise_used == 0
+    for _ in range(8192):
+        ct = he_mul_plain(ct, 3, report)
+    assert ct.noise_used == she.NOISE_BUDGET
     with pytest.raises(NoiseBudgetExceeded):
-        he_mul_plain(ct, 3)
+        he_mul_plain(ct, 3, report)
 
 
 def test_slot_count_must_be_power_of_two():
