@@ -41,25 +41,61 @@ class WireVec:
 
 @dataclass(frozen=True)
 class LevelSchedule:
-    """A circuit's gates grouped by topological level (inputs and constants
-    are level 0): no gate reads the output of a gate in its own level.
+    """The evaluator's plan: a circuit's gates grouped by topological level
+    (inputs and constants are level 0), so no gate reads the output of a
+    gate in its own level.
 
-    Each kind of gate is sorted by (level, gate id). Level k holds the XOR
-    gates xor[xor_bounds[k]:xor_bounds[k + 1]] and the AND gates in columns
-    and_bounds[k]:and_bounds[k + 1] of `and_`, whose second row is each AND
-    gate's ordinal among the circuit's AND gates: its garbled-table row.
+    The evaluator keeps its labels in level order: constants and inputs
+    first, as numbered, then level by level that level's XOR outputs and
+    then its AND outputs, each kind by gate id. A level therefore writes
+    two runs of that array, and the plan holds only what each gate reads,
+    as flat int32 rows. Level k is columns xor_bounds[k]:xor_bounds[k + 1]
+    of `xor` and and_bounds[k]:and_bounds[k + 1] of `and_`:
+    - xor: the lhs and rhs label positions;
+    - and_: the PRF tweaks 2g and 2g + 1 of gate g's key and check words,
+      2 x its garbled-table row (the gate's ordinal among the AND gates),
+      and the lhs and rhs label positions.
+    `outputs` holds the label positions of the circuit's output wires.
     """
 
-    xor: np.ndarray  # int32 (n_xor,): gate ids
-    and_: np.ndarray  # int32 (2, n_and): gate ids, table rows
+    xor: np.ndarray  # int32 (2, n_xor)
+    and_: np.ndarray  # int32 (5, n_and)
+    outputs: np.ndarray  # int32 (n_out,)
     xor_bounds: tuple
     and_bounds: tuple
 
     def __iter__(self):
-        """(xor, and_) slices of each level, in level order."""
+        """(xor columns, [AND gate ids; table rows]) of each level, in
+        level order."""
+        ids = np.stack([self.and_[0] >> 1, self.and_[2] >> 1])
         xb, ab = self.xor_bounds, self.and_bounds
         for k in range(len(xb) - 1):
-            yield self.xor[xb[k] : xb[k + 1]], self.and_[:, ab[k] : ab[k + 1]]
+            yield self.xor[:, xb[k] : xb[k + 1]], ids[:, ab[k] : ab[k + 1]]
+
+
+@dataclass(frozen=True)
+class XorGroups:
+    """The garbler's plan: XOR gates grouped by XOR-only depth, where
+    inputs, constants and AND outputs are depth 0. The garbler draws every
+    AND output label up front, so a group's XORs read only wires that are
+    drawn or set by earlier groups. Group k is gates[bounds[k]:bounds[k + 1]],
+    sorted by (depth, gate id)."""
+
+    gates: np.ndarray  # int32 (n_xor,)
+    bounds: tuple
+
+
+def _depths(circ: "BoolCircuit", reset_at_and: bool) -> np.ndarray:
+    """Depth of each gate's output: one more than its deeper input, with
+    inputs and constants at 0 (and AND outputs too, if reset_at_and)."""
+    # a compact int array and memoryview walks keep this pass from
+    # materializing one Python int per wire
+    depth = array("i", bytes(4 * circ.n_wires))
+    wires = zip(memoryview(circ.lhs), memoryview(circ.rhs), memoryview(circ.op))
+    for i, (a, b, op) in enumerate(wires, 2 + circ.n_inputs):
+        if op == XOR or not reset_at_and:
+            depth[i] = max(depth[a], depth[b]) + 1
+    return np.frombuffer(depth, dtype=np.int32)[2 + circ.n_inputs :]
 
 
 @dataclass
@@ -86,26 +122,33 @@ class BoolCircuit:
     @cached_property
     def levels(self) -> LevelSchedule:
         """Computed on first use and kept on the circuit."""
-        base = 2 + self.n_inputs
-        # a compact int array and memoryview walks keep this pass from
-        # materializing one Python int per wire
-        depth = array("i", bytes(4 * self.n_wires))
-        for i, (a, b) in enumerate(zip(memoryview(self.lhs), memoryview(self.rhs)), base):
-            depth[i] = max(depth[a], depth[b]) + 1
-        gate_depth = np.frombuffer(depth, dtype=np.int32)[base:]
+        depth = _depths(self, reset_at_and=False)
         is_and = self.op == AND
-        xg, ag = (
-            g[np.argsort(gate_depth[g], kind="stable")].astype(np.int32)
-            for g in (np.flatnonzero(~is_and), np.flatnonzero(is_and))
-        )
+        # level by level, its XOR gates and then its AND gates, by gate id
+        order = np.lexsort((is_and, depth)).astype(np.int32)
+        base = 2 + self.n_inputs
+        pos = np.arange(self.n_wires, dtype=np.int32)
+        pos[base + order] = pos[base:].copy()
+        marks = np.arange(1, int(depth.max(initial=0)) + 2)
+        xg = order[~is_and[order]]
+        ag = order[is_and[order]]
         and_row = np.cumsum(is_and, dtype=np.int32) - 1
-        marks = np.arange(1, int(gate_depth.max(initial=0)) + 2)
         return LevelSchedule(
-            xg,
-            np.stack([ag, and_row[ag]]),
-            tuple(np.searchsorted(gate_depth[xg], marks).tolist()),
-            tuple(np.searchsorted(gate_depth[ag], marks).tolist()),
+            np.stack([pos[self.lhs[xg]], pos[self.rhs[xg]]]),
+            np.stack([2 * ag, 2 * ag + 1, 2 * and_row[ag], pos[self.lhs[ag]], pos[self.rhs[ag]]]),
+            pos[list(self.outputs)],
+            tuple(np.searchsorted(depth[xg], marks).tolist()),
+            tuple(np.searchsorted(depth[ag], marks).tolist()),
         )
+
+    @cached_property
+    def xor_groups(self) -> XorGroups:
+        """Computed on first use and kept on the circuit."""
+        depth = _depths(self, reset_at_and=True)
+        xg = np.flatnonzero(self.op != AND)
+        xg = xg[np.argsort(depth[xg], kind="stable")].astype(np.int32)
+        marks = np.arange(1, int(depth.max(initial=0)) + 2)
+        return XorGroups(xg, tuple(np.searchsorted(depth[xg], marks).tolist()))
 
 
 class CircuitBuilder:

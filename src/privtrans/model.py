@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import struct
 from dataclasses import dataclass
 from typing import Mapping
@@ -129,24 +130,33 @@ def _expected_shapes(cfg: ModelConfig) -> dict[str, tuple[int, int]]:
     return shapes
 
 
+_BLOCK_PARTS = ("w_q", "w_k", "w_v", "w_o", "w_f1", "w_f2")
+_BLOCK_NAME = re.compile(r"block(0|[1-9][0-9]*)\.(" + "|".join(_BLOCK_PARTS) + ")")
+
+
 def weight_items(weights: ModelWeights):
     """Canonical (name, tensor) order used by the file format."""
     yield "w_e", weights.w_e
     for i, blk in enumerate(weights.blocks):
-        for part in ("w_q", "w_k", "w_v", "w_o", "w_f1", "w_f2"):
+        for part in _BLOCK_PARTS:
             yield f"block{i}.{part}", getattr(blk, part)
     yield "w_head", weights.w_head
 
 
 def _weights_from_map(tensors: Mapping[str, FixedTensor]) -> ModelWeights:
-    block_ids = sorted(
-        {int(k.split(".")[0][len("block"):]) for k in tensors if k.startswith("block")}
-    )
+    block_ids = set()
+    for name in tensors:
+        m = _BLOCK_NAME.fullmatch(name)
+        if m:
+            block_ids.add(int(m.group(1)))
+        elif name not in ("w_e", "w_head"):
+            raise ValueError(f"unknown weight tensor {name!r}")
+    block_ids = sorted(block_ids)
     if block_ids != list(range(len(block_ids))):
         raise ValueError("block indices must be contiguous from 0")
     try:
         blocks = tuple(
-            BlockWeights(*(tensors[f"block{i}.{p}"] for p in ("w_q", "w_k", "w_v", "w_o", "w_f1", "w_f2")))
+            BlockWeights(*(tensors[f"block{i}.{p}"] for p in _BLOCK_PARTS))
             for i in block_ids
         )
         return ModelWeights(tensors["w_e"], blocks, tensors["w_head"])
@@ -229,6 +239,8 @@ def load_weights(path) -> tuple[ModelWeights, RingParams]:
         nbytes = entry["rows"] * entry["cols"] * 8
         if off + nbytes > len(raw):
             raise ValueError("truncated weight file")
+        if entry["name"] in tensors:
+            raise ValueError(f"weight tensor {entry['name']!r} appears twice")
         words = np.frombuffer(raw[off : off + nbytes], dtype="<u8")
         tensors[entry["name"]] = FixedTensor(
             words.astype(np.uint64).reshape(entry["rows"], entry["cols"]), ring

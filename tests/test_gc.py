@@ -12,7 +12,7 @@ from privtrans.circuits import (
     unpack_bits,
 )
 from privtrans import ModelConfig, ot, random_weights, run_protocol, securefn
-from privtrans.garble import CorruptTable, decode_outputs, evaluate, garble
+from privtrans.garble import _BATCH, CorruptTable, GarbledTables, decode_outputs, evaluate, garble
 from privtrans.ot import (
     KAPPA,
     TOY_256,
@@ -232,6 +232,7 @@ ORACLE_CIRCUITS = {
         SecureFnSpec("layernorm_row", 64, count=8, shift=24)
     ),
     "relu": lambda: build_secure_circuit(SecureFnSpec("relu", 64, shift=8)),
+    "gelu": lambda: build_secure_circuit(SecureFnSpec("gelu", 64, shift=8)),
     "xor_only": xor_only_circuit,
     "no_gates": gateless_circuit,
 }
@@ -240,22 +241,59 @@ ORACLE_CIRCUITS = {
 @pytest.mark.parametrize("name", list(ORACLE_CIRCUITS))
 def test_level_schedule_matches_gate_at_a_time_oracle(name):
     circ = ORACLE_CIRCUITS[name]()
-    lanes = 2
-    gt, state = garble(circ, lanes, np.random.default_rng(96))
-    ref_gt, ref_state = garble_by_gate(circ, lanes, np.random.default_rng(96))
-    for got, want in (
-        (gt.tables, ref_gt.tables),
-        (gt.const_labels, ref_gt.const_labels),
-        (gt.decode, ref_gt.decode),
-        (state.delta, ref_state.delta),
-        (state.input_zero, ref_state.input_zero),
+    # 16 lanes garble every circuit above that has AND gates in several batches
+    assert circ.and_count == 0 or circ.and_count > _BATCH // 16
+    for lanes in (1, 3, 16):
+        gt, state = garble(circ, lanes, np.random.default_rng(96))
+        ref_gt, ref_state = garble_by_gate(circ, lanes, np.random.default_rng(96))
+        for got, want in (
+            (gt.tables, ref_gt.tables),
+            (gt.const_labels, ref_gt.const_labels),
+            (gt.decode, ref_gt.decode),
+            (state.delta, ref_state.delta),
+            (state.input_zero, ref_state.input_zero),
+        ):
+            assert got.dtype == want.dtype and np.array_equal(got, want), lanes
+        bits = np.random.default_rng(97).integers(0, 2, (circ.n_inputs, lanes), dtype=np.uint8)
+        active = state.encode(bits)
+        out = evaluate(circ, gt, active)
+        assert np.array_equal(out, evaluate_by_gate(circ, ref_gt, active)), lanes
+        assert np.array_equal(decode_outputs(gt, out), eval_circuit(circ, bits)), lanes
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CIRCUITS))
+def test_garbler_xor_groups_read_only_earlier_wires(name):
+    circ = ORACLE_CIRCUITS[name]()
+    base = 2 + circ.n_inputs
+    groups = circ.xor_groups
+    assert sorted(groups.gates.tolist()) == np.flatnonzero(circ.op == XOR).tolist()
+    # constants, inputs and AND outputs are set before the first group
+    ready = np.zeros(circ.n_wires, bool)
+    ready[:base] = True
+    ready[base + np.flatnonzero(circ.op == AND)] = True
+    for s, e in zip(groups.bounds, groups.bounds[1:]):
+        g = groups.gates[s:e]
+        assert len(g) and np.all(np.diff(g) > 0)
+        assert ready[circ.lhs[g]].all() and ready[circ.rhs[g]].all()
+        ready[base + g] = True
+    assert ready.all()
+
+
+def test_evaluate_refuses_material_of_the_wrong_shape():
+    circ = adder_circuit(6)
+    lanes = 3
+    gt, state = garble(circ, lanes, np.random.default_rng(104))
+    active = state.encode(np.zeros((circ.n_inputs, lanes), np.uint8))
+    extra_lane = np.concatenate([gt.tables, gt.tables[..., :1]], axis=3)
+    for field, bad in (
+        ("tables", GarbledTables(extra_lane, gt.const_labels, gt.decode)),
+        ("tables", GarbledTables(gt.tables[:-1], gt.const_labels, gt.decode)),
+        ("decode", GarbledTables(gt.tables, gt.const_labels, gt.decode[:-1])),
+        ("decode", GarbledTables(gt.tables, gt.const_labels, gt.decode[:, :2])),
     ):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-    bits = np.random.default_rng(97).integers(0, 2, (circ.n_inputs, lanes), dtype=np.uint8)
-    active = state.encode(bits)
-    out = evaluate(circ, gt, active)
-    assert np.array_equal(out, evaluate_by_gate(circ, ref_gt, active))
-    assert np.array_equal(decode_outputs(gt, out), eval_circuit(circ, bits))
+        with pytest.raises(ValueError, match=f"GarbledTables.{field} "):
+            evaluate(circ, bad, active)
+    assert evaluate(circ, gt, active).shape == (len(circ.outputs), lanes)
 
 
 def test_single_tampered_check_word_names_its_gate():
@@ -294,13 +332,14 @@ def test_semantic_backend_never_computes_a_level_schedule(monkeypatch):
     weights = random_weights(cfg, np.random.default_rng(99))
     for mode in ("base", "f", "fp", "fpc"):
         run_protocol(mode, cfg, weights, [1, 3], seed=5)
-    assert built and all("levels" not in c.__dict__ for c in built)
-    # the check can fail: a garbled stage does compute the schedule
+    plans = ("levels", "xor_groups")
+    assert built and all(p not in c.__dict__ for c in built for p in plans)
+    # the check can fail: a garbled stage does compute both plans
     securefn.eval_secure(SecureFnSpec("relu", 8), np.zeros((1, 1), np.uint64),
                          np.zeros((1, 1), np.uint64), np.random.default_rng(0), backend="gc",
                          report=CostReport(), transcript=Transcript(), step="Others",
                          rng_server=np.random.default_rng(1))
-    assert "levels" in built[-1].__dict__
+    assert all(p in built[-1].__dict__ for p in plans)
 
 
 def test_adder_with_ot_fed_inputs():

@@ -218,6 +218,21 @@ def test_weight_file_rejects_damage(tmp_path):
             blob[:4] + struct.pack("<I", len(raw)) + raw + blob[8 + hlen :])
         with pytest.raises(ValueError, match="modulus_bits"):
             load_weights(tmp_path / "ring.ptw")
+    # every tensor the header lists must be one the model uses, listed once:
+    # an unused name, or a second w_head, is refused by name
+    data = blob[8 + hlen :]
+    w_head = header["tensors"][-1]
+    assert w_head["name"] == "w_head"
+    head_bytes = data[len(data) - 8 * w_head["rows"] * w_head["cols"] :]
+    for name, entry, words in (
+        ("w_extra", {"name": "w_extra", "rows": 1, "cols": 1}, b"\0" * 8),
+        ("w_head", w_head, head_bytes),
+    ):
+        raw = json.dumps({**header, "tensors": header["tensors"] + [entry]}).encode()
+        (tmp_path / "names.ptw").write_bytes(
+            blob[:4] + struct.pack("<I", len(raw)) + raw + data + words)
+        with pytest.raises(ValueError, match=f"'{name}'"):
+            load_weights(tmp_path / "names.ptw")
 
 
 def test_weights_validate_shapes_and_range():
