@@ -22,9 +22,10 @@ F = DEFAULT_RING.frac_bits
 rng = np.random.default_rng(3)
 
 # %%
-# A spec names the stage, the circuit bitwidth, and how many ring words
-# travel together per lane (a softmax row needs its whole row at once).
-spec = SecureFnSpec("softmax_row", 64, count=4)
+# A spec names the stage and how many ring words travel together per lane
+# (a softmax row needs its whole row at once). Every share is a 64-bit ring
+# word, so the circuit is 64 bits wide on each input.
+spec = SecureFnSpec("softmax_row", count=4)
 vals = np.array([[1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0]])
 raw = (vals * (1 << F)).astype(np.int64).view(np.uint64)
 
@@ -50,14 +51,14 @@ print("max error:", float(np.abs(got - ref).max()))
 # garbled runs are indistinguishable. The evaluator's side of the oblivious
 # transfer draws from its own generator, rng_server: one derived from the
 # garbler's would let the garbler recompute the evaluator's choice bits.
-spec16 = SecureFnSpec("relu", 16)
-raw16 = rng.integers(0, 1 << 16, (6, 1), dtype=np.uint64)
-xc16 = rng.integers(0, 1 << 16, raw16.shape, dtype=np.uint64)
-xs16 = (raw16 - xc16) & np.uint64(0xFFFF)
-c_sem, s_sem = eval_secure(spec16, xc16, xs16, np.random.default_rng(2), report=report,
+relu = SecureFnSpec("relu")
+raw_r = rng.integers(0, 1 << 64, (6, 1), dtype=np.uint64)
+xc_r = rng.integers(0, 1 << 64, raw_r.shape, dtype=np.uint64)
+xs_r = raw_r - xc_r
+c_sem, s_sem = eval_secure(relu, xc_r, xs_r, np.random.default_rng(2), report=report,
                            transcript=t, step="Others", rng_server=np.random.default_rng(4))
 t_gc = Transcript()
-c_gc, s_gc = eval_secure(spec16, xc16, xs16, np.random.default_rng(2), backend="gc",
+c_gc, s_gc = eval_secure(relu, xc_r, xs_r, np.random.default_rng(2), backend="gc",
                          report=report, transcript=t_gc, step="Others",
                          rng_server=np.random.default_rng(4))
 assert np.array_equal(c_sem, c_gc) and np.array_equal(s_sem, s_gc)
@@ -74,7 +75,8 @@ print(f"softmax AND gates: {report.get('SoftMax', 'offline', 'gc_and_gates')}")
 
 # %%
 # plain_apply is the reference path: the same stage pipeline with zero
-# shares and zero masks, useful for tolerance studies.
+# shares and zero masks, useful for tolerance studies. The semantic backend
+# is this reference on the reconstructed words, minus the client's mask.
 plain = plain_apply(spec, raw)
 assert np.array_equal(plain, c + s)
 print("plain_apply agrees with the reconstructed secure run")

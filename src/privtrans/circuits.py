@@ -64,14 +64,6 @@ class LevelSchedule:
     xor_bounds: tuple
     and_bounds: tuple
 
-    def __iter__(self):
-        """(xor columns, [AND gate ids; table rows]) of each level, in
-        level order."""
-        ids = np.stack([self.and_[0] >> 1, self.and_[2] >> 1])
-        xb, ab = self.xor_bounds, self.and_bounds
-        for k in range(len(xb) - 1):
-            yield self.xor[:, xb[k] : xb[k + 1]], ids[:, ab[k] : ab[k + 1]]
-
 
 @dataclass(frozen=True)
 class XorGroups:

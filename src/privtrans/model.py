@@ -27,6 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .fixedfn import F2
 from .ring import DEFAULT_RING, FixedTensor, RingParams, mat_mul
 from .securefn import SecureFnSpec, check_domain, plain_apply
 
@@ -71,6 +72,11 @@ class ModelConfig:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
         if self.norm not in NORM_ORDERS:
             raise ValueError(f"norm must be one of {NORM_ORDERS}")
+        f = self.ring.frac_bits
+        if f > F2:
+            raise ValueError(f"frac_bits={f} exceeds {F2}, the nonpoly stages' internal fraction")
+        if self.activation == "gelu" and f < 2:
+            raise ValueError(f"frac_bits={f} is below 2, the least the gelu segments can index")
         lam = self.lam
         if lam is None:
             lam = FixedTensor.zeros(self.n, self.d_emb, self.ring)
@@ -288,29 +294,29 @@ def config_from_dict(d: Mapping) -> ModelConfig:
 
 
 def softmax_spec(cfg: ModelConfig) -> SecureFnSpec:
-    return SecureFnSpec("softmax_row", 64, count=cfg.n, shift=4 * cfg.ring.frac_bits, ring=cfg.ring)
+    return SecureFnSpec("softmax_row", count=cfg.n, shift=4 * cfg.ring.frac_bits, ring=cfg.ring)
 
 
 def act_spec(cfg: ModelConfig) -> SecureFnSpec:
-    return SecureFnSpec(cfg.activation, 64, shift=cfg.ring.frac_bits, ring=cfg.ring)
+    return SecureFnSpec(cfg.activation, shift=cfg.ring.frac_bits, ring=cfg.ring)
 
 
 def ln_attn_spec(cfg: ModelConfig) -> SecureFnSpec:
     shift = 3 * cfg.ring.frac_bits if cfg.norm == "post" else 0
-    return SecureFnSpec("layernorm_row", 64, count=cfg.d_emb, shift=shift, ring=cfg.ring)
+    return SecureFnSpec("layernorm_row", count=cfg.d_emb, shift=shift, ring=cfg.ring)
 
 
 def ln_ffn_spec(cfg: ModelConfig) -> SecureFnSpec:
     shift = cfg.ring.frac_bits if cfg.norm == "post" else 0
-    return SecureFnSpec("layernorm_row", 64, count=cfg.d_emb, shift=shift, ring=cfg.ring)
+    return SecureFnSpec("layernorm_row", count=cfg.d_emb, shift=shift, ring=cfg.ring)
 
 
 def trunc_attn_spec(cfg: ModelConfig) -> SecureFnSpec:
-    return SecureFnSpec("trunc", 64, shift=3 * cfg.ring.frac_bits, ring=cfg.ring)
+    return SecureFnSpec("trunc", shift=3 * cfg.ring.frac_bits, ring=cfg.ring)
 
 
 def trunc_ffn_spec(cfg: ModelConfig) -> SecureFnSpec:
-    return SecureFnSpec("trunc", 64, shift=cfg.ring.frac_bits, ring=cfg.ring)
+    return SecureFnSpec("trunc", shift=cfg.ring.frac_bits, ring=cfg.ring)
 
 
 def _stage_rows(spec: SecureFnSpec, raw: np.ndarray, strict: bool) -> np.ndarray:
@@ -383,7 +389,7 @@ def _block_forward(cfg: ModelConfig, blk: BlockWeights, x: FixedTensor, strict: 
 
 
 def final_ln_spec(cfg: ModelConfig) -> SecureFnSpec:
-    return SecureFnSpec("layernorm_row", 64, count=cfg.d_emb, shift=0, ring=cfg.ring)
+    return SecureFnSpec("layernorm_row", count=cfg.d_emb, shift=0, ring=cfg.ring)
 
 
 def reference_forward(cfg: ModelConfig, weights: ModelWeights, tokens, strict: bool = False) -> FixedTensor:

@@ -1,17 +1,18 @@
 """Two-party secure evaluation of non-polynomial stages on additive shares.
 
-Both parties hold shares mod 2^bitwidth. One circuit per call does
+Both parties hold shares in the ring Z_2^64. One circuit per call does
 reconstruct -> (optional truncate) -> stage function -> subtract the
 client's fresh mask, so truncation never happens share-locally. The
 client garbles, the server evaluates with its input labels fetched via
 OT and keeps the masked result as its new share; the client's new share
-is the mask it chose. The semantic backend runs the identical stage code
-on plain reconstructed words, so both backends agree bit for bit.
+is the mask it chose. The semantic backend is the plaintext reference
+remasked: it runs the identical stage code on the reconstructed words and
+subtracts the same mask, so both backends agree bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from . import fixedfn
 from .circuits import CircuitBuilder, CircuitOps, pack_bits, unpack_bits
 from .costs import CostReport
-from .fixedfn import SemanticOps, SemVal, width_mask
+from .fixedfn import SemanticOps, SemVal
 from .garble import decode_outputs, evaluate, garble
 from .ot import KAPPA, SEED_BYTES, TOY_256, run_ot
 from .ring import DEFAULT_RING, RingParams
@@ -41,7 +42,7 @@ class RangeViolation(ValueError):
 
 @dataclass(frozen=True)
 class SecureFnSpec:
-    """One secure stage: which function, share width, and scaling.
+    """One secure stage on 64-bit ring shares: which function and scaling.
 
     shift > 0 inserts the truncate-and-saturate stage right after
     reconstruction (input fraction = ring fraction + shift). count is the
@@ -50,7 +51,7 @@ class SecureFnSpec:
     """
 
     fn: str
-    bitwidth: int = 64
+    _: KW_ONLY
     count: int = 1
     shift: int = 0
     ring: RingParams = field(default=DEFAULT_RING)
@@ -58,8 +59,10 @@ class SecureFnSpec:
     def __post_init__(self):
         if self.fn not in FN_NAMES:
             raise ValueError(f"unknown secure fn {self.fn!r}")
-        if not 2 <= self.bitwidth <= 64:
-            raise ValueError("bitwidth must be in [2, 64]")
+        for name, low in (("count", 1), ("shift", 0)):
+            v = getattr(self, name)
+            if not isinstance(v, int) or isinstance(v, bool) or v < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
         if self.fn in _ONE_IN and self.count != 1:
             raise ValueError(f"{self.fn} is elementwise; use lanes, not count")
 
@@ -84,8 +87,7 @@ def _apply(ops, spec: SecureFnSpec, xc: list, masks: list, xs: list) -> list:
             ops.resize(fixedfn.trunc_sat(ops, v, spec.shift, spec.ring), 16) for v in vs
         ]
     ys = _stage(ops, spec, vs)
-    w = spec.bitwidth
-    return [fixedfn.remask_sub(ops, ops.resize(y, w), r) for y, r in zip(ys, masks)]
+    return [fixedfn.remask_sub(ops, ops.resize(y, 64), r) for y, r in zip(ys, masks)]
 
 
 def plain_apply(spec: SecureFnSpec, values: np.ndarray) -> np.ndarray:
@@ -94,8 +96,8 @@ def plain_apply(spec: SecureFnSpec, values: np.ndarray) -> np.ndarray:
     This is the reference path: identical code, zero co-share, zero mask.
     """
     values = np.atleast_2d(np.asarray(values, dtype=np.uint64))
-    zero = [SemVal(np.zeros(values.shape[0], np.uint64), spec.bitwidth)] * spec.count
-    xc = [SemVal(values[:, i].copy(), spec.bitwidth) for i in range(spec.count)]
+    zero = [SemVal(np.zeros(values.shape[0], np.uint64), 64)] * spec.count
+    xc = [SemVal(values[:, i].copy(), 64) for i in range(spec.count)]
     outs = _apply(_SEM, spec, xc, zero, zero)
     return np.stack([o.bits for o in outs], axis=1)
 
@@ -108,9 +110,9 @@ def build_secure_circuit(spec: SecureFnSpec):
     """Inputs: client shares, client fresh masks, then server shares."""
     b = CircuitBuilder()
     ops = CircuitOps(b)
-    xc = [ops.input(spec.bitwidth) for _ in range(spec.count)]
-    masks = [ops.input(spec.bitwidth) for _ in range(spec.count)]
-    xs = [ops.input(spec.bitwidth) for _ in range(spec.count)]
+    xc = [ops.input(64) for _ in range(spec.count)]
+    masks = [ops.input(64) for _ in range(spec.count)]
+    xs = [ops.input(64) for _ in range(spec.count)]
     for out in _apply(ops, spec, xc, masks, xs):
         b.mark_output(out)
     return b.build()
@@ -123,8 +125,7 @@ def check_domain(spec: SecureFnSpec, reconstructed: np.ndarray) -> None:
     """Raise RangeViolation when a lane leaves the approximation domain:
     |v >> shift| <= value_limit, the bound the stage's narrow arithmetic
     assumes (at shift 0 the unshifted value)."""
-    w = spec.bitwidth
-    v = SemVal(np.asarray(reconstructed, dtype=np.uint64) & width_mask(w), w).signed()
+    v = np.asarray(reconstructed, dtype=np.uint64).view(np.int64)
     lim = spec.ring.value_limit()
     t = v >> spec.shift
     if np.any(t > lim) or np.any(t < -lim):
@@ -136,10 +137,6 @@ def check_domain(spec: SecureFnSpec, reconstructed: np.ndarray) -> None:
 # -- the two backends ---------------------------------------------------------
 
 
-def _columns(mat: np.ndarray, width: int) -> list[SemVal]:
-    return [SemVal(mat[:, i].copy(), width) for i in range(mat.shape[1])]
-
-
 def _gc_message_bytes(spec: SecureFnSpec, lanes: int, and_count: int) -> tuple[int, int, int]:
     """(garbled material, client OT, server OT) bytes for the cost model.
 
@@ -149,16 +146,16 @@ def _gc_message_bytes(spec: SecureFnSpec, lanes: int, and_count: int) -> tuple[i
     IKNP OT extension over KAPPA base OTs with roles reversed (ot.py): the
     client sends KAPPA group elements and a masked label pair per transfer;
     the server sends one group element, KAPPA encrypted seed pairs and the
-    KAPPA columns u of ceil(m/8) bytes.
+    KAPPA columns u of m/8 bytes.
     """
-    m = spec.count * spec.bitwidth * lanes
+    m = spec.count * 64 * lanes
     tables = and_count * 4 * 2 * 8 * lanes
     const = 2 * 8 * lanes
     active = 2 * m * 8
     decode = m
     element = TOY_256.element_bytes
     client_ot = KAPPA * element + 16 * m
-    server_ot = element + KAPPA * 2 * SEED_BYTES + KAPPA * -(-m // 8)
+    server_ot = element + KAPPA * 2 * SEED_BYTES + KAPPA * (m // 8)
     return tables + const + active + decode, client_ot, server_ot
 
 
@@ -177,13 +174,14 @@ def eval_secure(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate one secure stage over a batch of lanes.
 
-    client_vals, server_vals: (lanes, count) raw shares mod 2^bitwidth.
+    client_vals, server_vals: (lanes, count) raw shares mod 2^64.
     Returns (client_new, server_new), both (lanes, count): the client keeps
     its fresh masks, the server keeps F(x) - mask. The masks are the first
     draw from rng, before the backends branch, so equally seeded rngs give
-    both backends the same masks. rng_server is the server's own generator
-    for its side of the OT (the gc backend draws from it). Every stage is
-    billed to report and logged to transcript under step.
+    both backends the same masks; the semantic backend computes F(x) with
+    plain_apply on the reconstructed words. rng_server is the server's own
+    generator for its side of the OT (the gc backend draws from it). Every
+    stage is billed to report and logged to transcript under step.
 
     Phase split: the AND gates are billed offline, because garbling does not
     depend on the inputs and can run before they arrive; the garbled
@@ -191,7 +189,7 @@ def eval_secure(
     bits) and the OT traffic are billed online, when the stage runs. The
     server's input labels come by IKNP OT extension, whose 128 base OTs
     run in the TOY_256 group on every call. The `ot_count` counter counts
-    the m = lanes * count * bitwidth extension transfers only, not those
+    the m = lanes * count * 64 extension transfers only, not those
     128 base OTs.
     """
     client_vals = np.atleast_2d(np.asarray(client_vals, dtype=np.uint64))
@@ -202,7 +200,6 @@ def eval_secure(
         raise ValueError(f"unknown backend {backend!r}")
     lanes = client_vals.shape[0]
     masks = rng.integers(0, 1 << 64, (lanes, spec.count), dtype=np.uint64)
-    masks &= width_mask(spec.bitwidth)
 
     if strict:
         check_domain(spec, client_vals + server_vals)
@@ -213,38 +210,29 @@ def eval_secure(
         report.bump("gc_and_gates", circ.and_count)
     with report.at(step, "online"):
         report.bump("gc_table_bytes", material_bytes)
-        report.bump("ot_count", spec.count * spec.bitwidth * lanes)
+        report.bump("ot_count", spec.count * 64 * lanes)
     transcript.send("client", step, "gc_material", material_bytes)
     transcript.send("client", step, "ot", client_ot)
     transcript.send("server", step, "ot", server_ot)
     transcript.interaction(step)
 
     if backend == "semantic":
-        outs = _apply(
-            _SEM,
-            spec,
-            _columns(client_vals, spec.bitwidth),
-            _columns(masks, spec.bitwidth),
-            _columns(server_vals, spec.bitwidth),
-        )
-        server_new = np.stack([o.bits for o in outs], axis=1)
-        return masks, server_new
+        return masks, plain_apply(spec, client_vals + server_vals) - masks
 
     gt, state = garble(circ, lanes, rng)
-    w = spec.bitwidth
     client_bits = np.concatenate(
-        [pack_bits(client_vals[:, i], w) for i in range(spec.count)]
-        + [pack_bits(masks[:, j], w) for j in range(spec.count)]
+        [pack_bits(client_vals[:, i], 64) for i in range(spec.count)]
+        + [pack_bits(masks[:, j], 64) for j in range(spec.count)]
     )
-    n_client_rows = 2 * spec.count * w
+    n_client_rows = 2 * spec.count * 64
     active = np.empty((circ.n_inputs, lanes), dtype=np.uint64)
     active[:n_client_rows] = state.encode(client_bits, rows=slice(0, n_client_rows))
     m0, m1 = state.pairs(slice(n_client_rows, circ.n_inputs))
-    server_bits = np.concatenate([pack_bits(server_vals[:, i], w) for i in range(spec.count)])
+    server_bits = np.concatenate([pack_bits(server_vals[:, i], 64) for i in range(spec.count)])
     labels, _ = run_ot(m0.ravel(), m1.ravel(), server_bits.ravel(), rng, rng_server)
     active[n_client_rows:] = labels.reshape(circ.n_inputs - n_client_rows, lanes)
     out_bits = decode_outputs(gt, evaluate(circ, gt, active))
     server_new = np.stack(
-        [unpack_bits(out_bits[j * w : (j + 1) * w]) for j in range(spec.count)], axis=1
+        [unpack_bits(out_bits[j * 64 : (j + 1) * 64]) for j in range(spec.count)], axis=1
     )
     return masks, server_new

@@ -193,7 +193,7 @@ def test_6_secure_softmax_accuracy_and_gc_agreement():
     raw = FixedTensor.from_float(vals, DEFAULT_RING).data
     xc = rng.integers(0, 1 << 64, raw.shape, dtype=np.uint64)
     xs = raw - xc
-    spec = SecureFnSpec("softmax_row", 64, count=n)
+    spec = SecureFnSpec("softmax_row", count=n)
     logs = dict(report=CostReport(), transcript=Transcript(), step="SoftMax")
     c, s = eval_secure(spec, xc, xs, np.random.default_rng(1), **logs,
                        rng_server=np.random.default_rng(4))
@@ -205,18 +205,18 @@ def test_6_secure_softmax_accuracy_and_gc_agreement():
     sums = got.sum(axis=1)
     assert np.abs(sums - 1.0).max() <= 2.0 ** -5 * n
 
-    # the two backends must reconstruct identically at 16-bit lanes
-    spec16 = SecureFnSpec("softmax_row", 16, count=4)
-    raw16 = rng.integers(0, 1 << 16, (50, 4), dtype=np.uint64)
-    xc16 = rng.integers(0, 1 << 16, raw16.shape, dtype=np.uint64)
-    xs16 = (raw16 - xc16) & np.uint64(0xFFFF)
+    # the two backends must reconstruct identically on the 64-bit shares
+    spec4 = SecureFnSpec("softmax_row", count=4)
+    raw4 = rng.integers(0, 1 << 64, (50, 4), dtype=np.uint64)
+    xc4 = rng.integers(0, 1 << 64, raw4.shape, dtype=np.uint64)
+    xs4 = raw4 - xc4
     # equally seeded rngs draw the same client masks on both backends
-    c_sem, s_sem = eval_secure(spec16, xc16, xs16, np.random.default_rng(2), **logs,
+    c_sem, s_sem = eval_secure(spec4, xc4, xs4, np.random.default_rng(2), **logs,
                                rng_server=np.random.default_rng(3))
-    c_gc, s_gc = eval_secure(spec16, xc16, xs16, np.random.default_rng(2), backend="gc",
+    c_gc, s_gc = eval_secure(spec4, xc4, xs4, np.random.default_rng(2), backend="gc",
                              **logs, rng_server=np.random.default_rng(3))
     assert np.array_equal(c_sem, c_gc) and np.array_equal(s_sem, s_gc)
-    print(f"pass: softmax max err {err:.6f} <= 2^-5 over {lanes} rows; gc == semantic at w=16")
+    print(f"pass: softmax max err {err:.6f} <= 2^-5 over {lanes} rows; gc == semantic")
 
 
 def test_7_masked_messages_are_uniform_mod_256():

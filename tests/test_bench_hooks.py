@@ -65,9 +65,9 @@ def test_every_bench_hook_fires_and_uninstalls(bench):
                 with tr.span("engine.run_protocol", round="hooks", mode=mode):
                     res = run_protocol(mode, cfg, w, [3, 1, 4, 1], seed=11)
                 assert checks.protocol_failures(DESK, mode, res, recorder.take()) == [], mode
-            spec = securefn.SecureFnSpec("relu", 16)
+            spec = securefn.SecureFnSpec("relu")
             rng = np.random.default_rng(3)
-            vals = rng.integers(0, 1 << 16, (4, 1), dtype=np.uint64)
+            vals = rng.integers(0, 1 << 64, (4, 1), dtype=np.uint64)
             with tr.span("engine.run_protocol", round="hooks", mode="gc"):
                 engine.eval_secure(spec, vals, vals, rng, backend="gc", step="SoftMax",
                                    report=engine.CostReport(), transcript=engine.Transcript(),

@@ -176,6 +176,13 @@ def test_config_errors_name_the_field(tmp_path):
         load_run_config(toy_obj(model_path="model.json"))
     with pytest.raises(ConfigError, match="'backend'"):
         load_run_config(toy_obj(backend="analytic"))
+    # a ring fraction the nonpoly stages cannot carry, for either activation
+    for frac_bits, activation in ((13, "relu"), (1, "gelu")):
+        obj = toy_obj()
+        obj["model"] = {**obj["model"], "activation": activation,
+                        "ring": {"value_bits": 15, "frac_bits": frac_bits}}
+        with pytest.raises(ConfigError, match=rf"^config field 'model': frac_bits={frac_bits}"):
+            load_run_config(obj)
     with pytest.raises(ConfigError, match="expected int"):
         load_run_config(toy_obj(seed=True))
     # weights that cannot be made or read, and a channel the model refuses

@@ -227,12 +227,12 @@ def gateless_circuit():
 
 
 ORACLE_CIRCUITS = {
-    "softmax_row": lambda: build_secure_circuit(SecureFnSpec("softmax_row", 64, count=4, shift=32)),
+    "softmax_row": lambda: build_secure_circuit(SecureFnSpec("softmax_row", count=4, shift=32)),
     "layernorm_row": lambda: build_secure_circuit(
-        SecureFnSpec("layernorm_row", 64, count=8, shift=24)
+        SecureFnSpec("layernorm_row", count=8, shift=24)
     ),
-    "relu": lambda: build_secure_circuit(SecureFnSpec("relu", 64, shift=8)),
-    "gelu": lambda: build_secure_circuit(SecureFnSpec("gelu", 64, shift=8)),
+    "relu": lambda: build_secure_circuit(SecureFnSpec("relu", shift=8)),
+    "gelu": lambda: build_secure_circuit(SecureFnSpec("gelu", shift=8)),
     "xor_only": xor_only_circuit,
     "no_gates": gateless_circuit,
 }
@@ -297,17 +297,20 @@ def test_evaluate_refuses_material_of_the_wrong_shape():
 
 
 def test_single_tampered_check_word_names_its_gate():
-    circ = build_secure_circuit(SecureFnSpec("relu", 16, shift=4))
-    and_levels = [ands for _, ands in circ.levels if ands.shape[1]]
-    assert len(and_levels) > 1
+    circ = build_secure_circuit(SecureFnSpec("relu", shift=4))
+    plan = circ.levels
+    # the first AND column of each level that has one: its gate id and table
+    # row are half its key tweak and half its table index
+    firsts = [b for b, e in zip(plan.and_bounds, plan.and_bounds[1:]) if e > b]
+    assert len(firsts) > 1
     lanes = 3
     rng = np.random.default_rng(98)
     bits = rng.integers(0, 2, (circ.n_inputs, lanes), dtype=np.uint8)
     gt, state = garble(circ, lanes, rng)
     active = state.encode(bits)
     clean = evaluate(circ, gt, active)
-    for ands in (and_levels[0], and_levels[-1]):
-        gate, row = int(ands[0, 0]), int(ands[1, 0])
+    for col in (firsts[0], firsts[-1]):
+        gate, row = int(plan.and_[0, col]) >> 1, int(plan.and_[2, col]) >> 1
         raised = 0
         for r in range(4):  # the evaluator reads exactly one row per lane
             gt.tables[row, r, 1, 1] ^= np.uint64(1 << 40)
@@ -335,7 +338,7 @@ def test_semantic_backend_never_computes_a_level_schedule(monkeypatch):
     plans = ("levels", "xor_groups")
     assert built and all(p not in c.__dict__ for c in built for p in plans)
     # the check can fail: a garbled stage does compute both plans
-    securefn.eval_secure(SecureFnSpec("relu", 8), np.zeros((1, 1), np.uint64),
+    securefn.eval_secure(SecureFnSpec("relu"), np.zeros((1, 1), np.uint64),
                          np.zeros((1, 1), np.uint64), np.random.default_rng(0), backend="gc",
                          report=CostReport(), transcript=Transcript(), step="Others",
                          rng_server=np.random.default_rng(1))

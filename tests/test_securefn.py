@@ -6,7 +6,18 @@ import pytest
 from privtrans import fixedfn, securefn
 from privtrans.circuits import CircuitBuilder, CircuitOps, pack_bits, unpack_bits
 from privtrans.costs import CostReport
-from privtrans.model import ModelConfig, final_ln_spec
+from privtrans.model import (
+    ACTIVATIONS,
+    NORM_ORDERS,
+    ModelConfig,
+    act_spec,
+    final_ln_spec,
+    ln_attn_spec,
+    ln_ffn_spec,
+    softmax_spec,
+    trunc_attn_spec,
+    trunc_ffn_spec,
+)
 from privtrans.ring import DEFAULT_RING
 from privtrans.securefn import (
     FN_NAMES,
@@ -64,121 +75,118 @@ def test_remask_sub_circuit_examples_and_exhaustive():
     assert np.array_equal(got, (y.ravel() - r.ravel()) % 64)
 
 
-def share_raw(raw, rng, w):
-    """Split raw words (lanes, k) into two uniform shares mod 2^w."""
-    mask = np.uint64((1 << w) - 1 if w < 64 else 0xFFFFFFFFFFFFFFFF)
-    r = rng.integers(0, 1 << 64, raw.shape, dtype=np.uint64) & mask
-    return (raw - r) & mask, r
+def share_raw(raw, rng):
+    """Split raw words (lanes, k) into two uniform shares mod 2^64."""
+    r = rng.integers(0, 1 << 64, raw.shape, dtype=np.uint64)
+    return raw - r, r
 
 
-def reconstruct(c, s, w):
-    mask = np.uint64((1 << w) - 1 if w < 64 else 0xFFFFFFFFFFFFFFFF)
-    return (c + s) & mask
+def signed_dec(raw, frac):
+    return raw.view(np.int64) / float(1 << frac)
 
 
-def signed_dec(raw, w, frac):
-    shift = np.uint64(64 - w)
-    return ((raw << shift).view(np.int64) >> np.int64(64 - w)) / float(1 << frac)
-
-
-EQUIV_SPECS = [
-    SecureFnSpec("relu", 8),
-    SecureFnSpec("trunc", 16, shift=F),
-    SecureFnSpec("gelu", 16, shift=F),
-    SecureFnSpec("softmax_row", 16, count=3),
-    SecureFnSpec("layernorm_row", 16, count=4),
-]
+DESK = dict(N=1, d_emb=8, H=2, n=4, d_oh=16, d_ff=8)
+SPEC_FNS = (softmax_spec, act_spec, ln_attn_spec, ln_ffn_spec, trunc_attn_spec,
+            trunc_ffn_spec, final_ln_spec)
+# the distinct stages a desk-sized protocol runs, over both activations and
+# both norm orders
+EQUIV_SPECS = sorted(
+    {fn(ModelConfig(**DESK, activation=a, norm=o))
+     for fn in SPEC_FNS for a in ACTIVATIONS for o in NORM_ORDERS},
+    key=repr,
+)
 
 
 def test_backends_agree_on_every_fn():
-    # gc and semantic must reconstruct identically: 100 random inputs per fn
+    # gc and semantic must reconstruct identically: per stage, 50 lanes just
+    # inside or past the approximation domain and 50 uniform ring words
     assert {s.fn for s in EQUIV_SPECS} == set(FN_NAMES)
     rng = np.random.default_rng(200)
     for spec in EQUIV_SPECS:
-        w = spec.bitwidth
-        lanes = 100
-        raw = rng.integers(0, 1 << w, (lanes, spec.count), dtype=np.uint64)
-        xc, xs = share_raw(raw, rng, w)
+        edge = (spec.ring.value_limit() + 1) << spec.shift
+        raw = np.concatenate([
+            rng.integers(-edge, edge, (50, spec.count), dtype=np.int64).view(np.uint64),
+            rng.integers(0, 1 << 64, (50, spec.count), dtype=np.uint64),
+        ])
+        xc, xs = share_raw(raw, rng)
         # equally seeded rngs draw the same client masks on both backends
         c_sem, s_sem = eval_secure(spec, xc, xs, np.random.default_rng(1), **logs(2))
         c_gc, s_gc = eval_secure(spec, xc, xs, np.random.default_rng(1), backend="gc",
                                  **logs(2))
-        assert np.array_equal(c_sem, c_gc), spec.fn
-        assert np.array_equal(s_sem, s_gc), spec.fn
-        assert np.array_equal(
-            reconstruct(c_sem, s_sem, w), plain_apply(spec, raw)
-        ), spec.fn
+        assert np.array_equal(c_sem, c_gc), spec
+        assert np.array_equal(s_sem, s_gc), spec
+        assert np.array_equal(c_sem + s_sem, plain_apply(spec, raw)), spec
 
 
 def test_relu_on_shares_of_negative_is_zero():
     rng = np.random.default_rng(201)
-    spec = SecureFnSpec("relu", 64)
+    spec = SecureFnSpec("relu")
     raw = np.array([[DEFAULT_RING.encode(-2.0)]], dtype=np.uint64)
-    xc, xs = share_raw(raw, rng, 64)
+    xc, xs = share_raw(raw, rng)
     c, s = eval_secure(spec, xc, xs, rng, **logs())
-    assert DEFAULT_RING.decode(reconstruct(c, s, 64)[0, 0]) == 0.0
+    assert DEFAULT_RING.decode((c + s)[0, 0]) == 0.0
 
 
 def test_softmax_on_shares_matches_known_values():
     rng = np.random.default_rng(202)
-    spec = SecureFnSpec("softmax_row", 64, count=3, shift=0)
+    spec = SecureFnSpec("softmax_row", count=3, shift=0)
     raw = np.array([[DEFAULT_RING.encode(v) for v in (1.0, 2.0, 3.0)]], dtype=np.uint64)
-    xc, xs = share_raw(raw, rng, 64)
+    xc, xs = share_raw(raw, rng)
     c, s = eval_secure(spec, xc, xs, rng, **logs())
-    got = signed_dec(reconstruct(c, s, 64), 64, F)[0]
+    got = signed_dec(c + s, F)[0]
     want = np.array([0.0900, 0.2447, 0.6652])
     assert np.max(np.abs(got - want)) <= 2.0 ** -5
 
-    spec2 = SecureFnSpec("softmax_row", 64, count=2)
+    spec2 = SecureFnSpec("softmax_row", count=2)
     raw2 = np.zeros((1, 2), dtype=np.uint64)
-    xc2, xs2 = share_raw(raw2, rng, 64)
+    xc2, xs2 = share_raw(raw2, rng)
     c2, s2 = eval_secure(spec2, xc2, xs2, rng, **logs())
-    got2 = signed_dec(reconstruct(c2, s2, 64), 64, F)[0]
+    got2 = signed_dec(c2 + s2, F)[0]
     assert np.max(np.abs(got2 - 0.5)) <= 2.0 ** -6
 
 
 def test_64_bit_softmax_row_agrees_across_backends():
     # x - max on 64-bit lanes stays one 64-bit word in both backends, so a
     # row whose difference wraps the ring reconstructs the same on each
-    spec = SecureFnSpec("softmax_row", 64, count=2)
+    spec = SecureFnSpec("softmax_row", count=2)
     raw = np.array([[2**63 - 1, 2**63]], dtype=np.uint64)
-    xc, xs = share_raw(raw, np.random.default_rng(210), 64)
+    xc, xs = share_raw(raw, np.random.default_rng(210))
     for backend in ("semantic", "gc"):
         c, s = eval_secure(spec, xc, xs, np.random.default_rng(211), backend=backend,
                            **logs(212))
-        assert reconstruct(c, s, 64).tolist() == [[128, 128]], backend
+        assert (c + s).tolist() == [[128, 128]], backend
     assert plain_apply(spec, raw).tolist() == [[128, 128]]
 
 
 def test_shift_stage_truncates_before_fn():
     # shares carry 2f fraction bits; relu with shift=f must emit f bits
     rng = np.random.default_rng(203)
-    spec = SecureFnSpec("relu", 64, shift=F)
+    spec = SecureFnSpec("relu", shift=F)
     vals = [-3.5, -0.125, 0.0, 7.25, 60.0]
     raw = np.array([[int(round(v * (1 << 2 * F))) % (1 << 64)] for v in vals], dtype=np.uint64)
-    xc, xs = share_raw(raw, rng, 64)
+    xc, xs = share_raw(raw, rng)
     c, s = eval_secure(spec, xc, xs, rng, **logs())
-    got = signed_dec(reconstruct(c, s, 64), 64, F)[:, 0]
+    got = signed_dec(c + s, F)[:, 0]
     assert got.tolist() == [0.0, 0.0, 0.0, 7.25, 60.0]
 
 
 def test_fresh_masks_are_the_client_share():
     rng = np.random.default_rng(204)
-    spec = SecureFnSpec("relu", 64)
+    spec = SecureFnSpec("relu")
     raw = np.array([[DEFAULT_RING.encode(5.0)]], dtype=np.uint64)
-    xc, xs = share_raw(raw, rng, 64)
+    xc, xs = share_raw(raw, rng)
     # the client's new share is eval_secure's first draw from its rng
     want = np.random.default_rng(7).integers(0, 1 << 64, (1, 1), dtype=np.uint64)
     c, s = eval_secure(spec, xc, xs, np.random.default_rng(7), **logs())
     assert np.array_equal(c, want)
-    assert reconstruct(c, s, 64)[0, 0] == raw[0, 0]
+    assert (c + s)[0, 0] == raw[0, 0]
 
 
 def test_strict_mode_flags_domain_violations():
     rng = np.random.default_rng(205)
-    spec = SecureFnSpec("relu", 64, shift=F)
+    spec = SecureFnSpec("relu", shift=F)
     big = np.array([[int(100.0 * (1 << 2 * F))]], dtype=np.uint64)  # beyond +-64
-    xc, xs = share_raw(big, rng, 64)
+    xc, xs = share_raw(big, rng)
     with pytest.raises(RangeViolation):
         eval_secure(spec, xc, xs, rng, strict=True, **logs())
     eval_secure(spec, xc, xs, rng, strict=False, **logs())  # permissive clamps instead
@@ -201,16 +209,16 @@ def test_strict_mode_checks_unshifted_stages():
 def test_cost_logging_matches_message_bytes():
     # online gc bytes must equal the logged material plus the OT traffic
     rng = np.random.default_rng(206)
-    spec = SecureFnSpec("relu", 16)
-    raw = rng.integers(0, 1 << 16, (20, 1), dtype=np.uint64)
-    xc, xs = share_raw(raw, rng, 16)
+    spec = SecureFnSpec("relu")
+    raw = rng.integers(0, 1 << 64, (20, 1), dtype=np.uint64)
+    xc, xs = share_raw(raw, rng)
     report = CostReport("client")
     t = Transcript()
     eval_secure(spec, xc, xs, rng, backend="gc", report=report, transcript=t, step="SoftMax",
                 rng_server=np.random.default_rng(205))
     circ = build_secure_circuit(spec)
     assert report.get("SoftMax", "offline", "gc_and_gates") == circ.and_count
-    n_bits = 16 * 20
+    n_bits = 64 * 20
     assert report.get("SoftMax", "online", "ot_count") == n_bits
     material = report.get("SoftMax", "online", "gc_table_bytes")
     ot_bytes = sum(m.nbytes for m in t.messages if m.kind == "ot")
@@ -229,9 +237,9 @@ def test_logged_ot_bytes_equal_the_bytes_run_ot_moves(monkeypatch):
 
     monkeypatch.setattr(securefn, "run_ot", spy)
     rng = np.random.default_rng(208)
-    for spec, lanes in ((SecureFnSpec("relu", 16), 20), (SecureFnSpec("trunc", 64, shift=F), 3)):
-        raw = rng.integers(0, 1 << spec.bitwidth, (lanes, 1), dtype=np.uint64)
-        xc, xs = share_raw(raw, rng, spec.bitwidth)
+    for spec, lanes in ((SecureFnSpec("relu"), 20), (SecureFnSpec("trunc", shift=F), 3)):
+        raw = rng.integers(0, 1 << 64, (lanes, 1), dtype=np.uint64)
+        xc, xs = share_raw(raw, rng)
         t = Transcript()
         moved.clear()
         eval_secure(spec, xc, xs, rng, backend="gc", report=CostReport(), transcript=t,
@@ -245,7 +253,7 @@ def test_logged_ot_bytes_equal_the_bytes_run_ot_moves(monkeypatch):
 def test_logged_gc_messages_equal_the_objects_that_cross(monkeypatch):
     # measured = modeled: the gc_material message against the tables, constant
     # labels, decode bits and client labels garble made, and the OT messages
-    # against what run_ot moved, also for a batch of m = 39 transfers
+    # against what run_ot moved, also for a row stage of count 3
     seen = {}
     real_garble, real_evaluate, real_run_ot = securefn.garble, securefn.evaluate, securefn.run_ot
 
@@ -265,14 +273,14 @@ def test_logged_gc_messages_equal_the_objects_that_cross(monkeypatch):
     monkeypatch.setattr(securefn, "evaluate", spy_evaluate)
     monkeypatch.setattr(securefn, "run_ot", spy_run_ot)
     rng = np.random.default_rng(210)
-    for spec, lanes in ((SecureFnSpec("relu", 16), 20), (SecureFnSpec("relu", 13), 3),
-                        (SecureFnSpec("trunc", 64, shift=F), 3)):
-        raw = rng.integers(0, 1 << spec.bitwidth, (lanes, 1), dtype=np.uint64)
-        xc, xs = share_raw(raw, rng, spec.bitwidth)
+    for spec, lanes in ((SecureFnSpec("relu"), 20), (SecureFnSpec("softmax_row", count=3), 3),
+                        (SecureFnSpec("trunc", shift=F), 3)):
+        raw = rng.integers(0, 1 << 64, (lanes, spec.count), dtype=np.uint64)
+        xc, xs = share_raw(raw, rng)
         t = Transcript()
         eval_secure(spec, xc, xs, rng, backend="gc", report=CostReport(), transcript=t,
                     step="Others", rng_server=np.random.default_rng(211))
-        gt, client_labels = seen["gt"], seen["active"][: 2 * spec.count * spec.bitwidth]
+        gt, client_labels = seen["gt"], seen["active"][: 2 * spec.count * 64]
         material = (gt.tables.nbytes + gt.const_labels.nbytes + client_labels.nbytes
                     + gt.decode.nbytes)
         assert [m.nbytes for m in t.messages if m.kind == "gc_material"] == [material]
@@ -281,13 +289,25 @@ def test_logged_gc_messages_equal_the_objects_that_cross(monkeypatch):
 
 def test_rejects_bad_shapes_and_unknown_fn():
     with pytest.raises(ValueError):
-        SecureFnSpec("median", 64)
+        SecureFnSpec("median")
     with pytest.raises(ValueError):
-        SecureFnSpec("relu", 64, count=3)
+        SecureFnSpec("relu", count=3)
+    # a negative shift would make the backends disagree (semantic 0, gc -1
+    # for trunc), a fractional one die slicing, and count 0 die indexing
+    for bad in (-1, 1.5, True):
+        with pytest.raises(ValueError, match=r"^shift must be an integer >= 0"):
+            SecureFnSpec("trunc", shift=bad)
+    for bad in (0, -2, 2.0, True):
+        with pytest.raises(ValueError, match=r"^count must be an integer >= 1"):
+            SecureFnSpec("softmax_row", count=bad)
+    # every share is 64 bits: a leftover positional width is refused, not
+    # read as the row length
+    with pytest.raises(TypeError):
+        SecureFnSpec("softmax_row", 16)
     rng = np.random.default_rng(207)
     with pytest.raises(ValueError):
         eval_secure(
-            SecureFnSpec("softmax_row", 64, count=3),
+            SecureFnSpec("softmax_row", count=3),
             np.zeros((2, 2), np.uint64),
             np.zeros((2, 2), np.uint64),
             rng,
@@ -299,7 +319,7 @@ def test_gc_backend_needs_the_servers_own_rng():
     # an OT receiver seeded from the garbler's rng would let the garbler
     # recompute the receiver's exponents and read the server's input bits;
     # the server's generator is a required argument of every call
-    spec = SecureFnSpec("relu", 16)
+    spec = SecureFnSpec("relu")
     zeros = np.zeros((2, 1), np.uint64)
     with pytest.raises(TypeError, match="rng_server"):
         eval_secure(spec, zeros, zeros, np.random.default_rng(213), backend="gc",
@@ -309,7 +329,7 @@ def test_gc_backend_needs_the_servers_own_rng():
 def test_unknown_backend_is_refused_before_any_work():
     # an unknown backend used to bill the stage's gates, tables and OTs and
     # log its messages before it was refused
-    spec = SecureFnSpec("relu", 16)
+    spec = SecureFnSpec("relu")
     zeros = np.zeros((2, 1), np.uint64)
     rng = np.random.default_rng(214)
     report, transcript = CostReport(), Transcript()
