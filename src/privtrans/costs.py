@@ -14,7 +14,7 @@ PHASES = ("offline", "online")
 HE_COUNTERS = ("he_enc", "he_dec", "he_add", "he_add_plain", "he_mul_plain", "he_rotate")
 
 # interactions, messages and bytes are tallied by the Transcript, not here
-ALL_COUNTERS = HE_COUNTERS + ("gc_and_gates", "gc_table_bytes", "ot_count")
+ALL_COUNTERS = HE_COUNTERS + ("gc_and_gates", "gc_table_bytes", "ot_count", "base_ot_count")
 
 
 def check_scope(step: str, phase: str) -> None:

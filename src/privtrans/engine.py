@@ -43,6 +43,7 @@ from .model import (
     trunc_attn_spec,
     trunc_ffn_spec,
 )
+from .ot import ExtReceiver, ExtSender
 from .packing import PackingLayout, PackingStrategy, he_matmul, pack, pack_plain, unpack
 from .ring import FixedTensor, mat_mul
 from .securefn import BACKENDS, SecureFnSpec, eval_secure
@@ -82,16 +83,16 @@ class MaterialMissing(RuntimeError):
 
 
 def audit_server_ignorance(server: Server) -> list[str]:
-    """Paths of every KeyPair or Client reachable from the
-    server's state through object attributes, dicts, lists and tuples
-    (must stay empty)."""
+    """Paths of every KeyPair, Client or ExtSender (the client's OT string s
+    and chosen seeds) reachable from the server's state through object
+    attributes, dicts, lists and tuples (must stay empty)."""
     found, seen = [], set()
 
     def walk(obj, path):
         if id(obj) in seen:
             return
         seen.add(id(obj))
-        if isinstance(obj, (KeyPair, Client)):
+        if isinstance(obj, (KeyPair, Client, ExtSender)):
             found.append(path)
         elif isinstance(obj, dict):
             for k, v in obj.items():
@@ -108,12 +109,14 @@ def audit_server_ignorance(server: Server) -> list[str]:
 
 
 class Client:
-    """The client: its rng stream, its cost report and the HE key pair (its
-    rng's first draw), under which every encryption and decryption runs."""
+    """The client: its rng stream, its cost report, the HE key pair (its
+    rng's first draw), under which every encryption and decryption runs,
+    and its side of the session's OT (the garbler is the OT sender)."""
 
     def __init__(self, rng: np.random.Generator, he: HEParams, ring):
         self.rng, self.ring, self.report = rng, ring, CostReport("client")
         self.key = keygen(he, seed=int(rng.integers(0, 2**63)))
+        self.ot = ExtSender(rng)
 
     def rand(self, shape) -> FixedTensor:
         return rand_ring(shape, self.rng, self.ring)
@@ -124,12 +127,14 @@ class Server:
     `material` maps a module id (`b0.wq`, `b0.qk.h1`) to the one record the
     server made or received for that module offline; `take` pops it, so
     each record is consumed once. Every QxK and AttenValue product, fused
-    or not, takes a MatTriple through `four_terms`. Its methods take only
+    or not, takes a MatTriple through `four_terms`. `ot` is its side of the
+    session's OT (the evaluator is the OT receiver). Its methods take only
     wire payloads, public weights and module ids."""
 
     def __init__(self, rng: np.random.Generator, ring):
         self.rng, self.ring, self.report = rng, ring, CostReport("server")
         self.material = {}
+        self.ot = ExtReceiver(rng)
 
     def keep(self, mid: str, item) -> None:
         if mid in self.material:
@@ -242,8 +247,10 @@ class Session:
     arrives.
 
     The HE key pair lives on the Client, the server's material in the
-    Server's store under module ids. `run` ends by auditing that no client
-    secret is reachable from the server and that its store is empty.
+    Server's store under module ids. Each party keeps its side of the
+    session's OT, whose base OTs run in the first secure stage. `run` ends
+    by auditing that no client secret is reachable from the server and
+    that its store is empty.
     """
 
     def __init__(self, cfg: ModelConfig, weights: ModelWeights, mode: str, seed: int, *,
@@ -402,7 +409,7 @@ class Session:
             spec, client_part.data.reshape(lanes), held.data.reshape(lanes), self.client.rng,
             backend=self.backend, strict=self.strict,
             report=self.client.report, transcript=self.transcript, step=step,
-            rng_server=self.server.rng,
+            ot_sender=self.client.ot, ot_receiver=self.server.ot,
         )
         ring = self.cfg.ring
         return (FixedTensor(s_new.reshape(held.shape), ring),

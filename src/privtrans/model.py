@@ -27,9 +27,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .fixedfn import F2
 from .ring import DEFAULT_RING, FixedTensor, RingParams, mat_mul
-from .securefn import SecureFnSpec, check_domain, plain_apply
+from .securefn import SecureFnSpec, check_domain, check_frac_bits, plain_apply
 
 ACTIVATIONS = ("relu", "gelu")
 NORM_ORDERS = ("post", "pre")
@@ -72,11 +71,7 @@ class ModelConfig:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
         if self.norm not in NORM_ORDERS:
             raise ValueError(f"norm must be one of {NORM_ORDERS}")
-        f = self.ring.frac_bits
-        if f > F2:
-            raise ValueError(f"frac_bits={f} exceeds {F2}, the nonpoly stages' internal fraction")
-        if self.activation == "gelu" and f < 2:
-            raise ValueError(f"frac_bits={f} is below 2, the least the gelu segments can index")
+        check_frac_bits(self.activation, self.ring)
         lam = self.lam
         if lam is None:
             lam = FixedTensor.zeros(self.n, self.d_emb, self.ring)

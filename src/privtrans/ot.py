@@ -1,28 +1,40 @@
-"""1-out-of-2 oblivious transfer: IKNP extension over 128 base OTs.
+"""1-out-of-2 oblivious transfer: IKNP extension over one session's 128 base OTs.
 
 `run_ot` hands the receiver one of two uint64 messages per choice bit.
 The sender (the client, which garbles) holds the message pairs x^0, x^1;
 the receiver (the server, which evaluates) holds the m choice bits r.
 Each call is semi-honest IKNP OT extension (Ishai-Kilian-Nissim-Petrank,
-CRYPTO 2003) and runs its own KAPPA = 128 base OTs, so no state outlives
-a call:
+CRYPTO 2003). The KAPPA = 128 base OTs run once per session, inside its
+first call, and every later call reuses them. Each party keeps its half
+of their outcome on its own side: `ExtSender` (the client's) holds s and
+the chosen seeds, `ExtReceiver` (the server's) both seed rows.
 
-1. Base OTs, roles reversed. The receiver is the base-OT sender of
-   KAPPA pairs of 16-byte seeds (k_i^0, k_i^1); the sender picks with
-   its KAPPA-bit string s and learns k_i^(s_i).
-2. Columns. With G = SHAKE-128, the receiver keeps t^i = G(k_i^0) and
-   sends u^i = t^i ^ G(k_i^1) ^ r. The sender forms
-   q^i = G(k_i^(s_i)) ^ s_i * u^i, which equals t^i ^ s_i * r.
+1. Base OTs, roles reversed, on the session's first call. The receiver
+   is the base-OT sender of KAPPA pairs of 16-byte seeds (k_i^0, k_i^1);
+   the sender picks with its KAPPA-bit string s and learns k_i^(s_i).
+2. Columns. Call c stretches each seed with G_c(k) = SHAKE-128(k || c),
+   so every call expands the seeds afresh. The receiver keeps
+   t^i = G_c(k_i^0) and sends u^i = t^i ^ G_c(k_i^1) ^ r. The sender
+   forms q^i = G_c(k_i^(s_i)) ^ s_i * u^i, which equals t^i ^ s_i * r.
 3. Rows. Transposed (np.unpackbits / np.packbits), row j reads
-   q_j = t_j ^ r_j * s. The sender sends y_j^b = x_j^b ^ H(j, q_j ^ b * s)
-   for b = 0, 1, and the receiver unmasks y_j^(r_j) with H(j, t_j). H is
-   SHA-256 with the index j as a tweak. The other pad needs t_j ^ s, and
-   the receiver does not know s.
+   q_j = t_j ^ r_j * s. The sender sends y_j^b = x_j^b ^ H(J, q_j ^ b * s)
+   for b = 0, 1, and the receiver unmasks y_j^(r_j) with H(J, t_j). The
+   tweak J is the transfer's index in the whole session, not just in its
+   call: s serves every call, so no two transfers may share a tweak. The
+   other pad needs t_j ^ s, and the receiver does not know s.
 
-Bytes moved per call of m transfers: the sender sends KAPPA group
-elements and 16*m (two masked messages a transfer); the receiver one
-group element, KAPPA*32 (its encrypted seed pairs) and KAPPA*ceil(m/8)
-(the columns u).
+H is `garble._prf` over the two uint64 words of each row, one array pass
+per call. Like the garbling PRF it is a toy ARX mix at the package's toy
+security scale (64-bit labels), not the fixed-key-AES tweakable
+correlation-robust hash of Guo-Katz-Wang-Yu (IEEE S&P 2020). ALSZ
+(Asharov-Lindell-Schneider-Zohner, CCS 2013) is the reference for the
+hashing and base-OT costs of IKNP.
+
+Bytes moved: the base OTs, once per session, move KAPPA + 1 group
+elements (KAPPA from the sender, one from the receiver) and KAPPA*32 (the
+receiver's sealed seed pairs). A call of m transfers moves 16*m from the
+sender (two masked messages a transfer) and KAPPA*ceil(m/8) from the
+receiver (the columns u).
 
 The base OTs are simplest-OT style over one MODP group, `TOY_256`, a
 256-bit toy safe prime (tests check primality): per transfer the base-OT
@@ -30,11 +42,11 @@ receiver computes g^b and A^b, the base-OT sender B^a, and the seeds are
 one-time-padded with SHA-256 derived keys.
 
 The base-OT receiver's two exponentiations have a fixed base (g for the
-whole group, the sender's A for one call) and fresh 256-bit exponents,
-so they read precomputed powers base^(d * 256^k) from a `FixedBase`
-table: 32 multiplications each instead of a square-and-multiply. At 128
-transfers a call the table for A pays for itself. The sender's B^a has
-a new base per transfer and stays on `pow`.
+whole group, the sender's A for one session) and fresh 256-bit
+exponents, so they read precomputed powers base^(d * 256^k) from a
+`FixedBase` table: 32 multiplications each instead of a
+square-and-multiply. At 128 transfers the table for A pays for itself.
+The sender's B^a has a new base per transfer and stays on `pow`.
 """
 
 from __future__ import annotations
@@ -44,6 +56,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from .garble import _prf
 
 @dataclass(frozen=True)
 class ModpGroup:
@@ -58,8 +72,8 @@ class ModpGroup:
 
 # 256-bit safe prime for demonstration-scale sessions only: far too small for
 # real DH security, but ~13x faster per transfer than the standard 1536-bit
-# MODP prime, which matters while every OT call runs its own 128 base OTs.
-# g=4 generates the prime-order subgroup.
+# MODP prime, which keeps a session's 128 base OTs cheap next to its
+# garbling. g=4 generates the prime-order subgroup.
 _TOY_256_HEX = """
 B2AE5573 5E6DD44A 8075DE6A 20157C47 7E63804C 1DE29F99 36BE9D21 B071AFE3
 """
@@ -107,19 +121,15 @@ def _generator_table() -> FixedBase:
     return FixedBase(TOY_256.g, TOY_256.p)
 
 
-KAPPA = 128  # base OTs per call, and the bit length of the rows of q and t
+KAPPA = 128  # base OTs per session, and the bit length of the rows of q and t
 SEED_BYTES = 16  # one base-OT message: a seed of G
 
 
-def _hash(data: bytes, index: int, size: int) -> bytes:
-    """SHA-256 of data with a 4-byte index tweak, cut to size bytes."""
-    return hashlib.sha256(data + index.to_bytes(4, "little")).digest()[:size]
-
-
 def _kdf(point: int, index: int) -> np.ndarray:
-    """The base OT's one-time pad for the seed of transfer index."""
-    raw = _hash(point.to_bytes(TOY_256.element_bytes, "little"), index, SEED_BYTES)
-    return np.frombuffer(raw, dtype=np.uint8)
+    """The base OT's one-time pad for the seed of transfer index: SHA-256 of
+    the point with a 4-byte index tweak, cut to SEED_BYTES."""
+    data = point.to_bytes(TOY_256.element_bytes, "little") + index.to_bytes(4, "little")
+    return np.frombuffer(hashlib.sha256(data).digest()[:SEED_BYTES], dtype=np.uint8)
 
 
 @dataclass
@@ -188,18 +198,69 @@ class OTReceiver:
         return out
 
 
-def _expand(seeds: np.ndarray, nbytes: int) -> np.ndarray:
-    """G: each seed stretched to nbytes by SHAKE-128, (len(seeds), nbytes) uint8."""
-    out = b"".join(hashlib.shake_128(k.tobytes()).digest(nbytes) for k in seeds)
+class _ExtSide:
+    """One party's side of a session's OT extension: its generator, which
+    draws its part of the base OTs, and the session's calls and transfers
+    so far, from which it takes each call's index and first tweak."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.calls = self.transfers = 0
+
+    def next_call(self, m: int) -> tuple[int, np.ndarray]:
+        """Count one call of m transfers; returns its index and its
+        transfers' session-wide tweaks."""
+        call, first = self.calls, self.transfers
+        self.calls += 1
+        self.transfers += m
+        return call, np.arange(first, first + m, dtype=np.uint64)
+
+
+class ExtSender(_ExtSide):
+    """The client's side: after the base OTs, its string s and the seeds
+    k_i^(s_i) it chose, which the receiver must never hold."""
+
+    def __init__(self, rng: np.random.Generator):
+        super().__init__(rng)
+        self.s = self.chosen = None
+
+
+class ExtReceiver(_ExtSide):
+    """The server's side: after the base OTs, both seed rows
+    (2, KAPPA, SEED_BYTES)."""
+
+    def __init__(self, rng: np.random.Generator):
+        super().__init__(rng)
+        self.seeds = None
+
+
+def _base_ots(sender: ExtSender, receiver: ExtReceiver) -> int:
+    """The session's KAPPA base OTs, roles reversed: the receiver sends
+    seed pairs, the sender picks by s. Returns the bytes they move."""
+    base_sender = OTSender.setup(receiver.rng)
+    seeds = np.frombuffer(receiver.rng.bytes(2 * KAPPA * SEED_BYTES), dtype=np.uint8)
+    receiver.seeds = seeds.reshape(2, KAPPA, SEED_BYTES)
+    sender.s = sender.rng.integers(0, 2, KAPPA, dtype=np.uint8)
+    base_receiver, points = OTReceiver.respond(base_sender.big_a, sender.s, sender.rng)
+    sealed = base_sender.respond(points, *receiver.seeds)
+    sender.chosen = base_receiver.receive(base_sender.big_a, sealed)
+    return TOY_256.element_bytes * (1 + KAPPA) + sealed.nbytes
+
+
+def _expand(seeds: np.ndarray, nbytes: int, call: int) -> np.ndarray:
+    """G_call: each seed stretched to nbytes by SHAKE-128 over seed || call,
+    (len(seeds), nbytes) uint8."""
+    tag = call.to_bytes(8, "little")
+    out = b"".join(hashlib.shake_128(k.tobytes() + tag).digest(nbytes) for k in seeds)
     return np.frombuffer(out, dtype=np.uint8).reshape(len(seeds), nbytes)
 
 
-def _columns(seeds0: np.ndarray, seeds1: np.ndarray, r: np.ndarray):
-    """The receiver's columns: t^i = G(k_i^0), kept, and
-    u^i = t^i ^ G(k_i^1) ^ r, sent; both (KAPPA, ceil(m/8)) packed bits."""
+def _columns(seeds: np.ndarray, r: np.ndarray, call: int):
+    """The receiver's columns of one call: t^i = G_call(k_i^0), kept, and
+    u^i = t^i ^ G_call(k_i^1) ^ r, sent; both (KAPPA, ceil(m/8)) packed bits."""
     packed = np.packbits(r)
-    t = _expand(seeds0, len(packed))
-    return t, t ^ _expand(seeds1, len(packed)) ^ packed
+    t = _expand(seeds[0], len(packed), call)
+    return t, t ^ _expand(seeds[1], len(packed), call) ^ packed
 
 
 def _rows(cols: np.ndarray, m: int) -> np.ndarray:
@@ -207,38 +268,34 @@ def _rows(cols: np.ndarray, m: int) -> np.ndarray:
     return np.packbits(np.unpackbits(cols, axis=1, count=m).T, axis=1)
 
 
-def _row_pads(rows: np.ndarray) -> np.ndarray:
-    """H(j, row j) for every row j, as uint64 pads."""
-    buf, w = rows.tobytes(), rows.shape[1]
-    pads = b"".join(_hash(buf[j * w : (j + 1) * w], j, 8) for j in range(len(rows)))
-    return np.frombuffer(pads, dtype="<u8")
+def _row_pads(rows: np.ndarray, tweaks: np.ndarray) -> np.ndarray:
+    """H(J, row) for every row and its transfer's tweak J: one PRF pass over
+    the rows' two uint64 words."""
+    words = np.ascontiguousarray(rows).view("<u8")
+    return _prf(words[:, 0], words[:, 1], tweaks)
 
 
 def run_ot(
     m0: np.ndarray,
     m1: np.ndarray,
     choices: np.ndarray,
-    rng_sender: np.random.Generator,
-    rng_receiver: np.random.Generator,
+    sender: ExtSender,
+    receiver: ExtReceiver,
 ) -> tuple[np.ndarray, int]:
-    """In-process IKNP extension of the whole batch, base OTs included;
-    returns (labels, bytes moved). Each party draws only from its own
-    generator: the sender its string s and base-OT exponents, the receiver
-    its base-OT secret and seed pairs."""
+    """In-process IKNP extension of the whole batch; the session's first
+    call runs the base OTs. Returns (labels, bytes moved). Each party reads
+    only its own side: the sender its s and chosen seeds, the receiver its
+    seed rows and choices."""
     r = np.asarray(choices, dtype=np.uint8).ravel()
     m = len(r)
-    # base OTs, roles reversed: the receiver sends seed pairs, the sender picks by s
-    base_sender = OTSender.setup(rng_receiver)
-    seeds = np.frombuffer(rng_receiver.bytes(2 * KAPPA * SEED_BYTES), dtype=np.uint8)
-    seeds0, seeds1 = seeds.reshape(2, KAPPA, SEED_BYTES)
-    s = rng_sender.integers(0, 2, KAPPA, dtype=np.uint8)
-    base_receiver, points = OTReceiver.respond(base_sender.big_a, s, rng_sender)
-    sealed = base_sender.respond(points, seeds0, seeds1)
-    chosen = base_receiver.receive(base_sender.big_a, sealed)
-    # the extension: the receiver sends u, the sender both masked messages
-    t, u = _columns(seeds0, seeds1, r)
-    q_rows = _rows(_expand(chosen, u.shape[1]) ^ (s[:, None] * u), m)
-    y = np.stack([m0 ^ _row_pads(q_rows), m1 ^ _row_pads(q_rows ^ np.packbits(s))], axis=1)
-    got = y[np.arange(m), r] ^ _row_pads(_rows(t, m))
-    moved = TOY_256.element_bytes * (1 + KAPPA) + sealed.nbytes + u.nbytes + y.nbytes
-    return got, moved
+    moved = _base_ots(sender, receiver) if receiver.seeds is None else 0
+    # the receiver sends u, the sender both masked messages
+    r_call, r_tweaks = receiver.next_call(m)
+    t, u = _columns(receiver.seeds, r, r_call)
+    s_call, s_tweaks = sender.next_call(m)
+    s = sender.s
+    q_rows = _rows(_expand(sender.chosen, u.shape[1], s_call) ^ (s[:, None] * u), m)
+    y = np.stack([m0 ^ _row_pads(q_rows, s_tweaks),
+                  m1 ^ _row_pads(q_rows ^ np.packbits(s), s_tweaks)], axis=1)
+    got = y[np.arange(m), r] ^ _row_pads(_rows(t, m), r_tweaks)
+    return got, moved + u.nbytes + y.nbytes

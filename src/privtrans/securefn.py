@@ -22,7 +22,7 @@ from .circuits import CircuitBuilder, CircuitOps, pack_bits, unpack_bits
 from .costs import CostReport
 from .fixedfn import SemanticOps, SemVal
 from .garble import decode_outputs, evaluate, garble
-from .ot import KAPPA, SEED_BYTES, TOY_256, run_ot
+from .ot import KAPPA, SEED_BYTES, TOY_256, ExtReceiver, ExtSender, run_ot
 from .ring import DEFAULT_RING, RingParams
 from .transcript import Transcript
 
@@ -65,6 +65,18 @@ class SecureFnSpec:
                 raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
         if self.fn in _ONE_IN and self.count != 1:
             raise ValueError(f"{self.fn} is elementwise; use lanes, not count")
+        check_frac_bits(self.fn, self.ring)
+
+
+def check_frac_bits(fn: str, ring: RingParams) -> None:
+    """Refuse a ring fraction the stage fn cannot carry, naming frac_bits."""
+    f = ring.frac_bits
+    if f > fixedfn.F2:
+        raise ValueError(
+            f"frac_bits={f} exceeds {fixedfn.F2}, the nonpoly stages' internal fraction"
+        )
+    if fn == "gelu" and f < 2:
+        raise ValueError(f"frac_bits={f} is below 2, the least the gelu segments can index")
 
 
 def _stage(ops, spec: SecureFnSpec, vs: list):
@@ -137,16 +149,18 @@ def check_domain(spec: SecureFnSpec, reconstructed: np.ndarray) -> None:
 # -- the two backends ---------------------------------------------------------
 
 
-def _gc_message_bytes(spec: SecureFnSpec, lanes: int, and_count: int) -> tuple[int, int, int]:
+def _gc_message_bytes(spec: SecureFnSpec, lanes: int, and_count: int,
+                      base_ots: bool) -> tuple[int, int, int]:
     """(garbled material, client OT, server OT) bytes for the cost model.
 
     Material = AND tables (4 rows x label+check word), the active labels of
     the two constant wires and of the client's inputs (8 B a label), and
     one decode byte per output wire. The server's m input bits arrive by
-    IKNP OT extension over KAPPA base OTs with roles reversed (ot.py): the
-    client sends KAPPA group elements and a masked label pair per transfer;
-    the server sends one group element, KAPPA encrypted seed pairs and the
-    KAPPA columns u of m/8 bytes.
+    IKNP OT extension (ot.py): the client sends a masked label pair per
+    transfer, the server the KAPPA columns u of m/8 bytes. With base_ots,
+    the stage also carries the session's KAPPA base OTs, roles reversed:
+    the client sends KAPPA group elements, the server one group element
+    and KAPPA sealed seed pairs.
     """
     m = spec.count * 64 * lanes
     tables = and_count * 4 * 2 * 8 * lanes
@@ -154,8 +168,8 @@ def _gc_message_bytes(spec: SecureFnSpec, lanes: int, and_count: int) -> tuple[i
     active = 2 * m * 8
     decode = m
     element = TOY_256.element_bytes
-    client_ot = KAPPA * element + 16 * m
-    server_ot = element + KAPPA * 2 * SEED_BYTES + KAPPA * (m // 8)
+    client_ot = base_ots * KAPPA * element + 16 * m
+    server_ot = base_ots * (element + KAPPA * 2 * SEED_BYTES) + KAPPA * (m // 8)
     return tables + const + active + decode, client_ot, server_ot
 
 
@@ -170,7 +184,8 @@ def eval_secure(
     report: CostReport,
     transcript: Transcript,
     step: str,
-    rng_server: np.random.Generator,
+    ot_sender: ExtSender,
+    ot_receiver: ExtReceiver,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate one secure stage over a batch of lanes.
 
@@ -179,18 +194,22 @@ def eval_secure(
     its fresh masks, the server keeps F(x) - mask. The masks are the first
     draw from rng, before the backends branch, so equally seeded rngs give
     both backends the same masks; the semantic backend computes F(x) with
-    plain_apply on the reconstructed words. rng_server is the server's own
-    generator for its side of the OT (the gc backend draws from it). Every
-    stage is billed to report and logged to transcript under step.
+    plain_apply on the reconstructed words. ot_sender and ot_receiver are
+    the client's and the server's sides of the session's OT; each draws
+    from its own party's generator. Every stage is billed to report and
+    logged to transcript under step.
 
     Phase split: the AND gates are billed offline, because garbling does not
     depend on the inputs and can run before they arrive; the garbled
     material (tables, the constant-wire and client input labels, decode
     bits) and the OT traffic are billed online, when the stage runs. The
-    server's input labels come by IKNP OT extension, whose 128 base OTs
-    run in the TOY_256 group on every call. The `ot_count` counter counts
-    the m = lanes * count * 64 extension transfers only, not those
-    128 base OTs.
+    server's input labels come by IKNP OT extension. Its KAPPA base OTs
+    run once per session, in the TOY_256 group, inside the session's
+    first stage: that stage alone bills their bytes and bumps
+    `base_ot_count` by KAPPA, in its own scope and interaction. Both
+    backends count each stage as one OT call on both sides, so they bill
+    alike. `ot_count` counts the m = lanes * count * 64 extension
+    transfers of every stage.
     """
     client_vals = np.atleast_2d(np.asarray(client_vals, dtype=np.uint64))
     server_vals = np.atleast_2d(np.asarray(server_vals, dtype=np.uint64))
@@ -205,18 +224,25 @@ def eval_secure(
         check_domain(spec, client_vals + server_vals)
 
     circ = build_secure_circuit(spec)
-    material_bytes, client_ot, server_ot = _gc_message_bytes(spec, lanes, circ.and_count)
+    m = spec.count * 64 * lanes
+    base_ots = ot_receiver.calls == 0
+    material_bytes, client_ot, server_ot = _gc_message_bytes(spec, lanes, circ.and_count,
+                                                              base_ots)
     with report.at(step, "offline"):
         report.bump("gc_and_gates", circ.and_count)
     with report.at(step, "online"):
         report.bump("gc_table_bytes", material_bytes)
-        report.bump("ot_count", spec.count * 64 * lanes)
+        report.bump("ot_count", m)
+        if base_ots:
+            report.bump("base_ot_count", KAPPA)
     transcript.send("client", step, "gc_material", material_bytes)
     transcript.send("client", step, "ot", client_ot)
     transcript.send("server", step, "ot", server_ot)
     transcript.interaction(step)
 
     if backend == "semantic":
+        for side in (ot_sender, ot_receiver):
+            side.next_call(m)
         return masks, plain_apply(spec, client_vals + server_vals) - masks
 
     gt, state = garble(circ, lanes, rng)
@@ -229,7 +255,7 @@ def eval_secure(
     active[:n_client_rows] = state.encode(client_bits, rows=slice(0, n_client_rows))
     m0, m1 = state.pairs(slice(n_client_rows, circ.n_inputs))
     server_bits = np.concatenate([pack_bits(server_vals[:, i], 64) for i in range(spec.count)])
-    labels, _ = run_ot(m0.ravel(), m1.ravel(), server_bits.ravel(), rng, rng_server)
+    labels, _ = run_ot(m0.ravel(), m1.ravel(), server_bits.ravel(), ot_sender, ot_receiver)
     active[n_client_rows:] = labels.reshape(circ.n_inputs - n_client_rows, lanes)
     out_bits = decode_outputs(gt, evaluate(circ, gt, active))
     server_new = np.stack(

@@ -31,6 +31,7 @@ from scipy import stats
 from privtrans.costs import CostReport
 from privtrans.engine import MODES, Session, audit_server_ignorance, run_protocol
 from privtrans.model import ModelConfig, random_weights, reference_forward
+from privtrans.ot import ExtReceiver, ExtSender
 from privtrans.packing import PackingLayout, PackingStrategy, he_matmul, pack, unpack
 from privtrans.ring import DEFAULT_RING, FixedTensor
 from privtrans.securefn import SecureFnSpec, eval_secure
@@ -61,6 +62,13 @@ def _run(mode, cfg, weights, tokens, seed, **kw):
     label = f"{mode} N={cfg.N} d={cfg.d_emb} H={cfg.H} n={cfg.n} {kw.get('backend', 'semantic')}"
     _AUDIT_LOG.append((label, audit_server_ignorance(res.session.server)))
     return res
+
+
+def ot_sides(seed):
+    """A fresh session's OT: the client's and the server's sides, each with
+    its own generator."""
+    return dict(ot_sender=ExtSender(np.random.default_rng([seed, 0])),
+                ot_receiver=ExtReceiver(np.random.default_rng([seed, 1])))
 
 
 def rand_mat(rng, shape):
@@ -195,8 +203,7 @@ def test_6_secure_softmax_accuracy_and_gc_agreement():
     xs = raw - xc
     spec = SecureFnSpec("softmax_row", count=n)
     logs = dict(report=CostReport(), transcript=Transcript(), step="SoftMax")
-    c, s = eval_secure(spec, xc, xs, np.random.default_rng(1), **logs,
-                       rng_server=np.random.default_rng(4))
+    c, s = eval_secure(spec, xc, xs, np.random.default_rng(1), **logs, **ot_sides(4))
     got = DEFAULT_RING.to_signed(c + s).astype(np.float64) / (1 << F)
     want = np.exp(vals - vals.max(axis=1, keepdims=True))
     want /= want.sum(axis=1, keepdims=True)
@@ -212,9 +219,9 @@ def test_6_secure_softmax_accuracy_and_gc_agreement():
     xs4 = raw4 - xc4
     # equally seeded rngs draw the same client masks on both backends
     c_sem, s_sem = eval_secure(spec4, xc4, xs4, np.random.default_rng(2), **logs,
-                               rng_server=np.random.default_rng(3))
+                               **ot_sides(3))
     c_gc, s_gc = eval_secure(spec4, xc4, xs4, np.random.default_rng(2), backend="gc",
-                             **logs, rng_server=np.random.default_rng(3))
+                             **logs, **ot_sides(3))
     assert np.array_equal(c_sem, c_gc) and np.array_equal(s_sem, s_gc)
     print(f"pass: softmax max err {err:.6f} <= 2^-5 over {lanes} rows; gc == semantic")
 

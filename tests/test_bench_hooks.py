@@ -71,7 +71,8 @@ def test_every_bench_hook_fires_and_uninstalls(bench):
             with tr.span("engine.run_protocol", round="hooks", mode="gc"):
                 engine.eval_secure(spec, vals, vals, rng, backend="gc", step="SoftMax",
                                    report=engine.CostReport(), transcript=engine.Transcript(),
-                                   rng_server=np.random.default_rng(4))
+                                   ot_sender=engine.ExtSender(rng),
+                                   ot_receiver=engine.ExtReceiver(np.random.default_rng(4)))
         finally:
             recorder.restore()
     finally:

@@ -472,7 +472,7 @@ def test_counting_and_logging_arguments_are_required():
     # perfbench passes he_matmul's report and kernel positionally
     assert list(inspect.signature(packing.he_matmul).parameters)[3:] == ["report", "kernel"]
     params = inspect.signature(securefn.eval_secure).parameters
-    for name in ("report", "transcript", "step", "rng_server"):
+    for name in ("report", "transcript", "step", "ot_sender", "ot_receiver"):
         assert params[name].default is params[name].empty, name
         assert params[name].kind is params[name].KEYWORD_ONLY, name
 
@@ -488,14 +488,24 @@ def test_server_ignorance_audit_clean_run_and_poisoned_state():
             res = run_protocol(mode, cfg, w, tokens, seed=1)
             assert audit_server_ignorance(res.session.server) == [], (norm, mode)
             assert not hasattr(res.session, "key")
-    # the key pair or the client state planted on the server,
-    # directly or inside a list, a dict or a nested attribute, is named by
-    # its path and fails the run
+        # a garbled session: the server holds both OT seed rows, and only
+        # the client its string s and the seeds s chose
+        res = run_protocol("f", cfg, w, tokens, seed=1, backend="gc")
+        assert audit_server_ignorance(res.session.server) == [], (norm, "gc")
+        client_ot, server_ot = res.session.client.ot, res.session.server.ot
+        assert server_ot.seeds is not None and client_ot.s is not None
+        assert not {"s", "chosen"} & set(vars(server_ot))
+        chosen = server_ot.seeds[client_ot.s, np.arange(len(client_ot.s))]
+        assert np.array_equal(client_ot.chosen, chosen)
+    # the key pair, the client state or the client's side of the OT planted
+    # on the server, directly or inside a list, a dict or a nested
+    # attribute, is named by its path and fails the run
     cfg = toy_cfg()
     w = random_weights(cfg, np.random.default_rng(8))
     secrets = {
         "key pair": lambda s: s.client.key,
         "client state": lambda s: s.client,
+        "client OT state": lambda s: s.client.ot,
     }
     plantings = [
         (lambda srv, v: setattr(srv, "leak", v), "server.leak"),

@@ -16,6 +16,8 @@ from privtrans.garble import _BATCH, CorruptTable, GarbledTables, decode_outputs
 from privtrans.ot import (
     KAPPA,
     TOY_256,
+    ExtReceiver,
+    ExtSender,
     FixedBase,
     OTCheatError,
     OTReceiver,
@@ -67,7 +69,7 @@ def test_ot_toy_group_roundtrip():
     m0 = rng_s.integers(0, 1 << 64, 8, dtype=np.uint64)
     m1 = rng_s.integers(0, 1 << 64, 8, dtype=np.uint64)
     choices = np.array([0, 1, 1, 0, 1, 0, 0, 1], dtype=np.uint8)
-    got, _ = run_ot(m0, m1, choices, rng_s, rng_r)
+    got, _ = run_ot(m0, m1, choices, ExtSender(rng_s), ExtReceiver(rng_r))
     assert np.array_equal(got, np.where(choices.astype(bool), m1, m0))
 
 
@@ -78,7 +80,7 @@ def test_ot_delivers_chosen_message_only():
     m0 = rng_s.integers(0, 1 << 64, n, dtype=np.uint64)
     m1 = rng_s.integers(0, 1 << 64, n, dtype=np.uint64)
     choices = rng_r.integers(0, 2, n).astype(np.uint8)
-    got, moved = run_ot(m0, m1, choices, rng_s, rng_r)
+    got, moved = run_ot(m0, m1, choices, ExtSender(rng_s), ExtReceiver(rng_r))
     want = np.where(choices.astype(bool), m1, m0)
     assert np.array_equal(got, want)
     other = np.where(choices.astype(bool), m0, m1)
@@ -104,11 +106,88 @@ def test_ot_extension_delivers_the_chosen_message_only(pattern, m):
     m0 = rng_s.integers(0, 1 << 64, m, dtype=np.uint64)
     m1 = rng_s.integers(0, 1 << 64, m, dtype=np.uint64)
     choices = CHOICE_PATTERNS[pattern](m, rng_r)
-    got, moved = run_ot(m0, m1, choices, rng_s, rng_r)
+    got, moved = run_ot(m0, m1, choices, ExtSender(rng_s), ExtReceiver(rng_r))
     assert got.dtype == np.uint64
     assert np.array_equal(got, np.where(choices.astype(bool), m1, m0))
     assert not np.isin(np.where(choices.astype(bool), m0, m1), got).any()
     assert moved == TOY_256.element_bytes * (1 + KAPPA) + KAPPA * 32 + KAPPA * -(-m // 8) + m * 16
+
+
+def test_a_session_reuses_its_base_ots_and_expands_the_seeds_afresh(monkeypatch):
+    # the second call of a session runs no base OTs: it draws nothing and
+    # moves only the extension's bytes. It expands the seeds at a fresh call
+    # index, so the same choices send different u columns, and its row-hash
+    # tweaks continue the first call's, so no tweak repeats in the session
+    us, tweaks = [], []
+    real_columns, real_pads = ot._columns, ot._row_pads
+
+    def spy_columns(*args):
+        t, u = real_columns(*args)
+        us.append(u)
+        return t, u
+
+    def spy_pads(rows, tw):
+        tweaks.append(np.array(tw))
+        return real_pads(rows, tw)
+
+    monkeypatch.setattr(ot, "_columns", spy_columns)
+    monkeypatch.setattr(ot, "_row_pads", spy_pads)
+    rng_s, rng_r = np.random.default_rng(104), np.random.default_rng(105)
+    sender, receiver = ExtSender(rng_s), ExtReceiver(rng_r)
+    m = 130
+    choices = rng_r.integers(0, 2, m).astype(np.uint8)
+    moved = []
+    for call in range(2):
+        m0 = rng_s.integers(0, 1 << 64, m, dtype=np.uint64)
+        m1 = rng_s.integers(0, 1 << 64, m, dtype=np.uint64)
+        drawn = (rng_s.bit_generator.state, rng_r.bit_generator.state)
+        got, nbytes = run_ot(m0, m1, choices, sender, receiver)
+        assert np.array_equal(got, np.where(choices.astype(bool), m1, m0)), call
+        assert not np.isin(np.where(choices.astype(bool), m0, m1), got).any(), call
+        moved.append(nbytes)
+    assert (rng_s.bit_generator.state, rng_r.bit_generator.state) == drawn
+    base = TOY_256.element_bytes * (1 + KAPPA) + KAPPA * 32
+    extension = KAPPA * -(-m // 8) + m * 16
+    assert moved == [base + extension, extension]
+    assert sender.calls == receiver.calls == 2
+    assert sender.transfers == receiver.transfers == 2 * m
+    # no column u^i of the second call repeats its first-call value
+    assert not (us[0] == us[1]).all(axis=1).any()
+    # a call hashes its rows three times (two sender pads, one receiver
+    # pad), all with the call's tweaks; the session's tweaks are distinct
+    assert len(tweaks) == 6
+    for first in (0, 3):
+        assert all(np.array_equal(tw, tweaks[first]) for tw in tweaks[first:first + 3])
+    session = np.concatenate([tweaks[0], tweaks[3]])
+    assert len(np.unique(session)) == len(session) == 2 * m
+
+
+def test_a_gc_session_runs_its_base_ots_once(monkeypatch):
+    # the desk f session garbles 4 stages; the first runs the session's base
+    # OTs and is billed for them, the others reuse them; the semantic twin
+    # bills the same counters and messages, and the logits agree
+    setups = []
+    real_setup = OTSender.setup.__func__
+
+    def setup(cls, rng):
+        setups.append(rng)
+        return real_setup(cls, rng)
+
+    monkeypatch.setattr(OTSender, "setup", classmethod(setup))
+    cfg = ModelConfig(N=1, d_emb=8, H=2, n=4, d_oh=16, d_ff=8)
+    w = random_weights(cfg, np.random.default_rng(5))
+    gc = run_protocol("f", cfg, w, [3, 1, 4, 1], seed=11, backend="gc")
+    sem = run_protocol("f", cfg, w, [3, 1, 4, 1], seed=11)
+    client_ot, server_ot = gc.session.client.ot, gc.session.server.ot
+    assert len(setups) == 1 and setups[0] is gc.session.server.rng
+    assert client_ot.calls == server_ot.calls == 4
+    report = gc.merged_report()
+    # post-norm: the first garbled stage is the first block's softmax
+    assert report.total("base_ot_count") == report.get("SoftMax", "online", "base_ot_count")
+    assert report.total("base_ot_count") == KAPPA
+    assert report.to_dict() == sem.merged_report().to_dict()
+    assert gc.transcript.summary() == sem.transcript.summary()
+    assert np.array_equal(gc.reconstruct().data, sem.reconstruct().data)
 
 
 def test_ot_rejects_degenerate_points():
@@ -341,7 +420,8 @@ def test_semantic_backend_never_computes_a_level_schedule(monkeypatch):
     securefn.eval_secure(SecureFnSpec("relu"), np.zeros((1, 1), np.uint64),
                          np.zeros((1, 1), np.uint64), np.random.default_rng(0), backend="gc",
                          report=CostReport(), transcript=Transcript(), step="Others",
-                         rng_server=np.random.default_rng(1))
+                         ot_sender=ExtSender(np.random.default_rng(0)),
+                         ot_receiver=ExtReceiver(np.random.default_rng(1)))
     assert all(p in built[-1].__dict__ for p in plans)
 
 
@@ -357,7 +437,8 @@ def test_adder_with_ot_fed_inputs():
     active_x = state.encode(pack_bits(x, w), rows=slice(0, w))
     m0, m1 = state.pairs(slice(w, 2 * w))
     y_bits = pack_bits(y, w)
-    labels, _ = run_ot(m0.ravel(), m1.ravel(), y_bits.ravel(), rng, rng_r)
+    labels, _ = run_ot(m0.ravel(), m1.ravel(), y_bits.ravel(), ExtSender(rng),
+                       ExtReceiver(rng_r))
     active_y = labels.reshape(w, lanes)
     got = unpack_bits(decode_outputs(gt, evaluate(circ, gt, np.concatenate([active_x, active_y]))))
     assert np.array_equal(got, (x + y) % 256)
@@ -394,7 +475,7 @@ def test_tampered_u_column_gives_wrong_labels_that_evaluate_rejects(monkeypatch)
 
     monkeypatch.setattr(ot.OTReceiver, "respond", staticmethod(spy_respond))
     monkeypatch.setattr(ot, "_columns", tamper)
-    labels, _ = run_ot(m0, m1, y_bits, rng, rng_r)
+    labels, _ = run_ot(m0, m1, y_bits, ExtSender(rng), ExtReceiver(rng_r))
     want = np.where(y_bits.astype(bool), m1, m0)
     assert np.flatnonzero(labels != want).tolist() == hit
     assert not np.isin(labels[hit], np.concatenate([m0, m1])).any()

@@ -7,9 +7,13 @@ taken from the code before the HE key moved onto the client, the sem-wide
 and sem-long ones (the models of perfbench/workloads.py) before the
 four-term product was shared, and all of them held unchanged when Session
 was split into a Client and a Server with each material record owned by
-one party; any change to a counter, message, byte or share of these runs
-changes a digest. A deliberate protocol change updates the table and says
-why in CHANGES.md.
+one party. They were re-pinned when the OT's 128 base OTs became once
+per session: the first secure stage alone bills them (`base_ot_count`
+and 8,224 B), and on the GC backend the client's generator no longer
+draws base-OT secrets after that stage, so the GC runs' logit shares
+moved too; every reconstructed logit stayed. Any change to a counter,
+message, byte or share of these runs changes a digest. A deliberate
+protocol change updates the table and says why in CHANGES.md.
 """
 
 import hashlib
@@ -33,41 +37,41 @@ CONFIGS = {
 
 DIGESTS = {
     ("post-relu", "base", "semantic"):
-        "2bb388b30ff7e95e957d316c4d3ead8549c6af80bed8d5b61e4d3ac78d9c5a3e",
+        "7ddcdb48875007c78a5abfc5f0df7c3d2d2d9c82cea80db45a95e222ec002d54",
     ("post-relu", "f", "semantic"):
-        "b76cb5e5ff5c2cdb706ce8a66fed0f30f6bf85398ac2a46b6fed7b5b2f26f482",
+        "bdbd64b602741859e52bab72eb486011931622962f94af68e1ee38711e10a8b6",
     ("post-relu", "fp", "semantic"):
-        "a13cf71adf9e4d0f244d18eed7ee788ec0fb9fd6b9575edbd9ae6dda0f58fd7f",
+        "ebe43a981bb03ff8a74848618efc5e0fe12cd9bd2669c90c6ce68a35a64b67c4",
     ("post-relu", "fpc", "semantic"):
-        "e2e1fdf337ce851f3b04e5e70e95b3c84de9c55fbb73d43a61a67baceb3ae11b",
+        "1c8aa886cdbcacc880ade6b23fa8f0553d56f641ba6b69d7aea9878f671e5a6a",
     ("post-relu", "f", "gc"):
-        "6584b897bc1cdd10ac964bf4610043344afd572bda0c6f1ff8205160d7e1d3b7",
+        "ed46d4da4579848dcc1b23f7e535b466814e80fd61c9388eb6483630864c12fc",
     ("pre-gelu", "base", "semantic"):
-        "99eff9668d39d6697d49c486a55be35397c28f63d468d9c1f9e9001821dfe44a",
+        "ce6003114a639921534fab3f0fd4aa9e8c59ac95e3607afc4cb5583fe6bbe17f",
     ("pre-gelu", "f", "semantic"):
-        "2391d489c195356d3f5dd0c88d2fbe12bfeef5cbd8abd8fec4b535ac7d419115",
+        "4df414b2d20efa772715e091e6eaf7d72ca08ee44fcbb45aebabe4095475b7ec",
     ("pre-gelu", "fp", "semantic"):
-        "25a2d8c7d23dbf6f7923a5ee51601fb0de775bb88daedefa46cc3845a53c43cf",
+        "c8b52f8a262602681dad87ef29ca17edcb8793ae2518cd6dba1a73468e7a11e4",
     ("pre-gelu", "fpc", "semantic"):
-        "09b1931d01e5eb2deb15e584d4c020532770557ff34cd2d95a178254a4be48f6",
+        "8e3b7b73f87359c339a8967c422465f71a5b46850002dd613e0d2994cd15293b",
     ("pre-gelu", "f", "gc"):
-        "2399d1c233cdb35cdf90202d1adb79d6f6cafc424ca9f5b1c0eac381569a67d5",
+        "e00b6f0731df1e34a79f926ea93895f13c5e79e28e8868d958c34ac7671df7ed",
     ("sem-wide", "base", "semantic"):
-        "b047886da14f44a21eabeb44041ae6dce66a62f6e315637543dd8f4a290f3cb0",
+        "40a8167b81219e2ef2795f2c4b33558cfb64a44df980d012a527fdf207806de1",
     ("sem-wide", "f", "semantic"):
-        "cfe86fb208344f1d2aa040e5443e523335d3eff2b5828bf25d480d225574fd1c",
+        "8cc15a34920bc92089550f407594efb34841c3d0e690a13947cbd9e7e8c7fc11",
     ("sem-wide", "fp", "semantic"):
-        "4a7184f16f8c666d7f73a20815af855a3c6d3cd5d59adc18e328024d6d57d9ab",
+        "2e028ed665f404f1b11643e6d9764fe32ead61200a6446495683cb724254ec6e",
     ("sem-wide", "fpc", "semantic"):
-        "aeb593f68c642f5a633632e98cfeb0583dba855f012425988fb76ab25b627f92",
+        "7d00ddc55b465be3e89d71617aab202aa1767f305027c5ffb41ec2886a16b443",
     ("sem-long", "base", "semantic"):
-        "bbd9b911edd4686dd590f20c402c84ba4f302957708f4224d7717c6df51d048c",
+        "2718090e55d354f3f26f0f2f670b03277bf9e9b470599c8d0c57daf67eb3b720",
     ("sem-long", "f", "semantic"):
-        "8268ecb46923eaddd576079c77816186de04e8902f7c41d4aab38aec011ba95e",
+        "fda8dada556b86f9614108648ff8b7c7df2bd9aa6294163de78a6dfb305ff34e",
     ("sem-long", "fp", "semantic"):
-        "2085beb8468ee35fcad27bd2285ef15fbf1b2c158cf519259790dc52a267a914",
+        "aa170995ab33330b8eb750cebb2c4131e736aadd2b6c70f8a1ba870a52794ded",
     ("sem-long", "fpc", "semantic"):
-        "4e56c74ee543549ebae112d798179dcc3cac1e79ee8993a40e4de88edde96b9d",
+        "5ae0b948bb8a2900878d3bee563079d69c7e4797382a3dd5069ab0d4e8d389fa",
 }
 
 

@@ -18,7 +18,8 @@ from privtrans.model import (
     trunc_attn_spec,
     trunc_ffn_spec,
 )
-from privtrans.ring import DEFAULT_RING
+from privtrans.ot import KAPPA, TOY_256, ExtReceiver, ExtSender
+from privtrans.ring import DEFAULT_RING, RingParams
 from privtrans.securefn import (
     FN_NAMES,
     RangeViolation,
@@ -35,10 +36,16 @@ from oracles import eval_circuit
 F = DEFAULT_RING.frac_bits
 
 
-def logs(server_seed=0):
-    """A fresh report, transcript, step and server rng for one eval_secure call."""
-    return dict(report=CostReport(), transcript=Transcript(), step="Others",
-                rng_server=np.random.default_rng(server_seed))
+def ot_sides(seed=0):
+    """A fresh session's OT: the client's and the server's sides, each with
+    its own generator."""
+    return dict(ot_sender=ExtSender(np.random.default_rng([seed, 0])),
+                ot_receiver=ExtReceiver(np.random.default_rng([seed, 1])))
+
+
+def logs(seed=0):
+    """A fresh report, transcript, step and OT for one eval_secure call."""
+    return dict(report=CostReport(), transcript=Transcript(), step="Others", **ot_sides(seed))
 
 
 def pair_circuit(fn, w):
@@ -215,11 +222,13 @@ def test_cost_logging_matches_message_bytes():
     report = CostReport("client")
     t = Transcript()
     eval_secure(spec, xc, xs, rng, backend="gc", report=report, transcript=t, step="SoftMax",
-                rng_server=np.random.default_rng(205))
+                **ot_sides(205))
     circ = build_secure_circuit(spec)
     assert report.get("SoftMax", "offline", "gc_and_gates") == circ.and_count
     n_bits = 64 * 20
     assert report.get("SoftMax", "online", "ot_count") == n_bits
+    # a fresh session: this stage runs, and counts, its KAPPA base OTs
+    assert report.get("SoftMax", "online", "base_ot_count") == KAPPA
     material = report.get("SoftMax", "online", "gc_table_bytes")
     ot_bytes = sum(m.nbytes for m in t.messages if m.kind == "ot")
     assert t.bytes_sent("SoftMax", "online") == material + ot_bytes
@@ -227,6 +236,8 @@ def test_cost_logging_matches_message_bytes():
 
 
 def test_logged_ot_bytes_equal_the_bytes_run_ot_moves(monkeypatch):
+    # stage by stage and summed over one session: the first stage's OT also
+    # carries the session's base OTs, a later stage only its extension
     moved = []
     real_run_ot = securefn.run_ot
 
@@ -237,17 +248,23 @@ def test_logged_ot_bytes_equal_the_bytes_run_ot_moves(monkeypatch):
 
     monkeypatch.setattr(securefn, "run_ot", spy)
     rng = np.random.default_rng(208)
-    for spec, lanes in ((SecureFnSpec("relu"), 20), (SecureFnSpec("trunc", shift=F), 3)):
+    t, session_ot = Transcript(), ot_sides(209)
+    stages = ((SecureFnSpec("relu"), 20), (SecureFnSpec("trunc", shift=F), 3))
+    for spec, lanes in stages:
         raw = rng.integers(0, 1 << 64, (lanes, 1), dtype=np.uint64)
         xc, xs = share_raw(raw, rng)
-        t = Transcript()
-        moved.clear()
+        before = len(t.messages)
         eval_secure(spec, xc, xs, rng, backend="gc", report=CostReport(), transcript=t,
-                    step="Others", rng_server=np.random.default_rng(209))
-        ot = [m for m in t.messages if m.kind == "ot"]
+                    step="Others", **session_ot)
+        ot = [m for m in t.messages[before:] if m.kind == "ot"]
         assert [m.sender for m in ot] == ["client", "server"]
-        assert len(moved) == 1
-        assert sum(m.nbytes for m in ot) == moved[0]
+        assert sum(m.nbytes for m in ot) == moved[-1]
+    assert len(moved) == len(stages)
+    assert sum(m.nbytes for m in t.messages if m.kind == "ot") == sum(moved)
+    base = TOY_256.element_bytes * (1 + KAPPA) + KAPPA * 32
+    assert base == 8224
+    per_transfer = KAPPA // 8 + 16  # a bit of each column u, a masked pair
+    assert moved == [base + per_transfer * 64 * 20, per_transfer * 64 * 3]
 
 
 def test_logged_gc_messages_equal_the_objects_that_cross(monkeypatch):
@@ -279,12 +296,33 @@ def test_logged_gc_messages_equal_the_objects_that_cross(monkeypatch):
         xc, xs = share_raw(raw, rng)
         t = Transcript()
         eval_secure(spec, xc, xs, rng, backend="gc", report=CostReport(), transcript=t,
-                    step="Others", rng_server=np.random.default_rng(211))
+                    step="Others", **ot_sides(211))
         gt, client_labels = seen["gt"], seen["active"][: 2 * spec.count * 64]
         material = (gt.tables.nbytes + gt.const_labels.nbytes + client_labels.nbytes
                     + gt.decode.nbytes)
         assert [m.nbytes for m in t.messages if m.kind == "gc_material"] == [material]
         assert sum(m.nbytes for m in t.messages if m.kind == "ot") == seen["moved"]
+
+
+def test_spec_refuses_a_fraction_beyond_the_stages_internal_one():
+    # the softmax row's exp segments work at fixedfn.F2 = 12 fractional
+    # bits; a direct caller got a bare AssertionError from exp_approx
+    ring = RingParams(value_bits=16, frac_bits=13)
+    with pytest.raises(ValueError, match=r"^frac_bits=13 exceeds 12"):
+        plain_apply(SecureFnSpec("softmax_row", count=2, ring=ring), [[1, 2]])
+    for fn in FN_NAMES:
+        with pytest.raises(ValueError, match=r"^frac_bits=13"):
+            SecureFnSpec(fn, ring=ring)
+    SecureFnSpec("softmax_row", count=2, ring=RingParams(value_bits=16, frac_bits=12))
+
+
+def test_spec_refuses_gelu_below_two_fractional_bits():
+    # the GELU segments are indexed by the two bits above the point; at one
+    # fractional bit the stage died with "negative shift count"
+    with pytest.raises(ValueError, match=r"^frac_bits=1 is below 2"):
+        SecureFnSpec("gelu", ring=RingParams(value_bits=16, frac_bits=1))
+    SecureFnSpec("relu", ring=RingParams(value_bits=16, frac_bits=1))
+    SecureFnSpec("gelu", ring=RingParams(value_bits=16, frac_bits=2))
 
 
 def test_rejects_bad_shapes_and_unknown_fn():
@@ -318,12 +356,14 @@ def test_rejects_bad_shapes_and_unknown_fn():
 def test_gc_backend_needs_the_servers_own_rng():
     # an OT receiver seeded from the garbler's rng would let the garbler
     # recompute the receiver's exponents and read the server's input bits;
-    # the server's generator is a required argument of every call
+    # the server's side of the OT, with its own generator, is a required
+    # argument of every call
     spec = SecureFnSpec("relu")
     zeros = np.zeros((2, 1), np.uint64)
-    with pytest.raises(TypeError, match="rng_server"):
+    with pytest.raises(TypeError, match="ot_receiver"):
         eval_secure(spec, zeros, zeros, np.random.default_rng(213), backend="gc",
-                    report=CostReport(), transcript=Transcript(), step="Others")
+                    report=CostReport(), transcript=Transcript(), step="Others",
+                    ot_sender=ExtSender(np.random.default_rng(213)))
 
 
 def test_unknown_backend_is_refused_before_any_work():
@@ -335,8 +375,7 @@ def test_unknown_backend_is_refused_before_any_work():
     report, transcript = CostReport(), Transcript()
     with pytest.raises(ValueError, match="unknown backend 'gcx'"):
         eval_secure(spec, zeros, zeros, rng, backend="gcx", report=report,
-                    transcript=transcript, step="Others",
-                    rng_server=np.random.default_rng(215))
+                    transcript=transcript, step="Others", **ot_sides(215))
     assert report.cells == {} and transcript.messages == []
     # no mask was drawn either
     assert rng.integers(0, 1 << 64, dtype=np.uint64) == \
