@@ -12,6 +12,20 @@ Ripple adders use the one-AND-per-bit full adder
     carry' = c ^ ((a ^ c) & (b ^ c))
 and skip the final carry, so a w-bit add costs exactly w - 1 AND gates on
 fresh inputs.
+
+Every AND gate becomes a garbled table, so no AND is emitted twice where
+an op can see the repeat, and none is kept that reaches no output:
+- `mul` emits each partial product b_i & a_j once: a row's sign
+  extension repeats its top term, and a square (a is b) reuses
+  a_j & a_i from row j and folds a_i & a_i to a_i. A k-bit square thus
+  has k(k - 1) / 2 partial products, an m x n product m n;
+- `mux` selects each distinct (a_i, b_i) pair once, so sign extensions
+  and constant halves cost one select, and the muxes of one `lookup`
+  level, which share a select bit, share their selects too;
+- `ge` emits only the subtraction's carry chain and top bit;
+- `build` drops the gates whose outputs no output depends on and
+  renumbers the rest. This is local: there is no circuit-wide table of
+  gates seen, which would cost a dict entry per gate at build time.
 """
 
 from __future__ import annotations
@@ -191,13 +205,39 @@ class CircuitBuilder:
         self._outputs.extend(v.wires)
 
     def build(self) -> BoolCircuit:
+        """The circuit of the gates that reach an output, in emission order.
+
+        Gates that no gate and no output reads are peeled off, round by
+        round, until none is left; the kept gates are then renumbered,
+        while constants, inputs and the outputs' order stay as they are."""
+        base = 2 + sum(self.input_widths)
+        op = np.array(self._op, dtype=np.uint8)
+        lhs = np.array(self._lhs, dtype=np.int32)
+        rhs = np.array(self._rhs, dtype=np.int32)
+        outputs = np.array(self._outputs, dtype=np.int32)
+        # the builder is spent; dropping its lists, and the int object per
+        # wire they hold, lets the pass below reuse that memory instead of
+        # adding to it
+        self._op = self._lhs = self._rhs = None
+        # per wire, the gate inputs and outputs that read it
+        reads = np.bincount(np.concatenate([lhs, rhs, outputs]), minlength=self._next)
+        live = np.ones(len(op), dtype=bool)
+        dead = np.flatnonzero(reads[base:] == 0)
+        while dead.size:
+            live[dead] = False
+            ins = np.concatenate([lhs[dead], rhs[dead]])
+            np.subtract.at(reads, ins, 1)
+            ins = ins[ins >= base]
+            # once each, though two dead gates may have read it
+            dead = np.unique(ins[reads[ins] == 0]) - base
+        new_id = np.cumsum(np.concatenate([np.ones(base, dtype=bool), live]), dtype=np.int32) - 1
         return BoolCircuit(
-            n_inputs=sum(self.input_widths),
+            n_inputs=base - 2,
             input_widths=tuple(self.input_widths),
-            outputs=tuple(self._outputs),
-            op=np.array(self._op, dtype=np.uint8),
-            lhs=np.array(self._lhs, dtype=np.int32),
-            rhs=np.array(self._rhs, dtype=np.int32),
+            outputs=tuple(new_id[outputs].tolist()),
+            op=op[live],
+            lhs=new_id[lhs[live]],
+            rhs=new_id[rhs[live]],
         )
 
 
@@ -247,7 +287,10 @@ class CircuitOps:
     def _not(self, w: int) -> int:
         return self.b.gate(XOR, w, ONE)
 
-    def _ripple(self, a: WireVec, b: WireVec, carry_in: int, invert_b: bool) -> WireVec:
+    def _ripple(self, a: WireVec, b: WireVec, carry_in: int, invert_b: bool,
+                top_only: bool = False) -> WireVec:
+        """a + b + carry_in (b inverted if invert_b); only its top bit if
+        top_only, so the other sum bits are never emitted."""
         assert a.width == b.width
         g = self.b.gate
         c = carry_in
@@ -256,7 +299,8 @@ class CircuitOps:
         for i in range(a.width):
             bi = self._not(b.wires[i]) if invert_b else b.wires[i]
             ax = g(XOR, a.wires[i], c)
-            out.append(g(XOR, ax, bi))
+            if i == last or not top_only:
+                out.append(g(XOR, ax, bi))
             if i != last:
                 c = g(XOR, c, g(AND, ax, g(XOR, bi, c)))
         return WireVec(tuple(out))
@@ -273,48 +317,64 @@ class CircuitOps:
     def mul(self, a: WireVec, b: WireVec) -> WireVec:
         w = a.width + b.width
         assert w <= 64
-        ea = self.resize(a, w)
-        acc = self.const(0, w)
-
-        def row(i):
-            bi = b.wires[i]
-            return WireVec(
-                (ZERO,) * i
-                + tuple(self.b.gate(AND, bi, ea.wires[j]) for j in range(w - i))
-            )
-
-        for i in range(b.width - 1):
-            acc = self.add(acc, row(i))
-        # b's top bit weighs -2^(width-1) in two's complement
-        return self.sub(acc, row(b.width - 1))
+        g = self.b.gate
+        square = a.wires == b.wires
+        # terms[i][j] = b_i & a_j; in a square a_j & a_i (j < i) is row j's
+        # term i and a_i & a_i folds to a_i
+        terms = []
+        for i, bi in enumerate(b.wires):
+            if square:
+                row = [t[i] for t in terms] + [bi] + [g(AND, bi, aj) for aj in a.wires[i + 1 :]]
+            else:
+                row = [g(AND, bi, aj) for aj in a.wires]
+            terms.append(row)
+        # row i fills columns i .. w - 1, repeating its top term past a's
+        # sign bit, so it adds into those columns only; b's top bit weighs
+        # -2^(width-1) in two's complement, so the last row is subtracted
+        acc = [ZERO] * w
+        last = b.width - 1
+        for i, row in enumerate(terms):
+            if b.wires[i] == ZERO:
+                continue  # a constant operand's zero bits add nothing
+            hi = WireVec(tuple(acc[i:]))
+            ext = WireVec(tuple(row) + (row[-1],) * (b.width - i))
+            acc[i:] = (self.add(hi, ext) if i < last else self.sub(hi, ext)).wires
+        return WireVec(tuple(acc))
 
     # comparisons and selection
 
     def ge(self, a: WireVec, b: WireVec) -> WireVec:
         assert a.width == b.width
-        d = self._ripple(self.resize(a, a.width + 1), self.resize(b, b.width + 1), ONE, True)
-        return WireVec((self._not(d.wires[-1]),))
+        # a >= b iff a - b, one bit wider so it cannot overflow, is not negative
+        d = self._ripple(self.resize(a, a.width + 1), self.resize(b, b.width + 1), ONE, True,
+                         top_only=True)
+        return WireVec((self._not(d.wires[0]),))
 
     def mux(self, c: WireVec, a: WireVec, b: WireVec) -> WireVec:
         assert c.width == 1 and a.width == b.width
+        return self._select(c.wires[0], a, b, {})
+
+    def _select(self, c: int, a: WireVec, b: WireVec, picked: dict) -> WireVec:
+        """c ? a : b, bit by bit; picked maps each (a_i, b_i) pair already
+        selected on c to its output, so alike pairs, such as sign
+        extensions, select alike."""
         g = self.b.gate
-        cw = c.wires[0]
-        return WireVec(
-            tuple(
-                g(XOR, g(AND, cw, g(XOR, a.wires[i], b.wires[i])), b.wires[i])
-                for i in range(a.width)
-            )
-        )
+        pairs = list(zip(a.wires, b.wires))
+        for p in pairs:
+            if p not in picked:
+                picked[p] = g(XOR, g(AND, c, g(XOR, *p)), p[1])
+        return WireVec(tuple(picked[p] for p in pairs))
 
     def lookup(self, table: list, idx: WireVec, width: int) -> WireVec:
         size = 1 << idx.width
         assert len(table) <= size
         padded = list(table) + [0] * (size - len(table))
         level = [self.const(v, width) for v in padded]
-        for i in range(idx.width):
-            sel = self.bit(idx, i)
+        for c in idx.wires:
+            # the muxes of one level share their select bit and their picks
+            picked = {}
             level = [
-                self.mux(sel, level[2 * j + 1], level[2 * j])
+                self._select(c, level[2 * j + 1], level[2 * j], picked)
                 for j in range(len(level) // 2)
             ]
         return level[0]

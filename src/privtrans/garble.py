@@ -29,8 +29,8 @@ a fresh draw that depends on nothing. So it draws them all up front, and
 an XOR label then waits only for XORs beneath it: the garbler groups the
 XOR gates by XOR-only depth (`BoolCircuit.xor_groups`, with inputs,
 constants and AND outputs at depth 0). The desk model's softmax, layer
-norm and ReLU circuits have 101, 97 and 77 such groups against 1,551,
-1,791 and 608 levels. It then encrypts every AND table in
+norm and ReLU circuits have 101, 147 and 77 such groups against 1,546,
+1,783 and 608 levels. It then encrypts every AND table in
 batches, in gate order, with row t computed directly as the row whose
 input labels have permute bits t. The AND draw is one
 `integers(size=(n_and, lanes))` call made right after delta and the

@@ -1,8 +1,9 @@
 """Boolean circuit builder and the circuit/semantic equivalence guarantee."""
 
 import numpy as np
+import pytest
 
-from privtrans import fixedfn
+from privtrans import ModelConfig, fixedfn, model
 from privtrans.circuits import (
     AND,
     CircuitBuilder,
@@ -13,6 +14,7 @@ from privtrans.circuits import (
 )
 from privtrans.fixedfn import SemanticOps, SemVal
 from privtrans.ring import DEFAULT_RING
+from privtrans.securefn import build_secure_circuit
 
 from oracles import eval_circuit
 
@@ -66,8 +68,12 @@ def test_adder_exhaustive_w6():
 
 def test_adder_uses_one_and_per_carry():
     for w in (4, 6, 16, 64):
-        circ, _ = build(lambda ops, vs: ops.add(vs[0], vs[1]), [w, w])
-        assert circ.and_count == w - 1
+        for fn in (lambda ops, vs: ops.add(vs[0], vs[1]), lambda ops, vs: ops.sub(vs[0], vs[1])):
+            circ, _ = build(fn, [w, w])
+            assert circ.and_count == w - 1
+        # a - b one bit wider: its carry chain alone, one AND per bit of a
+        circ, _ = build(lambda ops, vs: ops.ge(vs[0], vs[1]), [w, w])
+        assert circ.and_count == w
 
 
 def test_sub_and_neg_match_semantics():
@@ -86,6 +92,41 @@ def test_mul_matches_semantics():
         raws = [rand_raw(rng, wa), rand_raw(rng, wb)]
         sem, got = run_both(lambda ops, vs: ops.mul(vs[0], vs[1]), [wa, wb], raws)
         assert np.array_equal(sem[0], got[0])
+
+
+def exhaustive(*widths):
+    """Every combination of raw values at these widths, one array per width."""
+    grids = np.meshgrid(*[np.arange(1 << w, dtype=np.uint64) for w in widths], indexing="ij")
+    return [g.ravel() for g in grids]
+
+
+def partial_products(circ):
+    """AND gates that read two input wires: a product's b_i & a_j terms."""
+    top = 2 + circ.n_inputs
+    return int(np.count_nonzero((circ.op == AND) & (circ.lhs < top) & (circ.rhs < top)))
+
+
+def test_mul_exhaustive_squares_products_and_constants():
+    for k in (1, 2, 3, 5):
+        square = lambda ops, vs: ops.mul(vs[0], vs[0])  # noqa: E731
+        sem, got = run_both(square, [k], exhaustive(k))
+        assert np.array_equal(sem[0], got[0])
+        # a_i & a_i folds to a_i and a_j & a_i is a_i & a_j
+        assert partial_products(build(square, [k])[0]) == k * (k - 1) // 2
+    for wa, wb in ((5, 5), (5, 3), (2, 6), (1, 4)):
+        product = lambda ops, vs: ops.mul(vs[0], vs[1])  # noqa: E731
+        sem, got = run_both(product, [wa, wb], exhaustive(wa, wb))
+        assert np.array_equal(sem[0], got[0])
+        # one term per bit pair: sign extension repeats a row's top term
+        assert partial_products(build(product, [wa, wb])[0]) == wa * wb
+    for c, wc in ((0, 4), (1, 4), (5, 4), (-1, 4), (-8, 4), (6, 3)):
+        for const_first in (False, True):
+            def by_const(ops, vs):
+                k = ops.const(c, wc, like=vs[0])
+                return ops.mul(k, vs[0]) if const_first else ops.mul(vs[0], k)
+
+            sem, got = run_both(by_const, [5], exhaustive(5))
+            assert np.array_equal(sem[0], got[0])
 
 
 def test_shift_resize_bit_ops_match():
@@ -210,3 +251,47 @@ def test_layernorm_row_equivalence():
     )
     for s, g in zip(sem, got):
         assert np.array_equal(s, g)
+
+
+# -- gate counts and dead gates of the model's stages ------------------------
+
+DESK = dict(N=1, d_emb=8, H=2, n=4, d_oh=16, d_ff=8)
+DESK_CONFIGS = (ModelConfig(**DESK), ModelConfig(**DESK, norm="pre", activation="gelu"))
+STAGE_SPECS = (
+    model.softmax_spec, model.act_spec, model.ln_attn_spec, model.ln_ffn_spec,
+    model.trunc_attn_spec, model.trunc_ffn_spec, model.final_ln_spec,
+)
+# AND gates of each distinct secure stage of the desk configs (post-relu and
+# pre-gelu), keyed (fn, count, shift). Every run bills these as
+# gc_and_gates, and each is one garbled table per lane, so a change in how
+# circuits are emitted must show up here.
+DESK_AND_COUNTS = {
+    ("softmax_row", 4, 32): 7055,
+    ("layernorm_row", 8, 24): 22416,
+    ("layernorm_row", 8, 8): 22544,
+    ("layernorm_row", 8, 0): 20600,
+    ("relu", 1, 8): 339,
+    ("gelu", 1, 8): 670,
+    ("trunc", 1, 24): 308,
+    ("trunc", 1, 8): 324,
+}
+DESK_SPECS = {
+    (s.fn, s.count, s.shift): s for cfg in DESK_CONFIGS for s in (f(cfg) for f in STAGE_SPECS)
+}
+
+
+def test_desk_stage_and_counts_are_pinned():
+    assert set(DESK_SPECS) == set(DESK_AND_COUNTS)
+    got = {key: build_secure_circuit(spec).and_count for key, spec in DESK_SPECS.items()}
+    assert got == DESK_AND_COUNTS
+
+
+@pytest.mark.parametrize("key", sorted(DESK_AND_COUNTS), ids=lambda k: f"{k[0]}-{k[1]}-{k[2]}")
+def test_every_gate_of_a_desk_stage_reaches_an_output(key):
+    circ = build_secure_circuit(DESK_SPECS[key])
+    base = 2 + circ.n_inputs
+    live = set(circ.outputs)
+    for g in range(circ.n_gates - 1, -1, -1):
+        if base + g in live:
+            live.update((int(circ.lhs[g]), int(circ.rhs[g])))
+    assert all(base + g in live for g in range(circ.n_gates))

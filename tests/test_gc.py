@@ -5,9 +5,12 @@ import pytest
 
 from privtrans.circuits import (
     AND,
+    ONE,
     XOR,
+    ZERO,
     CircuitBuilder,
     CircuitOps,
+    WireVec,
     pack_bits,
     unpack_bits,
 )
@@ -303,6 +306,33 @@ def gateless_circuit():
     x = b.new_input(3)
     b.mark_output(x)
     return b.build()
+
+
+def test_dead_gates_are_dropped_and_every_output_keeps_its_wire():
+    b = CircuitBuilder()
+    (x0, x1, x2), (y0, y1, y2) = b.new_input(3).wires, b.new_input(3).wires
+    b.gate(AND, x0, y0)  # feeds nothing
+    t = b.gate(XOR, x1, y1)
+    b.gate(AND, t, y2)  # feeds nothing
+    u = b.gate(AND, t, x2)
+    b.gate(XOR, u, y0)  # reads a live gate, feeds nothing
+    # constants, inputs and a repeated gate wire among the outputs
+    b.mark_output(WireVec((ONE, u, x0, ZERO, u, t, y2, u)))
+    circ = b.build()
+    assert (circ.n_gates, circ.and_count) == (2, 1)
+    assert circ.outputs[0] == ONE and circ.outputs[2] == x0 and circ.outputs[3] == ZERO
+    assert circ.outputs[6] == y2
+    # every pair of 3-bit inputs, one lane each
+    x, y = (v.ravel() for v in np.meshgrid(np.arange(8, dtype=np.uint64),
+                                            np.arange(8, dtype=np.uint64)))
+    bits = np.concatenate([pack_bits(x, 3), pack_bits(y, 3)])
+    xb, yb = bits[:3].astype(bool), bits[3:].astype(bool)
+    tv = xb[1] ^ yb[1]
+    uv = tv & xb[2]
+    want = np.stack([np.ones_like(tv), uv, xb[0], np.zeros_like(tv), uv, tv, yb[2], uv])
+    assert np.array_equal(eval_circuit(circ, bits), want)
+    gt, state = garble(circ, 64, np.random.default_rng(95))
+    assert np.array_equal(decode_outputs(gt, evaluate(circ, gt, state.encode(bits))), want)
 
 
 ORACLE_CIRCUITS = {

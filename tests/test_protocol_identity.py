@@ -11,7 +11,14 @@ one party. They were re-pinned when the OT's 128 base OTs became once
 per session: the first secure stage alone bills them (`base_ot_count`
 and 8,224 B), and on the GC backend the client's generator no longer
 draws base-OT secrets after that stage, so the GC runs' logit shares
-moved too; every reconstructed logit stayed. Any change to a counter,
+moved too; every reconstructed logit stayed. They were re-pinned again
+when the circuits stopped emitting repeated AND gates (in `mul`, `mux`
+and `lookup`) and `CircuitBuilder.build` began dropping dead gates: every run
+bills its circuits' AND gates, so `gc_and_gates`, `gc_table_bytes` and
+the online bytes fell in all 18 runs; the semantic runs' logit shares
+held, the GC runs' shares moved because `garble` draws one label per AND
+gate from the client's generator, which later stages draw their masks
+from, and every reconstructed logit stayed. Any change to a counter,
 message, byte or share of these runs changes a digest. A deliberate
 protocol change updates the table and says why in CHANGES.md.
 """
@@ -37,41 +44,41 @@ CONFIGS = {
 
 DIGESTS = {
     ("post-relu", "base", "semantic"):
-        "7ddcdb48875007c78a5abfc5f0df7c3d2d2d9c82cea80db45a95e222ec002d54",
+        "0b3a69236c465f87ef6270b5a0b6aa120dc39178aee2daf0e459090e6db01225",
     ("post-relu", "f", "semantic"):
-        "bdbd64b602741859e52bab72eb486011931622962f94af68e1ee38711e10a8b6",
+        "8f0574b8c2f08bebdf88c83c75333d44f75fff1af29358eb8e3d4cb6101bb700",
     ("post-relu", "fp", "semantic"):
-        "ebe43a981bb03ff8a74848618efc5e0fe12cd9bd2669c90c6ce68a35a64b67c4",
+        "e21fa4b64bae2a673d7b9f31679f536d9b8f9f3bee3a87b162107cb90dd8c798",
     ("post-relu", "fpc", "semantic"):
-        "1c8aa886cdbcacc880ade6b23fa8f0553d56f641ba6b69d7aea9878f671e5a6a",
+        "199f49e4c3dd3c4529711e423da2bd8e4991283371a0f4488463786640f7953a",
     ("post-relu", "f", "gc"):
-        "ed46d4da4579848dcc1b23f7e535b466814e80fd61c9388eb6483630864c12fc",
+        "8015ff493d6a3defd9782a7da9e5258c63780a7f2acb7be7772fda6fb84eae7e",
     ("pre-gelu", "base", "semantic"):
-        "ce6003114a639921534fab3f0fd4aa9e8c59ac95e3607afc4cb5583fe6bbe17f",
+        "65cd19ef52b57c94aa501f0d700276d12265b658784d44463fd3debd02206557",
     ("pre-gelu", "f", "semantic"):
-        "4df414b2d20efa772715e091e6eaf7d72ca08ee44fcbb45aebabe4095475b7ec",
+        "f242a121170ea81275f3e840e9bd77aec56406f1466e5465ae72c1c0d0973661",
     ("pre-gelu", "fp", "semantic"):
-        "c8b52f8a262602681dad87ef29ca17edcb8793ae2518cd6dba1a73468e7a11e4",
+        "8b80936a710f650bac3318b7bc85099ed95879df7c9a13ece513c72d0b77e23b",
     ("pre-gelu", "fpc", "semantic"):
-        "8e3b7b73f87359c339a8967c422465f71a5b46850002dd613e0d2994cd15293b",
+        "f5acb2524e2798b56db3ffa3b3f275f157bcf456cf3dd89b65d05b5199fc3a91",
     ("pre-gelu", "f", "gc"):
-        "e00b6f0731df1e34a79f926ea93895f13c5e79e28e8868d958c34ac7671df7ed",
+        "957387ae78bd51bb8d0b53115b1ce8b803fab2f7b24a76584c2530b6837d217e",
     ("sem-wide", "base", "semantic"):
-        "40a8167b81219e2ef2795f2c4b33558cfb64a44df980d012a527fdf207806de1",
+        "1296999186980e781180711e1e6975120ccb0fa3eed118f0a779196b15fa0c44",
     ("sem-wide", "f", "semantic"):
-        "8cc15a34920bc92089550f407594efb34841c3d0e690a13947cbd9e7e8c7fc11",
+        "e753d935cf8290df9e83ceb335b2005a27fe6c6ac09169952a2f325bbffa2cdc",
     ("sem-wide", "fp", "semantic"):
-        "2e028ed665f404f1b11643e6d9764fe32ead61200a6446495683cb724254ec6e",
+        "3d032e53a3bdbab5e99dc152c9cffd3f9368f70fc176b238d14169c162de7b8b",
     ("sem-wide", "fpc", "semantic"):
-        "7d00ddc55b465be3e89d71617aab202aa1767f305027c5ffb41ec2886a16b443",
+        "3386bf495422569e4abcf1650b89643d94b40ff5a2ac35d8f5b38b9c0a65a462",
     ("sem-long", "base", "semantic"):
-        "2718090e55d354f3f26f0f2f670b03277bf9e9b470599c8d0c57daf67eb3b720",
+        "bdc97c4b0b55bd5d2e373ce2ada2debade16e5a43c6532606adad5fee9e082dd",
     ("sem-long", "f", "semantic"):
-        "fda8dada556b86f9614108648ff8b7c7df2bd9aa6294163de78a6dfb305ff34e",
+        "19e4d4df3e743640594a3aa572ee624f3fa2de5116dfb202c37202762bb833bd",
     ("sem-long", "fp", "semantic"):
-        "aa170995ab33330b8eb750cebb2c4131e736aadd2b6c70f8a1ba870a52794ded",
+        "5d60e11f28fbefc8b93e1963cb5140f0f7473fcb25f802a3990ab61b20480b99",
     ("sem-long", "fpc", "semantic"):
-        "5ae0b948bb8a2900878d3bee563079d69c7e4797382a3dd5069ab0d4e8d389fa",
+        "d35599f647fba52de3a4ade93199d3d2e3d21b292528c699bc23b05fbd48578f",
 }
 
 
