@@ -107,7 +107,6 @@ def _depths(circ: "BoolCircuit", reset_at_and: bool) -> np.ndarray:
 @dataclass
 class BoolCircuit:
     n_inputs: int
-    input_widths: tuple
     outputs: tuple
     op: np.ndarray  # uint8, AND or XOR
     lhs: np.ndarray  # int32 wire ids
@@ -159,7 +158,7 @@ class BoolCircuit:
 
 class CircuitBuilder:
     def __init__(self):
-        self.input_widths = []
+        self._n_inputs = 0
         self._op = []
         self._lhs = []
         self._rhs = []
@@ -169,7 +168,7 @@ class CircuitBuilder:
     def new_input(self, width: int) -> WireVec:
         if self._op:
             raise RuntimeError("declare all inputs before emitting gates")
-        self.input_widths.append(width)
+        self._n_inputs += width
         wires = tuple(range(self._next, self._next + width))
         self._next += width
         return WireVec(wires)
@@ -210,7 +209,7 @@ class CircuitBuilder:
         Gates that no gate and no output reads are peeled off, round by
         round, until none is left; the kept gates are then renumbered,
         while constants, inputs and the outputs' order stay as they are."""
-        base = 2 + sum(self.input_widths)
+        base = 2 + self._n_inputs
         op = np.array(self._op, dtype=np.uint8)
         lhs = np.array(self._lhs, dtype=np.int32)
         rhs = np.array(self._rhs, dtype=np.int32)
@@ -233,7 +232,6 @@ class CircuitBuilder:
         new_id = np.cumsum(np.concatenate([np.ones(base, dtype=bool), live]), dtype=np.int32) - 1
         return BoolCircuit(
             n_inputs=base - 2,
-            input_widths=tuple(self.input_widths),
             outputs=tuple(new_id[outputs].tolist()),
             op=op[live],
             lhs=new_id[lhs[live]],

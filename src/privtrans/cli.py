@@ -12,7 +12,10 @@ Run configs are JSON with these keys (flags override the file):
                   weight_scale (default 0.5)
     tokens        list of vocabulary indices (default 0..n-1 mod d_oh)
     backend       "semantic" | "gc" nonpoly backend (default semantic)
-    strict        bool, range-check every nonpoly stage input
+    strict        bool, range-check every nonpoly stage input of the
+                  plaintext reference, which the protocol reproduces
+                  bit-exactly; the check runs before the protocol, and an
+                  out-of-domain input ends the command with "range error"
     channel       {"delay_s": float, "bandwidth_bps": float}
     report        output path for the structured report
 
@@ -41,7 +44,7 @@ from .model import (
     reference_forward,
 )
 from .packing import PackingLayout, PackingStrategy, plan_layout, predicted_rotations
-from .securefn import BACKENDS
+from .securefn import BACKENDS, RangeViolation
 from .she import HEParams
 from .transcript import ChannelModel, estimate_latency
 
@@ -173,20 +176,18 @@ def _session(rc: RunConfig) -> Session:
     """The run's session; a token count the mode's packing cannot use
     raises ConfigError naming model.n."""
     try:
-        return Session(rc.model, rc.weights, rc.mode, rc.seed, backend=rc.backend,
-                       strict=rc.strict)
+        return Session(rc.model, rc.weights, rc.mode, rc.seed, backend=rc.backend)
     except PackingError as e:
         raise ConfigError(f"config field 'model.n': {e} (mode {rc.mode!r})") from None
 
 
 def cmd_run(rc: RunConfig) -> dict:
     """One session; returns the structured report."""
-    return _report(rc, _session(rc))
+    return cmd_compare(rc, (rc.mode,))["reports"][rc.mode]
 
 
-def _report(rc: RunConfig, session: Session) -> dict:
+def _report(rc: RunConfig, session: Session, want) -> dict:
     result = session.run(rc.tokens)
-    want = reference_forward(rc.model, rc.weights, rc.tokens, strict=rc.strict)
     got = result.reconstruct()
     merged = result.merged_report()
     t = result.transcript
@@ -225,10 +226,12 @@ def _report(rc: RunConfig, session: Session) -> dict:
 
 def cmd_compare(rc: RunConfig, modes=MODES) -> dict:
     """Same model, weights, seed, and input across protocol modes. Every
-    mode's session is built, and so its packing checked, before any runs."""
+    mode's session is built, and so its packing checked, and the reference
+    run once, range-checked under rc.strict, before any mode runs."""
     rcs = [replace(rc, mode=mode, report_path=None) for mode in modes]
     sessions = [_session(r) for r in rcs]
-    reports = {r.mode: _report(r, s) for r, s in zip(rcs, sessions)}
+    want = reference_forward(rc.model, rc.weights, rc.tokens, strict=rc.strict)
+    reports = {r.mode: _report(r, s, want) for r, s in zip(rcs, sessions)}
     return {"schema": "bench-compare/1", "modes": list(modes), "reports": reports}
 
 
@@ -345,7 +348,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, help="override seed")
     p.add_argument("--report", help="override structured report output path")
     p.add_argument("--strict", action="store_true", default=None,
-                   help="range-check nonpoly stage inputs")
+                   help="range-check the reference's stage inputs before the protocol")
 
 
 def main(argv=None) -> int:
@@ -392,6 +395,9 @@ def main(argv=None) -> int:
                                   f"{e.strerror}") from None
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 1
+    except RangeViolation as e:
+        print(f"range error: {e}", file=sys.stderr)
         return 1
     print(text)
     return 0 if ok else 1

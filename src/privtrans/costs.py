@@ -28,8 +28,7 @@ def check_scope(step: str, phase: str) -> None:
 class CostReport:
     """Nested tally: (step, phase) -> counter name -> count."""
 
-    def __init__(self, owner: str = ""):
-        self.owner = owner
+    def __init__(self):
         self.cells: dict[tuple[str, str], dict[str, int]] = {}
         self._step = "Others"
         self._phase = "online"
@@ -72,7 +71,7 @@ class CostReport:
         return sum(cell.get(k, 0) for k in HE_COUNTERS)
 
     def merged(self, other: "CostReport") -> "CostReport":
-        out = CostReport(owner=f"{self.owner}+{other.owner}")
+        out = CostReport()
         for rep in (self, other):
             for key, cell in rep.cells.items():
                 tgt = out.cells.setdefault(key, {})

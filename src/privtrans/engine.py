@@ -114,7 +114,7 @@ class Client:
     and its side of the session's OT (the garbler is the OT sender)."""
 
     def __init__(self, rng: np.random.Generator, he: HEParams, ring):
-        self.rng, self.ring, self.report = rng, ring, CostReport("client")
+        self.rng, self.ring, self.report = rng, ring, CostReport()
         self.key = keygen(he, seed=int(rng.integers(0, 2**63)))
         self.ot = ExtSender(rng)
 
@@ -132,7 +132,7 @@ class Server:
     wire payloads, public weights and module ids."""
 
     def __init__(self, rng: np.random.Generator, ring):
-        self.rng, self.ring, self.report = rng, ring, CostReport("server")
+        self.rng, self.ring, self.report = rng, ring, CostReport()
         self.material = {}
         self.ot = ExtReceiver(rng)
 
@@ -254,7 +254,7 @@ class Session:
     """
 
     def __init__(self, cfg: ModelConfig, weights: ModelWeights, mode: str, seed: int, *,
-                 backend: str = "semantic", strict: bool = False):
+                 backend: str = "semantic"):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if backend not in BACKENDS:
@@ -262,7 +262,7 @@ class Session:
         weights.validate(cfg)
         self.cfg, self.weights, self.mode = cfg, weights, mode
         self.prep = "online" if mode == "base" else "offline"
-        self.backend, self.strict = backend, strict
+        self.backend = backend
         top = max(cfg.d_oh, cfg.d_emb, cfg.d_ff, cfg.n, cfg.d_out, 2)
         self.he = HEParams(slots=1 << (top - 1).bit_length())
         c_ss, s_ss = np.random.SeedSequence(seed).spawn(2)
@@ -407,8 +407,7 @@ class Session:
         lanes = (-1, spec.count)
         c_new, s_new = eval_secure(
             spec, client_part.data.reshape(lanes), held.data.reshape(lanes), self.client.rng,
-            backend=self.backend, strict=self.strict,
-            report=self.client.report, transcript=self.transcript, step=step,
+            backend=self.backend, report=self.client.report, transcript=self.transcript, step=step,
             ot_sender=self.client.ot, ot_receiver=self.server.ot,
         )
         ring = self.cfg.ring

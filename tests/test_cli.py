@@ -268,6 +268,42 @@ def test_compare_and_verify_refuse_the_token_count_before_any_run(cmd, tmp_path,
     assert runs == []
 
 
+# the README's minimal config
+README_DESK = {"mode": "f", "seed": 7, "weights_seed": 5,
+               "model": {"N": 1, "d_emb": 8, "H": 2, "n": 4, "d_oh": 16, "d_ff": 8}}
+
+
+@pytest.mark.parametrize("cmd,runs", [("run", 1), ("compare", 4), ("verify", 0)])
+def test_strict_in_domain_changes_only_the_strict_field(cmd, runs, tmp_path, capsys):
+    # runs: the run reports the command writes; verify's holds only its checks
+    cfg_path = tmp_path / "rc.json"
+    cfg_path.write_text(json.dumps(README_DESK))
+    outs, texts = [], []
+    for flags in ([], ["--strict"]):
+        report_path = tmp_path / f"out{len(flags)}.json"
+        assert main([cmd, "--config", str(cfg_path), "--report", str(report_path), *flags]) == 0
+        outs.append(capsys.readouterr())
+        texts.append(report_path.read_text())
+    assert outs[0] == outs[1]
+    assert texts[0].count('"strict": false') == texts[1].count('"strict": true') == runs
+    assert texts[1].replace('"strict": true', '"strict": false') == texts[0]
+
+
+@pytest.mark.parametrize("cmd", ["run", "compare", "verify"])
+def test_strict_overflow_ends_in_one_range_error_line_before_any_run(cmd, tmp_path, capsys,
+                                                                     monkeypatch):
+    def never(self, tokens):
+        raise AssertionError("the protocol ran")
+
+    monkeypatch.setattr(cli.Session, "run", never)
+    cfg_path = tmp_path / "overflow.json"
+    cfg_path.write_text(json.dumps({**README_DESK, "weight_scale": 20}))
+    assert main([cmd, "--config", str(cfg_path), "--strict"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "range error: softmax_row: value exceeds +-16383 after the 32-bit shift\n"
+
+
 def test_main_run_verify_and_exit_codes(tmp_path, capsys):
     cfg_path = tmp_path / "rc.json"
     report_path = tmp_path / "out.json"

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from privtrans import engine, packing, securefn, sharing, she
+from privtrans import engine, model, packing, securefn, sharing, she
 from privtrans.engine import (
     MODES,
     AuditError,
@@ -82,6 +82,44 @@ def test_gc_backend_reconstructs_reference_exactly():
     assert np.array_equal(res.reconstruct().data, want.data)
     assert res.client_report.total("ot_count") > 0
     assert res.client_report.total("gc_table_bytes") > 0
+
+
+@pytest.mark.parametrize("norm,activation,mode,backend", [
+    *[(norm, act, mode, "semantic") for norm, act in (("post", "relu"), ("pre", "gelu"))
+      for mode in MODES],
+    ("pre", "gelu", "f", "gc"),
+])
+def test_every_stage_input_is_the_references(norm, activation, mode, backend, monkeypatch):
+    # the reconstructed input of every secure stage equals, word for word,
+    # the reference's input to the same stage; so the reference's range
+    # check covers the protocol's stage inputs too
+    cfg = toy_cfg(norm=norm, activation=activation)
+    w = random_weights(cfg, np.random.default_rng(29))
+    tokens = [3, 1, 4, 1]
+    got, want = [], []
+    real_eval, real_stage = engine.eval_secure, model._stage_rows
+
+    def spy_eval(spec, client_vals, server_vals, *args, **kwargs):
+        got.append((spec, client_vals + server_vals))
+        return real_eval(spec, client_vals, server_vals, *args, **kwargs)
+
+    def spy_stage(spec, raw, strict):
+        # the reference runs softmax head by head, the protocol stacks the
+        # heads' rows into one stage
+        if spec.fn == "softmax_row" and want and want[-1][0] == spec:
+            want[-1] = (spec, np.concatenate([want[-1][1], raw]))
+        else:
+            want.append((spec, raw.copy()))
+        return real_stage(spec, raw, strict)
+
+    monkeypatch.setattr(engine, "eval_secure", spy_eval)
+    monkeypatch.setattr(model, "_stage_rows", spy_stage)
+    Session(cfg, w, mode, seed=6, backend=backend).run(tokens)
+    reference_forward(cfg, w, tokens)
+    assert [spec for spec, _ in got] == [spec for spec, _ in want]
+    for i, ((spec, g), (_, r)) in enumerate(zip(got, want)):
+        assert g.dtype == r.dtype == np.uint64
+        assert np.array_equal(g, r), (i, spec.fn)
 
 
 def test_same_seed_reproduces_run_different_seed_rerandomizes():
@@ -638,7 +676,7 @@ def test_session_packing_defaults_and_validation():
     assert Session(cfg, w, "fpc", 1).packing is PackingStrategy.TOKENS_FIRST
     # Session takes only the protocol's inputs: packing follows the mode
     assert list(inspect.signature(Session).parameters) == [
-        "cfg", "weights", "mode", "seed", "backend", "strict"]
+        "cfg", "weights", "mode", "seed", "backend"]
     with pytest.raises(ValueError):
         Session(cfg, w, "bogus", 1)
     cfg6 = toy_cfg(n=6, d_oh=8)

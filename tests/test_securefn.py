@@ -1,4 +1,4 @@
-"""Secure nonpoly stages: circuits, backends, masking, strict mode."""
+"""Secure nonpoly stages: circuits, backends, masking, domain checks."""
 
 import numpy as np
 import pytest
@@ -190,13 +190,22 @@ def test_fresh_masks_are_the_client_share():
 
 
 def test_strict_mode_flags_domain_violations():
-    rng = np.random.default_rng(205)
     spec = SecureFnSpec("relu", shift=F)
     big = np.array([[int(100.0 * (1 << 2 * F))]], dtype=np.uint64)  # beyond +-64
-    xc, xs = share_raw(big, rng)
+    with pytest.raises(RangeViolation, match="relu"):
+        check_domain(spec, big)
+    # the bound holds after the shift: any low bits of the limit pass
+    lim = DEFAULT_RING.value_limit()
+    check_domain(spec, np.array([[((lim + 1) << F) - 1], [-lim << F]]).astype(np.uint64))
     with pytest.raises(RangeViolation):
-        eval_secure(spec, xc, xs, rng, strict=True, **logs())
-    eval_secure(spec, xc, xs, rng, strict=False, **logs())  # permissive clamps instead
+        check_domain(spec, np.array([[(lim + 1) << F]], dtype=np.uint64))
+    with pytest.raises(RangeViolation):
+        check_domain(spec, np.array([[(-lim << F) - 1]]).astype(np.uint64))
+    # the protocol stage itself saturates instead of refusing
+    rng = np.random.default_rng(205)
+    xc, xs = share_raw(big, rng)
+    c, s = eval_secure(spec, xc, xs, rng, **logs())
+    assert np.array_equal(c + s, plain_apply(spec, big))
 
 
 def test_strict_mode_checks_unshifted_stages():
@@ -219,7 +228,7 @@ def test_cost_logging_matches_message_bytes():
     spec = SecureFnSpec("relu")
     raw = rng.integers(0, 1 << 64, (20, 1), dtype=np.uint64)
     xc, xs = share_raw(raw, rng)
-    report = CostReport("client")
+    report = CostReport()
     t = Transcript()
     eval_secure(spec, xc, xs, rng, backend="gc", report=report, transcript=t, step="SoftMax",
                 **ot_sides(205))

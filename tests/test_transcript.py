@@ -60,7 +60,7 @@ def test_op_cost_table_adds_compute_time():
     t = Transcript()
     t.send("client", "Others", "gc_material", 100)
     t.interaction("Others")
-    r = CostReport("server")
+    r = CostReport()
     with r.at("Others", "online"):
         r.bump("he_mul_plain", 10)
     base = estimate_latency(t, ChannelModel(delay_s=0.0, bandwidth_bps=1e8))
@@ -123,7 +123,7 @@ def test_summary_groups_by_step():
 
 def test_cost_report_rejects_transcript_tallies():
     # interactions, messages and bytes are counted by the Transcript alone
-    report = CostReport("client")
+    report = CostReport()
     for name in ("interactions", "bytes_sent", "messages"):
         with pytest.raises(ValueError, match=name):
             report.bump(name)
