@@ -13,6 +13,7 @@ import numpy as np
 
 from privtrans.costs import CostReport
 from privtrans.engine import MaterialMissing, Server
+from privtrans.model import ModelConfig, random_weights
 from privtrans.ring import DEFAULT_RING, FixedTensor, mat_mul
 from privtrans.sharing import make_product_triple, rand_ring
 from privtrans.she import HEParams, keygen
@@ -71,7 +72,9 @@ print("masked-product algebra reconstructs Q*K^T exactly")
 # Triples are single-use: the mask would leak if two different masked
 # values reused it. The server keeps each triple in its material store
 # under a module id, and taking an item pops it, so a second take fails.
-server = Server(np.random.default_rng(7), DEFAULT_RING)
+# The server is built from the model it serves: it holds the weights.
+cfg = ModelConfig(N=1, d_emb=4, H=1, n=3, d_oh=4, d_ff=4)
+server = Server(np.random.default_rng(7), cfg, random_weights(cfg, np.random.default_rng(7)))
 server.keep("b0.qk.h0", triple)
 print("server store holds:", sorted(server.material))
 assert server.take("b0.qk.h0") is triple

@@ -20,7 +20,9 @@ R_e = Rc0 W_E delta, and combined weights B_h = W_Q_h W_K_h^T; the
 mask-quadratic term R_e B_h R_e^T is prepared offline with one extra
 client round on a server-masked ciphertext. Later blocks reuse the
 preceding GC output mask as Rc0, so their prefix needs no client message
-at all.
+at all. The computation merge (W_E delta, W_E delta W_V, each B_h) is the
+server's weight preprocessing: `Server.__init__` makes it once, into the
+table from module id to weight that the server alone holds.
 """
 
 from __future__ import annotations
@@ -123,18 +125,38 @@ class Client:
 
 
 class Server:
-    """The server: its rng stream, its cost report and its material store.
-    `material` maps a module id (`b0.wq`, `b0.qk.h1`) to the one record the
-    server made or received for that module offline; `take` pops it, so
-    each record is consumed once. Every QxK and AttenValue product, fused
-    or not, takes a MatTriple through `four_terms`. `ot` is its side of the
-    session's OT (the evaluator is the OT receiver). Its methods take only
-    wire payloads, public weights and module ids."""
+    """The server: its rng stream, its cost report, the model weights and
+    its material store. `weights`, built once at set-up, maps a module id
+    to its (W, public bias), W a tensor or the int delta of `embed.posn`,
+    and holds mode fpc's computation merge: per block the fused input map
+    (W_ed, lam) under `b{i}.qk`, W_ed W_V under `b{i}.fuse_v` and each
+    B_h = W_Q_h W_K_h^T under `b{i}.qk.h{h}`. `material` maps a module id
+    to the one record the server made or received for it offline; `take`
+    pops it, so each record is consumed once. Every QxK and AttenValue
+    product, fused or not, takes a MatTriple through `four_terms`. `ot` is
+    its side of the session's OT (the evaluator is the OT receiver). Its
+    methods take only wire payloads and module ids."""
 
-    def __init__(self, rng: np.random.Generator, ring):
-        self.rng, self.ring, self.report = rng, ring, CostReport()
+    def __init__(self, rng: np.random.Generator, cfg: ModelConfig, weights: ModelWeights):
+        self.rng, self.ring, self.report, self.heads = rng, cfg.ring, CostReport(), cfg.H
         self.material = {}
         self.ot = ExtReceiver(rng)
+        t = self.weights = {"embed.vocab": (weights.w_e, None), "head": (weights.w_head, None),
+                            "embed.posn": (cfg.delta, cfg.lam)}
+        for i, blk in enumerate(weights.blocks):
+            t.update({f"b{i}.{k.replace('_', '')}": (w, None) for k, w in vars(blk).items()})
+            # the fused input map X1 = X0 W_ed + lam: block 0 of a post-norm
+            # model fuses from the one-hot input, pre-norm blocks from a norm
+            if i == 0 and cfg.norm == "post":
+                w_ed, lam = t["embed.fused"] = weights.w_e.scalar_mul(cfg.delta), cfg.lam
+            else:
+                w_ed, lam = FixedTensor(np.eye(cfg.d_emb, dtype=np.uint64), cfg.ring), None
+            t[f"b{i}.qk"] = (w_ed, lam)
+            t[f"b{i}.fuse_v"] = (mat_mul(w_ed, blk.w_v),
+                                 lam if lam is None else mat_mul(lam, blk.w_v))
+            q_h, k_h = (np.split(w.data, cfg.H, axis=1) for w in (blk.w_q, blk.w_k))
+            t.update({f"b{i}.qk.h{h}": (FixedTensor(q @ k.T, cfg.ring), None)
+                      for h, (q, k) in enumerate(zip(q_h, k_h))})
 
     def keep(self, mid: str, item) -> None:
         if mid in self.material:
@@ -147,14 +169,19 @@ class Server:
         except KeyError:
             raise MaterialMissing(f"no material {mid!r}: never made or already consumed") from None
 
-    def mask_reply(self, mid: str, rc_cts: list[Ciphertext], layout: PackingLayout,
-                   w: FixedTensor | None, scalar: int | None = None):
+    def _apply(self, mid: str, x: FixedTensor) -> FixedTensor:
+        """x through module mid: x @ W (or x * W, W an int), plus its bias."""
+        w, bias = self.weights[mid]
+        out = x.scalar_mul(w) if isinstance(w, int) else mat_mul(x, w)
+        return out if bias is None else out + bias
+
+    def mask_reply(self, mid: str, rc_cts: list[Ciphertext], layout: PackingLayout):
         """HE half of one module's mask exchange: Enc(rc @ W + rs) from the
-        client's packed Enc(rc), scalar in place of W for a coefficient
+        client's packed Enc(rc), rc scaled in place for a coefficient
         module. Keeps rs under mid; returns the ciphertexts, their layout."""
-        rep = self.report
-        if scalar is not None:
-            out_cts, layout_out = [he_mul_plain(ct, scalar, rep) for ct in rc_cts], layout
+        rep, (w, _) = self.report, self.weights[mid]
+        if isinstance(w, int):
+            out_cts, layout_out = [he_mul_plain(ct, w, rep) for ct in rc_cts], layout
         else:
             out_cts, layout_out = he_matmul(rc_cts, layout, w, rep)
         rs = rand_ring((layout.n, layout_out.d), self.rng, self.ring)
@@ -162,17 +189,11 @@ class Server:
         out_cts = [he_add_plain(ct, v, rep) for ct, v in zip(out_cts, pack_plain(rs, layout_out))]
         return out_cts, layout_out
 
-    def run_hgs_layer(self, mid: str, w, masked_in: FixedTensor,
-                      bias: FixedTensor | None = None, scalar: int | None = None) -> FixedTensor:
+    def run_hgs_layer(self, mid: str, masked_in: FixedTensor) -> FixedTensor:
         """Online step of one module: (X - rc) @ W - rs plus any public bias.
-        Pure ring arithmetic; the prepared phase already paid all HE.
-        scalar replaces W for coefficient (diagonal) modules."""
+        Pure ring arithmetic; the prepared phase already paid all HE."""
         rs = self.take(mid)
-        out = masked_in.scalar_mul(scalar) if scalar is not None else mat_mul(masked_in, w)
-        out = out - rs
-        if bias is not None:
-            out = out + bias
-        return out
+        return self._apply(mid, masked_in) - rs
 
     def four_terms(self, mid: str, left: FixedTensor, right: FixedTensor) -> tuple:
         """(L @ R, Enc(a) @ R, L @ Enc(b), Enc(ab), rs): the terms of
@@ -195,23 +216,23 @@ class Server:
                 rows.append(he_add_plain(acc, t1.data[i] - rs.data[i], rep))
         return rows
 
-    def chgs_terms(self, mids: list[str], enc_rc0: list[Ciphertext],
-                   enc_rc0_t: list[Ciphertext], w_ed: FixedTensor, head_b: list) -> list:
-        """Fused-prefix QxK triples begun from Enc(Rc0), Enc(Rc0^T) rows: a
-        = R_e B_h and b = R_e^T for R_e = Rc0 W_ed and each head's public
-        B_h of head_b. Keeps, under that head's id of mids, (Enc(R_e B_h),
-        Enc(R_e^T), G_h, Enc(Rc0^T)) for a fresh G_h, and returns per head
-        the rows Enc(Rc0 W_M_h) + G_h (W_M_h = W_ed B_h W_ed^T)."""
-        rep = self.report
+    def chgs_terms(self, qk: str, enc_rc0: list[Ciphertext], enc_rc0_t: list[Ciphertext]):
+        """Fused-prefix QxK triples of block qk begun from Enc(Rc0),
+        Enc(Rc0^T) rows: a = R_e B_h and b = R_e^T for R_e = Rc0 W_ed. Keeps,
+        under each head's id, (Enc(R_e B_h), Enc(R_e^T), G_h, Enc(Rc0^T))
+        for a fresh G_h, and returns per head id the rows
+        Enc(Rc0 W_M_h) + G_h (W_M_h = W_ed B_h W_ed^T)."""
+        rep, (w_ed, _) = self.report, self.weights[qk]
         enc_re = enc_left_matmul(enc_rc0, w_ed, rep)
         enc_re_t = plain_left_matmul(w_ed.transpose(), enc_rc0_t, rep)
-        masked_wm = []
-        for mid, b_h in zip(mids, head_b):
+        masked_wm = {}
+        for mid in (f"{qk}.h{h}" for h in range(self.heads)):
+            b_h, _ = self.weights[mid]
             enc_re_b = enc_left_matmul(enc_re, b_h, rep)
             w_m = mat_mul(mat_mul(w_ed, b_h), w_ed.transpose())
             g_h = rand_ring((len(enc_rc0), w_ed.rows), self.rng, self.ring)
             rows = enc_left_matmul(enc_rc0, w_m, rep)
-            masked_wm.append([he_add_plain(ct, v, rep) for ct, v in zip(rows, g_h.data)])
+            masked_wm[mid] = [he_add_plain(ct, v, rep) for ct, v in zip(rows, g_h.data)]
             self.keep(mid, (enc_re_b, enc_re_t, g_h, enc_rc0_t))
         return masked_wm
 
@@ -224,13 +245,12 @@ class Server:
         product = [he_add(a, b, self.report) for a, b in zip(back, strip)]
         self.keep(mid, MatTriple(enc_re_b, enc_re_t, product))
 
-    def chgs_heads(self, mids: list[str], x0_masked: FixedTensor, w_ed: FixedTensor,
-                   lam: FixedTensor, head_b: list) -> list:
-        """Per head, the four terms of S_h = (P_s B_h + R_e B_h)(P_s^T + R_e^T)
-        with P_s = (X0 - Rc0) W_ed + lam, from the triple under its id."""
-        p_s = mat_mul(x0_masked, w_ed) + lam
-        return [self.four_terms(mid, mat_mul(p_s, b_h), p_s.transpose())
-                for mid, b_h in zip(mids, head_b)]
+    def chgs_heads(self, qk: str, x0_masked: FixedTensor) -> list:
+        """Per head of block qk, the four terms of S_h = (P_s B_h + R_e B_h)
+        (P_s^T + R_e^T), P_s = (X0 - Rc0) W_ed + lam, from its triple."""
+        p_s = self._apply(qk, x0_masked)
+        return [self.four_terms(mid, self._apply(mid, p_s), p_s.transpose())
+                for mid in (f"{qk}.h{h}" for h in range(self.heads))]
 
 
 class Session:
@@ -246,8 +266,8 @@ class Session:
     all material tagged offline really is derivable before the input
     arrives.
 
-    The HE key pair lives on the Client, the server's material in the
-    Server's store under module ids. Each party keeps its side of the
+    The HE key pair lives on the Client, the weights and the server's
+    material on the Server under module ids. Each party keeps its side of the
     session's OT, whose base OTs run in the first secure stage. `run` ends
     by auditing that no client secret is reachable from the server and
     that its store is empty.
@@ -260,14 +280,14 @@ class Session:
         if backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
         weights.validate(cfg)
-        self.cfg, self.weights, self.mode = cfg, weights, mode
+        self.cfg, self.mode = cfg, mode
         self.prep = "online" if mode == "base" else "offline"
         self.backend = backend
         top = max(cfg.d_oh, cfg.d_emb, cfg.d_ff, cfg.n, cfg.d_out, 2)
         self.he = HEParams(slots=1 << (top - 1).bit_length())
         c_ss, s_ss = np.random.SeedSequence(seed).spawn(2)
         self.client = Client(np.random.default_rng(c_ss), self.he, cfg.ring)
-        self.server = Server(np.random.default_rng(s_ss), cfg.ring)
+        self.server = Server(np.random.default_rng(s_ss), cfg, weights)
         self.packing = (PackingStrategy.TOKENS_FIRST if mode in ("fp", "fpc")
                         else PackingStrategy.FEATURES_FIRST)
         if self.packing is PackingStrategy.TOKENS_FIRST and self.he.slots % cfg.n:
@@ -320,16 +340,13 @@ class Session:
 
     # -- module material ------------------------------------------------------
 
-    def _gen_hgs(self, mid: str, w: FixedTensor | None, rc: FixedTensor, *,
-                 scalar: int | None = None, rc_cts: list[Ciphertext] | None = None):
+    def _gen_hgs(self, mid: str, rc: FixedTensor, *, rc_cts: list[Ciphertext] | None = None):
         """Mask exchange for one module: the client ships Enc(rc) packed, the
         server keeps its rs and returns Enc(rc @ W + rs), the client decrypts
-        its share. A coefficient module (scalar in place of W) acts on d_emb
-        features. Returns the client's m_out = rc @ W + rs."""
+        its share. Returns the client's m_out = rc @ W + rs."""
         if rc_cts is None:
             rc_cts = self._pack_mask(rc)
-        out_cts, layout_out = self.server.mask_reply(mid, rc_cts, self._layout(rc.cols),
-                                                     w, scalar)
+        out_cts, layout_out = self.server.mask_reply(mid, rc_cts, self._layout(rc.cols))
         self._send("server", out_cts)
         if self.prep == "offline":
             # an online-generated module piggybacks on its remask interaction
@@ -343,10 +360,10 @@ class Session:
         self._send("client", t.left_ct + t.right_ct + t.product_ct)
         self.server.keep(mid, t)
 
-    def chgs_material(self, mids: list[str], rc0: FixedTensor, w_ed: FixedTensor,
-                      head_b: list) -> None:
-        """The fused prefix's QxK triples, offline, one per head of head_b
-        (B_h = W_Q_h W_K_h^T) into the server's store under its id of mids.
+    def chgs_material(self, qk: str, rc0: FixedTensor) -> None:
+        """The fused prefix's QxK triples of block qk (`b0.qk`), offline, one
+        per head (B_h = W_Q_h W_K_h^T) into the server's store under the
+        head's id.
 
         The mask-quadratic product R_e B_h R_e^T costs one extra offline
         round: the server masks Enc(Rc0 W_M_h) with G_h, the client
@@ -355,9 +372,9 @@ class Session:
         key, rep_c = self.client.key, self.client.report
         enc_rc0, enc_rc0_t = enc_rows(rc0, key, rep_c), enc_rows(rc0.transpose(), key, rep_c)
         self._send("client", enc_rc0 + enc_rc0_t)
-        masked_wm = self.server.chgs_terms(mids, enc_rc0, enc_rc0_t, w_ed, head_b)
-        self._send("server", [ct for rows in masked_wm for ct in rows])
-        for mid, rows in zip(mids, masked_wm):
+        masked_wm = self.server.chgs_terms(qk, enc_rc0, enc_rc0_t)
+        self._send("server", [ct for rows in masked_wm.values() for ct in rows])
+        for mid, rows in masked_wm.items():
             y_h = dec_rows(rows, rc0.cols, key, self.cfg.ring, rep_c)
             back = enc_rows(mat_mul(y_h, rc0.transpose()), key, rep_c)
             self._send("client", back)
@@ -390,12 +407,11 @@ class Session:
         terms = self.server.four_terms(mid, left_masked, right_masked)
         return self._reveal([terms]), terms[-1]
 
-    def chgs_scores(self, mids: list[str], x0_masked: FixedTensor, w_ed: FixedTensor,
-                    lam: FixedTensor, head_b: list):
+    def chgs_scores(self, qk: str, x0_masked: FixedTensor):
         """Fused scores S_h = (P_s + R_e) B_h (P_s + R_e)^T per head from the
-        server's terms for the triples under mids. Returns the (server,
+        server's terms for the triples of block qk. Returns the (server,
         client) score shares stacked by head."""
-        heads = self.server.chgs_heads(mids, x0_masked, w_ed, lam, head_b)
+        heads = self.server.chgs_heads(qk, x0_masked)
         s_client = self._reveal(heads)
         s_server = self._stack([rs for *_, rs in heads])
         return s_server, s_client
@@ -419,39 +435,36 @@ class Session:
     def _embed(self, x0: FixedTensor):
         """Two chained modules: vocabulary matmul, then coefficient scale
         with the public positional offset added server-side."""
-        cfg, w = self.cfg, self.weights
+        cfg = self.cfg
         with self._at("Embed", prep=True):
             rc_e = self.client.rand((cfg.n, cfg.d_oh))
-            out_e = self._gen_hgs("embed.vocab", w.w_e, rc_e)
+            out_e = self._gen_hgs("embed.vocab", rc_e)
             rc_dl = self.client.rand((cfg.n, cfg.d_emb))
-            out_dl = self._gen_hgs("embed.posn", None, rc_dl, scalar=cfg.delta)
+            out_dl = self._gen_hgs("embed.posn", rc_dl)
         with self._at("Embed"):
             zeros = FixedTensor.zeros(*x0.shape, cfg.ring)
             masked, = self._remask(rc_e, (zeros, x0))
-            masked_e = self.server.run_hgs_layer("embed.vocab", w.w_e, masked)
+            masked_e = self.server.run_hgs_layer("embed.vocab", masked)
             masked, = self._remask(rc_dl, (masked_e, out_e))
-        masked_x1 = self.server.run_hgs_layer("embed.posn", None, masked, bias=cfg.lam,
-                                              scalar=cfg.delta)
-        return masked_x1, out_dl
+        return self.server.run_hgs_layer("embed.posn", masked), out_dl
 
-    def _weight_module(self, mid: str, w: FixedTensor, chain):
+    def _weight_module(self, mid: str, chain):
         with self._at("Others", prep=True):
-            rc = self.client.rand((self.cfg.n, w.rows))
-            m_out = self._gen_hgs(mid, w, rc)
+            rc = self.client.rand(chain[1].shape)
+            m_out = self._gen_hgs(mid, rc)
         with self._at("Others"):
             masked, = self._remask(rc, chain)
-        return self.server.run_hgs_layer(mid, w, masked), m_out
+        return self.server.run_hgs_layer(mid, masked), m_out
 
     def _prefix_hgs(self, blk_i: int, chain):
         """Modes base/f/fp: QKV modules sharing one input mask, then the
         per-head same-mask score product. Two online interactions."""
-        cfg, blk = self.cfg, self.weights.blocks[blk_i]
-        qkv = [(f"b{blk_i}.w{p}", getattr(blk, f"w_{p}")) for p in "qkv"]
+        cfg = self.cfg
+        qkv = [f"b{blk_i}.w{p}" for p in "qkv"]
         with self._at("QKV", prep=True):
             rc_qkv = self.client.rand((cfg.n, cfg.d_emb))
             qkv_cts = self._pack_mask(rc_qkv)
-            q_out, k_out, v_out = [self._gen_hgs(mid, w, rc_qkv, rc_cts=qkv_cts)
-                                   for mid, w in qkv]
+            q_out, k_out, v_out = [self._gen_hgs(mid, rc_qkv, rc_cts=qkv_cts) for mid in qkv]
         with self._at("QxK", prep=True):
             rc_qk = self.client.rand((cfg.n, cfg.d_emb))
             for h, r in enumerate(self._heads(rc_qk)):
@@ -459,8 +472,7 @@ class Session:
 
         with self._at("QKV"):
             masked_x1, = self._remask(rc_qkv, chain)
-        masked_q, masked_k, masked_v = [self.server.run_hgs_layer(mid, w, masked_x1)
-                                        for mid, w in qkv]
+        masked_q, masked_k, masked_v = [self.server.run_hgs_layer(mid, masked_x1) for mid in qkv]
         with self._at("QxK"):
             mq, mk = self._remask(rc_qk, (masked_q, q_out), (masked_k, k_out))
             heads = [self.triple_product(f"b{blk_i}.qk.h{h}", q, k.transpose())
@@ -472,33 +484,21 @@ class Session:
     def _prefix_chgs(self, blk_i: int, chain, x0: FixedTensor | None):
         """Mode fpc: fused prefix with one online exchange under QxK.
 
-        Block 0 post-norm fuses from the raw one-hot input (W_E delta and
-        lam folded in); the other cases run the same algebra with an
-        identity embedding, reusing the preceding GC output mask as Rc0 so
-        the client sends nothing online at all.
+        A block that fuses from the raw one-hot input (x0 given) gets the
+        embedding folded in by the server's merge; the others run the same
+        algebra with an identity embedding, reusing the preceding GC output
+        mask as Rc0 so the client sends nothing online at all.
         """
-        cfg, w, ring = self.cfg, self.weights, self.cfg.ring
-        blk = w.blocks[blk_i]
         first = x0 is not None
-        if first:
-            w_ed = w.w_e.scalar_mul(cfg.delta)
-            lam = cfg.lam
-            rc0 = self.client.rand((cfg.n, cfg.d_oh))
-        else:
-            w_ed = FixedTensor(np.eye(cfg.d_emb, dtype=np.uint64), ring)
-            lam = FixedTensor.zeros(cfg.n, cfg.d_emb, ring)
-            rc0 = chain[1]  # the GC output mask already masking this input
-        qk, fuse_v = [f"b{blk_i}.qk.h{h}" for h in range(cfg.H)], f"b{blk_i}.fuse_v"
-        head_b = [mat_mul(w_q, w_k.transpose())
-                  for w_q, w_k in zip(self._heads(blk.w_q), self._heads(blk.w_k))]
+        rc0 = self.client.rand((self.cfg.n, self.cfg.d_oh)) if first else chain[1]
+        qk, fuse_v = f"b{blk_i}.qk", f"b{blk_i}.fuse_v"
         with self._at("QxK", prep=True):
-            self.chgs_material(qk, rc0, w_ed, head_b)
-        w_ev = mat_mul(w_ed, blk.w_v)
+            self.chgs_material(qk, rc0)
         with self._at("QKV", prep=True):
-            v_out = self._gen_hgs(fuse_v, w_ev, rc0)
+            v_out = self._gen_hgs(fuse_v, rc0)
         if first:
             with self._at("Embed", prep=True):
-                x_out = self._gen_hgs("embed.fused", w_ed, rc0)
+                x_out = self._gen_hgs("embed.fused", rc0)
 
         # online: one interaction carries the whole prefix
         with self._at("QxK"):
@@ -508,12 +508,11 @@ class Session:
             else:
                 x0_masked = chain[0]
             self._interaction()
-            s_chain = self.chgs_scores(qk, x0_masked, w_ed, lam, head_b)
-        masked_v = self.server.run_hgs_layer(fuse_v, w_ev, x0_masked,
-                                             bias=mat_mul(lam, blk.w_v) if first else None)
+            s_chain = self.chgs_scores(qk, x0_masked)
+        masked_v = self.server.run_hgs_layer(fuse_v, x0_masked)
         x1_chain = chain
         if first:  # P_s - rs: X1 = X0 W_ed + lam under the mask x_out
-            x1_chain = (self.server.run_hgs_layer("embed.fused", w_ed, x0_masked, bias=lam), x_out)
+            x1_chain = (self.server.run_hgs_layer("embed.fused", x0_masked), x_out)
         return s_chain, (masked_v, v_out), x1_chain
 
     def _attention_value(self, blk_i: int, p_chain, v_chain):
@@ -537,7 +536,7 @@ class Session:
         return (server, client)
 
     def _block(self, blk_i: int, chain, x0):
-        cfg, blk, f = self.cfg, self.weights.blocks[blk_i], self.cfg.ring.frac_bits
+        cfg, f = self.cfg, self.cfg.ring.frac_bits
         pre = cfg.norm == "pre"
         attn_in = self._gc("Others", ln_attn_spec(cfg), chain) if pre else chain
         if self.mode == "fpc":
@@ -551,7 +550,7 @@ class Session:
         s_chain = (s_chain[0].scalar_mul(eta), s_chain[1].scalar_mul(eta))
         p_chain = self._gc("SoftMax", softmax_spec(cfg), s_chain)
         av_chain = self._attention_value(blk_i, p_chain, v_chain)
-        o_held, o_mask = self._weight_module(f"b{blk_i}.wo", blk.w_o, av_chain)
+        o_held, o_mask = self._weight_module(f"b{blk_i}.wo", av_chain)
         mid = (x1_chain[0].lshift(3 * f) + o_held, x1_chain[1].lshift(3 * f) + o_mask)
         if pre:
             mid = self._gc("Others", trunc_attn_spec(cfg), mid)
@@ -559,9 +558,9 @@ class Session:
         else:
             mid = self._gc("Others", ln_attn_spec(cfg), mid)
             ffn_in = mid
-        h_held, h_mask = self._weight_module(f"b{blk_i}.wf1", blk.w_f1, ffn_in)
+        h_held, h_mask = self._weight_module(f"b{blk_i}.wf1", ffn_in)
         act = self._gc("Others", act_spec(cfg), (h_held, h_mask))
-        f_held, f_mask = self._weight_module(f"b{blk_i}.wf2", blk.w_f2, act)
+        f_held, f_mask = self._weight_module(f"b{blk_i}.wf2", act)
         out = (mid[0].lshift(f) + f_held, mid[1].lshift(f) + f_mask)
         if pre:
             return self._gc("Others", trunc_ffn_spec(cfg), out)
@@ -572,13 +571,13 @@ class Session:
         x0 = FixedTensor(one_hot(tokens, cfg.d_oh), cfg.ring)
         if x0.rows != cfg.n:
             raise ValueError(f"expected n={cfg.n} tokens, got {x0.rows}")
-        fused_first = self.mode == "fpc" and cfg.norm == "post"
+        fused_first = self.mode == "fpc" and "embed.fused" in self.server.weights
         chain = None if fused_first else self._embed(x0)
         for i in range(cfg.N):
             chain = self._block(i, chain, x0 if (i == 0 and fused_first) else None)
         if cfg.norm == "pre":
             chain = self._gc("Others", final_ln_spec(cfg), chain)
-        l_held, l_mask = self._weight_module("head", self.weights.w_head, chain)
+        l_held, l_mask = self._weight_module("head", chain)
         bad = audit_server_ignorance(self.server)
         if bad:
             raise AuditError(f"server holds client secrets: {bad}")

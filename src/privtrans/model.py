@@ -65,6 +65,8 @@ class ModelConfig:
             v = getattr(self, name)
             if not _is_int(v) or v < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+        if self.delta >= 2**64:
+            raise ValueError(f"delta must be below 2**64, a ring word, got {self.delta}")
         if self.d_emb % self.H != 0:
             raise ValueError(f"d_emb={self.d_emb} not divisible by H={self.H}")
         if self.activation not in ACTIVATIONS:
@@ -76,6 +78,8 @@ class ModelConfig:
         if lam is None:
             lam = FixedTensor.zeros(self.n, self.d_emb, self.ring)
         elif not isinstance(lam, FixedTensor):
+            if not np.isfinite(lam).all():
+                raise ValueError("lam must be finite: NaN or inf has no ring encoding")
             lam = FixedTensor.from_float(lam, self.ring)
         if lam.shape != (self.n, self.d_emb):
             raise ValueError(f"lam must be {self.n}x{self.d_emb}, got {lam.shape}")
@@ -280,8 +284,7 @@ def config_from_dict(d: Mapping) -> ModelConfig:
             raise ValueError(f"unknown ring config fields: {sorted(unknown)}")
         kwargs["ring"] = RingParams(**kwargs["ring"])
     if kwargs.get("lam") is not None:
-        ring = kwargs.get("ring", DEFAULT_RING)
-        kwargs["lam"] = FixedTensor.from_float(np.asarray(kwargs["lam"]), ring)
+        kwargs["lam"] = np.asarray(kwargs["lam"], dtype=np.float64)
     return ModelConfig(**kwargs)
 
 

@@ -4,8 +4,8 @@ Run with pytest -v; each verdict line below is the pass/fail report for
 one claim. The claims, in test order:
 
  1. every protocol mode reconstructs the plaintext fixed-point reference
-    bit-exactly on the small config grid; the GC backend stays within
-    2^-4 per logit; the whole sweep finishes inside five minutes
+    bit-exactly on the small config grid, and on the GC backend too; the
+    whole sweep finishes inside five minutes
  2. the masked Q*K^T product is exact over 100 seeds, and the HE layer
     offers no ct x ct product (he_add is its only two-ciphertext op)
  3. precomputation leaves the online phase HE-free for every weight
@@ -87,24 +87,18 @@ def test_1_every_mode_matches_the_reference_on_the_grid():
             got = _run(mode, cfg, w, tokens, seed=2000 + i).reconstruct()
             assert got == ref, (mode, kw)
 
-    # GC backend on one representative config, per-logit bound 2^-4
+    # GC backend on one representative config, every mode bit-exact
     cfg = ModelConfig(N=1, d_emb=8, H=2, n=4, d_oh=16, d_ff=8)
     w = random_weights(cfg, np.random.default_rng(77))
     tokens = [5, 0, 11, 7]
     ref = reference_forward(cfg, w, tokens)
-    worst = 0.0
     for mode in MODES:
         got = _run(mode, cfg, w, tokens, seed=31, backend="gc").reconstruct()
-        err = np.abs(DEFAULT_RING.to_signed((got - ref).data)).max() / float(1 << 2 * F)
-        worst = max(worst, float(err))
-        assert err <= 2.0 ** -4, (mode, err)
+        assert got == ref, (mode, "gc")
 
     elapsed = time.monotonic() - t0
     assert elapsed <= 300.0, f"sweep took {elapsed:.1f}s, budget is 300s"
-    print(
-        f"pass: {len(GRID)} configs x 4 modes bit-exact; "
-        f"gc per-logit err {worst:.6f} <= 2^-4; {elapsed:.1f}s"
-    )
+    print(f"pass: {len(GRID)} configs x 4 modes bit-exact, gc too; {elapsed:.1f}s")
 
 
 def test_2_masked_qk_product_exact_over_100_seeds():

@@ -338,6 +338,17 @@ def test_main_run_verify_and_exit_codes(tmp_path, capsys):
     assert out == ""
     assert err.startswith("config error: config field 'model': N must be an integer >= 1")
 
+    # JSON's NaN reaches lam: it used to run as INT64_MIN and print
+    # equivalence=exact
+    nan_lam = tmp_path / "nan_lam.json"
+    nan_lam.write_text(json.dumps(toy_obj(model={**toy_obj()["model"],
+                                                 "lam": [[float("nan")] * 8] * 4})))
+    assert "NaN" in nan_lam.read_text()
+    assert main(["run", "--config", str(nan_lam)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: config field 'model': lam must be finite")
+
     assert main(["plan", "32", "30522", "4096"]) == 0
     assert '"ciphertexts": 239' in capsys.readouterr().out
 

@@ -1,5 +1,6 @@
 """Protocol engine: mode equivalence, module algebra, and cost structure."""
 
+import dataclasses
 import inspect
 import re
 
@@ -43,6 +44,14 @@ def host_session(mode="f", **cfg_kw):
     cfg = toy_cfg(**cfg_kw)
     w = random_weights(cfg, np.random.default_rng(0))
     return Session(cfg, w, mode, seed=99)
+
+
+def with_weights(cfg, w_e=None, **block0):
+    """Random weights for cfg with w_e and block 0's named tensors (w_q=...)
+    replaced, for a server whose table must hold known weights."""
+    w = random_weights(cfg, np.random.default_rng(0))
+    blocks = (dataclasses.replace(w.blocks[0], **block0),) + w.blocks[1:]
+    return dataclasses.replace(w, w_e=w.w_e if w_e is None else w_e, blocks=blocks)
 
 
 def rand_mat(rng, shape):
@@ -141,24 +150,26 @@ def test_same_seed_reproduces_run_different_seed_rerandomizes():
 
 
 def test_hgs_layer_identity_zero_masks_passes_through():
-    server = host_session().server
-    rng = np.random.default_rng(2)
-    x = rand_mat(rng, (5, 5))
-    eye = FixedTensor(np.eye(5, dtype=np.uint64), DEFAULT_RING)
-    server.keep("id", FixedTensor.zeros(5, 5, DEFAULT_RING))
-    out = server.run_hgs_layer("id", eye, x)
+    cfg = toy_cfg()
+    eye = FixedTensor(np.eye(8, dtype=np.uint64), DEFAULT_RING)
+    server = engine.Server(np.random.default_rng(1), cfg, with_weights(cfg, w_q=eye))
+    x = rand_mat(np.random.default_rng(2), (5, 8))
+    server.keep("b0.wq", FixedTensor.zeros(5, 8, DEFAULT_RING))
+    out = server.run_hgs_layer("b0.wq", x)
     assert out == x
 
 
 def test_hgs_layer_matches_matmul_oracle():
-    server = host_session().server
+    # the server's table holds any ring words as W, not only a model's range
+    cfg = toy_cfg()
     rng = np.random.default_rng(8)
     for _ in range(20):
         x, w = rand_mat(rng, (8, 8)), rand_mat(rng, (8, 8))
         rc, rs = rand_mat(rng, (8, 8)), rand_mat(rng, (8, 8))
         m_out = mat_mul(rc, w) + rs
-        server.keep("m", rs)
-        out = server.run_hgs_layer("m", w, x - rc)
+        server = engine.Server(np.random.default_rng(1), cfg, with_weights(cfg, w_q=w))
+        server.keep("b0.wq", rs)
+        out = server.run_hgs_layer("b0.wq", x - rc)
         assert (out + m_out).data.tolist() == mm64(x, w)
 
 
@@ -166,19 +177,19 @@ def test_hgs_layer_online_phase_is_he_free_and_single_use():
     # the module's rs comes from the real offline exchange under its id;
     # the online step pays no HE and consumes rs, so a second step fails
     s = host_session()
+    w, _ = s.server.weights["b0.wq"]
     rng = np.random.default_rng(4)
-    x, w = rand_mat(rng, (4, 8)), rand_mat(rng, (8, 8))
-    rc = rand_mat(rng, (4, 8))
-    m_out = s._gen_hgs("b0.wq", w, rc)
+    x, rc = rand_mat(rng, (4, 8)), rand_mat(rng, (4, 8))
+    m_out = s._gen_hgs("b0.wq", rc)
     before = {k: s.server.report.total(k) for k in ("he_enc", "he_dec", "he_add",
                                                     "he_add_plain", "he_mul_plain", "he_rotate")}
-    out = s.server.run_hgs_layer("b0.wq", w, x - rc)
+    out = s.server.run_hgs_layer("b0.wq", x - rc)
     after = {k: s.server.report.total(k) for k in before}
     assert before == after
     assert (out + m_out).data.tolist() == mm64(x, w)
     assert s.server.material == {}
     with pytest.raises(MaterialMissing, match="'b0.wq'"):
-        s.server.run_hgs_layer("b0.wq", w, x - rc)
+        s.server.run_hgs_layer("b0.wq", x - rc)
 
 
 # -- score product (same-mask triple) -------------------------------------------
@@ -279,29 +290,33 @@ def test_attention_value_triple_reuse_raises():
 # -- fused block prefix ------------------------------------------------------------
 
 
+def identity_chgs_session():
+    """A session whose server merges identity weights into block 0's fused
+    prefix: W_ed = W_E delta = I, lam = 0 and B_0 = W_Q W_K^T = I."""
+    cfg = toy_cfg(d_emb=4, H=1, n=4, d_oh=4, d_ff=4)
+    eye = FixedTensor(np.eye(4, dtype=np.uint64), DEFAULT_RING)
+    return Session(cfg, with_weights(cfg, w_e=eye, w_q=eye, w_k=eye), "fpc", seed=99)
+
+
 def test_chgs_identity_weights_give_gram_matrix():
-    s = host_session(d_emb=4, H=1, n=4, d_oh=4, d_ff=4)
+    s = identity_chgs_session()
     rng = np.random.default_rng(17)
     x = rand_mat(rng, (4, 4))
     rc0 = rand_mat(rng, (4, 4))
-    eye = FixedTensor(np.eye(4, dtype=np.uint64), DEFAULT_RING)
-    zero = FixedTensor.zeros(4, 4, DEFAULT_RING)
-    s.chgs_material(["b0.qk.h0"], rc0, eye, [eye])
-    s_share, c_share = s.chgs_scores(["b0.qk.h0"], x - rc0, eye, zero, [eye])
+    s.chgs_material("b0.qk", rc0)
+    s_share, c_share = s.chgs_scores("b0.qk", x - rc0)
     assert (c_share + s_share).data.tolist() == mm64(x, x.transpose())
     assert s.server.material == {}
 
 
 def test_chgs_material_single_use():
-    s = host_session(d_emb=4, H=1, n=4, d_oh=4, d_ff=4)
+    s = identity_chgs_session()
     rng = np.random.default_rng(18)
     x, rc0 = rand_mat(rng, (4, 4)), rand_mat(rng, (4, 4))
-    eye = FixedTensor(np.eye(4, dtype=np.uint64), DEFAULT_RING)
-    zero = FixedTensor.zeros(4, 4, DEFAULT_RING)
-    s.chgs_material(["b0.qk.h0"], rc0, eye, [eye])
-    s.chgs_scores(["b0.qk.h0"], x - rc0, eye, zero, [eye])
+    s.chgs_material("b0.qk", rc0)
+    s.chgs_scores("b0.qk", x - rc0)
     with pytest.raises(MaterialMissing, match="'b0.qk.h0'"):
-        s.chgs_scores(["b0.qk.h0"], x - rc0, eye, zero, [eye])
+        s.chgs_scores("b0.qk", x - rc0)
 
 
 @pytest.mark.parametrize("norm,activation", [("post", "relu"), ("pre", "gelu")])
@@ -634,6 +649,55 @@ def test_server_code_never_receives_client_secrets(monkeypatch):
             keys.clear()
             run_protocol(mode, cfg, w, [3, 1, 4, 1], seed=11)
             assert drawn and keys and leaks == [], (norm, mode, leaks)
+    assert calls == {f"Server.{n}" for n in server_fns}
+
+
+def test_server_owns_the_weights_and_the_session_passes_only_module_ids(monkeypatch):
+    # the Server is handed the weights once, at set-up, and merges the fused
+    # prefix there; after that no Server method receives the ModelWeights,
+    # a block's weights or, by identity or as a view, any weight tensor,
+    # and the Session's own state (its Server aside) reaches none of them
+    arrays, found, calls = [], [], set()
+
+    def walk(obj, path, seen):
+        if id(obj) in seen:
+            return
+        seen.add(id(obj))
+        words = obj.data if isinstance(obj, FixedTensor) else obj
+        if isinstance(obj, (ModelWeights, BlockWeights)) or (
+                isinstance(words, np.ndarray)
+                and any(np.shares_memory(words, a) for a in arrays)):
+            found.append(path)
+        elif isinstance(obj, dict):
+            for k, v in obj.items():
+                walk(v, f"{path}[{k!r}]", seen)
+        elif isinstance(obj, (list, tuple)):
+            for i, v in enumerate(obj):
+                walk(v, f"{path}[{i}]", seen)
+        elif isinstance(getattr(obj, "__dict__", None), dict):
+            for k, v in vars(obj).items():
+                walk(v, f"{path}.{k}", seen)
+
+    def audited(name, fn):
+        def call(self, *args, **kwargs):
+            calls.add(name)
+            walk((args, kwargs), name, set())
+            return fn(self, *args, **kwargs)
+        return call
+
+    server_fns = [n for n, f in vars(engine.Server).items()
+                  if inspect.isfunction(f) and n != "__init__"]
+    for name in server_fns:
+        monkeypatch.setattr(engine.Server, name,
+                            audited(f"Server.{name}", getattr(engine.Server, name)))
+    for norm, activation in (("post", "relu"), ("pre", "gelu")):
+        cfg = toy_cfg(norm=norm, activation=activation)
+        w = random_weights(cfg, np.random.default_rng(5))
+        arrays[:] = [t.data for _, t in model.weight_items(w)]
+        for mode in MODES:
+            session = run_protocol(mode, cfg, w, [3, 1, 4, 1], seed=11).session
+            walk({k: v for k, v in vars(session).items() if k != "server"}, "session", set())
+            assert found == [], (norm, mode, found)
     assert calls == {f"Server.{n}" for n in server_fns}
 
 

@@ -53,14 +53,21 @@ def test_every_mode_is_bit_exact_on_drawn_configs(knobs, seed):
 @PROPERTY_SETTINGS
 @given(knobs=model_knobs(), bad_n=st.sampled_from([3, 5, 6, 7]))
 def test_bad_knobs_raise_errors_naming_the_field(knobs, bad_n):
-    bad = {
-        "d_emb": dict(d_emb=5, H=2, lam=None),
-        "activation": dict(activation="tanh"),
-        "norm": dict(norm="sandwich"),
-        "delta": dict(delta=0),
-        "lam": dict(lam=np.zeros((knobs["n"] + 1, knobs["d_emb"]))),
-    }
-    for field, change in bad.items():
+    lam_with = lambda v: np.full((knobs["n"], knobs["d_emb"]), v)
+    bad = [
+        ("d_emb", dict(d_emb=5, H=2, lam=None)),
+        ("activation", dict(activation="tanh")),
+        ("norm", dict(norm="sandwich")),
+        ("delta", dict(delta=0)),
+        # a delta past the ring used to fail in the reference's embedding
+        # with a bare OverflowError
+        ("delta", dict(delta=2**64)),
+        ("lam", dict(lam=np.zeros((knobs["n"] + 1, knobs["d_emb"])))),
+        # a NaN or inf lam used to be encoded as INT64_MIN with a warning
+        ("lam", dict(lam=lam_with(np.nan))),
+        ("lam", dict(lam=lam_with(-np.inf))),
+    ]
+    for field, change in bad:
         with pytest.raises(ValueError, match=field):
             ModelConfig(**{**knobs, **change})
     # a float, a bool or a zero in any integer knob is refused by name, not

@@ -18,7 +18,10 @@ bills its circuits' AND gates, so `gc_and_gates`, `gc_table_bytes` and
 the online bytes fell in all 18 runs; the semantic runs' logit shares
 held, the GC runs' shares moved because `garble` draws one label per AND
 gate from the client's generator, which later stages draw their masks
-from, and every reconstructed logit stayed. Any change to a counter,
+from, and every reconstructed logit stayed. The two fpc runs on the GC
+backend, the fused prefix on garbled circuits, were pinned before the
+server took ownership of the model weights and its fused-prefix merge,
+and held through that move. Any change to a counter,
 message, byte or share of these runs changes a digest. A deliberate
 protocol change updates the table and says why in CHANGES.md.
 """
@@ -53,6 +56,8 @@ DIGESTS = {
         "199f49e4c3dd3c4529711e423da2bd8e4991283371a0f4488463786640f7953a",
     ("post-relu", "f", "gc"):
         "8015ff493d6a3defd9782a7da9e5258c63780a7f2acb7be7772fda6fb84eae7e",
+    ("post-relu", "fpc", "gc"):
+        "e15c3ba9805d29324a4e8dcee10c0e437ec5ed5e27687831dad10ad78c728a46",
     ("pre-gelu", "base", "semantic"):
         "65cd19ef52b57c94aa501f0d700276d12265b658784d44463fd3debd02206557",
     ("pre-gelu", "f", "semantic"):
@@ -63,6 +68,8 @@ DIGESTS = {
         "f5acb2524e2798b56db3ffa3b3f275f157bcf456cf3dd89b65d05b5199fc3a91",
     ("pre-gelu", "f", "gc"):
         "957387ae78bd51bb8d0b53115b1ce8b803fab2f7b24a76584c2530b6837d217e",
+    ("pre-gelu", "fpc", "gc"):
+        "a0456c012ad363749c19e32693157c05cf3a93476ce1a82da1c21db009c3dd65",
     ("sem-wide", "base", "semantic"):
         "1296999186980e781180711e1e6975120ccb0fa3eed118f0a779196b15fa0c44",
     ("sem-wide", "f", "semantic"):
