@@ -15,13 +15,13 @@ fresh inputs.
 
 Every AND gate becomes a garbled table, so no AND is emitted twice where
 an op can see the repeat, and none is kept that reaches no output:
-- `mul` emits each partial product b_i & a_j once: a row's sign
-  extension repeats its top term, and a square (a is b) reuses
-  a_j & a_i from row j and folds a_i & a_i to a_i. A k-bit square thus
-  has k(k - 1) / 2 partial products, an m x n product m n;
+- `mul` emits each partial product b_i & a_j once per unordered wire
+  pair, and a square (a is b) folds a_i & a_i to a_i. A k-bit square
+  thus has k(k - 1) / 2 partial products, an m x n product m n;
 - `mux` selects each distinct (a_i, b_i) pair once, so sign extensions
-  and constant halves cost one select, and the muxes of one `lookup`
-  level, which share a select bit, share their selects too;
+  and constant halves cost one select, and (a_i, b_i) and (b_i, a_i)
+  share their AND; the muxes of one `lookup` level, and the same level
+  of every lookup at that index, share a select bit and their selects;
 - `ge` emits only the subtraction's carry chain and top bit;
 - `build` drops the gates whose outputs no output depends on and
   renumbers the rest. This is local: there is no circuit-wide table of
@@ -244,6 +244,10 @@ class CircuitOps:
 
     def __init__(self, builder: CircuitBuilder):
         self.b = builder
+        # per lookup select bit, the picks made on it (see `_select`), so
+        # lookups of two tables at one index, as exp's and gelu's base and
+        # slope, share them; wires are never reused, so a pick stays valid
+        self._picked = {}
 
     # value plumbing
 
@@ -313,30 +317,119 @@ class CircuitOps:
         return self.sub(self.const(0, a.width), a)
 
     def mul(self, a: WireVec, b: WireVec) -> WireVec:
+        """The signed product, a.width + b.width bits wide, as non-negative
+        rows that `_sum_rows` adds over a window about a row wide: a square
+        as a triangle, any other product as Baugh-Wooley rows (Baugh and
+        Wooley, IEEE Trans. Computers, 1973), except by a constant with at
+        most two one bits, which `_mul_rows` makes for no AND at all when
+        it is a power of two."""
         w = a.width + b.width
         assert w <= 64
-        g = self.b.gate
-        square = a.wires == b.wires
-        # terms[i][j] = b_i & a_j; in a square a_j & a_i (j < i) is row j's
-        # term i and a_i & a_i folds to a_i
-        terms = []
+        m, n = a.width, b.width
+        memo = {}
+
+        def term(x: int, y: int) -> int:
+            # one AND per unordered wire pair, however often it recurs
+            key = (x, y) if x < y else (y, x)
+            if key not in memo:
+                memo[key] = self.b.gate(AND, x, y)
+            return memo[key]
+
+        if a.wires == b.wires:
+            # triangle squarer: a_i & a_j (j < i) once at 2^(i+j+1), a_i at
+            # 2^(2i); the sign bit's cross terms weigh -2^(i+j+1), so they
+            # are complemented, and 2^m - 2^(2m-1) makes up for that
+            rows = [
+                (2 * j, [aj, ZERO] + [
+                    self._not(term(ai, aj)) if i == m - 1 else term(ai, aj)
+                    for i, ai in enumerate(a.wires[j + 1 :], j + 1)
+                ])
+                for j, aj in enumerate(a.wires)
+            ]
+            return self._sum_rows(rows, (1 << m) + (1 << (w - 1)), w)
+        if {*a.wires} <= {ZERO, ONE}:
+            a, b = b, a  # a constant's zero bits then add no row
+            m, n = n, m
+        if {*b.wires} <= {ZERO, ONE} and b.wires.count(ONE) <= 2:
+            return self._mul_rows(a, b, term)
+        # Baugh-Wooley rows: a term that carries exactly one sign bit weighs
+        # -2^k, so it is complemented, which leaves every row non-negative,
+        # and 2^(m-1) + 2^(n-1) - 2^(m+n-1) makes up for that. Unless it is
+        # the sign row, row 0 takes the 2^(m-1) at once, as
+        # ~p 2^(m-1) + 2^(m-1) = p 2^(m-1) + ~p 2^m
+        const = (1 << (n - 1)) + (1 << (w - 1)) + (1 << (m - 1) if n == 1 else 0)
+        rows = []
         for i, bi in enumerate(b.wires):
-            if square:
-                row = [t[i] for t in terms] + [bi] + [g(AND, bi, aj) for aj in a.wires[i + 1 :]]
+            row = [term(bi, aj) for aj in a.wires]
+            if i == n - 1:
+                row[:-1] = [self._not(t) for t in row[:-1]]
+            elif i:
+                row[-1] = self._not(row[-1])
             else:
-                row = [g(AND, bi, aj) for aj in a.wires]
-            terms.append(row)
-        # row i fills columns i .. w - 1, repeating its top term past a's
-        # sign bit, so it adds into those columns only; b's top bit weighs
-        # -2^(width-1) in two's complement, so the last row is subtracted
+                row.append(self._not(row[-1]))
+            rows.append((i, row))
+        return self._sum_rows(rows, const, w)
+
+    def _mul_rows(self, a: WireVec, b: WireVec, term) -> WireVec:
+        """The product as sign-extended rows: row i, b_i times a, fills
+        columns i .. w - 1, repeating its top term past a's sign bit, and
+        b's top bit weighs -2^(n-1), so the last row is subtracted. Cheaper
+        than Baugh-Wooley rows when b is a constant with at most two one
+        bits, such as a power of two: its zero bits add no row, and the
+        sign extension is free, where Baugh-Wooley's constant is not."""
+        w = a.width + b.width
         acc = [ZERO] * w
         last = b.width - 1
-        for i, row in enumerate(terms):
-            if b.wires[i] == ZERO:
-                continue  # a constant operand's zero bits add nothing
+        for i, bi in enumerate(b.wires):
+            if bi == ZERO:
+                continue
+            row = [term(bi, aj) for aj in a.wires]
             hi = WireVec(tuple(acc[i:]))
             ext = WireVec(tuple(row) + (row[-1],) * (b.width - i))
             acc[i:] = (self.add(hi, ext) if i < last else self.sub(hi, ext)).wires
+        return WireVec(tuple(acc))
+
+    def _sum_rows(self, rows: list, const: int, w: int) -> WireVec:
+        """const plus the sum of non-negative rows, mod 2^w; row (lo, wires)
+        holds wires[k] at column lo + k.
+
+        A ONE term folds into const, and a row of ZEROs is skipped. const's
+        bits then go where they cost no AND: into a vacant column inside a
+        row, as the carry into a later row's lowest column, and the top bit
+        as a NOT at the end; only the rest is added as a constant. Each add
+        spans the columns a running upper bound on the sum allows, so no
+        carry leaves them."""
+        packed = []
+        for lo, wires in rows:
+            const += sum(1 << (lo + k) for k, x in enumerate(wires) if x == ONE)
+            live = [k for k, x in enumerate(wires) if x not in (ZERO, ONE)]
+            if live:
+                row = [x if x != ONE else ZERO for x in wires[live[0] : live[-1] + 1]]
+                packed.append([lo + live[0], row, ZERO])
+        const %= 1 << w
+        top, const = const >> (w - 1), const & ~(1 << (w - 1))
+        for r, (lo, row, _) in enumerate(packed):
+            for k, x in enumerate(row):
+                if x == ZERO and (const >> (lo + k)) & 1:
+                    row[k] = ONE
+                    const ^= 1 << (lo + k)
+            if r and (const >> lo) & 1:
+                packed[r][2] = ONE  # in the empty accumulator it would cost a carry chain
+                const ^= 1 << lo
+        acc = [ZERO] * w
+        bound = 0
+        for lo, row, carry in packed:
+            bound += (carry == ONE) << lo
+            bound += sum(1 << (lo + k) for k, x in enumerate(row) if x != ZERO)
+            hi = min(w, bound.bit_length())
+            addend = WireVec(tuple(row) + (ZERO,) * (hi - lo - len(row)))
+            acc[lo:hi] = self._ripple(WireVec(tuple(acc[lo:hi])), addend, carry, False).wires
+        if const:
+            lo = (const & -const).bit_length() - 1
+            hi = min(w, (bound + const).bit_length())
+            acc[lo:hi] = self.add(WireVec(tuple(acc[lo:hi])), self.const(const >> lo, hi - lo)).wires
+        if top:
+            acc[-1] = self._not(acc[-1])
         return WireVec(tuple(acc))
 
     # comparisons and selection
@@ -353,14 +446,18 @@ class CircuitOps:
         return self._select(c.wires[0], a, b, {})
 
     def _select(self, c: int, a: WireVec, b: WireVec, picked: dict) -> WireVec:
-        """c ? a : b, bit by bit; picked maps each (a_i, b_i) pair already
-        selected on c to its output, so alike pairs, such as sign
-        extensions, select alike."""
+        """c ? a : b, bit by bit, as b_i ^ (c & (a_i ^ b_i)); picked maps
+        each (a_i, b_i) pair already selected on c to its output, so alike
+        pairs, such as sign extensions, select alike, and each unordered
+        pair to its AND, which the mirrored pair (b_i, a_i) shares."""
         g = self.b.gate
         pairs = list(zip(a.wires, b.wires))
         for p in pairs:
             if p not in picked:
-                picked[p] = g(XOR, g(AND, c, g(XOR, *p)), p[1])
+                key = frozenset(p)
+                if key not in picked:
+                    picked[key] = g(AND, c, g(XOR, *p))
+                picked[p] = g(XOR, picked[key], p[1])
         return WireVec(tuple(picked[p] for p in pairs))
 
     def lookup(self, table: list, idx: WireVec, width: int) -> WireVec:
@@ -370,7 +467,7 @@ class CircuitOps:
         level = [self.const(v, width) for v in padded]
         for c in idx.wires:
             # the muxes of one level share their select bit and their picks
-            picked = {}
+            picked = self._picked.setdefault(c, {})
             level = [
                 self._select(c, level[2 * j + 1], level[2 * j], picked)
                 for j in range(len(level) // 2)

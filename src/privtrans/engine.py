@@ -129,8 +129,9 @@ class Server:
     its material store. `weights`, built once at set-up, maps a module id
     to its (W, public bias), W a tensor or the int delta of `embed.posn`,
     and holds mode fpc's computation merge: per block the fused input map
-    (W_ed, lam) under `b{i}.qk`, W_ed W_V under `b{i}.fuse_v` and each
-    B_h = W_Q_h W_K_h^T under `b{i}.qk.h{h}`. `material` maps a module id
+    (W_ed, lam) under `b{i}.qk`, W_ed W_V under `b{i}.fuse_v`, each
+    B_h = W_Q_h W_K_h^T under `b{i}.qk.h{h}` and W_M_h = W_ed B_h W_ed^T
+    under `b{i}.qk.h{h}.wm`. `material` maps a module id
     to the one record the server made or received for it offline; `take`
     pops it, so each record is consumed once. Every QxK and AttenValue
     product, fused or not, takes a MatTriple through `four_terms`. `ot` is
@@ -155,8 +156,10 @@ class Server:
             t[f"b{i}.fuse_v"] = (mat_mul(w_ed, blk.w_v),
                                  lam if lam is None else mat_mul(lam, blk.w_v))
             q_h, k_h = (np.split(w.data, cfg.H, axis=1) for w in (blk.w_q, blk.w_k))
-            t.update({f"b{i}.qk.h{h}": (FixedTensor(q @ k.T, cfg.ring), None)
-                      for h, (q, k) in enumerate(zip(q_h, k_h))})
+            for h, (q, k) in enumerate(zip(q_h, k_h)):
+                b_h = FixedTensor(q @ k.T, cfg.ring)
+                t[f"b{i}.qk.h{h}"] = (b_h, None)
+                t[f"b{i}.qk.h{h}.wm"] = (mat_mul(mat_mul(w_ed, b_h), w_ed.transpose()), None)
 
     def keep(self, mid: str, item) -> None:
         if mid in self.material:
@@ -229,7 +232,7 @@ class Server:
         for mid in (f"{qk}.h{h}" for h in range(self.heads)):
             b_h, _ = self.weights[mid]
             enc_re_b = enc_left_matmul(enc_re, b_h, rep)
-            w_m = mat_mul(mat_mul(w_ed, b_h), w_ed.transpose())
+            w_m, _ = self.weights[f"{mid}.wm"]
             g_h = rand_ring((len(enc_rc0), w_ed.rows), self.rng, self.ring)
             rows = enc_left_matmul(enc_rc0, w_m, rep)
             masked_wm[mid] = [he_add_plain(ct, v, rep) for ct, v in zip(rows, g_h.data)]

@@ -78,8 +78,10 @@ class ModelConfig:
         if lam is None:
             lam = FixedTensor.zeros(self.n, self.d_emb, self.ring)
         elif not isinstance(lam, FixedTensor):
-            if not np.isfinite(lam).all():
-                raise ValueError("lam must be finite: NaN or inf has no ring encoding")
+            # NaN fails the test too; a word past 2^63 would wrap to INT64_MIN
+            if not (np.abs(np.asarray(lam, dtype=np.float64)) * self.ring.scale < 2.0**63).all():
+                raise ValueError(f"lam must be finite with |lam| * 2**{self.ring.frac_bits} below "
+                                 "2**63: larger, NaN or inf has no ring encoding")
             lam = FixedTensor.from_float(lam, self.ring)
         if lam.shape != (self.n, self.d_emb):
             raise ValueError(f"lam must be {self.n}x{self.d_emb}, got {lam.shape}")

@@ -6,6 +6,8 @@ import pytest
 from privtrans import ModelConfig, fixedfn, model
 from privtrans.circuits import (
     AND,
+    ONE,
+    ZERO,
     CircuitBuilder,
     CircuitOps,
     WireVec,
@@ -127,6 +129,71 @@ def test_mul_exhaustive_squares_products_and_constants():
 
             sem, got = run_both(by_const, [5], exhaustive(5))
             assert np.array_equal(sem[0], got[0])
+
+
+# -- multipliers: Baugh-Wooley rows, the triangle squarer, sign-extended rows
+
+
+def mul_cases(wa, wb):
+    """Products of a wa-bit x and a wb-bit y whose operands are the inputs,
+    a sign-extended copy (its top wire repeated), a zero-extended copy (its
+    sign wire ZERO), or one that shares wires with the other operand."""
+    return {
+        "x*y": lambda ops, vs: ops.mul(vs[0], vs[1]),
+        "y*x": lambda ops, vs: ops.mul(vs[1], vs[0]),
+        "sext(x)*y": lambda ops, vs: ops.mul(ops.resize(vs[0], wa + 2), vs[1]),
+        "zext(x)*y": lambda ops, vs: ops.mul(ops.zext(vs[0], wa + 1), vs[1]),
+        "x*zext(y)": lambda ops, vs: ops.mul(vs[0], ops.zext(vs[1], wb + 1)),
+        "zext(x)*zext(y)": lambda ops, vs: ops.mul(ops.zext(vs[0], wa + 1), ops.zext(vs[1], wb + 1)),
+        "x*sext(x)": lambda ops, vs: ops.mul(vs[0], ops.resize(vs[0], wa + 1)),
+        "sext(x)^2": lambda ops, vs: ops.mul(ops.resize(vs[0], wa + 2), ops.resize(vs[0], wa + 2)),
+        "zext(y)^2": lambda ops, vs: ops.mul(ops.zext(vs[1], wb + 1), ops.zext(vs[1], wb + 1)),
+    }
+
+
+def test_mul_exhaustive_at_every_width_pair_up_to_6():
+    for wa in range(1, 7):
+        for wb in range(1, 7):
+            raws = exhaustive(wa, wb)
+            for name, fn in mul_cases(wa, wb).items():
+                sem, got = run_both(fn, [wa, wb], raws)
+                assert np.array_equal(sem[0], got[0]), (wa, wb, name)
+    for k in range(1, 7):
+        sem, got = run_both(lambda ops, vs: ops.mul(vs[0], vs[0]), [k], exhaustive(k))
+        assert np.array_equal(sem[0], got[0]), k
+
+
+def test_mul_by_sparse_and_dense_constants_on_either_side():
+    # at most two one bits take sign-extended rows, more take Baugh-Wooley
+    # rows; a negative constant's sign bit is set in either layout
+    consts = ((0, 4), (1, 4), (4, 4), (5, 4), (-1, 4), (-8, 4), (6, 3), (7, 3),
+              (45, 7), (-45, 7), (1 << 12, 14), (7710, 15), (-7710, 15))
+    for c, wc in consts:
+        for const_first in (False, True):
+            def by_const(ops, vs):
+                k = ops.const(c, wc, like=vs[0])
+                return ops.mul(k, vs[0]) if const_first else ops.mul(vs[0], k)
+
+            for wx in (1, 6):
+                sem, got = run_both(by_const, [wx], exhaustive(wx))
+                assert np.array_equal(sem[0], got[0]), (c, wc, const_first, wx)
+
+
+def test_mul_matches_semantics_on_random_wide_operands():
+    rng = np.random.default_rng(74)
+    product = lambda ops, vs: ops.mul(vs[0], vs[1])  # noqa: E731
+    square = lambda ops, vs: ops.mul(vs[0], vs[0])  # noqa: E731
+    for fn, widths in ((product, [21, 20]), (square, [21]), (product, [16, 16]),
+                       (product, [30, 33])):
+        sem, got = run_both(fn, widths, [rand_raw(rng, w, 2000) for w in widths])
+        assert np.array_equal(sem[0], got[0]), widths
+
+
+def test_mul_and_counts_are_pinned():
+    # layer norm's dev * z and dev * dev; sign-extended rows took 990 and 819
+    product = build(lambda ops, vs: ops.mul(vs[0], vs[1]), [21, 20])[0]
+    square = build(lambda ops, vs: ops.mul(vs[0], vs[0]), [21])[0]
+    assert (product.and_count, square.and_count) == (819, 439)
 
 
 def test_shift_resize_bit_ops_match():
@@ -266,12 +333,12 @@ STAGE_SPECS = (
 # gc_and_gates, and each is one garbled table per lane, so a change in how
 # circuits are emitted must show up here.
 DESK_AND_COUNTS = {
-    ("softmax_row", 4, 32): 7055,
-    ("layernorm_row", 8, 24): 22416,
-    ("layernorm_row", 8, 8): 22544,
-    ("layernorm_row", 8, 0): 20600,
+    ("softmax_row", 4, 32): 6488,
+    ("layernorm_row", 8, 24): 18077,
+    ("layernorm_row", 8, 8): 18205,
+    ("layernorm_row", 8, 0): 16261,
     ("relu", 1, 8): 339,
-    ("gelu", 1, 8): 670,
+    ("gelu", 1, 8): 622,
     ("trunc", 1, 24): 308,
     ("trunc", 1, 8): 324,
 }
@@ -295,3 +362,63 @@ def test_every_gate_of_a_desk_stage_reaches_an_output(key):
         if base + g in live:
             live.update((int(circ.lhs[g]), int(circ.rhs[g])))
     assert all(base + g in live for g in range(circ.n_gates))
+
+
+def operand_shape(a, b):
+    """(a, b) with each wire that is not a constant numbered 2, 3, ... by
+    first appearance, so equal wires stay equal."""
+    fresh = {}
+    number = lambda w: w if w in (ZERO, ONE) else fresh.setdefault(w, 2 + len(fresh))  # noqa: E731
+    return tuple(map(number, a.wires)), tuple(map(number, b.wires))
+
+
+def mul_and_count(shape, layout):
+    """AND gates of one product of operands of this shape, every product
+    bit an output."""
+    b = CircuitBuilder()
+    ops = CircuitOps(b)
+    ins = ops.input(max((*shape[0], *shape[1], 1)) - 1).wires
+    a, y = (WireVec(tuple(w if w in (ZERO, ONE) else ins[w - 2] for w in s)) for s in shape)
+    b.mark_output(layout(ops, a, y))
+    return b.build().and_count
+
+
+def sign_extended_rows(ops, a, b):
+    """The row layout every product took before Baugh-Wooley rows, with
+    each partial product emitted once."""
+    terms = {}
+
+    def term(x, y):
+        key = (min(x, y), max(x, y))
+        if key not in terms:
+            terms[key] = ops.b.gate(AND, x, y)
+        return terms[key]
+
+    return ops._mul_rows(a, b, term)
+
+
+def test_no_desk_multiply_costs_more_than_sign_extended_rows(monkeypatch):
+    shapes = set()
+    mul = CircuitOps.mul
+
+    def recording(ops, a, b):
+        shapes.add(operand_shape(a, b))
+        return mul(ops, a, b)
+
+    monkeypatch.setattr(CircuitOps, "mul", recording)
+    for spec in DESK_SPECS.values():
+        build_secure_circuit.__wrapped__(spec)  # the cached circuits emit nothing
+    monkeypatch.undo()
+    assert len(shapes) >= 10
+    for shape in shapes:
+        new = mul_and_count(shape, lambda ops, a, b: ops.mul(a, b))
+        old = mul_and_count(shape, sign_extended_rows)
+        assert new <= old, (shape, new, old)
+
+
+@pytest.mark.parametrize("key", sorted(DESK_AND_COUNTS), ids=lambda k: f"{k[0]}-{k[1]}-{k[2]}")
+def test_no_desk_stage_emits_an_and_gate_twice(key):
+    circ = build_secure_circuit(DESK_SPECS[key])
+    ands = circ.op == AND
+    pairs = set(zip(circ.lhs[ands].tolist(), circ.rhs[ands].tolist()))
+    assert len(pairs) == circ.and_count

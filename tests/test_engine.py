@@ -701,6 +701,23 @@ def test_server_owns_the_weights_and_the_session_passes_only_module_ids(monkeypa
     assert calls == {f"Server.{n}" for n in server_fns}
 
 
+
+def test_server_table_holds_each_heads_fused_prefix_product():
+    # W_M_h = W_ed B_h W_ed^T is a product of weights only: the server
+    # computes it once at set-up, next to B_h, for every head of every block
+    for norm in ("post", "pre"):
+        cfg = toy_cfg(N=2, norm=norm)
+        server = engine.Server(np.random.default_rng(1), cfg,
+                               random_weights(cfg, np.random.default_rng(5)))
+        for i in range(cfg.N):
+            w_ed, _ = server.weights[f"b{i}.qk"]
+            for h in range(cfg.H):
+                b_h, _ = server.weights[f"b{i}.qk.h{h}"]
+                w_m, bias = server.weights[f"b{i}.qk.h{h}.wm"]
+                assert bias is None
+                want = mat_mul(mat_mul(w_ed, b_h), w_ed.transpose())
+                assert np.array_equal(w_m.data, want.data), (norm, i, h)
+
 def test_only_the_client_key_decrypts():
     # a key pair that server code forges under the client's key id, with
     # any other seed, turns a client ciphertext into words that all differ

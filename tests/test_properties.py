@@ -66,6 +66,9 @@ def test_bad_knobs_raise_errors_naming_the_field(knobs, bad_n):
         # a NaN or inf lam used to be encoded as INT64_MIN with a warning
         ("lam", dict(lam=lam_with(np.nan))),
         ("lam", dict(lam=lam_with(-np.inf))),
+        # and a finite lam past 2^63 / 2^frac_bits the same way
+        ("lam", dict(lam=lam_with(1e30))),
+        ("lam", dict(lam=lam_with(-2.0**63))),
     ]
     for field, change in bad:
         with pytest.raises(ValueError, match=field):

@@ -21,7 +21,12 @@ gate from the client's generator, which later stages draw their masks
 from, and every reconstructed logit stayed. The two fpc runs on the GC
 backend, the fused prefix on garbled circuits, were pinned before the
 server took ownership of the model weights and its fused-prefix merge,
-and held through that move. Any change to a counter,
+and held through that move. All 20 were re-pinned when `mul` moved to
+Baugh-Wooley rows and a triangle squarer and `mux`/`lookup` stopped
+repeating selects: `gc_and_gates`, `gc_table_bytes` and the online bytes
+fell in every run; the semantic runs' logit shares held, the GC runs'
+moved with the labels `garble` draws, and every reconstructed logit
+stayed. Any change to a counter,
 message, byte or share of these runs changes a digest. A deliberate
 protocol change updates the table and says why in CHANGES.md.
 """
@@ -47,45 +52,45 @@ CONFIGS = {
 
 DIGESTS = {
     ("post-relu", "base", "semantic"):
-        "0b3a69236c465f87ef6270b5a0b6aa120dc39178aee2daf0e459090e6db01225",
+        "5146d60353eb53a7db11f301f449ffabc3dfe3c57db4f53840c64dd03128cd9b",
     ("post-relu", "f", "semantic"):
-        "8f0574b8c2f08bebdf88c83c75333d44f75fff1af29358eb8e3d4cb6101bb700",
+        "47063b13bf1d4edca2723b43ae9d42c2daafe12af3f974c36822748bf4800055",
     ("post-relu", "fp", "semantic"):
-        "e21fa4b64bae2a673d7b9f31679f536d9b8f9f3bee3a87b162107cb90dd8c798",
+        "c2d78e75021d64ae94fb742b5b1c32ae785d4b2efa7494eb8b05ca6d0d423dca",
     ("post-relu", "fpc", "semantic"):
-        "199f49e4c3dd3c4529711e423da2bd8e4991283371a0f4488463786640f7953a",
+        "003bf3294ae48b2238957d187b62c3816dc71f1a1d4869213a67f168d168b6ac",
     ("post-relu", "f", "gc"):
-        "8015ff493d6a3defd9782a7da9e5258c63780a7f2acb7be7772fda6fb84eae7e",
+        "fd991f792749875c3905df4f5f31a96bdd486067defc49dd986dc6b9717e0361",
     ("post-relu", "fpc", "gc"):
-        "e15c3ba9805d29324a4e8dcee10c0e437ec5ed5e27687831dad10ad78c728a46",
+        "bbe7053da9cf9fe9847f05c3d61409799dc7fc2f65163f684d13cab365d361d1",
     ("pre-gelu", "base", "semantic"):
-        "65cd19ef52b57c94aa501f0d700276d12265b658784d44463fd3debd02206557",
+        "ea5130e0a36119cd6f4e7fb6f3174bc7b65a383f1ab0d49a7ae36b4a649848aa",
     ("pre-gelu", "f", "semantic"):
-        "f242a121170ea81275f3e840e9bd77aec56406f1466e5465ae72c1c0d0973661",
+        "ac51e966e52b4e8fa2a3ca7cf1d3748ccfc27258eef44f351110ef26c51ee1d5",
     ("pre-gelu", "fp", "semantic"):
-        "8b80936a710f650bac3318b7bc85099ed95879df7c9a13ece513c72d0b77e23b",
+        "1f45fa76e69fc28e7c654856ef966a4efd723f60ba2777ced1c33c2ca8233f51",
     ("pre-gelu", "fpc", "semantic"):
-        "f5acb2524e2798b56db3ffa3b3f275f157bcf456cf3dd89b65d05b5199fc3a91",
+        "71f273e5b7eea3ef34261c0946265cceb08f93b1870ea3c89e9f1a37602c8498",
     ("pre-gelu", "f", "gc"):
-        "957387ae78bd51bb8d0b53115b1ce8b803fab2f7b24a76584c2530b6837d217e",
+        "08e49b484ec7e31e4c795e967c5c84d557fee92130c485719a4cf2202c862033",
     ("pre-gelu", "fpc", "gc"):
-        "a0456c012ad363749c19e32693157c05cf3a93476ce1a82da1c21db009c3dd65",
+        "6f4d26b290659b23322f2a295eae1b7c50b62ad879a022541583942d6019a12f",
     ("sem-wide", "base", "semantic"):
-        "1296999186980e781180711e1e6975120ccb0fa3eed118f0a779196b15fa0c44",
+        "78afad8207af887d8067ba274c13c7a5b50ce827976591079bdf20657dd3d85e",
     ("sem-wide", "f", "semantic"):
-        "e753d935cf8290df9e83ceb335b2005a27fe6c6ac09169952a2f325bbffa2cdc",
+        "91f6b60917f2425e873dc1ae012caa4831a529bd43061651bb29f563d10a1efa",
     ("sem-wide", "fp", "semantic"):
-        "3d032e53a3bdbab5e99dc152c9cffd3f9368f70fc176b238d14169c162de7b8b",
+        "d3c5f174838d503bc54705c1d31e2988f7849a82662703e6349f0ba8c5d1cffe",
     ("sem-wide", "fpc", "semantic"):
-        "3386bf495422569e4abcf1650b89643d94b40ff5a2ac35d8f5b38b9c0a65a462",
+        "b52012a6dd63f0b93796304f4143c8b094afdc8e0802bb47633b6e35ef24708e",
     ("sem-long", "base", "semantic"):
-        "bdc97c4b0b55bd5d2e373ce2ada2debade16e5a43c6532606adad5fee9e082dd",
+        "3a41e14a6e6f7ebf198e1b5b3feae1d0551731d536924fb71c953dad9c8ba7fd",
     ("sem-long", "f", "semantic"):
-        "19e4d4df3e743640594a3aa572ee624f3fa2de5116dfb202c37202762bb833bd",
+        "33b6263cee408cbf39d1468db0dea05965b2977633ff9d9b2b1b52d02724d134",
     ("sem-long", "fp", "semantic"):
-        "5d60e11f28fbefc8b93e1963cb5140f0f7473fcb25f802a3990ab61b20480b99",
+        "257c0d3bc115fc79b6689f484c68e25ca7c171123216147461be842d74956528",
     ("sem-long", "fpc", "semantic"):
-        "d35599f647fba52de3a4ade93199d3d2e3d21b292528c699bc23b05fbd48578f",
+        "5d5f79dff8586b90db11e25ce289cd292c14c05ea5f2e7df6141d6e7a5675ca6",
 }
 
 
