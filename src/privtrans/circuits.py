@@ -55,53 +55,38 @@ class WireVec:
 
 @dataclass(frozen=True)
 class LevelSchedule:
-    """The evaluator's plan: a circuit's gates grouped by topological level
-    (inputs and constants are level 0), so no gate reads the output of a
-    gate in its own level.
+    """The one plan that both garbling passes walk: a circuit's gates in
+    blocks by AND depth, the most AND gates on any path from an input to
+    the gate's output (inputs and constants are depth 0), so the AND gates
+    of a block read only wires of earlier blocks.
 
-    The evaluator keeps its labels in level order: constants and inputs
-    first, as numbered, then level by level that level's XOR outputs and
-    then its AND outputs, each kind by gate id. A level therefore writes
-    two runs of that array, and the plan holds only what each gate reads,
-    as flat int32 rows. Level k is columns xor_bounds[k]:xor_bounds[k + 1]
-    of `xor` and and_bounds[k]:and_bounds[k + 1] of `and_`:
-    - xor: the lhs and rhs label positions;
-    - and_: the PRF tweaks 2g and 2g + 1 of gate g's key and check words,
-      2 x its garbled-table row (the gate's ordinal among the AND gates),
-      and the lhs and rhs label positions.
+    Both passes keep their labels in plan order: constants and inputs
+    first, as numbered, then block by block that block's AND outputs and
+    then its XOR outputs, each kind by gate id. A block thus writes two
+    runs of that array: one pass over its AND gates, then one XOR
+    reduction over the leaves of its XOR gates. An XOR's leaves are what
+    it expands to inside its block: constants, inputs, AND outputs and
+    XORs of earlier blocks, all set before the reduction runs (a leaf
+    read twice cancels, as it should). Block k is columns
+    and_bounds[k]:and_bounds[k + 1] of `and_`, entries
+    xor_bounds[k]:xor_bounds[k + 1] of `starts` and
+    leaf_bounds[k]:leaf_bounds[k + 1] of `leaves`, all flat int32:
+    - and_: the hash tweaks 2g and 2g + 1 of gate g's lhs and rhs labels,
+      its garbled-table row (its ordinal among the AND gates), and its lhs
+      and rhs label positions;
+    - leaves: label positions;
+    - starts: each XOR's first leaf, counted from its block's first leaf,
+      so a block's reduction is one `np.bitwise_xor.reduceat`.
     `outputs` holds the label positions of the circuit's output wires.
     """
 
-    xor: np.ndarray  # int32 (2, n_xor)
     and_: np.ndarray  # int32 (5, n_and)
+    leaves: np.ndarray  # int32 (n_leaves,)
+    starts: np.ndarray  # int32 (n_xor,)
     outputs: np.ndarray  # int32 (n_out,)
-    xor_bounds: tuple
     and_bounds: tuple
-
-
-@dataclass(frozen=True)
-class XorGroups:
-    """The garbler's plan: XOR gates grouped by XOR-only depth, where
-    inputs, constants and AND outputs are depth 0. The garbler draws every
-    AND output label up front, so a group's XORs read only wires that are
-    drawn or set by earlier groups. Group k is gates[bounds[k]:bounds[k + 1]],
-    sorted by (depth, gate id)."""
-
-    gates: np.ndarray  # int32 (n_xor,)
-    bounds: tuple
-
-
-def _depths(circ: "BoolCircuit", reset_at_and: bool) -> np.ndarray:
-    """Depth of each gate's output: one more than its deeper input, with
-    inputs and constants at 0 (and AND outputs too, if reset_at_and)."""
-    # a compact int array and memoryview walks keep this pass from
-    # materializing one Python int per wire
-    depth = array("i", bytes(4 * circ.n_wires))
-    wires = zip(memoryview(circ.lhs), memoryview(circ.rhs), memoryview(circ.op))
-    for i, (a, b, op) in enumerate(wires, 2 + circ.n_inputs):
-        if op == XOR or not reset_at_and:
-            depth[i] = max(depth[a], depth[b]) + 1
-    return np.frombuffer(depth, dtype=np.int32)[2 + circ.n_inputs :]
+    xor_bounds: tuple
+    leaf_bounds: tuple
 
 
 @dataclass
@@ -127,33 +112,61 @@ class BoolCircuit:
     @cached_property
     def levels(self) -> LevelSchedule:
         """Computed on first use and kept on the circuit."""
-        depth = _depths(self, reset_at_and=False)
-        is_and = self.op == AND
-        # level by level, its XOR gates and then its AND gates, by gate id
-        order = np.lexsort((is_and, depth)).astype(np.int32)
         base = 2 + self.n_inputs
+        # gate by gate, the AND depth of every wire and the leaf count of
+        # every XOR (each other wire is one leaf): compact int arrays and
+        # memoryview walks keep this pass from materializing one Python int
+        # per wire
+        depth = array("i", bytes(4 * self.n_wires))
+        count = array("i", [1]) * self.n_wires
+        wires = zip(memoryview(self.lhs), memoryview(self.rhs), memoryview(self.op))
+        for i, (a, b, op) in enumerate(wires, base):
+            da, db = depth[a], depth[b]
+            d = da if da > db else db
+            if op == AND:
+                depth[i] = d + 1
+            else:
+                depth[i] = d
+                count[i] = (count[a] if da == d else 1) + (count[b] if db == d else 1)
+        depth = np.frombuffer(depth, dtype=np.int32)
+        count = np.frombuffer(count, dtype=np.int32)
+        gate_depth = depth[base:]
+        is_and = self.op == AND
+        # block by block, its AND gates and then its XOR gates, by gate id
+        order = np.lexsort((~is_and, gate_depth)).astype(np.int32)
         pos = np.arange(self.n_wires, dtype=np.int32)
         pos[base + order] = pos[base:].copy()
-        marks = np.arange(1, int(depth.max(initial=0)) + 2)
-        xg = order[~is_and[order]]
         ag = order[is_and[order]]
+        xg = order[~is_and[order]]
+        first = np.concatenate([[0], np.cumsum(count[base + xg])])
+        leaves = np.empty(first[-1], dtype=np.int32)
+        # expand every XOR into its leaves at once, round by round, starting
+        # from the XOR itself: an XOR of the block being expanded gives way
+        # to its two operands, the rhs's leaves placed after the lhs's; any
+        # other wire is a leaf. `block` is an XOR's depth, -1 for a leaf.
+        block = np.where(count > 1, depth, -1)
+        wire, at, d = base + xg, first[:-1], gate_depth[xg]
+        while wire.size:
+            inner = block[wire] == d
+            leaves[at[~inner]] = pos[wire[~inner]]
+            g, at, d = wire[inner] - base, at[inner], d[inner]
+            lhs = self.lhs[g]
+            wire = np.concatenate([lhs, self.rhs[g]])
+            at = np.concatenate([at, at + np.where(block[lhs] == d, count[lhs], 1)])
+            d = np.concatenate([d, d])
+        marks = np.arange(int(depth.max(initial=0)) + 2)
+        xor_bounds = np.searchsorted(gate_depth[xg], marks)
+        leaf_bounds = first[xor_bounds]
         and_row = np.cumsum(is_and, dtype=np.int32) - 1
         return LevelSchedule(
-            np.stack([pos[self.lhs[xg]], pos[self.rhs[xg]]]),
-            np.stack([2 * ag, 2 * ag + 1, 2 * and_row[ag], pos[self.lhs[ag]], pos[self.rhs[ag]]]),
+            np.stack([2 * ag, 2 * ag + 1, and_row[ag], pos[self.lhs[ag]], pos[self.rhs[ag]]]),
+            leaves,
+            (first[:-1] - leaf_bounds[gate_depth[xg]]).astype(np.int32),
             pos[list(self.outputs)],
-            tuple(np.searchsorted(depth[xg], marks).tolist()),
-            tuple(np.searchsorted(depth[ag], marks).tolist()),
+            tuple(np.searchsorted(gate_depth[ag], marks).tolist()),
+            tuple(xor_bounds.tolist()),
+            tuple(leaf_bounds.tolist()),
         )
-
-    @cached_property
-    def xor_groups(self) -> XorGroups:
-        """Computed on first use and kept on the circuit."""
-        depth = _depths(self, reset_at_and=True)
-        xg = np.flatnonzero(self.op != AND)
-        xg = xg[np.argsort(depth[xg], kind="stable")].astype(np.int32)
-        marks = np.arange(1, int(depth.max(initial=0)) + 2)
-        return XorGroups(xg, tuple(np.searchsorted(depth[xg], marks).tolist()))
 
 
 class CircuitBuilder:

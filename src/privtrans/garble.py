@@ -1,43 +1,40 @@
-"""Garbled evaluation of the boolean circuits (free-XOR, point-and-permute).
+"""Garbled evaluation of the boolean circuits: half-gates over free-XOR.
 
 Labels are single uint64 words (toy security scale, keeps everything in
 numpy). The lane axis batches independent evaluations of the same circuit,
 so one garble pass covers, say, every row of a softmax step.
 
 XOR gates are free: out = a ^ b under a global delta whose low bit is 1;
-that low bit doubles as the permute bit. Each AND gate ships four rows of
-(padded label, check word); a wrong or tampered row fails the check and
-raises instead of decrypting garbage.
+that low bit doubles as the permute bit. Each AND gate is two half gates
+(Zahur-Rosulek-Evans, EUROCRYPT 2015) and ships two words per lane,
+T_G and T_E. Gate g hashes its lhs label with tweak 2g and its rhs label
+with tweak 2g + 1. With zero-labels A, B, permute bits p_a, p_b and the
+hash H:
+    T_G = H(A) ^ H(A ^ delta) ^ p_b delta
+    T_E = H(B) ^ H(B ^ delta) ^ A
+    W   = H(A) ^ p_a T_G ^ H(B) ^ p_b (T_E ^ A)       (output zero-label)
+The evaluator, holding active labels a, b with low bits s_a, s_b, gets
+the active output label H(a) ^ s_a T_G ^ H(b) ^ s_b (T_E ^ a). So the
+garbler makes 4 hash calls per gate and lane and the evaluator 2, and the
+garbler draws only delta and the labels of the constants and inputs:
+every other label follows from those. Tables are sent in AND-gate order.
 
-The two passes follow two schedules, each a plan computed on the
-circuit's first garbling and kept on the circuit, so the per-level index
-work is paid once per circuit rather than once per call.
+Both passes walk one plan, `BoolCircuit.levels`, computed on first use
+and kept on the circuit. It puts the gates in blocks by AND depth. Per
+block, one hash pass covers every AND gate of the block and every lane;
+then one `np.bitwise_xor.reduceat` over a flat array of leaf positions
+sets all of the block's XOR outputs. Labels live in plan order, so a
+block's outputs are two contiguous runs.
 
-The evaluator must learn each AND gate's output label from its table, so
-it walks the topological levels (`BoolCircuit.levels`): the gates of a
-level read only wires of earlier levels. It keeps its labels in level
-order, so a level's outputs are two contiguous runs. Per level it does
-one gather and one XOR for the XOR gates, then one gather of the AND
-gates' input labels, shaped (lhs/rhs, gates, lanes), and one PRF pass
-over (la, lb) and (lb, la) with tweaks 2g and 2g + 1. That pass yields
-every key pad and every expected check word. One test of the check words
-guards the level; a failed check names the lowest failing gate of that
-level.
-
-The garbler needs far fewer steps, because every AND output zero-label is
-a fresh draw that depends on nothing. So it draws them all up front, and
-an XOR label then waits only for XORs beneath it: the garbler groups the
-XOR gates by XOR-only depth (`BoolCircuit.xor_groups`, with inputs,
-constants and AND outputs at depth 0). The desk model's softmax, layer
-norm and ReLU circuits have 101, 147 and 77 such groups against 1,546,
-1,783 and 608 levels. It then encrypts every AND table in
-batches, in gate order, with row t computed directly as the row whose
-input labels have permute bits t. The AND draw is one
-`integers(size=(n_and, lanes))` call made right after delta and the
-input labels. A full-range uint64 draw takes one generator word per
-value, in row order, so row j gets exactly the words the j-th AND gate
-drew when gates were garbled one at a time. The same generator gives
-the same tables, labels and decode bits.
+A half-gates table has no redundant word, so tampering is caught at the
+outputs: the garbler sends `out_hash`, the hashes of both labels of every
+output wire, with tweaks 2 * n_gates + k for output k, after every gate
+tweak. The evaluator takes each output bit from the hash its active label
+matches. A tampered word that some lane reads gives that lane a wrong
+label, which spreads to the outputs it reaches; when a label matches
+neither hash, `evaluate` raises `CorruptTable` naming the lowest such
+output wire. This catches corruption of the material, not a malicious
+garbler, which could garble a different circuit.
 """
 
 from __future__ import annotations
@@ -46,20 +43,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import AND, BoolCircuit
+from .circuits import BoolCircuit, LevelSchedule
 
 _K1 = np.uint64(0x9E3779B97F4A7C15)
 _K2 = np.uint64(0xBF58476D1CE4E5B9)
 _K3 = np.uint64(0x94D049BB133111EB)
+_ZERO = np.uint64(0)
 _ONE = np.uint64(1)
-# permute bits (t_a, t_b) of the four rows of an AND table: row t = 2 t_a + t_b
-_TA = np.array([0, 0, 1, 1], dtype=np.uint64)[:, None]
-_TB = np.array([0, 1, 0, 1], dtype=np.uint64)[:, None]
-# the key and check words of a row hash (la, lb) and (lb, la) with tweaks 2g, 2g + 1
-_TWEAK = np.array([0, 1])[:, None]
 # shift amounts as uint64 scalars, built once rather than on every PRF call
 _SHIFT = {n: np.uint64(n) for n in (13, 27, 29, 30, 31, 32, 35, 51)}
-_BATCH = 1 << 11  # AND gates x lanes garbled per batch; bounds the temporaries
 
 
 class CorruptTable(RuntimeError):
@@ -71,9 +63,8 @@ def _rotl(x: np.ndarray, r: int) -> np.ndarray:
 
 
 def _prf(a: np.ndarray, b: np.ndarray, tweak, out: np.ndarray | None = None) -> np.ndarray:
-    """Fixed-key ARX mix of two labels and a gate tweak (an int, or an
-    array of them that broadcasts against the labels), written to out if
-    given."""
+    """Fixed-key ARX mix of two words and a tweak (an int, or an array of
+    them that broadcasts against the words), written to out if given."""
     x = np.bitwise_xor(a, _rotl(b, 29), out=out)
     x ^= np.asarray(tweak, dtype=np.uint64) * _K1
     x ^= x >> _SHIFT[30]
@@ -88,13 +79,23 @@ def _prf(a: np.ndarray, b: np.ndarray, tweak, out: np.ndarray | None = None) -> 
     return x
 
 
+def _hash(x: np.ndarray, tweak) -> np.ndarray:
+    """H(x, tweak) of one label."""
+    return _prf(x, _ZERO, tweak)
+
+
+def _out_tweaks(circ: BoolCircuit) -> np.ndarray:
+    """The output hashes' tweaks, (n_out, 1): past every gate tweak."""
+    return (2 * circ.n_gates + np.arange(len(circ.outputs), dtype=np.uint64))[:, None]
+
+
 @dataclass
 class GarbledTables:
     """Everything the evaluator sees."""
 
-    tables: np.ndarray  # (n_and, 4, 2, lanes) uint64
+    tables: np.ndarray  # (n_and, 2, lanes) uint64: T_G and T_E of each AND gate
     const_labels: np.ndarray  # (2, lanes): active labels for wires 0 and 1
-    decode: np.ndarray  # (n_out, lanes) uint8 permute bits of output zero-labels
+    out_hash: np.ndarray  # (n_out, 2, lanes) uint64: H(W^0), H(W^1) of each output wire
 
 
 @dataclass
@@ -115,89 +116,86 @@ class GarblerState:
         return zero, zero ^ self.delta
 
 
+def _walk(plan: LevelSchedule, labels: np.ndarray, at: int):
+    """Walk the plan's blocks over labels kept in plan order, from position
+    at: yield each block's AND columns of `plan.and_` and where its AND run
+    starts; once the caller has written that run, set the block's XOR run."""
+    ab, xb, lb = plan.and_bounds, plan.xor_bounds, plan.leaf_bounds
+    for s, e, xs, xe, ls, le in zip(ab, ab[1:], xb, xb[1:], lb, lb[1:]):
+        if e > s:
+            yield plan.and_[:, s:e], at
+            at += e - s
+        if xe > xs:
+            np.bitwise_xor.reduceat(labels[plan.leaves[ls:le]], plan.starts[xs:xe], axis=0,
+                                    out=labels[at : at + xe - xs])
+            at += xe - xs
+
+
 def garble(
     circ: BoolCircuit, lanes: int, rng: np.random.Generator
 ) -> tuple[GarbledTables, GarblerState]:
     def fresh(n):
         return rng.integers(0, 1 << 64, size=(n, lanes), dtype=np.uint64)
 
-    # Both passes' plans are built on first use. Building the evaluator's
-    # here too, before the label and table arrays exist, keeps the
-    # temporaries of both out of the memory those arrays reuse later.
-    groups, _ = circ.xor_groups, circ.levels
+    # the plan is built on first use, before the label array exists, so its
+    # temporaries do not add to that array's memory
+    plan = circ.levels
     base = 2 + circ.n_inputs
     delta = fresh(1)[0] | _ONE  # low bit set: free-XOR + permute bit
-    zero = np.empty((circ.n_wires, lanes), dtype=np.uint64)
+    zero = np.empty((circ.n_wires, lanes), dtype=np.uint64)  # zero-labels, in plan order
     zero[:base] = fresh(base)
-    and_gate = np.flatnonzero(circ.op == AND)
-    zero[base + and_gate] = fresh(len(and_gate))  # in gate order, as a gate-by-gate walk draws them
-    for s, e in zip(groups.bounds, groups.bounds[1:]):
-        g = groups.gates[s:e]
-        out = zero[circ.lhs[g]]
-        out ^= zero[circ.rhs[g]]
-        zero[base + g] = out
-    tables = np.empty((len(and_gate), 4, 2, lanes), dtype=np.uint64)
-    ta, tb = _TA * delta, _TB * delta
-    step = max(1, _BATCH // lanes)
-    for s in range(0, len(and_gate), step):
-        g = and_gate[s : s + step]
-        za, zb = zero[circ.lhs[g]], zero[circ.rhs[g]]
-        pa, pb = za & _ONE, zb & _ONE
-        # (gates, row t, a/b, lanes): the labels whose permute bits are t,
-        # each the zero-label xor delta times its value t_a ^ p_a (t_b ^ p_b)
-        pair = np.empty((len(g), 4, 2, lanes), dtype=np.uint64)
-        np.bitwise_xor((za ^ pa * delta)[:, None], ta, out=pair[:, :, 0])
-        np.bitwise_xor((zb ^ pb * delta)[:, None], tb, out=pair[:, :, 1])
-        part = _prf(pair, pair[:, :, ::-1], 2 * g[:, None, None, None] + _TWEAK,
-                    out=tables[s : s + step])
-        ones = (_TA ^ pa[:, None]) & (_TB ^ pb[:, None])
-        part[:, :, 0] ^= zero[base + g][:, None] ^ ones * delta
+    tables = np.empty((circ.and_count, 2, lanes), dtype=np.uint64)
+    for g, at in _walk(plan, zero, base):
+        x = np.empty((2, 2, g.shape[1], lanes), dtype=np.uint64)  # (bit value, lhs/rhs, ...)
+        np.take(zero, g[3:], axis=0, out=x[0])  # A and B
+        np.bitwise_xor(x[0], delta, out=x[1])
+        h = _hash(x, g[:2, :, None])
+        p = x[0] & _ONE  # permute bits p_a, p_b
+        t = h[0] ^ h[1]  # H(A) ^ H(A ^ delta), H(B) ^ H(B ^ delta)
+        # W = H(A) ^ H(B) ^ p_b (T_E ^ A) ^ p_a T_G, where T_E ^ A is t[1]
+        w = h[0, 0] ^ h[0, 1]
+        w ^= p[1] * t[1]
+        t[0] ^= p[1] * delta  # T_G
+        t[1] ^= x[0, 0]  # T_E
+        w ^= p[0] * t[0]
+        tables[g[2]] = t.transpose(1, 0, 2)
+        zero[at : at + g.shape[1]] = w
+    out = zero[plan.outputs]
+    out_hash = _hash(np.stack([out, out ^ delta], axis=1), _out_tweaks(circ)[:, :, None])
     const_labels = np.stack([zero[0], zero[1] ^ delta])
-    decode = (zero[list(circ.outputs)] & _ONE).astype(np.uint8)
-    # a copy, so the whole wire array is freed when garbling returns
-    return GarbledTables(tables, const_labels, decode), GarblerState(delta, zero[2:base].copy())
+    # a copy, so the whole label array is freed when garbling returns
+    return GarbledTables(tables, const_labels, out_hash), GarblerState(delta, zero[2:base].copy())
 
 
 def evaluate(circ: BoolCircuit, gt: GarbledTables, active_inputs: np.ndarray) -> np.ndarray:
-    """Walk the levels with active labels only; returns active output labels."""
+    """Walk the plan with active labels only; returns the output bits,
+    (n_out, lanes) uint8, each read off the output hash its label matches."""
     lanes = gt.const_labels.shape[1]
     if active_inputs.shape != (circ.n_inputs, lanes):
         raise ValueError("active input labels have the wrong shape")
-    for field, want in (("tables", (circ.and_count, 4, 2, lanes)),
-                        ("decode", (len(circ.outputs), lanes))):
+    for field, want in (("tables", (circ.and_count, 2, lanes)),
+                        ("out_hash", (len(circ.outputs), 2, lanes))):
         got = getattr(gt, field).shape
         if got != want:
             raise ValueError(f"GarbledTables.{field} has shape {got}; the circuit needs {want}")
     plan = circ.levels
-    # labels in the plan's level order; a level writes its XOR outputs and
-    # then its AND outputs as two runs starting at `at`
-    active = np.empty((circ.n_wires, lanes), dtype=np.uint64)
+    base = 2 + circ.n_inputs
+    active = np.empty((circ.n_wires, lanes), dtype=np.uint64)  # in plan order
     active[:2] = gt.const_labels
-    active[2 : 2 + circ.n_inputs] = active_inputs
-    at = 2 + circ.n_inputs
-    # a view (key/check word, 2 x table row + t_a, t_b, lanes) of the tables
-    words = gt.tables.reshape(-1, 2, 2, lanes).transpose(2, 0, 1, 3)
-    lane_idx = np.arange(lanes)
-    xor, and_, xb, ab = plan.xor, plan.and_, plan.xor_bounds, plan.and_bounds
-    for xs, xe, s, e in zip(xb, xb[1:], ab, ab[1:]):
-        if xe > xs:
-            ins = active[xor[:, xs:xe]]
-            np.bitwise_xor(ins[0], ins[1], out=active[at : at + xe - xs])
-            at += xe - xs
-        if e == s:
-            continue
-        ins = active[and_[3:, s:e]]  # (lhs/rhs, gates, lanes)
-        pads = _prf(ins, ins[::-1], and_[:2, s:e, None])
-        low = (ins & _ONE).view(np.int64)  # permute bits
-        ct = words[:, and_[2, s:e, None] + low[0], low[1], lane_idx]
-        ct ^= pads  # [output labels; check words ^ expected, all 0 if intact]
-        if ct[1].any():
-            bad = ct[1].any(axis=1)
-            raise CorruptTable(f"check word mismatch at gate {and_[0, s:e][bad].min() >> 1}")
-        active[at : at + e - s] = ct[0]
-        at += e - s
-    return active[plan.outputs]
-
-
-def decode_outputs(gt: GarbledTables, active_outputs: np.ndarray) -> np.ndarray:
-    return (active_outputs & _ONE).astype(np.uint8) ^ gt.decode
+    active[2:base] = active_inputs
+    for g, at in _walk(plan, active, base):
+        ins = active[g[3:]]  # (lhs/rhs, gates, lanes): a and b
+        t = gt.tables[g[2]]  # (gates, T_G/T_E, lanes)
+        s = ins & _ONE  # s_a, s_b
+        h = _hash(ins, g[:2, :, None])
+        w = h[0] ^ h[1]
+        w ^= s[0] * t[:, 0]
+        w ^= s[1] * (t[:, 1] ^ ins[0])
+        active[at : at + g.shape[1]] = w
+    h = _hash(active[plan.outputs], _out_tweaks(circ))
+    one = h == gt.out_hash[:, 1]
+    bad = ~one & (h != gt.out_hash[:, 0])
+    if bad.any():
+        wire = int(np.flatnonzero(bad.any(axis=1))[0])
+        raise CorruptTable(f"output wire {wire} matches neither output hash")
+    return one.astype(np.uint8)

@@ -16,7 +16,7 @@ the chosen seeds, `ExtReceiver` (the server's) both seed rows.
    so every call expands the seeds afresh. The receiver keeps
    t^i = G_c(k_i^0) and sends u^i = t^i ^ G_c(k_i^1) ^ r. The sender
    forms q^i = G_c(k_i^(s_i)) ^ s_i * u^i, which equals t^i ^ s_i * r.
-3. Rows. Transposed (np.unpackbits / np.packbits), row j reads
+3. Rows. Transposed (8 x 8 bit blocks, a word at a time), row j reads
    q_j = t_j ^ r_j * s. The sender sends y_j^b = x_j^b ^ H(J, q_j ^ b * s)
    for b = 0, 1, and the receiver unmasks y_j^(r_j) with H(J, t_j). The
    tweak J is the transfer's index in the whole session, not just in its
@@ -263,9 +263,27 @@ def _columns(seeds: np.ndarray, r: np.ndarray, call: int):
     return t, t ^ _expand(seeds[1], len(packed), call) ^ packed
 
 
+# the three swap rounds of an 8 x 8 bit-block transpose held in one word
+# (Warren, Hacker's Delight, 2nd ed., section 7-3): (shift, mask of the bits
+# that move up by shift); the same bits of x >> shift move down
+_TRANSPOSE8 = tuple((np.uint64(k), np.uint64(mask)) for k, mask in (
+    (7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0)))
+
+
 def _rows(cols: np.ndarray, m: int) -> np.ndarray:
-    """Transpose KAPPA packed columns of m bits into m packed rows of KAPPA bits."""
-    return np.packbits(np.unpackbits(cols, axis=1, count=m).T, axis=1)
+    """Transpose KAPPA packed columns of m bits into m packed rows of KAPPA
+    bits, a word at a time: each 8 x 8 bit block (one byte of each of 8
+    columns) is read as one big-endian word, so byte r's bit c (from the
+    top) sits at bit 63 - (8 r + c); the swaps exchange bits (r, c) and
+    (c, r), and the word is written back as one byte of each of 8 rows."""
+    n = cols.shape[1]
+    blocks = cols.reshape(-1, 8, n).transpose(0, 2, 1)  # (column group, byte, column)
+    x = np.ascontiguousarray(blocks).view(">u8")[..., 0].astype(np.uint64)
+    for k, mask in _TRANSPOSE8:
+        t = (x ^ (x >> k)) & mask
+        x ^= t ^ (t << k)
+    out = x.astype(">u8")[..., None].view(np.uint8)  # (column group, byte, row in byte)
+    return out.transpose(1, 2, 0).reshape(8 * n, -1)[:m]
 
 
 def _row_pads(rows: np.ndarray, tweaks: np.ndarray) -> np.ndarray:

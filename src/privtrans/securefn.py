@@ -21,7 +21,7 @@ from . import fixedfn
 from .circuits import CircuitBuilder, CircuitOps, pack_bits, unpack_bits
 from .costs import CostReport
 from .fixedfn import SemanticOps, SemVal
-from .garble import decode_outputs, evaluate, garble
+from .garble import evaluate, garble
 from .ot import KAPPA, SEED_BYTES, TOY_256, ExtReceiver, ExtSender, run_ot
 from .ring import DEFAULT_RING, RingParams
 from .transcript import Transcript
@@ -153,24 +153,25 @@ def _gc_message_bytes(spec: SecureFnSpec, lanes: int, and_count: int,
                       base_ots: bool) -> tuple[int, int, int]:
     """(garbled material, client OT, server OT) bytes for the cost model.
 
-    Material = AND tables (4 rows x label+check word), the active labels of
-    the two constant wires and of the client's inputs (8 B a label), and
-    one decode byte per output wire. The server's m input bits arrive by
-    IKNP OT extension (ot.py): the client sends a masked label pair per
-    transfer, the server the KAPPA columns u of m/8 bytes. With base_ots,
-    the stage also carries the session's KAPPA base OTs, roles reversed:
-    the client sends KAPPA group elements, the server one group element
-    and KAPPA sealed seed pairs.
+    Material = the half-gates tables (T_G and T_E, 2 x 8 B per AND gate and
+    lane), the active labels of the two constant wires and of the client's
+    inputs (8 B a label), and the output hashes (2 x 8 B per output bit and
+    lane) from which the server reads its output bits. The server's m input
+    bits arrive by IKNP OT extension (ot.py): the client sends a masked
+    label pair per transfer, the server the KAPPA columns u of m/8 bytes.
+    With base_ots, the stage also carries the session's KAPPA base OTs,
+    roles reversed: the client sends KAPPA group elements, the server one
+    group element and KAPPA sealed seed pairs.
     """
     m = spec.count * 64 * lanes
-    tables = and_count * 4 * 2 * 8 * lanes
+    tables = and_count * 2 * 8 * lanes
     const = 2 * 8 * lanes
     active = 2 * m * 8
-    decode = m
+    out_hash = 2 * 8 * m
     element = TOY_256.element_bytes
     client_ot = base_ots * KAPPA * element + 16 * m
     server_ot = base_ots * (element + KAPPA * 2 * SEED_BYTES) + KAPPA * (m // 8)
-    return tables + const + active + decode, client_ot, server_ot
+    return tables + const + active + out_hash, client_ot, server_ot
 
 
 def eval_secure(
@@ -200,8 +201,10 @@ def eval_secure(
 
     Phase split: the AND gates are billed offline, because garbling does not
     depend on the inputs and can run before they arrive; the garbled
-    material (tables, the constant-wire and client input labels, decode
-    bits) and the OT traffic are billed online, when the stage runs. The
+    material (half-gates tables, the constant-wire and client input
+    labels, output hashes) and the OT traffic are billed online, when the
+    stage runs. The server reads its output bits off the output hashes,
+    and `garble.CorruptTable` is raised if a label matches neither. The
     server's input labels come by IKNP OT extension. Its KAPPA base OTs
     run once per session, in the TOY_256 group, inside the session's
     first stage: that stage alone bills their bytes and bumps
@@ -253,7 +256,7 @@ def eval_secure(
     server_bits = np.concatenate([pack_bits(server_vals[:, i], 64) for i in range(spec.count)])
     labels, _ = run_ot(m0.ravel(), m1.ravel(), server_bits.ravel(), ot_sender, ot_receiver)
     active[n_client_rows:] = labels.reshape(circ.n_inputs - n_client_rows, lanes)
-    out_bits = decode_outputs(gt, evaluate(circ, gt, active))
+    out_bits = evaluate(circ, gt, active)
     server_new = np.stack(
         [unpack_bits(out_bits[j * 64 : (j + 1) * 64]) for j in range(spec.count)], axis=1
     )

@@ -5,8 +5,8 @@ deliberately sharing no code with the package under test (the one import
 is the model's dataclasses, for the double-precision forward pass below).
 The exceptions are at the end: the plain circuit evaluator reads the
 package's circuit arrays, and the gate-at-a-time garbler and evaluator
-reuse its PRF and table types, because they pin the garbled bytes of the
-level-scheduled path, not the PRF. The per-element diagonal masks take
+reuse its label hash and table types, because they pin the garbled bytes
+of the planned path, not the hash. The per-element diagonal masks take
 the package's layout objects but read only their fields.
 """
 
@@ -136,9 +136,9 @@ def float_forward(cfg, weights, tokens) -> np.ndarray:
 # -- plain circuit evaluation -------------------------------------------------
 
 
-def eval_circuit(circ, inputs: np.ndarray) -> np.ndarray:
-    """Plain evaluation, one gate at a time; inputs and outputs are uint8
-    bit arrays of shape (n_bits, batch)."""
+def wire_values(circ, inputs: np.ndarray) -> np.ndarray:
+    """Plain evaluation, one gate at a time: every wire's bit, (n_wires,
+    batch) uint8, from input bits of shape (n_inputs, batch)."""
     from privtrans.circuits import AND, ONE
 
     inputs = np.atleast_2d(np.asarray(inputs, dtype=np.uint8))
@@ -153,77 +153,96 @@ def eval_circuit(circ, inputs: np.ndarray) -> np.ndarray:
         a = wires[circ.lhs[i]]
         b = wires[circ.rhs[i]]
         wires[base + i] = (a & b) if circ.op[i] == AND else (a ^ b)
-    return wires[list(circ.outputs)]
+    return wires
+
+
+def eval_circuit(circ, inputs: np.ndarray) -> np.ndarray:
+    """The output bits, (n_outputs, batch) uint8, of plain evaluation."""
+    return wire_values(circ, inputs)[list(circ.outputs)]
 
 
 # -- gate-at-a-time garbling -------------------------------------------------
+#
+# Half-gates (Zahur-Rosulek-Evans, EUROCRYPT 2015) written out per gate in
+# gate-id order, from the paper's equations: gate i hashes its lhs labels
+# with tweak 2i and its rhs labels with 2i + 1, and output k's labels are
+# hashed with tweak 2 * n_gates + k.
 
 
 def garble_by_gate(circ, lanes: int, rng: np.random.Generator):
-    """Garble one gate at a time, drawing each AND output label when its
-    gate comes up: the reference for `garble.garble`."""
+    """Garble one gate at a time: the reference for `garble.garble`."""
     from privtrans.circuits import AND
-    from privtrans.garble import _ONE, GarbledTables, GarblerState, _prf
+    from privtrans.garble import _ONE, GarbledTables, GarblerState, _hash
 
     def fresh(n):
         return rng.integers(0, 1 << 64, size=(n, lanes), dtype=np.uint64)
 
     delta = fresh(1)[0] | _ONE
-    zero = np.zeros((circ.n_wires, lanes), dtype=np.uint64)
-    zero[: 2 + circ.n_inputs] = fresh(2 + circ.n_inputs)
-    tables = np.zeros((circ.and_count, 4, 2, lanes), dtype=np.uint64)
     base = 2 + circ.n_inputs
-    va = np.array([0, 0, 1, 1], dtype=np.uint64)[:, None]
-    vb = np.array([0, 1, 0, 1], dtype=np.uint64)[:, None]
+    zero = np.zeros((circ.n_wires, lanes), dtype=np.uint64)
+    zero[:base] = fresh(base)
+    tables = np.zeros((circ.and_count, 2, lanes), dtype=np.uint64)
     j = 0
     for i in range(circ.n_gates):
-        a0 = zero[circ.lhs[i]]
-        b0 = zero[circ.rhs[i]]
+        a0, b0 = zero[circ.lhs[i]], zero[circ.rhs[i]]
         if circ.op[i] != AND:
             zero[base + i] = a0 ^ b0
             continue
-        w0 = fresh(1)[0]
-        zero[base + i] = w0
-        la = a0[None, :] ^ (va * delta[None, :])
-        lb = b0[None, :] ^ (vb * delta[None, :])
-        out_active = w0[None, :] ^ ((va & vb) * delta[None, :])
-        rows = (((la & _ONE) << _ONE) | (lb & _ONE)).astype(np.int64)
-        np.put_along_axis(tables[j, :, 0, :], rows, out_active ^ _prf(la, lb, 2 * i), axis=0)
-        np.put_along_axis(tables[j, :, 1, :], rows, _prf(lb, la, 2 * i + 1), axis=0)
+        pa, pb = a0 & _ONE, b0 & _ONE
+        ha0, ha1 = _hash(a0, 2 * i), _hash(a0 ^ delta, 2 * i)
+        hb0, hb1 = _hash(b0, 2 * i + 1), _hash(b0 ^ delta, 2 * i + 1)
+        t_g = ha0 ^ ha1 ^ pb * delta  # generator half gate: a & p_b
+        w_g = ha0 ^ pa * t_g
+        t_e = hb0 ^ hb1 ^ a0  # evaluator half gate: a & (b ^ p_b)
+        w_e = hb0 ^ pb * (t_e ^ a0)
+        tables[j, 0], tables[j, 1] = t_g, t_e
+        zero[base + i] = w_g ^ w_e
         j += 1
+    out_hash = np.zeros((len(circ.outputs), 2, lanes), dtype=np.uint64)
+    for k, w in enumerate(circ.outputs):
+        out_hash[k, 0] = _hash(zero[w], 2 * circ.n_gates + k)
+        out_hash[k, 1] = _hash(zero[w] ^ delta, 2 * circ.n_gates + k)
     const_labels = np.stack([zero[0], zero[1] ^ delta])
-    decode = (zero[list(circ.outputs)] & _ONE).astype(np.uint8)
-    return GarbledTables(tables, const_labels, decode), GarblerState(
-        delta, zero[2 : 2 + circ.n_inputs]
-    )
+    return GarbledTables(tables, const_labels, out_hash), GarblerState(delta, zero[2:base])
+
+
+def active_by_gate(circ, gt, active_inputs: np.ndarray) -> np.ndarray:
+    """Every wire's active label, (n_wires, lanes), one gate at a time."""
+    from privtrans.circuits import AND
+    from privtrans.garble import _ONE, _hash
+
+    lanes = gt.const_labels.shape[1]
+    base = 2 + circ.n_inputs
+    active = np.zeros((circ.n_wires, lanes), dtype=np.uint64)
+    active[:2] = gt.const_labels
+    active[2:base] = active_inputs
+    j = 0
+    for i in range(circ.n_gates):
+        a, b = active[circ.lhs[i]], active[circ.rhs[i]]
+        if circ.op[i] != AND:
+            active[base + i] = a ^ b
+            continue
+        t_g, t_e = gt.tables[j]
+        w_g = _hash(a, 2 * i) ^ (a & _ONE) * t_g
+        w_e = _hash(b, 2 * i + 1) ^ (b & _ONE) * (t_e ^ a)
+        active[base + i] = w_g ^ w_e
+        j += 1
+    return active
 
 
 def evaluate_by_gate(circ, gt, active_inputs: np.ndarray) -> np.ndarray:
-    """Evaluate one gate at a time: the reference for `garble.evaluate`."""
-    from privtrans.circuits import AND
-    from privtrans.garble import _ONE, CorruptTable, _prf
+    """Evaluate one gate at a time, then read each output bit off the
+    output hash its label matches: the reference for `garble.evaluate`."""
+    from privtrans.garble import CorruptTable, _hash
 
-    lanes = gt.const_labels.shape[1]
-    active = np.zeros((circ.n_wires, lanes), dtype=np.uint64)
-    active[0] = gt.const_labels[0]
-    active[1] = gt.const_labels[1]
-    active[2 : 2 + circ.n_inputs] = active_inputs
-    base = 2 + circ.n_inputs
-    lane_idx = np.arange(lanes)
-    j = 0
-    for i in range(circ.n_gates):
-        la = active[circ.lhs[i]]
-        lb = active[circ.rhs[i]]
-        if circ.op[i] != AND:
-            active[base + i] = la ^ lb
-            continue
-        rows = (((la & _ONE) << _ONE) | (lb & _ONE)).astype(np.int64)
-        ct = gt.tables[j, rows, :, lane_idx]  # (lanes, 2)
-        if not np.array_equal(ct[:, 1], _prf(lb, la, 2 * i + 1)):
-            raise CorruptTable(f"check word mismatch at gate {i}")
-        active[base + i] = ct[:, 0] ^ _prf(la, lb, 2 * i)
-        j += 1
-    return active[list(circ.outputs)]
+    active = active_by_gate(circ, gt, active_inputs)
+    bits = np.zeros((len(circ.outputs), active.shape[1]), dtype=np.uint8)
+    for k, w in enumerate(circ.outputs):
+        h = _hash(active[w], 2 * circ.n_gates + k)
+        if not np.all((h == gt.out_hash[k, 0]) | (h == gt.out_hash[k, 1])):
+            raise CorruptTable(f"output wire {k} matches neither output hash")
+        bits[k] = h == gt.out_hash[k, 1]
+    return bits
 
 
 # -- per-element diagonal masks ----------------------------------------------

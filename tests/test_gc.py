@@ -15,7 +15,7 @@ from privtrans.circuits import (
     unpack_bits,
 )
 from privtrans import ModelConfig, ot, random_weights, run_protocol, securefn
-from privtrans.garble import _BATCH, CorruptTable, GarbledTables, decode_outputs, evaluate, garble
+from privtrans.garble import CorruptTable, GarbledTables, evaluate, garble
 from privtrans.ot import (
     KAPPA,
     TOY_256,
@@ -33,7 +33,7 @@ from privtrans.costs import CostReport
 from privtrans.securefn import SecureFnSpec, build_secure_circuit
 from privtrans.transcript import Transcript
 
-from oracles import eval_circuit, evaluate_by_gate, garble_by_gate
+from oracles import active_by_gate, eval_circuit, evaluate_by_gate, garble_by_gate, wire_values
 
 
 def miller_rabin(n: int, rounds: int, rng) -> bool:
@@ -114,6 +114,15 @@ def test_ot_extension_delivers_the_chosen_message_only(pattern, m):
     assert np.array_equal(got, np.where(choices.astype(bool), m1, m0))
     assert not np.isin(np.where(choices.astype(bool), m0, m1), got).any()
     assert moved == TOY_256.element_bytes * (1 + KAPPA) + KAPPA * 32 + KAPPA * -(-m // 8) + m * 16
+
+
+@pytest.mark.parametrize("m", [8, 64, 1000, 4096])
+def test_word_level_transpose_matches_the_bit_array_transpose(m):
+    # 1,000 bits fill 125 bytes: the last byte group is cut at m rows
+    cols = np.random.default_rng(m).integers(0, 256, (KAPPA, -(-m // 8)), dtype=np.uint8)
+    want = np.packbits(np.unpackbits(cols, axis=1, count=m).T, axis=1)
+    got = ot._rows(cols, m)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_a_session_reuses_its_base_ots_and_expands_the_seeds_afresh(monkeypatch):
@@ -240,14 +249,14 @@ def test_garbled_and_xor_not_truth_tables():
         circ = gate_circuit(op)
         gt, state = garble(circ, 4, rng)
         active = state.encode(cases)
-        got = decode_outputs(gt, evaluate(circ, gt, active))
+        got = evaluate(circ, gt, active)
         assert got[0].tolist() == want
     b = CircuitBuilder()
     x = b.new_input(1)
     b.mark_output(type(x)((b.gate(XOR, x.wires[0], 1),)))  # NOT via the one-wire
     circ = b.build()
     gt, state = garble(circ, 2, rng)
-    got = decode_outputs(gt, evaluate(circ, gt, state.encode(np.array([[0, 1]], dtype=np.uint8))))
+    got = evaluate(circ, gt, state.encode(np.array([[0, 1]], dtype=np.uint8)))
     assert got[0].tolist() == [1, 0]
 
 
@@ -268,7 +277,7 @@ def test_garbled_adder_matches_plain_eval():
     bvals = rng.integers(0, 256, lanes, dtype=np.uint64)
     bits = np.concatenate([pack_bits(a, w), pack_bits(bvals, w)])
     gt, state = garble(circ, lanes, rng)
-    got_bits = decode_outputs(gt, evaluate(circ, gt, state.encode(bits)))
+    got_bits = evaluate(circ, gt, state.encode(bits))
     assert np.array_equal(got_bits, eval_circuit(circ, bits))
     assert np.array_equal(unpack_bits(got_bits), (a + bvals) % 256)
 
@@ -287,18 +296,23 @@ def test_xor_only_circuit_has_no_tables():
     assert circ.and_count == 0
     assert gt.tables.nbytes == 0
     bits = np.concatenate([pack_bits(np.array([5, 9, 250], np.uint64), 16)] * 2)
-    got = decode_outputs(gt, evaluate(circ, gt, state.encode(bits)))
+    got = evaluate(circ, gt, state.encode(bits))
     assert np.all(got == 0)  # x ^ x
 
 
 def test_tampered_table_detected():
     rng = np.random.default_rng(89)
     circ = adder_circuit(6)
-    gt, state = garble(circ, 2, rng)
-    gt.tables[:, :, 1, :] ^= np.uint64(1)  # flip every check word
     bits = np.concatenate([pack_bits(np.array([3, 7], np.uint64), 6)] * 2)
-    with pytest.raises(CorruptTable):
-        evaluate(circ, gt, state.encode(bits))
+    for word in (0, 1):  # every T_G, then every T_E
+        gt, state = garble(circ, 2, rng)
+        gt.tables[:, word] ^= np.uint64(1 << 40)
+        with pytest.raises(CorruptTable, match=r"^output wire \d+ matches neither output hash$"):
+            evaluate(circ, gt, state.encode(bits))
+    gt, state = garble(circ, 2, rng)
+    gt.out_hash[3, 1, 1] ^= np.uint64(1)  # a tampered output hash is caught too
+    with pytest.raises(CorruptTable, match="^output wire 3 "):
+        evaluate(circ, gt, state.encode(np.ones_like(bits)))  # 63 + 63 = 126: output bit 3 is 1
 
 
 def gateless_circuit():
@@ -332,7 +346,7 @@ def test_dead_gates_are_dropped_and_every_output_keeps_its_wire():
     want = np.stack([np.ones_like(tv), uv, xb[0], np.zeros_like(tv), uv, tv, yb[2], uv])
     assert np.array_equal(eval_circuit(circ, bits), want)
     gt, state = garble(circ, 64, np.random.default_rng(95))
-    assert np.array_equal(decode_outputs(gt, evaluate(circ, gt, state.encode(bits))), want)
+    assert np.array_equal(evaluate(circ, gt, state.encode(bits)), want)
 
 
 ORACLE_CIRCUITS = {
@@ -350,15 +364,15 @@ ORACLE_CIRCUITS = {
 @pytest.mark.parametrize("name", list(ORACLE_CIRCUITS))
 def test_level_schedule_matches_gate_at_a_time_oracle(name):
     circ = ORACLE_CIRCUITS[name]()
-    # 16 lanes garble every circuit above that has AND gates in several batches
-    assert circ.and_count == 0 or circ.and_count > _BATCH // 16
+    # every circuit above with AND gates has them at several depths
+    assert circ.and_count == 0 or len(circ.levels.and_bounds) > 3
     for lanes in (1, 3, 16):
         gt, state = garble(circ, lanes, np.random.default_rng(96))
         ref_gt, ref_state = garble_by_gate(circ, lanes, np.random.default_rng(96))
         for got, want in (
             (gt.tables, ref_gt.tables),
             (gt.const_labels, ref_gt.const_labels),
-            (gt.decode, ref_gt.decode),
+            (gt.out_hash, ref_gt.out_hash),
             (state.delta, ref_state.delta),
             (state.input_zero, ref_state.input_zero),
         ):
@@ -366,26 +380,88 @@ def test_level_schedule_matches_gate_at_a_time_oracle(name):
         bits = np.random.default_rng(97).integers(0, 2, (circ.n_inputs, lanes), dtype=np.uint8)
         active = state.encode(bits)
         out = evaluate(circ, gt, active)
+        assert out.dtype == np.uint8
         assert np.array_equal(out, evaluate_by_gate(circ, ref_gt, active)), lanes
-        assert np.array_equal(decode_outputs(gt, out), eval_circuit(circ, bits)), lanes
+        assert np.array_equal(out, eval_circuit(circ, bits)), lanes
+
+
+def and_depths(circ) -> np.ndarray:
+    """Each gate's AND depth, gate by gate: the most AND gates on a path
+    from an input to its output."""
+    depth = [0] * circ.n_wires
+    for i in range(circ.n_gates):
+        w = 2 + circ.n_inputs + i
+        depth[w] = max(depth[circ.lhs[i]], depth[circ.rhs[i]]) + (circ.op[i] == AND)
+    return np.array(depth[2 + circ.n_inputs :])
+
+
+def plan_wires(circ) -> np.ndarray:
+    """The wire at each label position of the plan: constants and inputs,
+    then block by block its AND gates and its XOR gates, by gate id, where
+    block k holds the gates of AND depth k. Checks the block sizes."""
+    plan, base = circ.levels, 2 + circ.n_inputs
+    depth = and_depths(circ)
+    wires = list(range(base))
+    ab, xb = plan.and_bounds, plan.xor_bounds
+    assert len(ab) == len(xb) == len(plan.leaf_bounds) == depth.max(initial=0) + 2
+    for k in range(len(ab) - 1):
+        ands = np.flatnonzero((depth == k) & (circ.op == AND))
+        xors = np.flatnonzero((depth == k) & (circ.op == XOR))
+        assert plan.and_[0, ab[k] : ab[k + 1]].tolist() == (2 * ands).tolist()
+        assert xb[k + 1] - xb[k] == len(xors)
+        wires += (base + ands).tolist() + (base + xors).tolist()
+    return np.array(wires)
+
+
+def blocks(plan):
+    ab, xb, lb = plan.and_bounds, plan.xor_bounds, plan.leaf_bounds
+    return zip(ab, ab[1:], xb, xb[1:], lb, lb[1:])
 
 
 @pytest.mark.parametrize("name", list(ORACLE_CIRCUITS))
-def test_garbler_xor_groups_read_only_earlier_wires(name):
+def test_plan_reads_only_labels_set_before_their_pass(name):
     circ = ORACLE_CIRCUITS[name]()
-    base = 2 + circ.n_inputs
-    groups = circ.xor_groups
-    assert sorted(groups.gates.tolist()) == np.flatnonzero(circ.op == XOR).tolist()
-    # constants, inputs and AND outputs are set before the first group
-    ready = np.zeros(circ.n_wires, bool)
+    plan, base = circ.levels, 2 + circ.n_inputs
+    wire = plan_wires(circ)
+    assert sorted(wire.tolist()) == list(range(circ.n_wires))
+    assert np.array_equal(wire[plan.outputs], circ.outputs)
+    row = np.cumsum(circ.op == AND) - 1
+    ready = np.zeros(circ.n_wires, bool)  # by label position
     ready[:base] = True
-    ready[base + np.flatnonzero(circ.op == AND)] = True
-    for s, e in zip(groups.bounds, groups.bounds[1:]):
-        g = groups.gates[s:e]
-        assert len(g) and np.all(np.diff(g) > 0)
-        assert ready[circ.lhs[g]].all() and ready[circ.rhs[g]].all()
-        ready[base + g] = True
-    assert ready.all()
+    at = base
+    for s, e, xs, xe, ls, le in blocks(plan):
+        g = plan.and_[:, s:e]
+        gate = g[0] // 2
+        assert np.array_equal(g[1], g[0] + 1) and np.array_equal(g[2], row[gate])
+        assert np.array_equal(wire[g[3]], circ.lhs[gate])
+        assert np.array_equal(wire[g[4]], circ.rhs[gate])
+        assert ready[g[3:]].all()  # the AND pass reads only what is set
+        ready[at : at + e - s] = True
+        at += e - s
+        starts = plan.starts[xs:xe]
+        assert starts[:1].tolist() in ([], [0])
+        assert np.all(np.diff(np.append(starts, le - ls)) >= 2)  # an XOR has two leaves or more
+        assert ready[plan.leaves[ls:le]].all()  # so does the XOR reduction
+        ready[at : at + xe - xs] = True
+        at += xe - xs
+    assert at == circ.n_wires and ready.all()
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CIRCUITS))
+def test_plan_leaves_xor_to_each_xor_gates_value(name):
+    circ = ORACLE_CIRCUITS[name]()
+    plan = circ.levels
+    wire = plan_wires(circ)
+    bits = np.random.default_rng(105).integers(0, 2, (circ.n_inputs, 5), dtype=np.uint8)
+    value = wire_values(circ, bits)[wire]  # by label position
+    at = 2 + circ.n_inputs
+    for s, e, xs, xe, ls, le in blocks(plan):
+        at += e - s
+        bounds = np.append(plan.starts[xs:xe], le - ls) + ls
+        for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            leaves = value[plan.leaves[lo:hi]]
+            assert np.array_equal(np.bitwise_xor.reduce(leaves, axis=0), value[at + j])
+        at += xe - xs
 
 
 def test_evaluate_refuses_material_of_the_wrong_shape():
@@ -393,43 +469,51 @@ def test_evaluate_refuses_material_of_the_wrong_shape():
     lanes = 3
     gt, state = garble(circ, lanes, np.random.default_rng(104))
     active = state.encode(np.zeros((circ.n_inputs, lanes), np.uint8))
-    extra_lane = np.concatenate([gt.tables, gt.tables[..., :1]], axis=3)
+    extra_lane = np.concatenate([gt.tables, gt.tables[..., :1]], axis=2)
     for field, bad in (
-        ("tables", GarbledTables(extra_lane, gt.const_labels, gt.decode)),
-        ("tables", GarbledTables(gt.tables[:-1], gt.const_labels, gt.decode)),
-        ("decode", GarbledTables(gt.tables, gt.const_labels, gt.decode[:-1])),
-        ("decode", GarbledTables(gt.tables, gt.const_labels, gt.decode[:, :2])),
+        ("tables", GarbledTables(extra_lane, gt.const_labels, gt.out_hash)),
+        ("tables", GarbledTables(gt.tables[:-1], gt.const_labels, gt.out_hash)),
+        ("out_hash", GarbledTables(gt.tables, gt.const_labels, gt.out_hash[:-1])),
+        ("out_hash", GarbledTables(gt.tables, gt.const_labels, gt.out_hash[..., :2])),
     ):
         with pytest.raises(ValueError, match=f"GarbledTables.{field} "):
             evaluate(circ, bad, active)
     assert evaluate(circ, gt, active).shape == (len(circ.outputs), lanes)
 
 
-def test_single_tampered_check_word_names_its_gate():
+def test_single_tampered_table_word_raises_exactly_where_a_lane_reads_it():
     circ = build_secure_circuit(SecureFnSpec("relu", shift=4))
     plan = circ.levels
-    # the first AND column of each level that has one: its gate id and table
-    # row are half its key tweak and half its table index
+    # the first AND column of the first and last blocks that have one
     firsts = [b for b, e in zip(plan.and_bounds, plan.and_bounds[1:]) if e > b]
     assert len(firsts) > 1
-    lanes = 3
+    lanes = 8
     rng = np.random.default_rng(98)
     bits = rng.integers(0, 2, (circ.n_inputs, lanes), dtype=np.uint8)
     gt, state = garble(circ, lanes, rng)
     active = state.encode(bits)
     clean = evaluate(circ, gt, active)
+    labels = active_by_gate(circ, gt, active)
+    outs = list(circ.outputs)
+    seen = {True: 0, False: 0}
     for col in (firsts[0], firsts[-1]):
-        gate, row = int(plan.and_[0, col]) >> 1, int(plan.and_[2, col]) >> 1
-        raised = 0
-        for r in range(4):  # the evaluator reads exactly one row per lane
-            gt.tables[row, r, 1, 1] ^= np.uint64(1 << 40)
-            try:
-                assert np.array_equal(evaluate(circ, gt, active), clean)
-            except CorruptTable as e:
-                assert str(e) == f"check word mismatch at gate {gate}"
-                raised += 1
-            gt.tables[row, r, 1, 1] ^= np.uint64(1 << 40)
-        assert raised == 1
+        gate, row = int(plan.and_[0, col]) >> 1, int(plan.and_[2, col])
+        # T_G is read where the lhs label's low bit s_a is 1, T_E where s_b is 1
+        for word, side in ((0, circ.lhs[gate]), (1, circ.rhs[gate])):
+            for lane in range(lanes):
+                gt.tables[row, word, lane] ^= np.uint64(1 << 40)
+                read = bool(labels[side, lane] & np.uint64(1))
+                seen[read] += 1
+                if read:
+                    # the lowest output wire whose label the flip changed
+                    hit = active_by_gate(circ, gt, active)[outs] != labels[outs]
+                    wire = int(np.flatnonzero(hit.any(axis=1))[0])
+                    with pytest.raises(CorruptTable, match=f"^output wire {wire} matches"):
+                        evaluate(circ, gt, active)
+                else:
+                    assert np.array_equal(evaluate(circ, gt, active), clean)
+                gt.tables[row, word, lane] ^= np.uint64(1 << 40)
+    assert seen[True] and seen[False]
 
 
 def test_semantic_backend_never_computes_a_level_schedule(monkeypatch):
@@ -444,15 +528,14 @@ def test_semantic_backend_never_computes_a_level_schedule(monkeypatch):
     weights = random_weights(cfg, np.random.default_rng(99))
     for mode in ("base", "f", "fp", "fpc"):
         run_protocol(mode, cfg, weights, [1, 3], seed=5)
-    plans = ("levels", "xor_groups")
-    assert built and all(p not in c.__dict__ for c in built for p in plans)
-    # the check can fail: a garbled stage does compute both plans
+    assert built and all("levels" not in c.__dict__ for c in built)
+    # the check can fail: a garbled stage does compute the plan
     securefn.eval_secure(SecureFnSpec("relu"), np.zeros((1, 1), np.uint64),
                          np.zeros((1, 1), np.uint64), np.random.default_rng(0), backend="gc",
                          report=CostReport(), transcript=Transcript(), step="Others",
                          ot_sender=ExtSender(np.random.default_rng(0)),
                          ot_receiver=ExtReceiver(np.random.default_rng(1)))
-    assert all(p in built[-1].__dict__ for p in plans)
+    assert "levels" in built[-1].__dict__
 
 
 def test_adder_with_ot_fed_inputs():
@@ -470,7 +553,7 @@ def test_adder_with_ot_fed_inputs():
     labels, _ = run_ot(m0.ravel(), m1.ravel(), y_bits.ravel(), ExtSender(rng),
                        ExtReceiver(rng_r))
     active_y = labels.reshape(w, lanes)
-    got = unpack_bits(decode_outputs(gt, evaluate(circ, gt, np.concatenate([active_x, active_y]))))
+    got = unpack_bits(evaluate(circ, gt, np.concatenate([active_x, active_y])))
     assert np.array_equal(got, (x + y) % 256)
 
 

@@ -26,7 +26,14 @@ Baugh-Wooley rows and a triangle squarer and `mux`/`lookup` stopped
 repeating selects: `gc_and_gates`, `gc_table_bytes` and the online bytes
 fell in every run; the semantic runs' logit shares held, the GC runs'
 moved with the labels `garble` draws, and every reconstructed logit
-stayed. Any change to a counter,
+stayed. All 20 were re-pinned again when garbling moved to half-gates
+with output hashes: `gc_table_bytes` and the online bytes fell in every
+run (two words per AND gate and lane, not eight, and two output hashes
+per output bit and lane in place of a decode byte); the GC runs' shares
+moved too, because `garble` no longer draws a label per AND gate from
+the client's generator, which later stages draw their masks from. The
+semantic runs' shares, `gc_and_gates`, `ot_count` and every
+reconstructed logit stayed. Any change to a counter,
 message, byte or share of these runs changes a digest. A deliberate
 protocol change updates the table and says why in CHANGES.md.
 """
@@ -52,45 +59,45 @@ CONFIGS = {
 
 DIGESTS = {
     ("post-relu", "base", "semantic"):
-        "5146d60353eb53a7db11f301f449ffabc3dfe3c57db4f53840c64dd03128cd9b",
+        "4d25da85d2ca366e920de3e895893cfee4651922f5cc1160f595737c49490d0b",
     ("post-relu", "f", "semantic"):
-        "47063b13bf1d4edca2723b43ae9d42c2daafe12af3f974c36822748bf4800055",
+        "0231b61cad66deb58f2617bcf86ac30e3a1e4bc419254c5c48bdf8f1c7af274e",
     ("post-relu", "fp", "semantic"):
-        "c2d78e75021d64ae94fb742b5b1c32ae785d4b2efa7494eb8b05ca6d0d423dca",
+        "8f2165ba1d15f795403cd9f9065e7e76138ae9989eafb9fd452ff21922599c54",
     ("post-relu", "fpc", "semantic"):
-        "003bf3294ae48b2238957d187b62c3816dc71f1a1d4869213a67f168d168b6ac",
+        "6dc4b7b377fb4cae60db308ee8ee153cc28488fa4f8aff0c3b888d8cfd0e59be",
     ("post-relu", "f", "gc"):
-        "fd991f792749875c3905df4f5f31a96bdd486067defc49dd986dc6b9717e0361",
+        "f78d60c627182a92010d60283819af6467ea37d06fb2e7a50a86f96310b5011b",
     ("post-relu", "fpc", "gc"):
-        "bbe7053da9cf9fe9847f05c3d61409799dc7fc2f65163f684d13cab365d361d1",
+        "bdde63166173305bad2b83bebf400430dfee8491edee38999b4a5cb850b92863",
     ("pre-gelu", "base", "semantic"):
-        "ea5130e0a36119cd6f4e7fb6f3174bc7b65a383f1ab0d49a7ae36b4a649848aa",
+        "db9a8a415dee1aee7b9839cf5939dfa8ad81653514a4f8db38a99ed76abd097b",
     ("pre-gelu", "f", "semantic"):
-        "ac51e966e52b4e8fa2a3ca7cf1d3748ccfc27258eef44f351110ef26c51ee1d5",
+        "36fccee9155c367421bc5b3a7d23d1da36a0944b9c2f4e24a171cd338217e561",
     ("pre-gelu", "fp", "semantic"):
-        "1f45fa76e69fc28e7c654856ef966a4efd723f60ba2777ced1c33c2ca8233f51",
+        "3fe6d509e8a8950d115b6f7b2d59d1801bc66eba6c202d8f0bc1da7d6edf100b",
     ("pre-gelu", "fpc", "semantic"):
-        "71f273e5b7eea3ef34261c0946265cceb08f93b1870ea3c89e9f1a37602c8498",
+        "303624cd156bf781c4b49259cdff26648fe4e171ae92cfe29a931a79b22d2f60",
     ("pre-gelu", "f", "gc"):
-        "08e49b484ec7e31e4c795e967c5c84d557fee92130c485719a4cf2202c862033",
+        "0113ded75917d1e864e721652e2e319ed4980e636e9b6dfbef5b2013d4090657",
     ("pre-gelu", "fpc", "gc"):
-        "6f4d26b290659b23322f2a295eae1b7c50b62ad879a022541583942d6019a12f",
+        "0b96cafbfb8788c3451b5e747a3ec7b0570e8319b43d8c1d2dda9faf3dd0588a",
     ("sem-wide", "base", "semantic"):
-        "78afad8207af887d8067ba274c13c7a5b50ce827976591079bdf20657dd3d85e",
+        "411398fefa8a52342e285b78244a7f81536537b6ea019036f158029032ab9481",
     ("sem-wide", "f", "semantic"):
-        "91f6b60917f2425e873dc1ae012caa4831a529bd43061651bb29f563d10a1efa",
+        "69648ef16dd3692eda3b36e303e3c07bf767678c00f245ac40467896bc03e868",
     ("sem-wide", "fp", "semantic"):
-        "d3c5f174838d503bc54705c1d31e2988f7849a82662703e6349f0ba8c5d1cffe",
+        "419d66c68219185202b827ff0d2af49663c0e82fe50cfad77e2706942de6e1a8",
     ("sem-wide", "fpc", "semantic"):
-        "b52012a6dd63f0b93796304f4143c8b094afdc8e0802bb47633b6e35ef24708e",
+        "19b3665abfb87655e93bf61ead4d812a855963a296e1b22892e2e9c9b3e53db9",
     ("sem-long", "base", "semantic"):
-        "3a41e14a6e6f7ebf198e1b5b3feae1d0551731d536924fb71c953dad9c8ba7fd",
+        "8b73b6cb8a079eae279f9e8352a49c72351f8edd6fb52daccc9b4fa8a6fad877",
     ("sem-long", "f", "semantic"):
-        "33b6263cee408cbf39d1468db0dea05965b2977633ff9d9b2b1b52d02724d134",
+        "93286116df4b0ff7040511010b45891160bfc451a2d64c617ea7691ed2e6ee66",
     ("sem-long", "fp", "semantic"):
-        "257c0d3bc115fc79b6689f484c68e25ca7c171123216147461be842d74956528",
+        "ce1c347e7b366cade8757480fecbe4c237b1c9b314e007cf42f59b0d4379181b",
     ("sem-long", "fpc", "semantic"):
-        "5d5f79dff8586b90db11e25ce289cd292c14c05ea5f2e7df6141d6e7a5675ca6",
+        "563ea38565f687e14541b26aeca5a9095a46cfa90beaa8ba104e2da14d99d982",
 }
 
 

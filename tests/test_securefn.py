@@ -1,5 +1,7 @@
 """Secure nonpoly stages: circuits, backends, masking, domain checks."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -277,9 +279,10 @@ def test_logged_ot_bytes_equal_the_bytes_run_ot_moves(monkeypatch):
 
 
 def test_logged_gc_messages_equal_the_objects_that_cross(monkeypatch):
-    # measured = modeled: the gc_material message against the tables, constant
-    # labels, decode bits and client labels garble made, and the OT messages
-    # against what run_ot moved, also for a row stage of count 3
+    # measured = modeled: the gc_material message against every field of the
+    # GarbledTables garble made (tables, constant labels, output hashes) and
+    # the client labels, and the OT messages against what run_ot moved, also
+    # for a row stage of count 3
     seen = {}
     real_garble, real_evaluate, real_run_ot = securefn.garble, securefn.evaluate, securefn.run_ot
 
@@ -307,8 +310,7 @@ def test_logged_gc_messages_equal_the_objects_that_cross(monkeypatch):
         eval_secure(spec, xc, xs, rng, backend="gc", report=CostReport(), transcript=t,
                     step="Others", **ot_sides(211))
         gt, client_labels = seen["gt"], seen["active"][: 2 * spec.count * 64]
-        material = (gt.tables.nbytes + gt.const_labels.nbytes + client_labels.nbytes
-                    + gt.decode.nbytes)
+        material = sum(getattr(gt, f.name).nbytes for f in fields(gt)) + client_labels.nbytes
         assert [m.nbytes for m in t.messages if m.kind == "gc_material"] == [material]
         assert sum(m.nbytes for m in t.messages if m.kind == "ot") == seen["moved"]
 
