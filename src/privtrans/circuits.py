@@ -306,6 +306,8 @@ class CircuitOps:
                 top_only: bool = False) -> WireVec:
         """a + b + carry_in (b inverted if invert_b); only its top bit if
         top_only, so the other sum bits are never emitted."""
+        # build() would drop the unread sum bits too, but emitting them
+        # first raises set-up's peak memory
         assert a.width == b.width
         g = self.b.gate
         c = carry_in
@@ -330,12 +332,13 @@ class CircuitOps:
         return self.sub(self.const(0, a.width), a)
 
     def mul(self, a: WireVec, b: WireVec) -> WireVec:
-        """The signed product, a.width + b.width bits wide, as non-negative
-        rows that `_sum_rows` adds over a window about a row wide: a square
-        as a triangle, any other product as Baugh-Wooley rows (Baugh and
-        Wooley, IEEE Trans. Computers, 1973), except by a constant with at
-        most two one bits, which `_mul_rows` makes for no AND at all when
-        it is a power of two."""
+        """The signed product, a.width + b.width bits wide: a square as a
+        triangle, any other product as Baugh-Wooley rows (Baugh and Wooley,
+        IEEE Trans. Computers, 1973), both non-negative rows that
+        `_sum_rows` adds over a window about a row wide, except by a
+        non-negative constant with one or two one bits, which is a shifted
+        copy of a per one bit: no AND at all for a power of two, where
+        Baugh-Wooley's complemented sign terms would cost a few."""
         w = a.width + b.width
         assert w <= 64
         m, n = a.width, b.width
@@ -363,8 +366,9 @@ class CircuitOps:
         if {*a.wires} <= {ZERO, ONE}:
             a, b = b, a  # a constant's zero bits then add no row
             m, n = n, m
-        if {*b.wires} <= {ZERO, ONE} and b.wires.count(ONE) <= 2:
-            return self._mul_rows(a, b, term)
+        if {*b.wires} <= {ZERO, ONE} and b.wires[-1] == ZERO and 0 < b.wires.count(ONE) <= 2:
+            copies = [self.shl(self.resize(a, w), k) for k, x in enumerate(b.wires) if x == ONE]
+            return copies[0] if len(copies) == 1 else self.add(*copies)
         # Baugh-Wooley rows: a term that carries exactly one sign bit weighs
         # -2^k, so it is complemented, which leaves every row non-negative,
         # and 2^(m-1) + 2^(n-1) - 2^(m+n-1) makes up for that. Unless it is
@@ -383,35 +387,16 @@ class CircuitOps:
             rows.append((i, row))
         return self._sum_rows(rows, const, w)
 
-    def _mul_rows(self, a: WireVec, b: WireVec, term) -> WireVec:
-        """The product as sign-extended rows: row i, b_i times a, fills
-        columns i .. w - 1, repeating its top term past a's sign bit, and
-        b's top bit weighs -2^(n-1), so the last row is subtracted. Cheaper
-        than Baugh-Wooley rows when b is a constant with at most two one
-        bits, such as a power of two: its zero bits add no row, and the
-        sign extension is free, where Baugh-Wooley's constant is not."""
-        w = a.width + b.width
-        acc = [ZERO] * w
-        last = b.width - 1
-        for i, bi in enumerate(b.wires):
-            if bi == ZERO:
-                continue
-            row = [term(bi, aj) for aj in a.wires]
-            hi = WireVec(tuple(acc[i:]))
-            ext = WireVec(tuple(row) + (row[-1],) * (b.width - i))
-            acc[i:] = (self.add(hi, ext) if i < last else self.sub(hi, ext)).wires
-        return WireVec(tuple(acc))
-
     def _sum_rows(self, rows: list, const: int, w: int) -> WireVec:
         """const plus the sum of non-negative rows, mod 2^w; row (lo, wires)
         holds wires[k] at column lo + k.
 
         A ONE term folds into const, and a row of ZEROs is skipped. const's
         bits then go where they cost no AND: into a vacant column inside a
-        row, as the carry into a later row's lowest column, and the top bit
-        as a NOT at the end; only the rest is added as a constant. Each add
-        spans the columns a running upper bound on the sum allows, so no
-        carry leaves them."""
+        row, or as the carry into a later row's lowest column; only the rest
+        is added as a constant, where a top bit costs the add's last column
+        one XOR and no AND. Each add spans the columns a running upper bound
+        on the sum allows, so no carry leaves them."""
         packed = []
         for lo, wires in rows:
             const += sum(1 << (lo + k) for k, x in enumerate(wires) if x == ONE)
@@ -420,7 +405,6 @@ class CircuitOps:
                 row = [x if x != ONE else ZERO for x in wires[live[0] : live[-1] + 1]]
                 packed.append([lo + live[0], row, ZERO])
         const %= 1 << w
-        top, const = const >> (w - 1), const & ~(1 << (w - 1))
         for r, (lo, row, _) in enumerate(packed):
             for k, x in enumerate(row):
                 if x == ZERO and (const >> (lo + k)) & 1:
@@ -441,8 +425,6 @@ class CircuitOps:
             lo = (const & -const).bit_length() - 1
             hi = min(w, (bound + const).bit_length())
             acc[lo:hi] = self.add(WireVec(tuple(acc[lo:hi])), self.const(const >> lo, hi - lo)).wires
-        if top:
-            acc[-1] = self._not(acc[-1])
         return WireVec(tuple(acc))
 
     # comparisons and selection

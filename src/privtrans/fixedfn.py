@@ -21,7 +21,6 @@ import numpy as np
 from .ring import RingParams
 
 F2 = 12  # internal fraction bits for exp/reciprocal/rsqrt
-LN_EPS = 2.0 ** -F2  # variance floor, one internal ulp
 
 
 def width_mask(w: int) -> np.uint64:

@@ -131,7 +131,7 @@ def test_mul_exhaustive_squares_products_and_constants():
             assert np.array_equal(sem[0], got[0])
 
 
-# -- multipliers: Baugh-Wooley rows, the triangle squarer, sign-extended rows
+# -- multipliers: Baugh-Wooley rows, the triangle squarer, shifted copies
 
 
 def mul_cases(wa, wb):
@@ -164,8 +164,8 @@ def test_mul_exhaustive_at_every_width_pair_up_to_6():
 
 
 def test_mul_by_sparse_and_dense_constants_on_either_side():
-    # at most two one bits take sign-extended rows, more take Baugh-Wooley
-    # rows; a negative constant's sign bit is set in either layout
+    # a non-negative constant with one or two one bits takes shifted
+    # copies; any other, a negative one included, takes Baugh-Wooley rows
     consts = ((0, 4), (1, 4), (4, 4), (5, 4), (-1, 4), (-8, 4), (6, 3), (7, 3),
               (45, 7), (-45, 7), (1 << 12, 14), (7710, 15), (-7710, 15))
     for c, wc in consts:
@@ -385,7 +385,9 @@ def mul_and_count(shape, layout):
 
 def sign_extended_rows(ops, a, b):
     """The row layout every product took before Baugh-Wooley rows, with
-    each partial product emitted once."""
+    each partial product emitted once: row i, b_i times a, fills columns
+    i .. w - 1, repeating its top term past a's sign bit, and b's top bit
+    weighs -2^(n-1), so the last row is subtracted."""
     terms = {}
 
     def term(x, y):
@@ -394,7 +396,17 @@ def sign_extended_rows(ops, a, b):
             terms[key] = ops.b.gate(AND, x, y)
         return terms[key]
 
-    return ops._mul_rows(a, b, term)
+    w = a.width + b.width
+    acc = [ZERO] * w
+    last = b.width - 1
+    for i, bi in enumerate(b.wires):
+        if bi == ZERO:
+            continue
+        row = [term(bi, aj) for aj in a.wires]
+        hi = WireVec(tuple(acc[i:]))
+        ext = WireVec(tuple(row) + (row[-1],) * (b.width - i))
+        acc[i:] = (ops.add(hi, ext) if i < last else ops.sub(hi, ext)).wires
+    return WireVec(tuple(acc))
 
 
 def test_no_desk_multiply_costs_more_than_sign_extended_rows(monkeypatch):
@@ -422,3 +434,21 @@ def test_no_desk_stage_emits_an_and_gate_twice(key):
     ands = circ.op == AND
     pairs = set(zip(circ.lhs[ands].tolist(), circ.rhs[ands].tolist()))
     assert len(pairs) == circ.and_count
+
+
+def test_sparse_constant_products_cost_no_more_than_sign_extended_rows():
+    # a non-negative constant with one or two one bits is one or two
+    # shifted copies of the other operand; a power of two is wiring alone
+    for wc in (3, 6, 14):
+        for c in sorted({(1 << i) | (1 << j) for i in range(wc - 1) for j in range(wc - 1)}):
+            k = tuple(ONE if c >> t & 1 else ZERO for t in range(wc))
+            for wx in range(1, 25):
+                x = tuple(range(2, 2 + wx))
+                old = mul_and_count((x, k), sign_extended_rows)
+                for shape in ((x, k), (k, x)):
+                    new = mul_and_count(shape, lambda ops, a, b: ops.mul(a, b))
+                    assert new <= old, (shape, new, old)
+                if c & (c - 1) == 0:
+                    for by in (lambda ops, vs: ops.mul(vs[0], ops.const(c, wc)),
+                               lambda ops, vs: ops.mul(ops.const(c, wc), vs[0])):
+                        assert build(by, [wx])[0].n_gates == 0, (c, wc, wx)

@@ -36,6 +36,13 @@ semantic runs' shares, `gc_and_gates`, `ot_count` and every
 reconstructed logit stayed. Any change to a counter,
 message, byte or share of these runs changes a digest. A deliberate
 protocol change updates the table and says why in CHANGES.md.
+
+The digests count gates but do not see their wiring, so STAGE_DIGESTS
+pins each distinct secure-stage circuit of the four configs: one sha256
+over its gates' op, lhs and rhs and its output wires. They were taken
+before `mul` dropped its sign-extended rows for shifted copies, a
+refactor that moved no gate. A change to how circuits are built that
+must keep them gate for gate shows it here.
 """
 
 import hashlib
@@ -44,7 +51,8 @@ import json
 import numpy as np
 import pytest
 
-from privtrans import ModelConfig, random_weights, run_protocol
+from privtrans import ModelConfig, model, random_weights, run_protocol
+from privtrans.securefn import build_secure_circuit
 
 DESK = dict(N=1, d_emb=8, H=2, n=4, d_oh=16, d_ff=8)
 SEM_WIDE = ModelConfig(N=1, d_emb=32, H=4, n=8, d_oh=32, d_ff=64)
@@ -118,3 +126,41 @@ def run_digest(cfg: ModelConfig, tokens, mode: str, backend: str) -> str:
                          ids=["-".join(key) for key in sorted(DIGESTS)])
 def test_run_matches_pinned_digest(name, mode, backend):
     assert run_digest(*CONFIGS[name], mode, backend) == DIGESTS[name, mode, backend]
+
+
+# (fn, count, shift) -> sha256 of the stage circuit
+STAGE_DIGESTS = {
+    ("gelu", 1, 8): "babc663fe3fc5f4825d92b2d7994056f8dc7234e46f9f703cb75191e2c296bff",
+    ("layernorm_row", 8, 0): "95316b03cefea19e8a27c4990f5742e11c19f5453b6c72593ba165546ff0ed8b",
+    ("layernorm_row", 8, 8): "6acc815deaf4a46a4ce5f3ce5a216dfb674765655f864ef52b572ae867c8f964",
+    ("layernorm_row", 8, 24): "ecb2e4d8679b7f75ebc68cf6f58d969d4458f4087ed2530e764ae6615da6f92e",
+    ("layernorm_row", 32, 0): "76b501ded67ef0ee07ca484f115f8488311b753b3eaf2ecc6d53d8f30084a187",
+    ("layernorm_row", 32, 8): "ef245b24697274596eeedd63b02aed0d2fb10f72d06b3704fc3b745241456882",
+    ("layernorm_row", 32, 24): "6566f7ff6fb080d5d95c3f78804c98ad16e7bbbb2aa002ccbbbd7832a6ea4232",
+    ("relu", 1, 8): "ac98ca5fe414f612838039821712b107706784945d0fb75d21259d64a3219ef0",
+    ("softmax_row", 4, 32): "79e9e2cd5f20a6f9009b14564513d6f67d4592e63e16b1a4db5fa018b7474805",
+    ("softmax_row", 8, 32): "8341d9fb45d01f142106b782d42ade0bcc5963ce6129af0c02b704e1dbccbac8",
+    ("softmax_row", 16, 32): "50ecd06e643f6cf5d8763a248aedf11fd39c1a2609e87afb271ca2cd71d3f1f6",
+    ("trunc", 1, 8): "8a208f5f924a78da2037c44574cd25732c65a45d7bf8528f7f668c2ba9ca7497",
+    ("trunc", 1, 24): "5a6ec55537c232155fa5f92ba2db5258e1ef0cad7244ebb693824cbf5f38fb5f",
+}
+STAGE_SPECS = {
+    (s.fn, s.count, s.shift): s
+    for cfg, _ in CONFIGS.values()
+    for s in (f(cfg) for f in (model.softmax_spec, model.act_spec, model.ln_attn_spec,
+                               model.ln_ffn_spec, model.trunc_attn_spec, model.trunc_ffn_spec,
+                               model.final_ln_spec))
+}
+
+
+def test_stage_digests_cover_every_stage_of_the_configs():
+    assert set(STAGE_SPECS) == set(STAGE_DIGESTS)
+
+
+@pytest.mark.parametrize("key", sorted(STAGE_DIGESTS), ids=lambda k: f"{k[0]}-{k[1]}-{k[2]}")
+def test_stage_circuit_matches_pinned_digest(key):
+    circ = build_secure_circuit(STAGE_SPECS[key])
+    h = hashlib.sha256()
+    for wires in (circ.op, circ.lhs, circ.rhs, np.array(circ.outputs, dtype=np.int32)):
+        h.update(np.ascontiguousarray(wires).tobytes())
+    assert h.hexdigest() == STAGE_DIGESTS[key]
