@@ -88,8 +88,8 @@ assert t.bytes_sent("Others", "online") == t_gc.bytes_sent("Others", "online")
 print(f"softmax AND gates: {report.get('SoftMax', 'offline', 'gc_and_gates')}")
 
 # %%
-# plain_apply is the reference path: the same stage pipeline with zero
-# shares and zero masks, useful for tolerance studies. The semantic backend
+# plain_apply is the reference path: the circuit's stage code on plain
+# words, without shares or masks, useful for tolerance studies. The semantic backend
 # is this reference on the reconstructed words, minus the client's mask.
 plain = plain_apply(spec, raw)
 assert np.array_equal(plain, c + s)

@@ -264,10 +264,12 @@ class Session:
     and interaction the session logs inside it, so each lands where it
     falls in a deployed offline/online split; outside any scope that is
     ("Others", "online"), as for a bare CostReport. Module material is made
-    in one phase, `prep`: online in mode base, offline in the others. Every
-    client random draw (masks, triples, GC labels) is input-independent, so
-    all material tagged offline really is derivable before the input
-    arrives.
+    in one phase, `prep`: online in mode base, offline in the others, and
+    never inside an online scope. Every plaintext-weight module runs
+    through `_modules`: its mask exchange, then its one online remask.
+    Every client random draw (masks, triples, GC labels) is
+    input-independent, so all material tagged offline really is derivable
+    before the input arrives.
 
     The HE key pair lives on the Client, the weights and the server's
     material on the Server under module ids. Each party keeps its side of the
@@ -336,26 +338,25 @@ class Session:
         (axis 1)."""
         return FixedTensor(np.concatenate([t.data for t in heads], axis=axis), self.cfg.ring)
 
-    def _pack_mask(self, rc: FixedTensor) -> list[Ciphertext]:
-        cts = pack(rc, self._layout(rc.cols), self.client.key, self.client.report)
-        self._send("client", cts)
-        return cts
-
     # -- module material ------------------------------------------------------
 
-    def _gen_hgs(self, mid: str, rc: FixedTensor, *, rc_cts: list[Ciphertext] | None = None):
-        """Mask exchange for one module: the client ships Enc(rc) packed, the
-        server keeps its rs and returns Enc(rc @ W + rs), the client decrypts
-        its share. Returns the client's m_out = rc @ W + rs."""
-        if rc_cts is None:
-            rc_cts = self._pack_mask(rc)
-        out_cts, layout_out = self.server.mask_reply(mid, rc_cts, self._layout(rc.cols))
-        self._send("server", out_cts)
-        if self.prep == "offline":
-            # an online-generated module piggybacks on its remask interaction
-            self._interaction()
-        c = self.client
-        return unpack(out_cts, layout_out, c.key, self.cfg.ring, c.report)
+    def _gen_hgs(self, mids: list[str], rc: FixedTensor) -> list[FixedTensor]:
+        """Mask exchange for the modules mids, which share the input mask
+        rc: the client ships Enc(rc) packed once; per module the server
+        keeps its rs and returns Enc(rc @ W + rs), and the client decrypts
+        its share. Returns the client's m_out = rc @ W + rs per module."""
+        c, layout = self.client, self._layout(rc.cols)
+        rc_cts = pack(rc, layout, c.key, c.report)
+        self._send("client", rc_cts)
+        m_outs = []
+        for mid in mids:
+            out_cts, layout_out = self.server.mask_reply(mid, rc_cts, layout)
+            self._send("server", out_cts)
+            if self.prep == "offline":
+                # an online-generated module piggybacks on its remask interaction
+                self._interaction()
+            m_outs.append(unpack(out_cts, layout_out, c.key, self.cfg.ring, c.report))
+        return m_outs
 
     def _gen_triple(self, mid: str, left: FixedTensor, right: FixedTensor) -> None:
         """Client-built product triple shipped into the server's store."""
@@ -435,54 +436,42 @@ class Session:
 
     # -- pipeline pieces ------------------------------------------------------
 
-    def _embed(self, x0: FixedTensor):
-        """Two chained modules: vocabulary matmul, then coefficient scale
-        with the public positional offset added server-side."""
-        cfg = self.cfg
-        with self._at("Embed", prep=True):
-            rc_e = self.client.rand((cfg.n, cfg.d_oh))
-            out_e = self._gen_hgs("embed.vocab", rc_e)
-            rc_dl = self.client.rand((cfg.n, cfg.d_emb))
-            out_dl = self._gen_hgs("embed.posn", rc_dl)
-        with self._at("Embed"):
-            zeros = FixedTensor.zeros(*x0.shape, cfg.ring)
-            masked, = self._remask(rc_e, (zeros, x0))
-            masked_e = self.server.run_hgs_layer("embed.vocab", masked)
-            masked, = self._remask(rc_dl, (masked_e, out_e))
-        return self.server.run_hgs_layer("embed.posn", masked), out_dl
-
-    def _weight_module(self, mid: str, chain):
-        with self._at("Others", prep=True):
+    def _modules(self, step: str, mids: list[str], chain) -> list:
+        """The plaintext-weight modules mids on one chain, sharing its input
+        mask: the mask exchange in the material phase, then one remask
+        online. Returns one chain per module (held: X @ W - rs, plus any
+        public bias; client: rc @ W + rs)."""
+        with self._at(step, prep=True):
             rc = self.client.rand(chain[1].shape)
-            m_out = self._gen_hgs(mid, rc)
-        with self._at("Others"):
+            m_outs = self._gen_hgs(mids, rc)
+        with self._at(step):
             masked, = self._remask(rc, chain)
-        return self.server.run_hgs_layer(mid, masked), m_out
+            return [(self.server.run_hgs_layer(mid, masked), m_out)
+                    for mid, m_out in zip(mids, m_outs)]
+
+    def _embed(self, x0: FixedTensor):
+        """Two chained modules on the one-hot input, held by the client:
+        vocabulary matmul, then coefficient scale with the public
+        positional offset added server-side."""
+        chain, = self._modules("Embed", ["embed.vocab"],
+                               (FixedTensor.zeros(*x0.shape, self.cfg.ring), x0))
+        return self._modules("Embed", ["embed.posn"], chain)[0]
 
     def _prefix_hgs(self, blk_i: int, chain):
         """Modes base/f/fp: QKV modules sharing one input mask, then the
         per-head same-mask score product. Two online interactions."""
-        cfg = self.cfg
-        qkv = [f"b{blk_i}.w{p}" for p in "qkv"]
-        with self._at("QKV", prep=True):
-            rc_qkv = self.client.rand((cfg.n, cfg.d_emb))
-            qkv_cts = self._pack_mask(rc_qkv)
-            q_out, k_out, v_out = [self._gen_hgs(mid, rc_qkv, rc_cts=qkv_cts) for mid in qkv]
+        q, k, v = self._modules("QKV", [f"b{blk_i}.w{p}" for p in "qkv"], chain)
         with self._at("QxK", prep=True):
-            rc_qk = self.client.rand((cfg.n, cfg.d_emb))
+            rc_qk = self.client.rand((self.cfg.n, self.cfg.d_emb))
             for h, r in enumerate(self._heads(rc_qk)):
                 self._gen_triple(f"b{blk_i}.qk.h{h}", r, r.transpose())
-
-        with self._at("QKV"):
-            masked_x1, = self._remask(rc_qkv, chain)
-        masked_q, masked_k, masked_v = [self.server.run_hgs_layer(mid, masked_x1) for mid in qkv]
         with self._at("QxK"):
-            mq, mk = self._remask(rc_qk, (masked_q, q_out), (masked_k, k_out))
-            heads = [self.triple_product(f"b{blk_i}.qk.h{h}", q, k.transpose())
-                     for h, (q, k) in enumerate(zip(self._heads(mq), self._heads(mk)))]
+            mq, mk = self._remask(rc_qk, q, k)
+            heads = [self.triple_product(f"b{blk_i}.qk.h{h}", q_h, k_h.transpose())
+                     for h, (q_h, k_h) in enumerate(zip(self._heads(mq), self._heads(mk)))]
         s_client = self._stack([c for c, _ in heads])
         s_server = self._stack([s for _, s in heads])
-        return (s_server, s_client), (masked_v, v_out)
+        return (s_server, s_client), v
 
     def _prefix_chgs(self, blk_i: int, chain, x0: FixedTensor | None):
         """Mode fpc: fused prefix with one online exchange under QxK.
@@ -498,10 +487,10 @@ class Session:
         with self._at("QxK", prep=True):
             self.chgs_material(qk, rc0)
         with self._at("QKV", prep=True):
-            v_out = self._gen_hgs(fuse_v, rc0)
+            v_out, = self._gen_hgs([fuse_v], rc0)
         if first:
             with self._at("Embed", prep=True):
-                x_out = self._gen_hgs("embed.fused", rc0)
+                x_out, = self._gen_hgs(["embed.fused"], rc0)
 
         # online: one interaction carries the whole prefix
         with self._at("QxK"):
@@ -524,15 +513,13 @@ class Session:
         server's ciphertext batch (one interaction, no client message)."""
         p_held, p_mask = p_chain     # held: P - a, client: a, both stacked by head
         v_masked, m_v = v_chain
-        heads = []
+        mids = [f"b{blk_i}.av.h{h}" for h in range(self.cfg.H)]
+        with self._at("AttenValue", prep=True):
+            for mid, a_h, mv_h in zip(mids, self._heads(p_mask, axis=0), self._heads(m_v)):
+                self._gen_triple(mid, a_h, mv_h)
         with self._at("AttenValue"):
-            for h, (p_h, a_h, v_h, mv_h) in enumerate(zip(
-                    self._heads(p_held, axis=0), self._heads(p_mask, axis=0),
-                    self._heads(v_masked), self._heads(m_v))):
-                mid = f"b{blk_i}.av.h{h}"
-                with self._at("AttenValue", prep=True):
-                    self._gen_triple(mid, a_h, mv_h)
-                heads.append(self.triple_product(mid, p_h, v_h))
+            heads = [self.triple_product(mid, p_h, v_h) for mid, p_h, v_h in
+                     zip(mids, self._heads(p_held, axis=0), self._heads(v_masked))]
             self._interaction()
         client = self._stack([c for c, _ in heads], axis=1)
         server = self._stack([s for _, s in heads], axis=1)
@@ -553,7 +540,7 @@ class Session:
         s_chain = (s_chain[0].scalar_mul(eta), s_chain[1].scalar_mul(eta))
         p_chain = self._gc("SoftMax", softmax_spec(cfg), s_chain)
         av_chain = self._attention_value(blk_i, p_chain, v_chain)
-        o_held, o_mask = self._weight_module(f"b{blk_i}.wo", av_chain)
+        (o_held, o_mask), = self._modules("Others", [f"b{blk_i}.wo"], av_chain)
         mid = (x1_chain[0].lshift(3 * f) + o_held, x1_chain[1].lshift(3 * f) + o_mask)
         if pre:
             mid = self._gc("Others", trunc_attn_spec(cfg), mid)
@@ -561,9 +548,9 @@ class Session:
         else:
             mid = self._gc("Others", ln_attn_spec(cfg), mid)
             ffn_in = mid
-        h_held, h_mask = self._weight_module(f"b{blk_i}.wf1", ffn_in)
-        act = self._gc("Others", act_spec(cfg), (h_held, h_mask))
-        f_held, f_mask = self._weight_module(f"b{blk_i}.wf2", act)
+        h_chain, = self._modules("Others", [f"b{blk_i}.wf1"], ffn_in)
+        act = self._gc("Others", act_spec(cfg), h_chain)
+        (f_held, f_mask), = self._modules("Others", [f"b{blk_i}.wf2"], act)
         out = (mid[0].lshift(f) + f_held, mid[1].lshift(f) + f_mask)
         if pre:
             return self._gc("Others", trunc_ffn_spec(cfg), out)
@@ -580,7 +567,7 @@ class Session:
             chain = self._block(i, chain, x0 if (i == 0 and fused_first) else None)
         if cfg.norm == "pre":
             chain = self._gc("Others", final_ln_spec(cfg), chain)
-        l_held, l_mask = self._weight_module("head", chain)
+        (l_held, l_mask), = self._modules("Others", ["head"], chain)
         bad = audit_server_ignorance(self.server)
         if bad:
             raise AuditError(f"server holds client secrets: {bad}")

@@ -149,19 +149,6 @@ def normalize(ops, v, counter_width: int = 7):
     return v, e
 
 
-# -- share plumbing -----------------------------------------------------------
-
-
-def reconstruct_add(ops, a, b):
-    """Ring addition of the two parties' shares (full ring width)."""
-    return ops.add(a, b)
-
-
-def remask_sub(ops, v, r):
-    """Subtract the next-layer mask so the output is again a share."""
-    return ops.sub(v, r)
-
-
 def trunc_sat(ops, v, shift: int, ring: RingParams):
     """Arithmetic shift then saturate to the value range: the rescale after
     a fixed-point multiply."""

@@ -91,27 +91,24 @@ def _stage(ops, spec: SecureFnSpec, vs: list):
     return fixedfn.layernorm_row(ops, vs, spec.ring)
 
 
-def _apply(ops, spec: SecureFnSpec, xc: list, masks: list, xs: list) -> list:
-    """The whole per-lane pipeline; shared verbatim by both backends."""
-    vs = [fixedfn.reconstruct_add(ops, a, b) for a, b in zip(xc, xs)]
+def _apply(ops, spec: SecureFnSpec, vs: list) -> list:
+    """The stage on reconstructed words, then resized to the ring width;
+    shared verbatim by both backends."""
     if spec.shift:
         vs = [
             ops.resize(fixedfn.trunc_sat(ops, v, spec.shift, spec.ring), 16) for v in vs
         ]
-    ys = _stage(ops, spec, vs)
-    return [fixedfn.remask_sub(ops, ops.resize(y, 64), r) for y, r in zip(ys, masks)]
+    return [ops.resize(y, 64) for y in _stage(ops, spec, vs)]
 
 
 def plain_apply(spec: SecureFnSpec, values: np.ndarray) -> np.ndarray:
     """Run the stage on plain ring words (lanes, count) -> (lanes, count).
 
-    This is the reference path: identical code, zero co-share, zero mask.
+    This is the reference path: the circuit's code, without the shares.
     """
     values = np.atleast_2d(np.asarray(values, dtype=np.uint64))
-    zero = [SemVal(np.zeros(values.shape[0], np.uint64), 64)] * spec.count
-    xc = [SemVal(values[:, i].copy(), 64) for i in range(spec.count)]
-    outs = _apply(_SEM, spec, xc, zero, zero)
-    return np.stack([o.bits for o in outs], axis=1)
+    vs = [SemVal(values[:, i].copy(), 64) for i in range(spec.count)]
+    return np.stack([o.bits for o in _apply(_SEM, spec, vs)], axis=1)
 
 
 # -- circuits -----------------------------------------------------------------
@@ -125,8 +122,9 @@ def build_secure_circuit(spec: SecureFnSpec):
     xc = [ops.input(64) for _ in range(spec.count)]
     masks = [ops.input(64) for _ in range(spec.count)]
     xs = [ops.input(64) for _ in range(spec.count)]
-    for out in _apply(ops, spec, xc, masks, xs):
-        b.mark_output(out)
+    ys = _apply(ops, spec, [ops.add(a, c) for a, c in zip(xc, xs)])
+    for y, r in zip(ys, masks):
+        b.mark_output(ops.sub(y, r))
     return b.build()
 
 

@@ -241,9 +241,9 @@ def test_share_pipeline_equivalence_width_64():
 
     def pipeline(ops, vs):
         a, b, r = vs
-        x = fixedfn.reconstruct_add(ops, a, b)
+        x = ops.add(a, b)
         t = fixedfn.trunc_sat(ops, x, DEFAULT_RING.frac_bits, DEFAULT_RING)
-        return fixedfn.remask_sub(ops, ops.resize(t, 64), r)
+        return ops.sub(ops.resize(t, 64), r)
 
     raws = [rand_raw(rng, 64), rand_raw(rng, 64), rand_raw(rng, 64)]
     raws[0] = (raws[0] << np.uint64(1)) | (raws[2] >> np.uint64(63))  # spread high bits

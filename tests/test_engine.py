@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import re
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -180,7 +181,7 @@ def test_hgs_layer_online_phase_is_he_free_and_single_use():
     w, _ = s.server.weights["b0.wq"]
     rng = np.random.default_rng(4)
     x, rc = rand_mat(rng, (4, 8)), rand_mat(rng, (4, 8))
-    m_out = s._gen_hgs("b0.wq", rc)
+    m_out, = s._gen_hgs(["b0.wq"], rc)
     before = {k: s.server.report.total(k) for k in ("he_enc", "he_dec", "he_add",
                                                     "he_add_plain", "he_mul_plain", "he_rotate")}
     out = s.server.run_hgs_layer("b0.wq", x - rc)
@@ -442,6 +443,35 @@ def test_offline_material_keeps_online_steps_he_free():
         assert rep.he_ops("QxK", "online") > 0
         assert rep.he_ops("AttenValue", "online") > 0
     assert ciphertext_pair_ops() == ["he_add"]
+
+
+@pytest.mark.parametrize("norm,activation", [("post", "relu"), ("pre", "gelu")])
+def test_material_is_never_made_inside_an_online_step(norm, activation, monkeypatch):
+    # no material scope (prep=True) opens while an online one is open, so
+    # every step's material can be made before its online half begins
+    cfg = toy_cfg(norm=norm, activation=activation)
+    w = random_weights(cfg, np.random.default_rng(5))
+    at, flags, preps, nested = Session._at, [], [], []
+
+    @contextmanager
+    def guarded(self, step, prep=False):
+        if prep:
+            preps.append(step)
+            if False in flags:
+                nested.append(step)
+        flags.append(prep)
+        try:
+            with at(self, step, prep):
+                yield
+        finally:
+            flags.pop()
+
+    monkeypatch.setattr(Session, "_at", guarded)
+    for mode in MODES:
+        preps.clear()
+        run_protocol(mode, cfg, w, [3, 1, 4, 1], seed=11)
+        assert preps and not flags, mode
+        assert nested == [], mode
 
 
 def test_share_message_byte_accounting():

@@ -33,7 +33,14 @@ per output bit and lane in place of a decode byte); the GC runs' shares
 moved too, because `garble` no longer draws a label per AND gate from
 the client's generator, which later stages draw their masks from. The
 semantic runs' shares, `gc_and_gates`, `ot_count` and every
-reconstructed logit stayed. Any change to a counter,
+reconstructed logit stayed. All 20 were re-pinned for message order
+alone when every plaintext-weight module took one path (`_modules`) and
+no material was made inside an online scope any more: Embed's second
+mask exchange now follows its first remask, QKV's remask precedes QxK's
+triples, and AttenValue's triples precede its products. The same recipe
+with the `to_jsonl()` lines sorted was equal before and after in all 20
+runs, so every counter, message, byte, interaction and logit share held.
+Any change to a counter,
 message, byte or share of these runs changes a digest. A deliberate
 protocol change updates the table and says why in CHANGES.md.
 
@@ -67,45 +74,45 @@ CONFIGS = {
 
 DIGESTS = {
     ("post-relu", "base", "semantic"):
-        "4d25da85d2ca366e920de3e895893cfee4651922f5cc1160f595737c49490d0b",
+        "803ede93f170a1a9d0d84de752a20c92abc25e3d6d624272282377f5fcfbfd2f",
     ("post-relu", "f", "semantic"):
-        "0231b61cad66deb58f2617bcf86ac30e3a1e4bc419254c5c48bdf8f1c7af274e",
+        "d8c193b41a8738c79aab42c08533600798df568be2029bab0ff455c04f2ed901",
     ("post-relu", "fp", "semantic"):
-        "8f2165ba1d15f795403cd9f9065e7e76138ae9989eafb9fd452ff21922599c54",
+        "c87aa5b8bc5e81b103847f60b164899c352c255198449db90a9d8f46f6c0dd03",
     ("post-relu", "fpc", "semantic"):
-        "6dc4b7b377fb4cae60db308ee8ee153cc28488fa4f8aff0c3b888d8cfd0e59be",
+        "c6430d666ca755d6ac937e63ce16747aed222d4e9bbf0003c035746ad3200853",
     ("post-relu", "f", "gc"):
-        "f78d60c627182a92010d60283819af6467ea37d06fb2e7a50a86f96310b5011b",
+        "73d3ab129fbb15014f26afb6980304060d97f816a4bb8b48a270fcb5c5546a60",
     ("post-relu", "fpc", "gc"):
-        "bdde63166173305bad2b83bebf400430dfee8491edee38999b4a5cb850b92863",
+        "34491a1f4c822388ad358f99a519c810b7fd3b33ca62a82914e1ac151ef860da",
     ("pre-gelu", "base", "semantic"):
-        "db9a8a415dee1aee7b9839cf5939dfa8ad81653514a4f8db38a99ed76abd097b",
+        "e7cbea111fe79740c3258cff5e427da91e5f5bdc3fc0ec80bfd84d9a98b94885",
     ("pre-gelu", "f", "semantic"):
-        "36fccee9155c367421bc5b3a7d23d1da36a0944b9c2f4e24a171cd338217e561",
+        "a5772cdb6f01d7ab013567bff040a50c07b8c32f959eedbeb6021d13fde1ea21",
     ("pre-gelu", "fp", "semantic"):
-        "3fe6d509e8a8950d115b6f7b2d59d1801bc66eba6c202d8f0bc1da7d6edf100b",
+        "071a1a45be8281240e9b72841211ad14b0aa0417b5a712579bec2197876b0b84",
     ("pre-gelu", "fpc", "semantic"):
-        "303624cd156bf781c4b49259cdff26648fe4e171ae92cfe29a931a79b22d2f60",
+        "b39858e9a840bf046f05e3bc85d6921ca529b10179fd2ae12b4a72f45e8a6965",
     ("pre-gelu", "f", "gc"):
-        "0113ded75917d1e864e721652e2e319ed4980e636e9b6dfbef5b2013d4090657",
+        "06578b6555aa2cc004fae39924b79133aef1c2229e9023d761327ed21f077c33",
     ("pre-gelu", "fpc", "gc"):
-        "0b96cafbfb8788c3451b5e747a3ec7b0570e8319b43d8c1d2dda9faf3dd0588a",
+        "af99430c32b6ddd18f719253078c73afbbff9ff1771b3d45e7cf74012d2d182c",
     ("sem-wide", "base", "semantic"):
-        "411398fefa8a52342e285b78244a7f81536537b6ea019036f158029032ab9481",
+        "ce8090d9a76803305cdbc8603ecb175d21c81b9ba370824389f189421710ef4a",
     ("sem-wide", "f", "semantic"):
-        "69648ef16dd3692eda3b36e303e3c07bf767678c00f245ac40467896bc03e868",
+        "5b68bbfafb1d4340b01bc3b7346ce64ba2cea8859f74f58818e73ba0ccf79f6d",
     ("sem-wide", "fp", "semantic"):
-        "419d66c68219185202b827ff0d2af49663c0e82fe50cfad77e2706942de6e1a8",
+        "8b2f827fa836fe589d6f7b1f9acb48683821371883e659b5211cc5f6b277446e",
     ("sem-wide", "fpc", "semantic"):
-        "19b3665abfb87655e93bf61ead4d812a855963a296e1b22892e2e9c9b3e53db9",
+        "2dcaecdbd34ba3c0f64b41f2ea073dbe6bd2b04a98dd6febfebdf1bf479de470",
     ("sem-long", "base", "semantic"):
-        "8b73b6cb8a079eae279f9e8352a49c72351f8edd6fb52daccc9b4fa8a6fad877",
+        "c872f8bf3cf739a21d0a3ce9fc38c29964bd8d5a93903e66ba9423edce5e0439",
     ("sem-long", "f", "semantic"):
-        "93286116df4b0ff7040511010b45891160bfc451a2d64c617ea7691ed2e6ee66",
+        "dbd70030ec2a53b68444b4bfc63ca2046a0ebcb0d16a3d00c124074455782786",
     ("sem-long", "fp", "semantic"):
-        "ce1c347e7b366cade8757480fecbe4c237b1c9b314e007cf42f59b0d4379181b",
+        "38eff6080f2de785eebdf0e1fe4618118c735d170e257ac859d81068775e7051",
     ("sem-long", "fpc", "semantic"):
-        "563ea38565f687e14541b26aeca5a9095a46cfa90beaa8ba104e2da14d99d982",
+        "0316d8f7cca8576a96198a69314c6a8bc055fb5652cd170c2a14c5ced52cdd7e",
 }
 
 

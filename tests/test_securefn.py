@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from privtrans import fixedfn, securefn
+from privtrans import securefn
 from privtrans.circuits import CircuitBuilder, CircuitOps, pack_bits, unpack_bits
 from privtrans.costs import CostReport
 from privtrans.model import (
@@ -64,10 +64,10 @@ def run_pair_circuit(circ, a, b, w):
 
 
 def test_reconstruct_add_circuit_examples_and_exhaustive():
-    c8 = pair_circuit(fixedfn.reconstruct_add, 8)
+    c8 = pair_circuit(CircuitOps.add, 8)
     got = run_pair_circuit(c8, np.array([3, 255], np.uint64), np.array([4, 1], np.uint64), 8)
     assert got.tolist() == [7, 0]
-    c6 = pair_circuit(fixedfn.reconstruct_add, 6)
+    c6 = pair_circuit(CircuitOps.add, 6)
     a, b = np.meshgrid(np.arange(64, dtype=np.uint64), np.arange(64, dtype=np.uint64))
     got = run_pair_circuit(c6, a.ravel(), b.ravel(), 6)
     assert np.array_equal(got, (a.ravel() + b.ravel()) % 64)
@@ -75,10 +75,10 @@ def test_reconstruct_add_circuit_examples_and_exhaustive():
 
 
 def test_remask_sub_circuit_examples_and_exhaustive():
-    c8 = pair_circuit(fixedfn.remask_sub, 8)
+    c8 = pair_circuit(CircuitOps.sub, 8)
     got = run_pair_circuit(c8, np.array([10, 77], np.uint64), np.array([3, 0], np.uint64), 8)
     assert got.tolist() == [7, 77]
-    c6 = pair_circuit(fixedfn.remask_sub, 6)
+    c6 = pair_circuit(CircuitOps.sub, 6)
     y, r = np.meshgrid(np.arange(64, dtype=np.uint64), np.arange(64, dtype=np.uint64))
     got = run_pair_circuit(c6, y.ravel(), r.ravel(), 6)
     assert np.array_equal(got, (y.ravel() - r.ravel()) % 64)
