@@ -18,11 +18,15 @@ S_h = (P_s + R_e) B_h (P_s + R_e)^T from its own plaintext
 P_s = (X0 - Rc0) W_E delta + lam, the encrypted mask image
 R_e = Rc0 W_E delta, and combined weights B_h = W_Q_h W_K_h^T; the
 mask-quadratic term R_e B_h R_e^T is prepared offline with one extra
-client round on a server-masked ciphertext. Later blocks reuse the
-preceding GC output mask as Rc0, so their prefix needs no client message
-at all. The computation merge (W_E delta, W_E delta W_V, each B_h) is the
-server's weight preprocessing: `Server.__init__` makes it once, into the
-table from module id to weight that the server alone holds.
+client round on a server-masked ciphertext. Later blocks (and every
+pre-norm block) have no input map: they reuse the preceding GC output
+mask as Rc0, P_s is the masked chain and R_e = Rc0, so their prefix needs
+no client message at all. The computation merge (W_E delta, W_E delta W_V,
+each B_h, and the mask weights A_h = W_E delta B_h and
+W_M_h = A_h (W_E delta)^T) is the server's weight preprocessing:
+`Server.__init__` makes it once, into the table from module id to weight
+that the server alone holds, so each head's Enc(R_e B_h) is the one
+product Enc(Rc0) A_h.
 """
 
 from __future__ import annotations
@@ -128,10 +132,13 @@ class Server:
     """The server: its rng stream, its cost report, the model weights and
     its material store. `weights`, built once at set-up, maps a module id
     to its (W, public bias), W a tensor or the int delta of `embed.posn`,
-    and holds mode fpc's computation merge: per block the fused input map
-    (W_ed, lam) under `b{i}.qk`, W_ed W_V under `b{i}.fuse_v`, each
-    B_h = W_Q_h W_K_h^T under `b{i}.qk.h{h}` and W_M_h = W_ed B_h W_ed^T
-    under `b{i}.qk.h{h}.wm`. `material` maps a module id
+    and holds mode fpc's computation merge: per block each
+    B_h = W_Q_h W_K_h^T under `b{i}.qk.h{h}`, the a-mask weight A_h under
+    `b{i}.qk.h{h}.a` and the values' weight under `b{i}.fuse_v`. Only a
+    block that folds the embedding has an input map: (W_ed, lam) under
+    `b{i}.qk`, A_h = W_ed B_h, W_ed W_V with bias lam W_V, and
+    W_M_h = A_h W_ed^T under `b{i}.qk.h{h}.wm`. Elsewhere A_h is B_h and
+    `fuse_v` is W_V. `material` maps a module id
     to the one record the server made or received for it offline; `take`
     pops it, so each record is consumed once. Every QxK and AttenValue
     product, fused or not, takes a MatTriple through `four_terms`. `ot` is
@@ -146,20 +153,23 @@ class Server:
                             "embed.posn": (cfg.delta, cfg.lam)}
         for i, blk in enumerate(weights.blocks):
             t.update({f"b{i}.{k.replace('_', '')}": (w, None) for k, w in vars(blk).items()})
-            # the fused input map X1 = X0 W_ed + lam: block 0 of a post-norm
-            # model fuses from the one-hot input, pre-norm blocks from a norm
-            if i == 0 and cfg.norm == "post":
-                w_ed, lam = t["embed.fused"] = weights.w_e.scalar_mul(cfg.delta), cfg.lam
+            # block 0 of a post-norm model fuses from the one-hot input
+            # through the input map X1 = X0 W_ed + lam; the other blocks
+            # fuse from the chain as it is, and hold no input map
+            fused = i == 0 and cfg.norm == "post"
+            if fused:
+                w_ed, lam = t["embed.fused"] = t[f"b{i}.qk"] = (
+                    weights.w_e.scalar_mul(cfg.delta), cfg.lam)
+                t[f"b{i}.fuse_v"] = (mat_mul(w_ed, blk.w_v), mat_mul(lam, blk.w_v))
             else:
-                w_ed, lam = FixedTensor(np.eye(cfg.d_emb, dtype=np.uint64), cfg.ring), None
-            t[f"b{i}.qk"] = (w_ed, lam)
-            t[f"b{i}.fuse_v"] = (mat_mul(w_ed, blk.w_v),
-                                 lam if lam is None else mat_mul(lam, blk.w_v))
+                t[f"b{i}.fuse_v"] = (blk.w_v, None)
             q_h, k_h = (np.split(w.data, cfg.H, axis=1) for w in (blk.w_q, blk.w_k))
             for h, (q, k) in enumerate(zip(q_h, k_h)):
-                b_h = FixedTensor(q @ k.T, cfg.ring)
-                t[f"b{i}.qk.h{h}"] = (b_h, None)
-                t[f"b{i}.qk.h{h}.wm"] = (mat_mul(mat_mul(w_ed, b_h), w_ed.transpose()), None)
+                mid, b_h = f"b{i}.qk.h{h}", FixedTensor(q @ k.T, cfg.ring)
+                a_h = mat_mul(w_ed, b_h) if fused else b_h
+                t[mid], t[f"{mid}.a"] = (b_h, None), (a_h, None)
+                if fused:
+                    t[f"{mid}.wm"] = (mat_mul(a_h, w_ed.transpose()), None)
 
     def keep(self, mid: str, item) -> None:
         if mid in self.material:
@@ -221,20 +231,22 @@ class Server:
 
     def chgs_terms(self, qk: str, enc_rc0: list[Ciphertext], enc_rc0_t: list[Ciphertext]):
         """Fused-prefix QxK triples of block qk begun from Enc(Rc0),
-        Enc(Rc0^T) rows: a = R_e B_h and b = R_e^T for R_e = Rc0 W_ed. Keeps,
+        Enc(Rc0^T) rows: a = R_e B_h and b = R_e^T, for R_e = Rc0 W_ed where
+        the block folds the embedding and R_e = Rc0 elsewhere. Each head's
+        Enc(R_e B_h) is one product Enc(Rc0) A_h by the merged A_h. Keeps,
         under each head's id, (Enc(R_e B_h), Enc(R_e^T), G_h, Enc(Rc0^T))
         for a fresh G_h, and returns per head id the rows
-        Enc(Rc0 W_M_h) + G_h (W_M_h = W_ed B_h W_ed^T)."""
-        rep, (w_ed, _) = self.report, self.weights[qk]
-        enc_re = enc_left_matmul(enc_rc0, w_ed, rep)
-        enc_re_t = plain_left_matmul(w_ed.transpose(), enc_rc0_t, rep)
+        Enc(Rc0 W_M_h) + G_h; without an input map W_M_h = A_h = B_h, so
+        the a rows serve."""
+        rep, fused = self.report, qk in self.weights
+        enc_re_t = (plain_left_matmul(self.weights[qk][0].transpose(), enc_rc0_t, rep)
+                    if fused else enc_rc0_t)
         masked_wm = {}
         for mid in (f"{qk}.h{h}" for h in range(self.heads)):
-            b_h, _ = self.weights[mid]
-            enc_re_b = enc_left_matmul(enc_re, b_h, rep)
-            w_m, _ = self.weights[f"{mid}.wm"]
-            g_h = rand_ring((len(enc_rc0), w_ed.rows), self.rng, self.ring)
-            rows = enc_left_matmul(enc_rc0, w_m, rep)
+            enc_re_b = enc_left_matmul(enc_rc0, self.weights[f"{mid}.a"][0], rep)
+            rows = (enc_left_matmul(enc_rc0, self.weights[f"{mid}.wm"][0], rep)
+                    if fused else enc_re_b)
+            g_h = rand_ring((len(enc_rc0), len(enc_rc0_t)), self.rng, self.ring)
             masked_wm[mid] = [he_add_plain(ct, v, rep) for ct, v in zip(rows, g_h.data)]
             self.keep(mid, (enc_re_b, enc_re_t, g_h, enc_rc0_t))
         return masked_wm
@@ -250,8 +262,10 @@ class Server:
 
     def chgs_heads(self, qk: str, x0_masked: FixedTensor) -> list:
         """Per head of block qk, the four terms of S_h = (P_s B_h + R_e B_h)
-        (P_s^T + R_e^T), P_s = (X0 - Rc0) W_ed + lam, from its triple."""
-        p_s = self._apply(qk, x0_masked)
+        (P_s^T + R_e^T), from its triple: P_s = (X0 - Rc0) W_ed + lam where
+        the block folds the embedding, the masked chain X0 - Rc0 itself
+        elsewhere."""
+        p_s = self._apply(qk, x0_masked) if qk in self.weights else x0_masked
         return [self.four_terms(mid, self._apply(mid, p_s), p_s.transpose())
                 for mid in (f"{qk}.h{h}" for h in range(self.heads))]
 
@@ -477,20 +491,19 @@ class Session:
         """Mode fpc: fused prefix with one online exchange under QxK.
 
         A block that fuses from the raw one-hot input (x0 given) gets the
-        embedding folded in by the server's merge; the others run the same
-        algebra with an identity embedding, reusing the preceding GC output
-        mask as Rc0 so the client sends nothing online at all.
+        embedding folded in by the server's merge, and its Enc(Rc0) serves
+        both the values and X1 in one exchange; the others run the same
+        algebra on the chain with no input map, reusing the preceding GC
+        output mask as Rc0 so the client sends nothing online at all.
         """
         first = x0 is not None
         rc0 = self.client.rand((self.cfg.n, self.cfg.d_oh)) if first else chain[1]
-        qk, fuse_v = f"b{blk_i}.qk", f"b{blk_i}.fuse_v"
+        qk = f"b{blk_i}.qk"
+        mids = [f"b{blk_i}.fuse_v"] + (["embed.fused"] if first else [])
         with self._at("QxK", prep=True):
             self.chgs_material(qk, rc0)
         with self._at("QKV", prep=True):
-            v_out, = self._gen_hgs([fuse_v], rc0)
-        if first:
-            with self._at("Embed", prep=True):
-                x_out, = self._gen_hgs(["embed.fused"], rc0)
+            m_outs = self._gen_hgs(mids, rc0)
 
         # online: one interaction carries the whole prefix
         with self._at("QxK"):
@@ -501,11 +514,10 @@ class Session:
                 x0_masked = chain[0]
             self._interaction()
             s_chain = self.chgs_scores(qk, x0_masked)
-        masked_v = self.server.run_hgs_layer(fuse_v, x0_masked)
-        x1_chain = chain
-        if first:  # P_s - rs: X1 = X0 W_ed + lam under the mask x_out
-            x1_chain = (self.server.run_hgs_layer("embed.fused", x0_masked), x_out)
-        return s_chain, (masked_v, v_out), x1_chain
+        # the values' chain, then in the first block X1 = X0 W_ed + lam's
+        v_chain, *x1 = [(self.server.run_hgs_layer(mid, x0_masked), m_out)
+                        for mid, m_out in zip(mids, m_outs)]
+        return s_chain, v_chain, x1[0] if first else chain
 
     def _attention_value(self, blk_i: int, p_chain, v_chain):
         """Per-head product of the softmax shares with the masked values;

@@ -432,6 +432,45 @@ def test_fused_prefix_interaction_counts():
     assert t.interactions("AttenValue") == cfg.N
 
 
+@pytest.mark.parametrize("norm,activation", [("post", "relu"), ("pre", "gelu")])
+def test_fused_prefix_offline_he_counts_follow_the_shapes(norm, activation):
+    # per block and head, one n x d_emb product Enc(Rc0) A_h at log2 M
+    # rotations per entry (a mask and a select per entry) and one strip,
+    # G_h Enc(Rc0^T), with no rotation; only the block that folds the
+    # embedding adds the n x d_oh rows Enc(Rc0) W_M_h and W_ed^T Enc(Rc0^T)
+    cfg = toy_cfg(N=2, norm=norm, activation=activation)
+    res = run_protocol("fpc", cfg, random_weights(cfg, np.random.default_rng(5)),
+                       [3, 1, 4, 1], seed=11)
+    log_m = res.session.he.slots.bit_length() - 1
+    n, d_emb, d_oh, heads = cfg.n, cfg.d_emb, cfg.d_oh, cfg.H
+    rotate = mul_plain = 0
+    for i in range(cfg.N):
+        fused = i == 0 and norm == "post"
+        d_in = d_oh if fused else d_emb  # the columns of Rc0
+        rotate += heads * n * d_emb * log_m
+        mul_plain += heads * (2 * n * d_emb + n * d_in)
+        if fused:
+            rotate += heads * n * d_oh * log_m
+            mul_plain += heads * 2 * n * d_oh + d_emb * d_oh
+    cell = res.merged_report().cells["QxK", "offline"]
+    assert (cell["he_rotate"], cell["he_mul_plain"]) == (rotate, mul_plain)
+
+
+def test_first_fused_block_sends_its_input_mask_once_offline():
+    # each fpc block packs and sends its Enc(Rc0) once: in the block that
+    # folds the embedding it serves both the values' module and X1's, in
+    # one QKV exchange; Embed has no message at all
+    cfg = toy_cfg(N=2)
+    res = run_protocol("fpc", cfg, random_weights(cfg, np.random.default_rng(5)),
+                       [3, 1, 4, 1], seed=11)
+    t = res.transcript
+    sent = [m.step for m in t.messages if m.phase == "offline" and m.sender == "client"
+            and m.kind == "ciphertext" and m.step in ("Embed", "QKV")]
+    assert sent == ["QKV"] * cfg.N
+    assert t.message_count("Embed") == 0
+    assert t.interactions("QKV", "offline") == cfg.N + 1
+
+
 def test_offline_material_keeps_online_steps_he_free():
     cfg = toy_cfg()
     w = random_weights(cfg, np.random.default_rng(6))
@@ -733,20 +772,43 @@ def test_server_owns_the_weights_and_the_session_passes_only_module_ids(monkeypa
 
 
 def test_server_table_holds_each_heads_fused_prefix_product():
-    # W_M_h = W_ed B_h W_ed^T is a product of weights only: the server
-    # computes it once at set-up, next to B_h, for every head of every block
+    # the fused prefix's mask weights are products of weights only: the
+    # server computes them once, at set-up. The block that folds the
+    # embedding holds A_h = W_ed B_h and W_M_h = W_ed B_h W_ed^T; every other
+    # block has no input map, so A_h = B_h, fuse_v = W_V and the table
+    # holds no identity matrix at all
     for norm in ("post", "pre"):
         cfg = toy_cfg(N=2, norm=norm)
-        server = engine.Server(np.random.default_rng(1), cfg,
-                               random_weights(cfg, np.random.default_rng(5)))
-        for i in range(cfg.N):
-            w_ed, _ = server.weights[f"b{i}.qk"]
+        w = random_weights(cfg, np.random.default_rng(5))
+        server = engine.Server(np.random.default_rng(1), cfg, w)
+        for i, blk in enumerate(w.blocks):
+            fused = i == 0 and norm == "post"
+            assert (f"b{i}.qk" in server.weights) == fused, (norm, i)
+            if fused:
+                w_ed, _ = server.weights[f"b{i}.qk"]
+                assert np.array_equal(w_ed.data, w.w_e.scalar_mul(cfg.delta).data)
+            else:
+                w_v, bias = server.weights[f"b{i}.fuse_v"]
+                assert bias is None and np.array_equal(w_v.data, blk.w_v.data), (norm, i)
             for h in range(cfg.H):
-                b_h, _ = server.weights[f"b{i}.qk.h{h}"]
-                w_m, bias = server.weights[f"b{i}.qk.h{h}.wm"]
+                mid, cols = f"b{i}.qk.h{h}", slice(h * cfg.d_head, (h + 1) * cfg.d_head)
+                b_h, _ = server.weights[mid]
+                q_h, k_h = (FixedTensor(t.data[:, cols], cfg.ring) for t in (blk.w_q, blk.w_k))
+                assert np.array_equal(b_h.data, mat_mul(q_h, k_h.transpose()).data)
+                a_h, bias = server.weights[f"{mid}.a"]
                 assert bias is None
-                want = mat_mul(mat_mul(w_ed, b_h), w_ed.transpose())
-                assert np.array_equal(w_m.data, want.data), (norm, i, h)
+                if fused:
+                    assert np.array_equal(a_h.data, mat_mul(w_ed, b_h).data), (norm, i, h)
+                    w_m, bias = server.weights[f"{mid}.wm"]
+                    want = mat_mul(mat_mul(w_ed, b_h), w_ed.transpose())
+                    assert bias is None and np.array_equal(w_m.data, want.data), (norm, i, h)
+                else:
+                    assert np.array_equal(a_h.data, b_h.data), (norm, i, h)
+                    assert f"{mid}.wm" not in server.weights, (norm, i, h)
+        for mid, (t, _) in server.weights.items():
+            if isinstance(t, FixedTensor) and t.rows == t.cols:
+                assert not np.array_equal(t.data, np.eye(t.rows)), (norm, mid)
+
 
 def test_only_the_client_key_decrypts():
     # a key pair that server code forges under the client's key id, with

@@ -40,7 +40,14 @@ mask exchange now follows its first remask, QKV's remask precedes QxK's
 triples, and AttenValue's triples precede its products. The same recipe
 with the `to_jsonl()` lines sorted was equal before and after in all 20
 runs, so every counter, message, byte, interaction and logit share held.
-Any change to a counter,
+The 6 fpc digests were re-pinned when the fused prefix began from
+weights merged at set-up (each head's Enc(R_e B_h) is one product
+Enc(Rc0) A_h, and a block with no input map multiplies by no identity)
+and the first fused block sent its Enc(Rc0) once, for the values and X1
+in one QKV exchange: offline HE counters, Embed's and QKV's offline
+messages, bytes and interactions moved; each merged product gave the
+words of the two-step product it replaced, both parties' rng draws, both
+logit shares and every online cost held. Any change to a counter,
 message, byte or share of these runs changes a digest. A deliberate
 protocol change updates the table and says why in CHANGES.md.
 
@@ -80,11 +87,11 @@ DIGESTS = {
     ("post-relu", "fp", "semantic"):
         "c87aa5b8bc5e81b103847f60b164899c352c255198449db90a9d8f46f6c0dd03",
     ("post-relu", "fpc", "semantic"):
-        "c6430d666ca755d6ac937e63ce16747aed222d4e9bbf0003c035746ad3200853",
+        "a84b7338fd0c50da1f36ca5192f7e0b2c9323ff24bd755d950f1157c035a7fbd",
     ("post-relu", "f", "gc"):
         "73d3ab129fbb15014f26afb6980304060d97f816a4bb8b48a270fcb5c5546a60",
     ("post-relu", "fpc", "gc"):
-        "34491a1f4c822388ad358f99a519c810b7fd3b33ca62a82914e1ac151ef860da",
+        "d984dcd5b22d2c46dd6d2ab6bba24218a894dd2fe515a0b29512116fbdc754b4",
     ("pre-gelu", "base", "semantic"):
         "e7cbea111fe79740c3258cff5e427da91e5f5bdc3fc0ec80bfd84d9a98b94885",
     ("pre-gelu", "f", "semantic"):
@@ -92,11 +99,11 @@ DIGESTS = {
     ("pre-gelu", "fp", "semantic"):
         "071a1a45be8281240e9b72841211ad14b0aa0417b5a712579bec2197876b0b84",
     ("pre-gelu", "fpc", "semantic"):
-        "b39858e9a840bf046f05e3bc85d6921ca529b10179fd2ae12b4a72f45e8a6965",
+        "121417eb0c747737c28c0622cf7977df466ba4eb23947cff3a8b72afe77e5ddc",
     ("pre-gelu", "f", "gc"):
         "06578b6555aa2cc004fae39924b79133aef1c2229e9023d761327ed21f077c33",
     ("pre-gelu", "fpc", "gc"):
-        "af99430c32b6ddd18f719253078c73afbbff9ff1771b3d45e7cf74012d2d182c",
+        "21b7ba965b4c43f55041b2c040790360fb04107d635237a2b76311e0735391e4",
     ("sem-wide", "base", "semantic"):
         "ce8090d9a76803305cdbc8603ecb175d21c81b9ba370824389f189421710ef4a",
     ("sem-wide", "f", "semantic"):
@@ -104,7 +111,7 @@ DIGESTS = {
     ("sem-wide", "fp", "semantic"):
         "8b2f827fa836fe589d6f7b1f9acb48683821371883e659b5211cc5f6b277446e",
     ("sem-wide", "fpc", "semantic"):
-        "2dcaecdbd34ba3c0f64b41f2ea073dbe6bd2b04a98dd6febfebdf1bf479de470",
+        "24003e6230ab5753001acccb25cf75717d1929101d2dc3cedf1d799b7c63d6f9",
     ("sem-long", "base", "semantic"):
         "c872f8bf3cf739a21d0a3ce9fc38c29964bd8d5a93903e66ba9423edce5e0439",
     ("sem-long", "f", "semantic"):
@@ -112,7 +119,7 @@ DIGESTS = {
     ("sem-long", "fp", "semantic"):
         "38eff6080f2de785eebdf0e1fe4618118c735d170e257ac859d81068775e7051",
     ("sem-long", "fpc", "semantic"):
-        "0316d8f7cca8576a96198a69314c6a8bc055fb5652cd170c2a14c5ced52cdd7e",
+        "c51e13d868e58ff905510abfa86a5564ebbd5adfc555ee32f9bdaed299ad6ff5",
 }
 
 
