@@ -8,7 +8,9 @@ client's remask delta, which is also the module's one counted
 interaction. Nonpoly stages run through eval_secure; share-by-share
 products (QxK, AttenValue) run through matrix triples with the four-term
 expansion (L-a)(R-b) + a(R-b) + (L-a)b + ab, so no ciphertext ever
-multiplies a ciphertext.
+multiplies a ciphertext. Every such product, fused or not, is one
+`Server.product` per head, which returns only Enc(L R - rs) and keeps rs,
+and `Session._reveal` sends a block's heads to the client in one message.
 
 Interaction accounting (online): the embedding is two modules (vocabulary
 matmul, then coefficient scale plus public offset), so the fused prefix
@@ -141,9 +143,10 @@ class Server:
     `fuse_v` is W_V. `material` maps a module id
     to the one record the server made or received for it offline; `take`
     pops it, so each record is consumed once. Every QxK and AttenValue
-    product, fused or not, takes a MatTriple through `four_terms`. `ot` is
-    its side of the session's OT (the evaluator is the OT receiver). Its
-    methods take only wire payloads and module ids."""
+    product, fused or not, takes a MatTriple through `product`, which
+    returns the rows to reveal and the server's share. `ot` is its side of
+    the session's OT (the evaluator is the OT receiver). Its methods take
+    only wire payloads and module ids."""
 
     def __init__(self, rng: np.random.Generator, cfg: ModelConfig, weights: ModelWeights):
         self.rng, self.ring, self.report, self.heads = rng, cfg.ring, CostReport(), cfg.H
@@ -208,26 +211,20 @@ class Server:
         rs = self.take(mid)
         return self._apply(mid, masked_in) - rs
 
-    def four_terms(self, mid: str, left: FixedTensor, right: FixedTensor) -> tuple:
-        """(L @ R, Enc(a) @ R, L @ Enc(b), Enc(ab), rs): the terms of
-        (L + a)(R + b) for the row-encrypted a, b and ab of the triple kept
-        under mid, and a fresh output mask. No ciphertext multiplies a
-        ciphertext."""
-        triple = self.take(mid)
+    def product(self, mid: str, left: FixedTensor, right: FixedTensor):
+        """(rows, rs): the rows of Enc(L @ R - rs) for a fresh output mask rs,
+        the server's share. left = L - a and right = R - b are masked by the
+        row-encrypted a, b and ab of the triple kept under mid, and row by
+        row L @ R = left @ right + Enc(a) @ right + left @ Enc(b) + Enc(ab):
+        no ciphertext multiplies a ciphertext."""
+        triple, rep = self.take(mid), self.report
         rs = rand_ring((left.rows, right.cols), self.rng, self.ring)
-        return (mat_mul(left, right), enc_left_matmul(triple.left_ct, right, self.report),
-                plain_left_matmul(left, triple.right_ct, self.report), triple.product_ct, rs)
-
-    def reveal(self, heads) -> list[Ciphertext]:
-        """Enc(t1 + t2 + t3 + t4 - rs) row by row for each head of terms (t1,
-        rs plaintext; t2, t3, t4 encrypted rows), heads stacked."""
-        rep, rows = self.report, []
-        for t1, t2, t3, t4, rs in heads:
-            for i in range(t1.rows):
-                acc = he_add(t2[i], t3[i], rep)
-                acc = he_add(acc, t4[i], rep)
-                rows.append(he_add_plain(acc, t1.data[i] - rs.data[i], rep))
-        return rows
+        plain = mat_mul(left, right) - rs
+        a_r = enc_left_matmul(triple.left_ct, right, rep)
+        l_b = plain_left_matmul(left, triple.right_ct, rep)
+        rows = [he_add_plain(he_add(he_add(t2, t3, rep), t4, rep), t1, rep)
+                for t1, t2, t3, t4 in zip(plain.data, a_r, l_b, triple.product_ct)]
+        return rows, rs
 
     def chgs_terms(self, qk: str, enc_rc0: list[Ciphertext], enc_rc0_t: list[Ciphertext]):
         """Fused-prefix QxK triples of block qk begun from Enc(Rc0),
@@ -261,12 +258,12 @@ class Server:
         self.keep(mid, MatTriple(enc_re_b, enc_re_t, product))
 
     def chgs_heads(self, qk: str, x0_masked: FixedTensor) -> list:
-        """Per head of block qk, the four terms of S_h = (P_s B_h + R_e B_h)
-        (P_s^T + R_e^T), from its triple: P_s = (X0 - Rc0) W_ed + lam where
+        """Per head of block qk, the `product` of S_h = (P_s B_h + R_e B_h)
+        (P_s^T + R_e^T) from its triple: P_s = (X0 - Rc0) W_ed + lam where
         the block folds the embedding, the masked chain X0 - Rc0 itself
         elsewhere."""
         p_s = self._apply(qk, x0_masked) if qk in self.weights else x0_masked
-        return [self.four_terms(mid, self._apply(mid, p_s), p_s.transpose())
+        return [self.product(mid, self._apply(mid, p_s), p_s.transpose())
                 for mid in (f"{qk}.h{h}" for h in range(self.heads))]
 
 
@@ -281,9 +278,10 @@ class Session:
     in one phase, `prep`: online in mode base, offline in the others, and
     never inside an online scope. Every plaintext-weight module runs
     through `_modules`: its mask exchange, then its one online remask.
-    Every client random draw (masks, triples, GC labels) is
-    input-independent, so all material tagged offline really is derivable
-    before the input arrives.
+    Every attention product runs through `_reveal`: one server message per
+    block and step carries all heads' rows. Every client random draw
+    (masks, triples, GC labels) is input-independent, so all material
+    tagged offline really is derivable before the input arrives.
 
     The HE key pair lives on the Client, the weights and the server's
     material on the Server under module ids. Each party keeps its side of the
@@ -410,29 +408,18 @@ class Session:
         self._interaction()
         return tuple(held + d for (held, _), d in zip(chains, deltas))
 
-    def _reveal(self, heads) -> FixedTensor:
-        """The server sends all rows of the revealed heads in one message;
-        the client decrypts its shares, heads stacked."""
-        rows = self.server.reveal(heads)
+    def _reveal(self, heads, axis: int = 0):
+        """A block's attention products, one server `product` (rows, rs) per
+        head: the server sends every head's rows in one message and the
+        client decrypts its shares. Returns the (server, client) chain,
+        heads stacked by rows, or by columns (axis 1)."""
+        rows = [ct for head_rows, _ in heads for ct in head_rows]
         self._send("server", rows)
-        return dec_rows(rows, heads[0][0].cols, self.client.key, self.cfg.ring,
-                        self.client.report)
-
-    def triple_product(self, mid: str, left_masked: FixedTensor, right_masked: FixedTensor):
-        """Shares of L @ R from L - a and R - b, masked by the a and b of the
-        triple kept under mid: the four-term product of the masked factors.
-        The client ends with L @ R - rs, the server keeps a fresh rs."""
-        terms = self.server.four_terms(mid, left_masked, right_masked)
-        return self._reveal([terms]), terms[-1]
-
-    def chgs_scores(self, qk: str, x0_masked: FixedTensor):
-        """Fused scores S_h = (P_s + R_e) B_h (P_s + R_e)^T per head from the
-        server's terms for the triples of block qk. Returns the (server,
-        client) score shares stacked by head."""
-        heads = self.server.chgs_heads(qk, x0_masked)
-        s_client = self._reveal(heads)
-        s_server = self._stack([rs for *_, rs in heads])
-        return s_server, s_client
+        c = self.client
+        client = dec_rows(rows, heads[0][1].cols, c.key, self.cfg.ring, c.report)
+        if axis:
+            client = self._stack(self._heads(client, axis=0), axis)
+        return self._stack([rs for _, rs in heads], axis), client
 
     def _gc(self, step: str, spec: SecureFnSpec, chain):
         """One garbled stage over the chain shares, spec.count words per
@@ -481,11 +468,9 @@ class Session:
                 self._gen_triple(f"b{blk_i}.qk.h{h}", r, r.transpose())
         with self._at("QxK"):
             mq, mk = self._remask(rc_qk, q, k)
-            heads = [self.triple_product(f"b{blk_i}.qk.h{h}", q_h, k_h.transpose())
+            heads = [self.server.product(f"b{blk_i}.qk.h{h}", q_h, k_h.transpose())
                      for h, (q_h, k_h) in enumerate(zip(self._heads(mq), self._heads(mk)))]
-        s_client = self._stack([c for c, _ in heads])
-        s_server = self._stack([s for _, s in heads])
-        return (s_server, s_client), v
+            return self._reveal(heads), v
 
     def _prefix_chgs(self, blk_i: int, chain, x0: FixedTensor | None):
         """Mode fpc: fused prefix with one online exchange under QxK.
@@ -513,7 +498,7 @@ class Session:
             else:
                 x0_masked = chain[0]
             self._interaction()
-            s_chain = self.chgs_scores(qk, x0_masked)
+            s_chain = self._reveal(self.server.chgs_heads(qk, x0_masked))
         # the values' chain, then in the first block X1 = X0 W_ed + lam's
         v_chain, *x1 = [(self.server.run_hgs_layer(mid, x0_masked), m_out)
                         for mid, m_out in zip(mids, m_outs)]
@@ -522,7 +507,8 @@ class Session:
     def _attention_value(self, blk_i: int, p_chain, v_chain):
         """Per-head product of the softmax shares with the masked values;
         triples reuse the GC output mask, so the online phase is just the
-        server's ciphertext batch (one interaction, no client message)."""
+        server's one message of all heads' rows (one interaction, no client
+        message)."""
         p_held, p_mask = p_chain     # held: P - a, client: a, both stacked by head
         v_masked, m_v = v_chain
         mids = [f"b{blk_i}.av.h{h}" for h in range(self.cfg.H)]
@@ -530,12 +516,10 @@ class Session:
             for mid, a_h, mv_h in zip(mids, self._heads(p_mask, axis=0), self._heads(m_v)):
                 self._gen_triple(mid, a_h, mv_h)
         with self._at("AttenValue"):
-            heads = [self.triple_product(mid, p_h, v_h) for mid, p_h, v_h in
+            heads = [self.server.product(mid, p_h, v_h) for mid, p_h, v_h in
                      zip(mids, self._heads(p_held, axis=0), self._heads(v_masked))]
             self._interaction()
-        client = self._stack([c for c, _ in heads], axis=1)
-        server = self._stack([s for _, s in heads], axis=1)
-        return (server, client)
+            return self._reveal(heads, axis=1)
 
     def _block(self, blk_i: int, chain, x0):
         cfg, f = self.cfg, self.cfg.ring.frac_bits

@@ -83,6 +83,8 @@ class ModelConfig:
                 raise ValueError(f"lam must be finite with |lam| * 2**{self.ring.frac_bits} below "
                                  "2**63: larger, NaN or inf has no ring encoding")
             lam = FixedTensor.from_float(lam, self.ring)
+        elif lam.ring != self.ring:
+            raise ValueError(f"lam is in ring {lam.ring}, the config's is {self.ring}")
         if lam.shape != (self.n, self.d_emb):
             raise ValueError(f"lam must be {self.n}x{self.d_emb}, got {lam.shape}")
         object.__setattr__(self, "lam", lam)
@@ -121,6 +123,8 @@ class ModelWeights:
             want = _expected_shapes(cfg)[name]
             if t.shape != want:
                 raise ValueError(f"{name}: shape {t.shape}, config wants {want}")
+            if t.ring != cfg.ring:
+                raise ValueError(f"{name}: ring {t.ring}, config wants {cfg.ring}")
             if np.abs(t.signed()).max(initial=0) > lim:
                 raise ValueError(f"{name}: values exceed the {cfg.ring.value_bits}-bit range")
 

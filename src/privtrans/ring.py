@@ -141,11 +141,6 @@ class FixedTensor:
     def __neg__(self) -> "FixedTensor":
         return FixedTensor(np.uint64(0) - self.data, self.ring)
 
-    def __mul__(self, other: "FixedTensor") -> "FixedTensor":
-        """Elementwise ring product (scales add; no rescale here)."""
-        self._same_ring(other)
-        return FixedTensor(self.data * other.data, self.ring)
-
     def scalar_mul(self, k: int) -> "FixedTensor":
         """Multiply every element by a ring scalar (e.g. an encoded constant)."""
         return FixedTensor(self.data * np.uint64(k & 0xFFFFFFFFFFFFFFFF), self.ring)

@@ -110,7 +110,8 @@ def test_2_masked_qk_product_exact_over_100_seeds():
         rc = rand_mat(rng, (4, 6))
         s.server.keep(f"b{seed}.qk.h0", make_product_triple(rc, rc.transpose(), s.client.key,
                                                                   s.client.report))
-        c_share, s_share = s.triple_product(f"b{seed}.qk.h0", q - rc, (k - rc).transpose())
+        s_share, c_share = s._reveal([s.server.product(f"b{seed}.qk.h0", q - rc,
+                                                       (k - rc).transpose())])
         want = oracles.matmul_mod(q.data.tolist(), k.transpose().data.tolist(), 64)
         assert (c_share + s_share).data.tolist() == want, seed
     pair_ops = ciphertext_pair_ops()

@@ -66,6 +66,12 @@ def kept(s, left, right, mid="t"):
     return mid
 
 
+def product(s, mid, left, right):
+    """The (server, client) shares of one head's product under the triple
+    kept under mid, revealed as the session reveals a block's heads."""
+    return s._reveal([s.server.product(mid, left, right)])
+
+
 # -- whole-pipeline equivalence ------------------------------------------------
 
 
@@ -74,6 +80,8 @@ def test_all_modes_match_reference_bit_exact():
     for cfg in (
         toy_cfg(N=2, d_emb=16, H=2, n=8, d_oh=24),
         toy_cfg(norm="pre", activation="gelu", delta=2),
+        # four heads restacked by columns after AttenValue
+        toy_cfg(N=2, d_emb=16, H=4, n=4, d_ff=8),
     ):
         w = random_weights(cfg, rng)
         tokens = list(rng.integers(0, cfg.d_oh, size=cfg.n))
@@ -201,7 +209,7 @@ def test_fhgs_qk_unmasked_trivial_case():
     zero = FixedTensor.zeros(1, 1, DEFAULT_RING)
     q = FixedTensor(np.array([[1]], dtype=np.uint64), DEFAULT_RING)
     k = FixedTensor(np.array([[2]], dtype=np.uint64), DEFAULT_RING)
-    c_share, s_share = s.triple_product(kept(s, zero, zero), q, k.transpose())
+    s_share, c_share = product(s, kept(s, zero, zero), q, k.transpose())
     assert (c_share + s_share).data[0, 0] == 2
 
 
@@ -214,7 +222,7 @@ def test_fhgs_qk_mask_identity_one_by_one():
         rm = FixedTensor(np.array([[r]], dtype=np.uint64), DEFAULT_RING)
         qm = FixedTensor(np.array([[(q - r) % (1 << 64)]], dtype=np.uint64), DEFAULT_RING)
         km = FixedTensor(np.array([[(k - r) % (1 << 64)]], dtype=np.uint64), DEFAULT_RING)
-        c_share, s_share = s.triple_product(kept(s, rm, rm.transpose()), qm, km.transpose())
+        s_share, c_share = product(s, kept(s, rm, rm.transpose()), qm, km.transpose())
         assert int((c_share + s_share).data[0, 0]) == (q * k) % (1 << 64)
 
 
@@ -225,7 +233,7 @@ def test_fhgs_qk_random_shapes_hundred_seeds():
         q, k = rand_mat(rng, (4, 6)), rand_mat(rng, (4, 6))
         rc = rand_mat(rng, (4, 6))
         mid = kept(s, rc, rc.transpose(), f"b{seed}.qk.h0")
-        c_share, s_share = s.triple_product(mid, q - rc, (k - rc).transpose())
+        s_share, c_share = product(s, mid, q - rc, (k - rc).transpose())
         assert (c_share + s_share).data.tolist() == mm64(q, k.transpose())
     assert ciphertext_pair_ops() == ["he_add"]
 
@@ -236,9 +244,9 @@ def test_fhgs_triple_reuse_raises():
     rc = rand_mat(rng, (3, 4))
     s._gen_triple("b0.qk.h1", rc, rc.transpose())
     q, k = rand_mat(rng, (3, 4)), rand_mat(rng, (3, 4))
-    s.triple_product("b0.qk.h1", q - rc, (k - rc).transpose())
+    product(s, "b0.qk.h1", q - rc, (k - rc).transpose())
     with pytest.raises(MaterialMissing, match="'b0.qk.h1'"):
-        s.triple_product("b0.qk.h1", q - rc, (k - rc).transpose())
+        product(s, "b0.qk.h1", q - rc, (k - rc).transpose())
 
 
 # -- attention-value product ------------------------------------------------------
@@ -250,7 +258,7 @@ def test_attention_value_identity_rows_pass_value_through():
     v = rand_mat(rng, (4, 4))
     a = FixedTensor(np.eye(4, dtype=np.uint64), DEFAULT_RING)
     am, vm = rand_mat(rng, (4, 4)), rand_mat(rng, (4, 4))
-    c_share, s_share = s.triple_product(kept(s, am, vm), a - am, v - vm)
+    s_share, c_share = product(s, kept(s, am, vm), a - am, v - vm)
     assert (c_share + s_share) == v
 
 
@@ -261,7 +269,7 @@ def test_attention_value_uniform_rows_give_row_mean():
     v = FixedTensor.from_float(vf, DEFAULT_RING)
     a = FixedTensor(np.full((4, 4), DEFAULT_RING.encode(0.25), dtype=np.uint64), DEFAULT_RING)
     am, vm = rand_mat(rng, (4, 4)), rand_mat(rng, (4, 3))
-    c_share, s_share = s.triple_product(kept(s, am, vm), a - am, v - vm)
+    s_share, c_share = product(s, kept(s, am, vm), a - am, v - vm)
     got = DEFAULT_RING.to_signed((c_share + s_share).data).astype(np.float64) / (1 << (2 * F))
     assert np.max(np.abs(got - vf.mean(axis=0))) <= 2.0**-6
 
@@ -272,7 +280,7 @@ def test_attention_value_random_matches_oracle():
         rng = np.random.default_rng(seed + 300)
         a, v = rand_mat(rng, (5, 5)), rand_mat(rng, (5, 7))
         am, vm = rand_mat(rng, (5, 5)), rand_mat(rng, (5, 7))
-        c_share, s_share = s.triple_product(kept(s, am, vm, f"b{seed}.av.h0"), a - am, v - vm)
+        s_share, c_share = product(s, kept(s, am, vm, f"b{seed}.av.h0"), a - am, v - vm)
         assert (c_share + s_share).data.tolist() == mm64(a, v)
 
 
@@ -282,10 +290,10 @@ def test_attention_value_triple_reuse_raises():
     a, v = rand_mat(rng, (4, 4)), rand_mat(rng, (4, 2))
     am, vm = rand_mat(rng, (4, 4)), rand_mat(rng, (4, 2))
     s._gen_triple("b0.av.h0", am, vm)
-    c_share, s_share = s.triple_product("b0.av.h0", a - am, v - vm)
+    s_share, c_share = product(s, "b0.av.h0", a - am, v - vm)
     assert (c_share + s_share).data.tolist() == mm64(a, v)
     with pytest.raises(MaterialMissing, match="'b0.av.h0'"):
-        s.triple_product("b0.av.h0", a - am, v - vm)
+        product(s, "b0.av.h0", a - am, v - vm)
 
 
 # -- fused block prefix ------------------------------------------------------------
@@ -305,7 +313,7 @@ def test_chgs_identity_weights_give_gram_matrix():
     x = rand_mat(rng, (4, 4))
     rc0 = rand_mat(rng, (4, 4))
     s.chgs_material("b0.qk", rc0)
-    s_share, c_share = s.chgs_scores("b0.qk", x - rc0)
+    s_share, c_share = s._reveal(s.server.chgs_heads("b0.qk", x - rc0))
     assert (c_share + s_share).data.tolist() == mm64(x, x.transpose())
     assert s.server.material == {}
 
@@ -315,19 +323,33 @@ def test_chgs_material_single_use():
     rng = np.random.default_rng(18)
     x, rc0 = rand_mat(rng, (4, 4)), rand_mat(rng, (4, 4))
     s.chgs_material("b0.qk", rc0)
-    s.chgs_scores("b0.qk", x - rc0)
+    s.server.chgs_heads("b0.qk", x - rc0)
     with pytest.raises(MaterialMissing, match="'b0.qk.h0'"):
-        s.chgs_scores("b0.qk", x - rc0)
+        s.server.chgs_heads("b0.qk", x - rc0)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("norm,activation", [("post", "relu"), ("pre", "gelu")])
+def test_each_attention_step_reveals_in_one_server_message(norm, activation, mode):
+    # per block, QxK and AttenValue each send one online server message,
+    # which carries every head's rows: n ciphertexts per head
+    cfg = toy_cfg(N=2, norm=norm, activation=activation)
+    s = Session(cfg, random_weights(cfg, np.random.default_rng(29)), mode, seed=6)
+    t = s.run([3, 1, 4, 1]).transcript
+    for step in ("QxK", "AttenValue"):
+        sent = [m for m in t.messages
+                if (m.sender, m.step, m.phase) == ("server", step, "online")]
+        assert [m.nbytes for m in sent] == [cfg.H * cfg.n * s.he.ciphertext_bytes] * cfg.N, step
 
 
 @pytest.mark.parametrize("norm,activation", [("post", "relu"), ("pre", "gelu")])
 def test_every_triple_the_server_uses_is_a_true_triple(norm, activation, monkeypatch):
     # every QxK and AttenValue product, the fused prefix's included, takes
-    # its triple through four_terms, and each decrypts to a, b and a @ b
+    # its triple through Server.product, and each decrypts to a, b and a @ b
     # with zero padding slots
     cfg = toy_cfg(norm=norm, activation=activation)
     w = random_weights(cfg, np.random.default_rng(23))
-    real, used = engine.Server.four_terms, []
+    real, used = engine.Server.product, []
 
     def checked(server, mid, left, right):
         t = server.material[mid]
@@ -337,7 +359,7 @@ def test_every_triple_the_server_uses_is_a_true_triple(norm, activation, monkeyp
         used.append(mid)
         return real(server, mid, left, right)
 
-    monkeypatch.setattr(engine.Server, "four_terms", checked)
+    monkeypatch.setattr(engine.Server, "product", checked)
     for mode in MODES:
         used.clear()
         session = Session(cfg, w, mode, seed=3)

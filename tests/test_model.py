@@ -246,3 +246,9 @@ def test_weights_validate_shapes_and_range():
     bad = type(w)(FixedTensor.from_signed(np.full((32, 8), 1 << 20)), w.blocks, w.w_head)
     with pytest.raises(ValueError, match="range"):
         bad.validate(cfg)
+    # a tensor in another ring is refused by name, not left to fail every
+    # mode with a bare "ring params mismatch"
+    other = RingParams(value_bits=15, frac_bits=6)
+    head = FixedTensor(w.w_head.data, other)
+    with pytest.raises(ValueError, match="^w_head: ring"):
+        type(w)(w.w_e, w.blocks, head).validate(cfg)

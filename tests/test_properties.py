@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from privtrans.engine import MODES, Session, run_protocol
 from privtrans.model import ModelConfig, random_weights, reference_forward
-from privtrans.ring import RingParams
+from privtrans.ring import FixedTensor, RingParams
 
 PROPERTY_SETTINGS = settings(max_examples=25, derandomize=True, deadline=None, database=None)
 
@@ -69,6 +69,9 @@ def test_bad_knobs_raise_errors_naming_the_field(knobs, bad_n):
         # and a finite lam past 2^63 / 2^frac_bits the same way
         ("lam", dict(lam=lam_with(1e30))),
         ("lam", dict(lam=lam_with(-2.0**63))),
+        # a lam in another ring used to be read at the wrong scale by the
+        # reference and fail every mode with a bare "ring params mismatch"
+        ("lam", dict(lam=FixedTensor.zeros(knobs["n"], knobs["d_emb"], RingParams(16, 1)))),
     ]
     for field, change in bad:
         with pytest.raises(ValueError, match=field):

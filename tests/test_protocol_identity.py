@@ -47,9 +47,14 @@ and the first fused block sent its Enc(Rc0) once, for the values and X1
 in one QKV exchange: offline HE counters, Embed's and QKV's offline
 messages, bytes and interactions moved; each merged product gave the
 words of the two-step product it replaced, both parties' rng draws, both
-logit shares and every online cost held. Any change to a counter,
-message, byte or share of these runs changes a digest. A deliberate
-protocol change updates the table and says why in CHANGES.md.
+logit shares and every online cost held. All 20 were re-pinned for
+online message counts alone when every attention product took one path
+(`Server.product`, then `Session._reveal`): a block's QxK and AttenValue
+each send all heads' rows in one server message, not one per head. Both
+CostReports, the bytes per (sender, step, phase, kind), every interaction
+and both logit shares were checked equal to the runs before. Any change
+to a counter, message, byte or share of these runs changes a digest. A
+deliberate protocol change updates the table and says why in CHANGES.md.
 
 The digests count gates but do not see their wiring, so STAGE_DIGESTS
 pins each distinct secure-stage circuit of the four configs: one sha256
@@ -81,45 +86,45 @@ CONFIGS = {
 
 DIGESTS = {
     ("post-relu", "base", "semantic"):
-        "803ede93f170a1a9d0d84de752a20c92abc25e3d6d624272282377f5fcfbfd2f",
+        "92cf6bbb2c302bc81cb37350a5fccb2edc3b5983fbf636d83adfd45d7a9a9d4d",
     ("post-relu", "f", "semantic"):
-        "d8c193b41a8738c79aab42c08533600798df568be2029bab0ff455c04f2ed901",
+        "265aba54a26363bf339f1a136ff16312a88e25411d452e6cc5c71c52ce10b79c",
     ("post-relu", "fp", "semantic"):
-        "c87aa5b8bc5e81b103847f60b164899c352c255198449db90a9d8f46f6c0dd03",
+        "8a415ed6bb9e3cdafe338886923c5871d582bcdef22fdbdc4734c579dad62dc9",
     ("post-relu", "fpc", "semantic"):
-        "a84b7338fd0c50da1f36ca5192f7e0b2c9323ff24bd755d950f1157c035a7fbd",
+        "cfd6920f0642d794c35bc347a9321c721dcfc21b28d7883b5a1d7e6aee2af560",
     ("post-relu", "f", "gc"):
-        "73d3ab129fbb15014f26afb6980304060d97f816a4bb8b48a270fcb5c5546a60",
+        "44645c2566dd535482d674a0939911b22baf449893fe35148d62bb9b78f5ea97",
     ("post-relu", "fpc", "gc"):
-        "d984dcd5b22d2c46dd6d2ab6bba24218a894dd2fe515a0b29512116fbdc754b4",
+        "fbe11a6dcedb49c0e07b35d500728d2bb2ca7fd9dadd7a188e0a38a9195a2bcf",
     ("pre-gelu", "base", "semantic"):
-        "e7cbea111fe79740c3258cff5e427da91e5f5bdc3fc0ec80bfd84d9a98b94885",
+        "e1bea6c83a97e71e209c60214b2b39b79af318190f43dff4f07392f8557e6375",
     ("pre-gelu", "f", "semantic"):
-        "a5772cdb6f01d7ab013567bff040a50c07b8c32f959eedbeb6021d13fde1ea21",
+        "2b96c8f41b8953b65519097310950c9530bc0ed5f3f9eb4d6a4f66e6dbf59e59",
     ("pre-gelu", "fp", "semantic"):
-        "071a1a45be8281240e9b72841211ad14b0aa0417b5a712579bec2197876b0b84",
+        "b4922f8c536e51c94caf312cc5865157517e57bbc6351e4c2e7f365b977a5b7e",
     ("pre-gelu", "fpc", "semantic"):
-        "121417eb0c747737c28c0622cf7977df466ba4eb23947cff3a8b72afe77e5ddc",
+        "a137aa186dd2359f900a62ebee9d7fbbd902782237d801413bd7b4f69fd83d55",
     ("pre-gelu", "f", "gc"):
-        "06578b6555aa2cc004fae39924b79133aef1c2229e9023d761327ed21f077c33",
+        "1f81a18acf038b905fb95049b0c78fa9bea97ddbbf1a83558e31a633bb996988",
     ("pre-gelu", "fpc", "gc"):
-        "21b7ba965b4c43f55041b2c040790360fb04107d635237a2b76311e0735391e4",
+        "bf94b9fe14e5cbf81b6591419da4c126f9b6ece8162697d8642e021a61dc6ec8",
     ("sem-wide", "base", "semantic"):
-        "ce8090d9a76803305cdbc8603ecb175d21c81b9ba370824389f189421710ef4a",
+        "fb0bdbd5e1694179448fe0c669d5d808bed24619d7835407c1faab9817cf314b",
     ("sem-wide", "f", "semantic"):
-        "5b68bbfafb1d4340b01bc3b7346ce64ba2cea8859f74f58818e73ba0ccf79f6d",
+        "86b08d5218ecebfe2e5821e166454bd0241db4364343d5726921fccbe7e07f63",
     ("sem-wide", "fp", "semantic"):
-        "8b2f827fa836fe589d6f7b1f9acb48683821371883e659b5211cc5f6b277446e",
+        "4c49b04309deff99f85b35a96add42417946af38c9d85a328d7b08cbf20aa259",
     ("sem-wide", "fpc", "semantic"):
-        "24003e6230ab5753001acccb25cf75717d1929101d2dc3cedf1d799b7c63d6f9",
+        "6187038fe0845ca04df5ef4585bbdf5347e912ea5c02de3b92801be285effb58",
     ("sem-long", "base", "semantic"):
-        "c872f8bf3cf739a21d0a3ce9fc38c29964bd8d5a93903e66ba9423edce5e0439",
+        "bdcfa7a276a87d572c32e0059402f3f6be55c7942f59b46882250ab31d3ebf0d",
     ("sem-long", "f", "semantic"):
-        "dbd70030ec2a53b68444b4bfc63ca2046a0ebcb0d16a3d00c124074455782786",
+        "2a2c2940cb501247150b921cd36fa255540a3a40ffb42f28bd3d58f7cf96bd57",
     ("sem-long", "fp", "semantic"):
-        "38eff6080f2de785eebdf0e1fe4618118c735d170e257ac859d81068775e7051",
+        "1a3546a8dcbb0e479fdd89d7dae81d925cb96f9b8ce930e234657ee4145f0ca8",
     ("sem-long", "fpc", "semantic"):
-        "c51e13d868e58ff905510abfa86a5564ebbd5adfc555ee32f9bdaed299ad6ff5",
+        "092b249c9afe5312ee4a91abe8a40903fa058699ec46ca673e4b2d8809185c38",
 }
 
 
