@@ -216,7 +216,8 @@ class Server:
         the server's share. left = L - a and right = R - b are masked by the
         row-encrypted a, b and ab of the triple kept under mid, and row by
         row L @ R = left @ right + Enc(a) @ right + left @ Enc(b) + Enc(ab):
-        no ciphertext multiplies a ciphertext."""
+        no ciphertext multiplies a ciphertext. Enc(a) @ right rotates each
+        row once per nonzero diagonal of right; left @ Enc(b) rotates none."""
         triple, rep = self.take(mid), self.report
         rs = rand_ring((left.rows, right.cols), self.rng, self.ring)
         plain = mat_mul(left, right) - rs

@@ -115,24 +115,27 @@ def unpack(
 
 
 def _diagonal_masks(layout_in: PackingLayout, layout_out: PackingLayout, w: FixedTensor):
-    """Group contributions X[h,j]*W[j,o] -> out[h,o] by (in ct, shift, out ct).
+    """The mask plan {i*M + shift: [(t, mask), ...]}, ascending in (in ct,
+    shift, out ct), for contributions X[h,j]*W[j,o] -> out[h,o].
 
     Rotating input ciphertext i left by `shift` aligns source slot s_in
-    onto s_out = (s_in - shift) mod M; the plaintext mask carries W[j,o] at
-    every aligned output slot. Keyed by (i*M + shift)*c_out + t, each entry
-    holds the (slots, weights) of one mask, nonzero weights only; no slot
-    collides because the layouts are bijections.
+    onto s_out = (s_in - shift) mod M; the dense mask of output ciphertext
+    t carries W[j,o] at every aligned output slot. Only masks with a
+    nonzero weight exist; no slot collides because the layouts are
+    bijections.
     """
     m, c_out = layout_in.slots, layout_out.c
     h, j, o = np.nonzero(np.broadcast_to(w.data != 0, (layout_in.n, *w.shape)))
     i_ct, s_in = np.divmod(layout_in.positions[h, j], m)
     t_ct, s_out = np.divmod(layout_out.positions[h, o], m)
-    key = (i_ct * m + (s_in - s_out) % m) * c_out + t_ct
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    starts = np.flatnonzero(np.diff(key, prepend=-1))  # first entry of each key
-    groups = zip(np.split(s_out[order], starts[1:]), np.split(w.data[j, o][order], starts[1:]))
-    return dict(zip(key[starts].tolist(), groups))
+    keys, group = np.unique((i_ct * m + (s_in - s_out) % m) * c_out + t_ct, return_inverse=True)
+    masks = np.zeros((len(keys), m), dtype=np.uint64)
+    masks[group, s_out] = w.data[j, o]
+    plan: dict[int, list] = {}
+    for key, mask in zip(keys.tolist(), masks):
+        rot, t = divmod(key, c_out)
+        plan.setdefault(rot, []).append((t, mask))
+    return plan
 
 
 def _zero_like(ct: Ciphertext) -> Ciphertext:
@@ -166,17 +169,12 @@ def he_matmul(
     if m % shifts.step:
         # tokens_first: a shift aligns a token's slots only if n | M
         raise ValueError(f"{layout.strategy.value} kernel needs n={layout.n} to divide M={m}")
-    masks = _diagonal_masks(layout, layout_out, w)
+    plan = _diagonal_masks(layout, layout_out, w)
     acc: list[Ciphertext | None] = [None] * c_out
     for i, ct in enumerate(cts):
         for shift in shifts:
             rot = he_rotate(ct, shift, report)
-            for t in range(c_out):
-                entry = masks.get((i * m + shift) * c_out + t)
-                if entry is None:
-                    continue
-                mask = np.zeros(m, dtype=np.uint64)
-                mask[entry[0]] = entry[1]
+            for t, mask in plan.get(i * m + shift, ()):
                 prod = he_mul_plain(rot, mask, report)
                 acc[t] = prod if acc[t] is None else he_add(acc[t], prod, report)
     return [a if a is not None else _zero_like(cts[0]) for a in acc], layout_out

@@ -4,6 +4,11 @@ Masks are sampled uniformly over the WHOLE ring (not the value range): a
 masked message x - r is then itself ring-uniform, which is what the
 chi-square acceptance test checks.
 
+Row-encrypted matrices hold one ciphertext per row. `plain_left_matmul`
+(plaintext @ rows) takes additive ops only; `enc_left_matmul` (rows @
+plaintext) takes the diagonal method, one rotation per row and nonzero
+diagonal of the plaintext.
+
 A MatTriple carries the row-encrypted Enc(L), Enc(R) and Enc(L @ R) of
 the client's masks L, R, and no plaintext mask: it is the server's
 material, kept under a module id, and the client keeps L and R. For the attention-score product
@@ -27,8 +32,6 @@ def rand_ring(shape, rng: np.random.Generator, ring: RingParams) -> FixedTensor:
 
 
 # -- row-encrypted matrices -------------------------------------------------
-# One ciphertext per matrix row; enough for triple algebra, which only ever
-# multiplies encrypted rows by plaintext scalars / vectors.
 
 
 def enc_rows(x: FixedTensor, key: KeyPair, report: CostReport) -> list[Ciphertext]:
@@ -64,37 +67,33 @@ def plain_left_matmul(
     return out
 
 
-def rotate_reduce_sum(ct: Ciphertext, report: CostReport) -> Ciphertext:
-    """Leave the sum of all M slots in every slot (log2 M rotations)."""
-    step = ct.params.slots // 2
-    while step >= 1:
-        ct = he_add(ct, he_rotate(ct, step, report), report)
-        step //= 2
-    return ct
-
-
 def enc_left_matmul(
     rows_ct: list[Ciphertext], r_plain: FixedTensor, report: CostReport
 ) -> list[Ciphertext]:
-    """Enc rows of L @ r_plain from Enc(L) rows [a x b] and plaintext [b x c].
+    """Enc rows of L @ r_plain from Enc(L) rows [a x b] and plaintext R [b x c].
 
-    Each output entry is an encrypted inner product: mask the row with the
-    plaintext column, rotate-reduce, then select the destination slot. The
-    inner dimension b is r_plain.rows; slots of Enc(L) past it must be zero,
-    as enc_rows leaves them.
+    The diagonal method of Halevi and Shoup: with R zero-padded to M x M,
+    row i is sum_s rot(Enc(L[i]), s) * d_s for the diagonals d_s[o] =
+    R[(o+s) mod M, o]. Only the D nonzero diagonals are used, D <=
+    min(M, b+c-1), so a row costs D rotations, D plaintext products and
+    D-1 additions. An all-zero R keeps diagonal 0 (D = 1), so every row is
+    still a ciphertext, of zeros.
     """
     slots = rows_ct[0].params.slots
     if max(r_plain.shape) > slots:
         raise ValueError(f"a {r_plain.rows} x {r_plain.cols} plaintext exceeds {slots} slots")
-    cols = np.zeros((r_plain.cols, slots), dtype=np.uint64)
-    cols[:, : r_plain.rows] = r_plain.data.T
-    sels = np.eye(r_plain.cols, slots, dtype=np.uint64)
+    padded = np.zeros((slots, r_plain.cols), dtype=np.uint64)
+    padded[: r_plain.rows] = r_plain.data
+    o = np.arange(r_plain.cols)
+    diags = padded[(np.arange(slots)[:, None] + o) % slots, o]
+    shifts = np.flatnonzero(diags.any(axis=1)) if diags.any() else np.zeros(1, dtype=np.intp)
+    masks = np.zeros((len(shifts), slots), dtype=np.uint64)
+    masks[:, : r_plain.cols] = diags[shifts]
     out = []
     for ct in rows_ct:
         acc = None
-        for k in range(r_plain.cols):
-            total = rotate_reduce_sum(he_mul_plain(ct, cols[k], report), report)
-            term = he_mul_plain(total, sels[k], report)
+        for shift, mask in zip(shifts.tolist(), masks):
+            term = he_mul_plain(he_rotate(ct, shift, report), mask, report)
             acc = term if acc is None else he_add(acc, term, report)
         out.append(acc)
     return out

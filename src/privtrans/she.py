@@ -146,7 +146,8 @@ def he_add_plain(ct: Ciphertext, v, report: CostReport) -> Ciphertext:
 def he_mul_plain(ct: Ciphertext, v, report: CostReport) -> Ciphertext:
     """Slotwise product with a plaintext vector (or a ring scalar)."""
     report.bump("he_mul_plain")
-    if np.isscalar(v) or getattr(v, "ndim", 1) == 0:
+    # an array skips np.isscalar, the costly check on the common path
+    if getattr(v, "ndim", None) == 0 or (not isinstance(v, np.ndarray) and np.isscalar(v)):
         p = np.full(ct.params.slots, int(v) & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
     else:
         p = _as_slots(v, ct.params)

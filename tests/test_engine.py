@@ -456,24 +456,28 @@ def test_fused_prefix_interaction_counts():
 
 @pytest.mark.parametrize("norm,activation", [("post", "relu"), ("pre", "gelu")])
 def test_fused_prefix_offline_he_counts_follow_the_shapes(norm, activation):
-    # per block and head, one n x d_emb product Enc(Rc0) A_h at log2 M
-    # rotations per entry (a mask and a select per entry) and one strip,
-    # G_h Enc(Rc0^T), with no rotation; only the block that folds the
-    # embedding adds the n x d_oh rows Enc(Rc0) W_M_h and W_ed^T Enc(Rc0^T)
+    # per block and head, one n x d_emb product Enc(Rc0) A_h, whose n rows
+    # each cost D rotations and D plaintext products for the D = min(M,
+    # d_in + d_emb - 1) diagonals of the d_in x d_emb A_h (none is zero
+    # for random weights), and one strip, G_h Enc(Rc0^T), with no rotation;
+    # only the block that folds the embedding adds the n x d_oh rows
+    # Enc(Rc0) W_M_h and W_ed^T Enc(Rc0^T)
     cfg = toy_cfg(N=2, norm=norm, activation=activation)
     res = run_protocol("fpc", cfg, random_weights(cfg, np.random.default_rng(5)),
                        [3, 1, 4, 1], seed=11)
-    log_m = res.session.he.slots.bit_length() - 1
+    m = res.session.he.slots
     n, d_emb, d_oh, heads = cfg.n, cfg.d_emb, cfg.d_oh, cfg.H
     rotate = mul_plain = 0
     for i in range(cfg.N):
         fused = i == 0 and norm == "post"
         d_in = d_oh if fused else d_emb  # the columns of Rc0
-        rotate += heads * n * d_emb * log_m
-        mul_plain += heads * (2 * n * d_emb + n * d_in)
+        diags = min(m, d_in + d_emb - 1)
+        rotate += heads * n * diags
+        mul_plain += heads * (n * diags + n * d_in)
         if fused:
-            rotate += heads * n * d_oh * log_m
-            mul_plain += heads * 2 * n * d_oh + d_emb * d_oh
+            diags = min(m, 2 * d_oh - 1)
+            rotate += heads * n * diags
+            mul_plain += heads * n * diags + d_emb * d_oh
     cell = res.merged_report().cells["QxK", "offline"]
     assert (cell["he_rotate"], cell["he_mul_plain"]) == (rotate, mul_plain)
 
@@ -581,8 +585,8 @@ HE_LEAVES = [(module, name) for module in (engine, packing, sharing)
              for name in LEAF_COUNTERS if hasattr(module, name)]
 COUNTED = {
     she: ("encrypt", "decrypt", "he_add", "he_add_plain", "he_mul_plain", "he_rotate"),
-    sharing: ("enc_rows", "dec_rows", "plain_left_matmul", "rotate_reduce_sum",
-              "enc_left_matmul", "make_product_triple"),
+    sharing: ("enc_rows", "dec_rows", "plain_left_matmul", "enc_left_matmul",
+              "make_product_triple"),
     packing: ("pack", "unpack", "he_matmul"),
 }
 

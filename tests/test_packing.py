@@ -192,16 +192,16 @@ def test_diagonal_masks_match_the_per_element_oracle(strategy, case, n, d1, d2, 
     layout_out = layout.with_features(d2)
     w = _weights_with_zeros(np.random.default_rng(n * d1 + d2), d1, d2, case)
     want = oracles.diagonal_masks_by_element(layout, layout_out, w)
-    got = _diagonal_masks(layout, layout_out, w)
-    c_out = layout_out.c
-    assert sorted(got) == sorted((i * m + shift) * c_out + t for i, shift, t in want)
-    for (i, shift, t), (slots, values) in want.items():
+    plan = _diagonal_masks(layout, layout_out, w)
+    # the plan lists (in ct, shift, out ct) in ascending order, the order
+    # he_matmul's ops take
+    got = [(*divmod(rot, m), t, mask) for rot, entries in plan.items() for t, mask in entries]
+    assert [g[:3] for g in got] == sorted(want)
+    for i, shift, t, mask in got:
+        slots, values = want[i, shift, t]
         want_mask = np.zeros(m, dtype=np.uint64)
         want_mask[slots] = values
-        got_slots, got_values = got[(i * m + shift) * c_out + t]
-        got_mask = np.zeros(m, dtype=np.uint64)
-        got_mask[got_slots] = got_values
-        assert np.array_equal(got_mask, want_mask)
+        assert np.array_equal(mask, want_mask)
 
     # zero weights decide the op count: one plaintext product per mask
     key = keygen(HEParams(slots=m), seed=29)

@@ -52,7 +52,14 @@ online message counts alone when every attention product took one path
 (`Server.product`, then `Session._reveal`): a block's QxK and AttenValue
 each send all heads' rows in one server message, not one per head. Both
 CostReports, the bytes per (sender, step, phase, kind), every interaction
-and both logit shares were checked equal to the runs before. Any change
+and both logit shares were checked equal to the runs before. All 20
+were re-pinned for HE counters alone when `sharing.enc_left_matmul`
+moved to the diagonal method (D rotations, D plaintext products and D-1
+additions per row, for the D nonzero diagonals of the plaintext, in
+place of 2 log2 M + 3 ops per output entry): only `he_rotate`,
+`he_mul_plain` and `he_add` moved, in QxK and AttenValue; both logit
+shares, every message, the bytes per (sender, step, phase, kind) and
+every interaction were checked equal to the runs before. Any change
 to a counter, message, byte or share of these runs changes a digest. A
 deliberate protocol change updates the table and says why in CHANGES.md.
 
@@ -86,45 +93,45 @@ CONFIGS = {
 
 DIGESTS = {
     ("post-relu", "base", "semantic"):
-        "92cf6bbb2c302bc81cb37350a5fccb2edc3b5983fbf636d83adfd45d7a9a9d4d",
+        "00e6ba205b23f944b21674e3b2341870e5660df6bbbd7266bc6b058834f3d490",
     ("post-relu", "f", "semantic"):
-        "265aba54a26363bf339f1a136ff16312a88e25411d452e6cc5c71c52ce10b79c",
+        "3f3b0635424d1ea071d92f968e1a1687c4d352229d6053b8d8d521e9128d5acf",
     ("post-relu", "fp", "semantic"):
-        "8a415ed6bb9e3cdafe338886923c5871d582bcdef22fdbdc4734c579dad62dc9",
+        "a6645ae7bdd008e0ac37187cdce7ff616db61bf4ba61fcf208e5c6443119a560",
     ("post-relu", "fpc", "semantic"):
-        "cfd6920f0642d794c35bc347a9321c721dcfc21b28d7883b5a1d7e6aee2af560",
+        "56365d6f5c19b7d126147299d62cc021dde5e36a2855e89eeab7d73b115cbc17",
     ("post-relu", "f", "gc"):
-        "44645c2566dd535482d674a0939911b22baf449893fe35148d62bb9b78f5ea97",
+        "e5d52aa4f823b60dc4d73a30759fa88ba151d96103c2f502fe253e0f74bcd652",
     ("post-relu", "fpc", "gc"):
-        "fbe11a6dcedb49c0e07b35d500728d2bb2ca7fd9dadd7a188e0a38a9195a2bcf",
+        "8f1933e40b448b30497d11f0103fbbbd4e8acff43fd12520b57786ed9a80450c",
     ("pre-gelu", "base", "semantic"):
-        "e1bea6c83a97e71e209c60214b2b39b79af318190f43dff4f07392f8557e6375",
+        "909acccd80b087465fa5cb76bd273c4216c3c01590b0f55c9b2cccbcc6bad0ab",
     ("pre-gelu", "f", "semantic"):
-        "2b96c8f41b8953b65519097310950c9530bc0ed5f3f9eb4d6a4f66e6dbf59e59",
+        "9071152ac1ef5b863636889bd9ec636db41babc2fdfac6b6ea90829731819784",
     ("pre-gelu", "fp", "semantic"):
-        "b4922f8c536e51c94caf312cc5865157517e57bbc6351e4c2e7f365b977a5b7e",
+        "952d01c54ced43c6682a21923b4ef4cbdec8d04b4a97754668929030e2817764",
     ("pre-gelu", "fpc", "semantic"):
-        "a137aa186dd2359f900a62ebee9d7fbbd902782237d801413bd7b4f69fd83d55",
+        "72c770c9ca05173210f7c72fb7057c5fe43e425cdf550e06556ae9c2501d677d",
     ("pre-gelu", "f", "gc"):
-        "1f81a18acf038b905fb95049b0c78fa9bea97ddbbf1a83558e31a633bb996988",
+        "257f1ee0e0f554b93f077bc56a616ea302b92b9bfb304187005c70f6f709da7f",
     ("pre-gelu", "fpc", "gc"):
-        "bf94b9fe14e5cbf81b6591419da4c126f9b6ece8162697d8642e021a61dc6ec8",
+        "2f905778f573039f6fd99426b5981bb5831d5bf9f0ae3b265dbd16e0b99482be",
     ("sem-wide", "base", "semantic"):
-        "fb0bdbd5e1694179448fe0c669d5d808bed24619d7835407c1faab9817cf314b",
+        "9b31c7a946bbb2fb56ee56f2e2fb8a1b45e03ae0ca3794edd5012bb0c0d8c7df",
     ("sem-wide", "f", "semantic"):
-        "86b08d5218ecebfe2e5821e166454bd0241db4364343d5726921fccbe7e07f63",
+        "b3b5990f1b4166e6c7bf830828aeb92fe3695ce9488a053d7735adb79d12cce6",
     ("sem-wide", "fp", "semantic"):
-        "4c49b04309deff99f85b35a96add42417946af38c9d85a328d7b08cbf20aa259",
+        "612d5b77cdd64da878475de4b27329b22d63ba923943260384f89760b7da44fd",
     ("sem-wide", "fpc", "semantic"):
-        "6187038fe0845ca04df5ef4585bbdf5347e912ea5c02de3b92801be285effb58",
+        "3f810b29156978923c2d6c9ad4bcf870b5eaf25d0f2aa4115a53a1ef69a87359",
     ("sem-long", "base", "semantic"):
-        "bdcfa7a276a87d572c32e0059402f3f6be55c7942f59b46882250ab31d3ebf0d",
+        "761965e23b2cc2390a43a92f857e325febd9b64713f198e95908208f30d21582",
     ("sem-long", "f", "semantic"):
-        "2a2c2940cb501247150b921cd36fa255540a3a40ffb42f28bd3d58f7cf96bd57",
+        "67cf40c83e99f876d83e9d9267f8638e4e6a94660a5621ec6336f85a74694a0b",
     ("sem-long", "fp", "semantic"):
-        "1a3546a8dcbb0e479fdd89d7dae81d925cb96f9b8ce930e234657ee4145f0ca8",
+        "5a9cc7144f991745e5ff3eecd0aff1ceaffaf763115c5cb9429436e91eabe473",
     ("sem-long", "fpc", "semantic"):
-        "092b249c9afe5312ee4a91abe8a40903fa058699ec46ca673e4b2d8809185c38",
+        "55d3ccf51afb0715837c4619a3cbc371d814975892abb42ec99b3993465bdc02",
 }
 
 

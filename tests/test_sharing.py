@@ -14,8 +14,8 @@ from privtrans.sharing import (
     make_product_triple,
     plain_left_matmul,
     rand_ring,
-    rotate_reduce_sum,
 )
+from privtrans.she import Ciphertext
 
 from oracles import matmul_mod
 
@@ -72,43 +72,77 @@ def test_plain_left_matmul_matches_oracle():
     assert report.total("he_rotate") == 0
 
 
-def test_rotate_reduce_sum_fills_every_slot():
-    key, report = keygen(small_params(slots=8), seed=3), CostReport()
-    vec = np.arange(1, 9, dtype=np.uint64)
-    ct = rotate_reduce_sum(
-        enc_rows(FixedTensor(vec.reshape(1, -1), DEFAULT_RING), key, report)[0], report
-    )
-    from privtrans.she import decrypt
-
-    assert decrypt(ct, key, report).tolist() == [36] * 8
+def _plain_with_zeros(rng, rows, cols, case):
+    r = rand_ring((rows, cols), rng, DEFAULT_RING)
+    if case == "zero_rows":
+        r.data[::2] = 0
+    elif case == "zero_cols":
+        r.data[:, 1::2] = 0
+    return r
 
 
-def test_enc_left_matmul_matches_oracle():
-    rng = np.random.default_rng(24)
-    key = keygen(small_params(), seed=4)
+def _nonzero_diagonals(r: FixedTensor, slots: int) -> int:
+    # D: the distinct shifts (j - o) mod M of the nonzero entries R[j, o]
+    j, o = np.nonzero(r.data)
+    return len(set(((j - o) % slots).tolist()))
+
+
+@pytest.mark.parametrize("case", ["dense", "zero_rows", "zero_cols"])
+@pytest.mark.parametrize("a,b,c,slots", [
+    (3, 5, 2, 16),   # no diagonal wraps
+    (3, 6, 5, 8),    # b + c - 1 > M: diagonals wrap
+    (2, 8, 3, 8),    # b = M
+    (2, 3, 8, 8),    # c = M
+    (2, 8, 8, 8),    # b = c = M: all M diagonals
+    (1, 7, 4, 8),    # one row
+])
+def test_enc_left_matmul_matches_oracle(a, b, c, slots, case):
+    rng = np.random.default_rng(24 + a + b + c)
+    key = keygen(small_params(slots), seed=4)
+    left = rand_ring((a, b), rng, DEFAULT_RING)
+    r = _plain_with_zeros(rng, b, c, case)
+    rows = enc_rows(left, key, CostReport())
     report = CostReport()
-    left = rand_ring((3, 5), rng, DEFAULT_RING)
-    r = rand_ring((5, 2), rng, DEFAULT_RING)
     with report.at("QxK", "offline"):
-        cts = enc_left_matmul(enc_rows(left, key, report), r, report)
-        got = dec_rows(cts, 2, key, DEFAULT_RING, report)
+        cts = enc_left_matmul(rows, r, report)
+    got = dec_rows(cts, slots, key, DEFAULT_RING, CostReport())
     want = matmul_mod(left.data.tolist(), r.data.tolist(), 64)
-    assert got.data.tolist() == want
+    assert got.data[:, :c].tolist() == want
+    assert not got.data[:, c:].any()  # slots past c stay zero
+    # per row: one rotation and one plaintext product per nonzero diagonal,
+    # and D - 1 additions to sum them
+    d = _nonzero_diagonals(r, slots)
+    assert d <= min(slots, b + c - 1)
+    assert report.total("he_rotate") == a * d
+    assert report.total("he_mul_plain") == a * d
+    assert report.total("he_add") == a * (d - 1)
 
 
 def test_enc_left_matmul_op_counts_and_width_check():
-    # per output entry: mask, log2 M rotate-and-adds, select, accumulate
+    # D = b + c - 1 = 6 diagonals of a dense 5 x 2 plaintext at M = 16
     rng = np.random.default_rng(25)
     key = keygen(small_params(), seed=4)
     rows = enc_rows(rand_ring((3, 5), rng, DEFAULT_RING), key, CostReport())
     report = CostReport()
     enc_left_matmul(rows, rand_ring((5, 2), rng, DEFAULT_RING), report)
-    entries = 3 * 2
-    assert report.total("he_mul_plain") == 2 * entries
-    assert report.total("he_rotate") == 4 * entries
-    assert report.total("he_add") == 4 * entries + 3 * (2 - 1)
+    assert report.total("he_rotate") == 3 * 6
+    assert report.total("he_mul_plain") == 3 * 6
+    assert report.total("he_add") == 3 * 5
     with pytest.raises(ValueError, match="exceeds 16 slots"):
         enc_left_matmul(rows, rand_ring((5, 17), rng, DEFAULT_RING), report)
+
+
+def test_enc_left_matmul_of_a_zero_plaintext_gives_a_zero_row_per_row():
+    # no diagonal is nonzero; each row still comes back as one ciphertext
+    # of zeros, from diagonal 0 alone
+    rng = np.random.default_rng(26)
+    key = keygen(small_params(), seed=4)
+    rows = enc_rows(rand_ring((3, 5), rng, DEFAULT_RING), key, CostReport())
+    report = CostReport()
+    cts = enc_left_matmul(rows, FixedTensor(np.zeros((5, 2), dtype=np.uint64)), report)
+    assert len(cts) == 3 and all(isinstance(ct, Ciphertext) for ct in cts)
+    assert not dec_rows(cts, 16, key, DEFAULT_RING, CostReport()).data.any()
+    assert (report.total("he_rotate"), report.total("he_mul_plain"), report.total("he_add")) == (3, 3, 0)
 
 
 def test_triple_product_tiny_example():
