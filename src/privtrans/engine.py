@@ -212,24 +212,24 @@ class Server:
         return self._apply(mid, masked_in) - rs
 
     def product(self, mid: str, left: FixedTensor, right: FixedTensor):
-        """(rows, rs): the rows of Enc(L @ R - rs) for a fresh output mask rs,
-        the server's share. left = L - a and right = R - b are masked by the
-        row-encrypted a, b and ab of the triple kept under mid, and row by
-        row L @ R = left @ right + Enc(a) @ right + left @ Enc(b) + Enc(ab):
-        no ciphertext multiplies a ciphertext. Enc(a) @ right rotates each
-        row once per nonzero diagonal of right; left @ Enc(b) rotates none."""
+        """(rows, rs): the row batch Enc(L @ R - rs) for a fresh output mask
+        rs, the server's share. left = L - a and right = R - b are masked by
+        the row-encrypted a, b and ab of the triple kept under mid, and
+        L @ R = left @ right + Enc(a) @ right + left @ Enc(b) + Enc(ab): no
+        ciphertext multiplies a ciphertext. Each term is one kernel call and
+        each sum one op on all rows at once. Enc(a) @ right makes one
+        rotation per nonzero diagonal of right; left @ Enc(b) makes none."""
         triple, rep = self.take(mid), self.report
         rs = rand_ring((left.rows, right.cols), self.rng, self.ring)
         plain = mat_mul(left, right) - rs
         a_r = enc_left_matmul(triple.left_ct, right, rep)
         l_b = plain_left_matmul(left, triple.right_ct, rep)
-        rows = [he_add_plain(he_add(he_add(t2, t3, rep), t4, rep), t1, rep)
-                for t1, t2, t3, t4 in zip(plain.data, a_r, l_b, triple.product_ct)]
+        rows = he_add_plain(he_add(he_add(a_r, l_b, rep), triple.product_ct, rep), plain.data, rep)
         return rows, rs
 
-    def chgs_terms(self, qk: str, enc_rc0: list[Ciphertext], enc_rc0_t: list[Ciphertext]):
-        """Fused-prefix QxK triples of block qk begun from Enc(Rc0),
-        Enc(Rc0^T) rows: a = R_e B_h and b = R_e^T, for R_e = Rc0 W_ed where
+    def chgs_terms(self, qk: str, enc_rc0: Ciphertext, enc_rc0_t: Ciphertext):
+        """Fused-prefix QxK triples of block qk begun from the row batches
+        Enc(Rc0), Enc(Rc0^T): a = R_e B_h and b = R_e^T, for R_e = Rc0 W_ed where
         the block folds the embedding and R_e = Rc0 elsewhere. Each head's
         Enc(R_e B_h) is one product Enc(Rc0) A_h by the merged A_h. Keeps,
         under each head's id, (Enc(R_e B_h), Enc(R_e^T), G_h, Enc(Rc0^T))
@@ -244,19 +244,18 @@ class Server:
             enc_re_b = enc_left_matmul(enc_rc0, self.weights[f"{mid}.a"][0], rep)
             rows = (enc_left_matmul(enc_rc0, self.weights[f"{mid}.wm"][0], rep)
                     if fused else enc_re_b)
-            g_h = rand_ring((len(enc_rc0), len(enc_rc0_t)), self.rng, self.ring)
-            masked_wm[mid] = [he_add_plain(ct, v, rep) for ct, v in zip(rows, g_h.data)]
+            g_h = rand_ring((enc_rc0.count, enc_rc0_t.count), self.rng, self.ring)
+            masked_wm[mid] = he_add_plain(rows, g_h.data, rep)
             self.keep(mid, (enc_re_b, enc_re_t, g_h, enc_rc0_t))
         return masked_wm
 
-    def strip(self, mid: str, back: list[Ciphertext]) -> None:
+    def strip(self, mid: str, back: Ciphertext) -> None:
         """Finishes the triple under mid: its product Enc(R_e B_h R_e^T) is
         the client's reply Enc(Rc0 W_M_h Rc0^T + G_h Rc0^T) minus
         G_h Rc0^T, under HE."""
         enc_re_b, enc_re_t, g_h, enc_rc0_t = self.take(mid)
         strip = plain_left_matmul(-g_h, enc_rc0_t, self.report)
-        product = [he_add(a, b, self.report) for a, b in zip(back, strip)]
-        self.keep(mid, MatTriple(enc_re_b, enc_re_t, product))
+        self.keep(mid, MatTriple(enc_re_b, enc_re_t, he_add(back, strip, self.report)))
 
     def chgs_heads(self, qk: str, x0_masked: FixedTensor) -> list:
         """Per head of block qk, the `product` of S_h = (P_s B_h + R_e B_h)
@@ -329,8 +328,8 @@ class Session:
 
     def _send(self, sender: str, payload) -> None:
         """Log one message in the current scope, sized by the bytes of the
-        arrays it carries: a list of ciphertexts (a and b each), or a tuple
-        of share tensors."""
+        arrays it carries: a list of ciphertexts and batches (a and b
+        each), or a tuple of share tensors."""
         if isinstance(payload, list):
             kind, nbytes = "ciphertext", sum(ct.a.nbytes + ct.b.nbytes for ct in payload)
         else:
@@ -374,7 +373,7 @@ class Session:
     def _gen_triple(self, mid: str, left: FixedTensor, right: FixedTensor) -> None:
         """Client-built product triple shipped into the server's store."""
         t = make_product_triple(left, right, self.client.key, report=self.client.report)
-        self._send("client", t.left_ct + t.right_ct + t.product_ct)
+        self._send("client", [t.left_ct, t.right_ct, t.product_ct])
         self.server.keep(mid, t)
 
     def chgs_material(self, qk: str, rc0: FixedTensor) -> None:
@@ -388,13 +387,13 @@ class Session:
         G_h Rc0^T homomorphically via Enc(Rc0^T)."""
         key, rep_c = self.client.key, self.client.report
         enc_rc0, enc_rc0_t = enc_rows(rc0, key, rep_c), enc_rows(rc0.transpose(), key, rep_c)
-        self._send("client", enc_rc0 + enc_rc0_t)
+        self._send("client", [enc_rc0, enc_rc0_t])
         masked_wm = self.server.chgs_terms(qk, enc_rc0, enc_rc0_t)
-        self._send("server", [ct for rows in masked_wm.values() for ct in rows])
+        self._send("server", list(masked_wm.values()))
         for mid, rows in masked_wm.items():
             y_h = dec_rows(rows, rc0.cols, key, self.cfg.ring, rep_c)
             back = enc_rows(mat_mul(y_h, rc0.transpose()), key, rep_c)
-            self._send("client", back)
+            self._send("client", [back])
             self.server.strip(mid, back)
         self._interaction()  # the extra offline round
 
@@ -411,16 +410,13 @@ class Session:
 
     def _reveal(self, heads, axis: int = 0):
         """A block's attention products, one server `product` (rows, rs) per
-        head: the server sends every head's rows in one message and the
-        client decrypts its shares. Returns the (server, client) chain,
+        head: the server sends every head's row batch in one message and
+        the client decrypts its shares. Returns the (server, client) chain,
         heads stacked by rows, or by columns (axis 1)."""
-        rows = [ct for head_rows, _ in heads for ct in head_rows]
-        self._send("server", rows)
+        self._send("server", [rows for rows, _ in heads])
         c = self.client
-        client = dec_rows(rows, heads[0][1].cols, c.key, self.cfg.ring, c.report)
-        if axis:
-            client = self._stack(self._heads(client, axis=0), axis)
-        return self._stack([rs for _, rs in heads], axis), client
+        client = [dec_rows(rows, rs.cols, c.key, self.cfg.ring, c.report) for rows, rs in heads]
+        return self._stack([rs for _, rs in heads], axis), self._stack(client, axis)
 
     def _gc(self, step: str, spec: SecureFnSpec, chain):
         """One garbled stage over the chain shares, spec.count words per

@@ -4,10 +4,13 @@ Masks are sampled uniformly over the WHOLE ring (not the value range): a
 masked message x - r is then itself ring-uniform, which is what the
 chi-square acceptance test checks.
 
-Row-encrypted matrices hold one ciphertext per row. `plain_left_matmul`
-(plaintext @ rows) takes additive ops only; `enc_left_matmul` (rows @
-plaintext) takes the diagonal method, one rotation per row and nonzero
-diagonal of the plaintext.
+A row-encrypted matrix is one ciphertext batch with one ciphertext per
+row, and each kernel call acts on all its rows at once. For a [a x b]
+plaintext-left product `plain_left_matmul` (plaintext @ rows) makes b
+plaintext products and b-1 additions, billed a each: a*b and a*(b-1) ops,
+no rotations. `enc_left_matmul` (rows [a x b] @ plaintext [b x c]) takes
+the diagonal method: D rotations, D products and D-1 additions for the D
+nonzero diagonals of the plaintext, billed a each.
 
 A MatTriple carries the row-encrypted Enc(L), Enc(R) and Enc(L @ R) of
 the client's masks L, R, and no plaintext mask: it is the server's
@@ -34,52 +37,45 @@ def rand_ring(shape, rng: np.random.Generator, ring: RingParams) -> FixedTensor:
 # -- row-encrypted matrices -------------------------------------------------
 
 
-def enc_rows(x: FixedTensor, key: KeyPair, report: CostReport) -> list[Ciphertext]:
-    if x.cols > key.params.slots:
-        raise ValueError(f"{x.cols} columns exceed {key.params.slots} slots")
-    return [encrypt(x.data[i], key, report) for i in range(x.rows)]
+def enc_rows(x: FixedTensor, key: KeyPair, report: CostReport) -> Ciphertext:
+    return encrypt(x.data, key, report)
 
 
 def dec_rows(
-    cts: list[Ciphertext], cols: int, key: KeyPair, ring: RingParams, report: CostReport
+    ct: Ciphertext, cols: int, key: KeyPair, ring: RingParams, report: CostReport
 ) -> FixedTensor:
-    rows = [decrypt(ct, key, report)[:cols] for ct in cts]
-    return FixedTensor(np.stack(rows), ring)
+    return FixedTensor(decrypt(ct, key, report)[:, :cols], ring)
 
 
-def plain_left_matmul(
-    p: FixedTensor, rows_ct: list[Ciphertext], report: CostReport
-) -> list[Ciphertext]:
+def plain_left_matmul(p: FixedTensor, rows_ct: Ciphertext, report: CostReport) -> Ciphertext:
     """Enc rows of p @ B from plaintext p [a x b] and Enc(B) rows [b of them].
 
-    Row i is a scalar combination sum_j p[i,j] * Enc(B[j]); additive ops
-    only, no rotations.
+    Row i is a scalar combination sum_j p[i,j] * Enc(B[j]): per j, one
+    product of Enc(B[j]) by the column p[:, j] spread over the slots makes
+    all a rows at once. b products and b-1 additions, billed a each;
+    additive ops only, no rotations.
     """
-    if p.cols != len(rows_ct):
+    if p.cols != rows_ct.count:
         raise ValueError("inner dimension mismatch")
-    out = []
-    for i in range(p.rows):
-        acc = None
-        for j in range(p.cols):
-            term = he_mul_plain(rows_ct[j], int(p.data[i, j]), report)
-            acc = term if acc is None else he_add(acc, term, report)
-        out.append(acc)
-    return out
+    shape = (p.rows, rows_ct.params.slots)
+    acc = None
+    for j in range(p.cols):
+        term = he_mul_plain(rows_ct.row(j), np.broadcast_to(p.data[:, j, None], shape), report)
+        acc = term if acc is None else he_add(acc, term, report)
+    return acc
 
 
-def enc_left_matmul(
-    rows_ct: list[Ciphertext], r_plain: FixedTensor, report: CostReport
-) -> list[Ciphertext]:
+def enc_left_matmul(rows_ct: Ciphertext, r_plain: FixedTensor, report: CostReport) -> Ciphertext:
     """Enc rows of L @ r_plain from Enc(L) rows [a x b] and plaintext R [b x c].
 
     The diagonal method of Halevi and Shoup: with R zero-padded to M x M,
     row i is sum_s rot(Enc(L[i]), s) * d_s for the diagonals d_s[o] =
     R[(o+s) mod M, o]. Only the D nonzero diagonals are used, D <=
-    min(M, b+c-1), so a row costs D rotations, D plaintext products and
-    D-1 additions. An all-zero R keeps diagonal 0 (D = 1), so every row is
-    still a ciphertext, of zeros.
+    min(M, b+c-1), so the kernel makes D rotations, D plaintext products
+    and D-1 additions, each on all a rows and billed a. An all-zero R keeps
+    diagonal 0 (D = 1), so every row is still a ciphertext, of zeros.
     """
-    slots = rows_ct[0].params.slots
+    slots = rows_ct.params.slots
     if max(r_plain.shape) > slots:
         raise ValueError(f"a {r_plain.rows} x {r_plain.cols} plaintext exceeds {slots} slots")
     padded = np.zeros((slots, r_plain.cols), dtype=np.uint64)
@@ -89,14 +85,11 @@ def enc_left_matmul(
     shifts = np.flatnonzero(diags.any(axis=1)) if diags.any() else np.zeros(1, dtype=np.intp)
     masks = np.zeros((len(shifts), slots), dtype=np.uint64)
     masks[:, : r_plain.cols] = diags[shifts]
-    out = []
-    for ct in rows_ct:
-        acc = None
-        for shift, mask in zip(shifts.tolist(), masks):
-            term = he_mul_plain(he_rotate(ct, shift, report), mask, report)
-            acc = term if acc is None else he_add(acc, term, report)
-        out.append(acc)
-    return out
+    acc = None
+    for shift, mask in zip(shifts.tolist(), masks):
+        term = he_mul_plain(he_rotate(rows_ct, shift, report), mask, report)
+        acc = term if acc is None else he_add(acc, term, report)
+    return acc
 
 
 # -- matrix triples ----------------------------------------------------------
@@ -106,9 +99,9 @@ def enc_left_matmul(
 class MatTriple:
     """Offline material for one masked matrix product L-shape @ R-shape."""
 
-    left_ct: list[Ciphertext]
-    right_ct: list[Ciphertext]
-    product_ct: list[Ciphertext]
+    left_ct: Ciphertext
+    right_ct: Ciphertext
+    product_ct: Ciphertext
 
 
 def make_product_triple(

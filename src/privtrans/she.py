@@ -12,10 +12,13 @@ There is no noise term, so this is not LWE: one known plaintext (a
 zero-padded slot, say) gives away s. What the scheme guarantees is
 structural: no server code path reaches plaintext without the KeyPair.
 
-Every operation takes the CostReport it bills and bumps exactly one of its
-counters; there is no uncounted call. Each op also charges a linear noise
-meter a flat cost (the COST_* constants); running past NOISE_BUDGET raises
-NoiseBudgetExceeded.
+A Ciphertext is one ciphertext, or a batch of k on a leading axis (its a
+and b are (k, M)); every op acts on the last axis, so one call on a batch
+does the work of k calls on its rows. Every operation takes the CostReport
+it bills and bumps exactly one of its counters, by the number of
+ciphertexts it acts on; there is no uncounted call. Each op also charges a
+linear noise meter a flat cost (the COST_* constants); running past
+NOISE_BUDGET raises NoiseBudgetExceeded.
 """
 
 from __future__ import annotations
@@ -76,12 +79,17 @@ class KeyPair:
         self._stream = np.random.Generator(np.random.Philox(key=seed))
         self.s = self._stream.integers(0, 1 << 64, dtype=np.uint64)
 
-    def fresh_a(self) -> np.ndarray:
-        return self._stream.integers(0, 1 << 64, size=self.params.slots, dtype=np.uint64)
+    def fresh_a(self, lead: tuple = ()) -> np.ndarray:
+        """A uniform (*lead, M) block; (k, M) holds the words of k
+        successive single draws, in order."""
+        return self._stream.integers(0, 1 << 64, size=(*lead, self.params.slots), dtype=np.uint64)
 
 
 class Ciphertext:
-    """(a, b = a*s + m) over the slots; b is garbage without s."""
+    """(a, b = a*s + m) over the slots; b is garbage without s. a and b are
+    (M,) for one ciphertext, or (k, M) for a batch of k, one per row. A
+    batch goes through one sequence of ops, so its rows share one
+    noise_used."""
 
     __slots__ = ("a", "b", "key_id", "params", "noise_used")
 
@@ -91,6 +99,15 @@ class Ciphertext:
         self.key_id = key_id
         self.params = params
         self.noise_used = noise_used
+
+    @property
+    def count(self) -> int:
+        """The number of ciphertexts held: 1, or k for a (k, M) batch."""
+        return self.a.size // self.params.slots
+
+    def row(self, j: int) -> "Ciphertext":
+        """Ciphertext j of a batch, as a single ciphertext."""
+        return Ciphertext(self.a[j], self.b[j], self.key_id, self.params, self.noise_used)
 
 
 def _next(ct: Ciphertext, a, b, cost: int) -> Ciphertext:
@@ -106,52 +123,71 @@ def keygen(params: HEParams, seed: int = 0) -> KeyPair:
 
 
 def _as_slots(v, params: HEParams) -> np.ndarray:
-    arr = np.asarray(v, dtype=np.uint64).ravel()
-    if arr.size > params.slots:
-        raise ValueError(f"{arr.size} values do not fit {params.slots} slots")
-    if arr.size < params.slots:
-        arr = np.concatenate([arr, np.zeros(params.slots - arr.size, dtype=np.uint64)])
-    return arr
+    """v's last axis zero-padded to the M slots: a vector, or one row of
+    slots per row of a matrix."""
+    arr = np.asarray(v, dtype=np.uint64)
+    width = arr.shape[-1] if arr.ndim else 1
+    if width == params.slots:
+        return arr
+    if width > params.slots:
+        raise ValueError(f"width {width} exceeds {params.slots} slots")
+    out = np.zeros((*arr.shape[:-1], params.slots), dtype=np.uint64)
+    out[..., :width] = arr
+    return out
 
 
 def encrypt(v, key: KeyPair, report: CostReport) -> Ciphertext:
-    """Pack v (ring words) into slots, zero-padded, as (a, a*s + v)."""
+    """Pack v (ring words) into slots, zero-padded, as (a, a*s + v): one
+    ciphertext of a vector, or a batch of one per row of a (k, cols)
+    matrix, whose a rows are the words of k single encrypts."""
     m = _as_slots(v, key.params)
-    a = key.fresh_a()
-    report.bump("he_enc")
-    return Ciphertext(a, a * key.s + m, key.key_id, key.params)
+    a = key.fresh_a(m.shape[:-1])
+    ct = Ciphertext(a, a * key.s + m, key.key_id, key.params)
+    report.bump("he_enc", ct.count)
+    return ct
 
 
 def decrypt(ct: Ciphertext, key: KeyPair, report: CostReport) -> np.ndarray:
     if key.key_id != ct.key_id:
         raise KeyMismatch(f"ciphertext under key {ct.key_id}, got key {key.key_id}")
-    report.bump("he_dec")
+    report.bump("he_dec", ct.count)
     return ct.b - ct.a * key.s
 
 
 def he_add(a: Ciphertext, b: Ciphertext, report: CostReport) -> Ciphertext:
     if a.key_id != b.key_id:
         raise KeyMismatch("cannot add ciphertexts under different keys")
-    report.bump("he_add")
+    count = a.count
+    if count != b.count:
+        raise ValueError(f"cannot add a batch of {count} ciphertexts to one of {b.count}")
+    report.bump("he_add", count)
     noisier = a if a.noise_used >= b.noise_used else b
     return _next(noisier, a.a + b.a, a.b + b.b, COST_ADD)
 
 
 def he_add_plain(ct: Ciphertext, v, report: CostReport) -> Ciphertext:
-    report.bump("he_add_plain")
-    p = _as_slots(v, ct.params)
-    return _next(ct, ct.a, ct.b + p, COST_ADD_PLAIN)
+    """Slotwise sum with a plaintext vector, or with one row per ciphertext
+    of a batch."""
+    b = ct.b + _as_slots(v, ct.params)
+    if b.shape != ct.b.shape:
+        raise ValueError(f"a plaintext of {b.size // ct.params.slots} rows "
+                         f"does not fit a batch of {ct.count} ciphertexts")
+    report.bump("he_add_plain", ct.count)
+    return _next(ct, ct.a, b, COST_ADD_PLAIN)
 
 
 def he_mul_plain(ct: Ciphertext, v, report: CostReport) -> Ciphertext:
-    """Slotwise product with a plaintext vector (or a ring scalar)."""
-    report.bump("he_mul_plain")
+    """Slotwise product with a ring scalar, a plaintext vector, or a (k, M)
+    array; a single ciphertext times a (k, M) array is a batch of k
+    products, billed k."""
     # an array skips np.isscalar, the costly check on the common path
     if getattr(v, "ndim", None) == 0 or (not isinstance(v, np.ndarray) and np.isscalar(v)):
-        p = np.full(ct.params.slots, int(v) & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
+        p = np.uint64(int(v) & 0xFFFFFFFFFFFFFFFF)
     else:
         p = _as_slots(v, ct.params)
-    return _next(ct, ct.a * p, ct.b * p, COST_MUL_PLAIN)
+    a, b = ct.a * p, ct.b * p
+    report.bump("he_mul_plain", a.size // ct.params.slots)
+    return _next(ct, a, b, COST_MUL_PLAIN)
 
 
 @lru_cache(maxsize=None)
@@ -163,17 +199,19 @@ def _cycle(slots: int) -> np.ndarray:
 
 
 def he_rotate(ct: Ciphertext, k: int, report: CostReport) -> Ciphertext:
-    """Cyclic left rotation by k slots; k=0 is legal and still counted.
+    """Cyclic left rotation by k slots of each ciphertext held; k=0 is
+    legal and still counted.
 
-    Each of a and b is one numpy gather (a fresh array, never a view of
-    ct) through the window [k, k+M) of _cycle(M). The cache holds one
-    read-only 2M-long index per slot count, never one per k: that would
-    be M^2 words.
+    Each of a and b is one numpy take along the last axis (a fresh array,
+    never a view of ct) through the window [k, k+M) of _cycle(M), for a
+    single ciphertext and a batch alike. The cache holds one read-only
+    2M-long index per slot count, never one per k: that would be M^2
+    words.
     """
     slots = ct.params.slots
     if not 0 <= k < slots:
         raise ValueError(f"rotation {k} outside [0, {slots})")
-    report.bump("he_rotate")
+    report.bump("he_rotate", ct.count)
     idx = _cycle(slots)[k:k + slots]
-    return _next(ct, ct.a[idx], ct.b[idx], COST_ROTATE)
+    return _next(ct, ct.a.take(idx, axis=-1), ct.b.take(idx, axis=-1), COST_ROTATE)
 

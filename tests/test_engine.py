@@ -353,8 +353,8 @@ def test_every_triple_the_server_uses_is_a_true_triple(norm, activation, monkeyp
 
     def checked(server, mid, left, right):
         t = server.material[mid]
-        dec = lambda cts: np.stack([decrypt(ct, session.client.key, CostReport()) for ct in cts])
-        k = len(t.right_ct)
+        dec = lambda ct: decrypt(ct, session.client.key, CostReport())
+        k = t.right_ct.count
         assert np.array_equal(dec(t.product_ct), dec(t.left_ct)[:, :k] @ dec(t.right_ct)), mid
         used.append(mid)
         return real(server, mid, left, right)
@@ -556,6 +556,39 @@ def test_share_message_byte_accounting():
     assert ct_bytes == cfg.H * cfg.n * he.ciphertext_bytes
 
 
+@pytest.mark.parametrize("cfg_kw", [dict(norm="post", activation="relu"),
+                                    dict(N=2, norm="pre", activation="gelu")])
+def test_ciphertext_accounting_closes(cfg_kw, monkeypatch):
+    # per (step, phase) cell the client sends every ciphertext it encrypts
+    # and decrypts every ciphertext the server sends, and a ciphertext
+    # message, singles and batches alike, is its ciphertext count times
+    # the modeled ciphertext size
+    sent, real = {}, Session._send
+
+    def send(session, sender, payload):
+        real(session, sender, payload)
+        if isinstance(payload, list):
+            msg, count = session.transcript.messages[-1], sum(ct.count for ct in payload)
+            assert msg.kind == "ciphertext"
+            assert msg.nbytes == count * session.he.ciphertext_bytes, (msg.step, msg.phase)
+            cell = (sender, msg.step, msg.phase)
+            sent[cell] = sent.get(cell, 0) + count
+
+    monkeypatch.setattr(Session, "_send", send)
+    cfg = toy_cfg(**cfg_kw)
+    w = random_weights(cfg, np.random.default_rng(5))
+    for mode in MODES:
+        sent.clear()
+        res = run_protocol(mode, cfg, w, [3, 1, 4, 1], seed=11)
+        rep = res.client_report
+        assert sent, mode
+        for step, phase in set(rep.cells) | {(st, ph) for _, st, ph in sent}:
+            where = (mode, step, phase)
+            assert sent.get(("client", step, phase), 0) == rep.get(step, phase, "he_enc"), where
+            assert sent.get(("server", step, phase), 0) == rep.get(step, phase, "he_dec"), where
+        assert res.server_report.total("he_enc") == res.server_report.total("he_dec") == 0
+
+
 @pytest.mark.parametrize("norm,activation", [("post", "relu"), ("pre", "gelu")])
 def test_every_message_shares_a_cell_with_its_work(norm, activation):
     # a message and the counters of its step carry the same phase tag: each
@@ -593,19 +626,35 @@ COUNTED = {
 
 @pytest.mark.parametrize("norm,activation", [("post", "relu"), ("pre", "gelu")])
 def test_every_he_call_in_a_run_is_one_counter_bump(norm, activation, monkeypatch):
-    calls = dict.fromkeys(LEAF_COUNTERS, 0)
+    # each leaf call bumps its one counter once, by the ciphertexts it acts
+    # on: the count of its result (of its argument, for decrypt); summed,
+    # those counts are the run's totals, and no HE bump happens elsewhere
+    calls, billed, bumps = {}, dict.fromkeys(LEAF_COUNTERS, 0), []
     for module, name in HE_LEAVES:
         def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
+            calls[_name] = calls.get(_name, 0) + 1
+            out = _real(*args, **kwargs)
+            billed[_name] += (args[0] if _name == "decrypt" else out).count
+            return out
 
         monkeypatch.setattr(module, name, counted)
+    real_bump = CostReport.bump
+
+    def bump(report, counter, n=1):
+        if counter in LEAF_COUNTERS.values():
+            bumps.append(counter)
+        real_bump(report, counter, n)
+
+    monkeypatch.setattr(CostReport, "bump", bump)
     cfg = toy_cfg(norm=norm, activation=activation)
     w = random_weights(cfg, np.random.default_rng(5))
     for mode in MODES:
-        calls.update(dict.fromkeys(calls, 0))
+        calls.clear()
+        bumps.clear()
+        billed.update(dict.fromkeys(billed, 0))
         merged = run_protocol(mode, cfg, w, [3, 1, 4, 1], seed=11).merged_report()
-        assert {name: merged.total(c) for name, c in LEAF_COUNTERS.items()} == calls, mode
+        assert {name: merged.total(c) for name, c in LEAF_COUNTERS.items()} == billed, mode
+        assert len(bumps) == sum(calls.values()), mode
         assert calls["encrypt"] and calls["he_rotate"], mode
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from privtrans import sharing
 from privtrans.costs import CostReport
 from privtrans.ring import DEFAULT_RING, FixedTensor
 from privtrans.she import HEParams, keygen
@@ -70,6 +71,35 @@ def test_plain_left_matmul_matches_oracle():
     want = matmul_mod(p.data.tolist(), b.data.tolist(), 64)
     assert got.data.tolist() == want
     assert report.total("he_rotate") == 0
+    # a scalar combination per row: a * b products and a * (b - 1) additions
+    assert report.total("he_mul_plain") == 3 * 4
+    assert report.total("he_add") == 3 * 3
+
+
+def test_row_kernels_make_one_call_per_step_on_all_rows(monkeypatch):
+    # a row-encrypted matrix is one batch: each kernel's op calls do not
+    # grow with its rows, and each call bills every row
+    calls = {}
+    for name in ("he_add", "he_mul_plain", "he_rotate"):
+        def counted(*args, _real=getattr(sharing, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(sharing, name, counted)
+    rng = np.random.default_rng(27)
+    key = keygen(small_params(), seed=3)
+    for a in (2, 5):
+        calls.clear()
+        report = CostReport()
+        rows = enc_rows(rand_ring((a, 5), rng, DEFAULT_RING), key, report)
+        assert isinstance(rows, Ciphertext) and rows.count == a
+        r = rand_ring((5, 2), rng, DEFAULT_RING)  # D = 6 nonzero diagonals
+        assert enc_left_matmul(rows, r, report).count == a
+        assert calls == {"he_rotate": 6, "he_mul_plain": 6, "he_add": 5}, a
+        calls.clear()
+        p = rand_ring((3, a), rng, DEFAULT_RING)
+        assert plain_left_matmul(p, rows, report).count == 3
+        assert calls == {"he_mul_plain": a, "he_add": a - 1}, a
 
 
 def _plain_with_zeros(rng, rows, cols, case):
@@ -140,7 +170,7 @@ def test_enc_left_matmul_of_a_zero_plaintext_gives_a_zero_row_per_row():
     rows = enc_rows(rand_ring((3, 5), rng, DEFAULT_RING), key, CostReport())
     report = CostReport()
     cts = enc_left_matmul(rows, FixedTensor(np.zeros((5, 2), dtype=np.uint64)), report)
-    assert len(cts) == 3 and all(isinstance(ct, Ciphertext) for ct in cts)
+    assert isinstance(cts, Ciphertext) and cts.count == 3
     assert not dec_rows(cts, 16, key, DEFAULT_RING, CostReport()).data.any()
     assert (report.total("he_rotate"), report.total("he_mul_plain"), report.total("he_add")) == (3, 3, 0)
 

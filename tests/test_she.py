@@ -181,6 +181,97 @@ def test_every_op_bumps_exactly_one_counter():
     assert total == 6
 
 
+def test_every_op_on_a_batch_bumps_one_counter_by_its_count():
+    # the k = 3 twin of the test above: each op is one bump, by 3
+    key = fresh_key()
+    report = CostReport()
+    v = np.ones((3, 8), dtype=np.uint64)
+    ct = encrypt(v, key, report)
+    ct2 = he_add(ct, ct, report)
+    ct3 = he_add_plain(ct2, v, report)
+    ct4 = he_mul_plain(ct3, v, report)
+    ct5 = he_rotate(ct4, 2, report)
+    decrypt(ct5, key, report)
+    assert {c: report.total(c) for c in HE_COUNTERS} == dict.fromkeys(HE_COUNTERS, 3)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_a_batched_op_equals_the_op_on_each_row(k):
+    # one op on a batch of k gives, row for row, the a, b and noise of the
+    # op on each row alone, and bills the same total
+    rng = np.random.default_rng(40 + k)
+    m = PARAMS.slots
+    words = lambda *shape: rng.integers(0, 1 << 64, size=shape, dtype=np.uint64)
+    key = fresh_key()
+    x = encrypt(words(k, m), key, CostReport())
+    y = he_mul_plain(encrypt(words(k, 5), key, CostReport()), 3, CostReport())  # noisier
+    vec, mat = words(m), words(k, m)
+    cases = [
+        lambda pick, r: he_add(pick(x), pick(y), r),
+        lambda pick, r: he_add_plain(pick(y), pick(mat), r),
+        lambda pick, r: he_add_plain(pick(y), vec, r),
+        lambda pick, r: he_rotate(pick(y), 0, r),
+        lambda pick, r: he_rotate(pick(y), m - 1, r),
+        lambda pick, r: he_mul_plain(pick(x), 7, r),
+        lambda pick, r: he_mul_plain(pick(y), vec, r),
+        lambda pick, r: he_mul_plain(pick(y), pick(mat), r),
+    ]
+    for case, op in enumerate(cases):
+        batch_report, row_report = CostReport(), CostReport()
+        batch = op(lambda v: v, batch_report)
+        rows = [op(lambda v, i=i: v.row(i) if isinstance(v, Ciphertext) else v[i], row_report)
+                for i in range(k)]
+        assert batch.count == k, case
+        assert np.array_equal(batch.a, np.stack([r.a for r in rows])), case
+        assert np.array_equal(batch.b, np.stack([r.b for r in rows])), case
+        assert {r.noise_used for r in rows} == {batch.noise_used}, case
+        assert batch_report.to_dict() == row_report.to_dict(), case
+        assert sum(batch_report.total(c) for c in HE_COUNTERS) == k, case
+    # decrypt: the rows' plaintexts, billed k
+    batch_report, row_report = CostReport(), CostReport()
+    got = decrypt(y, key, batch_report)
+    want = np.stack([decrypt(y.row(i), key, row_report) for i in range(k)])
+    assert np.array_equal(got, want)
+    assert batch_report.to_dict() == row_report.to_dict()
+    assert batch_report.total("he_dec") == k
+    # encrypt of a (k, cols) matrix draws the a rows of k single encrypts
+    # under a twin key of the same seed, in order
+    plain = words(k, 5)
+    batch_report, row_report = CostReport(), CostReport()
+    batch = encrypt(plain, fresh_key(seed=9), batch_report)
+    twin = fresh_key(seed=9)
+    rows = [encrypt(plain[i], twin, row_report) for i in range(k)]
+    assert batch.a.shape == (k, m)
+    assert np.array_equal(batch.a, np.stack([r.a for r in rows]))
+    assert np.array_equal(batch.b, np.stack([r.b for r in rows]))
+    assert batch_report.to_dict() == row_report.to_dict()
+    assert batch_report.total("he_enc") == k
+
+
+def test_adding_batches_of_different_counts_raises():
+    # numpy would broadcast one ciphertext over a batch and bill k adds
+    key, report = fresh_key(), CostReport()
+    three = encrypt(np.ones((3, 8), dtype=np.uint64), key, report)
+    two = encrypt(np.ones((2, 8), dtype=np.uint64), key, report)
+    one = encrypt(np.ones(8, dtype=np.uint64), key, report)
+    for left, right in ((three, two), (one, three)):
+        with pytest.raises(ValueError, match=f"batch of {left.count} .* {right.count}"):
+            he_add(left, right, report)
+    assert report.total("he_add") == 0
+    # a plaintext with more rows than the batch does not widen it either
+    with pytest.raises(ValueError, match="does not fit a batch of 1"):
+        he_add_plain(one, np.ones((3, 8), dtype=np.uint64), report)
+    assert report.total("he_add_plain") == 0
+
+
+@pytest.mark.parametrize("shape", [(9,), (2, 9)])
+def test_encrypt_refuses_values_wider_than_the_slots(shape):
+    report = CostReport()
+    with pytest.raises(ValueError, match="width 9 exceeds 8 slots"):
+        encrypt(np.ones(shape, dtype=np.uint64), fresh_key(), report)
+    assert report.total("he_enc") == 0
+
+
 def test_no_ciphertext_by_ciphertext_product():
     assert ciphertext_pair_ops() == ["he_add"]
     report = CostReport()
