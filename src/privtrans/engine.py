@@ -191,19 +191,19 @@ class Server:
         out = x.scalar_mul(w) if isinstance(w, int) else mat_mul(x, w)
         return out if bias is None else out + bias
 
-    def mask_reply(self, mid: str, rc_cts: list[Ciphertext], layout: PackingLayout):
+    def mask_reply(self, mid: str, rc_ct: Ciphertext, layout: PackingLayout):
         """HE half of one module's mask exchange: Enc(rc @ W + rs) from the
-        client's packed Enc(rc), rc scaled in place for a coefficient
-        module. Keeps rs under mid; returns the ciphertexts, their layout."""
+        client's packed batch Enc(rc), rc scaled in place for a coefficient
+        module. One he_mul_plain or he_matmul, then one he_add_plain of the
+        packed rs. Keeps rs under mid; returns the batch and its layout."""
         rep, (w, _) = self.report, self.weights[mid]
         if isinstance(w, int):
-            out_cts, layout_out = [he_mul_plain(ct, w, rep) for ct in rc_cts], layout
+            out_ct, layout_out = he_mul_plain(rc_ct, w, rep), layout
         else:
-            out_cts, layout_out = he_matmul(rc_cts, layout, w, rep)
+            out_ct, layout_out = he_matmul(rc_ct, layout, w, rep)
         rs = rand_ring((layout.n, layout_out.d), self.rng, self.ring)
         self.keep(mid, rs)
-        out_cts = [he_add_plain(ct, v, rep) for ct, v in zip(out_cts, pack_plain(rs, layout_out))]
-        return out_cts, layout_out
+        return he_add_plain(out_ct, pack_plain(rs, layout_out), rep), layout_out
 
     def run_hgs_layer(self, mid: str, masked_in: FixedTensor) -> FixedTensor:
         """Online step of one module: (X - rc) @ W - rs plus any public bias.
@@ -329,6 +329,7 @@ class Session:
     def _send(self, sender: str, payload) -> None:
         """Log one message in the current scope, sized by the bytes of the
         arrays it carries: a list of ciphertexts and batches (a and b
+        each; a packed tensor and a row-encrypted matrix are one batch
         each), or a tuple of share tensors."""
         if isinstance(payload, list):
             kind, nbytes = "ciphertext", sum(ct.a.nbytes + ct.b.nbytes for ct in payload)
@@ -358,16 +359,16 @@ class Session:
         keeps its rs and returns Enc(rc @ W + rs), and the client decrypts
         its share. Returns the client's m_out = rc @ W + rs per module."""
         c, layout = self.client, self._layout(rc.cols)
-        rc_cts = pack(rc, layout, c.key, c.report)
-        self._send("client", rc_cts)
+        rc_ct = pack(rc, layout, c.key, c.report)
+        self._send("client", [rc_ct])
         m_outs = []
         for mid in mids:
-            out_cts, layout_out = self.server.mask_reply(mid, rc_cts, layout)
-            self._send("server", out_cts)
+            out_ct, layout_out = self.server.mask_reply(mid, rc_ct, layout)
+            self._send("server", [out_ct])
             if self.prep == "offline":
                 # an online-generated module piggybacks on its remask interaction
                 self._interaction()
-            m_outs.append(unpack(out_cts, layout_out, c.key, self.cfg.ring, c.report))
+            m_outs.append(unpack(out_ct, layout_out, c.key, self.cfg.ring, c.report))
         return m_outs
 
     def _gen_triple(self, mid: str, left: FixedTensor, right: FixedTensor) -> None:

@@ -105,8 +105,9 @@ class Ciphertext:
         """The number of ciphertexts held: 1, or k for a (k, M) batch."""
         return self.a.size // self.params.slots
 
-    def row(self, j: int) -> "Ciphertext":
-        """Ciphertext j of a batch, as a single ciphertext."""
+    def row(self, j) -> "Ciphertext":
+        """Ciphertext j of a batch, as a single ciphertext; for a slice j,
+        those rows as a batch whose a and b are views of this one's."""
         return Ciphertext(self.a[j], self.b[j], self.key_id, self.params, self.noise_used)
 
 

@@ -274,3 +274,35 @@ def diagonal_masks_by_element(layout_in, layout_out, w):
                 entry[0].append(s_out)
                 entry[1].append(wv)
     return masks
+
+
+# -- per-op packed matmul ------------------------------------------------------
+
+
+def he_matmul_per_op(cts, layout, w, report):
+    """The packed matmul one ciphertext and one op at a time: the reference
+    for `packing.he_matmul`. Per input ciphertext i of the batch and per
+    shift of `layout.shifts`, one rotation; per mask of (i, shift), in
+    ascending out ct t, one plaintext product added onto t's sum. Returns
+    one single ciphertext per output ciphertext; one no product reaches is
+    the transparent zero (0, 0) with noise 0. Masks come from
+    `diagonal_masks_by_element`."""
+    from privtrans.she import Ciphertext, he_add, he_mul_plain, he_rotate
+
+    layout_out = layout.with_features(w.cols)
+    m = layout.slots
+    masks, plan = diagonal_masks_by_element(layout, layout_out, w), {}
+    for (i, shift, t), (slots, values) in sorted(masks.items()):
+        mask = np.zeros(m, dtype=np.uint64)
+        mask[slots] = values
+        plan.setdefault((i, shift), []).append((t, mask))
+    acc = [None] * layout_out.c
+    for i in range(layout.c):
+        ct = cts.row(i)
+        for shift in layout.shifts:
+            rot = he_rotate(ct, shift, report)
+            for t, mask in plan.get((i, shift), ()):
+                prod = he_mul_plain(rot, mask, report)
+                acc[t] = prod if acc[t] is None else he_add(acc[t], prod, report)
+    zero = np.zeros(m, dtype=np.uint64)
+    return [a if a is not None else Ciphertext(zero, zero, cts.key_id, cts.params) for a in acc]

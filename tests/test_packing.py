@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from privtrans import packing
 from privtrans.costs import CostReport
 from privtrans.packing import (
     PackingLayout,
@@ -193,15 +194,32 @@ def test_diagonal_masks_match_the_per_element_oracle(strategy, case, n, d1, d2, 
     w = _weights_with_zeros(np.random.default_rng(n * d1 + d2), d1, d2, case)
     want = oracles.diagonal_masks_by_element(layout, layout_out, w)
     plan = _diagonal_masks(layout, layout_out, w)
-    # the plan lists (in ct, shift, out ct) in ascending order, the order
-    # he_matmul's ops take
-    got = [(*divmod(rot, m), t, mask) for rot, entries in plan.items() for t, mask in entries]
-    assert [g[:3] for g in got] == sorted(want)
-    for i, shift, t, mask in got:
-        slots, values = want[i, shift, t]
-        want_mask = np.zeros(m, dtype=np.uint64)
-        want_mask[slots] = values
-        assert np.array_equal(mask, want_mask)
+    # rank-major: rank r's block holds the first live[r] groups in the
+    # plan's group order, so the groups still live form a prefix at every
+    # rank and no group outlives a larger one
+    assert np.all(np.diff(plan.live) <= 0)
+    assert plan.live.sum() == len(plan.out_ct) == len(plan.masks) == len(want)
+    groups = plan.out_ct[:plan.live[0]] if len(plan.live) else plan.out_ct
+    assert len(set(groups.tolist())) == len(groups)
+    by_group = {t: [] for t in groups.tolist()}
+    start = 0
+    for live in plan.live.tolist():
+        block = range(start, start + live)
+        assert plan.out_ct[block].tolist() == groups[:live].tolist()
+        for e in block:
+            by_group[int(plan.out_ct[e])].append((int(plan.in_ct[e]), int(plan.shift[e]), e))
+        start += live
+    # inside each group (in ct, shift) ascends, the order of the per-op loop
+    for entries in by_group.values():
+        assert entries == sorted(entries)
+    got = sorted((i, shift, t) for t, entries in by_group.items() for i, shift, _ in entries)
+    assert got == sorted(want)
+    for t, entries in by_group.items():
+        for i, shift, e in entries:
+            slots, values = want[i, shift, t]
+            want_mask = np.zeros(m, dtype=np.uint64)
+            want_mask[slots] = values
+            assert np.array_equal(plan.masks[e], want_mask)
 
     # zero weights decide the op count: one plaintext product per mask
     key = keygen(HEParams(slots=m), seed=29)
@@ -210,3 +228,92 @@ def test_diagonal_masks_match_the_per_element_oracle(strategy, case, n, d1, d2, 
     report = CostReport()
     he_matmul(cts, layout, w, report)
     assert report.total("he_mul_plain") == len(want)
+
+
+def _group_sizes(layout, layout_out, w):
+    # products per output ciphertext, from the per-element oracle
+    sizes = {}
+    for _, _, t in oracles.diagonal_masks_by_element(layout, layout_out, w):
+        sizes[t] = sizes.get(t, 0) + 1
+    return sizes
+
+
+# (n, d1, d2, m, case): d1 and d2 above M wrap over several ciphertexts;
+# n = 1; n = M fills a tokens_first ciphertext with one feature; an
+# all-zero W has an empty plan; zeroing columns 16.. of a one-token W
+# leaves output ciphertext 1 without a product; n*d2 = 28 over M = 8
+# gives groups of unequal size
+MATMUL_CASES = [
+    (4, 24, 20, 16, "dense"),
+    (1, 8, 2, 16, "dense"),
+    (16, 3, 2, 16, "dense"),
+    (4, 8, 12, 16, "all_zero"),
+    (1, 8, 24, 16, "zero_block"),
+    (4, 5, 7, 8, "dense"),
+]
+
+
+@pytest.mark.parametrize("strategy", list(PackingStrategy))
+@pytest.mark.parametrize("n,d1,d2,m,case", MATMUL_CASES)
+def test_he_matmul_matches_the_per_op_oracle(strategy, n, d1, d2, m, case):
+    # the batched kernel gives every output the ciphertext, and the report
+    # the counters, of one op per rotation, product and addition; its one
+    # noise_used is the largest the per-op loop reaches
+    layout = PackingLayout(strategy, n, d1, m)
+    layout_out = layout.with_features(d2)
+    rng = np.random.default_rng(n * d1 * d2)
+    if case == "zero_block":
+        w = rand_ring_tensor(rng, d1, d2)
+        w.data[:, 16:] = 0
+    else:
+        w = _weights_with_zeros(rng, d1, d2, case)
+    sizes = _group_sizes(layout, layout_out, w)
+    if case == "zero_block":
+        assert len(sizes) < layout_out.c
+    if (n, d1, d2, m) == (4, 5, 7, 8):
+        assert len(set(sizes.values())) > 1
+    key = keygen(HEParams(slots=m), seed=37)
+    x = rand_ring_tensor(rng, n, d1)
+    cts = pack(x, layout, key, CostReport())
+    report, want_report = CostReport(), CostReport()
+    out, lo = he_matmul(cts, layout, w, report)
+    want = oracles.he_matmul_per_op(cts, layout, w, want_report)
+    assert lo == layout_out and out.a.shape == (layout_out.c, m) == (len(want), m)
+    for t, ct in enumerate(want):
+        assert np.array_equal(out.a[t], ct.a) and np.array_equal(out.b[t], ct.b), t
+    assert report.to_dict() == want_report.to_dict()
+    assert report.total("he_rotate") == predicted_rotations(layout)
+    assert out.noise_used == max(ct.noise_used for ct in want)
+    if case == "all_zero":
+        assert out.noise_used == 0 and not out.a.any() and not out.b.any()
+    got = unpack(out, lo, key, DEFAULT_RING, CostReport())
+    assert got.data.tolist() == oracles.matmul_mod(x.data.tolist(), w.data.tolist(), 64)
+
+
+def test_packed_kernels_make_one_call_per_step_on_all_ciphertexts(monkeypatch):
+    # a packed tensor is one batch: pack and unpack make one call, and
+    # he_matmul one rotation per shift, one product and one addition per
+    # rank of its plan, however many ciphertexts and masks there are
+    calls = {}
+    for name in ("encrypt", "decrypt", "he_add", "he_mul_plain", "he_rotate"):
+        def counted(*args, _real=getattr(packing, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(packing, name, counted)
+    rng = np.random.default_rng(39)
+    key = keygen(HEParams(slots=8), seed=41)
+    for strategy in PackingStrategy:
+        layout = PackingLayout(strategy, 4, 5, 8)
+        w = rand_ring_tensor(rng, 5, 7)
+        sizes = _group_sizes(layout, layout.with_features(7), w)
+        calls.clear()
+        cts = pack(rand_ring_tensor(rng, 4, 5), layout, key, CostReport())
+        assert calls == {"encrypt": 1} and cts.count == layout.c == 3
+        calls.clear()
+        out, lo = he_matmul(cts, layout, w, CostReport())
+        assert calls == {"he_rotate": len(layout.shifts), "he_mul_plain": 1,
+                         "he_add": max(sizes.values()) - 1}, strategy
+        calls.clear()
+        unpack(out, lo, key, DEFAULT_RING, CostReport())
+        assert calls == {"decrypt": 1}
