@@ -6,7 +6,9 @@ is XOR with wire 1, so garbling only ever needs AND tables.
 
 `CircuitOps` implements the same ops interface as `fixedfn.SemanticOps`;
 running an algorithm from that module under it emits the equivalent
-circuit, which is what keeps the two backends bit-identical.
+circuit, which is what keeps the two backends bit-identical. A w-bit value
+is w wires, least significant first, holding the two's-complement pattern
+of the integer that the semantic side keeps sign-extended in int64.
 
 Ripple adders use the one-AND-per-bit full adder
     carry' = c ^ ((a ^ c) & (b ^ c))
@@ -267,7 +269,7 @@ class CircuitOps:
     def input(self, width: int) -> WireVec:
         return self.b.new_input(width)
 
-    def const(self, value: int, width: int, like=None) -> WireVec:
+    def const(self, value: int, width: int) -> WireVec:
         return WireVec(tuple(ONE if (value >> i) & 1 else ZERO for i in range(width)))
 
     def resize(self, a: WireVec, w: int) -> WireVec:

@@ -130,6 +130,13 @@ class Client:
         return rand_ring(shape, self.rng, self.ring)
 
 
+def folds_embedding(cfg: ModelConfig, i: int) -> bool:
+    """Whether mode fpc's block i fuses from the one-hot input through the
+    input map X1 = X0 W_ed + lam: block 0 of a post-norm model. The other
+    blocks fuse from the chain as it is, and hold no input map."""
+    return i == 0 and cfg.norm == "post"
+
+
 class Server:
     """The server: its rng stream, its cost report, the model weights and
     its material store. `weights`, built once at set-up, maps a module id
@@ -156,10 +163,7 @@ class Server:
                             "embed.posn": (cfg.delta, cfg.lam)}
         for i, blk in enumerate(weights.blocks):
             t.update({f"b{i}.{k.replace('_', '')}": (w, None) for k, w in vars(blk).items()})
-            # block 0 of a post-norm model fuses from the one-hot input
-            # through the input map X1 = X0 W_ed + lam; the other blocks
-            # fuse from the chain as it is, and hold no input map
-            fused = i == 0 and cfg.norm == "post"
+            fused = folds_embedding(cfg, i)
             if fused:
                 w_ed, lam = t["embed.fused"] = t[f"b{i}.qk"] = (
                     weights.w_e.scalar_mul(cfg.delta), cfg.lam)
@@ -555,7 +559,7 @@ class Session:
         x0 = FixedTensor(one_hot(tokens, cfg.d_oh), cfg.ring)
         if x0.rows != cfg.n:
             raise ValueError(f"expected n={cfg.n} tokens, got {x0.rows}")
-        fused_first = self.mode == "fpc" and "embed.fused" in self.server.weights
+        fused_first = self.mode == "fpc" and folds_embedding(cfg, 0)
         chain = None if fused_first else self._embed(x0)
         for i in range(cfg.N):
             chain = self._block(i, chain, x0 if (i == 0 and fused_first) else None)

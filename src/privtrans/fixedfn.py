@@ -6,9 +6,12 @@ mux, shifts, table lookup). `SemanticOps` interprets it over numpy arrays;
 a boolean-circuit backend can interpret the exact same calls gate by gate,
 so the two evaluations agree bit for bit by construction.
 
-Values are two's-complement integers of an explicit bit width. Internal
-fixed-point precision is F2 = 12 fractional bits; ring values enter at the
-ring's own fraction (8 by default) and leave the same way.
+Values are two's-complement integers of an explicit bit width, 0 to 64.
+The semantic side holds each one sign-extended in int64, the integer its
+circuit wires encode, so only an op whose result can leave its width
+wraps. Internal fixed-point precision is F2 = 12 fractional bits; ring
+values enter at the ring's own fraction (8 by default) and leave the same
+way.
 """
 
 from __future__ import annotations
@@ -21,98 +24,89 @@ import numpy as np
 from .ring import RingParams
 
 F2 = 12  # internal fraction bits for exp/reciprocal/rsqrt
+COUNTER_WIDTH = 7  # bits of normalize's shift count, enough for w <= 64
 
 
-def width_mask(w: int) -> np.uint64:
-    return np.uint64((1 << w) - 1 if w < 64 else 0xFFFFFFFFFFFFFFFF)
+def wrap(x: np.ndarray, w: int) -> np.ndarray:
+    """x reduced to w bits and sign-extended back to int64."""
+    return (x << (64 - w)) >> (64 - w)
 
 
 @dataclass(frozen=True)
 class SemVal:
-    """Raw bits of a two's-complement value, batched over the last axis."""
+    """A two's-complement value of `width` bits, sign-extended in int64 and
+    batched over the last axis; a 1-bit true is -1."""
 
-    bits: np.ndarray  # uint64, already reduced mod 2^width
+    bits: np.ndarray  # int64, in [-2^(width-1), 2^(width-1))
     width: int
-
-    def signed(self) -> np.ndarray:
-        s = np.uint64(1) << np.uint64(self.width - 1)
-        return ((self.bits ^ s) - s).view(np.int64)
 
 
 class SemanticOps:
-    """Numpy interpreter for the ops interface. Batch shape is whatever
-    the caller feeds to const_like/input; all ops are elementwise."""
+    """Numpy interpreter for the ops interface; all ops are elementwise
+    and broadcast, so a constant is a scalar. add, sub, neg, shl and a
+    narrowing resize wrap; a product of m and n bits fits m + n <= 64, and
+    the other ops cannot leave their width."""
 
-    def const(self, value: int, width: int, like: SemVal | None = None) -> SemVal:
-        v = np.uint64(value & int(width_mask(width)))
-        if like is None:
-            return SemVal(np.array(v), width)
-        return SemVal(np.full_like(like.bits, v), width)
+    def const(self, value: int, width: int) -> SemVal:
+        half = (1 << width) >> 1
+        return SemVal(np.int64((value + half) % (1 << width) - half), width)
 
     def add(self, a: SemVal, b: SemVal) -> SemVal:
         assert a.width == b.width
-        return SemVal((a.bits + b.bits) & width_mask(a.width), a.width)
+        return SemVal(wrap(a.bits + b.bits, a.width), a.width)
 
     def sub(self, a: SemVal, b: SemVal) -> SemVal:
         assert a.width == b.width
-        return SemVal((a.bits - b.bits) & width_mask(a.width), a.width)
+        return SemVal(wrap(a.bits - b.bits, a.width), a.width)
 
     def neg(self, a: SemVal) -> SemVal:
-        return SemVal((np.uint64(0) - a.bits) & width_mask(a.width), a.width)
+        return SemVal(wrap(-a.bits, a.width), a.width)
 
     def mul(self, a: SemVal, b: SemVal) -> SemVal:
         w = a.width + b.width
         assert w <= 64, "product would not fit a 64-bit word"
-        prod = a.signed().view(np.uint64) * b.signed().view(np.uint64)
-        return SemVal(prod & width_mask(w), w)
+        return SemVal(a.bits * b.bits, w)
 
     def sar(self, a: SemVal, k: int) -> SemVal:
-        if k == 0:
-            return a
-        shifted = (a.signed() >> np.int64(min(k, 63))).view(np.uint64)
-        return SemVal(shifted & width_mask(a.width), a.width)
+        return SemVal(a.bits >> k, a.width)
 
     def shl(self, a: SemVal, k: int) -> SemVal:
-        return SemVal((a.bits << np.uint64(k)) & width_mask(a.width), a.width)
+        return SemVal(wrap(a.bits << k, a.width), a.width)
 
     def resize(self, a: SemVal, w: int) -> SemVal:
-        if w == a.width:
-            return a
-        if w < a.width:
-            return SemVal(a.bits & width_mask(w), w)
-        return SemVal(a.signed().view(np.uint64) & width_mask(w), w)
+        return SemVal(wrap(a.bits, w) if w < a.width else a.bits, w)
 
     def zext(self, a: SemVal, w: int) -> SemVal:
         assert w >= a.width
-        return SemVal(a.bits, w)
+        return a if w == a.width else SemVal(a.bits & ((1 << a.width) - 1), w)
 
     def bit(self, a: SemVal, i: int) -> SemVal:
-        return SemVal((a.bits >> np.uint64(i)) & np.uint64(1), 1)
+        return SemVal(wrap(a.bits >> i, 1), 1)
 
     def sign(self, a: SemVal) -> SemVal:
-        return self.bit(a, a.width - 1)
+        return SemVal(a.bits >> 63, 1)
 
     def ge(self, a: SemVal, b: SemVal) -> SemVal:
         assert a.width == b.width
-        return SemVal((a.signed() >= b.signed()).astype(np.uint64), 1)
+        return SemVal(-(a.bits >= b.bits).astype(np.int64), 1)
 
     def mux(self, c: SemVal, a: SemVal, b: SemVal) -> SemVal:
         """c ? a : b, elementwise; c has width 1."""
         assert a.width == b.width and c.width == 1
-        return SemVal(np.where(c.bits.astype(bool), a.bits, b.bits), a.width)
+        return SemVal(np.where(c.bits != 0, a.bits, b.bits), a.width)
 
     def lookup(self, table: list[int], idx: SemVal, width: int) -> SemVal:
-        """Index raw (unsigned) bits of idx into a constant table."""
-        t = np.array([v & int(width_mask(width)) for v in table], dtype=np.uint64)
-        return SemVal(t[idx.bits.astype(np.int64)], width)
+        """Index the unsigned pattern of idx into a constant table."""
+        t = wrap(np.array(table, dtype=np.int64), width)
+        return SemVal(t[idx.bits & ((1 << idx.width) - 1)], width)
 
 
 # -- generic helpers ----------------------------------------------------------
 
 
 def clamp(ops, v, lo: int, hi: int):
-    cl = ops.const(lo, v.width, like=v)
-    ch = ops.const(hi, v.width, like=v)
+    cl = ops.const(lo, v.width)
+    ch = ops.const(hi, v.width)
     v = ops.mux(ops.ge(v, ch), ch, v)
     return ops.mux(ops.ge(v, cl), v, cl)
 
@@ -136,12 +130,12 @@ def tree_sum(ops, vals, width: int):
     return acc[0]
 
 
-def normalize(ops, v, counter_width: int = 7):
+def normalize(ops, v):
     """Shift v left until its top bit is set; returns (m, e) with
     m = v << e. v must be positive."""
     w = v.width
-    e = ops.const(0, counter_width, like=v)
-    one = ops.const(1, counter_width, like=v)
+    e = ops.const(0, COUNTER_WIDTH)
+    one = ops.const(1, COUNTER_WIDTH)
     for _ in range(w - 1):
         top = ops.bit(v, w - 1)
         v = ops.mux(top, v, ops.shl(v, 1))
@@ -161,7 +155,7 @@ def trunc_sat(ops, v, shift: int, ring: RingParams):
 
 
 def relu(ops, v):
-    return ops.mux(ops.sign(v), ops.const(0, v.width, like=v), v)
+    return ops.mux(ops.sign(v), ops.const(0, v.width), v)
 
 
 def max_reduce(ops, vals):
@@ -193,7 +187,7 @@ def gelu_approx(ops, v, ring: RingParams):
     hi = 8 << f
     base_tab, slope_tab = gelu_tables(f)
     u = clamp(ops, v, -hi, hi - 1)
-    t = ops.zext(ops.resize(ops.add(ops.resize(u, 17), ops.const(hi, 17, like=v)), 13), 14)
+    t = ops.zext(ops.resize(ops.add(ops.resize(u, 17), ops.const(hi, 17)), 13), 14)
     k = ops.resize(ops.sar(t, f - 2), 6)
     dt = ops.zext(ops.resize(t, f - 2), f - 1)
     base = ops.lookup(base_tab, k, 14)
@@ -202,7 +196,7 @@ def gelu_approx(ops, v, ring: RingParams):
     # correction is step * dt / 2^(f-2)
     corr = ops.sar(ops.mul(slope, dt), f - 2)
     y = ops.add(ops.resize(base, 15), ops.resize(corr, 15))
-    return ops.mux(ops.ge(v, ops.const(hi, v.width, like=v)), v, ops.resize(y, 16))
+    return ops.mux(ops.ge(v, ops.const(hi, v.width)), v, ops.resize(y, 16))
 
 
 # -- exp ----------------------------------------------------------------------
@@ -253,16 +247,16 @@ def reciprocal(ops, v, out_width: int = 16):
     >= 0.5 so the result fits out_width.
     """
     w = v.width
-    one = ops.const(1, w, like=v)
+    one = ops.const(1, w)
     v = ops.mux(ops.ge(v, one), v, one)
     m, e = normalize(ops, v)
     # top mantissa bits, scale _FM, in [0.5, 1)
     mh = ops.resize(ops.sar(ops.zext(m, w + 1), w - _FM), _FM + 1)
     y = ops.sub(
-        ops.const(_RCP_A, _FM + 2, like=v),
-        ops.resize(ops.sar(ops.mul(ops.const(_RCP_B, _FM + 1, like=v), mh), _FM), _FM + 2),
+        ops.const(_RCP_A, _FM + 2),
+        ops.resize(ops.sar(ops.mul(ops.const(_RCP_B, _FM + 1), mh), _FM), _FM + 2),
     )
-    two = ops.const(2 << F2, _FM + 2, like=v)
+    two = ops.const(2 << F2, _FM + 2)
     for _ in range(2):
         t = ops.resize(ops.sar(ops.mul(mh, y), _FM), _FM + 2)
         y = ops.resize(ops.sar(ops.mul(y, ops.sub(two, t)), F2), _FM + 2)
@@ -286,21 +280,21 @@ def rsqrt(ops, v, in_frac: int = F2, out_width: int = 20):
     """1/sqrt(v) at F2 fraction bits for v >= 1 raw, given at in_frac
     fraction bits."""
     w = v.width
-    one = ops.const(1, w, like=v)
+    one = ops.const(1, w)
     v = ops.mux(ops.ge(v, one), v, one)
     m, e = normalize(ops, v)
     # v_real = m_real 2^E with E = w - e - in_frac; fold E's parity into
     # the mantissa so the exponent shift E/2 is integral
     par = ops.bit(e, 0)
     if (w - in_frac) % 2:
-        par = ops.sub(ops.const(1, 1, like=v), par)
+        par = ops.sub(ops.const(1, 1), par)
     mh = ops.resize(ops.sar(ops.zext(m, w + 1), w - (_FM + 1)), _FM + 3)
     mq = ops.mux(par, mh, ops.shl(mh, 1))  # scale _FM+2, in [0.25, 1)
     y = ops.sub(
-        ops.const(_RSQ_A, _FQ + 3, like=v),
-        ops.resize(ops.sar(ops.mul(ops.const(_RSQ_B, _FQ + 2, like=v), mq), _FM + 2), _FQ + 3),
+        ops.const(_RSQ_A, _FQ + 3),
+        ops.resize(ops.sar(ops.mul(ops.const(_RSQ_B, _FQ + 2), mq), _FM + 2), _FQ + 3),
     )
-    three = ops.const(3 << _FQ, _FQ + 3, like=v)
+    three = ops.const(3 << _FQ, _FQ + 3)
     for _ in range(2):
         t = ops.resize(ops.sar(ops.mul(mq, y), _FM + 2), _FQ + 3)
         t2 = ops.resize(ops.sar(ops.mul(t, y), _FQ), _FQ + 3)
@@ -310,7 +304,7 @@ def rsqrt(ops, v, in_frac: int = F2, out_width: int = 20):
     ew = 8
     half = ops.sar(
         ops.add(
-            ops.sub(ops.const(w - in_frac, ew, like=v), ops.zext(e, ew)),
+            ops.sub(ops.const(w - in_frac, ew), ops.zext(e, ew)),
             ops.zext(par, ew),
         ),
         1,
@@ -318,7 +312,7 @@ def rsqrt(ops, v, in_frac: int = F2, out_width: int = 20):
     bias = (w - in_frac + 1) // 2 + 1
     max_shift = bias + (in_frac + 1) // 2 + 1
     sbits = max(1, max_shift.bit_length())
-    sh = ops.resize(ops.sub(ops.const(bias, ew, like=v), half), sbits)
+    sh = ops.resize(ops.sub(ops.const(bias, ew), half), sbits)
     y = ops.resize(y, _FQ + 3 + max_shift)
     y = barrel_shl(ops, y, sh, max_shift)
     return ops.resize(ops.sar(y, bias + _FQ - F2), out_width)
@@ -370,17 +364,17 @@ def layernorm_row(ops, xs, ring: RingParams):
     cw = _LN_GUARD + 2
     sw = 16 + max(1, (d - 1).bit_length()) + 1
     total = tree_sum(ops, xs, sw)
-    mu = ops.resize(ops.sar(ops.mul(total, ops.const(c_d, cw, like=total)), _LN_GUARD - up), 20)
+    mu = ops.resize(ops.sar(ops.mul(total, ops.const(c_d, cw)), _LN_GUARD - up), 20)
     devs = []
     for x in xs:
         dev = ops.sub(ops.shl(ops.resize(x, 21), up), ops.resize(mu, 21))
         devs.append(dev)
     # dev^2 / d summed at 2*F2 fraction bits; the 63-bit product just fits
     sqs = [
-        ops.resize(ops.sar(ops.mul(ops.mul(dev, dev), ops.const(c_d, cw, like=dev)), _LN_GUARD), 42)
+        ops.resize(ops.sar(ops.mul(ops.mul(dev, dev), ops.const(c_d, cw)), _LN_GUARD), 42)
         for dev in devs
     ]
-    var = ops.add(tree_sum(ops, sqs, 42), ops.const(1 << F2, 42, like=total))  # + 2^-F2
+    var = ops.add(tree_sum(ops, sqs, 42), ops.const(1 << F2, 42))  # + 2^-F2
     z = rsqrt(ops, var, in_frac=2 * F2, out_width=20)
     lim = ring.value_limit()
     out = []

@@ -106,9 +106,9 @@ def plain_apply(spec: SecureFnSpec, values: np.ndarray) -> np.ndarray:
 
     This is the reference path: the circuit's code, without the shares.
     """
-    values = np.atleast_2d(np.asarray(values, dtype=np.uint64))
-    vs = [SemVal(values[:, i].copy(), 64) for i in range(spec.count)]
-    return np.stack([o.bits for o in _apply(_SEM, spec, vs)], axis=1)
+    values = np.atleast_2d(np.asarray(values, dtype=np.uint64)).view(np.int64)
+    vs = [SemVal(values[:, i], 64) for i in range(spec.count)]
+    return np.stack([o.bits for o in _apply(_SEM, spec, vs)], axis=1).view(np.uint64)
 
 
 # -- circuits -----------------------------------------------------------------

@@ -14,8 +14,8 @@ from privtrans.circuits import (
     pack_bits,
     unpack_bits,
 )
-from privtrans.fixedfn import SemanticOps, SemVal
-from privtrans.ring import DEFAULT_RING
+from privtrans.fixedfn import SemanticOps, SemVal, wrap
+from privtrans.ring import DEFAULT_RING, RingParams
 from privtrans.securefn import build_secure_circuit
 
 from oracles import eval_circuit
@@ -39,9 +39,11 @@ def build(fn, widths):
 def run_both(fn, widths, raws):
     """Run fn under both interpreters on the same raw inputs; return the
     (semantic, circuit) output bit patterns."""
-    sem_out = fn(SEM, [SemVal(r, w) for r, w in zip(raws, widths)])
+    sem_out = fn(SEM, [SemVal(wrap(r.view(np.int64), w), w) for r, w in zip(raws, widths)])
     if isinstance(sem_out, SemVal):
         sem_out = [sem_out]
+    for s in sem_out:  # every semantic value stays sign-extended from its width
+        assert np.array_equal(wrap(s.bits, s.width), s.bits)
     circ, out_widths = build(fn, widths)
     bits = np.concatenate([pack_bits(r, w) for r, w in zip(raws, widths)])
     got_bits = eval_circuit(circ, bits)
@@ -50,7 +52,7 @@ def run_both(fn, widths, raws):
     for w in out_widths:
         got.append(unpack_bits(got_bits[at : at + w]))
         at += w
-    return [s.bits for s in sem_out], got
+    return [s.bits.view(np.uint64) & np.uint64((1 << s.width) - 1) for s in sem_out], got
 
 
 def rand_raw(rng, width, n=33):
@@ -83,6 +85,8 @@ def test_sub_and_neg_match_semantics():
     for w in (5, 13, 64):
         raws = [rand_raw(rng, w), rand_raw(rng, w)]
         sem, got = run_both(lambda ops, vs: ops.sub(vs[0], vs[1]), [w, w], raws)
+        assert np.array_equal(sem[0], got[0])
+        sem, got = run_both(lambda ops, vs: ops.add(vs[0], vs[1]), [w, w], raws)
         assert np.array_equal(sem[0], got[0])
         sem, got = run_both(lambda ops, vs: ops.neg(vs[0]), [w], raws[:1])
         assert np.array_equal(sem[0], got[0])
@@ -124,7 +128,7 @@ def test_mul_exhaustive_squares_products_and_constants():
     for c, wc in ((0, 4), (1, 4), (5, 4), (-1, 4), (-8, 4), (6, 3)):
         for const_first in (False, True):
             def by_const(ops, vs):
-                k = ops.const(c, wc, like=vs[0])
+                k = ops.const(c, wc)
                 return ops.mul(k, vs[0]) if const_first else ops.mul(vs[0], k)
 
             sem, got = run_both(by_const, [5], exhaustive(5))
@@ -171,7 +175,7 @@ def test_mul_by_sparse_and_dense_constants_on_either_side():
     for c, wc in consts:
         for const_first in (False, True):
             def by_const(ops, vs):
-                k = ops.const(c, wc, like=vs[0])
+                k = ops.const(c, wc)
                 return ops.mul(k, vs[0]) if const_first else ops.mul(vs[0], k)
 
             for wx in (1, 6):
@@ -225,7 +229,8 @@ def test_ge_mux_lookup_match():
     def mixed(ops, vs):
         a, b, idx = vs
         c = ops.ge(a, b)
-        return [c, ops.mux(c, a, b), ops.lookup(table, idx, 14)]
+        # at width 12 some entries wrap, as a constant of that width does
+        return [c, ops.mux(c, a, b), ops.lookup(table, idx, 14), ops.lookup(table, idx, 12)]
 
     raws = [rand_raw(rng, w), rand_raw(rng, w), rand_raw(rng, 6)]
     sem, got = run_both(mixed, [w, w, 6], raws)
@@ -264,10 +269,13 @@ def test_max_reduce_equivalence():
     assert np.array_equal(sem[0], got[0])
 
 
-def test_gelu_equivalence():
+@pytest.mark.parametrize("frac_bits", range(2, fixedfn.F2 + 1))
+def test_gelu_equivalence(frac_bits):
+    # at frac_bits 2 the segment offset resizes to width 0
+    ring = RingParams(value_bits=16, frac_bits=frac_bits)
     rng = np.random.default_rng(73)
     sem, got = run_both(
-        lambda ops, vs: fixedfn.gelu_approx(ops, vs[0], DEFAULT_RING), [16], [rand_raw(rng, 16)]
+        lambda ops, vs: fixedfn.gelu_approx(ops, vs[0], ring), [16], [rand_raw(rng, 16)]
     )
     assert np.array_equal(sem[0], got[0])
 

@@ -18,6 +18,7 @@ from privtrans.fixedfn import (
     rsqrt,
     softmax_row,
     trunc_sat,
+    wrap,
 )
 from privtrans.ring import DEFAULT_RING
 
@@ -27,16 +28,25 @@ OPS = SemanticOps()
 
 
 def enc(x, frac: int, width: int) -> SemVal:
-    """Encode floats (scalar or array) into raw two's-complement bits."""
+    """Encode floats (scalar or array) into width-bit values."""
     arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
     scaled = arr * (1 << frac)
     q = np.where(scaled >= 0, np.floor(scaled + 0.5), np.ceil(scaled - 0.5)).astype(np.int64)
-    mask = np.uint64((1 << width) - 1 if width < 64 else 0xFFFFFFFFFFFFFFFF)
-    return SemVal(q.view(np.uint64) & mask, width)
+    return SemVal(wrap(q, width), width)
 
 
 def dec(v: SemVal, frac: int) -> np.ndarray:
-    return v.signed() / float(1 << frac)
+    return v.bits / float(1 << frac)
+
+
+def from_ring(words: np.ndarray) -> SemVal:
+    """Raw ring words mod 2^64 as a 64-bit value."""
+    return SemVal(words.view(np.int64), 64)
+
+
+def to_ring(v: SemVal) -> np.ndarray:
+    """A 64-bit value as its raw ring words."""
+    return v.bits.view(np.uint64)
 
 
 def test_exp_close_to_float():
@@ -138,23 +148,23 @@ def test_reconstruct_and_remask_are_ring_exact():
     rng = np.random.default_rng(44)
     x = rng.integers(0, 1 << 64, 200, dtype=np.uint64)
     r = rng.integers(0, 1 << 64, 200, dtype=np.uint64)
-    a = SemVal(x - r, 64)
-    got = OPS.add(a, SemVal(r, 64))
-    assert np.array_equal(got.bits, x)
+    a = from_ring(x - r)
+    got = OPS.add(a, from_ring(r))
+    assert np.array_equal(to_ring(got), x)
     r2 = rng.integers(0, 1 << 64, 200, dtype=np.uint64)
-    remasked = OPS.sub(got, SemVal(r2, 64))
-    assert np.array_equal(remasked.bits, x - r2)
+    remasked = OPS.sub(got, from_ring(r2))
+    assert np.array_equal(to_ring(remasked), x - r2)
 
 
 def test_trunc_sat_matches_ring_oracle():
     rng = np.random.default_rng(45)
     raw = rng.integers(0, 1 << 64, 300, dtype=np.uint64)
-    got = trunc_sat(OPS, SemVal(raw, 64), DEFAULT_RING.frac_bits, DEFAULT_RING)
+    got = trunc_sat(OPS, from_ring(raw), DEFAULT_RING.frac_bits, DEFAULT_RING)
     want = [
         oracles.trunc_sat(int(v), 64, DEFAULT_RING.frac_bits, DEFAULT_RING.value_bits)
         for v in raw
     ]
-    assert got.bits.tolist() == want
+    assert to_ring(got).tolist() == want
 
 
 def test_softmax_row_close_to_float():
@@ -200,7 +210,7 @@ def test_layernorm_constant_row_is_zero():
     xs = [enc(3.25, f, 16) for _ in range(8)]
     out = layernorm_row(OPS, xs, DEFAULT_RING)
     for p in out:
-        assert int(p.signed()[0]) == 0
+        assert int(p.bits[0]) == 0
 
 
 def test_batching_matches_elementwise():
