@@ -8,7 +8,10 @@ is XOR with wire 1, so garbling only ever needs AND tables.
 running an algorithm from that module under it emits the equivalent
 circuit, which is what keeps the two backends bit-identical. A w-bit value
 is w wires, least significant first, holding the two's-complement pattern
-of the integer that the semantic side keeps sign-extended in int64.
+of the integer that the semantic side keeps sign-extended in int64. A row
+is a list of values, where the semantic side holds one (count, lanes)
+array; `each` calls its body on one element after another, so a row stage
+emits its gates in the order of a loop over the row.
 
 Ripple adders use the one-AND-per-bit full adder
     carry' = c ^ ((a ^ c) & (b ^ c))
@@ -263,6 +266,11 @@ class CircuitOps:
         # lookups of two tables at one index, as exp's and gelu's base and
         # slope, share them; wires are never reused, so a pick stays valid
         self._picked = {}
+
+    def each(self, body, row: list, *shared) -> list:
+        """body on each element of a row in turn, with the row-wide shared
+        values."""
+        return [body(x, *shared) for x in row]
 
     # value plumbing
 

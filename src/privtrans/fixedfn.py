@@ -2,9 +2,18 @@
 relu, reciprocal) plus share reconstruct/remask.
 
 Every algorithm is written once against a tiny ops interface (add, mul,
-mux, shifts, table lookup). `SemanticOps` interprets it over numpy arrays;
-a boolean-circuit backend can interpret the exact same calls gate by gate,
+mux, shifts, table lookup, and `each`, which applies a body to every
+element of a row). `SemanticOps` interprets it over numpy arrays; a
+boolean-circuit backend can interpret the exact same calls gate by gate,
 so the two evaluations agree bit for bit by construction.
+
+A row stage (softmax, layer norm) takes a row of count elements. Under
+`SemanticOps` the row is one `SemVal` laid out (count, lanes), element
+axis first: a row-wide (lanes,) value such as the max or the mean
+broadcasts against it, so `each` is one call of its body on the whole row,
+and `tree_sum` and `max_reduce` reduce over axis 0. Under the circuit
+backend a row is a list of count values and `each` calls its body element
+by element.
 
 Values are two's-complement integers of an explicit bit width, 0 to 64.
 The semantic side holds each one sign-extended in int64, the integer its
@@ -34,8 +43,9 @@ def wrap(x: np.ndarray, w: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SemVal:
-    """A two's-complement value of `width` bits, sign-extended in int64 and
-    batched over the last axis; a 1-bit true is -1."""
+    """A two's-complement value of `width` bits, sign-extended in int64; a
+    1-bit true is -1. Lanes ride the last axis: a value is (lanes,), and a
+    row of count elements is (count, lanes), element axis first."""
 
     bits: np.ndarray  # int64, in [-2^(width-1), 2^(width-1))
     width: int
@@ -46,6 +56,11 @@ class SemanticOps:
     and broadcast, so a constant is a scalar. add, sub, neg, shl and a
     narrowing resize wrap; a product of m and n bits fits m + n <= 64, and
     the other ops cannot leave their width."""
+
+    def each(self, body, row: SemVal, *shared) -> SemVal:
+        """body on every element of a (count, lanes) row in one call; the
+        row-wide (lanes,) values in shared broadcast over the elements."""
+        return body(row, *shared)
 
     def const(self, value: int, width: int) -> SemVal:
         half = (1 << width) >> 1
@@ -120,7 +135,17 @@ def barrel_shl(ops, v, amount, max_shift: int):
     return v
 
 
+def row_count(row) -> int:
+    """The elements of a row: a list's length, a semantic row's first axis."""
+    return len(row.bits) if isinstance(row, SemVal) else len(row)
+
+
 def tree_sum(ops, vals, width: int):
+    """The sum of a row's elements mod 2^width, each first resized to width."""
+    if isinstance(vals, SemVal):
+        # mod 2^width neither the order of the terms nor narrowing them first
+        # changes the sum, and int64 sums wrap mod 2^64
+        return SemVal(wrap(vals.bits.sum(axis=0), width), width)
     acc = [ops.resize(v, width) for v in vals]
     while len(acc) > 1:
         nxt = [ops.add(acc[i], acc[i + 1]) for i in range(0, len(acc) - 1, 2)]
@@ -159,6 +184,8 @@ def relu(ops, v):
 
 
 def max_reduce(ops, vals):
+    if isinstance(vals, SemVal):
+        return SemVal(vals.bits.max(axis=0), vals.width)
     m = vals[0]
     for v in vals[1:]:
         m = ops.mux(ops.ge(v, m), v, m)
@@ -329,20 +356,17 @@ def softmax_row(ops, xs, ring: RingParams):
     is at least 1.
     """
     f = ring.frac_bits
-    n = len(xs)
+    n = row_count(xs)
     m = max_reduce(ops, xs)
-    es = []
-    for x in xs:
+
+    def exp_dev(x, m):
         w = min(x.width + 1, 64)  # a semantic value is one 64-bit word; circuits match it
-        u = ops.sub(ops.resize(x, w), ops.resize(m, w))
-        es.append(exp_approx(ops, u, f))
+        return exp_approx(ops, ops.sub(ops.resize(x, w), ops.resize(m, w)), f)
+
+    es = ops.each(exp_dev, xs, m)
     s = tree_sum(ops, es, 14 + max(1, (n - 1).bit_length()) + 1)
     r = reciprocal(ops, s, out_width=14)  # sum >= 1, so 1/sum <= 1
-    out = []
-    for e in es:
-        p = ops.sar(ops.mul(e, r), 2 * F2 - f)
-        out.append(ops.resize(p, 16))
-    return out
+    return ops.each(lambda e, r: ops.resize(ops.sar(ops.mul(e, r), 2 * F2 - f), 16), es, r)
 
 
 # -- layernorm ----------------------------------------------------------------
@@ -358,27 +382,29 @@ def layernorm_row(ops, xs, ring: RingParams):
     near-constant rows keep precision; its floor is 2^-F2.
     """
     f = ring.frac_bits
-    d = len(xs)
+    d = row_count(xs)
     up = F2 - f
     c_d = round((1 << _LN_GUARD) / d)
     cw = _LN_GUARD + 2
     sw = 16 + max(1, (d - 1).bit_length()) + 1
     total = tree_sum(ops, xs, sw)
     mu = ops.resize(ops.sar(ops.mul(total, ops.const(c_d, cw)), _LN_GUARD - up), 20)
-    devs = []
-    for x in xs:
-        dev = ops.sub(ops.shl(ops.resize(x, 21), up), ops.resize(mu, 21))
-        devs.append(dev)
+    devs = ops.each(
+        lambda x, mu: ops.sub(ops.shl(ops.resize(x, 21), up), ops.resize(mu, 21)), xs, mu
+    )
     # dev^2 / d summed at 2*F2 fraction bits; the 63-bit product just fits
-    sqs = [
-        ops.resize(ops.sar(ops.mul(ops.mul(dev, dev), ops.const(c_d, cw)), _LN_GUARD), 42)
-        for dev in devs
-    ]
+    sqs = ops.each(
+        lambda dev: ops.resize(
+            ops.sar(ops.mul(ops.mul(dev, dev), ops.const(c_d, cw)), _LN_GUARD), 42
+        ),
+        devs,
+    )
     var = ops.add(tree_sum(ops, sqs, 42), ops.const(1 << F2, 42))  # + 2^-F2
     z = rsqrt(ops, var, in_frac=2 * F2, out_width=20)
     lim = ring.value_limit()
-    out = []
-    for dev in devs:
+
+    def scale(dev, z):
         t = ops.sar(ops.mul(dev, z), 2 * F2 - f)
-        out.append(ops.resize(clamp(ops, ops.resize(t, 24), -lim, lim), 16))
-    return out
+        return ops.resize(clamp(ops, ops.resize(t, 24), -lim, lim), 16)
+
+    return ops.each(scale, devs, z)

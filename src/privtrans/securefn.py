@@ -79,36 +79,38 @@ def check_frac_bits(fn: str, ring: RingParams) -> None:
         raise ValueError(f"frac_bits={f} is below 2, the least the gelu segments can index")
 
 
-def _stage(ops, spec: SecureFnSpec, vs: list):
+def _stage(ops, spec: SecureFnSpec, row):
     if spec.fn == "trunc":
-        return vs
+        return row
     if spec.fn == "relu":
-        return [fixedfn.relu(ops, vs[0])]
+        return ops.each(lambda v: fixedfn.relu(ops, v), row)
     if spec.fn == "gelu":
-        return [fixedfn.gelu_approx(ops, vs[0], spec.ring)]
+        return ops.each(lambda v: fixedfn.gelu_approx(ops, v, spec.ring), row)
     if spec.fn == "softmax_row":
-        return fixedfn.softmax_row(ops, vs, spec.ring)
-    return fixedfn.layernorm_row(ops, vs, spec.ring)
+        return fixedfn.softmax_row(ops, row, spec.ring)
+    return fixedfn.layernorm_row(ops, row, spec.ring)
 
 
-def _apply(ops, spec: SecureFnSpec, vs: list) -> list:
-    """The stage on reconstructed words, then resized to the ring width;
-    shared verbatim by both backends."""
+def _apply(ops, spec: SecureFnSpec, row):
+    """The stage on a row of reconstructed words, then resized to the ring
+    width; shared verbatim by both backends."""
     if spec.shift:
-        vs = [
-            ops.resize(fixedfn.trunc_sat(ops, v, spec.shift, spec.ring), 16) for v in vs
-        ]
-    return [ops.resize(y, 64) for y in _stage(ops, spec, vs)]
+        row = ops.each(
+            lambda v: ops.resize(fixedfn.trunc_sat(ops, v, spec.shift, spec.ring), 16), row
+        )
+    return ops.each(lambda y: ops.resize(y, 64), _stage(ops, spec, row))
 
 
 def plain_apply(spec: SecureFnSpec, values: np.ndarray) -> np.ndarray:
     """Run the stage on plain ring words (lanes, count) -> (lanes, count).
 
     This is the reference path: the circuit's code, without the shares.
+    The words become one semantic row laid out (count, lanes), values.T,
+    so each op of the stage acts on every element and lane at once; the
+    result is read back transposed.
     """
     values = np.atleast_2d(np.asarray(values, dtype=np.uint64)).view(np.int64)
-    vs = [SemVal(values[:, i], 64) for i in range(spec.count)]
-    return np.stack([o.bits for o in _apply(_SEM, spec, vs)], axis=1).view(np.uint64)
+    return _apply(_SEM, spec, SemVal(values.T, 64)).bits.T.view(np.uint64)
 
 
 # -- circuits -----------------------------------------------------------------

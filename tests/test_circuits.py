@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privtrans import ModelConfig, fixedfn, model
 from privtrans.circuits import (
@@ -36,12 +38,19 @@ def build(fn, widths):
     return b.build(), [o.width for o in outs]
 
 
-def run_both(fn, widths, raws):
+def run_both(fn, widths, raws, row=False):
     """Run fn under both interpreters on the same raw inputs; return the
-    (semantic, circuit) output bit patterns."""
-    sem_out = fn(SEM, [SemVal(wrap(r.view(np.int64), w), w) for r, w in zip(raws, widths)])
+    (semantic, circuit) output bit patterns. With row, fn is a row function:
+    its semantic inputs, all of one width, are one np.stack'ed (count,
+    lanes) row, and a semantic output row is read element by element."""
+    sem_in = [SemVal(wrap(r.view(np.int64), w), w) for r, w in zip(raws, widths)]
+    if row:
+        assert len(set(widths)) == 1
+        sem_in = SemVal(np.stack([v.bits for v in sem_in]), widths[0])
+    sem_out = fn(SEM, sem_in)
     if isinstance(sem_out, SemVal):
-        sem_out = [sem_out]
+        bits = sem_out.bits
+        sem_out = [SemVal(b, sem_out.width) for b in bits] if bits.ndim == 2 else [sem_out]
     for s in sem_out:  # every semantic value stays sign-extended from its width
         assert np.array_equal(wrap(s.bits, s.width), s.bits)
     circ, out_widths = build(fn, widths)
@@ -265,8 +274,49 @@ def test_relu_equivalence():
 def test_max_reduce_equivalence():
     rng = np.random.default_rng(67)
     raws = [rand_raw(rng, 16) for _ in range(5)]
-    sem, got = run_both(lambda ops, vs: fixedfn.max_reduce(ops, vs), [16] * 5, raws)
+    sem, got = run_both(lambda ops, vs: fixedfn.max_reduce(ops, vs), [16] * 5, raws, row=True)
     assert np.array_equal(sem[0], got[0])
+
+
+def edge_raws(rng, in_width, width, count, lanes=33):
+    """count rows of raw in_width-bit words for a sum at width: uniform
+    lanes, then a lane whose elements all narrow to the largest width-bit
+    value and one whose elements all narrow to the least, so a sum of two
+    or more of them wraps when width <= in_width."""
+    top = np.uint64((1 << (min(width, in_width) - 1)) - 1)
+    return [np.concatenate([rand_raw(rng, in_width, lanes), [top, top + np.uint64(1)]])
+            for _ in range(count)]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(count=st.sampled_from([1, 2, 3, 5]), in_width=st.sampled_from([8, 16, 21, 42, 64]),
+       width=st.integers(2, 64), seed=st.integers(0, 2 ** 16))
+def test_row_sum_and_max_match_the_circuit_tree_and_chain(count, in_width, width, seed):
+    # the semantic element-axis sum and max against the circuit's adder
+    # tree and mux chain, at sum widths below the inputs' (each element
+    # narrowed first), at them and above them
+    raws = edge_raws(np.random.default_rng(seed), in_width, width, count)
+    widths = [in_width] * count
+    sem, got = run_both(lambda ops, vs: fixedfn.tree_sum(ops, vs, width), widths, raws, row=True)
+    assert np.array_equal(sem[0], got[0])
+    sem, got = run_both(lambda ops, vs: fixedfn.max_reduce(ops, vs), widths, raws, row=True)
+    assert np.array_equal(sem[0], got[0])
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 5])
+@pytest.mark.parametrize("in_width, width", [(16, 16), (16, 19), (64, 20), (64, 42), (64, 64)])
+def test_row_sum_wraps_like_the_circuit_tree(count, in_width, width):
+    # (64, 20) is the layer norm's mean sum on a 64-bit row (spec shift 0,
+    # d = 8); at a width no wider than the inputs, a row of two or more
+    # elements has a lane whose exact sum of the narrowed elements leaves
+    # the width, while 5 x (2^15 - 1) fits 19 bits
+    raws = edge_raws(np.random.default_rng(74), in_width, width, count)
+    widths = [in_width] * count
+    sem, got = run_both(lambda ops, vs: fixedfn.tree_sum(ops, vs, width), widths, raws, row=True)
+    assert np.array_equal(sem[0], got[0])
+    exact = sum(int(wrap(np.int64(wrap(r.view(np.int64), in_width)[-2]), width)) for r in raws)
+    wraps = not -(1 << (width - 1)) <= exact < 1 << (width - 1)
+    assert wraps == (count > 1 and width <= in_width), exact
 
 
 @pytest.mark.parametrize("frac_bits", range(2, fixedfn.F2 + 1))
@@ -311,7 +361,7 @@ def test_softmax_row_equivalence():
     n = 3
     raws = [rand_raw(rng, 16) for _ in range(n)]
     sem, got = run_both(
-        lambda ops, vs: fixedfn.softmax_row(ops, vs, DEFAULT_RING), [16] * n, raws
+        lambda ops, vs: fixedfn.softmax_row(ops, vs, DEFAULT_RING), [16] * n, raws, row=True
     )
     for s, g in zip(sem, got):
         assert np.array_equal(s, g)
@@ -322,7 +372,7 @@ def test_layernorm_row_equivalence():
     d = 4
     raws = [rand_raw(rng, 16) for _ in range(d)]
     sem, got = run_both(
-        lambda ops, vs: fixedfn.layernorm_row(ops, vs, DEFAULT_RING), [16] * d, raws
+        lambda ops, vs: fixedfn.layernorm_row(ops, vs, DEFAULT_RING), [16] * d, raws, row=True
     )
     for s, g in zip(sem, got):
         assert np.array_equal(s, g)

@@ -21,6 +21,7 @@ from privtrans.fixedfn import (
     wrap,
 )
 from privtrans.ring import DEFAULT_RING
+from privtrans.securefn import SecureFnSpec, plain_apply
 
 import oracles
 
@@ -37,6 +38,11 @@ def enc(x, frac: int, width: int) -> SemVal:
 
 def dec(v: SemVal, frac: int) -> np.ndarray:
     return v.bits / float(1 << frac)
+
+
+def stack(vals: list[SemVal]) -> SemVal:
+    """Values of one width as one semantic row, laid out (count, lanes)."""
+    return SemVal(np.stack([v.bits for v in vals]), vals[0].width)
 
 
 def from_ring(words: np.ndarray) -> SemVal:
@@ -122,7 +128,7 @@ def test_relu_and_max_reduce():
         got = dec(relu(OPS, vals[i]), f)
         want = np.maximum(np.round(x[i] * 256) / 256, 0.0)
         assert np.array_equal(got, want)
-    got_max = dec(max_reduce(OPS, vals), f)
+    got_max = dec(max_reduce(OPS, stack(vals)), f)
     want_max = np.round(x * 256).max(axis=0) / 256
     assert np.array_equal(got_max, want_max)
 
@@ -174,9 +180,8 @@ def test_softmax_row_close_to_float():
     for n in (2, 3, 4, 8):
         x = rng.uniform(-8, 8, (n, rows))
         xq = np.round(x * (1 << f)) / (1 << f)
-        xs = [enc(x[i], f, 16) for i in range(n)]
-        out = softmax_row(OPS, xs, DEFAULT_RING)
-        got = np.stack([dec(p, f) for p in out])
+        xs = stack([enc(x[i], f, 16) for i in range(n)])
+        got = dec(softmax_row(OPS, xs, DEFAULT_RING), f)
         want = np.stack([np.array(oracles.softmax(list(col))) for col in xq.T], axis=1)
         assert np.max(np.abs(got - want)) <= 2.0 ** -5
         sums = got.sum(axis=0)
@@ -185,8 +190,8 @@ def test_softmax_row_close_to_float():
 
 def test_softmax_known_triple():
     f = DEFAULT_RING.frac_bits
-    xs = [enc(v, f, 16) for v in (1.0, 2.0, 3.0)]
-    got = [float(dec(p, f)[0]) for p in softmax_row(OPS, xs, DEFAULT_RING)]
+    xs = stack([enc(v, f, 16) for v in (1.0, 2.0, 3.0)])
+    got = dec(softmax_row(OPS, xs, DEFAULT_RING), f)[:, 0].tolist()
     want = [0.0900, 0.2447, 0.6652]
     for g, w in zip(got, want):
         assert abs(g - w) <= 2.0 ** -5
@@ -198,29 +203,45 @@ def test_layernorm_row_close_to_float():
     for d in (2, 4, 8, 16):
         x = rng.uniform(-8, 8, (d, 500))
         xq = np.round(x * (1 << f)) / (1 << f)
-        xs = [enc(x[i], f, 16) for i in range(d)]
-        out = layernorm_row(OPS, xs, DEFAULT_RING)
-        got = np.stack([dec(p, f) for p in out])
+        xs = stack([enc(x[i], f, 16) for i in range(d)])
+        got = dec(layernorm_row(OPS, xs, DEFAULT_RING), f)
         want = np.stack([np.array(oracles.layernorm(list(col))) for col in xq.T], axis=1)
         assert np.max(np.abs(got - want)) <= 2.0 ** -5
 
 
 def test_layernorm_constant_row_is_zero():
     f = DEFAULT_RING.frac_bits
-    xs = [enc(3.25, f, 16) for _ in range(8)]
+    xs = stack([enc(3.25, f, 16) for _ in range(8)])
     out = layernorm_row(OPS, xs, DEFAULT_RING)
-    for p in out:
-        assert int(p.bits[0]) == 0
+    for p in out.bits:
+        assert int(p[0]) == 0
 
 
 def test_batching_matches_elementwise():
-    # one batched call must equal many scalar calls
+    # one batched call must equal many scalar calls, for either row function
     f = DEFAULT_RING.frac_bits
     rng = np.random.default_rng(48)
-    x = rng.uniform(-8, 8, (3, 50))
-    xs = [enc(x[i], f, 16) for i in range(3)]
-    batched = np.stack([dec(p, f) for p in softmax_row(OPS, xs, DEFAULT_RING)])
-    for j in range(50):
-        single = softmax_row(OPS, [enc(x[i, j], f, 16) for i in range(3)], DEFAULT_RING)
-        col = np.array([float(dec(p, f)[0]) for p in single])
-        assert np.array_equal(col, batched[:, j])
+    for row_fn in (softmax_row, layernorm_row):
+        x = rng.uniform(-8, 8, (3, 50))
+        xs = stack([enc(x[i], f, 16) for i in range(3)])
+        batched = dec(row_fn(OPS, xs, DEFAULT_RING), f)
+        for j in range(50):
+            single = row_fn(OPS, stack([enc(x[i, j], f, 16) for i in range(3)]), DEFAULT_RING)
+            col = dec(single, f)[:, 0]
+            assert np.array_equal(col, batched[:, j]), (row_fn.__name__, j)
+
+
+@pytest.mark.parametrize("spec", [
+    SecureFnSpec("softmax_row", count=5, shift=4 * DEFAULT_RING.frac_bits),
+    SecureFnSpec("layernorm_row", count=3, shift=DEFAULT_RING.frac_bits),
+], ids=lambda s: f"{s.fn}-{s.count}")
+def test_shifted_plain_apply_batching_matches_lane_by_lane(spec):
+    # each lane run alone through the truncation and the stage equals its
+    # row of the batched run
+    rng = np.random.default_rng(49)
+    edge = (spec.ring.value_limit() + 1) << spec.shift
+    raw = rng.integers(-edge, edge, (40, spec.count), dtype=np.int64).view(np.uint64)
+    batched = plain_apply(spec, raw)
+    assert batched.shape == raw.shape
+    for j in range(len(raw)):
+        assert np.array_equal(plain_apply(spec, raw[j : j + 1]), batched[j : j + 1]), j

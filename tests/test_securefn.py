@@ -106,25 +106,39 @@ EQUIV_SPECS = sorted(
 )
 
 
+def assert_backends_agree(spec, rng, lanes):
+    """gc and semantic must reconstruct identically, and as plain_apply, on
+    lanes lanes just inside or past the approximation domain and lanes
+    uniform ring words."""
+    edge = (spec.ring.value_limit() + 1) << spec.shift
+    raw = np.concatenate([
+        rng.integers(-edge, edge, (lanes, spec.count), dtype=np.int64).view(np.uint64),
+        rng.integers(0, 1 << 64, (lanes, spec.count), dtype=np.uint64),
+    ])
+    xc, xs = share_raw(raw, rng)
+    # equally seeded rngs draw the same client masks on both backends
+    c_sem, s_sem = eval_secure(spec, xc, xs, np.random.default_rng(1), **logs(2))
+    c_gc, s_gc = eval_secure(spec, xc, xs, np.random.default_rng(1), backend="gc", **logs(2))
+    assert np.array_equal(c_sem, c_gc), spec
+    assert np.array_equal(s_sem, s_gc), spec
+    assert np.array_equal(c_sem + s_sem, plain_apply(spec, raw)), spec
+
+
 def test_backends_agree_on_every_fn():
-    # gc and semantic must reconstruct identically: per stage, 50 lanes just
-    # inside or past the approximation domain and 50 uniform ring words
     assert {s.fn for s in EQUIV_SPECS} == set(FN_NAMES)
     rng = np.random.default_rng(200)
     for spec in EQUIV_SPECS:
-        edge = (spec.ring.value_limit() + 1) << spec.shift
-        raw = np.concatenate([
-            rng.integers(-edge, edge, (50, spec.count), dtype=np.int64).view(np.uint64),
-            rng.integers(0, 1 << 64, (50, spec.count), dtype=np.uint64),
-        ])
-        xc, xs = share_raw(raw, rng)
-        # equally seeded rngs draw the same client masks on both backends
-        c_sem, s_sem = eval_secure(spec, xc, xs, np.random.default_rng(1), **logs(2))
-        c_gc, s_gc = eval_secure(spec, xc, xs, np.random.default_rng(1), backend="gc",
-                                 **logs(2))
-        assert np.array_equal(c_sem, c_gc), spec
-        assert np.array_equal(s_sem, s_gc), spec
-        assert np.array_equal(c_sem + s_sem, plain_apply(spec, raw)), spec
+        assert_backends_agree(spec, rng, 50)
+
+
+@pytest.mark.parametrize("count", [1, 3, 5])
+@pytest.mark.parametrize("fn, shift", [("softmax_row", 0), ("softmax_row", 4 * F),
+                                       ("layernorm_row", 0), ("layernorm_row", F)])
+def test_backends_agree_on_single_element_and_odd_rows(fn, shift, count):
+    # row lengths the desk configs never run, unshifted or shifted as the
+    # model's softmax and layer-norm stages are
+    spec = SecureFnSpec(fn, count=count, shift=shift)
+    assert_backends_agree(spec, np.random.default_rng([205, count, shift]), 10)
 
 
 def test_relu_on_shares_of_negative_is_zero():
