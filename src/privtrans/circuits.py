@@ -10,8 +10,8 @@ circuit, which is what keeps the two backends bit-identical. A w-bit value
 is w wires, least significant first, holding the two's-complement pattern
 of the integer that the semantic side keeps sign-extended in int64. A row
 is a list of values, where the semantic side holds one (count, lanes)
-array; `each` calls its body on one element after another, so a row stage
-emits its gates in the order of a loop over the row.
+array; `each` calls its body on each element in turn, so a row stage
+emits its gates in loop order; `sum` is an adder tree, `max` a mux chain.
 
 Ripple adders use the one-AND-per-bit full adder
     carry' = c ^ ((a ^ c) & (b ^ c))
@@ -271,6 +271,25 @@ class CircuitOps:
         """body on each element of a row in turn, with the row-wide shared
         values."""
         return [body(x, *shared) for x in row]
+
+    def count(self, row: list) -> int:
+        return len(row)
+
+    def sum(self, row: list, width: int) -> WireVec:
+        """The row's elements, each resized to width, summed pairwise."""
+        acc = [self.resize(v, width) for v in row]
+        while len(acc) > 1:
+            nxt = [self.add(acc[i], acc[i + 1]) for i in range(0, len(acc) - 1, 2)]
+            if len(acc) % 2:
+                nxt.append(acc[-1])
+            acc = nxt
+        return acc[0]
+
+    def max(self, row: list) -> WireVec:
+        m = row[0]
+        for v in row[1:]:
+            m = self.mux(self.ge(v, m), v, m)
+        return m
 
     # value plumbing
 

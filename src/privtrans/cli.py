@@ -7,9 +7,9 @@ Run configs are JSON with these keys (flags override the file):
     mode          "base" | "f" | "fp" | "fpc"        (default "f")
     seed          int, required
     model         inline model-config object, required
-    weights_path  path to a saved weight file; if absent, weights are
-                  generated from weights_seed (default: seed) at
-                  weight_scale (default 0.5)
+    weights_path  path to a saved weight file, which excludes weights_seed
+                  and weight_scale; if absent, weights are generated from
+                  weights_seed (default: seed) at weight_scale (default 0.5)
     tokens        list of vocabulary indices (default 0..n-1 mod d_oh)
     backend       "semantic" | "gc" nonpoly backend (default semantic)
     strict        bool, range-check every nonpoly stage input of the
@@ -114,6 +114,9 @@ def load_run_config(obj: dict, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"config field 'model': {e}") from e
 
     if "weights_path" in obj:
+        for k in ("weights_seed", "weight_scale"):
+            if k in obj:
+                raise ConfigError(f"config field {k!r}: ignored next to 'weights_path'")
         wfield, path = "weights_path", _field(obj, "weights_path", str)
         try:
             weights, ring = load_weights(path)

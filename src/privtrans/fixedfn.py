@@ -1,19 +1,19 @@
 """Integer algorithms for the non-polynomial stages (softmax, layernorm,
 relu, reciprocal) plus share reconstruct/remask.
 
-Every algorithm is written once against a tiny ops interface (add, mul,
-mux, shifts, table lookup, and `each`, which applies a body to every
-element of a row). `SemanticOps` interprets it over numpy arrays; a
-boolean-circuit backend can interpret the exact same calls gate by gate,
-so the two evaluations agree bit for bit by construction.
+Every algorithm is written once against a tiny ops interface: add, mul,
+mux, shifts, table lookup, and the row ops `each` (a body applied to every
+element), `count`, `sum` and `max`. `SemanticOps` interprets it over numpy
+arrays; a boolean-circuit backend can interpret the exact same calls gate
+by gate, so the two evaluations agree bit for bit by construction.
 
 A row stage (softmax, layer norm) takes a row of count elements. Under
 `SemanticOps` the row is one `SemVal` laid out (count, lanes), element
 axis first: a row-wide (lanes,) value such as the max or the mean
 broadcasts against it, so `each` is one call of its body on the whole row,
-and `tree_sum` and `max_reduce` reduce over axis 0. Under the circuit
-backend a row is a list of count values and `each` calls its body element
-by element.
+and `sum` and `max` reduce over axis 0. Under the circuit backend a row is
+a list of count values: `each` calls its body element by element, `sum`
+is an adder tree and `max` a mux chain.
 
 Values are two's-complement integers of an explicit bit width, 0 to 64.
 The semantic side holds each one sign-extended in int64, the integer its
@@ -61,6 +61,17 @@ class SemanticOps:
         """body on every element of a (count, lanes) row in one call; the
         row-wide (lanes,) values in shared broadcast over the elements."""
         return body(row, *shared)
+
+    def count(self, row: SemVal) -> int:
+        return len(row.bits)
+
+    def sum(self, row: SemVal, width: int) -> SemVal:
+        """Mod 2^width neither the order of the terms nor narrowing them
+        first changes a row's sum, and int64 sums wrap mod 2^64."""
+        return SemVal(wrap(row.bits.sum(axis=0), width), width)
+
+    def max(self, row: SemVal) -> SemVal:
+        return SemVal(row.bits.max(axis=0), row.width)
 
     def const(self, value: int, width: int) -> SemVal:
         half = (1 << width) >> 1
@@ -135,26 +146,6 @@ def barrel_shl(ops, v, amount, max_shift: int):
     return v
 
 
-def row_count(row) -> int:
-    """The elements of a row: a list's length, a semantic row's first axis."""
-    return len(row.bits) if isinstance(row, SemVal) else len(row)
-
-
-def tree_sum(ops, vals, width: int):
-    """The sum of a row's elements mod 2^width, each first resized to width."""
-    if isinstance(vals, SemVal):
-        # mod 2^width neither the order of the terms nor narrowing them first
-        # changes the sum, and int64 sums wrap mod 2^64
-        return SemVal(wrap(vals.bits.sum(axis=0), width), width)
-    acc = [ops.resize(v, width) for v in vals]
-    while len(acc) > 1:
-        nxt = [ops.add(acc[i], acc[i + 1]) for i in range(0, len(acc) - 1, 2)]
-        if len(acc) % 2:
-            nxt.append(acc[-1])
-        acc = nxt
-    return acc[0]
-
-
 def normalize(ops, v):
     """Shift v left until its top bit is set; returns (m, e) with
     m = v << e. v must be positive."""
@@ -181,15 +172,6 @@ def trunc_sat(ops, v, shift: int, ring: RingParams):
 
 def relu(ops, v):
     return ops.mux(ops.sign(v), ops.const(0, v.width), v)
-
-
-def max_reduce(ops, vals):
-    if isinstance(vals, SemVal):
-        return SemVal(vals.bits.max(axis=0), vals.width)
-    m = vals[0]
-    for v in vals[1:]:
-        m = ops.mux(ops.ge(v, m), v, m)
-    return m
 
 
 def _gelu_real(x: float) -> float:
@@ -356,15 +338,15 @@ def softmax_row(ops, xs, ring: RingParams):
     is at least 1.
     """
     f = ring.frac_bits
-    n = row_count(xs)
-    m = max_reduce(ops, xs)
+    n = ops.count(xs)
+    m = ops.max(xs)
 
     def exp_dev(x, m):
         w = min(x.width + 1, 64)  # a semantic value is one 64-bit word; circuits match it
         return exp_approx(ops, ops.sub(ops.resize(x, w), ops.resize(m, w)), f)
 
     es = ops.each(exp_dev, xs, m)
-    s = tree_sum(ops, es, 14 + max(1, (n - 1).bit_length()) + 1)
+    s = ops.sum(es, 14 + max(1, (n - 1).bit_length()) + 1)
     r = reciprocal(ops, s, out_width=14)  # sum >= 1, so 1/sum <= 1
     return ops.each(lambda e, r: ops.resize(ops.sar(ops.mul(e, r), 2 * F2 - f), 16), es, r)
 
@@ -382,12 +364,12 @@ def layernorm_row(ops, xs, ring: RingParams):
     near-constant rows keep precision; its floor is 2^-F2.
     """
     f = ring.frac_bits
-    d = row_count(xs)
+    d = ops.count(xs)
     up = F2 - f
     c_d = round((1 << _LN_GUARD) / d)
     cw = _LN_GUARD + 2
     sw = 16 + max(1, (d - 1).bit_length()) + 1
-    total = tree_sum(ops, xs, sw)
+    total = ops.sum(xs, sw)
     mu = ops.resize(ops.sar(ops.mul(total, ops.const(c_d, cw)), _LN_GUARD - up), 20)
     devs = ops.each(
         lambda x, mu: ops.sub(ops.shl(ops.resize(x, 21), up), ops.resize(mu, 21)), xs, mu
@@ -399,7 +381,7 @@ def layernorm_row(ops, xs, ring: RingParams):
         ),
         devs,
     )
-    var = ops.add(tree_sum(ops, sqs, 42), ops.const(1 << F2, 42))  # + 2^-F2
+    var = ops.add(ops.sum(sqs, 42), ops.const(1 << F2, 42))  # + 2^-F2
     z = rsqrt(ops, var, in_frac=2 * F2, out_width=20)
     lim = ring.value_limit()
 

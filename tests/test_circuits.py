@@ -271,10 +271,10 @@ def test_relu_equivalence():
     assert np.array_equal(sem[0], got[0])
 
 
-def test_max_reduce_equivalence():
+def test_row_max_equivalence():
     rng = np.random.default_rng(67)
     raws = [rand_raw(rng, 16) for _ in range(5)]
-    sem, got = run_both(lambda ops, vs: fixedfn.max_reduce(ops, vs), [16] * 5, raws, row=True)
+    sem, got = run_both(lambda ops, vs: ops.max(vs), [16] * 5, raws, row=True)
     assert np.array_equal(sem[0], got[0])
 
 
@@ -297,9 +297,9 @@ def test_row_sum_and_max_match_the_circuit_tree_and_chain(count, in_width, width
     # narrowed first), at them and above them
     raws = edge_raws(np.random.default_rng(seed), in_width, width, count)
     widths = [in_width] * count
-    sem, got = run_both(lambda ops, vs: fixedfn.tree_sum(ops, vs, width), widths, raws, row=True)
+    sem, got = run_both(lambda ops, vs: ops.sum(vs, width), widths, raws, row=True)
     assert np.array_equal(sem[0], got[0])
-    sem, got = run_both(lambda ops, vs: fixedfn.max_reduce(ops, vs), widths, raws, row=True)
+    sem, got = run_both(lambda ops, vs: ops.max(vs), widths, raws, row=True)
     assert np.array_equal(sem[0], got[0])
 
 
@@ -312,11 +312,27 @@ def test_row_sum_wraps_like_the_circuit_tree(count, in_width, width):
     # the width, while 5 x (2^15 - 1) fits 19 bits
     raws = edge_raws(np.random.default_rng(74), in_width, width, count)
     widths = [in_width] * count
-    sem, got = run_both(lambda ops, vs: fixedfn.tree_sum(ops, vs, width), widths, raws, row=True)
+    sem, got = run_both(lambda ops, vs: ops.sum(vs, width), widths, raws, row=True)
     assert np.array_equal(sem[0], got[0])
     exact = sum(int(wrap(np.int64(wrap(r.view(np.int64), in_width)[-2]), width)) for r in raws)
     wraps = not -(1 << (width - 1)) <= exact < 1 << (width - 1)
     assert wraps == (count > 1 and width <= in_width), exact
+
+
+@pytest.mark.parametrize("count", [4, 8, 16, 17, 32])
+@pytest.mark.parametrize("in_width, grows", [(14, True), (16, True), (42, False), (16, False)])
+def test_row_sum_and_max_match_at_workload_row_lengths(count, in_width, grows):
+    # the row lengths of the workloads' softmax and layer-norm rows, and 17,
+    # whose odd element carries over at several tree levels; a sum widens by
+    # ceil(log2 count) + 1 bits (softmax's 14-bit exps, the layer norm's
+    # 16-bit inputs) or keeps its width (the layer norm's 42-bit squares)
+    width = in_width + (max(1, (count - 1).bit_length()) + 1 if grows else 0)
+    raws = edge_raws(np.random.default_rng(75), in_width, width, count)
+    widths = [in_width] * count
+    sem, got = run_both(lambda ops, vs: ops.sum(vs, width), widths, raws, row=True)
+    assert np.array_equal(sem[0], got[0])
+    sem, got = run_both(lambda ops, vs: ops.max(vs), widths, raws, row=True)
+    assert np.array_equal(sem[0], got[0])
 
 
 @pytest.mark.parametrize("frac_bits", range(2, fixedfn.F2 + 1))

@@ -122,6 +122,10 @@ def test_weights_path_round_trip(tmp_path):
     save_weights(path, w)
     rep = cmd_run(load_run_config(toy_obj(weights_path=str(path))))
     assert rep["equivalence"] == "exact"
+    # the generator's knobs would act on nothing next to a weight file
+    for k, v in (("weights_seed", 99), ("weight_scale", 20)):
+        with pytest.raises(ConfigError, match=rf"^config field '{k}': ignored next to"):
+            load_run_config(toy_obj(weights_path=str(path), **{k: v}))
 
 
 def _drop(key):
