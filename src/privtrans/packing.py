@@ -211,34 +211,25 @@ def he_matmul(
         # tokens_first: a shift aligns a token's slots only if n | M
         raise ValueError(f"{layout.strategy.value} kernel needs n={layout.n} to divide M={m}")
     plan = _diagonal_masks(layout, layout_out, w)
-    # each entry's rotated input row, one rotation of the whole batch per
-    # shift: gathered in shift order, then put in plan order
-    by_shift = np.argsort(plan.shift, kind="stable")
-    cuts = np.searchsorted(plan.shift, np.arange(0, m + 1, shifts.step), sorter=by_shift).tolist()
-    src, parts_a, parts_b = plan.in_ct[by_shift], [], []
-    for s, shift in enumerate(shifts):
-        rot = he_rotate(cts, shift, report)
-        sel = src[cuts[s]:cuts[s + 1]]
-        parts_a.append(rot.a[sel])
-        parts_b.append(rot.b[sel])
-    in_plan = np.argsort(by_shift)
-    rows_a, rows_b = np.concatenate(parts_a)[in_plan], np.concatenate(parts_b)[in_plan]
+    # one rotation of the whole batch per shift, stacked shift-major: an
+    # entry's rotated input is one row of the stack, and every rotation
+    # carries the same noise
+    rots = [he_rotate(cts, shift, report) for shift in shifts]
+    at = plan.shift // shifts.step * layout.c + plan.in_ct
+    rows_a = np.concatenate([r.a for r in rots])[at]
+    rows_b = np.concatenate([r.b for r in rots])[at]
     out_a = np.zeros((layout_out.c, m), dtype=np.uint64)
     out_b, noise = out_a.copy(), 0
     if len(plan.live):
-        rows = Ciphertext(rows_a, rows_b, cts.key_id, cts.params, rot.noise_used)
+        rows = Ciphertext(rows_a, rows_b, cts.key_id, cts.params, rots[0].noise_used)
         prods = he_mul_plain(rows, plan.masks, report)
-        # rank 0 of every group starts its sum; each later rank adds onto
-        # the live prefix, and a group that drops out of it is final
+        # rank 0 of every group starts its sum in place; each later rank
+        # adds onto the live prefix
         groups = plan.out_ct[:plan.live[0]]
         acc, start = prods.row(slice(0, len(groups))), len(groups)
         for live in plan.live[1:].tolist():
-            if live < acc.count:
-                done = groups[live:acc.count]
-                out_a[done], out_b[done] = acc.a[live:], acc.b[live:]
-                acc = acc.row(slice(0, live))
-            acc = he_add(acc, prods.row(slice(start, start + live)), report)
+            part = he_add(acc.row(slice(0, live)), prods.row(slice(start, start + live)), report)
+            acc.a[:live], acc.b[:live], acc.noise_used = part.a, part.b, part.noise_used
             start += live
-        done = groups[:acc.count]
-        out_a[done], out_b[done], noise = acc.a, acc.b, acc.noise_used
+        out_a[groups], out_b[groups], noise = acc.a, acc.b, acc.noise_used
     return Ciphertext(out_a, out_b, cts.key_id, cts.params, noise), layout_out

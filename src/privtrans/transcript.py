@@ -10,9 +10,10 @@ modeled seconds.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
-from .costs import PHASES, STEPS, CostReport, check_scope
+from .costs import ALL_COUNTERS, PHASES, STEPS, CostReport, check_scope
 
 KINDS = ("ciphertext", "share", "gc_material", "ot")
 
@@ -124,15 +125,24 @@ def estimate_latency(
     """Modeled seconds per phase: op costs + interaction delays + transfer.
 
     latency = sum(op_count * op_cost) + interactions * delay + bytes / bandwidth.
-    The op cost table maps CostReport counter names to seconds per op and
-    defaults to empty (pure communication model).
+    The op cost table maps CostReport counter names to finite, non-negative
+    seconds per op and defaults to empty (pure communication model); a
+    table needs the report whose counts it prices.
     """
+    table = op_cost_table or {}
+    if table and report is None:
+        raise ValueError("op_cost_table needs a report to price")
+    for name, per_op in table.items():
+        if name not in ALL_COUNTERS:
+            raise ValueError(f"op_cost_table: unknown counter {name!r}")
+        if not (math.isfinite(per_op) and per_op >= 0):
+            raise ValueError(f"op_cost_table: cost of {name!r} must be finite and >= 0, "
+                             f"got {per_op}")
     out = {}
     for phase in PHASES:
         secs = t.interactions(None, phase) * ch.delay_s
         secs += t.bytes_sent(None, phase) / ch.bandwidth_bps
-        if op_cost_table and report is not None:
-            for name, per_op in op_cost_table.items():
-                secs += per_op * report.phase_total(phase, name)
+        for name, per_op in table.items():
+            secs += per_op * report.phase_total(phase, name)
         out[f"{phase}_s"] = secs
     return out

@@ -290,6 +290,28 @@ def test_he_matmul_matches_the_per_op_oracle(strategy, n, d1, d2, m, case):
     assert got.data.tolist() == oracles.matmul_mod(x.data.tolist(), w.data.tolist(), 64)
 
 
+@pytest.mark.parametrize("strategy", list(PackingStrategy))
+@pytest.mark.parametrize("n,d1,d2,m,case", MATMUL_CASES)
+def test_he_matmul_leaves_its_inputs_untouched(strategy, n, d1, d2, m, case):
+    # the kernel sums its outputs in place; neither the input batch nor
+    # the weights change, and the output shares no memory with them
+    layout = PackingLayout(strategy, n, d1, m)
+    rng = np.random.default_rng(n * d1 * d2 + 1)
+    w = rand_ring_tensor(rng, d1, d2)
+    if case == "zero_block":
+        w.data[:, 16:] = 0
+    elif case == "all_zero":
+        w.data[:] = 0
+    key = keygen(HEParams(slots=m), seed=43)
+    cts = pack(rand_ring_tensor(rng, n, d1), layout, key, CostReport())
+    before = (cts.a.copy(), cts.b.copy(), w.data.copy())
+    out, _ = he_matmul(cts, layout, w, CostReport())
+    for now, was in zip((cts.a, cts.b, w.data), before):
+        assert np.array_equal(now, was)
+    for got in (out.a, out.b):
+        assert not any(np.shares_memory(got, given) for given in (cts.a, cts.b, w.data))
+
+
 def test_packed_kernels_make_one_call_per_step_on_all_ciphertexts(monkeypatch):
     # a packed tensor is one batch: pack and unpack make one call, and
     # he_matmul one rotation per shift, one product and one addition per

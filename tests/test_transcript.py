@@ -73,6 +73,34 @@ def test_op_cost_table_adds_compute_time():
     assert est["online_s"] == pytest.approx(base["online_s"] + 0.02)
 
 
+
+def _priced_run():
+    t = Transcript()
+    t.send("client", "Others", "gc_material", 100)
+    r = CostReport()
+    with r.at("Others", "online"):
+        r.bump("he_mul_plain", 10)
+    return t, r
+
+
+def test_op_cost_table_without_report_is_refused():
+    t, _ = _priced_run()
+    with pytest.raises(ValueError, match="report"):
+        estimate_latency(t, ChannelModel(), op_cost_table={"he_mul_plain": 0.002})
+
+
+def test_op_cost_table_refuses_an_unknown_counter():
+    t, r = _priced_run()
+    with pytest.raises(ValueError, match="he_mulplain"):
+        estimate_latency(t, ChannelModel(), op_cost_table={"he_mulplain": 0.002}, report=r)
+
+
+@pytest.mark.parametrize("per_op", [-1.0, float("nan"), float("inf")])
+def test_op_cost_table_refuses_a_negative_or_infinite_cost(per_op):
+    t, r = _priced_run()
+    with pytest.raises(ValueError, match="he_mul_plain"):
+        estimate_latency(t, ChannelModel(), op_cost_table={"he_mul_plain": per_op}, report=r)
+
 def test_send_validates_fields():
     t = Transcript()
     with pytest.raises(ValueError):
