@@ -43,13 +43,10 @@ from .model import (
     ModelConfig,
     ModelWeights,
     act_spec,
-    final_ln_spec,
-    ln_attn_spec,
-    ln_ffn_spec,
+    close_spec,
+    norm_spec,
     one_hot,
     softmax_spec,
-    trunc_attn_spec,
-    trunc_ffn_spec,
 )
 from .ot import ExtReceiver, ExtSender
 from .packing import PackingLayout, PackingStrategy, he_matmul, pack, pack_plain, unpack
@@ -145,11 +142,12 @@ class Server:
     B_h = W_Q_h W_K_h^T under `b{i}.qk.h{h}`, the a-mask weight A_h under
     `b{i}.qk.h{h}.a` and the values' weight under `b{i}.fuse_v`. Only a
     block that folds the embedding has an input map: (W_ed, lam) under
-    `b{i}.qk`, A_h = W_ed B_h, W_ed W_V with bias lam W_V, and
-    W_M_h = A_h W_ed^T under `b{i}.qk.h{h}.wm`. Elsewhere A_h is B_h and
-    `fuse_v` is W_V. `material` maps a module id
-    to the one record the server made or received for it offline; `take`
-    pops it, so each record is consumed once. Every QxK and AttenValue
+    `b{i}.qk`, the module whose output is X1 = X0 W_ed + lam,
+    A_h = W_ed B_h, W_ed W_V with bias lam W_V, and W_M_h = A_h W_ed^T
+    under `b{i}.qk.h{h}.wm`. Elsewhere A_h is B_h and `fuse_v` is W_V.
+    `material` maps a module id to the one record the server made or
+    received for it offline; `take` pops it, so each record is consumed
+    once. Every QxK and AttenValue
     product, fused or not, takes a MatTriple through `product`, which
     returns the rows to reveal and the server's share. `ot` is its side of
     the session's OT (the evaluator is the OT receiver). Its methods take
@@ -165,8 +163,7 @@ class Server:
             t.update({f"b{i}.{k.replace('_', '')}": (w, None) for k, w in vars(blk).items()})
             fused = folds_embedding(cfg, i)
             if fused:
-                w_ed, lam = t["embed.fused"] = t[f"b{i}.qk"] = (
-                    weights.w_e.scalar_mul(cfg.delta), cfg.lam)
+                w_ed, lam = t[f"b{i}.qk"] = (weights.w_e.scalar_mul(cfg.delta), cfg.lam)
                 t[f"b{i}.fuse_v"] = (mat_mul(w_ed, blk.w_v), mat_mul(lam, blk.w_v))
             else:
                 t[f"b{i}.fuse_v"] = (blk.w_v, None)
@@ -479,14 +476,17 @@ class Session:
 
         A block that fuses from the raw one-hot input (x0 given) gets the
         embedding folded in by the server's merge, and its Enc(Rc0) serves
-        both the values and X1 in one exchange; the others run the same
-        algebra on the chain with no input map, reusing the preceding GC
-        output mask as Rc0 so the client sends nothing online at all.
+        both the values and X1, the output of module `b{i}.qk`, in one
+        exchange; the others run the same algebra on the chain with no input
+        map, reusing the preceding GC output mask as Rc0 so the client sends
+        nothing online at all. Returns the score and values chains, then
+        X1's chain in the block that folds the embedding and nothing more
+        in the others.
         """
         first = x0 is not None
         rc0 = self.client.rand((self.cfg.n, self.cfg.d_oh)) if first else chain[1]
         qk = f"b{blk_i}.qk"
-        mids = [f"b{blk_i}.fuse_v"] + (["embed.fused"] if first else [])
+        mids = [f"b{blk_i}.fuse_v"] + ([qk] if first else [])
         with self._at("QxK", prep=True):
             self.chgs_material(qk, rc0)
         with self._at("QKV", prep=True):
@@ -501,10 +501,9 @@ class Session:
                 x0_masked = chain[0]
             self._interaction()
             s_chain = self._reveal(self.server.chgs_heads(qk, x0_masked))
-        # the values' chain, then in the first block X1 = X0 W_ed + lam's
-        v_chain, *x1 = [(self.server.run_hgs_layer(mid, x0_masked), m_out)
-                        for mid, m_out in zip(mids, m_outs)]
-        return s_chain, v_chain, x1[0] if first else chain
+        # the values' chain, then X1's where the block folds the embedding
+        return (s_chain, *[(self.server.run_hgs_layer(mid, x0_masked), m_out)
+                           for mid, m_out in zip(mids, m_outs)])
 
     def _attention_value(self, blk_i: int, p_chain, v_chain):
         """Per-head product of the softmax shares with the masked values;
@@ -523,36 +522,33 @@ class Session:
             self._interaction()
             return self._reveal(heads, axis=1)
 
+    def _norm(self, chain):
+        """norm_spec in a pre-norm model; post-norm passes the chain through."""
+        return chain if self.cfg.norm == "post" else self._gc("Others", norm_spec(self.cfg), chain)
+
+    def _close(self, x, y, shift: int):
+        """The residual sum x * 2^shift + y of two chains, closed back to f."""
+        total = (x[0].lshift(shift) + y[0], x[1].lshift(shift) + y[1])
+        return self._gc("Others", close_spec(self.cfg, shift), total)
+
     def _block(self, blk_i: int, chain, x0):
+        """One block: norm, prefix, SoftMax, AttenValue, wo, close, norm,
+        wf1, act, wf2, close. The residual taps the block's input chain,
+        or X1 where the fused prefix folds the embedding."""
         cfg, f = self.cfg, self.cfg.ring.frac_bits
-        pre = cfg.norm == "pre"
-        attn_in = self._gc("Others", ln_attn_spec(cfg), chain) if pre else chain
-        if self.mode == "fpc":
-            s_chain, v_chain, x1_chain = self._prefix_chgs(blk_i, attn_in, x0)
-        else:
-            s_chain, v_chain = self._prefix_hgs(blk_i, attn_in)
-            x1_chain = attn_in
-        if pre:
-            x1_chain = chain  # the residual taps the unnormalized input
+        attn_in = self._norm(chain)
+        s_chain, v_chain, *x1 = (self._prefix_chgs(blk_i, attn_in, x0) if self.mode == "fpc"
+                                 else self._prefix_hgs(blk_i, attn_in))
         eta = cfg.eta
         s_chain = (s_chain[0].scalar_mul(eta), s_chain[1].scalar_mul(eta))
         p_chain = self._gc("SoftMax", softmax_spec(cfg), s_chain)
         av_chain = self._attention_value(blk_i, p_chain, v_chain)
-        (o_held, o_mask), = self._modules("Others", [f"b{blk_i}.wo"], av_chain)
-        mid = (x1_chain[0].lshift(3 * f) + o_held, x1_chain[1].lshift(3 * f) + o_mask)
-        if pre:
-            mid = self._gc("Others", trunc_attn_spec(cfg), mid)
-            ffn_in = self._gc("Others", ln_ffn_spec(cfg), mid)
-        else:
-            mid = self._gc("Others", ln_attn_spec(cfg), mid)
-            ffn_in = mid
-        h_chain, = self._modules("Others", [f"b{blk_i}.wf1"], ffn_in)
+        o_chain, = self._modules("Others", [f"b{blk_i}.wo"], av_chain)
+        mid = self._close(x1[0] if x1 else chain, o_chain, 3 * f)
+        h_chain, = self._modules("Others", [f"b{blk_i}.wf1"], self._norm(mid))
         act = self._gc("Others", act_spec(cfg), h_chain)
-        (f_held, f_mask), = self._modules("Others", [f"b{blk_i}.wf2"], act)
-        out = (mid[0].lshift(f) + f_held, mid[1].lshift(f) + f_mask)
-        if pre:
-            return self._gc("Others", trunc_ffn_spec(cfg), out)
-        return self._gc("Others", ln_ffn_spec(cfg), out)
+        f_chain, = self._modules("Others", [f"b{blk_i}.wf2"], act)
+        return self._close(mid, f_chain, f)
 
     def run(self, tokens) -> "RunResult":
         cfg = self.cfg
@@ -563,9 +559,7 @@ class Session:
         chain = None if fused_first else self._embed(x0)
         for i in range(cfg.N):
             chain = self._block(i, chain, x0 if (i == 0 and fused_first) else None)
-        if cfg.norm == "pre":
-            chain = self._gc("Others", final_ln_spec(cfg), chain)
-        (l_held, l_mask), = self._modules("Others", ["head"], chain)
+        (l_held, l_mask), = self._modules("Others", ["head"], self._norm(chain))
         bad = audit_server_ignorance(self.server)
         if bad:
             raise AuditError(f"server holds client secrets: {bad}")

@@ -6,14 +6,16 @@ the same nonpoly stage specs (softmax, layernorm, activation, truncation)
 through plain_apply, so reference and protocol agree bit for bit by
 construction rather than by tolerance.
 
-Scale ladder (f = frac_bits, post-norm): the one-hot input is raw, so
-X1 = X0 W_E delta + lambda sits at f. Q/K/V at 2f, scores at 4f, times
-the encoded 1/sqrt(n) at 5f; the softmax stage truncates by 4f and emits
-probabilities at f. P V at 3f, times W_O at 4f, plus the residual shifted
-up by 3f; layernorm truncates back to f. FFN products at 2f with the
-activation truncating by f; the final layernorm returns the block to f.
-Pre-norm instead normalizes with shift 0 before each sublayer and spends
-a dedicated truncation stage on each residual sum.
+Scale ladder (f = frac_bits): the one-hot input is raw, so
+X1 = X0 W_E delta + lambda sits at f. Both norm orders run one block
+shape: each sublayer is normalize (pre-norm only, a shift-0 layernorm),
+sublayer, close. Q/K/V at 2f, scores at 4f, times the encoded 1/sqrt(n)
+at 5f; the softmax stage truncates by 4f and emits probabilities at f.
+P V at 3f, times W_O at 4f, plus the residual shifted up by 3f. FFN
+products at 2f with the activation truncating by f, plus the residual
+shifted up by f. Each close brings its sum back to f: a layernorm in a
+post-norm model, a truncation in a pre-norm one. A pre-norm model
+normalizes once more before the head.
 """
 
 from __future__ import annotations
@@ -305,32 +307,25 @@ def act_spec(cfg: ModelConfig) -> SecureFnSpec:
     return SecureFnSpec(cfg.activation, shift=cfg.ring.frac_bits, ring=cfg.ring)
 
 
-def ln_attn_spec(cfg: ModelConfig) -> SecureFnSpec:
-    shift = 3 * cfg.ring.frac_bits if cfg.norm == "post" else 0
-    return SecureFnSpec("layernorm_row", count=cfg.d_emb, shift=shift, ring=cfg.ring)
+def norm_spec(cfg: ModelConfig) -> SecureFnSpec:
+    """Shift-0 layer norm: opens each pre-norm sublayer and ends the model."""
+    return SecureFnSpec("layernorm_row", count=cfg.d_emb, shift=0, ring=cfg.ring)
 
 
-def ln_ffn_spec(cfg: ModelConfig) -> SecureFnSpec:
-    shift = cfg.ring.frac_bits if cfg.norm == "post" else 0
-    return SecureFnSpec("layernorm_row", count=cfg.d_emb, shift=shift, ring=cfg.ring)
+def close_spec(cfg: ModelConfig, shift: int) -> SecureFnSpec:
+    """The stage that brings a residual sum at f + shift back to f: a layer
+    norm in a post-norm model, a truncation in a pre-norm one."""
+    if cfg.norm == "post":
+        return SecureFnSpec("layernorm_row", count=cfg.d_emb, shift=shift, ring=cfg.ring)
+    return SecureFnSpec("trunc", shift=shift, ring=cfg.ring)
 
 
-def trunc_attn_spec(cfg: ModelConfig) -> SecureFnSpec:
-    return SecureFnSpec("trunc", shift=3 * cfg.ring.frac_bits, ring=cfg.ring)
-
-
-def trunc_ffn_spec(cfg: ModelConfig) -> SecureFnSpec:
-    return SecureFnSpec("trunc", shift=cfg.ring.frac_bits, ring=cfg.ring)
-
-
-def _stage_rows(spec: SecureFnSpec, raw: np.ndarray, strict: bool) -> np.ndarray:
+def _stage(spec: SecureFnSpec, raw: np.ndarray, strict: bool) -> np.ndarray:
+    """The stage on raw words, spec.count words per lane."""
+    lanes = raw.reshape(-1, spec.count)
     if strict:
-        check_domain(spec, raw)
-    return plain_apply(spec, raw)
-
-
-def _stage_elem(spec: SecureFnSpec, raw: np.ndarray, strict: bool) -> np.ndarray:
-    return _stage_rows(spec, raw.reshape(-1, 1), strict).reshape(raw.shape)
+        check_domain(spec, lanes)
+    return plain_apply(spec, lanes).reshape(raw.shape)
 
 
 # -- forward pass --------------------------------------------------------
@@ -365,35 +360,30 @@ def _attention(cfg: ModelConfig, blk: BlockWeights, x: FixedTensor, strict: bool
     for h in range(cfg.H):
         sl = slice(h * cfg.d_head, (h + 1) * cfg.d_head)
         s = (q[:, sl] @ k[:, sl].T) * np.uint64(cfg.eta)
-        p = _stage_rows(sm, s, strict)
+        p = _stage(sm, s, strict)
         heads.append(p @ v[:, sl])
     return np.concatenate(heads, axis=1) @ blk.w_o.data
 
 
-def _ffn(cfg: ModelConfig, blk: BlockWeights, x: np.ndarray, strict: bool) -> np.ndarray:
-    hidden = _stage_elem(act_spec(cfg), x @ blk.w_f1.data, strict)
+def _ffn(cfg: ModelConfig, blk: BlockWeights, x: FixedTensor, strict: bool) -> np.ndarray:
+    hidden = _stage(act_spec(cfg), mat_mul(x, blk.w_f1).data, strict)
     return hidden @ blk.w_f2.data
+
+
+def _norm(cfg: ModelConfig, x: FixedTensor, strict: bool) -> FixedTensor:
+    """norm_spec in a pre-norm model, the identity in a post-norm one."""
+    return x if cfg.norm == "post" else FixedTensor(_stage(norm_spec(cfg), x.data, strict), cfg.ring)
+
+
+def _close(cfg: ModelConfig, x: FixedTensor, y: np.ndarray, shift: int, strict: bool) -> FixedTensor:
+    """The residual sum x * 2^shift + y through close_spec, back at f."""
+    return FixedTensor(_stage(close_spec(cfg, shift), x.lshift(shift).data + y, strict), cfg.ring)
 
 
 def _block_forward(cfg: ModelConfig, blk: BlockWeights, x: FixedTensor, strict: bool) -> FixedTensor:
     f = cfg.ring.frac_bits
-    if cfg.norm == "post":
-        attn = _attention(cfg, blk, x, strict)
-        mid = _stage_rows(ln_attn_spec(cfg), (x.data << np.uint64(3 * f)) + attn, strict)
-        ffn = _ffn(cfg, blk, FixedTensor(mid, cfg.ring).data, strict)
-        out = _stage_rows(ln_ffn_spec(cfg), (mid << np.uint64(f)) + ffn, strict)
-        return FixedTensor(out, cfg.ring)
-    normed = FixedTensor(_stage_rows(ln_attn_spec(cfg), x.data, strict), cfg.ring)
-    attn = _attention(cfg, blk, normed, strict)
-    mid = _stage_elem(trunc_attn_spec(cfg), (x.data << np.uint64(3 * f)) + attn, strict)
-    normed2 = _stage_rows(ln_ffn_spec(cfg), mid, strict)
-    ffn = _ffn(cfg, blk, normed2, strict)
-    out = _stage_elem(trunc_ffn_spec(cfg), (mid << np.uint64(f)) + ffn, strict)
-    return FixedTensor(out, cfg.ring)
-
-
-def final_ln_spec(cfg: ModelConfig) -> SecureFnSpec:
-    return SecureFnSpec("layernorm_row", count=cfg.d_emb, shift=0, ring=cfg.ring)
+    mid = _close(cfg, x, _attention(cfg, blk, _norm(cfg, x, strict), strict), 3 * f, strict)
+    return _close(cfg, mid, _ffn(cfg, blk, _norm(cfg, mid, strict), strict), f, strict)
 
 
 def reference_forward(cfg: ModelConfig, weights: ModelWeights, tokens, strict: bool = False) -> FixedTensor:
@@ -407,6 +397,4 @@ def reference_forward(cfg: ModelConfig, weights: ModelWeights, tokens, strict: b
     x = embed(cfg, weights, tok)
     for blk in weights.blocks:
         x = _block_forward(cfg, blk, x, strict)
-    if cfg.norm == "pre":
-        x = FixedTensor(_stage_rows(final_ln_spec(cfg), x.data, strict), cfg.ring)
-    return mat_mul(x, weights.w_head)
+    return mat_mul(_norm(cfg, x, strict), weights.w_head)

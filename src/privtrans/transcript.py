@@ -37,10 +37,10 @@ class ChannelModel:
     bandwidth_bps: float = 1e8  # bytes per second
 
     def __post_init__(self):
-        if not self.delay_s >= 0:
-            raise ValueError(f"delay_s must be >= 0, got {self.delay_s}")
-        if not self.bandwidth_bps > 0:
-            raise ValueError(f"bandwidth_bps must be > 0, got {self.bandwidth_bps}")
+        if not (math.isfinite(self.delay_s) and self.delay_s >= 0):
+            raise ValueError(f"delay_s must be >= 0 and finite, got {self.delay_s}")
+        if not (math.isfinite(self.bandwidth_bps) and self.bandwidth_bps > 0):
+            raise ValueError(f"bandwidth_bps must be > 0 and finite, got {self.bandwidth_bps}")
 
 
 class Transcript:

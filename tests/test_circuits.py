@@ -399,8 +399,9 @@ def test_layernorm_row_equivalence():
 DESK = dict(N=1, d_emb=8, H=2, n=4, d_oh=16, d_ff=8)
 DESK_CONFIGS = (ModelConfig(**DESK), ModelConfig(**DESK, norm="pre", activation="gelu"))
 STAGE_SPECS = (
-    model.softmax_spec, model.act_spec, model.ln_attn_spec, model.ln_ffn_spec,
-    model.trunc_attn_spec, model.trunc_ffn_spec, model.final_ln_spec,
+    model.softmax_spec, model.act_spec, model.norm_spec,
+    lambda cfg: model.close_spec(cfg, 3 * cfg.ring.frac_bits),
+    lambda cfg: model.close_spec(cfg, cfg.ring.frac_bits),
 )
 # AND gates of each distinct secure stage of the desk configs (post-relu and
 # pre-gelu), keyed (fn, count, shift). Every run bills these as

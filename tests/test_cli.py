@@ -1,6 +1,7 @@
 """Benchmark driver: config parsing, reports, ablation, and verify gate."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -226,6 +227,17 @@ def test_numeric_fields_refuse_bools_and_wrong_types(change, field, tmp_path, ca
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("config error:") and field in err.splitlines()[0]
+
+
+@pytest.mark.parametrize("field", ["delay_s", "bandwidth_bps"])
+def test_infinite_channel_value_is_a_config_error(field, tmp_path):
+    # json.load parses Infinity, which used to pass and make every modeled
+    # latency inf
+    cfg_path = tmp_path / "inf.json"
+    cfg_path.write_text(json.dumps(toy_obj(channel={field: math.inf})))
+    assert "Infinity" in cfg_path.read_text()
+    with pytest.raises(ConfigError, match=f"'channel': {field} must be .*finite"):
+        read_config_file(str(cfg_path))
 
 
 def test_unknown_channel_key_is_named_not_ignored():

@@ -102,20 +102,30 @@ def test_gc_backend_reconstructs_reference_exactly():
     assert res.client_report.total("gc_table_bytes") > 0
 
 
-@pytest.mark.parametrize("norm,activation,mode,backend", [
-    *[(norm, act, mode, "semantic") for norm, act in (("post", "relu"), ("pre", "gelu"))
+def _stage_case(N, norm, activation, mode, backend="semantic"):
+    prefix = "" if N == 1 else f"N{N}-"
+    return pytest.param(N, norm, activation, mode, backend,
+                        id=f"{prefix}{norm}-{activation}-{mode}-{backend}")
+
+
+@pytest.mark.parametrize("N,norm,activation,mode,backend", [
+    *[_stage_case(1, norm, act, mode) for norm, act in (("post", "relu"), ("pre", "gelu"))
       for mode in MODES],
-    ("pre", "gelu", "f", "gc"),
+    _stage_case(1, "pre", "gelu", "f", "gc"),
+    # later blocks (fpc's have no input map) and the post-gelu and pre-relu
+    # crossings
+    *[_stage_case(2, norm, act, mode) for norm in model.NORM_ORDERS
+      for act in model.ACTIVATIONS for mode in MODES],
 ])
-def test_every_stage_input_is_the_references(norm, activation, mode, backend, monkeypatch):
+def test_every_stage_input_is_the_references(N, norm, activation, mode, backend, monkeypatch):
     # the reconstructed input of every secure stage equals, word for word,
     # the reference's input to the same stage; so the reference's range
     # check covers the protocol's stage inputs too
-    cfg = toy_cfg(norm=norm, activation=activation)
+    cfg = toy_cfg(N=N, norm=norm, activation=activation)
     w = random_weights(cfg, np.random.default_rng(29))
     tokens = [3, 1, 4, 1]
     got, want = [], []
-    real_eval, real_stage = engine.eval_secure, model._stage_rows
+    real_eval, real_stage = engine.eval_secure, model._stage
 
     def spy_eval(spec, client_vals, server_vals, *args, **kwargs):
         got.append((spec, client_vals + server_vals))
@@ -123,15 +133,16 @@ def test_every_stage_input_is_the_references(norm, activation, mode, backend, mo
 
     def spy_stage(spec, raw, strict):
         # the reference runs softmax head by head, the protocol stacks the
-        # heads' rows into one stage
+        # heads' rows into one stage; both hand spec.count words per lane
+        lanes = raw.reshape(-1, spec.count)
         if spec.fn == "softmax_row" and want and want[-1][0] == spec:
-            want[-1] = (spec, np.concatenate([want[-1][1], raw]))
+            want[-1] = (spec, np.concatenate([want[-1][1], lanes]))
         else:
-            want.append((spec, raw.copy()))
+            want.append((spec, lanes.copy()))
         return real_stage(spec, raw, strict)
 
     monkeypatch.setattr(engine, "eval_secure", spy_eval)
-    monkeypatch.setattr(model, "_stage_rows", spy_stage)
+    monkeypatch.setattr(model, "_stage", spy_stage)
     Session(cfg, w, mode, seed=6, backend=backend).run(tokens)
     reference_forward(cfg, w, tokens)
     assert [spec for spec, _ in got] == [spec for spec, _ in want]

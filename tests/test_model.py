@@ -1,5 +1,6 @@
 """Model config, weight plumbing, and the fixed-point reference forward."""
 
+import hashlib
 import json
 import struct
 import sys
@@ -142,6 +143,32 @@ def test_reference_matches_float_oracle():
             got = reference_forward(cfg, w, toks).to_float() / (1 << F)
             want = oracles.float_forward(cfg, w, toks)
             assert np.abs(got - want).max() <= 2.0 ** -4, (norm, act)
+
+
+# sha256 of the reference's logit words per (N, norm, activation) on the desk
+# dims, weights seed 5, tokens [3, 1, 4, 1]; taken before both norm orders
+# shared one block path, so a change that moves the reference shows here
+# even where it moves the protocol with it
+REFERENCE_DIGESTS = {
+    (1, "post", "relu"): "73af5e22d9124aa48eb718328f74237fe73f7762c960de946533b90df572379f",
+    (1, "post", "gelu"): "92c2405d30bb1def2fe186c93c82901f2ef661f455020b1071eaa6695e03398f",
+    (1, "pre", "relu"): "780361b09c7a160655119d3bb8c5f8bb64de59e094886e7c3d7203a65e4dabd4",
+    (1, "pre", "gelu"): "e3b0911701451fa34f0f76528707bb616ce4c5fefc680f5c635713289f8aed95",
+    (2, "post", "relu"): "03126537f067ff26327136b8d0f9184344a2a805b90c103bb275a0903f45f9ae",
+    (2, "post", "gelu"): "2a2c7aecabd566ce65373f09cdf66e3813fd0e9a54c5c04dacaa4d38d1ef9f86",
+    (2, "pre", "relu"): "3128fc59def15d5b2fcbae100d73cf6b7e018faa02967081d704b42ee4dcc271",
+    (2, "pre", "gelu"): "215f4fae67d20adaef574a9dcc5b7497adef1d47659ae0f8b204ea20d9878b1f",
+}
+
+
+@pytest.mark.parametrize("key", sorted(REFERENCE_DIGESTS), ids=lambda k: "-".join(map(str, k)))
+def test_reference_forward_matches_pinned_digest(key):
+    N, norm, act = key
+    cfg = ModelConfig(N=N, d_emb=8, H=2, n=4, d_oh=16, d_ff=8, norm=norm, activation=act)
+    w = random_weights(cfg, np.random.default_rng(5))
+    logits = reference_forward(cfg, w, [3, 1, 4, 1])
+    got = hashlib.sha256(logits.data.astype("<u8").tobytes()).hexdigest()
+    assert got == REFERENCE_DIGESTS[key]
 
 
 def test_multi_head_slicing_is_column_blocks():

@@ -173,9 +173,9 @@ STAGE_DIGESTS = {
 STAGE_SPECS = {
     (s.fn, s.count, s.shift): s
     for cfg, _ in CONFIGS.values()
-    for s in (f(cfg) for f in (model.softmax_spec, model.act_spec, model.ln_attn_spec,
-                               model.ln_ffn_spec, model.trunc_attn_spec, model.trunc_ffn_spec,
-                               model.final_ln_spec))
+    for s in (model.softmax_spec(cfg), model.act_spec(cfg), model.norm_spec(cfg),
+              model.close_spec(cfg, 3 * cfg.ring.frac_bits),
+              model.close_spec(cfg, cfg.ring.frac_bits))
 }
 
 

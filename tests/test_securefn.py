@@ -13,12 +13,9 @@ from privtrans.model import (
     NORM_ORDERS,
     ModelConfig,
     act_spec,
-    final_ln_spec,
-    ln_attn_spec,
-    ln_ffn_spec,
+    close_spec,
+    norm_spec,
     softmax_spec,
-    trunc_attn_spec,
-    trunc_ffn_spec,
 )
 from privtrans.ot import KAPPA, TOY_256, ExtReceiver, ExtSender
 from privtrans.ring import DEFAULT_RING, RingParams
@@ -95,8 +92,9 @@ def signed_dec(raw, frac):
 
 
 DESK = dict(N=1, d_emb=8, H=2, n=4, d_oh=16, d_ff=8)
-SPEC_FNS = (softmax_spec, act_spec, ln_attn_spec, ln_ffn_spec, trunc_attn_spec,
-            trunc_ffn_spec, final_ln_spec)
+SPEC_FNS = (softmax_spec, act_spec, norm_spec,
+            lambda cfg: close_spec(cfg, 3 * cfg.ring.frac_bits),
+            lambda cfg: close_spec(cfg, cfg.ring.frac_bits))
 # the distinct stages a desk-sized protocol runs, over both activations and
 # both norm orders
 EQUIV_SPECS = sorted(
@@ -228,7 +226,7 @@ def test_strict_mode_checks_unshifted_stages():
     # pre-norm layer norms run at shift 0 and cut each input to 20 bits at
     # d_emb=8, so 600000 and 600000 - 2^20 would give the same output
     pre_cfg = ModelConfig(N=1, d_emb=8, H=2, n=4, d_oh=32, d_ff=16, norm="pre")
-    spec = final_ln_spec(pre_cfg)
+    spec = norm_spec(pre_cfg)
     assert spec.shift == 0
     with pytest.raises(RangeViolation, match="layernorm_row"):
         check_domain(spec, [[600000] + [0] * 7])

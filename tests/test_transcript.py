@@ -1,6 +1,7 @@
 """Message transcript and latency estimation."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -115,6 +116,15 @@ def test_send_validates_fields():
         ChannelModel(delay_s=-1.0)
     with pytest.raises(ValueError):
         ChannelModel(bandwidth_bps=0.0)
+
+
+@pytest.mark.parametrize("field", ["delay_s", "bandwidth_bps"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_channel_refuses_values_that_are_not_finite(field, value):
+    # an infinite delay or bandwidth turned every modeled latency into inf
+    # or nan
+    with pytest.raises(ValueError, match=f"{field} must be .*finite"):
+        ChannelModel(**{field: value})
 
 
 def test_jsonl_round_trip_is_deterministic():
