@@ -27,7 +27,8 @@ an op can see the repeat, and none is kept that reaches no output:
   and constant halves cost one select, and (a_i, b_i) and (b_i, a_i)
   share their AND; the muxes of one `lookup` level, and the same level
   of every lookup at that index, share a select bit and their selects;
-- `ge` emits only the subtraction's carry chain and top bit;
+- `ge` reads the top bit of a full subtraction, and `build` drops the
+  rest;
 - `build` drops the gates whose outputs no output depends on and
   renumbers the rest. This is local: there is no circuit-wide table of
   gates seen, which would cost a dict entry per gate at build time.
@@ -293,9 +294,6 @@ class CircuitOps:
 
     # value plumbing
 
-    def input(self, width: int) -> WireVec:
-        return self.b.new_input(width)
-
     def const(self, value: int, width: int) -> WireVec:
         return WireVec(tuple(ONE if (value >> i) & 1 else ZERO for i in range(width)))
 
@@ -310,9 +308,6 @@ class CircuitOps:
 
     def bit(self, a: WireVec, i: int) -> WireVec:
         return WireVec((a.wires[i],))
-
-    def sign(self, a: WireVec) -> WireVec:
-        return WireVec((a.wires[-1],))
 
     def sar(self, a: WireVec, k: int) -> WireVec:
         if k == 0:
@@ -331,12 +326,8 @@ class CircuitOps:
     def _not(self, w: int) -> int:
         return self.b.gate(XOR, w, ONE)
 
-    def _ripple(self, a: WireVec, b: WireVec, carry_in: int, invert_b: bool,
-                top_only: bool = False) -> WireVec:
-        """a + b + carry_in (b inverted if invert_b); only its top bit if
-        top_only, so the other sum bits are never emitted."""
-        # build() would drop the unread sum bits too, but emitting them
-        # first raises set-up's peak memory
+    def _ripple(self, a: WireVec, b: WireVec, carry_in: int, invert_b: bool) -> WireVec:
+        """a + b + carry_in (b inverted if invert_b)."""
         assert a.width == b.width
         g = self.b.gate
         c = carry_in
@@ -345,8 +336,7 @@ class CircuitOps:
         for i in range(a.width):
             bi = self._not(b.wires[i]) if invert_b else b.wires[i]
             ax = g(XOR, a.wires[i], c)
-            if i == last or not top_only:
-                out.append(g(XOR, ax, bi))
+            out.append(g(XOR, ax, bi))
             if i != last:
                 c = g(XOR, c, g(AND, ax, g(XOR, bi, c)))
         return WireVec(tuple(out))
@@ -356,9 +346,6 @@ class CircuitOps:
 
     def sub(self, a: WireVec, b: WireVec) -> WireVec:
         return self._ripple(a, b, ONE, True)
-
-    def neg(self, a: WireVec) -> WireVec:
-        return self.sub(self.const(0, a.width), a)
 
     def mul(self, a: WireVec, b: WireVec) -> WireVec:
         """The signed product, a.width + b.width bits wide: a square as a
@@ -460,10 +447,10 @@ class CircuitOps:
 
     def ge(self, a: WireVec, b: WireVec) -> WireVec:
         assert a.width == b.width
-        # a >= b iff a - b, one bit wider so it cannot overflow, is not negative
-        d = self._ripple(self.resize(a, a.width + 1), self.resize(b, b.width + 1), ONE, True,
-                         top_only=True)
-        return WireVec((self._not(d.wires[0]),))
+        # a >= b iff a - b, one bit wider so it cannot overflow, is not
+        # negative; build() drops the sum bits below the top one
+        d = self.sub(self.resize(a, a.width + 1), self.resize(b, b.width + 1))
+        return WireVec((self._not(d.wires[-1]),))
 
     def mux(self, c: WireVec, a: WireVec, b: WireVec) -> WireVec:
         assert c.width == 1 and a.width == b.width

@@ -128,7 +128,7 @@ def load_run_config(obj: dict, overrides: dict | None = None) -> RunConfig:
         wfield = "weight_scale"
         wseed = _seed(obj, "weights_seed", default=seed)
         scale = _field(obj, "weight_scale", (int, float), default=0.5)
-        if not 0 <= scale < float("inf"):
+        if not 0 <= scale <= sys.float_info.max:
             raise ConfigError(f"config field 'weight_scale': must be finite and >= 0, got {scale}")
         weights = random_weights(cfg, np.random.default_rng(wseed), scale=float(scale))
     try:
@@ -150,7 +150,7 @@ def load_run_config(obj: dict, overrides: dict | None = None) -> RunConfig:
         c = _field(obj, "channel", dict)
         keys = ("delay_s", "bandwidth_bps")
         _check_keys(c, keys, "channel.")
-        kw = {k: float(_field(c, k, (int, float), default=getattr(channel, k), where="channel."))
+        kw = {k: _field(c, k, (int, float), default=getattr(channel, k), where="channel.")
               for k in keys}
         try:
             channel = ChannelModel(**kw)
@@ -169,6 +169,8 @@ def read_config_file(path: str, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"config file {path!r}: {e.strerror}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: line {e.lineno} col {e.colno}: {e.msg}") from e
+    except ValueError as e:  # an integer literal past Python's digit limit
+        raise ConfigError(f"config file {path!r}: {e}") from None
     return load_run_config(obj, overrides)
 
 

@@ -53,8 +53,8 @@ class SemVal:
 
 class SemanticOps:
     """Numpy interpreter for the ops interface; all ops are elementwise
-    and broadcast, so a constant is a scalar. add, sub, neg, shl and a
-    narrowing resize wrap; a product of m and n bits fits m + n <= 64, and
+    and broadcast, so a constant is a scalar. add, sub, shl and a narrowing
+    resize wrap; a product of m and n bits fits m + n <= 64, and
     the other ops cannot leave their width."""
 
     def each(self, body, row: SemVal, *shared) -> SemVal:
@@ -85,9 +85,6 @@ class SemanticOps:
         assert a.width == b.width
         return SemVal(wrap(a.bits - b.bits, a.width), a.width)
 
-    def neg(self, a: SemVal) -> SemVal:
-        return SemVal(wrap(-a.bits, a.width), a.width)
-
     def mul(self, a: SemVal, b: SemVal) -> SemVal:
         w = a.width + b.width
         assert w <= 64, "product would not fit a 64-bit word"
@@ -108,9 +105,6 @@ class SemanticOps:
 
     def bit(self, a: SemVal, i: int) -> SemVal:
         return SemVal(wrap(a.bits >> i, 1), 1)
-
-    def sign(self, a: SemVal) -> SemVal:
-        return SemVal(a.bits >> 63, 1)
 
     def ge(self, a: SemVal, b: SemVal) -> SemVal:
         assert a.width == b.width
@@ -148,8 +142,10 @@ def barrel_shl(ops, v, amount, max_shift: int):
 
 def normalize(ops, v):
     """Shift v left until its top bit is set; returns (m, e) with
-    m = v << e. v must be positive."""
+    m = v << e. A v below 1 counts as 1."""
     w = v.width
+    floor = ops.const(1, w)
+    v = ops.mux(ops.ge(v, floor), v, floor)
     e = ops.const(0, COUNTER_WIDTH)
     one = ops.const(1, COUNTER_WIDTH)
     for _ in range(w - 1):
@@ -171,7 +167,7 @@ def trunc_sat(ops, v, shift: int, ring: RingParams):
 
 
 def relu(ops, v):
-    return ops.mux(ops.sign(v), ops.const(0, v.width), v)
+    return ops.mux(ops.bit(v, v.width - 1), ops.const(0, v.width), v)
 
 
 def _gelu_real(x: float) -> float:
@@ -231,7 +227,7 @@ def exp_approx(ops, u, in_frac: int):
     u = clamp(ops, u, -((16 << in_frac) - 1), 0)
     wl = (16 << F2).bit_length() + 1
     u2 = ops.shl(ops.resize(u, wl), up)
-    t2 = ops.zext(ops.resize(ops.neg(u2), 17), 18)  # 0 .. 16*2^12 - 1
+    t2 = ops.zext(ops.resize(ops.sub(ops.const(0, wl), u2), 17), 18)  # 0 .. 16*2^12 - 1
     k = ops.resize(ops.sar(t2, SEG_SHIFT), SEG_BITS)
     dt = ops.zext(ops.resize(t2, SEG_SHIFT), SEG_SHIFT + 1)
     base = ops.lookup(EXP_BASE, k, 14)
@@ -256,8 +252,6 @@ def reciprocal(ops, v, out_width: int = 16):
     >= 0.5 so the result fits out_width.
     """
     w = v.width
-    one = ops.const(1, w)
-    v = ops.mux(ops.ge(v, one), v, one)
     m, e = normalize(ops, v)
     # top mantissa bits, scale _FM, in [0.5, 1)
     mh = ops.resize(ops.sar(ops.zext(m, w + 1), w - _FM), _FM + 1)
@@ -285,12 +279,10 @@ _RSQ_A = round(2.207 * (1 << _FQ))
 _RSQ_B = round(4 / 3 * (1 << _FQ))
 
 
-def rsqrt(ops, v, in_frac: int = F2, out_width: int = 20):
-    """1/sqrt(v) at F2 fraction bits for v >= 1 raw, given at in_frac
-    fraction bits."""
+def rsqrt(ops, v, in_frac: int = F2):
+    """1/sqrt(v) at F2 fraction bits, width 20, for v >= 1 raw, given at
+    in_frac fraction bits."""
     w = v.width
-    one = ops.const(1, w)
-    v = ops.mux(ops.ge(v, one), v, one)
     m, e = normalize(ops, v)
     # v_real = m_real 2^E with E = w - e - in_frac; fold E's parity into
     # the mantissa so the exponent shift E/2 is integral
@@ -324,7 +316,7 @@ def rsqrt(ops, v, in_frac: int = F2, out_width: int = 20):
     sh = ops.resize(ops.sub(ops.const(bias, ew), half), sbits)
     y = ops.resize(y, _FQ + 3 + max_shift)
     y = barrel_shl(ops, y, sh, max_shift)
-    return ops.resize(ops.sar(y, bias + _FQ - F2), out_width)
+    return ops.resize(ops.sar(y, bias + _FQ - F2), 20)
 
 
 # -- softmax ------------------------------------------------------------------
@@ -382,7 +374,7 @@ def layernorm_row(ops, xs, ring: RingParams):
         devs,
     )
     var = ops.add(ops.sum(sqs, 42), ops.const(1 << F2, 42))  # + 2^-F2
-    z = rsqrt(ops, var, in_frac=2 * F2, out_width=20)
+    z = rsqrt(ops, var, in_frac=2 * F2)
     lim = ring.value_limit()
 
     def scale(dev, z):

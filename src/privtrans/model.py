@@ -80,8 +80,13 @@ class ModelConfig:
         if lam is None:
             lam = FixedTensor.zeros(self.n, self.d_emb, self.ring)
         elif not isinstance(lam, FixedTensor):
-            # NaN fails the test too; a word past 2^63 would wrap to INT64_MIN
-            if not (np.abs(np.asarray(lam, dtype=np.float64)) * self.ring.scale < 2.0**63).all():
+            # NaN fails the test too; a word past 2^63 would wrap to INT64_MIN,
+            # and an int too large for a float has no float to test
+            try:
+                ok = (np.abs(np.asarray(lam, dtype=np.float64)) * self.ring.scale < 2.0**63).all()
+            except OverflowError:
+                ok = False
+            if not ok:
                 raise ValueError(f"lam must be finite with |lam| * 2**{self.ring.frac_bits} below "
                                  "2**63: larger, NaN or inf has no ring encoding")
             lam = FixedTensor.from_float(lam, self.ring)
@@ -291,8 +296,6 @@ def config_from_dict(d: Mapping) -> ModelConfig:
         if unknown:
             raise ValueError(f"unknown ring config fields: {sorted(unknown)}")
         kwargs["ring"] = RingParams(**kwargs["ring"])
-    if kwargs.get("lam") is not None:
-        kwargs["lam"] = np.asarray(kwargs["lam"], dtype=np.float64)
     return ModelConfig(**kwargs)
 
 

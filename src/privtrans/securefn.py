@@ -121,9 +121,9 @@ def build_secure_circuit(spec: SecureFnSpec):
     """Inputs: client shares, client fresh masks, then server shares."""
     b = CircuitBuilder()
     ops = CircuitOps(b)
-    xc = [ops.input(64) for _ in range(spec.count)]
-    masks = [ops.input(64) for _ in range(spec.count)]
-    xs = [ops.input(64) for _ in range(spec.count)]
+    xc = [b.new_input(64) for _ in range(spec.count)]
+    masks = [b.new_input(64) for _ in range(spec.count)]
+    xs = [b.new_input(64) for _ in range(spec.count)]
     ys = _apply(ops, spec, [ops.add(a, c) for a, c in zip(xc, xs)])
     for y, r in zip(ys, masks):
         b.mark_output(ops.sub(y, r))

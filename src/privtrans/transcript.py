@@ -10,7 +10,7 @@ modeled seconds.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass
 
 from .costs import ALL_COUNTERS, PHASES, STEPS, CostReport, check_scope
@@ -37,9 +37,11 @@ class ChannelModel:
     bandwidth_bps: float = 1e8  # bytes per second
 
     def __post_init__(self):
-        if not (math.isfinite(self.delay_s) and self.delay_s >= 0):
+        # an int too large for a float fails these comparisons, where
+        # math.isfinite would raise OverflowError
+        if not 0 <= self.delay_s <= sys.float_info.max:
             raise ValueError(f"delay_s must be >= 0 and finite, got {self.delay_s}")
-        if not (math.isfinite(self.bandwidth_bps) and self.bandwidth_bps > 0):
+        if not 0 < self.bandwidth_bps <= sys.float_info.max:
             raise ValueError(f"bandwidth_bps must be > 0 and finite, got {self.bandwidth_bps}")
 
 
@@ -135,7 +137,7 @@ def estimate_latency(
     for name, per_op in table.items():
         if name not in ALL_COUNTERS:
             raise ValueError(f"op_cost_table: unknown counter {name!r}")
-        if not (math.isfinite(per_op) and per_op >= 0):
+        if not 0 <= per_op <= sys.float_info.max:
             raise ValueError(f"op_cost_table: cost of {name!r} must be finite and >= 0, "
                              f"got {per_op}")
     out = {}

@@ -240,6 +240,36 @@ def test_infinite_channel_value_is_a_config_error(field, tmp_path):
         read_config_file(str(cfg_path))
 
 
+@pytest.mark.parametrize("change,field", [
+    ({"channel": {"delay_s": 10**400}}, "'channel': delay_s"),
+    ({"channel": {"bandwidth_bps": 10**400}}, "'channel': bandwidth_bps"),
+    ({"weight_scale": 10**400}, "'weight_scale'"),
+    ({"model": {**toy_obj()["model"], "lam": [[10**400] * 8] * 4}}, "'model': lam"),
+], ids=["delay_s", "bandwidth_bps", "weight_scale", "lam"])
+def test_an_int_too_large_for_a_float_is_a_config_error(change, field, tmp_path, capsys):
+    # json.load reads a 400-digit literal as an int, which float() and
+    # math.isfinite refused with an OverflowError traceback
+    cfg_path = tmp_path / "huge.json"
+    cfg_path.write_text(json.dumps(toy_obj(**change)))
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"config error: config field {field}")
+    assert len(err.splitlines()) == 1
+
+
+def test_an_integer_past_the_digit_limit_is_a_config_error(tmp_path, capsys):
+    # json.load refuses an integer literal of more than 4,300 digits with a
+    # ValueError that is not a JSONDecodeError, which ended in a traceback
+    cfg_path = tmp_path / "digits.json"
+    cfg_path.write_text(json.dumps(toy_obj())[:-1] + ', "weights_seed": ' + "9" * 5000 + "}")
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"config error: config file {str(cfg_path)!r}: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_unknown_channel_key_is_named_not_ignored():
     # a misspelt delay_s used to run at the default delay
     with pytest.raises(ConfigError, match="'channel.delay': unknown"):

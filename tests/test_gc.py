@@ -263,8 +263,8 @@ def test_garbled_and_xor_not_truth_tables():
 def adder_circuit(w):
     b = CircuitBuilder()
     ops = CircuitOps(b)
-    x = ops.input(w)
-    y = ops.input(w)
+    x = b.new_input(w)
+    y = b.new_input(w)
     b.mark_output(ops.add(x, y))
     return b.build()
 

@@ -58,6 +58,20 @@ def test_config_validation():
     assert cfg.eta == int(DEFAULT_RING.encode(0.5))  # 1/sqrt(4)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 2.0**60, 10**400],
+                         ids=["nan", "inf", "past-2**63", "huge-int"])
+def test_lam_without_a_ring_encoding_is_refused(value):
+    # 10**400, an int too large for a float (JSON reads a long integer
+    # literal as one), ended in OverflowError
+    lam = [[0.0] * 8 for _ in range(4)]
+    lam[1][2] = value
+    with pytest.raises(ValueError, match="lam must be finite"):
+        toy_cfg(lam=lam)
+    d = config_to_dict(toy_cfg())
+    with pytest.raises(ValueError, match="lam must be finite"):
+        config_from_dict({**d, "lam": lam})
+
+
 def test_config_dict_round_trip():
     lam = np.arange(32).reshape(4, 8) / 64.0
     cfg = toy_cfg(activation="gelu", norm="pre", delta=2, lam=lam, d_out=3,

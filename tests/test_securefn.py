@@ -51,7 +51,7 @@ def pair_circuit(fn, w):
     """The circuit of the two-input stage fn(ops, x, y) at width w."""
     b = CircuitBuilder()
     ops = CircuitOps(b)
-    b.mark_output(fn(ops, ops.input(w), ops.input(w)))
+    b.mark_output(fn(ops, b.new_input(w), b.new_input(w)))
     return b.build()
 
 

@@ -96,7 +96,10 @@ def test_op_cost_table_refuses_an_unknown_counter():
         estimate_latency(t, ChannelModel(), op_cost_table={"he_mulplain": 0.002}, report=r)
 
 
-@pytest.mark.parametrize("per_op", [-1.0, float("nan"), float("inf")])
+# 10**400 is an int too large for a float, on which math.isfinite raised
+# OverflowError
+@pytest.mark.parametrize("per_op", [-1.0, float("nan"), float("inf"), 10**400],
+                         ids=["negative", "nan", "inf", "huge-int"])
 def test_op_cost_table_refuses_a_negative_or_infinite_cost(per_op):
     t, r = _priced_run()
     with pytest.raises(ValueError, match="he_mul_plain"):
@@ -119,10 +122,11 @@ def test_send_validates_fields():
 
 
 @pytest.mark.parametrize("field", ["delay_s", "bandwidth_bps"])
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 10**400],
+                         ids=["inf", "-inf", "nan", "huge-int"])
 def test_channel_refuses_values_that_are_not_finite(field, value):
     # an infinite delay or bandwidth turned every modeled latency into inf
-    # or nan
+    # or nan; an int too large for a float raised OverflowError
     with pytest.raises(ValueError, match=f"{field} must be .*finite"):
         ChannelModel(**{field: value})
 
