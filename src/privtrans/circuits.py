@@ -10,8 +10,10 @@ circuit, which is what keeps the two backends bit-identical. A w-bit value
 is w wires, least significant first, holding the two's-complement pattern
 of the integer that the semantic side keeps sign-extended in int64. A row
 is a list of values, where the semantic side holds one (count, lanes)
-array; `each` calls its body on each element in turn, so a row stage
-emits its gates in loop order; `sum` is an adder tree, `max` a mux chain.
+array; `sum` is an adder tree, `max` a mux chain. `each` runs its body
+once per wire pattern of its arguments, on a builder of its own, and
+pastes a renumbered copy of those gates for each element: the gates that
+calling the body on each element in turn would emit, in the same order.
 
 Ripple adders use the one-AND-per-bit full adder
     carry' = c ^ ((a ^ c) & (b ^ c))
@@ -178,14 +180,17 @@ class BoolCircuit:
 class CircuitBuilder:
     def __init__(self):
         self._n_inputs = 0
+        # `gate` appends to the lists; they move into an (op, lhs, rhs)
+        # chunk of uint8/int32 arrays before each `paste` adds its own
         self._op = []
         self._lhs = []
         self._rhs = []
+        self._chunks = [(np.empty(0, np.uint8), np.empty(0, np.int32), np.empty(0, np.int32))]
         self._outputs = []
         self._next = 2  # 0 and 1 are the constant wires
 
     def new_input(self, width: int) -> WireVec:
-        if self._op:
+        if self._next != 2 + self._n_inputs:
             raise RuntimeError("declare all inputs before emitting gates")
         self._n_inputs += width
         wires = tuple(range(self._next, self._next + width))
@@ -219,6 +224,39 @@ class CircuitBuilder:
         self._next += 1
         return out
 
+    def paste(self, gates: tuple, out: WireVec, inputs: tuple) -> WireVec:
+        """Emit a copy of another builder's gates, given as its (op, lhs,
+        rhs) arrays, with its inputs wired to `inputs` and its gates to the
+        next free wires; returns the copy's wires of that builder's `out`.
+        Renumbered gates are put back in lhs <= rhs order, as `gate` emits
+        them."""
+        self._flush()
+        op, lhs, rhs = gates
+        base = 2 + len(inputs)
+        wire = np.arange(self._next - base, self._next + len(op), dtype=np.int32)
+        wire[:base] = (ZERO, ONE, *inputs)
+        a, b = wire[lhs], wire[rhs]
+        self._chunks.append((op, np.minimum(a, b), np.maximum(a, b)))
+        self._next += len(op)
+        return WireVec(tuple(wire[list(out.wires)].tolist()))
+
+    def _flush(self) -> None:
+        if self._op:
+            self._chunks.append((
+                np.array(self._op, dtype=np.uint8),
+                np.array(self._lhs, dtype=np.int32),
+                np.array(self._rhs, dtype=np.int32),
+            ))
+            self._op, self._lhs, self._rhs = [], [], []
+
+    def gates(self) -> tuple:
+        """op, lhs and rhs of every gate so far, in emission order, as
+        arrays."""
+        self._flush()
+        if len(self._chunks) > 1:
+            self._chunks = [tuple(map(np.concatenate, zip(*self._chunks)))]
+        return self._chunks[0]
+
     def mark_output(self, v: WireVec) -> None:
         self._outputs.extend(v.wires)
 
@@ -229,14 +267,8 @@ class CircuitBuilder:
         round, until none is left; the kept gates are then renumbered,
         while constants, inputs and the outputs' order stay as they are."""
         base = 2 + self._n_inputs
-        op = np.array(self._op, dtype=np.uint8)
-        lhs = np.array(self._lhs, dtype=np.int32)
-        rhs = np.array(self._rhs, dtype=np.int32)
+        op, lhs, rhs = self.gates()
         outputs = np.array(self._outputs, dtype=np.int32)
-        # the builder is spent; dropping its lists, and the int object per
-        # wire they hold, lets the pass below reuse that memory instead of
-        # adding to it
-        self._op = self._lhs = self._rhs = None
         # per wire, the gate inputs and outputs that read it
         reads = np.bincount(np.concatenate([lhs, rhs, outputs]), minlength=self._next)
         live = np.ones(len(op), dtype=bool)
@@ -265,13 +297,35 @@ class CircuitOps:
         self.b = builder
         # per lookup select bit, the picks made on it (see `_select`), so
         # lookups of two tables at one index, as exp's and gelu's base and
-        # slope, share them; wires are never reused, so a pick stays valid
+        # slope, share them; wires are never reused, so a pick stays valid.
+        # While `each` builds a body, a fresh dict stands in for this one
         self._picked = {}
 
     def each(self, body, row: list, *shared) -> list:
-        """body on each element of a row in turn, with the row-wide shared
-        values."""
-        return [body(x, *shared) for x in row]
+        """body on each element of a row, with the row-wide shared values.
+
+        body runs once per wire pattern of its arguments on a fresh builder,
+        and each element gets a pasted copy of its gates. `gate` decides by
+        which wires are constant or equal, and the pattern keeps both, so a
+        copy is the gates that body would emit on the element. A copy's
+        lookups share picks with that copy only, so a select bit that two
+        copies read (a shared value's, or an element's given twice) would
+        cost its picks in each; no stage's body reads one."""
+        templates = {}
+        out = []
+        for x in row:
+            key, inputs = _pattern((x, *shared))
+            if key not in templates:
+                outer = self.b, self._picked
+                self.b, self._picked = CircuitBuilder(), {}
+                try:
+                    self.b.new_input(len(inputs))
+                    y = body(*map(WireVec, key))
+                    templates[key] = self.b.gates(), y
+                finally:
+                    self.b, self._picked = outer
+            out.append(self.b.paste(*templates[key], inputs))
+        return out
 
     def count(self, row: list) -> int:
         return len(row)
@@ -484,6 +538,15 @@ class CircuitOps:
                 for j in range(len(level) // 2)
             ]
         return level[0]
+
+
+def _pattern(values: tuple) -> tuple:
+    """(key, inputs): key holds the values' wires with the constants kept
+    and every other wire numbered 2, 3, ... by first occurrence, as a
+    builder numbers its inputs; inputs lists the wires so numbered."""
+    ids = {ZERO: ZERO, ONE: ONE}
+    key = tuple(tuple(ids.setdefault(w, len(ids)) for w in v.wires) for v in values)
+    return key, tuple(ids)[2:]
 
 
 def pack_bits(values: np.ndarray, width: int) -> np.ndarray:

@@ -12,8 +12,9 @@ A row stage (softmax, layer norm) takes a row of count elements. Under
 axis first: a row-wide (lanes,) value such as the max or the mean
 broadcasts against it, so `each` is one call of its body on the whole row,
 and `sum` and `max` reduce over axis 0. Under the circuit backend a row is
-a list of count values: `each` calls its body element by element, `sum`
-is an adder tree and `max` a mux chain.
+a list of count values: `each` pastes a copy of its body's gates for each
+element (the gates of calling it element by element), `sum` is an adder
+tree and `max` a mux chain.
 
 Values are two's-complement integers of an explicit bit width, 0 to 64.
 The semantic side holds each one sign-extended in int64, the integer its

@@ -223,13 +223,16 @@ def he_matmul(
     if len(plan.live):
         rows = Ciphertext(rows_a, rows_b, cts.key_id, cts.params, rots[0].noise_used)
         prods = he_mul_plain(rows, plan.masks, report)
-        # rank 0 of every group starts its sum in place; each later rank
-        # adds onto the live prefix
+        # rank 0 of every group starts its sum; each later rank adds onto
+        # the live prefix, and a group that drops out of it is final
         groups = plan.out_ct[:plan.live[0]]
         acc, start = prods.row(slice(0, len(groups))), len(groups)
         for live in plan.live[1:].tolist():
-            part = he_add(acc.row(slice(0, live)), prods.row(slice(start, start + live)), report)
-            acc.a[:live], acc.b[:live], acc.noise_used = part.a, part.b, part.noise_used
+            if live < acc.count:
+                done = groups[live:acc.count]
+                out_a[done], out_b[done] = acc.a[live:], acc.b[live:]
+            acc = he_add(acc.row(slice(0, live)), prods.row(slice(start, start + live)), report)
             start += live
-        out_a[groups], out_b[groups], noise = acc.a, acc.b, acc.noise_used
+        done = groups[:acc.count]
+        out_a[done], out_b[done], noise = acc.a, acc.b, acc.noise_used
     return Ciphertext(out_a, out_b, cts.key_id, cts.params, noise), layout_out

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from privtrans import ModelConfig, fixedfn, model
+from privtrans import ModelConfig, fixedfn, model, securefn
 from privtrans.circuits import (
     AND,
     ONE,
@@ -18,17 +18,17 @@ from privtrans.circuits import (
 )
 from privtrans.fixedfn import SemanticOps, SemVal, wrap
 from privtrans.ring import DEFAULT_RING, RingParams
-from privtrans.securefn import build_secure_circuit
+from privtrans.securefn import SecureFnSpec, build_secure_circuit
 
 from oracles import eval_circuit
 
 SEM = SemanticOps()
 
 
-def build(fn, widths):
+def build(fn, widths, ops_cls=CircuitOps):
     """Emit the circuit for fn(ops, [v0, v1, ...])."""
     b = CircuitBuilder()
-    ops = CircuitOps(b)
+    ops = ops_cls(b)
     ins = [b.new_input(w) for w in widths]
     outs = fn(ops, ins)
     if isinstance(outs, WireVec):
@@ -534,3 +534,69 @@ def test_sparse_constant_products_cost_no_more_than_sign_extended_rows():
                     for by in (lambda ops, vs: ops.mul(vs[0], ops.const(c, wc)),
                                lambda ops, vs: ops.mul(ops.const(c, wc), vs[0])):
                         assert build(by, [wx])[0].n_gates == 0, (c, wc, wx)
+
+
+# -- `each` pastes copies of one body's gates ---------------------------------
+
+
+class ElementwiseOps(CircuitOps):
+    """`each` as the body called on each element in turn, which emits the
+    gates that the pasted copies of `CircuitOps.each` must reproduce."""
+
+    def each(self, body, row, *shared):
+        return [body(x, *shared) for x in row]
+
+
+def assert_same_gates(got, want):
+    assert got.n_inputs == want.n_inputs
+    assert got.outputs == want.outputs
+    for name in ("op", "lhs", "rhs"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("spec", [
+    # sem-long's pre-norm layer norm: the mean shared with every element
+    # holds a constant wire
+    SecureFnSpec("layernorm_row", count=8),
+    # sem-wide's post-norm layer norm
+    SecureFnSpec("layernorm_row", count=32, shift=24),
+    *(SecureFnSpec("softmax_row", count=n, shift=32) for n in (1, 3, 16)),
+    SecureFnSpec("relu", shift=8),
+    SecureFnSpec("gelu", shift=8),
+    SecureFnSpec("trunc", shift=24),
+], ids=lambda s: f"{s.fn}-{s.count}-{s.shift}")
+def test_each_pastes_the_gates_of_an_element_by_element_each(spec, monkeypatch):
+    pasted = build_secure_circuit.__wrapped__(spec)
+    monkeypatch.setattr(securefn, "CircuitOps", ElementwiseOps)
+    assert_same_gates(pasted, build_secure_circuit.__wrapped__(spec))
+
+
+def test_each_pastes_bodies_on_aliased_constant_and_passed_through_wires():
+    table = [(7 * k) % 61 for k in range(8)]
+
+    def fn(ops, vs):
+        s, x, y = vs  # s's wires come first, so pasting reorders lhs and rhs
+        # elements of four wire patterns, one of them twice
+        row = [x, ops.zext(y, 8), ops.sar(x, 3), ops.const(37, 8), x]
+        ext = ops.resize(s, 10)  # repeats s's top wire
+        wide = ops.zext(s, 10)  # ends in constant wires
+        prods = ops.each(lambda v, e: ops.mul(ops.resize(v, 10), e), row, ext)
+        sums = ops.each(lambda v, e, z: ops.add(ops.add(ops.resize(v, 10), e), z), row, ext, wide)
+        picks = ops.each(
+            lambda v, e: ops.mux(ops.bit(v, 0), ops.resize(v, 10), e), row, ext
+        )
+        # two lookups at one index share their picks within a copy; the
+        # element given twice is left out, as two copies share none
+        looked = ops.each(
+            lambda v: ops.add(ops.lookup(table, ops.resize(v, 3), 6),
+                              ops.lookup(table[::-1], ops.resize(v, 3), 6)), row[:-1]
+        )
+        same = ops.each(lambda v: v, row)
+        shared = ops.each(lambda v, e: e, row, ext)
+        return [*prods, *sums, *picks, *looked, *same, *shared]
+
+    want, widths = build(fn, [6, 8, 5], ElementwiseOps)
+    got, got_widths = build(fn, [6, 8, 5])
+    assert got_widths == widths
+    assert_same_gates(got, want)
+    assert got.n_gates > 0

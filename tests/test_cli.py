@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -418,3 +419,26 @@ def test_bad_seeds_and_paths_end_in_one_config_error_line(change, argv, named, t
     assert out == ""
     assert err.startswith("config error:") and err.count("\n") == 1, err
     assert named.format(tmp=tmp_path) in err
+
+
+CONFIGS = Path(__file__).parent / "configs"
+OUTCOMES = [
+    line.split("|") for line in (CONFIGS / "outcomes.txt").read_text().splitlines()
+    if not line.startswith("#")
+]
+
+
+def test_every_committed_config_has_an_outcome():
+    assert {name for name, *_ in OUTCOMES} == {p.stem for p in CONFIGS.glob("*.json")}
+
+
+@pytest.mark.parametrize("name,command,status,line", OUTCOMES,
+                         ids=["-".join([name, *command.split()]) for name, command, *_ in OUTCOMES])
+def test_committed_config_gives_its_outcome(name, command, status, line, capsys):
+    assert main([*command.split(), "--config", str(CONFIGS / f"{name}.json")]) == int(status)
+    out, err = capsys.readouterr()
+    lines = (out + err).splitlines()
+    assert any(got.startswith(line) for got in lines), lines
+    assert not any("Traceback" in got for got in lines)
+    if int(status):
+        assert len(lines) == 1, lines
