@@ -11,7 +11,7 @@ the masked Q*K^T product used inside attention.
 # %%
 import numpy as np
 
-from privtrans.costs import CostReport
+from privtrans.costs import CostReport, Transcript
 from privtrans.engine import MaterialMissing, Server
 from privtrans.model import ModelConfig, random_weights
 from privtrans.ring import DEFAULT_RING, FixedTensor, mat_mul
@@ -72,9 +72,11 @@ print("masked-product algebra reconstructs Q*K^T exactly")
 # Triples are single-use: the mask would leak if two different masked
 # values reused it. The server keeps each triple in its material store
 # under a module id, and taking an item pops it, so a second take fails.
-# The server is built from the model it serves: it holds the weights.
+# The server is built from the model it serves: it holds the weights,
+# and bills its work into the session's transcript.
 cfg = ModelConfig(N=1, d_emb=4, H=1, n=3, d_oh=4, d_ff=4)
-server = Server(np.random.default_rng(7), cfg, random_weights(cfg, np.random.default_rng(7)))
+server = Server(np.random.default_rng(7), cfg, random_weights(cfg, np.random.default_rng(7)),
+                Transcript())
 server.keep("b0.qk.h0", triple)
 print("server store holds:", sorted(server.material))
 assert server.take("b0.qk.h0") is triple

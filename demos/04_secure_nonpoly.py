@@ -18,7 +18,6 @@ from privtrans.costs import CostReport
 from privtrans.ot import ExtReceiver, ExtSender
 from privtrans.ring import DEFAULT_RING
 from privtrans.securefn import SecureFnSpec, eval_secure, plain_apply
-from privtrans.transcript import Transcript
 
 F = DEFAULT_RING.frac_bits
 rng = np.random.default_rng(3)
@@ -42,15 +41,15 @@ raw = (vals * (1 << F)).astype(np.int64).view(np.uint64)
 # %%
 # Split into shares, evaluate, reconstruct. The secure path matches the
 # stage run on plain words, which itself tracks real softmax closely. Every
-# stage is billed: it takes the report and transcript it logs to, the
-# pipeline step it belongs to, and both parties' sides of the session's
-# oblivious transfer.
+# stage is billed: it takes the report it bills, whose transcript logs its
+# messages, the pipeline step it belongs to, and both parties' sides of
+# the session's oblivious transfer.
 xc = rng.integers(0, 1 << 64, raw.shape, dtype=np.uint64)
 xs = raw - xc
-report, t = CostReport(), Transcript()
-rng_c = np.random.default_rng(1)
-c, s = eval_secure(spec, xc, xs, rng_c, report=report, transcript=t,
-                   step="SoftMax", **new_session_ot(rng_c, 5))
+report = CostReport()
+t, rng_c = report.transcript, np.random.default_rng(1)
+c, s = eval_secure(spec, xc, xs, rng_c, report=report, step="SoftMax",
+                   **new_session_ot(rng_c, 5))
 got = DEFAULT_RING.to_signed(c + s).astype(np.float64) / (1 << F)
 print("secure softmax:\n", got)
 ref = np.exp(vals) / np.exp(vals).sum(axis=1, keepdims=True)
@@ -70,11 +69,12 @@ raw_r = rng.integers(0, 1 << 64, (6, 1), dtype=np.uint64)
 xc_r = rng.integers(0, 1 << 64, raw_r.shape, dtype=np.uint64)
 xs_r = raw_r - xc_r
 rng_c = np.random.default_rng(2)
-c_sem, s_sem = eval_secure(relu, xc_r, xs_r, rng_c, report=report, transcript=t,
-                           step="Others", **new_session_ot(rng_c, 4))
-t_gc, rng_c = Transcript(), np.random.default_rng(2)
-c_gc, s_gc = eval_secure(relu, xc_r, xs_r, rng_c, backend="gc", report=report,
-                         transcript=t_gc, step="Others", **new_session_ot(rng_c, 4))
+c_sem, s_sem = eval_secure(relu, xc_r, xs_r, rng_c, report=report, step="Others",
+                           **new_session_ot(rng_c, 4))
+report_gc, rng_c = CostReport(), np.random.default_rng(2)
+t_gc = report_gc.transcript
+c_gc, s_gc = eval_secure(relu, xc_r, xs_r, rng_c, backend="gc", report=report_gc,
+                         step="Others", **new_session_ot(rng_c, 4))
 assert np.array_equal(c_sem, c_gc) and np.array_equal(s_sem, s_gc)
 print("gc backend == semantic backend on relu lanes")
 

@@ -12,9 +12,9 @@ online.
 # %%
 import numpy as np
 
+from privtrans.costs import STEPS, ChannelModel, estimate_latency
 from privtrans.engine import MODES, audit_server_ignorance, run_protocol
 from privtrans.model import ModelConfig, random_weights, reference_forward
-from privtrans.transcript import STEPS, ChannelModel, estimate_latency
 
 cfg = ModelConfig(N=1, d_emb=8, H=2, n=4, d_oh=16, d_ff=8)
 weights = random_weights(cfg, np.random.default_rng(5))

@@ -18,7 +18,7 @@ Start with `Session` / `run_protocol` (engine), `ModelConfig` /
 `reference_forward` (model), or the `privtrans-bench` CLI.
 """
 
-from .costs import CostReport
+from .costs import ChannelModel, CostReport, Transcript, estimate_latency
 from .engine import MODES, Session, audit_server_ignorance, run_protocol
 from .model import (
     ModelConfig,
@@ -33,12 +33,14 @@ from .ring import DEFAULT_RING, FixedTensor, RingParams, mat_mul
 from .securefn import SecureFnSpec, eval_secure, plain_apply
 from .sharing import make_product_triple
 from .she import HEParams, decrypt, encrypt, keygen
-from .transcript import ChannelModel, Transcript, estimate_latency
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "ChannelModel",
     "CostReport",
+    "Transcript",
+    "estimate_latency",
     "MODES",
     "Session",
     "audit_server_ignorance",
@@ -67,7 +69,4 @@ __all__ = [
     "decrypt",
     "encrypt",
     "keygen",
-    "ChannelModel",
-    "Transcript",
-    "estimate_latency",
 ]

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .costs import PHASES, STEPS
+from .costs import PHASES, STEPS, ChannelModel, estimate_latency
 from .engine import MODES, PackingError, Session
 from .model import (
     ModelConfig,
@@ -46,7 +46,6 @@ from .model import (
 from .packing import PackingLayout, PackingStrategy, plan_layout, predicted_rotations
 from .securefn import BACKENDS, RangeViolation
 from .she import HEParams
-from .transcript import ChannelModel, estimate_latency
 
 class ConfigError(ValueError):
     """Bad run config or plan argument; the message names the field or

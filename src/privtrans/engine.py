@@ -33,12 +33,11 @@ product Enc(Rc0) A_h.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostReport
+from .costs import CostReport, Transcript
 from .model import (
     ModelConfig,
     ModelWeights,
@@ -70,7 +69,6 @@ from .sharing import (
     plain_left_matmul,
     rand_ring,
 )
-from .transcript import Transcript
 
 MODES = ("base", "f", "fp", "fpc")
 
@@ -114,12 +112,13 @@ def audit_server_ignorance(server: Server) -> list[str]:
 
 
 class Client:
-    """The client: its rng stream, its cost report, the HE key pair (its
-    rng's first draw), under which every encryption and decryption runs,
-    and its side of the session's OT (the garbler is the OT sender)."""
+    """The client: its rng stream, its cost report on the session's
+    transcript, the HE key pair (its rng's first draw), under which every
+    encryption and decryption runs, and its side of the session's OT (the
+    garbler is the OT sender)."""
 
-    def __init__(self, rng: np.random.Generator, he: HEParams, ring):
-        self.rng, self.ring, self.report = rng, ring, CostReport()
+    def __init__(self, rng: np.random.Generator, he: HEParams, ring, transcript: Transcript):
+        self.rng, self.ring, self.report = rng, ring, CostReport(transcript)
         self.key = keygen(he, seed=int(rng.integers(0, 2**63)))
         self.ot = ExtSender(rng)
 
@@ -135,10 +134,11 @@ def folds_embedding(cfg: ModelConfig, i: int) -> bool:
 
 
 class Server:
-    """The server: its rng stream, its cost report, the model weights and
-    its material store. `weights`, built once at set-up, maps a module id
-    to its (W, public bias), W a tensor or the int delta of `embed.posn`,
-    and holds mode fpc's computation merge: per block each
+    """The server: its rng stream, its cost report on the session's
+    transcript, the model weights and its material store. `weights`,
+    built once at set-up, maps a module id to its (W, public bias), W a
+    tensor or the int delta of `embed.posn`, and holds mode fpc's
+    computation merge: per block each
     B_h = W_Q_h W_K_h^T under `b{i}.qk.h{h}`, the a-mask weight A_h under
     `b{i}.qk.h{h}.a` and the values' weight under `b{i}.fuse_v`. Only a
     block that folds the embedding has an input map: (W_ed, lam) under
@@ -153,8 +153,10 @@ class Server:
     the session's OT (the evaluator is the OT receiver). Its methods take
     only wire payloads and module ids."""
 
-    def __init__(self, rng: np.random.Generator, cfg: ModelConfig, weights: ModelWeights):
-        self.rng, self.ring, self.report, self.heads = rng, cfg.ring, CostReport(), cfg.H
+    def __init__(self, rng: np.random.Generator, cfg: ModelConfig, weights: ModelWeights,
+                 transcript: Transcript):
+        self.rng, self.ring, self.heads = rng, cfg.ring, cfg.H
+        self.report = CostReport(transcript)
         self.material = {}
         self.ot = ExtReceiver(rng)
         t = self.weights = {"embed.vocab": (weights.w_e, None), "head": (weights.w_head, None),
@@ -270,15 +272,16 @@ class Server:
 
 class Session:
     """One two-party inference run in a fixed protocol mode: the script
-    that orders the Client's and the Server's steps in-process over a
-    shared Transcript and logs each message between them. `_at` opens one
-    (step, phase) scope for both parties' counters and for every message
-    and interaction the session logs inside it, so each lands where it
-    falls in a deployed offline/online split; outside any scope that is
-    ("Others", "online"), as for a bare CostReport. Module material is made
-    in one phase, `prep`: online in mode base, offline in the others, and
-    never inside an online scope. Every plaintext-weight module runs
-    through `_modules`: its mask exchange, then its one online remask.
+    that orders the Client's and the Server's steps in-process and logs
+    each message between them on one Transcript, which both parties'
+    CostReports bill into. `_at` opens the transcript's one (step, phase)
+    scope, so both parties' counters and every message and interaction
+    logged inside it land where they fall in a deployed offline/online
+    split; outside any scope that is ("Others", "online"). Module material
+    is made in one phase, `prep`: online in mode base, offline in the
+    others, and never inside an online scope. Every plaintext-weight
+    module runs through `_modules`: its mask exchange, then its one online
+    remask.
     Every attention product runs through `_reveal`: one server message per
     block and step carries all heads' rows. Every client random draw
     (masks, triples, GC labels) is input-independent, so all material
@@ -304,28 +307,26 @@ class Session:
         top = max(cfg.d_oh, cfg.d_emb, cfg.d_ff, cfg.n, cfg.d_out, 2)
         self.he = HEParams(slots=1 << (top - 1).bit_length())
         c_ss, s_ss = np.random.SeedSequence(seed).spawn(2)
-        self.client = Client(np.random.default_rng(c_ss), self.he, cfg.ring)
-        self.server = Server(np.random.default_rng(s_ss), cfg, weights)
+        self.transcript = Transcript()
+        self.client = Client(np.random.default_rng(c_ss), self.he, cfg.ring, self.transcript)
+        self.server = Server(np.random.default_rng(s_ss), cfg, weights, self.transcript)
         self.packing = (PackingStrategy.TOKENS_FIRST if mode in ("fp", "fpc")
                         else PackingStrategy.FEATURES_FIRST)
         if self.packing is PackingStrategy.TOKENS_FIRST and self.he.slots % cfg.n:
             raise PackingError(f"tokens_first packing needs n={cfg.n} to divide "
                              f"the {self.he.slots} HE slots")
-        self.transcript = Transcript()
 
     # -- small helpers --------------------------------------------------------
 
     def _layout(self, d: int) -> PackingLayout:
         return PackingLayout(self.packing, self.cfg.n, d, self.he.slots)
 
-    @contextmanager
     def _at(self, step: str, prep: bool = False):
-        """Scope both parties' counters, and every message and interaction
-        logged inside, to one pipeline step: in the material phase
-        (self.prep) if prep is set, online otherwise."""
-        phase = self.prep if prep else "online"
-        with self.client.report.at(step, phase), self.server.report.at(step, phase):
-            yield
+        """The transcript's scope at one pipeline step, in the material
+        phase (self.prep) if prep is set, online otherwise: both parties'
+        counters and every message and interaction logged inside land
+        there."""
+        return self.client.report.at(step, self.prep if prep else "online")
 
     def _send(self, sender: str, payload) -> None:
         """Log one message in the current scope, sized by the bytes of the
@@ -336,11 +337,7 @@ class Session:
             kind, nbytes = "ciphertext", sum(ct.a.nbytes + ct.b.nbytes for ct in payload)
         else:
             kind, nbytes = "share", sum(t.data.nbytes for t in payload)
-        step, phase = self.client.report.scope
-        self.transcript.send(sender, step, kind, nbytes, phase=phase)
-
-    def _interaction(self) -> None:
-        self.transcript.interaction(*self.client.report.scope)
+        self.transcript.send(sender, kind, nbytes)
 
     def _heads(self, x: FixedTensor, axis: int = 1) -> list[FixedTensor]:
         """x split into its H per-head blocks: column blocks, or row blocks
@@ -368,7 +365,7 @@ class Session:
             self._send("server", [out_ct])
             if self.prep == "offline":
                 # an online-generated module piggybacks on its remask interaction
-                self._interaction()
+                self.transcript.interaction()
             m_outs.append(unpack(out_ct, layout_out, c.key, self.cfg.ring, c.report))
         return m_outs
 
@@ -397,7 +394,7 @@ class Session:
             back = enc_rows(mat_mul(y_h, rc0.transpose()), key, rep_c)
             self._send("client", [back])
             self.server.strip(mid, back)
-        self._interaction()  # the extra offline round
+        self.transcript.interaction()  # the extra offline round
 
     # -- online plumbing ------------------------------------------------------
 
@@ -407,7 +404,7 @@ class Session:
         them. Returns the server's new masked values X - rc, one per chain."""
         deltas = tuple(client_part - rc for _, client_part in chains)
         self._send("client", deltas)
-        self._interaction()
+        self.transcript.interaction()
         return tuple(held + d for (held, _), d in zip(chains, deltas))
 
     def _reveal(self, heads, axis: int = 0):
@@ -427,7 +424,7 @@ class Session:
         lanes = (-1, spec.count)
         c_new, s_new = eval_secure(
             spec, client_part.data.reshape(lanes), held.data.reshape(lanes), self.client.rng,
-            backend=self.backend, report=self.client.report, transcript=self.transcript, step=step,
+            backend=self.backend, report=self.client.report, step=step,
             ot_sender=self.client.ot, ot_receiver=self.server.ot,
         )
         ring = self.cfg.ring
@@ -499,7 +496,7 @@ class Session:
                 self._send("client", (x0_masked,))
             else:
                 x0_masked = chain[0]
-            self._interaction()
+            self.transcript.interaction()
             s_chain = self._reveal(self.server.chgs_heads(qk, x0_masked))
         # the values' chain, then X1's where the block folds the embedding
         return (s_chain, *[(self.server.run_hgs_layer(mid, x0_masked), m_out)
@@ -519,7 +516,7 @@ class Session:
         with self._at("AttenValue"):
             heads = [self.server.product(mid, p_h, v_h) for mid, p_h, v_h in
                      zip(mids, self._heads(p_held, axis=0), self._heads(v_masked))]
-            self._interaction()
+            self.transcript.interaction()
             return self._reveal(heads, axis=1)
 
     def _norm(self, chain):

@@ -62,10 +62,10 @@ def _rotl(x: np.ndarray, r: int) -> np.ndarray:
     return (x << _SHIFT[r]) | (x >> _SHIFT[64 - r])
 
 
-def _prf(a: np.ndarray, b: np.ndarray, tweak, out: np.ndarray | None = None) -> np.ndarray:
+def _prf(a: np.ndarray, b: np.ndarray, tweak) -> np.ndarray:
     """Fixed-key ARX mix of two words and a tweak (an int, or an array of
-    them that broadcasts against the words), written to out if given."""
-    x = np.bitwise_xor(a, _rotl(b, 29), out=out)
+    them that broadcasts against the words)."""
+    x = a ^ _rotl(b, 29)
     x ^= np.asarray(tweak, dtype=np.uint64) * _K1
     x ^= x >> _SHIFT[30]
     x *= _K2

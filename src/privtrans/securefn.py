@@ -24,7 +24,6 @@ from .fixedfn import SemanticOps, SemVal
 from .garble import evaluate, garble
 from .ot import KAPPA, SEED_BYTES, TOY_256, ExtReceiver, ExtSender, run_ot
 from .ring import DEFAULT_RING, RingParams
-from .transcript import Transcript
 
 _SEM = SemanticOps()
 
@@ -182,7 +181,6 @@ def eval_secure(
     *,
     backend: str = "semantic",
     report: CostReport,
-    transcript: Transcript,
     step: str,
     ot_sender: ExtSender,
     ot_receiver: ExtReceiver,
@@ -196,8 +194,9 @@ def eval_secure(
     both backends the same masks; the semantic backend computes F(x) with
     plain_apply on the reconstructed words. ot_sender and ot_receiver are
     the client's and the server's sides of the session's OT; each draws
-    from its own party's generator. Every stage is billed to report and
-    logged to transcript under step.
+    from its own party's generator. Every stage is billed to report, and
+    its messages and interaction logged on the report's transcript, under
+    step.
 
     Phase split: the AND gates are billed offline, because garbling does not
     depend on the inputs and can run before they arrive; the garbled
@@ -234,10 +233,11 @@ def eval_secure(
         report.bump("ot_count", m)
         if base_ots:
             report.bump("base_ot_count", KAPPA)
-    transcript.send("client", step, "gc_material", material_bytes)
-    transcript.send("client", step, "ot", client_ot)
-    transcript.send("server", step, "ot", server_ot)
-    transcript.interaction(step)
+        t = report.transcript
+        t.send("client", "gc_material", material_bytes)
+        t.send("client", "ot", client_ot)
+        t.send("server", "ot", server_ot)
+        t.interaction()
 
     if backend == "semantic":
         for side in (ot_sender, ot_receiver):

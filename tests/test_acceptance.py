@@ -28,7 +28,7 @@ import time
 import numpy as np
 from scipy import stats
 
-from privtrans.costs import CostReport
+from privtrans.costs import ChannelModel, CostReport, Transcript, estimate_latency
 from privtrans.engine import MODES, Session, audit_server_ignorance, run_protocol
 from privtrans.model import ModelConfig, random_weights, reference_forward
 from privtrans.ot import ExtReceiver, ExtSender
@@ -37,7 +37,6 @@ from privtrans.ring import DEFAULT_RING, FixedTensor
 from privtrans.securefn import SecureFnSpec, eval_secure
 from privtrans.sharing import make_product_triple, rand_ring
 from privtrans.she import HEParams, keygen
-from privtrans.transcript import ChannelModel, Transcript, estimate_latency
 
 import oracles
 from test_she import ciphertext_pair_ops
@@ -197,7 +196,7 @@ def test_6_secure_softmax_accuracy_and_gc_agreement():
     xc = rng.integers(0, 1 << 64, raw.shape, dtype=np.uint64)
     xs = raw - xc
     spec = SecureFnSpec("softmax_row", count=n)
-    logs = dict(report=CostReport(), transcript=Transcript(), step="SoftMax")
+    logs = dict(report=CostReport(), step="SoftMax")
     c, s = eval_secure(spec, xc, xs, np.random.default_rng(1), **logs, **ot_sides(4))
     got = DEFAULT_RING.to_signed(c + s).astype(np.float64) / (1 << F)
     want = np.exp(vals - vals.max(axis=1, keepdims=True))
@@ -250,20 +249,20 @@ def test_8_server_ignorance_audit_clean_on_every_run():
 def test_9_modeled_latency_is_linear_and_exact():
     ch = ChannelModel()  # 2.3 ms delay, 100 MB/s
     one = Transcript()
-    one.send("client", "Others", "share", 1_000_000)
-    one.interaction("Others")
+    one.send("client", "share", 1_000_000)
+    one.interaction()
     est = estimate_latency(one, ch)
     assert est["online_s"] == 0.0123, est
 
     only_i = Transcript()
     for _ in range(3):
-        only_i.interaction("Others")
+        only_i.interaction()
     only_b = Transcript()
-    only_b.send("server", "Others", "ciphertext", 5_000_000)
+    only_b.send("server", "ciphertext", 5_000_000)
     both = Transcript()
     for _ in range(3):
-        both.interaction("Others")
-    both.send("server", "Others", "ciphertext", 5_000_000)
+        both.interaction()
+    both.send("server", "ciphertext", 5_000_000)
     a = estimate_latency(only_i, ch)["online_s"]
     b = estimate_latency(only_b, ch)["online_s"]
     assert a == 3 * ch.delay_s
@@ -271,8 +270,8 @@ def test_9_modeled_latency_is_linear_and_exact():
     assert estimate_latency(both, ch)["online_s"] == a + b
 
     double = Transcript()
-    double.send("client", "Others", "share", 2_000_000)
-    double.interaction("Others")
-    double.interaction("Others")
+    double.send("client", "share", 2_000_000)
+    double.interaction()
+    double.interaction()
     assert estimate_latency(double, ch)["online_s"] == 2 * est["online_s"]
     print("pass: latency model linear; 1 interaction + 1 MB = 0.0123 s exactly")

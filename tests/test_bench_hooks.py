@@ -70,7 +70,7 @@ def test_every_bench_hook_fires_and_uninstalls(bench):
             vals = rng.integers(0, 1 << 64, (4, 1), dtype=np.uint64)
             with tr.span("engine.run_protocol", round="hooks", mode="gc"):
                 engine.eval_secure(spec, vals, vals, rng, backend="gc", step="SoftMax",
-                                   report=engine.CostReport(), transcript=engine.Transcript(),
+                                   report=engine.CostReport(),
                                    ot_sender=engine.ExtSender(rng),
                                    ot_receiver=engine.ExtReceiver(np.random.default_rng(4)))
         finally:
@@ -91,6 +91,11 @@ def test_every_bench_hook_fires_and_uninstalls(bench):
     steps = {s.step for s in tr.spans if s.name == "securefn.eval_secure"}
     assert {("SoftMax", "online"), ("Others", "online")} <= steps
     assert all(step in STEPS for step, _ in steps)
+    # one traced scope per session step, not one per party: no engine.at
+    # span opens directly inside one of the same (step, phase)
+    nested = [s.step for s in tr.spans if s.name == "engine.at" and s.parent is not None
+              and tr.spans[s.parent].name == "engine.at" and tr.spans[s.parent].step == s.step]
+    assert nested == []
     assert tr.stack == []
     for owner, attr, original in patched:
         assert getattr(owner, attr) is original, attr

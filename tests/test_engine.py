@@ -172,7 +172,8 @@ def test_same_seed_reproduces_run_different_seed_rerandomizes():
 def test_hgs_layer_identity_zero_masks_passes_through():
     cfg = toy_cfg()
     eye = FixedTensor(np.eye(8, dtype=np.uint64), DEFAULT_RING)
-    server = engine.Server(np.random.default_rng(1), cfg, with_weights(cfg, w_q=eye))
+    server = engine.Server(np.random.default_rng(1), cfg, with_weights(cfg, w_q=eye),
+                           engine.Transcript())
     x = rand_mat(np.random.default_rng(2), (5, 8))
     server.keep("b0.wq", FixedTensor.zeros(5, 8, DEFAULT_RING))
     out = server.run_hgs_layer("b0.wq", x)
@@ -187,7 +188,8 @@ def test_hgs_layer_matches_matmul_oracle():
         x, w = rand_mat(rng, (8, 8)), rand_mat(rng, (8, 8))
         rc, rs = rand_mat(rng, (8, 8)), rand_mat(rng, (8, 8))
         m_out = mat_mul(rc, w) + rs
-        server = engine.Server(np.random.default_rng(1), cfg, with_weights(cfg, w_q=w))
+        server = engine.Server(np.random.default_rng(1), cfg, with_weights(cfg, w_q=w),
+                               engine.Transcript())
         server.keep("b0.wq", rs)
         out = server.run_hgs_layer("b0.wq", x - rc)
         assert (out + m_out).data.tolist() == mm64(x, w)
@@ -620,6 +622,45 @@ def test_every_message_shares_a_cell_with_its_work(norm, activation):
         assert kinds == {"ciphertext", "share", "gc_material", "ot"}, mode
 
 
+@pytest.mark.parametrize("backend", securefn.BACKENDS)
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("norm,activation", [("post", "relu"), ("pre", "gelu")])
+def test_gc_table_bytes_equal_gc_material_bytes_in_every_cell(norm, activation, mode, backend):
+    # counters and messages agree cell by cell over a whole run: in every
+    # (step, phase) cell the billed gc_table_bytes are the bytes of that
+    # cell's gc_material messages
+    cfg = toy_cfg(norm=norm, activation=activation)
+    w = random_weights(cfg, np.random.default_rng(5))
+    res = run_protocol(mode, cfg, w, [3, 1, 4, 1], seed=11, backend=backend)
+    sent = {}
+    for m in res.transcript.messages:
+        if m.kind == "gc_material":
+            sent[m.step, m.phase] = sent.get((m.step, m.phase), 0) + m.nbytes
+    billed = {cell: counts["gc_table_bytes"] for cell, counts in res.merged_report().cells.items()
+              if "gc_table_bytes" in counts}
+    assert billed and billed == sent
+
+
+def test_a_session_step_scopes_both_parties_and_the_log():
+    # one scope per session: while the client's report has a step open, a
+    # server bump, a message and an interaction land in it too, and a
+    # merged report stays on the session's transcript
+    s = host_session()
+    client, server, t = s.client.report, s.server.report, s.transcript
+    with client.at("QxK", "offline"):
+        client.bump("he_enc")
+        server.bump("he_add", 2)
+        t.send("server", "ciphertext", 64)
+        t.interaction()
+    assert client.cells == {("QxK", "offline"): {"he_enc": 1}}
+    assert server.cells == {("QxK", "offline"): {"he_add": 2}}
+    assert [(m.step, m.phase) for m in t.messages] == [("QxK", "offline")]
+    assert t.interactions("QxK", "offline") == 1
+    assert t.interactions(None, "online") == 0
+    assert t.scope == ("Others", "online")
+    assert client.merged(server).transcript is t
+
+
 # Each she leaf and the counter it bumps; HE_LEAVES lists the namespaces
 # that call each leaf, where perfbench's tracer wraps them too.
 LEAF_COUNTERS = {"encrypt": "he_enc", "decrypt": "he_dec", "he_add": "he_add",
@@ -680,7 +721,7 @@ def test_counting_and_logging_arguments_are_required():
     # perfbench passes he_matmul's report and kernel positionally
     assert list(inspect.signature(packing.he_matmul).parameters)[3:] == ["report", "kernel"]
     params = inspect.signature(securefn.eval_secure).parameters
-    for name in ("report", "transcript", "step", "ot_sender", "ot_receiver"):
+    for name in ("report", "step", "ot_sender", "ot_receiver"):
         assert params[name].default is params[name].empty, name
         assert params[name].kind is params[name].KEYWORD_ONLY, name
 
@@ -866,7 +907,7 @@ def test_server_table_holds_each_heads_fused_prefix_product():
     for norm in ("post", "pre"):
         cfg = toy_cfg(N=2, norm=norm)
         w = random_weights(cfg, np.random.default_rng(5))
-        server = engine.Server(np.random.default_rng(1), cfg, w)
+        server = engine.Server(np.random.default_rng(1), cfg, w, engine.Transcript())
         for i, blk in enumerate(w.blocks):
             fused = i == 0 and norm == "post"
             assert (f"b{i}.qk" in server.weights) == fused, (norm, i)

@@ -31,7 +31,6 @@ from privtrans.ot import (
 )
 from privtrans.costs import CostReport
 from privtrans.securefn import SecureFnSpec, build_secure_circuit
-from privtrans.transcript import Transcript
 
 from oracles import active_by_gate, eval_circuit, evaluate_by_gate, garble_by_gate, wire_values
 
@@ -532,7 +531,7 @@ def test_semantic_backend_never_computes_a_level_schedule(monkeypatch):
     # the check can fail: a garbled stage does compute the plan
     securefn.eval_secure(SecureFnSpec("relu"), np.zeros((1, 1), np.uint64),
                          np.zeros((1, 1), np.uint64), np.random.default_rng(0), backend="gc",
-                         report=CostReport(), transcript=Transcript(), step="Others",
+                         report=CostReport(), step="Others",
                          ot_sender=ExtSender(np.random.default_rng(0)),
                          ot_receiver=ExtReceiver(np.random.default_rng(1)))
     assert "levels" in built[-1].__dict__

@@ -28,7 +28,6 @@ from privtrans.securefn import (
     eval_secure,
     plain_apply,
 )
-from privtrans.transcript import Transcript
 
 from oracles import eval_circuit
 
@@ -43,8 +42,9 @@ def ot_sides(seed=0):
 
 
 def logs(seed=0):
-    """A fresh report, transcript, step and OT for one eval_secure call."""
-    return dict(report=CostReport(), transcript=Transcript(), step="Others", **ot_sides(seed))
+    """A fresh report (on its own transcript), step and OT for one
+    eval_secure call."""
+    return dict(report=CostReport(), step="Others", **ot_sides(seed))
 
 
 def pair_circuit(fn, w):
@@ -243,8 +243,8 @@ def test_cost_logging_matches_message_bytes():
     raw = rng.integers(0, 1 << 64, (20, 1), dtype=np.uint64)
     xc, xs = share_raw(raw, rng)
     report = CostReport()
-    t = Transcript()
-    eval_secure(spec, xc, xs, rng, backend="gc", report=report, transcript=t, step="SoftMax",
+    t = report.transcript
+    eval_secure(spec, xc, xs, rng, backend="gc", report=report, step="SoftMax",
                 **ot_sides(205))
     circ = build_secure_circuit(spec)
     assert report.get("SoftMax", "offline", "gc_and_gates") == circ.and_count
@@ -271,14 +271,15 @@ def test_logged_ot_bytes_equal_the_bytes_run_ot_moves(monkeypatch):
 
     monkeypatch.setattr(securefn, "run_ot", spy)
     rng = np.random.default_rng(208)
-    t, session_ot = Transcript(), ot_sides(209)
+    report, session_ot = CostReport(), ot_sides(209)
+    t = report.transcript
     stages = ((SecureFnSpec("relu"), 20), (SecureFnSpec("trunc", shift=F), 3))
     for spec, lanes in stages:
         raw = rng.integers(0, 1 << 64, (lanes, 1), dtype=np.uint64)
         xc, xs = share_raw(raw, rng)
         before = len(t.messages)
-        eval_secure(spec, xc, xs, rng, backend="gc", report=CostReport(), transcript=t,
-                    step="Others", **session_ot)
+        eval_secure(spec, xc, xs, rng, backend="gc", report=report, step="Others",
+                    **session_ot)
         ot = [m for m in t.messages[before:] if m.kind == "ot"]
         assert [m.sender for m in ot] == ["client", "server"]
         assert sum(m.nbytes for m in ot) == moved[-1]
@@ -318,9 +319,10 @@ def test_logged_gc_messages_equal_the_objects_that_cross(monkeypatch):
                         (SecureFnSpec("trunc", shift=F), 3)):
         raw = rng.integers(0, 1 << 64, (lanes, spec.count), dtype=np.uint64)
         xc, xs = share_raw(raw, rng)
-        t = Transcript()
-        eval_secure(spec, xc, xs, rng, backend="gc", report=CostReport(), transcript=t,
-                    step="Others", **ot_sides(211))
+        report = CostReport()
+        t = report.transcript
+        eval_secure(spec, xc, xs, rng, backend="gc", report=report, step="Others",
+                    **ot_sides(211))
         gt, client_labels = seen["gt"], seen["active"][: 2 * spec.count * 64]
         material = sum(getattr(gt, f.name).nbytes for f in fields(gt)) + client_labels.nbytes
         assert [m.nbytes for m in t.messages if m.kind == "gc_material"] == [material]
@@ -385,7 +387,7 @@ def test_gc_backend_needs_the_servers_own_rng():
     zeros = np.zeros((2, 1), np.uint64)
     with pytest.raises(TypeError, match="ot_receiver"):
         eval_secure(spec, zeros, zeros, np.random.default_rng(213), backend="gc",
-                    report=CostReport(), transcript=Transcript(), step="Others",
+                    report=CostReport(), step="Others",
                     ot_sender=ExtSender(np.random.default_rng(213)))
 
 
@@ -395,11 +397,11 @@ def test_unknown_backend_is_refused_before_any_work():
     spec = SecureFnSpec("relu")
     zeros = np.zeros((2, 1), np.uint64)
     rng = np.random.default_rng(214)
-    report, transcript = CostReport(), Transcript()
+    report = CostReport()
     with pytest.raises(ValueError, match="unknown backend 'gcx'"):
         eval_secure(spec, zeros, zeros, rng, backend="gcx", report=report,
-                    transcript=transcript, step="Others", **ot_sides(215))
-    assert report.cells == {} and transcript.messages == []
+                    step="Others", **ot_sides(215))
+    assert report.cells == {} and report.transcript.messages == []
     # no mask was drawn either
     assert rng.integers(0, 1 << 64, dtype=np.uint64) == \
         np.random.default_rng(214).integers(0, 1 << 64, dtype=np.uint64)
