@@ -31,6 +31,8 @@ an op can see the repeat, and none is kept that reaches no output:
   of every lookup at that index, share a select bit and their selects;
 - `ge` reads the top bit of a full subtraction, and `build` drops the
   rest;
+- `is_zero` ANDs the complements of its w wires pairwise, w - 1 ANDs at
+  depth ceil(log2 w), where `ge` against 1 would be a w-AND carry chain;
 - `build` drops the gates whose outputs no output depends on and
   renumbers the rest. This is local: there is no circuit-wide table of
   gates seen, which would cost a dict entry per gate at build time.
@@ -332,13 +334,7 @@ class CircuitOps:
 
     def sum(self, row: list, width: int) -> WireVec:
         """The row's elements, each resized to width, summed pairwise."""
-        acc = [self.resize(v, width) for v in row]
-        while len(acc) > 1:
-            nxt = [self.add(acc[i], acc[i + 1]) for i in range(0, len(acc) - 1, 2)]
-            if len(acc) % 2:
-                nxt.append(acc[-1])
-            acc = nxt
-        return acc[0]
+        return _tree(self.add, [self.resize(v, width) for v in row])
 
     def max(self, row: list) -> WireVec:
         m = row[0]
@@ -506,6 +502,12 @@ class CircuitOps:
         d = self.sub(self.resize(a, a.width + 1), self.resize(b, b.width + 1))
         return WireVec((self._not(d.wires[-1]),))
 
+    def is_zero(self, a: WireVec) -> WireVec:
+        """1 iff every bit of a is 0: the complements ANDed pairwise, a
+        tree of a.width - 1 ANDs at depth ceil(log2 a.width)."""
+        nots = [self._not(x) for x in a.wires]
+        return WireVec((_tree(lambda x, y: self.b.gate(AND, x, y), nots),))
+
     def mux(self, c: WireVec, a: WireVec, b: WireVec) -> WireVec:
         assert c.width == 1 and a.width == b.width
         return self._select(c.wires[0], a, b, {})
@@ -538,6 +540,17 @@ class CircuitOps:
                 for j in range(len(level) // 2)
             ]
         return level[0]
+
+
+def _tree(combine, items: list):
+    """items combined pairwise, level by level, an odd last item passed up
+    to the next level: a tree ceil(log2 len(items)) combines deep."""
+    while len(items) > 1:
+        nxt = [combine(items[i], items[i + 1]) for i in range(0, len(items) - 1, 2)]
+        if len(items) % 2:
+            nxt.append(items[-1])
+        items = nxt
+    return items[0]
 
 
 def _pattern(values: tuple) -> tuple:

@@ -2,10 +2,11 @@
 relu, reciprocal) plus share reconstruct/remask.
 
 Every algorithm is written once against a tiny ops interface: add, mul,
-mux, shifts, table lookup, and the row ops `each` (a body applied to every
-element), `count`, `sum` and `max`. `SemanticOps` interprets it over numpy
-arrays; a boolean-circuit backend can interpret the exact same calls gate
-by gate, so the two evaluations agree bit for bit by construction.
+mux, shifts, a comparison (`ge`), a zero test (`is_zero`), table lookup,
+and the row ops `each` (a body applied to every element), `count`, `sum`
+and `max`. `SemanticOps` interprets it over numpy arrays; a boolean-circuit
+backend can interpret the exact same calls gate by gate, so the two
+evaluations agree bit for bit by construction.
 
 A row stage (softmax, layer norm) takes a row of count elements. Under
 `SemanticOps` the row is one `SemVal` laid out (count, lanes), element
@@ -111,6 +112,9 @@ class SemanticOps:
         assert a.width == b.width
         return SemVal(-(a.bits >= b.bits).astype(np.int64), 1)
 
+    def is_zero(self, a: SemVal) -> SemVal:
+        return SemVal(-(a.bits == 0).astype(np.int64), 1)
+
     def mux(self, c: SemVal, a: SemVal, b: SemVal) -> SemVal:
         """c ? a : b, elementwise; c has width 1."""
         assert a.width == b.width and c.width == 1
@@ -143,16 +147,26 @@ def barrel_shl(ops, v, amount, max_shift: int):
 
 def normalize(ops, v):
     """Shift v left until its top bit is set; returns (m, e) with
-    m = v << e. A v below 1 counts as 1."""
+    m = v << e. A v below 1 counts as 1.
+
+    The shift is a leading-zero count by halving steps (Warren, Hacker's
+    Delight, 2nd ed., 5-3): for k a power of two from the largest below w
+    down to 1, shift by k when the top k bits are all zero. A floored v
+    has between 1 and w - 1 leading zeros, so the steps add up to exactly
+    that count. The test is `is_zero`: in a circuit, an AND tree of the k
+    complements, k - 1 ANDs at depth ceil(log2 k), where a comparison
+    against 1 would be a carry chain k ANDs deep. The k are distinct
+    powers of two, so adding k to e only sets a bit."""
     w = v.width
     floor = ops.const(1, w)
     v = ops.mux(ops.ge(v, floor), v, floor)
     e = ops.const(0, COUNTER_WIDTH)
-    one = ops.const(1, COUNTER_WIDTH)
-    for _ in range(w - 1):
-        top = ops.bit(v, w - 1)
-        v = ops.mux(top, v, ops.shl(v, 1))
-        e = ops.mux(top, e, ops.add(e, one))
+    k = (1 << (w - 1).bit_length()) >> 1  # the largest power of two <= w - 1
+    while k:
+        z = ops.is_zero(ops.resize(ops.sar(v, w - k), k))
+        v = ops.mux(z, ops.shl(v, k), v)
+        e = ops.mux(z, ops.add(e, ops.const(k, COUNTER_WIDTH)), e)
+        k >>= 1
     return v, e
 
 

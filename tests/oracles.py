@@ -3,7 +3,9 @@
 Everything here is plain Python integer arithmetic or textbook float math,
 deliberately sharing no code with the package under test (the one import
 is the model's dataclasses, for the double-precision forward pass below).
-The exceptions are at the end: the plain circuit evaluator reads the
+The one-bit-step `normalize_linear` imports nothing either, but is written
+against the fixed-point ops interface it is handed, so it runs on either
+backend. The exceptions are at the end: the plain circuit evaluator reads the
 package's circuit arrays, and the gate-at-a-time garbler and evaluator
 reuse its label hash and table types, because they pin the garbled bytes
 of the planned path, not the hash. The per-element diagonal masks take
@@ -74,6 +76,23 @@ def layernorm(row, eps=LN_EPS):
 
 def relu(row):
     return [max(x, 0.0) for x in row]
+
+
+def normalize_linear(ops, v):
+    """`fixedfn.normalize` as it was first written, one bit per step, w - 1
+    steps: floor v at 1, then shift left by one while the top bit is clear,
+    counting the shifts in a 7-bit e. Returns (m, e) with m = v << e: the
+    reference for the halving steps."""
+    w = v.width
+    floor = ops.const(1, w)
+    v = ops.mux(ops.ge(v, floor), v, floor)
+    e = ops.const(0, 7)
+    one = ops.const(1, 7)
+    for _ in range(w - 1):
+        top = ops.bit(v, w - 1)
+        v = ops.mux(top, v, ops.shl(v, 1))
+        e = ops.mux(top, e, ops.add(e, one))
+    return v, e
 
 
 # -- double-precision transformer forward --------------------------------

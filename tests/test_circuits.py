@@ -20,7 +20,8 @@ from privtrans.fixedfn import SemanticOps, SemVal, wrap
 from privtrans.ring import DEFAULT_RING, RingParams
 from privtrans.securefn import SecureFnSpec, build_secure_circuit
 
-from oracles import eval_circuit
+from oracles import eval_circuit, normalize_linear
+from test_fixedfn import normalize_inputs
 
 SEM = SemanticOps()
 
@@ -94,6 +95,21 @@ def test_adder_uses_one_and_per_carry():
         # a - b one bit wider: its carry chain alone, one AND per bit of a
         circ, _ = build(lambda ops, vs: ops.ge(vs[0], vs[1]), [w, w])
         assert circ.and_count == w
+
+
+def test_is_zero_matches_semantics_exhaustively():
+    for w in range(1, 9):
+        raws = exhaustive(w)
+        sem, got = run_both(lambda ops, vs: ops.is_zero(vs[0]), [w], raws)
+        assert np.array_equal(sem[0], got[0]), w
+        assert np.array_equal(got[0], (raws[0] == 0).astype(np.uint64)), w
+
+
+def test_is_zero_is_an_and_tree_of_complements():
+    for w in range(1, 65):
+        circ, _ = build(lambda ops, vs: ops.is_zero(vs[0]), [w])
+        depth = len(circ.levels.and_bounds) - 2
+        assert (circ.and_count, depth) == (w - 1, (w - 1).bit_length()), w
 
 
 def test_sub_and_neg_match_semantics():
@@ -379,6 +395,17 @@ def test_rsqrt_equivalence():
         assert np.array_equal(sem[0], got[0])
 
 
+@pytest.mark.parametrize("w", [6, 17, 42])
+def test_normalize_circuit_matches_the_linear_oracle(w):
+    # every input at w = 6; edges, every shift count and uniform draws wider
+    raws = [normalize_inputs(w, seed=w).view(np.uint64) & np.uint64((1 << w) - 1)]
+    sem, got = run_both(lambda ops, vs: fixedfn.normalize(ops, vs[0]), [w], raws)
+    want = normalize_linear(SEM, SemVal(wrap(raws[0].view(np.int64), w), w))
+    for s, g, o in zip(sem, got, want):
+        assert np.array_equal(s, g)
+        assert np.array_equal(g, o.bits.view(np.uint64) & np.uint64((1 << o.width) - 1))
+
+
 def test_softmax_row_equivalence():
     rng = np.random.default_rng(71)
     n = 3
@@ -415,14 +442,27 @@ STAGE_SPECS = (
 # gc_and_gates, and each is one garbled table per lane, so a change in how
 # circuits are emitted must show up here.
 DESK_AND_COUNTS = {
-    ("softmax_row", 4, 32): 6488,
-    ("layernorm_row", 8, 24): 18077,
-    ("layernorm_row", 8, 8): 18205,
-    ("layernorm_row", 8, 0): 16261,
+    ("softmax_row", 4, 32): 6221,
+    ("layernorm_row", 8, 24): 16576,
+    ("layernorm_row", 8, 8): 16704,
+    ("layernorm_row", 8, 0): 14760,
     ("relu", 1, 8): 339,
     ("gelu", 1, 8): 622,
     ("trunc", 1, 24): 308,
     ("trunc", 1, 8): 324,
+}
+# Blocks of each stage's level plan, one per AND depth: the passes that
+# garbling and evaluation walk in turn. A circuit with fewer AND gates can
+# still be deeper, so the two are pinned side by side.
+DESK_AND_DEPTHS = {
+    ("softmax_row", 4, 32): 454,
+    ("layernorm_row", 8, 24): 468,
+    ("layernorm_row", 8, 8): 452,
+    ("layernorm_row", 8, 0): 315,
+    ("relu", 1, 8): 202,
+    ("gelu", 1, 8): 234,
+    ("trunc", 1, 24): 217,
+    ("trunc", 1, 8): 201,
 }
 DESK_SPECS = {
     (s.fn, s.count, s.shift): s for cfg in DESK_CONFIGS for s in (f(cfg) for f in STAGE_SPECS)
@@ -430,9 +470,11 @@ DESK_SPECS = {
 
 
 def test_desk_stage_and_counts_are_pinned():
-    assert set(DESK_SPECS) == set(DESK_AND_COUNTS)
-    got = {key: build_secure_circuit(spec).and_count for key, spec in DESK_SPECS.items()}
-    assert got == DESK_AND_COUNTS
+    # (AND gates, plan blocks) per stage, so a failure shows both
+    assert set(DESK_SPECS) == set(DESK_AND_COUNTS) == set(DESK_AND_DEPTHS)
+    circs = {key: build_secure_circuit(spec) for key, spec in DESK_SPECS.items()}
+    got = {key: (c.and_count, len(c.levels.and_bounds) - 1) for key, c in circs.items()}
+    assert got == {key: (DESK_AND_COUNTS[key], DESK_AND_DEPTHS[key]) for key in DESK_SPECS}
 
 
 @pytest.mark.parametrize("key", sorted(DESK_AND_COUNTS), ids=lambda k: f"{k[0]}-{k[1]}-{k[2]}")

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from privtrans import fixedfn
 from privtrans.fixedfn import (
     F2,
     SemanticOps,
@@ -12,6 +13,7 @@ from privtrans.fixedfn import (
     exp_approx,
     gelu_approx,
     layernorm_row,
+    normalize,
     reciprocal,
     relu,
     rsqrt,
@@ -23,6 +25,7 @@ from privtrans.ring import DEFAULT_RING
 from privtrans.securefn import SecureFnSpec, plain_apply
 
 import oracles
+from test_protocol_identity import STAGE_SPECS
 
 OPS = SemanticOps()
 
@@ -93,6 +96,55 @@ def test_reciprocal_exact_powers_of_two():
     for k in range(0, 6):
         got = dec(reciprocal(OPS, enc(float(1 << k), F2, 20)), F2)
         assert abs(got[0] - 2.0 ** -k) <= 2.0 ** -10
+
+
+def normalize_inputs(w: int, seed: int) -> np.ndarray:
+    """w-bit inputs for normalize, sign-extended in int64: every one up to
+    w = 12; wider, 0, +-1, each power of two and its neighbours (both
+    signs), the extremes, every shift count by a random value of each bit
+    length, and uniform draws."""
+    lo, hi = -(1 << (w - 1)), (1 << (w - 1)) - 1
+    if w <= 12:
+        return np.arange(lo, hi + 1, dtype=np.int64)
+    edges = {0, 1, -1, lo, lo + 1, hi, hi - 1}
+    for i in range(w - 1):
+        p = 1 << i
+        edges |= {p - 1, p, p + 1, -p - 1, -p, -p + 1}
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, w, 2000)
+    by_length = rng.integers(1 << 61, 1 << 62, 2000) >> (62 - lengths)
+    uniform = rng.integers(lo, hi, 2000, endpoint=True)
+    return np.concatenate([np.array(sorted(edges), dtype=np.int64), by_length, uniform])
+
+
+def stage_normalize_widths(monkeypatch) -> set:
+    """The input widths the stages of the desk, sem-wide and sem-long
+    configs hand to normalize, read off a run of each stage."""
+    widths = set()
+
+    def recording(ops, v):
+        widths.add(v.width)
+        return normalize(ops, v)
+
+    monkeypatch.setattr(fixedfn, "normalize", recording)
+    for spec in STAGE_SPECS.values():
+        plain_apply(spec, np.zeros((1, spec.count), dtype=np.uint64))
+    monkeypatch.undo()
+    return widths
+
+
+def test_normalize_matches_the_linear_oracle_at_every_stage_width(monkeypatch):
+    # the softmax sums, one width per row length, and the layer norm's
+    # variance
+    stage_widths = stage_normalize_widths(monkeypatch)
+    assert len(stage_widths) >= 2 and min(stage_widths) > 12
+    for w in sorted(set(range(1, 13)) | stage_widths):
+        v = SemVal(normalize_inputs(w, seed=w), w)
+        m, e = normalize(OPS, v)
+        want_m, want_e = oracles.normalize_linear(OPS, v)
+        assert (m.width, e.width) == (want_m.width, want_e.width), w
+        assert np.array_equal(m.bits, want_m.bits), w
+        assert np.array_equal(e.bits, want_e.bits), w
 
 
 def test_rsqrt_close_to_float():

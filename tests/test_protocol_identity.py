@@ -59,7 +59,12 @@ additions per row, for the D nonzero diagonals of the plaintext, in
 place of 2 log2 M + 3 ops per output entry): only `he_rotate`,
 `he_mul_plain` and `he_add` moved, in QxK and AttenValue; both logit
 shares, every message, the bytes per (sender, step, phase, kind) and
-every interaction were checked equal to the runs before. Any change
+every interaction were checked equal to the runs before. All 20 were
+re-pinned for AND gates alone when `fixedfn.normalize` moved from one-bit
+steps to halving steps on `is_zero`: `gc_and_gates` and `gc_table_bytes`
+fell in SoftMax and Others, and with them the online bytes; both logit
+shares, every other counter, every message and every interaction were
+checked equal to the runs before. Any change
 to a counter, message, byte or share of these runs changes a digest. A
 deliberate protocol change updates the table and says why in CHANGES.md.
 
@@ -68,7 +73,10 @@ pins each distinct secure-stage circuit of the four configs: one sha256
 over its gates' op, lhs and rhs and its output wires. They were taken
 before `mul` dropped its sign-extended rows for shifted copies, a
 refactor that moved no gate. A change to how circuits are built that
-must keep them gate for gate shows it here.
+must keep them gate for gate shows it here. The six layer-norm and three
+softmax digests were re-pinned when `normalize` (inside `rsqrt` and
+`reciprocal`) moved to halving steps; gelu, relu and both truncations
+held.
 """
 
 import hashlib
@@ -93,45 +101,45 @@ CONFIGS = {
 
 DIGESTS = {
     ("post-relu", "base", "semantic"):
-        "00e6ba205b23f944b21674e3b2341870e5660df6bbbd7266bc6b058834f3d490",
+        "32cef59b7db2073a7b42a880a02e6d929e84a551165149db53ada52a93bb38e0",
     ("post-relu", "f", "semantic"):
-        "3f3b0635424d1ea071d92f968e1a1687c4d352229d6053b8d8d521e9128d5acf",
+        "748cd06554867a5b610cbc464769c936052e62e396a6246defda1c36cd708702",
     ("post-relu", "fp", "semantic"):
-        "a6645ae7bdd008e0ac37187cdce7ff616db61bf4ba61fcf208e5c6443119a560",
+        "401713f20865c28ec4968ad3beb074f5e3f34922e3c0876c36890e71bb183c71",
     ("post-relu", "fpc", "semantic"):
-        "56365d6f5c19b7d126147299d62cc021dde5e36a2855e89eeab7d73b115cbc17",
+        "9f7ce8ab8d7e97ecb922517c913e544a43edc060727bcc3dc37919029defc3da",
     ("post-relu", "f", "gc"):
-        "e5d52aa4f823b60dc4d73a30759fa88ba151d96103c2f502fe253e0f74bcd652",
+        "81ca6432e43f06e352908d522b8b32ae3cd90bf2b0157470636f668fbcbacaf8",
     ("post-relu", "fpc", "gc"):
-        "8f1933e40b448b30497d11f0103fbbbd4e8acff43fd12520b57786ed9a80450c",
+        "3a12c566a01b89fedc0e5dd5f4199a446a6b52ff3887ba786ad3b7b839f95f06",
     ("pre-gelu", "base", "semantic"):
-        "909acccd80b087465fa5cb76bd273c4216c3c01590b0f55c9b2cccbcc6bad0ab",
+        "ff474315dd2e83d674bf990e5885045c5dbcfe520cb3eb8821280f9b13396e39",
     ("pre-gelu", "f", "semantic"):
-        "9071152ac1ef5b863636889bd9ec636db41babc2fdfac6b6ea90829731819784",
+        "2fb646f5061e8c2b657e80aed4ee819287c73db68fe60a894a6f5e035aa061d4",
     ("pre-gelu", "fp", "semantic"):
-        "952d01c54ced43c6682a21923b4ef4cbdec8d04b4a97754668929030e2817764",
+        "758d95146300fcec5f7746639a590338e53ab7bd9ae1b84b795cebc56b1cf976",
     ("pre-gelu", "fpc", "semantic"):
-        "72c770c9ca05173210f7c72fb7057c5fe43e425cdf550e06556ae9c2501d677d",
+        "90fa71c9141107a7c3f1b38b2891d42816cb7d6c8740ef1bee88c2a5ae5702dc",
     ("pre-gelu", "f", "gc"):
-        "257f1ee0e0f554b93f077bc56a616ea302b92b9bfb304187005c70f6f709da7f",
+        "f008db2a842dbf72748311a06bd0f8c01a7fb55a7735e507ba4db196c0b8f109",
     ("pre-gelu", "fpc", "gc"):
-        "2f905778f573039f6fd99426b5981bb5831d5bf9f0ae3b265dbd16e0b99482be",
+        "f3773fbdb7ebbadc44f6189eb58eb9ecc693073b5475a790db423b7a11dc947c",
     ("sem-wide", "base", "semantic"):
-        "9b31c7a946bbb2fb56ee56f2e2fb8a1b45e03ae0ca3794edd5012bb0c0d8c7df",
+        "b618d849bd4d1465795a41d5867daad0f0b0157ee4b5c522f0577ebbf8b3cc79",
     ("sem-wide", "f", "semantic"):
-        "b3b5990f1b4166e6c7bf830828aeb92fe3695ce9488a053d7735adb79d12cce6",
+        "58830f5ac13098ce5a6176baeb3449a6ef90a4ea96f65015000689e2367ebd8c",
     ("sem-wide", "fp", "semantic"):
-        "612d5b77cdd64da878475de4b27329b22d63ba923943260384f89760b7da44fd",
+        "06440aca87771de7205d9da01becc56c1939d0eb45d3baf5740de9ec8b305fbf",
     ("sem-wide", "fpc", "semantic"):
-        "3f810b29156978923c2d6c9ad4bcf870b5eaf25d0f2aa4115a53a1ef69a87359",
+        "26821595e3407f23df7fd7a1efd7877c3057f9de2e03a50174d1770e8badd58c",
     ("sem-long", "base", "semantic"):
-        "761965e23b2cc2390a43a92f857e325febd9b64713f198e95908208f30d21582",
+        "28ce34b542535d96821e44cfff1d6ee1b23b540fe28149c2622e513e6aa8920e",
     ("sem-long", "f", "semantic"):
-        "67cf40c83e99f876d83e9d9267f8638e4e6a94660a5621ec6336f85a74694a0b",
+        "c84ac18902139a033dd07c607bedf870a222412ba15c71bcbcfbe62e1136e504",
     ("sem-long", "fp", "semantic"):
-        "5a9cc7144f991745e5ff3eecd0aff1ceaffaf763115c5cb9429436e91eabe473",
+        "a564c7532fed08821677669eb634fa9925c07d080c97c625ec2c7e35365b6a93",
     ("sem-long", "fpc", "semantic"):
-        "55d3ccf51afb0715837c4619a3cbc371d814975892abb42ec99b3993465bdc02",
+        "193e998ba17d62953aae114b01d51749a14b0e075e474c47b17be1db502fd0bd",
 }
 
 
@@ -157,16 +165,16 @@ def test_run_matches_pinned_digest(name, mode, backend):
 # (fn, count, shift) -> sha256 of the stage circuit
 STAGE_DIGESTS = {
     ("gelu", 1, 8): "babc663fe3fc5f4825d92b2d7994056f8dc7234e46f9f703cb75191e2c296bff",
-    ("layernorm_row", 8, 0): "95316b03cefea19e8a27c4990f5742e11c19f5453b6c72593ba165546ff0ed8b",
-    ("layernorm_row", 8, 8): "6acc815deaf4a46a4ce5f3ce5a216dfb674765655f864ef52b572ae867c8f964",
-    ("layernorm_row", 8, 24): "ecb2e4d8679b7f75ebc68cf6f58d969d4458f4087ed2530e764ae6615da6f92e",
-    ("layernorm_row", 32, 0): "76b501ded67ef0ee07ca484f115f8488311b753b3eaf2ecc6d53d8f30084a187",
-    ("layernorm_row", 32, 8): "ef245b24697274596eeedd63b02aed0d2fb10f72d06b3704fc3b745241456882",
-    ("layernorm_row", 32, 24): "6566f7ff6fb080d5d95c3f78804c98ad16e7bbbb2aa002ccbbbd7832a6ea4232",
+    ("layernorm_row", 8, 0): "90d2d321138f96c00f3b7b5c83a25f849c50b076e26c9fffff984b5fce76ad81",
+    ("layernorm_row", 8, 8): "fed5bae7497721b211ac4f8ab1768a1a58a414e686cb3bc4d6a60900345af7f3",
+    ("layernorm_row", 8, 24): "229e4e121042057d15b9b839cd8f495c03d65ec6487d889ad9d7f2435e08f725",
+    ("layernorm_row", 32, 0): "4473d00aa962bdd99235c5b0bfe68e6213fbdc3dcc5a3c8f5286032ba6eda8d5",
+    ("layernorm_row", 32, 8): "94cd8fec5d2002beb9c2bb12db2a88b641aacb3f68e6560c6b1cf45d3f6d0530",
+    ("layernorm_row", 32, 24): "1032dc91a93587fdc14b98b288cbe9ade6497c45c7c446c02a01090d0bd7f050",
     ("relu", 1, 8): "ac98ca5fe414f612838039821712b107706784945d0fb75d21259d64a3219ef0",
-    ("softmax_row", 4, 32): "79e9e2cd5f20a6f9009b14564513d6f67d4592e63e16b1a4db5fa018b7474805",
-    ("softmax_row", 8, 32): "8341d9fb45d01f142106b782d42ade0bcc5963ce6129af0c02b704e1dbccbac8",
-    ("softmax_row", 16, 32): "50ecd06e643f6cf5d8763a248aedf11fd39c1a2609e87afb271ca2cd71d3f1f6",
+    ("softmax_row", 4, 32): "4119231e8056163e3e49308dc8f163bf4b7714920a3cddd269b7918e39b14f89",
+    ("softmax_row", 8, 32): "18e4863738068583ed986cb02fa2835e7f5e642fc50abac19ae40268c45f4c64",
+    ("softmax_row", 16, 32): "44a30ee7efc2f8aa40b303cfc61fbc51e62387c6dc3a352895031a7f0a719d74",
     ("trunc", 1, 8): "8a208f5f924a78da2037c44574cd25732c65a45d7bf8528f7f668c2ba9ca7497",
     ("trunc", 1, 24): "5a6ec55537c232155fa5f92ba2db5258e1ef0cad7244ebb693824cbf5f38fb5f",
 }
